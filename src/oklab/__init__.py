@@ -35,15 +35,12 @@ from .toric import (  # noqa: F401
     testbed_names,
 )
 from .okounkov import (  # noqa: F401
-    GradedValuationFamily,
     NOBody,
     nef_body,
-    no_body,
     no_body_rational,
     restricted_body,
     slice_formula_check,
     mu_endpoint_check,
-    toric_family,
 )
 from .additivity import (  # noqa: F401
     AdditivityVerdict,
@@ -61,7 +58,6 @@ from .inequalities import (  # noqa: F401
     check_cor13,
     cor15_check,
     delta_map,
-    delta_map_apply,
     injectivity_check,
     lehmann_xiao_check,
     lemma61_check,

@@ -17,14 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .exactgeom import Polytope, minkowski_sum, slice_at
-from .linalg import rat, solve, vec
-from .okounkov import (
-    no_body_rational,
-    restricted_body,
-    restriction_image_body,
-)
+from .linalg import dot, rank, rat, solve, vec
+from .okounkov import _section_image, no_body_rational, restricted_body
 from .toric import (
     AdmissibleFlag,
     Fan,
@@ -91,8 +88,6 @@ def in_cone(n: TDivisor, cone: ConeCLM):
     if sol is None:
         raise ValueError(f"class {cn} is not in the span of the cone basis")
     lam, m = sol
-    from .linalg import rank
-
     dependent = rank(rows) < 2
     ample = fan.classes.is_ample(cn)
     if dependent:
@@ -145,29 +140,25 @@ def compare_additive_bodies(body1: Polytope, body2: Polytope,
                                  msum.volume(), body1.volume(), body2.volume())
     witness = next(v for v in body_sum.vertices if not msum.contains_point(v))
     eqs, ineqs = msum.halfspaces()
-    violated = next(((n, c) for n, c in eqs if _dot(n, witness) != c), None)
+    violated = next(((n, c) for n, c in eqs if dot(n, witness) != c), None)
     if violated is None:
-        violated = next((n, c) for n, c in ineqs if _dot(n, witness) > c)
+        violated = next((n, c) for n, c in ineqs if dot(n, witness) > c)
     return AdditivityVerdict("strict", witness, violated, body_sum.volume(),
                              msum.volume(), body1.volume(), body2.volume())
 
 
-def check_additivity(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
-                     m_max: int = 3) -> AdditivityVerdict:
+def check_additivity(n1: TDivisor, n2: TDivisor,
+                     flag: AdmissibleFlag) -> AdditivityVerdict:
     """Compare body(N1 + N2) with body(N1) + body(N2), exactly."""
-    b1 = no_body_rational(n1, flag, m_max=m_max)
-    b2 = no_body_rational(n2, flag, m_max=m_max)
-    b12 = no_body_rational(n1 + n2, flag, m_max=m_max)
+    b1 = no_body_rational(n1, flag)
+    b2 = no_body_rational(n2, flag)
+    b12 = no_body_rational(n1 + n2, flag)
     for nb, which in ((b1, "N1"), (b2, "N2"), (b12, "N1+N2")):
         if not nb.exact:
             raise UncertifiedBodyError(f"body of {which} not certified exact")
     return compare_additive_bodies(
         b1.body, b2.body, b12.body,
         context=f"(classes {n1.cls} and {n2.cls})")
-
-
-def _dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +170,7 @@ class ReplayPreconditionError(ValueError):
 
 
 def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
-                               cone: ConeCLM, t, m_max: int = 3):
+                               cone: ConeCLM, t):
     """Recompute the slice-wise decomposition at nu_1 = t step by step.
 
     Splits at t0 = r*lambda_2 - (mu_2/mu_1) r*lambda_1 after ordering the
@@ -230,17 +221,14 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
         return okstep
 
     def body(div):
-        nb = no_body_rational(div, flag, m_max=m_max)
+        nb = no_body_rational(div, flag)
         if not nb.exact:
             raise UncertifiedBodyError(f"body of class {div.cls} not certified")
         return nb.body
 
     def image_body(div):
-        b, stable = restriction_image_body(div, flag, m_max=m_max)
-        if not stable:
-            raise UncertifiedBodyError(
-                f"restriction image of class {div.cls} did not stabilize")
-        return b
+        # valuations of the sections restricted to Y_1: the nu_1 = 0 slice
+        return slice_at(_section_image(div, flag).body, 0)
 
     # the canonical section of O(Y_1) has valuation vector e_1
     e1 = tuple(Fraction(1 if i == 0 else 0) for i in range(d))
@@ -286,13 +274,13 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
         img1 = image_body(n1 + n2 - oy1.scaled(t))
         ok = step("slice(N1+N2, t) = restricted(N1+N2 - t*O(Y1))",
                   slice_n12, img1) and ok
-        star1 = restricted_body(combo1, flag, m_max=m_max)
+        star1 = restricted_body(combo1, flag)
         if not star1.exact:
             raise UncertifiedBodyError("star body of the ample combination not certified")
         ok = step("restricted(N1+N2 - t*O(Y1)) = star body of the ample combination",
                   img1, star1.body) and ok
-        s1 = restricted_body(n1, flag, m_max=m_max)
-        s2 = restricted_body(combo2, flag, m_max=m_max)
+        s1 = restricted_body(n1, flag)
+        s2 = restricted_body(combo2, flag)
         if not (s1.exact and s2.exact):
             raise UncertifiedBodyError("star bodies for the induction step not certified")
         ok = step("induction on Y_1: star(N1+N2-t*O(Y1)) = star(N1) + star(combo)",
@@ -324,8 +312,7 @@ def e1_scaled(t, d):
 # ---------------------------------------------------------------------------
 
 def necessary_condition_check(l_div: TDivisor, m_div: TDivisor,
-                              flag: AdmissibleFlag, grid_den: int = 12,
-                              m_max: int = 3) -> dict:
+                              flag: AdmissibleFlag, grid_den: int = 12) -> dict:
     """Boundary-cone condition implied by additivity of an ample pair.
 
     For an additive pair the endpoint function must be additive,
@@ -338,7 +325,7 @@ def necessary_condition_check(l_div: TDivisor, m_div: TDivisor,
     cls = fan.classes
     if not (cls.is_ample(l_div.cls) and cls.is_ample(m_div.cls)):
         raise ValueError("necessary condition is stated for ample pairs")
-    verdict = check_additivity(l_div, m_div, flag, m_max=m_max)
+    verdict = check_additivity(l_div, m_div, flag)
     e_cls = flag.divisor_of_y1().cls
     mu_l = cls.mu(l_div.cls, e_cls)
     mu_m = cls.mu(m_div.cls, e_cls)
@@ -378,8 +365,6 @@ def necessary_condition_check(l_div: TDivisor, m_div: TDivisor,
 
 def ample_grid_classes(fan: Fan, bound: int = 5):
     """All ample integer class-coordinate vectors with |coordinate| <= bound."""
-    from itertools import product
-
     cls = fan.classes
     out = []
     for coords in product(range(-bound, bound + 1), repeat=cls.rank):
@@ -389,7 +374,7 @@ def ample_grid_classes(fan: Fan, bound: int = 5):
     return out
 
 
-def theorem_sweep_pairs(cone: ConeCLM, grid, m_max: int = 3):
+def theorem_sweep_pairs(cone: ConeCLM, grid):
     """All unordered coefficient pairs from the grid that land in the cone."""
     members = []
     for a in grid:
@@ -406,7 +391,7 @@ def theorem_sweep_pairs(cone: ConeCLM, grid, m_max: int = 3):
 
 
 def strict_search(fan: Fan, flag: AdmissibleFlag, bound: int = 5,
-                  m_max: int = 3, limit: int | None = None):
+                  limit: int | None = None):
     """Sweep ample class pairs for a strict inclusion, in a fixed order.
 
     Returns ("strict", pair, verdict) for the first strict pair found, or
@@ -417,7 +402,7 @@ def strict_search(fan: Fan, flag: AdmissibleFlag, bound: int = 5,
     checked = 0
     for i in range(len(divisors)):
         for j in range(i, len(divisors)):
-            verdict = check_additivity(divisors[i], divisors[j], flag, m_max=m_max)
+            verdict = check_additivity(divisors[i], divisors[j], flag)
             checked += 1
             if verdict.status == "strict":
                 return "strict", (classes[i], classes[j]), verdict

@@ -141,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--testbed", help="testbed name (built-in or catalog)")
         p.add_argument("--flag", help="flag as cone:i,j,... (ordered ray indices)")
-        p.add_argument("--mmax", type=int, default=3, help="max graded level")
         p.add_argument("--grid-den", type=int, default=12,
                        help="denominator bound for parameter grids")
         p.add_argument("--seed", type=int, default=2024)
@@ -187,8 +186,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_fans(args) -> dict[str, Fan]:
     fans = {name: testbed(name) for name in testbed_names()}
-    if args.catalog:
-        fans.update(load_catalog_dir(args.catalog))
+    if not args.catalog:
+        return fans
+    # FanError and json.JSONDecodeError are ValueErrors
+    try:
+        extra = load_catalog_dir(args.catalog)
+    except (KeyError, TypeError, ValueError, OSError) as exc:
+        raise ConfigError(f"bad catalog {args.catalog!r}: {exc}") from exc
+    shadowed = sorted(set(extra) & set(fans))
+    if shadowed:
+        raise ConfigError(f"catalog names shadow built-in testbeds: {', '.join(shadowed)}")
+    fans.update(extra)
     return fans
 
 
@@ -237,7 +245,6 @@ def _config_echo(args, extra=None) -> dict:
     echo = {
         "testbed": getattr(args, "testbed", None),
         "flag": getattr(args, "flag", None),
-        "m_max": args.mmax,
         "grid_den": args.grid_den,
         "seed": args.seed,
         "format": args.format,
@@ -256,7 +263,7 @@ def cmd_body(args, fans) -> int:
     flag = _parse_flag(fan, args.flag)
     divisor = _parse_divisor(fan, args.divisor)
     try:
-        nb = no_body_rational(divisor, flag, m_max=args.mmax)
+        nb = no_body_rational(divisor, flag)
     except NonBigClassError as exc:
         raise ConfigError(str(exc)) from exc
     record = {
@@ -271,11 +278,11 @@ def cmd_body(args, fans) -> int:
 
 
 def cmd_verify(args, fans) -> int:
-    config = RunConfig(m_max=args.mmax, grid_den=args.grid_den, seed=args.seed)
+    config = RunConfig(grid_den=args.grid_den, seed=args.seed)
     if args.testbed:
         if args.testbed not in fans:
             raise ConfigError(f"unknown testbed {args.testbed!r}")
-        config = RunConfig(testbeds=(args.testbed,), m_max=args.mmax,
+        config = RunConfig(testbeds=(args.testbed,),
                            grid_den=args.grid_den, seed=args.seed,
                            extra_fans={args.testbed: fans[args.testbed]})
     records = run_suite(args.suite, config)
@@ -287,7 +294,7 @@ def cmd_verify(args, fans) -> int:
 
 def cmd_search_strict(args, fans) -> int:
     fan = _pick_fan(args, fans)
-    config = RunConfig(m_max=args.mmax, grid_den=args.grid_den, seed=args.seed,
+    config = RunConfig(grid_den=args.grid_den, seed=args.seed,
                        search_bound=args.bound,
                        extra_fans={fan.name: fan})
     flag_rays = None
@@ -367,8 +374,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.mmax < 1 or args.grid_den < 1:
-            raise ConfigError("--mmax and --grid-den must be positive")
+        if args.grid_den < 1:
+            raise ConfigError("--grid-den must be positive")
         fans = _load_fans(args)
         return COMMANDS[args.command](args, fans)
     except ConfigError as exc:

@@ -14,9 +14,9 @@ which this module checks both directly and along the body-level proof
 path whenever the testbed carries a flag corresponding to M.
 
 Irrational d-th roots are never evaluated: the strict Brunn-Minkowski
-comparison is decided by exact rational bracketing of the roots plus the
-termwise power criterion (L^k M^{d-k})^d vs (L^d)^k (M^d)^{d-k}, and the
-two decisions are cross-checked against each other.
+comparison decides equality exactly, brackets the roots rationally only
+when the comparison is strict, and cross-checks the outcome against the
+termwise power criterion (L^k M^{d-k})^d vs (L^d)^k (M^d)^{d-k}.
 """
 
 from __future__ import annotations
@@ -24,9 +24,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial
 
+from .additivity import ample_grid_classes
 from .exactgeom import FormalBody, Polytope, minkowski_sum, mixed_volume, scale
 from .linalg import iroot, rank, solve, vec
 from .okounkov import NOBody, nef_body
@@ -43,7 +45,6 @@ __all__ = [
     "DeltaMap",
     "delta_map",
     "delta_map_for_classes",
-    "delta_map_apply",
     "check_cor13",
     "injectivity_check",
     "lemma61_check",
@@ -138,15 +139,14 @@ class DeltaMap:
         return FormalBody(pos.positive, neg.positive)
 
 
-def delta_map(l_div: TDivisor, m_div: TDivisor, flag: AdmissibleFlag,
-              m_max: int = 3) -> DeltaMap:
+def delta_map(l_div: TDivisor, m_div: TDivisor, flag: AdmissibleFlag) -> DeltaMap:
     fan = flag.fan
     if not fan.classes.is_nef(l_div.cls):
         raise ValueError("the anchor class L must be nef")
     if not fan.classes.is_nef(m_div.cls):
         raise ValueError("the companion class M must be nef")
-    bl = nef_body(l_div, flag, m_max=m_max)
-    bm = nef_body(m_div, flag, m_max=m_max)
+    bl = nef_body(l_div, flag)
+    bm = nef_body(m_div, flag)
     if not (bl.exact and bm.exact):
         raise ValueError("basis bodies could not be certified exact")
     dependent = rank([[a, b] for a, b in zip(l_div.cls, m_div.cls)]) < 2
@@ -155,7 +155,7 @@ def delta_map(l_div: TDivisor, m_div: TDivisor, flag: AdmissibleFlag,
                     dependent=dependent, corresponds_to_l=corresponds)
 
 
-def delta_map_for_classes(classes, flag: AdmissibleFlag, m_max: int = 3) -> DeltaMap:
+def delta_map_for_classes(classes, flag: AdmissibleFlag) -> DeltaMap:
     """Basis selection for r given ample classes spanning a cone.
 
     Reorders so that the first two generate the cone of all of them (in a
@@ -175,7 +175,7 @@ def delta_map_for_classes(classes, flag: AdmissibleFlag, m_max: int = 3) -> Delt
              if rank([[a, b] for a, b in zip(first.cls, c.cls)]) == 2]
     if not indep:
         companion = _independent_ample(fan, first)
-        return delta_map(first, companion, flag, m_max=m_max)
+        return delta_map(first, companion, flag)
     # extremes of the planar cone: maximize/minimize the M-coefficient
     # against the L-coefficient in the (first, indep[0]) coordinates
     base2 = indep[0]
@@ -189,9 +189,8 @@ def delta_map_for_classes(classes, flag: AdmissibleFlag, m_max: int = 3) -> Delt
     lo = min(range(len(classes)), key=lambda i: _slope_key(coords[i]))
     hi = max(range(len(classes)), key=lambda i: _slope_key(coords[i]))
     if lo == hi:
-        return delta_map(classes[lo], _independent_ample(fan, classes[lo]),
-                         flag, m_max=m_max)
-    return delta_map(classes[lo], classes[hi], flag, m_max=m_max)
+        return delta_map(classes[lo], _independent_ample(fan, classes[lo]), flag)
+    return delta_map(classes[lo], classes[hi], flag)
 
 
 def _slope_key(coord):
@@ -203,16 +202,10 @@ def _slope_key(coord):
 def _independent_ample(fan: Fan, anchor: TDivisor) -> TDivisor:
     if fan.classes.rank < 2:
         raise ValueError("no independent ample class exists (Picard rank one)")
-    from .additivity import ample_grid_classes
-
     for cls in ample_grid_classes(fan, bound=4):
         if rank([[a, b] for a, b in zip(anchor.cls, cls)]) == 2:
             return fan.classes.divisor_from_class(cls)
     raise ValueError("could not find an independent ample class")
-
-
-def delta_map_apply(dmap: DeltaMap, n: TDivisor) -> FormalBody:
-    return dmap.apply(n)
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +264,36 @@ def _root_bracket(a: Fraction, d: int, s: int):
     return Fraction(lo, s), Fraction(hi, s)
 
 
+def _power_sum_equals(a: Fraction, b: Fraction, c: Fraction, d: int) -> bool:
+    """c == (a^(1/d) + b^(1/d))^d, decided in rational arithmetic.
+
+    For a, b > 0 the right side is rational only when a/b = (p/q)^d for
+    integers p, q (linear independence of real radicals, Besicovitch
+    1940), and then it equals b (1 + p/q)^d.
+    """
+    if a == 0 or b == 0:
+        return c == a + b
+    r = Fraction(a) / b
+    p, exact_p = iroot(r.numerator, d)
+    q, exact_q = iroot(r.denominator, d)
+    return exact_p and exact_q and c == b * (1 + Fraction(p, q)) ** d
+
+
 def decide_power_inequality(a: Fraction, b: Fraction, c: Fraction, d: int):
     """Exact comparison of c against (a^(1/d) + b^(1/d))^d.
 
     Returns ('>', certified bound) when c is strictly larger, ('<', bound)
-    when strictly smaller, or ('=', None) when equal.  Decided twice: by
-    rational root bracketing with increasing precision and by the termwise
-    power criterion (equality holds iff every bracketed term is tight);
-    the two must agree.
+    when strictly smaller, or ('=', None) when equal.  Equality is decided
+    exactly first; a strict comparison is then settled by rational root
+    bracketing with increasing precision, which ends because the bracket
+    closes in on a value different from c.
     """
     if a < 0 or b < 0:
         raise ValueError("needs nonnegative self-intersections")
-    # termwise criterion via the binomial expansion of (a^{1/d}+b^{1/d})^d:
-    # c_expanded = sum comb(d,k) a^{k/d} b^{(d-k)/d}; with c known to expand
-    # as sum comb(d,k) m_k, equality of the k-th terms means m_k^d = a^k b^{d-k}.
+    if _power_sum_equals(a, b, c, d):
+        return "=", None
     s = 10
-    for _ in range(40):
+    while True:
         lo_a, hi_a = _root_bracket(a, d, s)
         lo_b, hi_b = _root_bracket(b, d, s)
         lo = (lo_a + lo_b) ** d
@@ -295,10 +302,7 @@ def decide_power_inequality(a: Fraction, b: Fraction, c: Fraction, d: int):
             return ">", hi
         if c < lo:
             return "<", lo
-        if lo == hi == c:
-            return "=", None
         s *= 10
-    raise ArithmeticError("root bracketing did not converge")
 
 
 def injectivity_check(dmap: DeltaMap) -> InequalityRecord:
@@ -332,14 +336,14 @@ def injectivity_check(dmap: DeltaMap) -> InequalityRecord:
 # mixed volumes vs intersection numbers (one-sided, tight on matching flags)
 # ---------------------------------------------------------------------------
 
-def lemma61_check(l_div: TDivisor, m_div: TDivisor, flag: AdmissibleFlag,
-                  m_max: int = 3) -> InequalityRecord:
+def lemma61_check(l_div: TDivisor, m_div: TDivisor,
+                  flag: AdmissibleFlag) -> InequalityRecord:
     """V(body(L), body(M)^{d-1}) <= (1/d!)(L . M^{d-1}) for nef classes,
     with equality whenever the flag corresponds to L or to M."""
     fan = flag.fan
     d = fan.dim
-    bl = nef_body(l_div, flag, m_max=m_max)
-    bm = nef_body(m_div, flag, m_max=m_max)
+    bl = nef_body(l_div, flag)
+    bm = nef_body(m_div, flag)
     if not (bl.exact and bm.exact):
         raise ValueError("bodies could not be certified exact")
     lhs = mixed_volume([bl.body] + [bm.body] * (d - 1))
@@ -373,35 +377,29 @@ def lehmann_xiao_check(k_body: Polytope, l_body: Polytope, m_body: Polytope,
                             inputs={"k": k, "dim": d})
 
 
-_FLAG_SEARCH_CACHE: dict = {}
-
-
 def find_corresponding_flag(fan: Fan, divisor: TDivisor) -> AdmissibleFlag | None:
     """First invariant flag (cone + ordering) corresponding to the class."""
-    key = (fan.name, divisor.cls)
-    if key in _FLAG_SEARCH_CACHE:
-        return _FLAG_SEARCH_CACHE[key]
-    found = None
-    cls = fan.classes
-    target = vec(divisor.cls)
+    return _flag_for_class(fan, divisor.cls)
+
+
+@lru_cache(maxsize=None)
+def _flag_for_class(fan: Fan, target: tuple) -> AdmissibleFlag | None:
+    # correspondence is numerical, so any representative of the class will
+    # do; memoised on the fan object, which compares by identity
+    divisor = fan.classes.divisor_from_class(target)
     for cone in fan.max_cones:
         for perm in permutations(cone):
-            y1 = cls.class_of([1 if i == perm[0] else 0
-                               for i in range(len(fan.rays))])
+            y1 = fan.classes.class_of([1 if i == perm[0] else 0
+                                       for i in range(len(fan.rays))])
             if rank([[a, b] for a, b in zip(y1, target)]) > 1:
                 continue  # level-0 proportionality already fails
             flag = AdmissibleFlag(fan, perm)
             if flag_corresponds(fan, flag, divisor)[0]:
-                found = flag
-                break
-        if found:
-            break
-    _FLAG_SEARCH_CACHE[key] = found
-    return found
+                return flag
+    return None
 
 
-def cor15_check(l_div: TDivisor, m_div: TDivisor, n_div: TDivisor,
-                m_max: int = 3) -> dict:
+def cor15_check(l_div: TDivisor, m_div: TDivisor, n_div: TDivisor) -> dict:
     """L^d (M . N^{d-1}) <= d (M . L^{d-1}) (L . N^{d-1}) for nef classes.
 
     Always checks the inequality directly on intersection numbers.  When
@@ -424,9 +422,9 @@ def cor15_check(l_div: TDivisor, m_div: TDivisor, n_div: TDivisor,
     flag = find_corresponding_flag(fan, m_div)
     if flag is None:
         return out
-    bl = nef_body(l_div, flag, m_max=m_max)
-    bm = nef_body(m_div, flag, m_max=m_max)
-    bn = nef_body(n_div, flag, m_max=m_max)
+    bl = nef_body(l_div, flag)
+    bm = nef_body(m_div, flag)
+    bn = nef_body(n_div, flag)
     if not (bl.exact and bm.exact and bn.exact):
         return out
     lx = lehmann_xiao_check(bm.body, bl.body, bn.body, 1)
@@ -472,9 +470,9 @@ def derivative_check_bodies(k_body: Polytope, base: Polytope) -> tuple[bool, dic
 
 
 def mixed_volume_derivative_check(l_div: TDivisor, m_div: TDivisor,
-                                  flag: AdmissibleFlag, m_max: int = 3) -> bool:
-    bl = nef_body(l_div, flag, m_max=m_max)
-    bm = nef_body(m_div, flag, m_max=m_max)
+                                  flag: AdmissibleFlag) -> bool:
+    bl = nef_body(l_div, flag)
+    bm = nef_body(m_div, flag)
     if not (bl.exact and bm.exact):
         raise ValueError("bodies could not be certified exact")
     ok, _ = derivative_check_bodies(bl.body, bm.body)
@@ -520,15 +518,14 @@ def random_nef_divisor(rnd: random.Random, fan: Fan, bound: int = 4) -> TDivisor
             return div
 
 
-def cor15_sweep(fan: Fan, count: int, seed: int, bound: int = 4,
-                m_max: int = 3) -> list[dict]:
+def cor15_sweep(fan: Fan, count: int, seed: int, bound: int = 4) -> list[dict]:
     rnd = random.Random(seed)
     out = []
     for idx in range(count):
         l_div = random_nef_divisor(rnd, fan, bound)
         m_div = random_nef_divisor(rnd, fan, bound)
         n_div = random_nef_divisor(rnd, fan, bound)
-        res = cor15_check(l_div, m_div, n_div, m_max=m_max)
+        res = cor15_check(l_div, m_div, n_div)
         res["index"] = idx
         res["seed"] = seed
         out.append(res)

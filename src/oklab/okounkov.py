@@ -1,48 +1,43 @@
-"""Newton-Okounkov bodies from graded valuation families.
+"""Newton-Okounkov bodies of torus-invariant divisors in closed form.
 
-The body of a big divisor is the closed convex hull of the normalized
-valuation vectors of all sections of all its multiples.  On the toric
-testbeds the sections of m D have a monomial basis indexed by the lattice
-points of m P_D, so each graded level is a finite explicit set and the
-hull over levels m <= m_max is exact polyhedral data.
+For the invariant flag of a smooth cone with ordered rays v_1, ..., v_d
+the body of a big divisor D = sum a_rho D_rho is the image of its section
+polytope, Delta(D) = phi(P_D) with phi(u) = (<u, v_i> + a_{v_i})_i
+(Lazarsfeld-Mustata 2009, Prop. 6.1).  phi is a unimodular affine map, so
+the vertices of P_D map onto the vertices of the body and no lattice
+enumeration is needed.
 
-A computed body carries an exactness certificate: the hull must be stable
-under refinement through level three AND (for nef classes) its volume must
-match the top self-intersection number through the independent mixed-volume
-route.  Bodies that cannot be certified are returned flagged, never
-silently trusted.
+A computed body carries an exactness flag: it is set when the class is nef
+and d! vol(body) equals the top self-intersection number from the
+mixed-volume route.  Big classes outside the nef cone have no such volume
+oracle here and come back flagged inexact; the checkers refuse those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
-from .exactgeom import Polytope, scale, slice_at
+from .exactgeom import Polytope, slice_at
+from .linalg import dot
 from .toric import (
     AdmissibleFlag,
-    Fan,
     TDivisor,
-    face_lattice_tails,
-    flag_valuation,
     intersection_number,
-    lattice_points_of_divisor,
     mu,
+    polytope_of_divisor,
     star_model,
 )
 
 __all__ = [
-    "GradedValuationFamily",
     "NOBody",
     "NonBigClassError",
     "NotAmpleError",
-    "toric_family",
-    "no_body",
     "no_body_rational",
     "nef_body",
     "restricted_body",
-    "restriction_image_body",
     "slice_formula_check",
     "mu_endpoint_check",
 ]
@@ -57,36 +52,10 @@ class NotAmpleError(ValueError):
 
 
 @dataclass(frozen=True)
-class GradedValuationFamily:
-    """Levels m -> finite valuation-vector sets for an integral divisor."""
-
-    fan: Fan
-    flag: AdmissibleFlag
-    divisor: TDivisor
-
-    def level(self, m: int) -> frozenset:
-        if m < 1:
-            raise ValueError("graded level must be >= 1")
-        dm = self.divisor.scaled(m)
-        return frozenset(
-            tuple(int(x) for x in flag_valuation(self.flag, dm, u))
-            for u in lattice_points_of_divisor(self.fan, dm))
-
-
-def toric_family(fan: Fan, flag: AdmissibleFlag, divisor: TDivisor) -> GradedValuationFamily:
-    if divisor.denominator_lcm() != 1:
-        raise ValueError("graded families need an integral divisor; clear denominators first")
-    if flag.fan is not fan:
-        raise ValueError("flag lives on a different fan")
-    return GradedValuationFamily(fan=fan, flag=flag, divisor=divisor)
-
-
-@dataclass(frozen=True)
 class NOBody:
     body: Polytope
     flag: tuple
     cls: tuple
-    m_used: int
     exact: bool
 
     def to_json(self):
@@ -94,108 +63,57 @@ class NOBody:
         out.update({
             "flag": list(self.flag),
             "class": [[c.numerator, c.denominator] for c in self.cls],
-            "m_used": self.m_used,
             "exact": self.exact,
         })
         return out
 
 
-_BODY_CACHE: dict = {}
+@lru_cache(maxsize=None)
+def _section_image(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
+    """phi(P_D) for the flag, with the nef volume certificate.
 
-
-def no_body(fam: GradedValuationFamily, m_max: int = 3) -> NOBody:
-    """Hull of the normalized valuation sets up to level m_max.
-
-    Certificate: every level hull is contained in the true body, so once
-    the hull volume matches the top self-intersection number (the mixed
-    volume route, available for nef classes), the level hull IS the body:
-    two nested compact convex sets of equal positive volume coincide.
-    That also proves stability under all further refinement, so levels
-    past the certifying one are skipped.  Big classes outside the nef cone
-    have no such volume oracle here and come back flagged inexact after
-    m_max levels.
-    """
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    fan, flag, div = fam.fan, fam.flag, fam.divisor
-    cls = div.cls
-    if not fan.classes.is_big(cls):
-        raise NonBigClassError(f"class {cls} is not big on {fan.name}")
-    key = (fan.name, flag.ray_indices, div.coeffs, m_max)
-    hit = _BODY_CACHE.get(key)
-    if hit is not None:
-        return hit
-    d = fan.dim
-    top = None
-    if fan.classes.is_nef(cls):
-        top = intersection_number(fan, [div] * d)
-    points: set = set()
-    body = None
-    exact = False
-    m_used = m_max
-    for m in range(1, m_max + 1):
-        for v in fam.level(m):
-            points.add(tuple(Fraction(x, m) for x in v))
-        body = Polytope.hull(points, dim=d)
-        if top is not None and factorial(d) * body.volume() == top:
-            exact = True
-            m_used = m
-            break
-    out = NOBody(body=body, flag=flag.ray_indices, cls=cls,
-                 m_used=m_used, exact=exact)
-    _BODY_CACHE[key] = out
-    return out
-
-
-def no_body_rational(divisor: TDivisor, flag: AdmissibleFlag, m_max: int = 3) -> NOBody:
-    """Body of a rational class: clear denominators, compute, scale back."""
-    p = divisor.denominator_lcm()
-    fam = toric_family(flag.fan, flag, divisor.scaled(p))
-    nb = no_body(fam, m_max=m_max)
-    if p == 1:
-        return nb
-    return NOBody(body=scale(nb.body, Fraction(1, p)), flag=nb.flag,
-                  cls=divisor.cls, m_used=nb.m_used, exact=nb.exact)
-
-
-def nef_body(divisor: TDivisor, flag: AdmissibleFlag, m_max: int = 3) -> NOBody:
-    """Body of a nef class, allowing the non-big (lower-dimensional) case.
-
-    The graded family of a nef torus-invariant divisor is nonempty and its
-    hull is the natural extension of the body to the nef boundary; for
-    non-big classes it is lower-dimensional (e.g. a horizontal segment for
-    a ruling class on a quadric).  Certified by level stability plus the
-    volume identity d! vol = D^d, which pins 0 = 0 in the non-big case.
+    Memoised on the divisor and flag objects, which compare their fans by
+    identity, so two fans that share a name never share a body.  D need not
+    be big: the nu_1 = 0 slice of phi(P_D), which is phi of the face
+    P_D & {<u, v_1> = -a_{v_1}}, is the valuation image of the sections
+    restricted to E = Y_1.
     """
     fan = flag.fan
-    cls = divisor.cls
-    if not fan.classes.is_nef(cls):
-        raise ValueError(f"class {cls} is not nef on {fan.name}")
-    if fan.classes.is_big(cls):
-        return no_body_rational(divisor, flag, m_max=m_max)
-    p = divisor.denominator_lcm()
-    base = divisor.scaled(p)
-    points: set = set()
-    hulls = []
-    for m in range(1, m_max + 1):
-        dm = base.scaled(m)
-        for u in lattice_points_of_divisor(fan, dm):
-            v = flag_valuation(flag, dm, u)
-            points.add(tuple(Fraction(x, m * p) for x in v))
-        hulls.append(Polytope.hull(points, dim=fan.dim))
-    body = hulls[-1]
-    stable = len(hulls) >= 3 and hulls[0] == hulls[1] == hulls[2] and not body.is_empty()
-    exact = False
-    if stable:
-        d = fan.dim
-        top = intersection_number(fan, [divisor] * d)
-        exact = factorial(d) * body.volume() == top
-    return NOBody(body=body, flag=flag.ray_indices, cls=cls,
-                  m_used=m_max, exact=exact)
+    d = fan.dim
+    rays = [fan.rays[i] for i in flag.ray_indices]
+    shifts = [divisor.coeffs[i] for i in flag.ray_indices]
+    body = Polytope.hull(
+        [tuple(dot(u, r) + a for r, a in zip(rays, shifts))
+         for u in polytope_of_divisor(fan, divisor).vertices], dim=d)
+    exact = (fan.classes.is_nef(divisor.cls)
+             and factorial(d) * body.volume()
+             == intersection_number(fan, [divisor] * d))
+    return NOBody(body=body, flag=flag.ray_indices, cls=divisor.cls, exact=exact)
 
 
-def restricted_body(divisor: TDivisor, flag: AdmissibleFlag, t_shift=0,
-                    m_max: int = 3) -> NOBody:
+def no_body_rational(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
+    """Body of a big rational class."""
+    fan = flag.fan
+    if not fan.classes.is_big(divisor.cls):
+        raise NonBigClassError(f"class {divisor.cls} is not big on {fan.name}")
+    return _section_image(divisor, flag)
+
+
+def nef_body(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
+    """Body of a nef class, allowing the non-big (lower-dimensional) case.
+
+    phi(P_D) is the natural extension of the body to the nef boundary; for
+    non-big classes it is lower-dimensional (e.g. a horizontal segment for
+    a ruling class on a quadric), and the volume identity d! vol = D^d
+    pins 0 = 0.
+    """
+    fan = flag.fan
+    if not fan.classes.is_nef(divisor.cls):
+        raise ValueError(f"class {divisor.cls} is not nef on {fan.name}")
+    return _section_image(divisor, flag)
+
+
+def restricted_body(divisor: TDivisor, flag: AdmissibleFlag, t_shift=0) -> NOBody:
     """Body of (N - t O(Y_1)) restricted to E = Y_1, on the star model.
 
     Only ample arguments are accepted: ampleness makes the restriction maps
@@ -211,39 +129,10 @@ def restricted_body(divisor: TDivisor, flag: AdmissibleFlag, t_shift=0,
         raise NotAmpleError(
             f"restricted body needs an ample argument; got class {arg.cls}")
     sm = star_model(fan, flag)
-    return no_body_rational(sm.restrict_divisor(arg), sm.star_flag, m_max=m_max)
+    return no_body_rational(sm.restrict_divisor(arg), sm.star_flag)
 
 
-def restriction_image_body(divisor: TDivisor, flag: AdmissibleFlag,
-                           m_max: int = 3) -> tuple[Polytope, bool]:
-    """Hull of valuations of restricted sections (image of H^0(mN) on E).
-
-    A restricted monomial section is nonzero exactly when its first
-    valuation coordinate vanishes, so each level is the nu_1 = 0 face of
-    the full family with the first coordinate dropped (enumerated on the
-    pinned hyperplane directly).  Returns the hull through m_max together
-    with a stability certificate: stability holds on the shipped fans
-    because their ray configurations make every section polytope a lattice
-    polytope, and is reported honestly when it fails on foreign catalogs.
-    """
-    fan = flag.fan
-    if fan.dim < 2:
-        raise ValueError("restricted bodies need dimension >= 2")
-    p = divisor.denominator_lcm()
-    base = divisor.scaled(p)
-    points: set = set()
-    hulls = []
-    for m in range(1, m_max + 1):
-        dm = base.scaled(m)
-        for tail in face_lattice_tails(fan, flag, dm):
-            points.add(tuple(Fraction(x, m * p) for x in tail))
-        hulls.append(Polytope.hull(points, dim=fan.dim - 1))
-    stable = len(hulls) >= 3 and hulls[0] == hulls[1] == hulls[2] and not hulls[0].is_empty()
-    return hulls[-1], stable
-
-
-def slice_formula_check(divisor: TDivisor, flag: AdmissibleFlag, t,
-                        m_max: int = 3):
+def slice_formula_check(divisor: TDivisor, flag: AdmissibleFlag, t):
     """Verify slice-at-t == {t} x restricted body of (M - t O(Y_1)).
 
     Returns (True, None) or (False, witness) with a witness vertex in the
@@ -256,11 +145,11 @@ def slice_formula_check(divisor: TDivisor, flag: AdmissibleFlag, t,
     endpoint = mu(fan, divisor, e_cls)
     if not 0 <= t < endpoint:
         raise ValueError(f"t={t} outside [0, mu) = [0, {endpoint})")
-    nb = no_body_rational(divisor, flag, m_max=m_max)
+    nb = no_body_rational(divisor, flag)
     if not nb.exact:
         raise ValueError("body of M could not be certified exact")
     lhs = slice_at(nb.body, t)
-    rhs_nb = restricted_body(divisor, flag, t_shift=t, m_max=m_max)
+    rhs_nb = restricted_body(divisor, flag, t_shift=t)
     if not rhs_nb.exact:
         raise ValueError("restricted body could not be certified exact")
     rhs = rhs_nb.body
@@ -275,13 +164,12 @@ def slice_formula_check(divisor: TDivisor, flag: AdmissibleFlag, t,
     return False, None
 
 
-def mu_endpoint_check(divisor: TDivisor, flag: AdmissibleFlag,
-                      m_max: int = 3) -> bool:
+def mu_endpoint_check(divisor: TDivisor, flag: AdmissibleFlag) -> bool:
     """mu from the cone inequalities == max first coordinate of the body."""
     fan = flag.fan
     e_cls = flag.divisor_of_y1().cls
     endpoint = mu(fan, divisor, e_cls)
-    nb = no_body_rational(divisor, flag, m_max=m_max)
+    nb = no_body_rational(divisor, flag)
     if not nb.exact:
         raise ValueError("body could not be certified exact")
     _, top = nb.body.first_coordinate_range()

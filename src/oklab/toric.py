@@ -15,13 +15,26 @@ after construction, so independent computations can run concurrently.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import ceil, factorial, floor, gcd
+from functools import lru_cache
+from itertools import combinations
+from math import factorial
 
 from .exactgeom import Polytope, mixed_volume
-from .linalg import det_int, dot, nullspace, primitive, rank, rat, rref, solve, vec
+from .linalg import (
+    common_denominator,
+    det_int,
+    dot,
+    nullspace,
+    primitive,
+    rank,
+    rat,
+    rref,
+    solve,
+    vec,
+)
 
 __all__ = [
     "Fan",
@@ -31,8 +44,6 @@ __all__ = [
     "CurveModel",
     "FanError",
     "polytope_of_divisor",
-    "lattice_points_of_divisor",
-    "face_lattice_tails",
     "flag_valuation",
     "intersection_number",
     "flag_corresponds",
@@ -259,12 +270,6 @@ class TDivisor:
         c = rat(c)
         return TDivisor(self.fan, tuple(c * a for a in self.coeffs))
 
-    def denominator_lcm(self) -> int:
-        out = 1
-        for c in self.coeffs:
-            out = out * c.denominator // gcd(out, c.denominator)
-        return out
-
 
 @dataclass(frozen=True)
 class AdmissibleFlag:
@@ -314,7 +319,7 @@ class NumClassSpace:
         self.fan = fan
         n, d = len(fan.rays), fan.dim
         relations = [[Fraction(fan.rays[i][j]) for i in range(n)] for j in range(d)]
-        _, pivots = _rref_pivots(relations)
+        _, pivots = rref(relations)
         if len(pivots) != d:
             raise FanError("rays do not span the ambient lattice")
         self.pivot_rays = tuple(pivots)
@@ -410,16 +415,9 @@ def _unit(n, i):
     return out
 
 
-def _rref_pivots(rows):
-    return rref(rows)
-
-
 def _primitive_row(g):
-    den = 1
-    for x in g:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in g]
-    return tuple(Fraction(x) for x in primitive(ints))
+    den = common_denominator([g])
+    return tuple(Fraction(x) for x in primitive([int(x * den) for x in g]))
 
 
 def _cone_facets(generators, dim):
@@ -472,76 +470,6 @@ def polytope_of_divisor(fan: Fan, divisor: TDivisor) -> Polytope:
     return Polytope.hull(verts, dim=d)
 
 
-def lattice_points_of_divisor(fan: Fan, divisor: TDivisor):
-    """Integer points of P_D (empty list when P_D is empty)."""
-    p = polytope_of_divisor(fan, divisor)
-    if p.is_empty():
-        return []
-    d = fan.dim
-    lo = [min(v[j] for v in p.vertices) for j in range(d)]
-    hi = [max(v[j] for v in p.vertices) for j in range(d)]
-    ranges = [range(ceil(lo[j]), floor(hi[j]) + 1) for j in range(d)]
-    den = divisor.denominator_lcm()
-    rays = fan.rays
-    coeffs_scaled = [int(c * den) for c in divisor.coeffs]
-    out = []
-    for u in product(*ranges):
-        ok = True
-        for r, c in zip(rays, coeffs_scaled):
-            s = 0
-            for x, y in zip(u, r):
-                s += x * y
-            if s * den < -c:
-                ok = False
-                break
-        if ok:
-            out.append(u)
-    return out
-
-
-def face_lattice_tails(fan: Fan, flag: AdmissibleFlag, divisor: TDivisor):
-    """Valuation tails (nu_2, ..., nu_d) of lattice points with nu_1 = 0.
-
-    Works in the unimodular coordinates c = (<u, v_1>, ..., <u, v_d>) of
-    the flag cone, where the nu_1 = 0 condition pins c_1, so only a
-    (d-1)-dimensional box is enumerated.  The divisor must be integral;
-    the tails are exactly the valuation vectors of the nonzero restricted
-    monomial sections on Y_1.
-    """
-    if divisor.denominator_lcm() != 1:
-        raise ValueError("face enumeration needs an integral divisor")
-    d = fan.dim
-    a = [int(x) for x in divisor.coeffs]
-    p = polytope_of_divisor(fan, divisor)
-    if p.is_empty():
-        return []
-    rrows = [[Fraction(fan.rays[i][j]) for j in range(d)] for i in flag.ray_indices]
-    inv_cols = [solve(rrows, [Fraction(1 if j == k else 0) for j in range(d)])
-                for k in range(d)]
-    # t_rho . c = <u, v_rho> when c = (<u, v_i>)_i over the flag basis
-    trays = [tuple(int(sum(inv_cols[k][j] * r[j] for j in range(d))) for k in range(d))
-             for r in fan.rays]
-    cverts = [tuple(dot(vec(fan.rays[i]), v) for i in flag.ray_indices)
-              for v in p.vertices]
-    c1 = -a[flag.ray_indices[0]]
-    ranges = []
-    for k in range(1, d):
-        lo = min(cv[k] for cv in cverts)
-        hi = max(cv[k] for cv in cverts)
-        ranges.append(range(ceil(lo), floor(hi) + 1))
-    tails = []
-    for rest in product(*ranges):
-        c = (c1,) + rest
-        ok = True
-        for t, coeff in zip(trays, a):
-            if sum(x * y for x, y in zip(c, t)) < -coeff:
-                ok = False
-                break
-        if ok:
-            tails.append(tuple(c[k] + a[flag.ray_indices[k]] for k in range(1, d)))
-    return tails
-
-
 def flag_valuation(flag: AdmissibleFlag, divisor: TDivisor, u):
     """Valuation vector of the monomial section chi^u of O(D).
 
@@ -591,7 +519,7 @@ def flag_corresponds(fan: Fan, flag: AdmissibleFlag, divisor: TDivisor):
         level = [w for w in walls if tau <= set(w.rays)] if d > 1 else []
         if not level:
             raise FanError("no invariant curves found at flag level")
-        ey = _unit_coeffs(fan, flag.ray_indices[i])
+        ey = _unit(len(fan.rays), flag.ray_indices[i])
         avals = [w.curve_intersection(ey) for w in level]
         bvals = [w.curve_intersection(divisor.coeffs) for w in level]
         r = None
@@ -608,12 +536,6 @@ def flag_corresponds(fan: Fan, flag: AdmissibleFlag, divisor: TDivisor):
                 return False, None
         ratios.append(r)
     return True, tuple(ratios)
-
-
-def _unit_coeffs(fan, i):
-    out = [Fraction(0)] * len(fan.rays)
-    out[i] = Fraction(1)
-    return out
 
 
 def mu(fan: Fan, m: TDivisor, e_cls) -> Fraction:
@@ -656,14 +578,9 @@ class StarModel:
         return TDivisor(self.star_fan, tuple(coeffs))
 
 
-_STAR_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def star_model(fan: Fan, flag: AdmissibleFlag) -> StarModel:
-    key = (fan.name, flag.ray_indices)
-    hit = _STAR_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """Memoised on the fan and flag objects (fans compare by identity)."""
     if fan.dim < 2:
         raise ValueError("star models need dimension >= 2")
     d = fan.dim
@@ -695,10 +612,8 @@ def star_model(fan: Fan, flag: AdmissibleFlag) -> StarModel:
     star_fan = Fan(f"{fan.name}|ray{v1}", star_rays, star_cones)
     star_flag = AdmissibleFlag(star_fan,
                                tuple(ray_map[i] for i in flag.ray_indices[1:]))
-    out = StarModel(fan=fan, star_fan=star_fan, flag=flag,
-                    star_flag=star_flag, ray_map=ray_map, u_rows=urows)
-    _STAR_CACHE[key] = out
-    return out
+    return StarModel(fan=fan, star_fan=star_fan, flag=flag,
+                     star_flag=star_flag, ray_map=ray_map, u_rows=urows)
 
 
 # ---------------------------------------------------------------------------
@@ -778,14 +693,16 @@ def testbed(name: str) -> Fan:
 
 def load_catalog_dir(path) -> dict[str, Fan]:
     """Extra testbeds from JSON files {"name", "rays", "max_cones"}."""
-    import os
-
     out = {}
     for fname in sorted(os.listdir(path)):
         if not fname.endswith(".json"):
             continue
         with open(os.path.join(path, fname)) as fh:
             data = json.load(fh)
+        if not isinstance(data["name"], str):
+            raise FanError(f"{fname}: the testbed name must be a string")
         fan = Fan(data["name"], data["rays"], data["max_cones"])
+        if fan.name in out:
+            raise FanError(f"catalog name {fan.name!r} appears twice")
         out[fan.name] = fan
     return out

@@ -9,8 +9,8 @@ flag, so the CLI and the acceptance tests share one code path.
 
 Sweep grids follow the verification defaults: body coefficients from
 {1/2, 1, 3/2, 2, 3}, slice/replay parameters on a denominator-12 grid
-(coarsened to denominator 4 on the three-folds, where the restriction
-image enumeration scales with the denominator).
+(coarsened to denominator 4 on the three-folds, which fixes the set of
+three-fold slice and replay records the acceptance runs check).
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 from math import ceil
 
 from .additivity import (
     ConeCLM,
+    ample_grid_classes,
     check_additivity,
     necessary_condition_check,
     slice_decomposition_replay,
@@ -40,7 +42,7 @@ from .inequalities import (
     nef_body,
 )
 from .okounkov import mu_endpoint_check, slice_formula_check
-from .toric import AdmissibleFlag, Fan, TDivisor, mu, testbed
+from .toric import AdmissibleFlag, Fan, TDivisor, flag_corresponds, mu, testbed
 
 DEFAULT_GRID = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
 
@@ -105,7 +107,6 @@ class RunConfig:
     """Knobs shared by every suite; defaults match the acceptance runs."""
 
     testbeds: tuple = tuple(sorted(SWEEP_CONFIGS))
-    m_max: int = 3
     grid_den: int = 12
     grid: tuple = DEFAULT_GRID
     seed: int = 2024
@@ -132,8 +133,8 @@ def _div(fan: Fan, coeffs) -> TDivisor:
 
 
 def _grid_den_for(fan: Fan, config: RunConfig) -> int:
-    # restriction-image enumeration scales with the t denominator; the
-    # three-folds get a coarser grid to stay inside the time budget
+    # the three-folds keep the coarser grid that defines their slice and
+    # replay record sets (a finer one multiplies the 3D replays per case)
     return min(config.grid_den, 4) if fan.dim >= 3 else config.grid_den
 
 
@@ -144,11 +145,6 @@ def auto_sweep_config(fan: Fan):
     and pairs it with a small ample companion; returns [] when no such
     flag exists, in which case the sweep is honestly skipped.
     """
-    from itertools import permutations
-
-    from .additivity import ample_grid_classes
-    from .toric import flag_corresponds
-
     for cone in fan.max_cones:
         for order in permutations(cone):
             flag = AdmissibleFlag(fan, order)
@@ -180,7 +176,7 @@ def suite_additivity(config: RunConfig) -> list[dict]:
             cone = ConeCLM(_div(fan, lco), _div(fan, mco))
             pairs = theorem_sweep_pairs(cone, config.grid)
             for ((a1, b1), n1), ((a2, b2), n2) in pairs:
-                verdict = check_additivity(n1, n2, flag, m_max=config.m_max)
+                verdict = check_additivity(n1, n2, flag)
                 rec = {
                     "key": f"additivity/{name}/{flag.label()}/{a1},{b1}/{a2},{b2}",
                     "suite": "additivity", "testbed": name,
@@ -210,7 +206,7 @@ def suite_slices(config: RunConfig) -> list[dict]:
             e_cls = flag.divisor_of_y1().cls
             endpoint = mu(fan, m_div, e_cls)
             case = f"slices/{name}/{flag.label()}/{','.join(map(str, mco))}"
-            ok_mu = mu_endpoint_check(m_div, flag, m_max=config.m_max)
+            ok_mu = mu_endpoint_check(m_div, flag)
             records.append({"key": case + "/mu-endpoint", "suite": "slices",
                             "testbed": name, "check": "mu-endpoint",
                             "mu": endpoint, "pass": ok_mu})
@@ -221,8 +217,7 @@ def suite_slices(config: RunConfig) -> list[dict]:
                 shifted = m_div - flag.divisor_of_y1().scaled(t)
                 if not fan.classes.is_ample(shifted.cls):
                     continue
-                ok, witness = slice_formula_check(m_div, flag, t,
-                                                  m_max=config.m_max)
+                ok, witness = slice_formula_check(m_div, flag, t)
                 rec = {"key": case + f"/t={t}", "suite": "slices",
                        "testbed": name, "check": "slice-formula",
                        "t": t, "pass": ok}
@@ -249,8 +244,7 @@ def suite_replay(config: RunConfig) -> list[dict]:
                 t = Fraction(k, den)
                 if t >= endpoint:
                     break
-                ok, trace = slice_decomposition_replay(
-                    n1, n2, flag, cone, t, m_max=config.m_max)
+                ok, trace = slice_decomposition_replay(n1, n2, flag, cone, t)
                 seen_cases.add(trace["meta"]["case"])
                 rec = {
                     "key": case + f"/t={t}", "suite": "replay",
@@ -275,7 +269,7 @@ def suite_prop14(config: RunConfig) -> list[dict]:
             pairs = theorem_sweep_pairs(cone, config.grid)
             for ((a1, b1), n1), ((a2, b2), n2) in pairs:
                 rep = necessary_condition_check(
-                    n1, n2, flag, grid_den=config.grid_den, m_max=config.m_max)
+                    n1, n2, flag, grid_den=config.grid_den)
                 records.append({
                     "key": f"prop14/{name}/{flag.label()}/{a1},{b1}/{a2},{b2}",
                     "suite": "prop14", "testbed": name,
@@ -292,8 +286,7 @@ def suite_cor13(config: RunConfig) -> list[dict]:
         fan = config.fan(name)
         flag_rays, lco, mco = SWEEP_CONFIGS[name][0]
         flag = _flag(fan, flag_rays)
-        dmap = delta_map(_div(fan, lco), _div(fan, mco), flag,
-                         m_max=config.m_max)
+        dmap = delta_map(_div(fan, lco), _div(fan, mco), flag)
         d = fan.dim
         tuples = []
         for k in range(d + 1):
@@ -313,8 +306,7 @@ def suite_cor13(config: RunConfig) -> list[dict]:
         fan = config.fan(name)
         flag_rays, lco, mco = INJECTIVITY_PAIRS[name]
         flag = _flag(fan, flag_rays)
-        dmap = delta_map(_div(fan, lco), _div(fan, mco), flag,
-                         m_max=config.m_max)
+        dmap = delta_map(_div(fan, lco), _div(fan, mco), flag)
         rec = injectivity_check(dmap)
         records.append({
             "key": f"cor13/{name}/injectivity", "suite": "cor13",
@@ -346,8 +338,7 @@ def suite_lemma61(config: RunConfig) -> list[dict]:
         fan = config.fan(name)
         for flag_rays, lco, mco in LEMMA61_PAIRS[name]:
             flag = _flag(fan, flag_rays)
-            rec = lemma61_check(_div(fan, lco), _div(fan, mco), flag,
-                                m_max=config.m_max)
+            rec = lemma61_check(_div(fan, lco), _div(fan, mco), flag)
             corr = rec.inputs["flag_corresponds_to"]
             ok = rec.passed and (corr is None or rec.slack == 0)
             records.append({
@@ -370,7 +361,7 @@ def suite_lemma61(config: RunConfig) -> list[dict]:
         for idx in range(min(16, len(grid_members) * (len(grid_members) - 1) // 2)):
             l_div = rnd.choice(grid_members)
             m_div = rnd.choice(grid_members)
-            rec = lemma61_check(l_div, m_div, flag, m_max=config.m_max)
+            rec = lemma61_check(l_div, m_div, flag)
             corr = rec.inputs["flag_corresponds_to"]
             ok = rec.passed and (corr is None or rec.slack == 0)
             records.append({
@@ -389,8 +380,7 @@ def suite_cor15(config: RunConfig) -> list[dict]:
         fan = config.fan(name)
         if fan.dim < 2:
             continue
-        results = cor15_sweep(fan, config.cor15_count, config.seed,
-                              m_max=config.m_max)
+        results = cor15_sweep(fan, config.cor15_count, config.seed)
         for res in results:
             rec = res["direct"]
             records.append({
@@ -402,7 +392,7 @@ def suite_cor15(config: RunConfig) -> list[dict]:
             })
         if name == "p1xp1" and not tight_done:
             res = cor15_check(_div(fan, (0, 1, 0, 1)), _div(fan, (0, 1, 0, 0)),
-                              _div(fan, (0, 0, 0, 1)), m_max=config.m_max)
+                              _div(fan, (0, 0, 0, 1)))
             rec = res["direct"]
             records.append({
                 "key": "cor15/p1xp1/tight-111-10-01", "suite": "cor15",
@@ -446,8 +436,8 @@ def suite_lx(config: RunConfig) -> list[dict]:
             continue
         fan = config.fan(name)
         flag = _flag(fan, flag_rays)
-        bl = nef_body(_div(fan, lco), flag, m_max=config.m_max)
-        bm = nef_body(_div(fan, mco), flag, m_max=config.m_max)
+        bl = nef_body(_div(fan, lco), flag)
+        bm = nef_body(_div(fan, mco), flag)
         ok, info = derivative_check_bodies(bl.body, bm.body)
         records.append({
             "key": f"lx/derivative-{idx:02d}/{name}", "suite": "lx",
@@ -463,8 +453,7 @@ def suite_strict_search(config: RunConfig, testbed_name: str,
     if flag_rays is None:
         flag_rays = SWEEP_CONFIGS[testbed_name][0][0]
     flag = _flag(fan, tuple(flag_rays))
-    outcome = strict_search(fan, flag, bound=config.search_bound,
-                            m_max=config.m_max)
+    outcome = strict_search(fan, flag, bound=config.search_bound)
     if outcome[0] == "strict":
         _, pair, verdict = outcome
         return [{

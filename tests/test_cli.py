@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oklab.cli import main
 
@@ -161,5 +163,58 @@ def test_json_object_divisor_and_flag_forms(capsys):
 
 def test_nonpositive_bounds_rejected(capsys):
     code, _, err = run(capsys, "body", "--testbed", "p1", "--class", "2",
-                       "--mmax", "0")
+                       "--grid-den", "0")
     assert code == 2 and "positive" in err
+
+
+QUADRIC = {"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+           "max_cones": [[0, 2], [1, 2], [1, 3], [0, 3]]}
+
+
+@pytest.mark.parametrize("files", [
+    {"a.json": {"name": "p2", **QUADRIC}},
+    {"a.json": {"name": "quad", **QUADRIC}, "b.json": {"name": "quad", **QUADRIC}},
+])
+def test_catalog_names_must_be_new_and_unique(tmp_path, capsys, files):
+    for fname, spec in files.items():
+        (tmp_path / fname).write_text(json.dumps(spec))
+    code, _, err = run(capsys, "mu", "--testbed", "p1xp1", "--class", "0,2,0,3",
+                       "--catalog", str(tmp_path))
+    assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", [
+    # a single cone: not a complete fan
+    '{"name": "half", "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}',
+    '{"name": "half", "rays": [[1, 0], [0, 1]',
+    '{"name": "half", "rays": [[1, 0], [0, 1]]}',
+    '{"name": 5, "rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
+    ' "max_cones": [[0, 2], [1, 2], [1, 3], [0, 3]]}',
+])
+def test_bad_catalog_is_config_error(tmp_path, capsys, text):
+    (tmp_path / "half.json").write_text(text)
+    code, _, err = run(capsys, "body", "--testbed", "half", "--class", "1,1",
+                       "--catalog", str(tmp_path))
+    assert code == 2 and err.startswith("error:")
+
+
+coordinate = st.integers(-2, 2)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dim=st.integers(1, 3), data=st.data())
+def test_fuzzed_catalogs_never_escape_main(tmp_path, capsys, dim, data):
+    rays = data.draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim),
+                              min_size=1, max_size=6))
+    cones = data.draw(st.lists(st.lists(st.integers(-1, len(rays)),
+                                        min_size=dim, max_size=dim),
+                               min_size=1, max_size=8))
+    (tmp_path / "fuzz.json").write_text(
+        json.dumps({"name": "fuzz", "rays": rays, "max_cones": cones}))
+    coeffs = ",".join(str(x) for x in data.draw(
+        st.lists(coordinate, min_size=len(rays), max_size=len(rays))))
+    code = main(["mu", "--testbed", "fuzz", f"--class={coeffs}",
+                 "--catalog", str(tmp_path)])
+    capsys.readouterr()
+    assert code in (0, 1, 2)

@@ -1,6 +1,8 @@
 """Body-map linearity, polarization bridges, and the inequality battery."""
 
+import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -21,6 +23,7 @@ from oklab.inequalities import (
     mixed_volume_derivative_check,
     random_polytope,
 )
+from oklab.linalg import iroot
 from oklab.okounkov import no_body_rational
 from oklab.toric import AdmissibleFlag, TDivisor, testbed
 
@@ -133,6 +136,57 @@ def test_power_inequality_decisions():
     assert side == ">" and bound < 28  # (1 + 2)^3 = 27 < 28
 
 
+def test_power_inequality_equality_with_irrational_roots():
+    # sqrt(2) + sqrt(8) = sqrt(18)
+    assert decide_power_inequality(2, 8, 18, 2) == ("=", None)
+    assert decide_power_inequality(F(2), F(8), F(18) - F(1, 10 ** 9), 2)[0] == "<"
+    assert decide_power_inequality(F(0), F(8), F(8), 3) == ("=", None)
+
+
+def _strictly_above_root(q, d):
+    """A rational m with m^d > q."""
+    n = 10
+    return F(iroot(q.numerator * n ** d // q.denominator, d)[0] + 1, n)
+
+
+def test_power_inequality_agrees_with_termwise_criterion():
+    # c = sum_k C(d,k) m_k with m_0 = b, m_d = a and m_k^d >= a^k b^(d-k), the
+    # shape of mixed intersection numbers; c equals (a^(1/d) + b^(1/d))^d
+    # exactly when every middle term is tight
+    rnd = random.Random(17)
+    sides = {"=": 0, ">": 0, "<": 0}
+    for _ in range(200):
+        d = rnd.choice((2, 3))
+        b = F(rnd.randint(1, 30), rnd.randint(1, 4))
+        ratio = None
+        if rnd.random() < 0.5:
+            ratio = F(rnd.randint(1, 5), rnd.randint(1, 5))
+            a = b * ratio ** d
+        else:
+            a = F(rnd.randint(1, 30), rnd.randint(1, 4))
+        terms = []
+        for k in range(1, d):
+            if ratio is not None and rnd.random() < 0.7:
+                terms.append(b * ratio ** k)
+            else:
+                terms.append(_strictly_above_root(a ** k * b ** (d - k), d))
+        termwise_equal = all(m ** d == a ** k * b ** (d - k)
+                             for k, m in enumerate(terms, start=1))
+        c = a + b + sum(comb(d, k) * m for k, m in enumerate(terms, start=1))
+        side, bound = decide_power_inequality(a, b, c, d)
+        sides[side] += 1
+        assert (side == "=") == termwise_equal, (a, b, c, d)
+        if termwise_equal:
+            assert bound is None
+            c -= F(1, rnd.randint(1, 1000))
+            side, bound = decide_power_inequality(a, b, c, d)
+            sides[side] += 1
+            assert side == "<" and bound > c
+        else:
+            assert side == ">" and bound < c
+    assert all(sides.values()), sides
+
+
 def test_injectivity_18_vs_16():
     fan = testbed("p1xp1")
     flag = AdmissibleFlag(fan, (0, 2))
@@ -221,8 +275,6 @@ def test_lx_sweep_deterministic():
 
 
 def test_random_polytope_in_box():
-    import random
-
     p = random_polytope(random.Random(3), 3)
     assert all(0 <= x <= 4 for v in p.vertices for x in v)
 

