@@ -18,7 +18,6 @@ from .exactgeom import (  # noqa: F401
     mixed_volume,
     scale,
     slice_at,
-    volume,
 )
 from .toric import (  # noqa: F401
     AdmissibleFlag,

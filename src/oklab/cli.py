@@ -184,6 +184,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_values(argv) -> list[str]:
+    """`--class -1,2,0` -> `--class=-1,2,0`, which argparse would otherwise
+    read as an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--class", "--classes") \
+                and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _load_fans(args) -> dict[str, Fan]:
     fans = {name: testbed(name) for name in testbed_names()}
     if not args.catalog:
@@ -372,7 +385,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_signed_values(argv))
     try:
         if args.grid_den < 1:
             raise ConfigError("--grid-den must be positive")

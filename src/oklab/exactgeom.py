@@ -41,7 +41,6 @@ __all__ = [
     "convex_hull",
     "minkowski_sum",
     "scale",
-    "volume",
     "mixed_volume",
     "slice_at",
     "equals",
@@ -437,10 +436,6 @@ def scale(p: Polytope, c) -> Polytope:
         return Polytope.point([0] * p.dim)
     verts = tuple(tuple(c * x for x in v) for v in p.vertices)
     return Polytope(p.dim, verts, _trusted=True)  # order preserved for c > 0
-
-
-def volume(p: Polytope) -> Fraction:
-    return p.volume()
 
 
 def mixed_volume(bodies) -> Fraction:

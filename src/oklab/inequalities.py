@@ -212,18 +212,11 @@ def _independent_ample(fan: Fan, anchor: TDivisor) -> TDivisor:
 # compatibility with intersection products (polarization bridge)
 # ---------------------------------------------------------------------------
 
-def _basis_numbers(dmap: DeltaMap):
-    """(1/d!) L^k M^{d-k} and V(body_L^k, body_M^{d-k}) for all k."""
-    fan = dmap.fan
-    d = fan.dim
-    ints = []
-    mixed = []
-    for k in range(d + 1):
-        divisors = [dmap.L] * k + [dmap.M] * (d - k)
-        ints.append(intersection_number(fan, divisors))
-        bodies = [dmap.body_l.body] * k + [dmap.body_m.body] * (d - k)
-        mixed.append(mixed_volume(bodies))
-    return ints, mixed
+def _basis_intersections(dmap: DeltaMap):
+    """L^k M^{d-k} for k = 0..d."""
+    d = dmap.fan.dim
+    return [intersection_number(dmap.fan, [dmap.L] * k + [dmap.M] * (d - k))
+            for k in range(d + 1)]
 
 
 def check_cor13(dmap: DeltaMap, divisors) -> tuple[bool, dict]:
@@ -235,7 +228,9 @@ def check_cor13(dmap: DeltaMap, divisors) -> tuple[bool, dict]:
     if len(divisors) != d:
         raise ValueError(f"need exactly {d} classes")
     decomps = [dmap.decompose(n) for n in divisors]
-    ints, mixed = _basis_numbers(dmap)
+    ints = _basis_intersections(dmap)
+    mixed = [mixed_volume([dmap.body_l.body] * k + [dmap.body_m.body] * (d - k))
+             for k in range(d + 1)]
     lhs = Fraction(0)
     rhs = Fraction(0)
     for picks in product((0, 1), repeat=d):
@@ -312,7 +307,7 @@ def injectivity_check(dmap: DeltaMap) -> InequalityRecord:
         raise ValueError("injectivity is undefined for a dependent basis")
     fan = dmap.fan
     d = fan.dim
-    ints, _ = _basis_numbers(dmap)
+    ints = _basis_intersections(dmap)
     a = ints[d]      # L^d
     b = ints[0]      # M^d
     c = intersection_number(fan, [dmap.L + dmap.M] * d)
@@ -410,12 +405,12 @@ def cor15_check(l_div: TDivisor, m_div: TDivisor, n_div: TDivisor) -> dict:
     """
     fan = l_div.fan
     d = fan.dim
-    lhs = (intersection_number(fan, [l_div] * d)
-           * intersection_number(fan, [m_div] + [n_div] * (d - 1)))
-    rhs = (d * intersection_number(fan, [m_div] + [l_div] * (d - 1))
-           * intersection_number(fan, [l_div] + [n_div] * (d - 1)))
+    l_top = intersection_number(fan, [l_div] * d)
+    m_n = intersection_number(fan, [m_div] + [n_div] * (d - 1))
+    m_l = intersection_number(fan, [m_div] + [l_div] * (d - 1))
+    l_n = intersection_number(fan, [l_div] + [n_div] * (d - 1))
     direct = InequalityRecord(
-        name="cor15-direct", lhs=lhs, rhs=rhs,
+        name="cor15-direct", lhs=l_top * m_n, rhs=d * m_l * l_n,
         inputs={"L": l_div.cls, "M": m_div.cls, "N": n_div.cls})
     out = {"direct": direct, "proof_path": None,
            "ok": direct.passed}
@@ -428,13 +423,11 @@ def cor15_check(l_div: TDivisor, m_div: TDivisor, n_div: TDivisor) -> dict:
     if not (bl.exact and bm.exact and bn.exact):
         return out
     lx = lehmann_xiao_check(bm.body, bl.body, bn.body, 1)
-    eq_ml = (mixed_volume([bm.body] + [bl.body] * (d - 1))
-             == intersection_number(fan, [m_div] + [l_div] * (d - 1)) / factorial(d))
-    eq_mn = (mixed_volume([bm.body] + [bn.body] * (d - 1))
-             == intersection_number(fan, [m_div] + [n_div] * (d - 1)) / factorial(d))
-    le_ln = (mixed_volume([bl.body] + [bn.body] * (d - 1))
-             <= intersection_number(fan, [l_div] + [n_div] * (d - 1)) / factorial(d))
-    vol_id = bl.body.volume() == intersection_number(fan, [l_div] * d) / factorial(d)
+    d_fact = factorial(d)
+    eq_ml = mixed_volume([bm.body] + [bl.body] * (d - 1)) == m_l / d_fact
+    eq_mn = mixed_volume([bm.body] + [bn.body] * (d - 1)) == m_n / d_fact
+    le_ln = mixed_volume([bl.body] + [bn.body] * (d - 1)) <= l_n / d_fact
+    vol_id = bl.body.volume() == l_top / d_fact
     path_ok = lx.passed and eq_ml and eq_mn and le_ln and vol_id
     out["proof_path"] = {
         "flag": flag.ray_indices,

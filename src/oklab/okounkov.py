@@ -8,9 +8,11 @@ the vertices of P_D map onto the vertices of the body and no lattice
 enumeration is needed.
 
 A computed body carries an exactness flag: it is set when the class is nef
-and d! vol(body) equals the top self-intersection number from the
-mixed-volume route.  Big classes outside the nef cone have no such volume
-oracle here and come back flagged inexact; the checkers refuse those.
+and d! vol(body) equals the top self-intersection number D^d.  D^d comes
+from the fan's intersection form and touches no polytope, so the two sides
+of the certificate are independent.  Big classes outside the nef cone have
+no such volume oracle here and come back flagged inexact; the checkers
+refuse those.
 """
 
 from __future__ import annotations

@@ -3,10 +3,13 @@
 A variety is modelled by its complete smooth fan (primitive ray generators
 plus maximal cones).  Torus-invariant Q-divisors are coefficient vectors
 over the rays; their numerical classes, the nef and pseudo-effective cones,
-intersection numbers against invariant curves, divisor polytopes and
-admissible invariant flags are all computed from the fan in exact rational
-arithmetic.  The degenerate dimension-one backend (a curve, where a divisor
-is just its degree) lives here as well.
+divisor polytopes and admissible invariant flags are all computed from the
+fan in exact rational arithmetic.  Intersection numbers come from one
+multilinear form per fan, the Chow-ring rule on ray monomials: top
+intersections, degrees on invariant curves and the Kleiman rows of the nef
+cone all contract it, and none of them touches a polytope.  The degenerate
+dimension-one backend (a curve, where a divisor is just its degree) lives
+here as well.
 
 Nothing in this module touches floating point, and all values are immutable
 after construction, so independent computations can run concurrently.
@@ -19,10 +22,10 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import factorial
+from itertools import combinations, product
+from math import prod
 
-from .exactgeom import Polytope, mixed_volume
+from .exactgeom import Polytope
 from .linalg import (
     common_denominator,
     det_int,
@@ -92,7 +95,6 @@ class Fan:
             raise FanError("fan without rays")
         self.dim = len(self.rays[0])
         self._classes = None
-        self._walls = None
         self._validate()
 
     # -- validation ----------------------------------------------------------
@@ -113,13 +115,14 @@ class Fan:
                 raise FanError(f"maximal cone {c} must have {d} distinct rays")
             if not all(0 <= i < len(self.rays) for i in c):
                 raise FanError(f"cone {c} references unknown rays")
-            if abs(_det([self.rays[i] for i in c])) != 1:
+            if abs(det_int([list(self.rays[i]) for i in c])) != 1:
                 raise FanError(f"cone {c} is not smooth (|det| != 1)")
         if len(set(self.max_cones)) != len(self.max_cones):
             raise FanError("duplicate maximal cones")
         if d == 1:
             if sorted(self.rays) != [(-1,), (1,)] or len(self.max_cones) != 2:
                 raise FanError("a complete smooth curve fan has rays +-1")
+            self.ridges = ((),)  # a curve is its own only invariant curve
             return
         self._check_ridges()
         self._check_generic_point()
@@ -154,7 +157,8 @@ class Fan:
                     stack.append(nb)
         if len(seen) != len(self.max_cones):
             raise FanError("fan support is not connected")
-        self._ridges = ridges
+        # ridges tau as sorted ray tuples, one per invariant curve C_tau
+        self.ridges = tuple(sorted(tuple(sorted(key)) for key in ridges))
 
     def _check_generic_point(self):
         for k in (997, 1009, 1013, 1019, 1021):
@@ -186,35 +190,6 @@ class Fan:
             self._classes = NumClassSpace(self)
         return self._classes
 
-    def walls(self):
-        """Codimension-one cones with their curve intersection data.
-
-        Each wall tau carries the relation v_a + v_b + sum_j b_j u_j = 0
-        between the rays of its two adjacent maximal cones; the intersection
-        number of D_rho with the invariant curve of tau reads off as 1 for
-        rho in {a, b}, b_j for the wall rays, and 0 otherwise.
-        """
-        if self._walls is not None:
-            return self._walls
-        out = []
-        if self.dim == 1:
-            coef = {i: Fraction(1) for i in range(len(self.rays))}
-            out.append(Wall(rays=frozenset(), coefficients=coef))
-        else:
-            for key, inc in sorted(self._ridges.items(), key=lambda kv: sorted(kv[0])):
-                (c1, o1), (c2, o2) = inc
-                wall_rays = sorted(key)
-                rhs = [Fraction(-(self.rays[o1][j] + self.rays[o2][j]))
-                       for j in range(self.dim)]
-                bs = solve([[Fraction(self.rays[i][j]) for i in wall_rays]
-                            for j in range(self.dim)], rhs)
-                coef = {o1: Fraction(1), o2: Fraction(1)}
-                for i, b in zip(wall_rays, bs):
-                    coef[i] = b
-                out.append(Wall(rays=frozenset(wall_rays), coefficients=coef))
-        self._walls = tuple(out)
-        return self._walls
-
     def to_json(self):
         return {"name": self.name,
                 "rays": [list(r) for r in self.rays],
@@ -222,20 +197,6 @@ class Fan:
 
     def __repr__(self):
         return f"Fan({self.name!r}, dim={self.dim}, rays={len(self.rays)})"
-
-
-@dataclass(frozen=True)
-class Wall:
-    rays: frozenset
-    coefficients: dict
-
-    def curve_intersection(self, coeffs) -> Fraction:
-        return sum((rat(coeffs[i]) * c for i, c in self.coefficients.items()),
-                   Fraction(0))
-
-
-def _det(rows):
-    return det_int([list(r) for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +271,9 @@ class NumClassSpace:
     Classes are coordinates over the rays left free after quotienting the
     ray-coefficient space by the relations u -> (<u, v_rho>)_rho.  The
     pseudo-effective cone is generated by the ray divisor classes; the nef
-    cone is cut out by the piecewise-linear convexity functionals, one per
-    (maximal cone, outside ray) pair.  Both H-representations are primitive
-    integer rows, so membership questions are exact sign tests.
+    cone is cut out by the degrees on the invariant curves, one Kleiman row
+    per ridge (Cox-Little-Schenck Thm 6.3.12).  Both H-representations are
+    primitive integer rows, so membership questions are exact sign tests.
     """
 
     def __init__(self, fan: Fan):
@@ -354,19 +315,12 @@ class NumClassSpace:
         return TDivisor(self.fan, tuple(coeffs))
 
     def _nef_facets(self):
+        n = len(self.fan.rays)
         rows = set()
-        n, d = len(self.fan.rays), self.fan.dim
-        for cone in self.fan.max_cones:
-            crows = [[Fraction(self.fan.rays[i][j]) for j in range(d)] for i in cone]
-            outside = [r for r in range(n) if r not in cone]
-            for rho in outside:
-                g = []
-                for k in self.free_rays:
-                    e = _unit(n, k)
-                    u = solve(crows, [-Fraction(e[i]) for i in cone])
-                    g.append(dot(u, vec(self.fan.rays[rho])) + e[rho])
-                if any(x != 0 for x in g):
-                    rows.add(_primitive_row(g))
+        for tau in self.fan.ridges:
+            g = [_curve_degree(self.fan, _unit(n, k), tau) for k in self.free_rays]
+            if any(x != 0 for x in g):
+                rows.add(_primitive_row(g))
         return tuple(sorted(rows))
 
     # -- membership ------------------------------------------------------------
@@ -487,8 +441,60 @@ def flag_valuation(flag: AdmissibleFlag, divisor: TDivisor, u):
                  for i in flag.ray_indices)
 
 
+def _dual_basis(fan: Fan, cone) -> tuple:
+    """Integer rows m_k with <m_k, v_l> = delta_kl on the rays of a smooth cone."""
+    rows = [vec(fan.rays[i]) for i in cone]
+    units = [[Fraction(int(k == l)) for l in range(len(cone))] for k in range(len(cone))]
+    return tuple(tuple(int(x) for x in solve(rows, e)) for e in units)
+
+
+@lru_cache(maxsize=None)
+def _monomial(fan: Fan, rays: tuple) -> int:
+    """D_{r_1} ... D_{r_d} for a sorted ray tuple, memoised on the fan object
+    (Fulton, Introduction to Toric Varieties, Sec. 5.2).
+
+    Distinct rays meet in one point when they span a maximal cone and not at
+    all otherwise.  A repeated ray rho is traded, inside a maximal cone sigma
+    holding all the rays, for -sum_{j not in sigma} <m, v_j> D_j with m dual
+    to rho on sigma.  Each trade brings a ray from outside sigma into the
+    support, so the recursion is at most d - 1 levels deep.
+    """
+    support = set(rays)
+    sigma = next((c for c in fan.max_cones if support <= set(c)), None)
+    if sigma is None:
+        return 0
+    if len(support) == len(rays):
+        return 1
+    rho = next(r for r, s in zip(rays, rays[1:]) if r == s)
+    m = _dual_basis(fan, sigma)[sigma.index(rho)]
+    rest = list(rays)
+    rest.remove(rho)
+    return -sum(sum(x * y for x, y in zip(m, fan.rays[j]))
+                * _monomial(fan, tuple(sorted(rest + [j])))
+                for j in range(len(fan.rays)) if j not in sigma)
+
+
+def _form(fan: Fan, coeff_vectors) -> Fraction:
+    """The intersection form on d ray-coefficient vectors, nef or not."""
+    supports = [[(i, a) for i, a in enumerate(v) if a != 0] for v in coeff_vectors]
+    return sum((prod(a for _, a in picks)
+                * _monomial(fan, tuple(sorted(i for i, _ in picks)))
+                for picks in product(*supports)), Fraction(0))
+
+
+def _curve_degree(fan: Fan, coeffs, tau) -> Fraction:
+    """D . C_tau for the invariant curve of the ridge tau."""
+    n = len(fan.rays)
+    return _form(fan, [coeffs] + [_unit(n, t) for t in tau])
+
+
 def intersection_number(fan: Fan, divisors) -> Fraction:
-    """(D_1 . ... . D_d) = d! V(P_{D_1}, ..., P_{D_d}) for nef divisors."""
+    """(D_1 . ... . D_d) for nef divisors, contracted from the fan's form.
+
+    The form is defined for every divisor and uses no polytope; the nef
+    precondition is the contract of the inequality checks and of the
+    `oklab intersect` command.
+    """
     divisors = list(divisors)
     d = fan.dim
     if len(divisors) != d:
@@ -498,42 +504,37 @@ def intersection_number(fan: Fan, divisors) -> Fraction:
             raise ValueError("divisor on a different fan")
         if not fan.classes.is_nef(dv.cls):
             raise ValueError("intersection numbers are only certified for nef inputs")
-    bodies = [polytope_of_divisor(fan, dv) for dv in divisors]
-    return factorial(d) * mixed_volume(bodies)
+    return _form(fan, [dv.coeffs for dv in divisors])
 
 
 def flag_corresponds(fan: Fan, flag: AdmissibleFlag, divisor: TDivisor):
     """Decide Def-style correspondence of the flag with the divisor class.
 
-    For each level i the restricted classes are compared against every
-    invariant curve of Y_i (the walls containing the first i flag rays);
-    these curves span the curve classes, so proportionality against them
-    is exact.  Returns (True, ratios) or (False, None); a zero ratio means
-    the restriction of the class to Y_i is numerically trivial.
+    For each level i the restricted classes are compared on every invariant
+    curve of Y_i (the ridges containing the first i flag rays); these
+    curves span the curve classes, so proportionality against them is
+    exact.  Returns (True, ratios) or (False, None); a zero ratio means the
+    restriction of the class to Y_i is numerically trivial.
     """
     d = fan.dim
-    walls = fan.walls()
     ratios = []
     for i in range(d - 1):
-        tau = set(flag.ray_indices[:i])
-        level = [w for w in walls if tau <= set(w.rays)] if d > 1 else []
+        head = set(flag.ray_indices[:i])
+        level = [tau for tau in fan.ridges if head <= set(tau)]
         if not level:
             raise FanError("no invariant curves found at flag level")
         ey = _unit(len(fan.rays), flag.ray_indices[i])
-        avals = [w.curve_intersection(ey) for w in level]
-        bvals = [w.curve_intersection(divisor.coeffs) for w in level]
-        r = None
-        if all(b == 0 for b in bvals):
+        avals = [_curve_degree(fan, ey, tau) for tau in level]
+        bvals = [_curve_degree(fan, divisor.coeffs, tau) for tau in level]
+        pivot = next(((av, bv) for av, bv in zip(avals, bvals) if av != 0), None)
+        if all(bv == 0 for bv in bvals):
             r = Fraction(0)
+        elif pivot is None:
+            return False, None
         else:
-            for av, bv in zip(avals, bvals):
-                if av != 0:
-                    r = bv / av
-                    break
-            if r is None:
-                return False, None
-            if any(r * av != bv for av, bv in zip(avals, bvals)):
-                return False, None
+            r = pivot[1] / pivot[0]
+        if any(r * av != bv for av, bv in zip(avals, bvals)):
+            return False, None
         ratios.append(r)
     return True, tuple(ratios)
 
@@ -584,15 +585,7 @@ def star_model(fan: Fan, flag: AdmissibleFlag) -> StarModel:
     if fan.dim < 2:
         raise ValueError("star models need dimension >= 2")
     d = fan.dim
-    cone_rays = [fan.rays[i] for i in flag.ray_indices]
-    brows = [[Fraction(cone_rays[i][j]) for i in range(d)] for j in range(d)]
-    u_rows = []
-    for k in range(d):
-        col = solve(brows, [Fraction(1 if j == k else 0) for j in range(d)])
-        u_rows.append(col)
-    # u_rows[k] is the k-th column of B^{-1} read as ... build actual rows:
-    urows = tuple(tuple(int(u_rows[j][k]) for j in range(d)) for k in range(d))
-    # urows[k] . v_l = delta_{kl}
+    urows = _dual_basis(fan, flag.ray_indices)
     v1 = flag.ray_indices[0]
     adjacent = sorted({rho for cone in fan.max_cones if v1 in cone
                        for rho in cone if rho != v1})

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from blowups import blown_up_fans
 from oklab.cli import main
 
 
@@ -61,6 +62,21 @@ def test_intersect_command(capsys):
                        "--classes", "0,1,0,1;0,1,0,1")
     assert code == 0
     assert json.loads(out)["checks"][0]["value"] == [2, 1]
+
+
+def test_negative_leading_coefficient_needs_no_equals_sign(capsys):
+    spaced = run(capsys, "mu", "--testbed", "p2", "--class", "-1,2,0",
+                 "--flag", "cone:1,2")
+    joined = run(capsys, "mu", "--testbed", "p2", "--class=-1,2,0",
+                 "--flag", "cone:1,2")
+    assert spaced == joined and spaced[0] == 0
+
+
+def test_intersect_accepts_negative_leading_coefficient(capsys):
+    code, out, _ = run(capsys, "intersect", "--testbed", "p2",
+                       "--classes", "-1,2,0;1,0,0")
+    assert code == 0
+    assert json.loads(out)["checks"][0]["value"] == [1, 1]
 
 
 def test_intersect_rejects_non_nef(capsys):
@@ -214,7 +230,27 @@ def test_fuzzed_catalogs_never_escape_main(tmp_path, capsys, dim, data):
         json.dumps({"name": "fuzz", "rays": rays, "max_cones": cones}))
     coeffs = ",".join(str(x) for x in data.draw(
         st.lists(coordinate, min_size=len(rays), max_size=len(rays))))
-    code = main(["mu", "--testbed", "fuzz", f"--class={coeffs}",
+    code = main(["mu", "--testbed", "fuzz", "--class", coeffs,
                  "--catalog", str(tmp_path)])
+    assert code in (0, 1, 2)
+    code = main(["intersect", "--testbed", "fuzz", "--classes",
+                 ";".join([coeffs] * dim), "--catalog", str(tmp_path)])
     capsys.readouterr()
     assert code in (0, 1, 2)
+
+
+ANTICANONICAL_TOP = {"p2": 9, "p1xp1": 8, "f1": 8, "p3": 64, "p1xp1xp1": 48}
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=blown_up_fans())
+def test_intersect_on_blown_up_catalog_fans(tmp_path, capsys, spec):
+    name, rays, cones, pulled, _ = spec
+    (tmp_path / "blowup.json").write_text(json.dumps(
+        {"name": "blowup", "rays": rays, "max_cones": [list(c) for c in cones]}))
+    classes = ";".join([",".join(map(str, pulled))] * len(rays[0]))
+    code, out, _ = run(capsys, "intersect", "--testbed", "blowup",
+                       "--classes", classes, "--catalog", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["checks"][0]["value"] == [ANTICANONICAL_TOP[name], 1]

@@ -15,7 +15,6 @@ from oklab.exactgeom import (
     mixed_volume,
     scale,
     slice_at,
-    volume,
 )
 
 UNIT_SQUARE = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -115,14 +114,14 @@ def test_scale_negative_rejected():
 # --- volume ----------------------------------------------------------------
 
 def test_volume_examples():
-    assert volume(UNIT_SQUARE) == 1
-    assert volume(convex_hull([(0, 0), (2, 0), (0, 2)])) == 2
-    assert volume(convex_hull([(0, 0), (1, 1)])) == 0  # lower-dimensional
-    assert volume(Polytope.empty(2)) == 0
+    assert UNIT_SQUARE.volume() == 1
+    assert convex_hull([(0, 0), (2, 0), (0, 2)]).volume() == 2
+    assert convex_hull([(0, 0), (1, 1)]).volume() == 0  # lower-dimensional
+    assert Polytope.empty(2).volume() == 0
 
 
 def test_volume_tetrahedron():
-    assert volume(convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])) == F(1, 6)
+    assert convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]).volume() == F(1, 6)
 
 
 # --- mixed_volume ----------------------------------------------------------
@@ -181,7 +180,7 @@ def test_slice_fubini_rectangle():
     # product body: every slice has the same length, so volume = width * slice
     rect = convex_hull([(0, 0), (F(7, 2), 0), (0, F(5, 3)), (F(7, 2), F(5, 3))])
     s = slice_at(rect, F(1, 3))
-    assert volume(rect) == F(7, 2) * s.volume() == F(35, 6)
+    assert rect.volume() == F(7, 2) * s.volume() == F(35, 6)
 
 
 # --- equals / membership ---------------------------------------------------
@@ -234,8 +233,8 @@ def test_hull_inclusion_monotone(base, extra):
 def test_minkowski_volume_expansion_plane(ps, qs):
     k = convex_hull(ps)
     l = convex_hull(qs)
-    lhs = volume(minkowski_sum(k, l))
-    rhs = volume(k) + 2 * mixed_volume([k, l]) + volume(l)
+    lhs = minkowski_sum(k, l).volume()
+    rhs = k.volume() + 2 * mixed_volume([k, l]) + l.volume()
     assert lhs == rhs
 
 
@@ -248,7 +247,7 @@ def test_mixed_volume_symmetric_and_multilinear(ps, qs, rs):
     l = convex_hull(qs)
     m = convex_hull(rs)
     assert mixed_volume([k, l]) == mixed_volume([l, k])
-    assert mixed_volume([k, k]) == volume(k)
+    assert mixed_volume([k, k]) == k.volume()
     # polarization vs multilinear expansion
     assert mixed_volume([minkowski_sum(k, m), l]) == \
         mixed_volume([k, l]) + mixed_volume([m, l])
@@ -260,7 +259,7 @@ def test_scale_volume_and_hull_commute(ps, c):
     if c < 0:
         c = -c
     p = convex_hull(ps)
-    assert volume(scale(p, c)) == c * c * volume(p)
+    assert scale(p, c).volume() == c * c * p.volume()
     assert scale(p, c) == convex_hull([(c * x, c * y) for x, y in ps])
 
 

@@ -6,8 +6,10 @@ from math import comb
 
 import pytest
 
+from oklab import exactgeom, inequalities
 from oklab.exactgeom import convex_hull, scale
 from oklab.inequalities import (
+    InequalityRecord,
     check_cor13,
     cor15_check,
     cor15_sweep,
@@ -206,6 +208,19 @@ def test_injectivity_f1_pair():
     assert rec.slack != 0 and rec.passed
 
 
+def test_injectivity_computes_no_mixed_volume(monkeypatch):
+    fan = testbed("p1xp1")
+    flag = AdmissibleFlag(fan, (0, 2))
+    dmap = delta_map(TDivisor(fan, (0, 2, 0, 1)), TDivisor(fan, (0, 1, 0, 2)), flag)
+
+    def forbidden(bodies):
+        raise AssertionError("injectivity needs intersection numbers only")
+
+    monkeypatch.setattr(inequalities, "mixed_volume", forbidden)
+    monkeypatch.setattr(exactgeom, "mixed_volume", forbidden)
+    assert injectivity_check(dmap).slack == 2
+
+
 def test_injectivity_rejects_dependent_basis():
     p2 = testbed("p2")
     flag = AdmissibleFlag(p2, (1, 2))
@@ -289,6 +304,33 @@ def test_cor15_tight_case_with_proof_path():
     assert res["direct"].lhs == res["direct"].rhs == 2
     assert res["proof_path"] is not None
     assert res["proof_path"]["tight_ML"] and res["proof_path"]["tight_MN"]
+
+
+def test_cor15_computes_each_product_once(monkeypatch):
+    fan = testbed("p1xp1")
+    calls = []
+
+    def counting(fan, divisors):
+        calls.append(1)
+        return real(fan, divisors)
+
+    real = inequalities.intersection_number
+    monkeypatch.setattr(inequalities, "intersection_number", counting)
+    res = cor15_check(TDivisor(fan, (0, 1, 0, 1)), TDivisor(fan, (0, 1, 0, 0)),
+                      TDivisor(fan, (0, 0, 0, 1)))
+    assert len(calls) == 4
+    assert res == {
+        "direct": InequalityRecord(
+            name="cor15-direct", lhs=F(2), rhs=F(2),
+            inputs={"L": (F(1), F(1)), "M": (F(1), F(0)), "N": (F(0), F(1))}),
+        "proof_path": {
+            "flag": (0, 2),
+            "lehmann_xiao": InequalityRecord(
+                name="lehmann-xiao-k1", lhs=F(1, 2), rhs=F(1, 2),
+                inputs={"k": 1, "dim": 2}),
+            "tight_ML": True, "tight_MN": True, "onesided_LN": True,
+            "volume_identity": True},
+        "ok": True}
 
 
 def test_cor15_p2_slack_one():

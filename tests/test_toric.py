@@ -1,13 +1,19 @@
 """Toric backend: fans, cones, intersection numbers, flags, star models."""
 
 import json
+import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blowups import blown_up_fans
 from graded_oracle import face_tails, lattice_points
-from oklab.exactgeom import volume
-from oklab.linalg import det_int
+from oklab import exactgeom, toric
+from oklab.exactgeom import mixed_volume
+from oklab.linalg import det_int, dot, solve, vec
 from oklab.toric import (
     AdmissibleFlag,
     CurveModel,
@@ -218,7 +224,7 @@ def test_intersection_volume_identity():
     p3 = testbed("p3")
     h = TDivisor(p3, (0, 0, 0, 2))
     body = polytope_of_divisor(p3, h)
-    assert intersection_number(p3, [h, h, h]) == 6 * volume(body) == 8
+    assert intersection_number(p3, [h, h, h]) == 6 * body.volume() == 8
 
 
 def test_intersection_rejects_non_nef():
@@ -229,15 +235,119 @@ def test_intersection_rejects_non_nef():
 
 
 def test_wall_self_intersections_on_f1():
-    # E^2 = -1, fiber^2 = 0, (+1)-section^2 = +1, read off the wall relations
+    # E^2 = -1, fiber^2 = 0, (+1)-section^2 = +1, from the intersection form
     f1 = testbed("f1")
-    walls = {tuple(sorted(w.rays)): w for w in f1.walls()}
     def self_int(ray):
         coeffs = [1 if i == ray else 0 for i in range(4)]
-        return walls[(ray,)].curve_intersection(coeffs)
+        return toric._form(f1, [coeffs, coeffs])
     assert self_int(1) == -1
     assert self_int(0) == 0 and self_int(2) == 0
     assert self_int(3) == 1
+
+
+def test_exceptional_self_intersections_on_blpq():
+    bl = testbed("blpq-p2")
+    assert toric._monomial(bl, (3, 3)) == toric._monomial(bl, (4, 4)) == -1
+
+
+def mixed_volume_intersection(fan, divisors):
+    """Oracle: d! V(P_{D_1}, ..., P_{D_d}), valid for nef divisors."""
+    return factorial(fan.dim) * mixed_volume(
+        [polytope_of_divisor(fan, dv) for dv in divisors])
+
+
+def support_positivity(fan, coeffs):
+    """(nef, ample) from the support function: m_sigma lies in P_D for every
+    maximal cone sigma, strictly off the rays of sigma for ampleness."""
+    nef = ample = True
+    for sigma in fan.max_cones:
+        m = solve([vec(fan.rays[i]) for i in sigma], [-coeffs[i] for i in sigma])
+        for rho, ray in enumerate(fan.rays):
+            if rho not in sigma:
+                slack = dot(m, vec(ray)) + coeffs[rho]
+                nef = nef and slack >= 0
+                ample = ample and slack > 0
+    return nef, ample
+
+
+def seeded_nef_divisors(fan, rnd, den, count):
+    out = []
+    while len(out) < count:
+        coeffs = tuple(F(rnd.randint(0, 3 * den), den) for _ in fan.rays)
+        if support_positivity(fan, coeffs)[0]:
+            out.append(TDivisor(fan, coeffs))
+    return out
+
+
+@pytest.mark.parametrize("name", testbed_names())
+def test_form_matches_mixed_volume_oracle(name):
+    fan = testbed(name)
+    d = fan.dim
+    rnd = random.Random(31)
+    for den in (1, 2):
+        divs = seeded_nef_divisors(fan, rnd, den, 4)
+        for dv, ev, fv in zip(divs, divs[1:] + divs[:1], divs[2:] + divs[:2]):
+            products = [[dv] * d]
+            if d >= 2:
+                products.append([dv, ev] + [dv] * (d - 2))
+            if d == 3:
+                products.append([dv, ev, fv])
+            for factors in products:
+                assert intersection_number(fan, factors) \
+                    == mixed_volume_intersection(fan, factors)
+
+
+@pytest.mark.parametrize("name", testbed_names())
+def test_nef_and_ample_match_support_function_oracle(name):
+    fan = testbed(name)
+    rnd = random.Random(37)
+    seen = set()
+    for _ in range(150):
+        shift = rnd.randint(0, 3)
+        coeffs = tuple(F(rnd.randint(-9, 9), rnd.choice((1, 2, 3))) + shift
+                       for _ in fan.rays)
+        cls = fan.classes.class_of(coeffs)
+        want = support_positivity(fan, coeffs)
+        assert (fan.classes.is_nef(cls), fan.classes.is_ample(cls)) == want
+        seen.add(want)
+    assert {(True, True), (False, False)} <= seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=blown_up_fans(), data=st.data())
+def test_form_on_blown_up_fans(spec, data):
+    name, rays, cones, pulled, tau = spec
+    fan = Fan("blowup", rays, cones)
+    base = testbed(name)
+    n, d = len(rays), fan.dim
+    # pulling back keeps -K_base nef with the same top self-intersection
+    top = intersection_number(fan, [TDivisor(fan, pulled)] * d)
+    assert top == intersection_number(base, [TDivisor(base, [1] * len(base.rays))] * d)
+    assert top == mixed_volume_intersection(fan, [TDivisor(fan, pulled)] * d)
+    # the form is symmetric and sees classes only, for divisors of any sign
+    vectors = [data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+               for _ in range(d)]
+    u = data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    principal = [sum(x * y for x, y in zip(u, r)) for r in rays]
+    value = toric._form(fan, vectors)
+    assert toric._form(fan, vectors[::-1]) == value
+    moved = [[a + b for a, b in zip(vectors[0], principal)]] + vectors[1:]
+    assert toric._form(fan, moved) == value
+    if tau is not None and len(tau) == d:  # a blown-up point: E^d = (-1)^(d-1)
+        e = [0] * (n - 1) + [1]
+        assert toric._form(fan, [e] * d) == (-1) ** (d - 1)
+
+
+def test_intersection_numbers_touch_no_polytope(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the intersection form must not use polytopes")
+
+    monkeypatch.setattr(toric, "polytope_of_divisor", forbidden)
+    monkeypatch.setattr(exactgeom, "mixed_volume", forbidden)
+    p3 = testbed("p3")
+    fresh = Fan("p3", p3.rays, p3.max_cones)
+    h = TDivisor(fresh, (0, 0, 0, 1))
+    assert intersection_number(fresh, [h, h, h]) == 1
 
 
 # --- flag correspondence ----------------------------------------------------
