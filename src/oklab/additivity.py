@@ -55,6 +55,22 @@ class UncertifiedBodyError(ValueError):
     pass
 
 
+# The most points one enumeration may visit: the (2 bound + 1)^rank class
+# vectors of `ample_grid_classes`, or the grid_den + 1 parameters of a
+# segment.  Larger requests are refused before anything is enumerated.
+ENUMERATION_BUDGET = 100_000
+
+
+class EnumerationBudgetError(ValueError):
+    pass
+
+
+def check_enumeration(points: int, what: str) -> None:
+    if points > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"{what} enumerates {points} points, over the budget of {ENUMERATION_BUDGET}")
+
+
 @dataclass(frozen=True)
 class ConeCLM:
     """C_L(M): classes lambda L + mu M with mu >= 0, inside the ample cone."""
@@ -340,6 +356,7 @@ def necessary_condition_check(l_div: TDivisor, m_div: TDivisor,
         return report
     lshift = tuple(a - mu_l * b for a, b in zip(vec(l_div.cls), vec(e_cls)))
     mshift = tuple(a - mu_m * b for a, b in zip(vec(m_div.cls), vec(e_cls)))
+    check_enumeration(grid_den + 1, f"a segment grid of denominator {grid_den}")
     segment_ok = True
     for k in range(grid_den + 1):
         s = Fraction(k, grid_den)
@@ -366,6 +383,8 @@ def necessary_condition_check(l_div: TDivisor, m_div: TDivisor,
 def ample_grid_classes(fan: Fan, bound: int = 5):
     """All ample integer class-coordinate vectors with |coordinate| <= bound."""
     cls = fan.classes
+    check_enumeration((2 * bound + 1) ** cls.rank,
+                      f"the class grid of bound {bound} in rank {cls.rank}")
     out = []
     for coords in product(range(-bound, bound + 1), repeat=cls.rank):
         y = vec(coords)

@@ -13,7 +13,9 @@ emitted as [numerator, denominator] pairs (never floats), records are
 sorted by key, and JSON uses sorted keys with fixed separators.  Exit
 codes: 0 all checks passed, 1 check failures, 2 configuration error,
 3 hard invariant violation (the one-sided inclusion failed, which means
-the implementation itself is broken).
+the implementation itself is broken).  A sweep that would enumerate more
+than `additivity.ENUMERATION_BUDGET` points (from --bound, --grid-den or
+the rank of a catalog fan) is a configuration error.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .additivity import InclusionViolationError
+from .additivity import EnumerationBudgetError, InclusionViolationError, check_enumeration
 from .exactgeom import Polytope, mixed_volume
 from .okounkov import NonBigClassError, no_body_rational
 from .toric import (
@@ -390,9 +392,10 @@ def main(argv=None) -> int:
     try:
         if args.grid_den < 1:
             raise ConfigError("--grid-den must be positive")
+        check_enumeration(args.grid_den + 1, "--grid-den")
         fans = _load_fans(args)
         return COMMANDS[args.command](args, fans)
-    except ConfigError as exc:
+    except (ConfigError, EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InclusionViolationError as exc:

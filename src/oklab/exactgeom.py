@@ -7,18 +7,27 @@ and exact; no floating point appears anywhere.  Lower-dimensional bodies
 (segments in the plane, faces of slices, ...) are first-class values with
 d-volume 0.
 
-The hull core is a beneath-beyond incremental algorithm run on integer
-coordinates (points are scaled by a common denominator first), so all
-orientation predicates are exact integer determinants.  H-representations
-are derived on demand from the canonical vertices and cached per instance.
+The hull core is integer-only.  Points are scaled by their common
+denominator; one fraction-free elimination over their differences gives
+the affine rank k and pivot coordinates onto which the affine hull
+projects bijectively.  The hull is taken there: Andrew's monotone chain
+for k = 2 (vertices, edge inequalities and the shoelace area in one
+pass), a beneath-beyond incremental hull for k >= 3, so all orientation
+predicates are exact integer determinants.  Facets, volume and vertices
+come out of that one pass and are kept with the body.
+
+Mixed volumes of two distinct bodies, V(K^j, L^(d-j)), are read off the
+polynomial vol(sK + L), fitted exactly from d - 1 Minkowski sums; three
+or more distinct bodies go through the polarization formula.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from .linalg import (
     Vec,
@@ -26,13 +35,12 @@ from .linalg import (
     cross_normal_int,
     det_int,
     dot,
+    independent_rows,
+    interpolate,
     nullspace,
-    rank,
     rat,
-    solve,
     to_int_points,
     vec,
-    vsub,
 )
 
 __all__ = [
@@ -42,6 +50,7 @@ __all__ = [
     "minkowski_sum",
     "scale",
     "mixed_volume",
+    "mixed_volume_by_polarization",
     "slice_at",
     "equals",
 ]
@@ -62,27 +71,47 @@ def _check_same_dim(points) -> int:
 # hull core (integer coordinates)
 # ---------------------------------------------------------------------------
 
-def _affine_rank_basis(pts: list[Vec]) -> list[int]:
-    """Indices i with pts[i]-pts[0] forming a basis of the affine hull."""
-    idx = []
-    diffs = []
-    for i in range(1, len(pts)):
-        d = vsub(pts[i], pts[0])
-        if rank(diffs + [list(d)]) > len(diffs):
-            diffs.append(list(d))
-            idx.append(i)
-    return idx
+def _planar_hull(pts: list[tuple[int, int]]) -> tuple[list[int], list, int]:
+    """Andrew's monotone chain on distinct integer points of affine rank 2.
+
+    Returns the indices of the vertices (counter-clockwise, collinear
+    points dropped), the primitive facet inequalities (n, c) with
+    n.x <= c, one per ring edge, and twice the area (shoelace).
+    """
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    ring = []
+    for seq in (order, order[::-1]):
+        chain = []
+        for i in seq:
+            x, y = pts[i]
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = pts[chain[-2]], pts[chain[-1]]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
+                    break
+                chain.pop()
+            chain.append(i)
+        ring += chain[:-1]
+    facets, area2 = [], 0
+    for i, j in zip(ring, ring[1:] + ring[:1]):
+        (ax, ay), (bx, by) = pts[i], pts[j]
+        g = gcd(bx - ax, by - ay)
+        n = ((by - ay) // g, (ax - bx) // g)
+        facets.append((n, n[0] * ax + n[1] * ay))
+        area2 += ax * by - ay * bx
+    return ring, sorted(facets), area2
 
 
 def _incremental_hull(pts: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """Facet simplices of the hull of affinely spanning integer points.
 
     Returns triples (vertex indices, outward integer normal n, offset c)
-    with the hull contained in n.x <= c.  Input must be deduplicated,
-    lexicographically sorted and of affine rank k = len(pts[0]) >= 2.
+    with the hull contained in n.x <= c.  Input must be distinct points
+    of affine rank k = len(pts[0]) >= 2.
     """
     k = len(pts[0])
-    base = [0] + _affine_rank_basis([vec(p) for p in pts])
+    q0 = pts[0]
+    base = [0] + [i + 1 for i, _, _ in independent_rows(
+        [x - y for x, y in zip(p, q0)] for p in pts[1:])]
     if len(base) != k + 1:
         raise ValueError("points do not affinely span")
     zsum = tuple(sum(pts[i][j] for i in base) for j in range(k))
@@ -131,16 +160,10 @@ def _incremental_hull(pts: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...],
 
 def _facets_from_faces(faces) -> list[tuple[tuple[int, ...], int]]:
     """Deduplicate simplicial face planes into primitive facet inequalities."""
-    seen = {}
+    seen = set()
     for _, n, c in faces:
-        g = 0
-        for x in n:
-            g = gcd(g, abs(x))
-        g = gcd(g, abs(c))
-        if g > 1:
-            n = tuple(x // g for x in n)
-            c = c // g
-        seen[(n, c)] = True
+        g = gcd(*n)  # divides c, an integer combination of n
+        seen.add((tuple(x // g for x in n), c // g))
     return sorted(seen)
 
 
@@ -150,8 +173,58 @@ def _extreme_indices(int_pts, facets, k) -> list[int]:
     for i, p in enumerate(int_pts):
         active = [n for n, c in facets
                   if sum(a * b for a, b in zip(n, p)) == c]
-        if len(active) >= k and rank([vec(n) for n in active]) == k:
+        if len(active) >= k and len(independent_rows(active)) == k:
             out.append(i)
+    return out
+
+
+def _simplicial_hull(pts: list[tuple[int, ...]]) -> tuple[list[int], list, int]:
+    """Beneath-beyond counterpart of `_planar_hull` for affine rank k >= 2:
+    vertex indices, primitive facets and k! times the k-volume."""
+    k = len(pts[0])
+    faces = _incremental_hull(pts)
+    facets = _facets_from_faces(faces)
+    corners = sorted({i for verts, _, _ in faces for i in verts})
+    keep = [corners[i] for i in _extreme_indices([pts[i] for i in corners], facets, k)]
+    q0 = pts[0]  # a hull point: cones over the face simplices tile the body
+    kvol = sum(abs(det_int([[x - y for x, y in zip(pts[v], q0)] for v in verts]))
+               for verts, _, _ in faces if 0 not in verts)
+    return keep, facets, kvol
+
+
+def _from_int(d: int, L: int, ipts: list[tuple[int, ...]], pts=None) -> "Polytope":
+    """Hull of the distinct sorted points ipts / L (pts: the same points).
+
+    The affine hull comes from one fraction-free elimination over the
+    differences from ipts[0].  Its direction projects bijectively onto the
+    pivot columns, so the hull is taken there, in k = affine rank
+    coordinates: an interval for k = 1, the monotone chain for k = 2 and
+    beneath-beyond for k >= 3.  The body keeps k, the echelon rows, the
+    pivot columns, the primitive facets (n, c) of the projection and its
+    volume.
+    """
+    q0 = ipts[0]
+    echelon = independent_rows([x - y for x, y in zip(p, q0)] for p in ipts[1:])
+    k = len(echelon)
+    cols = sorted(c for _, c, _ in echelon)
+    coords = ipts if k == d else [tuple(p[c] for c in cols) for p in ipts]
+    if k == 0:
+        keep, facets, kvol = [0], [], 1
+    elif k == 1:
+        keep = [coords.index(min(coords)), coords.index(max(coords))]
+        (lo,), (hi,) = coords[keep[0]], coords[keep[1]]
+        facets, kvol = [((1,), hi), ((-1,), -lo)], hi - lo
+    elif k == 2:
+        keep, facets, kvol = _planar_hull(coords)
+    else:
+        keep, facets, kvol = _simplicial_hull(coords)
+    keep.sort()
+    verts = tuple(pts[i] if pts else tuple(Fraction(x, L) for x in ipts[i])
+                  for i in keep)
+    out = Polytope(d, verts, _trusted=True)
+    out._geom = {"k": k, "rows": [e for _, _, e in echelon], "cols": cols,
+                 "facets": facets, "L": L,
+                 "volume": Fraction(kvol, factorial(d) * L ** d) if k == d else Fraction(0)}
     return out
 
 
@@ -162,7 +235,7 @@ def _extreme_indices(int_pts, facets, k) -> list[int]:
 class Polytope:
     """Canonical exact polytope: sorted minimal vertex list in Q^d."""
 
-    __slots__ = ("dim", "vertices", "_geom", "_volume")
+    __slots__ = ("dim", "vertices", "_geom")
 
     def __init__(self, dim: int, vertices: tuple[Vec, ...], _trusted=False):
         if not _trusted:
@@ -170,7 +243,6 @@ class Polytope:
         self.dim = dim
         self.vertices = vertices
         self._geom = None
-        self._volume = None
 
     # -- constructors ------------------------------------------------------
 
@@ -193,8 +265,8 @@ class Polytope:
         d = _check_same_dim(pts)
         if dim is not None and dim != d:
             raise DimensionMismatch(f"expected dimension {dim}, got {d}")
-        verts = _canonical_vertices(pts, d)
-        return Polytope(d, tuple(verts), _trusted=True)
+        L = common_denominator(pts)
+        return _from_int(d, L, to_int_points(pts, L), pts)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -223,65 +295,37 @@ class Polytope:
     # -- derived geometry ----------------------------------------------------
 
     def _geometry(self):
-        """Affine data, facet inequalities and equalities (cached)."""
-        if self._geom is not None:
-            return self._geom
-        if self.is_empty():
-            raise ValueError("empty polytope has no geometry")
-        pts = list(self.vertices)
-        d = self.dim
-        base = _affine_rank_basis(pts)
-        k = len(base)
-        geom = {"k": k, "p0": pts[0]}
-        if k == d:
-            L = common_denominator(pts)
-            ipts = to_int_points(pts, L)
-            if d == 1:
-                lo, hi = ipts[0][0], ipts[-1][0]
-                facets = [((1,), hi), ((-1,), -lo)]
-                faces = []
-            else:
-                faces = _incremental_hull(ipts)
-                facets = _facets_from_faces(faces)
-            geom.update(L=L, ipts=ipts, faces=faces)
-            geom["equalities"] = []
-            geom["inequalities"] = [
-                (vec(n), Fraction(c, L)) for n, c in facets]
-        else:
-            basis = [vsub(pts[i], pts[0]) for i in base]  # k ambient vectors
-            brows = [[b[j] for b in basis] for j in range(d)]  # d x k
-            coords = [solve(brows, vsub(p, pts[0])) for p in pts]
-            L = common_denominator(coords)
-            ipts = to_int_points(coords, L)
-            geom.update(L=L, ipts=ipts, faces=None)
-            bt = [list(b) for b in basis]  # k x d
-            geom["equalities"] = [
-                (w, dot(w, pts[0])) for w in nullspace(bt)] if k else [
-                (vec(e), pts[0][j])
-                for j, e in enumerate(_std_basis(d))]
-            ineqs = []
-            if k == 1:
-                lo, hi = ipts[0][0], ipts[-1][0]
-                local = [((1,), hi), ((-1,), -lo)]
-            elif k >= 2:
-                local = _facets_from_faces(_incremental_hull(ipts))
-            else:
-                local = []
-            for n, c in local:
-                namb = solve(bt, [Fraction(L * x) for x in n])
-                ineqs.append((namb, rat(c) + dot(namb, pts[0])))
-            geom["inequalities"] = ineqs
-        self._geom = geom
-        return geom
+        """Integer hull data of the vertices (cached; see `_from_int`)."""
+        if self._geom is None:
+            if self.is_empty():
+                raise ValueError("empty polytope has no geometry")
+            L = common_denominator(self.vertices)
+            self._geom = _from_int(self.dim, L, to_int_points(self.vertices, L),
+                                   self.vertices)._geom
+        return self._geom
 
     def halfspaces(self):
         """(equalities, inequalities): pairs (normal, offset).
 
         The body is {x : n.x = c on equalities, n.x <= c on inequalities};
         equalities cut out the affine hull of lower-dimensional bodies.
+        Facet normals are the primitive integer normals of the body's
+        projection to the pivot coordinates of its affine hull.
         """
         g = self._geometry()
-        return list(g["equalities"]), list(g["inequalities"])
+        if "halfspaces" not in g:
+            d, p0 = self.dim, self.vertices[0]
+            eqs = [] if g["k"] == d else [
+                (w, dot(w, p0)) for w in nullspace(g["rows"] or [[0] * d])]
+            ineqs = []
+            for n, c in g["facets"]:
+                normal = [Fraction(0)] * d
+                for col, x in zip(g["cols"], n):
+                    normal[col] = Fraction(x)
+                ineqs.append((tuple(normal), Fraction(c, g["L"])))
+            g["halfspaces"] = (eqs, ineqs)
+        eqs, ineqs = g["halfspaces"]
+        return list(eqs), list(ineqs)
 
     def contains_point(self, point) -> bool:
         if self.is_empty():
@@ -304,29 +348,9 @@ class Polytope:
 
     def volume(self) -> Fraction:
         """Exact d-dimensional volume (0 for lower-dimensional bodies)."""
-        if self._volume is not None:
-            return self._volume
         if self.is_empty():
-            self._volume = Fraction(0)
-            return self._volume
-        g = self._geometry()
-        d = self.dim
-        if g["k"] < d:
-            self._volume = Fraction(0)
-        elif d == 1:
-            lo, hi = g["ipts"][0][0], g["ipts"][-1][0]
-            self._volume = Fraction(hi - lo, g["L"])
-        else:
-            ipts = g["ipts"]
-            q0 = ipts[0]
-            total = 0
-            for verts, _, _ in g["faces"]:
-                if 0 in verts:
-                    continue
-                rows = [[x - y for x, y in zip(ipts[v], q0)] for v in verts]
-                total += abs(det_int(rows))
-            self._volume = Fraction(total, factorial(d) * g["L"] ** d)
-        return self._volume
+            return Fraction(0)
+        return self._geometry()["volume"]
 
     def first_coordinate_range(self):
         """(min, max) of the first coordinate over the body."""
@@ -358,39 +382,6 @@ class Polytope:
         }
 
 
-def _std_basis(d):
-    return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-
-
-def _canonical_vertices(pts: list[Vec], d: int) -> list[Vec]:
-    if len(pts) == 1:
-        return pts
-    base = _affine_rank_basis(pts)
-    k = len(base)
-    if k == 0:
-        return [pts[0]]
-    if k == d:
-        L = common_denominator(pts)
-        ipts = to_int_points(pts, L)
-        coords = ipts
-    else:
-        basis = [vsub(pts[i], pts[0]) for i in base]
-        brows = [[b[j] for b in basis] for j in range(d)]
-        frac_coords = [solve(brows, vsub(p, pts[0])) for p in pts]
-        L = common_denominator(frac_coords)
-        coords = to_int_points(frac_coords, L)
-    if k == 1:
-        lo = min(range(len(pts)), key=lambda i: coords[i][0])
-        hi = max(range(len(pts)), key=lambda i: coords[i][0])
-        return sorted({pts[lo], pts[hi]})
-    faces = _incremental_hull(coords)
-    facets = _facets_from_faces(faces)
-    corner_set = sorted({i for verts, _, _ in faces for i in verts})
-    corner_pts = [coords[i] for i in corner_set]
-    keep = _extreme_indices(corner_pts, facets, k)
-    return sorted(pts[corner_set[i]] for i in keep)
-
-
 # ---------------------------------------------------------------------------
 # module-level operations (the public vocabulary)
 # ---------------------------------------------------------------------------
@@ -400,11 +391,13 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
     return Polytope.hull(points, dim=dim)
 
 
-_MSUM_CACHE: dict = {}
-
-
+@lru_cache(maxsize=4096)
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
-    """Minkowski sum; the hull of pairwise vertex sums."""
+    """Minkowski sum; the hull of pairwise vertex sums, taken on integers.
+
+    Memoised on the two bodies: the interpolation of `mixed_volume` and
+    the Lehmann-Xiao sweeps over k ask for the same sums again.
+    """
     if p.dim != q.dim:
         raise DimensionMismatch("Minkowski sum of different ambient dimensions")
     if p.is_empty() or q.is_empty():
@@ -413,16 +406,11 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
         return p.translate(q.vertices[0])
     if len(p.vertices) == 1:
         return q.translate(p.vertices[0])
-    key = (p.dim, p.vertices, q.vertices)
-    hit = _MSUM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    sums = [tuple(a + b for a, b in zip(u, v))
-            for u in p.vertices for v in q.vertices]
-    out = Polytope.hull(sums, dim=p.dim)
-    if len(_MSUM_CACHE) < 200000:
-        _MSUM_CACHE[key] = out
-    return out
+    L = common_denominator(p.vertices + q.vertices)
+    sums = {tuple(a + b for a, b in zip(u, v))
+            for u in to_int_points(p.vertices, L)
+            for v in to_int_points(q.vertices, L)}
+    return _from_int(p.dim, L, sorted(sums))
 
 
 def scale(p: Polytope, c) -> Polytope:
@@ -439,9 +427,13 @@ def scale(p: Polytope, c) -> Polytope:
 
 
 def mixed_volume(bodies) -> Fraction:
-    """Mixed volume of d bodies in R^d via the polarization formula:
+    """Mixed volume V(K_1, ..., K_d) of d bodies in R^d.
 
-        V(K_1,...,K_d) = (1/d!) sum_J (-1)^(d-|J|) vol(sum_{j in J} K_j).
+    One distinct body: its volume.  Two distinct bodies K (j times) and
+    L: the coefficient of s^j in vol(sK + L) = sum_i C(d, i) V(K^i, L^(d-i)) s^i,
+    divided by C(d, j); the polynomial is fitted exactly from vol(L),
+    vol(sK + L) for s = 1..d-1 and its leading term vol(K).  Three or more:
+    `mixed_volume_by_polarization`.
     """
     bodies = list(bodies)
     if not bodies:
@@ -454,6 +446,26 @@ def mixed_volume(bodies) -> Fraction:
             raise DimensionMismatch("mixed_volume bodies of different dimensions")
         if b.is_empty():
             raise ValueError("mixed_volume of an empty body")
+    distinct = list(dict.fromkeys(bodies))
+    if len(distinct) > 2:
+        return mixed_volume_by_polarization(bodies)
+    if len(distinct) == 1:
+        return distinct[0].volume()
+    k_body, l_body = distinct
+    top = k_body.volume()
+    values = [l_body.volume()] + [
+        minkowski_sum(scale(k_body, s), l_body).volume() - top * s ** d
+        for s in range(1, d)]
+    j = bodies.count(k_body)
+    return interpolate(values)[j] / comb(d, j)
+
+
+def mixed_volume_by_polarization(bodies) -> Fraction:
+    """Mixed volume of d nonempty bodies in R^d by the polarization formula:
+
+        V(K_1,...,K_d) = (1/d!) sum_J (-1)^(d-|J|) vol(sum_{j in J} K_j).
+    """
+    d = len(bodies)
     sums: dict[int, Polytope] = {}
     total = Fraction(0)
     for mask in range(1, 1 << d):

@@ -29,8 +29,9 @@ from itertools import permutations, product
 from math import comb, factorial
 
 from .additivity import ample_grid_classes
-from .exactgeom import FormalBody, Polytope, minkowski_sum, mixed_volume, scale
-from .linalg import iroot, rank, solve, vec
+from .exactgeom import (FormalBody, Polytope, minkowski_sum, mixed_volume,
+                        mixed_volume_by_polarization, scale)
+from .linalg import interpolate, iroot, rank, solve, vec
 from .okounkov import NOBody, nef_body
 from .toric import (
     AdmissibleFlag,
@@ -449,15 +450,14 @@ def derivative_check_bodies(k_body: Polytope, base: Polytope) -> tuple[bool, dic
     """d * V(K, B^{d-1}) equals the linear coefficient of t -> vol(tK + B).
 
     The volume of tK + B is a degree-d polynomial in t >= 0; it is fitted
-    exactly from the d+1 integer evaluations t = 0..d.
+    exactly from the d+1 integer evaluations t = 0..d.  The mixed volume
+    comes from polarization, so the check does not compare the fit that
+    `mixed_volume` itself uses for two bodies with itself.
     """
     d = k_body.dim
-    vols = []
-    for j in range(d + 1):
-        vols.append(minkowski_sum(scale(k_body, j), base).volume())
-    rows = [[Fraction(j ** i) for i in range(d + 1)] for j in range(d + 1)]
-    coeffs = solve(rows, vols)
-    expected = d * mixed_volume([k_body] + [base] * (d - 1))
+    coeffs = interpolate([minkowski_sum(scale(k_body, j), base).volume()
+                          for j in range(d + 1)])
+    expected = d * mixed_volume_by_polarization([k_body] + [base] * (d - 1))
     return coeffs[1] == expected, {"coefficients": tuple(coeffs),
                                    "d_times_mixed": expected}
 

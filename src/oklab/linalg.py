@@ -2,15 +2,17 @@
 
 Everything in this package runs on exact arithmetic; this module holds the
 small dense-matrix toolbox (row reduction, solving, nullspaces, integer
-determinants) shared by the geometry and the toric backends.  Matrices are
-plain tuples of tuples, vectors are tuples.  Sizes are tiny (dimensions
-up to ~6), so simple fraction-free-ish Gaussian elimination is plenty.
+determinants, polynomial interpolation) shared by the geometry and the
+toric backends.  Matrices are plain tuples of tuples, vectors are tuples.
+Sizes are tiny (dimensions up to ~6).  Ranks and bases come from one
+fraction-free integer elimination (`independent_rows`); rational rows are
+scaled to integers first.  `rref` stays for solving and for nullspaces.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -26,10 +28,6 @@ def rat(x) -> Fraction:
 
 def vec(xs: Iterable) -> Vec:
     return tuple(rat(x) for x in xs)
-
-
-def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:
@@ -51,7 +49,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
+        inv = Fraction(1) / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
@@ -62,8 +60,36 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return m, pivots
 
 
+def independent_rows(rows: Iterable[Sequence[int]]) -> list[tuple[int, int, list[int]]]:
+    """(row index, pivot column, echelon row) for each row of an integer
+    matrix that is independent of the rows before it.
+
+    Fraction-free: each row is cross-multiplied against the echelon rows
+    kept so far and divided by its gcd.  The pivots are those of the rref.
+    """
+    kept = []
+    for i, row in enumerate(rows):
+        for _, c, e in kept:
+            x = row[c]
+            if x:
+                p = e[c]
+                row = [p * a - x * b for a, b in zip(row, e)]
+        g = gcd(*row)
+        if g:
+            row = [a // g for a in row]
+            kept.append((i, next(j for j, a in enumerate(row) if a), row))
+            if len(kept) == len(row):
+                break  # full column rank: nothing later is independent
+    return kept
+
+
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
+    """Rank of a rational matrix, its rows scaled to integers."""
+    scaled = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
+    return len(independent_rows(scaled))
 
 
 def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | None:
@@ -141,20 +167,28 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def common_denominator(points: Iterable[Sequence[Fraction]]) -> int:
-    d = 1
-    for p in points:
-        for x in p:
-            d = lcm(d, x.denominator)
-    return d
+    return lcm(*(x.denominator for p in points for x in p))
 
 
 def to_int_points(points: Sequence[Sequence[Fraction]], scale: int) -> list[tuple[int, ...]]:
-    return [tuple(int(x * scale) for x in p) for p in points]
+    return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+
+
+def interpolate(values: Sequence[Fraction]) -> list[Fraction]:
+    """Coefficients c_0..c_{n-1} of the polynomial of degree < n that takes
+    values[s] at s = 0..n-1, exactly (Lagrange basis on the integer nodes)."""
+    n = len(values)
+    coeffs = [Fraction(0)] * n
+    for s, v in enumerate(values):
+        basis, den = [1], 1
+        for t in range(n):
+            if t != s:
+                basis = [a - t * b for a, b in zip([0] + basis, basis + [0])]
+                den *= s - t
+        for j, b in enumerate(basis):
+            coeffs[j] += Fraction(v) * b / den
+    return coeffs
 
 
 def iroot(n: int, k: int) -> tuple[int, bool]:

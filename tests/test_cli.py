@@ -1,6 +1,7 @@
 """CLI: commands, exit codes, deterministic report bytes."""
 
 import json
+from time import perf_counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -175,6 +176,18 @@ def test_json_object_divisor_and_flag_forms(capsys):
     assert code == 0
     body = json.loads(out)["checks"][0]["body"]
     assert body["flag"] == [1, 2] and body["exact"] is True
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["search-strict", "--testbed", "p1xp1", "--bound", "1000000"], "class grid"),
+    (["search-strict", "--testbed", "p2", "--grid-den", "1000000"], "--grid-den"),
+    (["verify", "--suite", "prop14", "--grid-den", "100000"], "--grid-den"),
+])
+def test_enumerations_over_budget_rejected(capsys, argv, what):
+    start = perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert perf_counter() - start < 1.0  # refused before enumerating
+    assert code == 2 and what in err and "budget" in err
 
 
 def test_nonpositive_bounds_rejected(capsys):

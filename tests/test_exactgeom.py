@@ -3,19 +3,23 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from oklab.exactgeom import (
     DimensionMismatch,
     FormalBody,
     Polytope,
+    _planar_hull,
+    _simplicial_hull,
     convex_hull,
     equals,
     minkowski_sum,
     mixed_volume,
+    mixed_volume_by_polarization,
     scale,
     slice_at,
 )
+from oklab.linalg import common_denominator, rank, rref, to_int_points
 
 UNIT_SQUARE = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
 UNIT_SIMPLEX = convex_hull([(0, 0), (1, 0), (0, 1)])
@@ -349,6 +353,11 @@ def test_hull_handles_degenerate_configurations(pts):
     for v in hull.vertices:
         others = [q for q in dedup if q != v]
         assert not others or not _in_hull_oracle(v, others)
+    # the facets and volume kept from the hull of all the points match the
+    # ones recomputed from the vertices alone
+    again = hull.translate((0, 0, 0))
+    assert again.volume() == hull.volume()
+    assert again.halfspaces() == hull.halfspaces()
 
 
 @given(st.lists(st.tuples(coords3, coords3), min_size=3, max_size=7),
@@ -371,3 +380,111 @@ def test_slice_against_membership_oracle(pts, t):
 def test_mixed_volume_nonnegative_3d(ps, qs, rs):
     bodies = [convex_hull(ps), convex_hull(qs), convex_hull(rs)]
     assert mixed_volume(bodies) >= 0
+
+
+# --- differential tests against the kept routes ------------------------------
+
+# half- and third-integral coordinates from a small set, so duplicates and
+# collinear triples are common
+grid_coords = st.sampled_from([F(n, den) for den in (1, 2, 3) for n in range(-3, 4)])
+grid_points2 = st.tuples(grid_coords, grid_coords)
+
+
+def _integer_points(pts):
+    pts = sorted({tuple(map(F, p)) for p in pts})
+    return pts, to_int_points(pts, common_denominator(pts))
+
+
+def _assert_chain_matches_beneath_beyond(ipts):
+    ring, facets, area2 = _planar_hull(ipts)
+    keep, oracle_facets, oracle_area2 = _simplicial_hull(ipts)
+    assert sorted(ring) == sorted(keep)
+    assert facets == oracle_facets
+    assert area2 == oracle_area2
+
+
+@seed(2024)
+@given(st.lists(grid_points2, min_size=3, max_size=12))
+@settings(max_examples=120, deadline=None)
+def test_monotone_chain_matches_beneath_beyond(pts):
+    pts, ipts = _integer_points(pts)
+    assume(len(pts) >= 3 and rank([[x - y for x, y in zip(p, ipts[0])]
+                                   for p in ipts[1:]]) == 2)
+    _assert_chain_matches_beneath_beyond(ipts)
+
+
+@seed(2024)
+@given(st.lists(grid_points2, min_size=1, max_size=10),
+       st.sampled_from([(1, 0, 2), (0, 1, -1), (1, 1, 0), (2, -1, 1)]),
+       st.sampled_from([(0, 1, 1), (1, 0, 0), (1, -1, 3), (-1, 2, 0)]),
+       grid_points2.map(lambda q: q + (F(1, 2),)))
+@settings(max_examples=80, deadline=None)
+def test_planar_sets_embedded_in_space(pts, a, b, offset):
+    # x -> x0 a + x1 b + offset is injective: a and b are independent
+    def embed(x):
+        return tuple(x[0] * u + x[1] * v + o for u, v, o in zip(a, b, offset))
+
+    flat = convex_hull(pts)
+    space = convex_hull([embed(p) for p in pts])
+    assert space.vertices == tuple(sorted(embed(v) for v in flat.vertices))
+    assert space.affine_dim == flat.affine_dim and space.volume() == 0
+    pts, ipts = _integer_points(pts)
+    if flat.affine_dim == 2:
+        keep, _, _ = _simplicial_hull(ipts)
+        assert flat.vertices == tuple(sorted(pts[i] for i in keep))
+        # the chain runs on the pivot coordinates of the embedded set
+        _, ispace = _integer_points([embed(p) for p in pts])
+        cols = space._geometry()["cols"]
+        _assert_chain_matches_beneath_beyond([tuple(p[c] for c in cols) for p in ispace])
+    for p in pts:
+        assert space.contains_point(embed(p))
+    assert not space.contains_point(embed((F(9), F(9))))
+
+
+small_coords = st.integers(-2, 2).map(F) | st.sampled_from([F(1, 2), F(-1, 3)])
+
+
+@seed(2024)
+@given(st.integers(2, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_two_body_mixed_volume_matches_polarization(d, data):
+    # sizes 1 and 2 give points and segments; small coordinates often give
+    # lower-dimensional bodies
+    body = st.lists(st.tuples(*[small_coords] * d), min_size=1, max_size=5).map(convex_hull)
+    k_body, l_body = data.draw(body), data.draw(body)
+    for j in range(d + 1):
+        bodies = [k_body] * j + [l_body] * (d - j)
+        assert mixed_volume(bodies) == mixed_volume_by_polarization(bodies)
+
+
+rational_entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@seed(2024)
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_integer_rank_matches_fraction_rref(ncols, data):
+    row = st.lists(rational_entries, min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(row, min_size=0, max_size=4))
+    extra = []
+    for c in data.draw(st.lists(st.tuples(rational_entries, rational_entries),
+                                max_size=3)):
+        if rows:  # a dependent row: a combination of the first two
+            other = rows[1] if len(rows) > 1 else rows[0]
+            extra.append([c[0] * x + c[1] * y for x, y in zip(rows[0], other)])
+    extra.append([F(0)] * ncols)
+    matrix = data.draw(st.permutations(rows + extra))
+    assert rank(matrix) == len(rref(matrix)[1])
+
+
+def test_minkowski_memo_is_bounded_and_transparent():
+    maxsize = minkowski_sum.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize < 10 ** 6
+    seg = convex_hull([(0, 0), (F(1, 2), 1)])
+    first = minkowski_sum(UNIT_SIMPLEX, seg)
+    assert minkowski_sum(UNIT_SIMPLEX, seg) is first
+    minkowski_sum.cache_clear()
+    again = minkowski_sum(UNIT_SIMPLEX, seg)
+    assert again is not first and again == first
+    assert again.volume() == first.volume()
+    assert again.halfspaces() == first.halfspaces()

@@ -25,7 +25,7 @@ from oklab.inequalities import (
     mixed_volume_derivative_check,
     random_polytope,
 )
-from oklab.linalg import iroot
+from oklab.linalg import interpolate, iroot
 from oklab.okounkov import no_body_rational
 from oklab.toric import AdmissibleFlag, TDivisor, testbed
 
@@ -394,3 +394,20 @@ def test_derivative_on_divisor_classes():
     assert mixed_volume_derivative_check(TDivisor(fan, (0, 3, 0, 5)),
                                          TDivisor(fan, (0, 1, 0, 0)),
                                          AdmissibleFlag(fan, (0, 2)))
+
+
+def test_derivative_check_sides_do_not_share_the_fit(monkeypatch):
+    # a fit with a wrong linear coefficient must fail the check: the mixed
+    # volume side goes through polarization, not through the same fit
+    def wrong_fit(values):
+        coeffs = interpolate(values)
+        coeffs[1] += 1
+        return coeffs
+
+    monkeypatch.setattr(exactgeom, "interpolate", wrong_fit)
+    monkeypatch.setattr(inequalities, "interpolate", wrong_fit)
+    sq = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    rect = convex_hull([(0, 0), (3, 0), (0, 5), (3, 5)])
+    for k_body, base in ((sq, sq), (rect, sq), (sq, convex_hull([(0, 0), (1, 0)]))):
+        ok, _ = derivative_check_bodies(k_body, base)
+        assert not ok
