@@ -56,8 +56,9 @@ class UncertifiedBodyError(ValueError):
 
 
 # The most points one enumeration may visit: the (2 bound + 1)^rank class
-# vectors of `ample_grid_classes`, or the grid_den + 1 parameters of a
-# segment.  Larger requests are refused before anything is enumerated.
+# vectors of `ample_grid_classes`, the k(k + 1)/2 pairs of its k classes in
+# `strict_search`, or the grid_den + 1 parameters of a segment.  Larger
+# requests are refused before anything is enumerated.
 ENUMERATION_BUDGET = 100_000
 
 
@@ -385,12 +386,8 @@ def ample_grid_classes(fan: Fan, bound: int = 5):
     cls = fan.classes
     check_enumeration((2 * bound + 1) ** cls.rank,
                       f"the class grid of bound {bound} in rank {cls.rank}")
-    out = []
-    for coords in product(range(-bound, bound + 1), repeat=cls.rank):
-        y = vec(coords)
-        if cls.is_ample(y):
-            out.append(y)
-    return out
+    return [vec(coords) for coords in product(range(-bound, bound + 1), repeat=cls.rank)
+            if cls.is_ample(coords)]
 
 
 def theorem_sweep_pairs(cone: ConeCLM, grid):
@@ -409,22 +406,21 @@ def theorem_sweep_pairs(cone: ConeCLM, grid):
     return pairs
 
 
-def strict_search(fan: Fan, flag: AdmissibleFlag, bound: int = 5,
-                  limit: int | None = None):
+def strict_search(fan: Fan, flag: AdmissibleFlag, bound: int = 5):
     """Sweep ample class pairs for a strict inclusion, in a fixed order.
 
     Returns ("strict", pair, verdict) for the first strict pair found, or
     ("exhausted", count, bound) when the whole bounded grid is additive.
     """
     classes = ample_grid_classes(fan, bound=bound)
+    k = len(classes)
+    check_enumeration(k * (k + 1) // 2, f"the pairs of the {k} ample classes of bound {bound}")
     divisors = [fan.classes.divisor_from_class(y) for y in classes]
     checked = 0
-    for i in range(len(divisors)):
-        for j in range(i, len(divisors)):
+    for i in range(k):
+        for j in range(i, k):
             verdict = check_additivity(divisors[i], divisors[j], flag)
             checked += 1
             if verdict.status == "strict":
                 return "strict", (classes[i], classes[j]), verdict
-            if limit is not None and checked >= limit:
-                return "exhausted", checked, bound
     return "exhausted", checked, bound

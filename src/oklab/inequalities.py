@@ -28,7 +28,6 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial
 
-from .additivity import ample_grid_classes
 from .exactgeom import (FormalBody, Polytope, minkowski_sum, mixed_volume,
                         mixed_volume_by_polarization, scale)
 from .linalg import interpolate, iroot, rank, solve, vec
@@ -201,11 +200,15 @@ def _slope_key(coord):
 
 
 def _independent_ample(fan: Fan, anchor: TDivisor) -> TDivisor:
-    if fan.classes.rank < 2:
+    """The fan's ample class, plus a nef extreme ray if it is parallel to the
+    anchor (ample plus nef is ample, and the rays span N^1)."""
+    classes = fan.classes
+    if classes.rank < 2:
         raise ValueError("no independent ample class exists (Picard rank one)")
-    for cls in ample_grid_classes(fan, bound=4):
+    for ray in ((0,) * classes.rank,) + classes.nef_rays:
+        cls = tuple(a + b for a, b in zip(classes.ample_class, ray))
         if rank([[a, b] for a, b in zip(anchor.cls, cls)]) == 2:
-            return fan.classes.divisor_from_class(cls)
+            return classes.divisor_from_class(cls)
     raise ValueError("could not find an independent ample class")
 
 
@@ -385,8 +388,7 @@ def _flag_for_class(fan: Fan, target: tuple) -> AdmissibleFlag | None:
     divisor = fan.classes.divisor_from_class(target)
     for cone in fan.max_cones:
         for perm in permutations(cone):
-            y1 = fan.classes.class_of([1 if i == perm[0] else 0
-                                       for i in range(len(fan.rays))])
+            y1 = fan.classes.eff_generators[perm[0]]
             if rank([[a, b] for a, b in zip(y1, target)]) > 1:
                 continue  # level-0 proportionality already fails
             flag = AdmissibleFlag(fan, perm)

@@ -83,13 +83,16 @@ def independent_rows(rows: Iterable[Sequence[int]]) -> list[tuple[int, int, list
     return kept
 
 
+def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(row * den, den) for the lcm den of the denominators of a row of ints
+    or Fractions: integers with the row's signs and ratios."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a rational matrix, its rows scaled to integers."""
-    scaled = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        scaled.append([x.numerator * (den // x.denominator) for x in row])
-    return len(independent_rows(scaled))
+    return len(independent_rows(integer_row(row)[0] for row in rows))
 
 
 def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | None:

@@ -2,14 +2,14 @@
 
 A variety is modelled by its complete smooth fan (primitive ray generators
 plus maximal cones).  Torus-invariant Q-divisors are coefficient vectors
-over the rays; their numerical classes, the nef and pseudo-effective cones,
-divisor polytopes and admissible invariant flags are all computed from the
-fan in exact rational arithmetic.  Intersection numbers come from one
-multilinear form per fan, the Chow-ring rule on ray monomials: top
-intersections, degrees on invariant curves and the Kleiman rows of the nef
-cone all contract it, and none of them touches a polytope.  The degenerate
-dimension-one backend (a curve, where a divisor is just its degree) lives
-here as well.
+over the rays.  Each fan's linear algebra is done once: the class map is one
+integer matrix, and the nef and pseudo-effective cones are primitive integer
+rows.  Intersection numbers come from one multilinear form per fan, the
+Chow-ring rule on ray monomials: top intersections, degrees on invariant
+curves and the Kleiman rows of the nef cone all contract it, and none of
+them touches a polytope.  For nef D, P_D is the hull of one point per
+maximal cone; only non-nef classes search the d-subsets of rays.  The
+curve backend (dimension one, a divisor is its degree) lives here too.
 
 Nothing in this module touches floating point, and all values are immutable
 after construction, so independent computations can run concurrently.
@@ -21,15 +21,18 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import prod
+from operator import mul
 
 from .exactgeom import Polytope
 from .linalg import (
     common_denominator,
     det_int,
     dot,
+    independent_rows,
+    integer_row,
     nullspace,
     primitive,
     rank,
@@ -94,7 +97,6 @@ class Fan:
         if not self.rays:
             raise FanError("fan without rays")
         self.dim = len(self.rays[0])
-        self._classes = None
         self._validate()
 
     # -- validation ----------------------------------------------------------
@@ -162,21 +164,13 @@ class Fan:
 
     def _check_generic_point(self):
         for k in (997, 1009, 1013, 1019, 1021):
-            p = vec([Fraction(1, k ** j) for j in range(self.dim)])
-            hits = 0
-            degenerate = False
-            for cone in self.max_cones:
-                lam = solve([[Fraction(self.rays[i][j]) for i in cone]
-                             for j in range(self.dim)], p)
-                if lam is None:
-                    continue
-                if any(x == 0 for x in lam):
-                    degenerate = True
-                    break
-                if all(x > 0 for x in lam):
-                    hits += 1
-            if degenerate:
+            p = [Fraction(1, k ** j) for j in range(self.dim)]
+            # p = sum_i <m_i, p> v_i on each smooth cone; no memo for an unchecked fan
+            lams = [[dot(m, p) for m in _dual_basis.__wrapped__(self, cone)]
+                    for cone in self.max_cones]
+            if any(x == 0 for lam in lams for x in lam):
                 continue
+            hits = sum(all(x > 0 for x in lam) for lam in lams)
             if hits != 1:
                 raise FanError(f"generic point covered {hits} times; fan not complete")
             return
@@ -184,11 +178,9 @@ class Fan:
 
     # -- derived data ----------------------------------------------------------
 
-    @property
+    @cached_property
     def classes(self) -> "NumClassSpace":
-        if self._classes is None:
-            self._classes = NumClassSpace(self)
-        return self._classes
+        return NumClassSpace(self)
 
     def to_json(self):
         return {"name": self.name,
@@ -215,7 +207,7 @@ class TDivisor:
         if len(self.coeffs) != len(self.fan.rays):
             raise ValueError("coefficient count does not match ray count")
 
-    @property
+    @cached_property
     def cls(self):
         return self.fan.classes.class_of(self.coeffs)
 
@@ -269,40 +261,44 @@ class NumClassSpace:
     """N^1(X) with exact nef / pseudo-effective cone inequalities.
 
     Classes are coordinates over the rays left free after quotienting the
-    ray-coefficient space by the relations u -> (<u, v_rho>)_rho.  The
-    pseudo-effective cone is generated by the ray divisor classes; the nef
-    cone is cut out by the degrees on the invariant curves, one Kleiman row
-    per ridge (Cox-Little-Schenck Thm 6.3.12).  Both H-representations are
-    primitive integer rows, so membership questions are exact sign tests.
+    ray-coefficient space by the relations u -> (<u, v_rho>)_rho.  The class
+    map is one integer matrix per fan, built here: its columns are the
+    classes of the ray divisors, which also generate the pseudo-effective
+    cone.  The nef cone is cut out by the degrees on the invariant curves,
+    one Kleiman row per ridge (Cox-Little-Schenck Thm 6.3.12).  Both
+    H-representations are primitive integer rows, so membership questions
+    are sign tests on integers, each class scaled by its denominator once.
     """
 
     def __init__(self, fan: Fan):
         self.fan = fan
         n, d = len(fan.rays), fan.dim
         relations = [[Fraction(fan.rays[i][j]) for i in range(n)] for j in range(d)]
-        _, pivots = rref(relations)
+        red, pivots = rref(relations)
         if len(pivots) != d:
             raise FanError("rays do not span the ambient lattice")
-        self.pivot_rays = tuple(pivots)
         self.free_rays = tuple(i for i in range(n) if i not in pivots)
         self.rank = len(self.free_rays)
-        self.eff_generators = tuple(self.class_of(_unit(n, i)) for i in range(n))
-        if rank([list(g) for g in self.eff_generators]) != self.rank:
-            raise FanError("effective cone is not full-dimensional")
+        # v_f = sum_k red[k][f] v_{p_k}, so D_{p_k} = -sum_f red[k][f] D_f in N^1
+        self.eff_generators = tuple(
+            tuple(-red[pivots.index(i)][f] if i in pivots else Fraction(int(i == f))
+                  for f in self.free_rays) for i in range(n))
+        den = self._class_den = common_denominator(self.eff_generators)
+        self._class_rows = tuple(zip(*([int(x * den) for x in g] for g in self.eff_generators)))
         self.eff_rows = _cone_facets(self.eff_generators, self.rank)
-        self.nef_rows = self._nef_facets()
+        degrees = [[_curve_degree(fan, _unit(n, k), tau) for k in self.free_rays]
+                   for tau in fan.ridges]
+        self.nef_rows = tuple(sorted({primitive(integer_row(g)[0]) for g in degrees if any(g)}))
 
     # -- class map -------------------------------------------------------------
 
     def class_of(self, coeffs):
         """Numerical class of a ray-coefficient vector, in free-ray coordinates."""
-        a = vec(coeffs)
-        d = self.fan.dim
-        rows = [[Fraction(self.fan.rays[i][j]) for j in range(d)]
-                for i in self.pivot_rays]
-        u = solve(rows, [a[i] for i in self.pivot_rays])
-        rep = [a[i] - dot(u, vec(self.fan.rays[i])) for i in range(len(a))]
-        return tuple(rep[i] for i in self.free_rays)
+        a, den = integer_row(vec(coeffs))
+        if len(a) != len(self.fan.rays):
+            raise ValueError("coefficient count does not match ray count")
+        return tuple(Fraction(sum(map(mul, row, a)), den * self._class_den)
+                     for row in self._class_rows)
 
     def divisor_from_class(self, cls) -> TDivisor:
         """Canonical representative: class coordinates on the free rays."""
@@ -314,88 +310,83 @@ class NumClassSpace:
             coeffs[i] = c
         return TDivisor(self.fan, tuple(coeffs))
 
-    def _nef_facets(self):
-        n = len(self.fan.rays)
-        rows = set()
-        for tau in self.fan.ridges:
-            g = [_curve_degree(self.fan, _unit(n, k), tau) for k in self.free_rays]
-            if any(x != 0 for x in g):
-                rows.add(_primitive_row(g))
-        return tuple(sorted(rows))
+    @cached_property
+    def nef_rays(self) -> tuple:
+        """Extreme rays of the nef cone: the facets of its dual, the Kleiman rows' cone."""
+        return _cone_facets(self.nef_rows, self.rank)
 
-    # -- membership ------------------------------------------------------------
+    @cached_property
+    def ample_class(self) -> tuple:
+        """The sum of the nef cone's extreme rays, an interior point."""
+        cls = tuple(sum(col) for col in zip(*self.nef_rays))
+        if not self.is_ample(cls):
+            raise FanError(f"{self.fan.name} has no ample class")
+        return cls
+
+    # -- membership (classes are tuples of ints or Fractions) ------------------
 
     def is_nef(self, cls) -> bool:
-        y = vec(cls)
-        return all(dot(g, y) >= 0 for g in self.nef_rows)
+        return all(v >= 0 for v in _pairings(self.nef_rows, cls))
 
     def is_ample(self, cls) -> bool:
-        y = vec(cls)
-        return all(dot(g, y) > 0 for g in self.nef_rows)
+        return all(v > 0 for v in _pairings(self.nef_rows, cls))
 
     def is_effective_class(self, cls) -> bool:
-        y = vec(cls)
-        return all(dot(g, y) >= 0 for g in self.eff_rows)
+        return all(v >= 0 for v in _pairings(self.eff_rows, cls))
 
     def is_big(self, cls) -> bool:
-        y = vec(cls)
-        return all(dot(g, y) > 0 for g in self.eff_rows)
+        return all(v > 0 for v in _pairings(self.eff_rows, cls))
 
     def boundary_membership(self, cls) -> str:
         """Exact trichotomy against the pseudo-effective cone."""
-        y = vec(cls)
-        vals = [dot(g, y) for g in self.eff_rows]
-        if any(v < 0 for v in vals):
-            return "outside"
-        if any(v == 0 for v in vals):
-            return "boundary"
-        return "interior"
+        low = min(_pairings(self.eff_rows, cls))
+        return "outside" if low < 0 else "boundary" if low == 0 else "interior"
 
     def mu(self, m_cls, e_cls) -> Fraction:
         """sup{s : M - s E big} for big M, as an exact facet-ratio minimum."""
-        m = vec(m_cls)
-        e = vec(e_cls)
-        if not self.is_big(m):
+        if not self.is_big(m_cls):
             raise ValueError("mu requires a big class")
-        ratios = [dot(g, m) / dot(g, e) for g in self.eff_rows if dot(g, e) > 0]
+        (m, m_den), (e, e_den) = integer_row(m_cls), integer_row(e_cls)
+        ratios = [Fraction(sum(map(mul, g, m)) * e_den, ge * m_den)
+                  for g in self.eff_rows if (ge := sum(map(mul, g, e))) > 0]
         if not ratios:
             raise ValueError("mu is unbounded: E never exits the cone")
         return min(ratios)
 
 
+def _pairings(rows, cls):
+    """<g, cls> for each integer row g, times the denominator of cls."""
+    y, _ = integer_row(cls)
+    return (sum(map(mul, g, y)) for g in rows)
+
+
 def _unit(n, i):
-    out = [Fraction(0)] * n
-    out[i] = Fraction(1)
-    return out
-
-
-def _primitive_row(g):
-    den = common_denominator([g])
-    return tuple(Fraction(x) for x in primitive([int(x * den) for x in g]))
+    return [int(k == i) for k in range(n)]
 
 
 def _cone_facets(generators, dim):
-    """Facet inequalities of a full-dimensional cone from its generators."""
-    gens = [vec(g) for g in generators]
-    if dim == 1:
-        signs = {1 if g[0] > 0 else -1 for g in gens if g[0] != 0}
-        if len(signs) != 1 or any(g[0] == 0 for g in gens):
-            raise FanError("degenerate one-dimensional cone")
-        return ((Fraction(signs.pop()),),)
-    rows = set()
-    for sub in combinations(range(len(gens)), dim - 1):
-        ns = nullspace([gens[i] for i in sub])
-        if len(ns) != 1:
-            continue
-        normal = ns[0]
-        vals = [dot(normal, g) for g in gens]
-        if all(v >= 0 for v in vals):
-            rows.add(_primitive_row(normal))
-        elif all(v <= 0 for v in vals):
-            rows.add(_primitive_row([-x for x in normal]))
-    if not rows:
+    """Primitive integer facet rows of a full-dimensional pointed cone from its
+    generators, by double description: they are the extreme rays of the dual
+    cone {x : <g, x> >= 0}, built one generator at a time from a basis."""
+    gens = [integer_row(g)[0] for g in generators]
+    done = [i for i, _, _ in independent_rows(gens)]
+    if len(done) != dim:
+        raise FanError("cone is not full-dimensional")
+    basis = [vec(gens[i]) for i in done]
+    rays = {primitive(integer_row(solve(basis, _unit(dim, k)))[0]) for k in range(dim)}
+    for j in range(len(gens)):
+        # a positive and a negative ray meet in a new extreme ray iff the
+        # halfspaces tight at both have rank dim - 2 (they are adjacent)
+        vals = {r: sum(map(mul, gens[j], r)) for r in rays}
+        tight = {r: {i for i in done if not sum(map(mul, gens[i], r))} for r in rays}
+        rays = {r for r, v in vals.items() if v >= 0} | {
+            primitive([vp * x - vn * y for x, y in zip(n, p)])
+            for p, vp in vals.items() if vp > 0 for n, vn in vals.items() if vn < 0
+            if rank([gens[i] for i in tight[p] & tight[n]]) == dim - 2}
+        done.append(j)
+    if not rays:
         raise FanError("cone facet enumeration failed")
-    return tuple(sorted(rows))
+    return tuple(sorted(rays))
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +398,23 @@ def polytope_of_divisor(fan: Fan, divisor: TDivisor) -> Polytope:
 
     Completeness of the fan (validated on load) makes the recession cone
     trivial, so P_D is always bounded here; a divisor without sections
-    comes back as the empty polytope.
+    comes back as the empty polytope.  For nef D, P_D is the hull of the
+    points m_sigma = -sum_{i in sigma} a_i m_i(sigma), one per maximal cone
+    (Cox-Little-Schenck Sec. 6.1); only a non-nef D tries every d rays.
     """
     n, d = len(fan.rays), fan.dim
+    if fan.classes.is_nef(divisor.cls):
+        a, den = integer_row(divisor.coeffs)
+        return Polytope.hull(
+            [tuple(Fraction(-sum(a[i] * m[j] for i, m in zip(sigma, _dual_basis(fan, sigma))),
+                            den) for j in range(d))
+             for sigma in fan.max_cones], dim=d)
     a = divisor.coeffs
     verts = []
     for sub in combinations(range(n), d):
-        rows = [[Fraction(fan.rays[i][j]) for j in range(d)] for i in sub]
-        if rank(rows) != d:
-            continue
-        u = solve(rows, [-a[i] for i in sub])
-        if u is None:
-            continue
-        if all(dot(u, vec(fan.rays[i])) >= -a[i] for i in range(n)):
+        # a dependent subset's solution, if feasible, lies in P_D: harmless
+        u = solve([vec(fan.rays[i]) for i in sub], [-a[i] for i in sub])
+        if u is not None and all(dot(u, vec(fan.rays[i])) >= -a[i] for i in range(n)):
             verts.append(u)
     return Polytope.hull(verts, dim=d)
 
@@ -441,11 +436,11 @@ def flag_valuation(flag: AdmissibleFlag, divisor: TDivisor, u):
                  for i in flag.ray_indices)
 
 
-def _dual_basis(fan: Fan, cone) -> tuple:
-    """Integer rows m_k with <m_k, v_l> = delta_kl on the rays of a smooth cone."""
+@lru_cache(maxsize=None)
+def _dual_basis(fan: Fan, cone: tuple) -> tuple:
+    """Integer rows m_k with <m_k, v_l> = delta_kl on a smooth cone's rays (memoised)."""
     rows = [vec(fan.rays[i]) for i in cone]
-    units = [[Fraction(int(k == l)) for l in range(len(cone))] for k in range(len(cone))]
-    return tuple(tuple(int(x) for x in solve(rows, e)) for e in units)
+    return tuple(tuple(int(x) for x in solve(rows, _unit(len(cone), k))) for k in range(len(cone)))
 
 
 @lru_cache(maxsize=None)
@@ -475,11 +470,13 @@ def _monomial(fan: Fan, rays: tuple) -> int:
 
 
 def _form(fan: Fan, coeff_vectors) -> Fraction:
-    """The intersection form on d ray-coefficient vectors, nef or not."""
-    supports = [[(i, a) for i, a in enumerate(v) if a != 0] for v in coeff_vectors]
-    return sum((prod(a for _, a in picks)
+    """The intersection form on d ray-coefficient vectors, nef or not, on integers."""
+    scaled = [integer_row(v) for v in coeff_vectors]
+    supports = [[(i, a) for i, a in enumerate(v) if a] for v, _ in scaled]
+    total = sum(prod(a for _, a in picks)
                 * _monomial(fan, tuple(sorted(i for i, _ in picks)))
-                for picks in product(*supports)), Fraction(0))
+                for picks in product(*supports))
+    return Fraction(total, prod(den for _, den in scaled))
 
 
 def _curve_degree(fan: Fan, coeffs, tau) -> Fraction:

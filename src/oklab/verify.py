@@ -23,7 +23,6 @@ from math import ceil
 
 from .additivity import (
     ConeCLM,
-    ample_grid_classes,
     check_additivity,
     necessary_condition_check,
     slice_decomposition_replay,
@@ -42,7 +41,7 @@ from .inequalities import (
     nef_body,
 )
 from .okounkov import mu_endpoint_check, slice_formula_check
-from .toric import AdmissibleFlag, Fan, TDivisor, flag_corresponds, mu, testbed
+from .toric import AdmissibleFlag, Fan, FanError, TDivisor, flag_corresponds, mu, testbed
 
 DEFAULT_GRID = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
 
@@ -142,17 +141,19 @@ def auto_sweep_config(fan: Fan):
     """Sweep spec for a foreign (catalog) testbed.
 
     Searches for an invariant flag corresponding to its own O(Y_1) class
-    and pairs it with a small ample companion; returns [] when no such
-    flag exists, in which case the sweep is honestly skipped.
+    and pairs it with the fan's ample class (the sum of the nef cone's
+    extreme rays); returns [] when no such flag or no ample class exists,
+    in which case the sweep is honestly skipped.
     """
+    try:
+        m_div = fan.classes.divisor_from_class(fan.classes.ample_class)
+    except FanError:
+        return []
     for cone in fan.max_cones:
         for order in permutations(cone):
             flag = AdmissibleFlag(fan, order)
             l_div = flag.divisor_of_y1()
-            if not flag_corresponds(fan, flag, l_div)[0]:
-                continue
-            for cls in ample_grid_classes(fan, bound=3):
-                m_div = fan.classes.divisor_from_class(cls)
+            if flag_corresponds(fan, flag, l_div)[0]:
                 return [(order, l_div.coeffs, m_div.coeffs)]
     return []
 

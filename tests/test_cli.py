@@ -1,5 +1,6 @@
 """CLI: commands, exit codes, deterministic report bytes."""
 
+import hashlib
 import json
 from time import perf_counter
 
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from blowups import blown_up_fans
-from oklab.cli import main
+from oklab.cli import CATALOG_ENV, main
 
 
 def run(capsys, *argv):
@@ -182,6 +183,8 @@ def test_json_object_divisor_and_flag_forms(capsys):
     (["search-strict", "--testbed", "p1xp1", "--bound", "1000000"], "class grid"),
     (["search-strict", "--testbed", "p2", "--grid-den", "1000000"], "--grid-den"),
     (["verify", "--suite", "prop14", "--grid-den", "100000"], "--grid-den"),
+    # 8000 ample classes pass the box budget; their 32 004 000 pairs do not
+    (["search-strict", "--testbed", "p1xp1xp1", "--bound", "20"], "pairs"),
 ])
 def test_enumerations_over_budget_rejected(capsys, argv, what):
     start = perf_counter()
@@ -267,3 +270,20 @@ def test_intersect_on_blown_up_catalog_fans(tmp_path, capsys, spec):
                        "--classes", classes, "--catalog", str(tmp_path))
     assert code == 0
     assert json.loads(out)["checks"][0]["value"] == [ANTICANONICAL_TOP[name], 1]
+
+
+# sha256 of `oklab verify --suite S` (default settings, no catalog); any
+# change to these bytes is a change to the report format or to a verdict
+REPORT_SHA256 = {
+    "slices": "095b24e313aa9a7a8820ebe0b1ee7bda7711486ea75dafd76cdfc4834e14b9d3",
+    "cor13": "ff93efd2b1202273eecf82962ecdf5e59f43c4da3a0aa2aa2e1d817c0d38564c",
+    "lemma61": "a25d245e3f6271678da5fca660186ab538b90e8db9a4fb79abeb58a96cabff3e",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(REPORT_SHA256))
+def test_verify_report_bytes_are_pinned(tmp_path, monkeypatch, suite):
+    monkeypatch.delenv(CATALOG_ENV, raising=False)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", suite, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[suite]

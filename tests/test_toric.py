@@ -3,17 +3,18 @@
 import json
 import random
 from fractions import Fraction as F
+from itertools import combinations
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from blowups import blown_up_fans
+from blowups import blown_up_fans, star_subdivision
 from graded_oracle import face_tails, lattice_points
 from oklab import exactgeom, toric
 from oklab.exactgeom import mixed_volume
-from oklab.linalg import det_int, dot, solve, vec
+from oklab.linalg import common_denominator, det_int, dot, nullspace, primitive, rank, solve, vec
 from oklab.toric import (
     AdmissibleFlag,
     CurveModel,
@@ -469,3 +470,182 @@ def test_mu_positive_for_ample_with_effective_e():
                                          fromlist=["ample_grid_classes"])
                    .ample_grid_classes(fan, bound=4))
         assert mu(fan, fan.classes.divisor_from_class(amp), e_cls) > 0
+
+
+# --- per-fan class map, nef vertices, ample class ---------------------------
+
+def class_by_solve(fan, coeffs):
+    """Oracle: the class map by one rational solve on the pivot rays."""
+    free = fan.classes.free_rays
+    pivots = [i for i in range(len(fan.rays)) if i not in free]
+    a = vec(coeffs)
+    u = solve([vec(fan.rays[i]) for i in pivots], [a[i] for i in pivots])
+    return tuple(a[i] - dot(u, vec(fan.rays[i])) for i in free)
+
+
+# a shipped testbed or a blown-up fan
+any_fan = st.one_of(
+    st.sampled_from(testbed_names()).map(testbed),
+    blown_up_fans().map(lambda spec: Fan("blowup", spec[1], spec[2])))
+
+
+# the hexagon's first two rays span a sublattice of index 2, so its class
+# matrix has denominator 2
+HEXAGON = Fan("hexagon", [(1, 1), (1, -1), (1, 0), (0, 1), (-1, 0), (0, -1)],
+              [(0, 2), (0, 3), (3, 4), (4, 5), (1, 5), (1, 2)])
+
+
+@seed(2024)
+@settings(max_examples=50, deadline=None)
+@given(fan=st.one_of(any_fan, st.just(HEXAGON)), data=st.data())
+def test_class_map_matches_solve_oracle(fan, data):
+    n = len(fan.rays)
+    order = data.draw(st.permutations(range(n)))  # other pivot rays
+    fan = Fan(fan.name, [fan.rays[i] for i in order],
+              [[order.index(i) for i in cone] for cone in fan.max_cones])
+    ints = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    for coeffs in (ints, [F(x, 2) for x in ints], [F(-x, 3) + 1 for x in ints]):
+        cls = fan.classes.class_of(coeffs)
+        assert cls == class_by_solve(fan, coeffs)
+        assert all(type(x) is F for x in cls)
+        assert TDivisor(fan, coeffs).cls == cls
+    units = [fan.classes.class_of([int(i == k) for k in range(n)]) for i in range(n)]
+    assert tuple(units) == fan.classes.eff_generators
+
+
+def test_class_matrix_with_a_denominator():
+    assert HEXAGON.classes._class_den == 2
+    for coeffs in ([1, 0, 0, 0, 0, 0], [0, F(1, 2), 3, 0, -1, 2]):
+        assert HEXAGON.classes.class_of(coeffs) == class_by_solve(HEXAGON, coeffs)
+
+
+def subset_loop_polytope(fan, divisor):
+    """The subset loop of `polytope_of_divisor`, forced for a nef class."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toric.NumClassSpace, "is_nef", lambda self, cls: False)
+        return polytope_of_divisor(fan, divisor)
+
+
+@seed(2024)
+@settings(max_examples=40, deadline=None)
+@given(fan=any_fan, data=st.data())
+def test_nef_vertices_match_subset_loop(fan, data):
+    classes = fan.classes
+    weights = data.draw(st.lists(st.sampled_from([0, F(1, 2), 1, 2]),
+                                 min_size=len(classes.nef_rays),
+                                 max_size=len(classes.nef_rays)))
+    nef = tuple(sum(w * r[k] for w, r in zip(weights, classes.nef_rays))
+                for k in range(classes.rank))
+    ample = tuple(a + b for a, b in zip(nef, classes.ample_class))
+    for cls in (nef, ample):
+        div = classes.divisor_from_class(cls)
+        assert polytope_of_divisor(fan, div) == subset_loop_polytope(fan, div)
+    assert polytope_of_divisor(fan, classes.divisor_from_class(ample)).affine_dim == fan.dim
+
+
+@pytest.mark.parametrize("name, coeffs, affine_dim", [
+    ("p1xp1", (1, 0, 0, 0), 1),
+    ("p1xp1xp1", (0, 0, F(1, 2), 0, 1, 0), 2),
+    ("p1xp1xp1", (0, 0, 0, 0, 0, 3), 1),
+    ("f1", (1, 0, 0, 0), 1),
+    ("blpq-p2", (0, 0, F(5, 2), 0, 0), 1),
+])
+def test_non_big_nef_polytopes_match_subset_loop(name, coeffs, affine_dim):
+    fan = testbed(name)
+    div = TDivisor(fan, coeffs)
+    assert fan.classes.is_nef(div.cls) and not fan.classes.is_big(div.cls)
+    body = polytope_of_divisor(fan, div)
+    assert body == subset_loop_polytope(fan, div)
+    assert body.affine_dim == affine_dim
+
+
+def test_divisor_class_is_computed_once(monkeypatch):
+    fan = testbed("blpq-p2")
+    original = toric.NumClassSpace.class_of
+    calls = []
+
+    def counting(self, coeffs):
+        calls.append(coeffs)
+        return original(self, coeffs)
+
+    monkeypatch.setattr(toric.NumClassSpace, "class_of", counting)
+    div = TDivisor(fan, (1, F(3, 2), 1, 1, 1))
+    assert div.cls == div.cls == class_by_solve(fan, div.coeffs)
+    intersection_number(fan, [div, div])
+    polytope_of_divisor(fan, div)
+    assert len(calls) == 1
+    twin = TDivisor(fan, div.coeffs)  # equal and hashed alike, a new object
+    assert twin == div and hash(twin) == hash(div) and len(calls) == 1
+    assert twin.cls == div.cls and len(calls) == 2
+
+
+@seed(2024)
+@settings(max_examples=30, deadline=None)
+@given(fan=any_fan)
+def test_ample_class_is_the_sum_of_nef_rays(fan):
+    classes = fan.classes
+    assert classes.is_ample(classes.ample_class)
+    for ray in classes.nef_rays:
+        assert classes.is_nef(ray) and classes.is_ample(ray) == (classes.rank == 1)
+
+
+def test_independent_ample_without_a_box_scan(monkeypatch):
+    from oklab import additivity, inequalities
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the ample class needs no box scan")
+
+    monkeypatch.setattr(additivity, "ample_grid_classes", forbidden)
+    for name in ("p1xp1", "f1", "blpq-p2", "p1xp1xp1"):
+        fan = testbed(name)
+        anchor = fan.classes.divisor_from_class(fan.classes.ample_class).scaled(2)
+        other = inequalities._independent_ample(fan, anchor)
+        assert fan.classes.is_ample(other.cls)
+        assert rank([list(pair) for pair in zip(anchor.cls, other.cls)]) == 2
+
+
+def test_auto_sweep_config_on_rank_six_fan(monkeypatch):
+    from oklab import additivity, verify
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the ample class needs no box scan")
+
+    monkeypatch.setattr(additivity, "ample_grid_classes", forbidden)
+    rays = [list(r) for r in testbed("p2").rays]
+    cones = list(testbed("p2").max_cones)
+    for _ in range(5):  # blow up the first torus-fixed point five times
+        rays, cones = star_subdivision(rays, cones, cones[0])
+    fan = Fan("blowup", rays, cones)
+    assert fan.classes.rank == 6
+    with pytest.raises(additivity.EnumerationBudgetError):
+        additivity.check_enumeration(7 ** fan.classes.rank, "a bound-3 class box")
+    [(order, l_coeffs, m_coeffs)] = verify.auto_sweep_config(fan)
+    assert fan.classes.is_ample(TDivisor(fan, m_coeffs).cls)
+    assert TDivisor(fan, l_coeffs) == AdmissibleFlag(fan, order).divisor_of_y1()
+
+
+def facets_by_subsets(generators, dim):
+    """Oracle: a facet normal is the kernel of dim - 1 generators that keeps
+    every generator on one side."""
+    gens = [vec(g) for g in generators]
+    if dim == 1:
+        return ((1 if gens[0][0] > 0 else -1,),)
+    rows = set()
+    for sub in combinations(gens, dim - 1):
+        kernel = nullspace(list(sub))
+        if len(kernel) == 1:
+            normal = [x * common_denominator([kernel[0]]) for x in kernel[0]]
+            vals = [dot(normal, g) for g in gens]
+            for sign in (1, -1):
+                if all(sign * v >= 0 for v in vals):
+                    rows.add(primitive([int(sign * x) for x in normal]))
+    return tuple(sorted(rows))
+
+
+@seed(2024)
+@settings(max_examples=25, deadline=None)
+@given(fan=any_fan)
+def test_double_description_matches_subset_facets(fan):
+    classes = fan.classes
+    assert classes.eff_rows == facets_by_subsets(classes.eff_generators, classes.rank)
+    assert classes.nef_rays == facets_by_subsets(classes.nef_rows, classes.rank)
