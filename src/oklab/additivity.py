@@ -95,7 +95,7 @@ def in_cone(n: TDivisor, cone: ConeCLM):
     """Solve N = lambda L + mu M in N^1; in-cone iff mu >= 0 and N ample.
 
     When L and M are dependent the representation is not unique; the free
-    coefficient is set to zero (mu picks up the whole class when possible),
+    coefficient mu is set to zero (lambda picks up the whole class),
     and membership degenerates to ampleness of N inside the span.
     """
     fan = cone.fan
@@ -121,23 +121,6 @@ class AdditivityVerdict:
     vol_minkowski: Fraction
     vol_n1: Fraction
     vol_n2: Fraction
-
-    def to_json(self):
-        def fr(x):
-            return [x.numerator, x.denominator]
-
-        out = {
-            "status": self.status,
-            "vol_sum_body": fr(self.vol_sum_body),
-            "vol_minkowski": fr(self.vol_minkowski),
-            "vol_n1": fr(self.vol_n1),
-            "vol_n2": fr(self.vol_n2),
-        }
-        if self.witness is not None:
-            out["witness"] = [fr(x) for x in self.witness]
-            n, c = self.violated
-            out["violated"] = {"normal": [fr(x) for x in n], "offset": fr(c)}
-        return out
 
 
 def compare_additive_bodies(body1: Polytope, body2: Polytope,

@@ -122,8 +122,11 @@ def emit(report: dict, fmt: str, out: str | None) -> None:
     else:
         raise ConfigError(f"unknown format {fmt!r}")
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -295,11 +298,7 @@ def cmd_body(args, fans) -> int:
 def cmd_verify(args, fans) -> int:
     config = RunConfig(grid_den=args.grid_den, seed=args.seed)
     if args.testbed:
-        if args.testbed not in fans:
-            raise ConfigError(f"unknown testbed {args.testbed!r}")
-        config = RunConfig(testbeds=(args.testbed,),
-                           grid_den=args.grid_den, seed=args.seed,
-                           extra_fans={args.testbed: fans[args.testbed]})
+        config.fans = {args.testbed: _pick_fan(args, fans)}
     records = run_suite(args.suite, config)
     report = make_report("verify", _config_echo(args, {"suite": args.suite}),
                          records)
@@ -308,16 +307,14 @@ def cmd_verify(args, fans) -> int:
 
 
 def cmd_search_strict(args, fans) -> int:
+    if args.bound < 1:
+        raise ConfigError("--bound must be positive")
     fan = _pick_fan(args, fans)
-    config = RunConfig(grid_den=args.grid_den, seed=args.seed,
-                       search_bound=args.bound,
-                       extra_fans={fan.name: fan})
-    flag_rays = None
-    if args.flag:
-        flag_rays = _parse_flag(fan, args.flag).ray_indices
-    elif fan.name not in SWEEP_CONFIGS:
-        flag_rays = fan.max_cones[0]
-    records = suite_strict_search(config, fan.name, flag_rays)
+    if args.flag is None and fan.name in SWEEP_CONFIGS:
+        flag = AdmissibleFlag(fan, SWEEP_CONFIGS[fan.name][0][0])
+    else:
+        flag = _parse_flag(fan, args.flag)
+    records = suite_strict_search(flag, args.bound)
     report = make_report("search-strict", _config_echo(args), records)
     emit(report, args.format, args.out)
     return 0
@@ -359,15 +356,15 @@ def cmd_intersect(args, fans) -> int:
 
 def cmd_mixedvol(args, fans) -> int:
     text = args.bodies
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            text = fh.read()
     try:
+        if text.startswith("@"):
+            with open(text[1:]) as fh:
+                text = fh.read()
         data = json.loads(text)
         bodies = [Polytope.hull([[parse_rational(x) for x in v] for v in verts])
                   for verts in data]
         value = mixed_volume(bodies)
-    except (ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad bodies: {exc}") from exc
     record = {"key": "mixedvol", "suite": "mixedvol", "value": value,
               "pass": True}

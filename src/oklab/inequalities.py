@@ -44,7 +44,6 @@ __all__ = [
     "InequalityRecord",
     "DeltaMap",
     "delta_map",
-    "delta_map_for_classes",
     "check_cor13",
     "injectivity_check",
     "lemma61_check",
@@ -73,24 +72,6 @@ class InequalityRecord:
     def passed(self) -> bool:
         return self.slack >= 0
 
-    def to_json(self):
-        def enc(x):
-            if isinstance(x, Fraction):
-                return [x.numerator, x.denominator]
-            if isinstance(x, tuple):
-                return [enc(v) for v in x]
-            return x
-
-        return {
-            "name": self.name,
-            "lhs": enc(self.lhs),
-            "rhs": enc(self.rhs),
-            "slack": enc(self.slack),
-            "pass": self.passed,
-            "seed": self.inputs.get("seed"),
-            "inputs": {k: enc(v) for k, v in self.inputs.items()},
-        }
-
 
 # ---------------------------------------------------------------------------
 # the linear map into formal bodies
@@ -104,7 +85,7 @@ class DeltaMap:
     invariant flags of the toric testbeds the anchors corresponding to a
     flag are the prime-divisor classes, which sit on the nef boundary, so
     ampleness of L is not required here (the map itself only needs the
-    bodies).  Whether the flag corresponds to L is recorded: that is the
+    bodies).  Nor does it check that the flag corresponds to L, the
     hypothesis under which the compatibility with intersection products
     is a theorem rather than an observation.  A dependent basis (M a
     multiple of L, forced on Picard-rank-one testbeds) is tolerated in a
@@ -117,7 +98,6 @@ class DeltaMap:
     body_l: NOBody
     body_m: NOBody
     dependent: bool
-    corresponds_to_l: bool
 
     @property
     def fan(self) -> Fan:
@@ -150,66 +130,8 @@ def delta_map(l_div: TDivisor, m_div: TDivisor, flag: AdmissibleFlag) -> DeltaMa
     if not (bl.exact and bm.exact):
         raise ValueError("basis bodies could not be certified exact")
     dependent = rank([[a, b] for a, b in zip(l_div.cls, m_div.cls)]) < 2
-    corresponds = flag_corresponds(fan, flag, l_div)[0]
     return DeltaMap(flag=flag, L=l_div, M=m_div, body_l=bl, body_m=bm,
-                    dependent=dependent, corresponds_to_l=corresponds)
-
-
-def delta_map_for_classes(classes, flag: AdmissibleFlag) -> DeltaMap:
-    """Basis selection for r given ample classes spanning a cone.
-
-    Reorders so that the first two generate the cone of all of them (in a
-    two-dimensional span the extremes under the angular order do), then
-    anchors the map at those; if all classes are proportional, the anchor
-    is the first one and the companion is any independent ample class.
-    """
-    fan = flag.fan
-    classes = list(classes)
-    if not classes:
-        raise ValueError("need at least one class")
-    for c in classes:
-        if not fan.classes.is_ample(c.cls):
-            raise ValueError("all classes must be ample")
-    first = classes[0]
-    indep = [c for c in classes
-             if rank([[a, b] for a, b in zip(first.cls, c.cls)]) == 2]
-    if not indep:
-        companion = _independent_ample(fan, first)
-        return delta_map(first, companion, flag)
-    # extremes of the planar cone: maximize/minimize the M-coefficient
-    # against the L-coefficient in the (first, indep[0]) coordinates
-    base2 = indep[0]
-    rows = [[a, b] for a, b in zip(first.cls, base2.cls)]
-    coords = []
-    for c in classes:
-        sol = solve(rows, vec(c.cls))
-        if sol is None:
-            raise ValueError("classes do not span a two-dimensional subspace")
-        coords.append(sol)
-    lo = min(range(len(classes)), key=lambda i: _slope_key(coords[i]))
-    hi = max(range(len(classes)), key=lambda i: _slope_key(coords[i]))
-    if lo == hi:
-        return delta_map(classes[lo], _independent_ample(fan, classes[lo]), flag)
-    return delta_map(classes[lo], classes[hi], flag)
-
-
-def _slope_key(coord):
-    lam, m = coord
-    total = abs(lam) + abs(m)
-    return m / total if total else Fraction(0)
-
-
-def _independent_ample(fan: Fan, anchor: TDivisor) -> TDivisor:
-    """The fan's ample class, plus a nef extreme ray if it is parallel to the
-    anchor (ample plus nef is ample, and the rays span N^1)."""
-    classes = fan.classes
-    if classes.rank < 2:
-        raise ValueError("no independent ample class exists (Picard rank one)")
-    for ray in ((0,) * classes.rank,) + classes.nef_rays:
-        cls = tuple(a + b for a, b in zip(classes.ample_class, ray))
-        if rank([[a, b] for a, b in zip(anchor.cls, cls)]) == 2:
-            return classes.divisor_from_class(cls)
-    raise ValueError("could not find an independent ample class")
+                    dependent=dependent)
 
 
 # ---------------------------------------------------------------------------

@@ -182,11 +182,6 @@ class Fan:
     def classes(self) -> "NumClassSpace":
         return NumClassSpace(self)
 
-    def to_json(self):
-        return {"name": self.name,
-                "rays": [list(r) for r in self.rays],
-                "max_cones": [list(c) for c in self.max_cones]}
-
     def __repr__(self):
         return f"Fan({self.name!r}, dim={self.dim}, rays={len(self.rays)})"
 

@@ -1,17 +1,19 @@
 """Batch verification suites over the shipped testbeds.
 
 Each suite runs one family of checks (theorem sweep, slice formulas,
-boundary-cone condition, proof replay, the inequality batteries) across a
-configured set of testbeds, flags and coefficient grids, and returns a
-flat list of record dicts.  Records are pure data (rationals stay
-Fractions until serialization) and carry a sortable "key" plus a "pass"
-flag, so the CLI and the acceptance tests share one code path.
+boundary-cone condition, proof replay, the inequality batteries) over the
+testbeds of a `RunConfig` and returns a flat list of record dicts.  A
+config holds only what a run varies: the testbeds, the denominator of the
+parameter grids and the seed of the randomized batteries.  Records are
+pure data (rationals stay Fractions until serialization) and carry a
+sortable "key" plus a "pass" flag, so the CLI and the acceptance tests
+share one code path.
 
 Sweep grids follow the verification defaults: body coefficients from
-{1/2, 1, 3/2, 2, 3}, slice/replay parameters on a denominator-12 grid
-(coarsened to denominator 4 on the three-folds, which fixes the set of
-three-fold slice and replay records the acceptance runs check).
-"""
+DEFAULT_GRID = {1/2, 1, 3/2, 2, 3}, slice/replay parameters on a
+denominator-12 grid (coarsened to denominator 4 on the three-folds, which
+fixes the set of three-fold slice and replay records the acceptance runs
+check)."""
 
 from __future__ import annotations
 
@@ -41,7 +43,8 @@ from .inequalities import (
     nef_body,
 )
 from .okounkov import mu_endpoint_check, slice_formula_check
-from .toric import AdmissibleFlag, Fan, FanError, TDivisor, flag_corresponds, mu, testbed
+from .toric import (AdmissibleFlag, Fan, FanError, TDivisor, flag_corresponds, mu,
+                    testbed, testbed_names)
 
 DEFAULT_GRID = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
 
@@ -101,40 +104,26 @@ INJECTIVITY_PAIRS = {
 }
 
 
+# sample sizes of the randomized batteries
+COR15_COUNT = 200
+LX_COUNT = 100
+
+
 @dataclass
 class RunConfig:
-    """Knobs shared by every suite; defaults match the acceptance runs."""
+    """What a run varies; the defaults are the acceptance runs.
 
-    testbeds: tuple = tuple(sorted(SWEEP_CONFIGS))
+    `fans` is the ordered name -> Fan mapping a run covers (default: the
+    builtin testbeds in `testbed_names()` order); suites driven by a
+    per-testbed table skip the names it does not list, and lemma61 draws
+    its random pairs in this order.  `grid_den` is the denominator of the
+    slice, replay and boundary-segment parameters; `seed` seeds the
+    randomized batteries.
+    """
+
+    fans: dict = field(default_factory=lambda: {n: testbed(n) for n in testbed_names()})
     grid_den: int = 12
-    grid: tuple = DEFAULT_GRID
     seed: int = 2024
-    cor15_count: int = 200
-    lx_count: int = 100
-    search_bound: int = 5
-    extra_fans: dict = field(default_factory=dict)
-
-    def fan(self, name: str) -> Fan:
-        if name in self.extra_fans:
-            return self.extra_fans[name]
-        return testbed(name)
-
-    def selected(self, catalog) -> list[str]:
-        return [name for name in self.testbeds if name in catalog]
-
-
-def _flag(fan: Fan, rays) -> AdmissibleFlag:
-    return AdmissibleFlag(fan, tuple(rays))
-
-
-def _div(fan: Fan, coeffs) -> TDivisor:
-    return TDivisor(fan, tuple(coeffs))
-
-
-def _grid_den_for(fan: Fan, config: RunConfig) -> int:
-    # the three-folds keep the coarser grid that defines their slice and
-    # replay record sets (a finer one multiplies the 3D replays per case)
-    return min(config.grid_den, 4) if fan.dim >= 3 else config.grid_den
 
 
 def auto_sweep_config(fan: Fan):
@@ -158,10 +147,30 @@ def auto_sweep_config(fan: Fan):
     return []
 
 
-def _sweep_specs(config: RunConfig, name: str):
-    if name in SWEEP_CONFIGS:
-        return SWEEP_CONFIGS[name]
-    return auto_sweep_config(config.fan(name))
+def _listed(config: RunConfig, table):
+    """(name, fan) for the configured testbeds that `table` lists."""
+    return [(name, fan) for name, fan in config.fans.items() if name in table]
+
+
+def _theorem_pairs(config: RunConfig):
+    """(testbed, flag, key, pair, N1, N2) for every grid pair of every
+    sweep cone C_L(M) of every configured testbed."""
+    for name, fan in config.fans.items():
+        specs = SWEEP_CONFIGS.get(name) or auto_sweep_config(fan)
+        for flag_rays, lco, mco in specs:
+            flag = AdmissibleFlag(fan, flag_rays)
+            cone = ConeCLM(TDivisor(fan, lco), TDivisor(fan, mco))
+            for (c1, n1), (c2, n2) in theorem_sweep_pairs(cone, DEFAULT_GRID):
+                key = f"{name}/{flag.label()}/{c1[0]},{c1[1]}/{c2[0]},{c2[1]}"
+                yield name, flag, key, (c1, c2), n1, n2
+
+
+def _t_grid(fan: Fan, config: RunConfig, start: int, endpoint: Fraction):
+    """The parameters k/den with start <= k and k/den < endpoint.  The
+    three-folds keep the coarser grid that defines their slice and replay
+    record sets (a finer one multiplies the 3D replays per case)."""
+    den = min(config.grid_den, 4) if fan.dim >= 3 else config.grid_den
+    return [Fraction(k, den) for k in range(start, ceil(endpoint * den))]
 
 
 # ---------------------------------------------------------------------------
@@ -170,53 +179,37 @@ def _sweep_specs(config: RunConfig, name: str):
 
 def suite_additivity(config: RunConfig) -> list[dict]:
     records = []
-    for name in config.testbeds:
-        fan = config.fan(name)
-        for flag_rays, lco, mco in _sweep_specs(config, name):
-            flag = _flag(fan, flag_rays)
-            cone = ConeCLM(_div(fan, lco), _div(fan, mco))
-            pairs = theorem_sweep_pairs(cone, config.grid)
-            for ((a1, b1), n1), ((a2, b2), n2) in pairs:
-                verdict = check_additivity(n1, n2, flag)
-                rec = {
-                    "key": f"additivity/{name}/{flag.label()}/{a1},{b1}/{a2},{b2}",
-                    "suite": "additivity", "testbed": name,
-                    "flag": flag.ray_indices,
-                    "pair": ((a1, b1), (a2, b2)),
-                    "status": verdict.status,
-                    "volumes": (verdict.vol_n1, verdict.vol_n2, verdict.vol_sum_body),
-                    "pass": verdict.status == "equal",
-                }
-                if verdict.witness is not None:
-                    rec["witness"] = verdict.witness
-                    rec["violated"] = verdict.violated
-                records.append(rec)
+    for name, flag, key, pair, n1, n2 in _theorem_pairs(config):
+        verdict = check_additivity(n1, n2, flag)
+        rec = {
+            "key": "additivity/" + key, "suite": "additivity", "testbed": name,
+            "flag": flag.ray_indices, "pair": pair, "status": verdict.status,
+            "volumes": (verdict.vol_n1, verdict.vol_n2, verdict.vol_sum_body),
+            "pass": verdict.status == "equal",
+        }
+        if verdict.witness is not None:
+            rec["witness"] = verdict.witness
+            rec["violated"] = verdict.violated
+        records.append(rec)
     return records
 
 
 def suite_slices(config: RunConfig) -> list[dict]:
     records = []
-    for name in config.selected(SLICE_CONFIGS):
-        fan = config.fan(name)
-        den = _grid_den_for(fan, config)
+    for name, fan in _listed(config, SLICE_CONFIGS):
         for flag_rays, mco in SLICE_CONFIGS[name]:
-            flag = _flag(fan, flag_rays)
-            m_div = _div(fan, mco)
+            flag = AdmissibleFlag(fan, flag_rays)
+            m_div = TDivisor(fan, mco)
             if not fan.classes.is_ample(m_div.cls):
                 raise ValueError(f"slice case {name}/{mco} is not ample")
-            e_cls = flag.divisor_of_y1().cls
-            endpoint = mu(fan, m_div, e_cls)
+            y1 = flag.divisor_of_y1()
+            endpoint = mu(fan, m_div, y1.cls)
             case = f"slices/{name}/{flag.label()}/{','.join(map(str, mco))}"
-            ok_mu = mu_endpoint_check(m_div, flag)
             records.append({"key": case + "/mu-endpoint", "suite": "slices",
                             "testbed": name, "check": "mu-endpoint",
-                            "mu": endpoint, "pass": ok_mu})
-            for k in range(0, ceil(endpoint * den)):
-                t = Fraction(k, den)
-                if t >= endpoint:
-                    break
-                shifted = m_div - flag.divisor_of_y1().scaled(t)
-                if not fan.classes.is_ample(shifted.cls):
+                            "mu": endpoint, "pass": mu_endpoint_check(m_div, flag)})
+            for t in _t_grid(fan, config, 0, endpoint):
+                if not fan.classes.is_ample((m_div - y1.scaled(t)).cls):
                     continue
                 ok, witness = slice_formula_check(m_div, flag, t)
                 rec = {"key": case + f"/t={t}", "suite": "slices",
@@ -230,23 +223,16 @@ def suite_slices(config: RunConfig) -> list[dict]:
 
 def suite_replay(config: RunConfig) -> list[dict]:
     records = []
-    for name in config.selected(REPLAY_CONFIGS):
-        fan = config.fan(name)
-        den = _grid_den_for(fan, config)
+    for name, fan in _listed(config, REPLAY_CONFIGS):
         for flag_rays, lco, mco, (a1, b1), (a2, b2) in REPLAY_CONFIGS[name]:
-            flag = _flag(fan, flag_rays)
-            cone = ConeCLM(_div(fan, lco), _div(fan, mco))
+            flag = AdmissibleFlag(fan, flag_rays)
+            cone = ConeCLM(TDivisor(fan, lco), TDivisor(fan, mco))
             n1 = cone.member(a1, b1)
             n2 = cone.member(a2, b2)
             endpoint = mu(fan, n1 + n2, flag.divisor_of_y1().cls)
             case = f"replay/{name}/{flag.label()}/{a1},{b1}/{a2},{b2}"
-            seen_cases = set()
-            for k in range(1, ceil(endpoint * den)):
-                t = Fraction(k, den)
-                if t >= endpoint:
-                    break
+            for t in _t_grid(fan, config, 1, endpoint):
                 ok, trace = slice_decomposition_replay(n1, n2, flag, cone, t)
-                seen_cases.add(trace["meta"]["case"])
                 rec = {
                     "key": case + f"/t={t}", "suite": "replay",
                     "testbed": name, "t": t,
@@ -262,32 +248,23 @@ def suite_replay(config: RunConfig) -> list[dict]:
 
 def suite_prop14(config: RunConfig) -> list[dict]:
     records = []
-    for name in config.testbeds:
-        fan = config.fan(name)
-        for flag_rays, lco, mco in _sweep_specs(config, name):
-            flag = _flag(fan, flag_rays)
-            cone = ConeCLM(_div(fan, lco), _div(fan, mco))
-            pairs = theorem_sweep_pairs(cone, config.grid)
-            for ((a1, b1), n1), ((a2, b2), n2) in pairs:
-                rep = necessary_condition_check(
-                    n1, n2, flag, grid_den=config.grid_den)
-                records.append({
-                    "key": f"prop14/{name}/{flag.label()}/{a1},{b1}/{a2},{b2}",
-                    "suite": "prop14", "testbed": name,
-                    "verdict": rep["verdict"],
-                    "mu": (rep["mu_L"], rep["mu_M"], rep["mu_sum"]),
-                    "pass": rep["ok"],
-                })
+    for name, flag, key, _, n1, n2 in _theorem_pairs(config):
+        rep = necessary_condition_check(n1, n2, flag, grid_den=config.grid_den)
+        records.append({
+            "key": "prop14/" + key, "suite": "prop14", "testbed": name,
+            "verdict": rep["verdict"],
+            "mu": (rep["mu_L"], rep["mu_M"], rep["mu_sum"]),
+            "pass": rep["ok"],
+        })
     return records
 
 
 def suite_cor13(config: RunConfig) -> list[dict]:
     records = []
-    for name in config.selected({t: None for t in COR13_TESTBEDS}):
-        fan = config.fan(name)
+    for name, fan in _listed(config, COR13_TESTBEDS):
         flag_rays, lco, mco = SWEEP_CONFIGS[name][0]
-        flag = _flag(fan, flag_rays)
-        dmap = delta_map(_div(fan, lco), _div(fan, mco), flag)
+        dmap = delta_map(TDivisor(fan, lco), TDivisor(fan, mco),
+                         AdmissibleFlag(fan, flag_rays))
         d = fan.dim
         tuples = []
         for k in range(d + 1):
@@ -303,11 +280,10 @@ def suite_cor13(config: RunConfig) -> list[dict]:
                 "testbed": name, "lhs": rep["lhs"], "rhs": rep["rhs"],
                 "pass": ok,
             })
-    for name in config.selected(INJECTIVITY_PAIRS):
-        fan = config.fan(name)
+    for name, fan in _listed(config, INJECTIVITY_PAIRS):
         flag_rays, lco, mco = INJECTIVITY_PAIRS[name]
-        flag = _flag(fan, flag_rays)
-        dmap = delta_map(_div(fan, lco), _div(fan, mco), flag)
+        dmap = delta_map(TDivisor(fan, lco), TDivisor(fan, mco),
+                         AdmissibleFlag(fan, flag_rays))
         rec = injectivity_check(dmap)
         records.append({
             "key": f"cor13/{name}/injectivity", "suite": "cor13",
@@ -332,78 +308,65 @@ LEMMA61_PAIRS = {
 }
 
 
+def _lemma61_record(key: str, name: str, l_div, m_div, flag) -> dict:
+    rec = lemma61_check(l_div, m_div, flag)
+    corr = rec.inputs["flag_corresponds_to"]
+    return {"key": key, "suite": "lemma61", "testbed": name,
+            "lhs": rec.lhs, "rhs": rec.rhs, "slack": rec.slack,
+            "corresponds": corr,
+            "pass": rec.passed and (corr is None or rec.slack == 0)}
+
+
 def suite_lemma61(config: RunConfig) -> list[dict]:
     records = []
     rnd = random.Random(config.seed)
-    for name in config.selected(LEMMA61_PAIRS):
-        fan = config.fan(name)
+    for name, fan in _listed(config, LEMMA61_PAIRS):
         for flag_rays, lco, mco in LEMMA61_PAIRS[name]:
-            flag = _flag(fan, flag_rays)
-            rec = lemma61_check(_div(fan, lco), _div(fan, mco), flag)
-            corr = rec.inputs["flag_corresponds_to"]
-            ok = rec.passed and (corr is None or rec.slack == 0)
-            records.append({
-                "key": f"lemma61/{name}/{flag.label()}/"
-                       f"{','.join(map(str, lco))}/{','.join(map(str, mco))}",
-                "suite": "lemma61", "testbed": name,
-                "lhs": rec.lhs, "rhs": rec.rhs, "slack": rec.slack,
-                "corresponds": corr, "pass": ok,
-            })
+            flag = AdmissibleFlag(fan, flag_rays)
+            key = (f"lemma61/{name}/{flag.label()}/"
+                   f"{','.join(map(str, lco))}/{','.join(map(str, mco))}")
+            records.append(_lemma61_record(key, name, TDivisor(fan, lco),
+                                           TDivisor(fan, mco), flag))
         # randomized ample pairs on the first flag of the testbed
         flag_rays, lco, mco = SWEEP_CONFIGS[name][0]
-        flag = _flag(fan, flag_rays)
-        cone = ConeCLM(_div(fan, lco), _div(fan, mco))
+        flag = AdmissibleFlag(fan, flag_rays)
+        cone = ConeCLM(TDivisor(fan, lco), TDivisor(fan, mco))
         grid_members = []
-        for a in config.grid:
-            for b in config.grid:
+        for a in DEFAULT_GRID:
+            for b in DEFAULT_GRID:
                 n = cone.member(a, b)
                 if fan.classes.is_ample(n.cls):
                     grid_members.append(n)
         for idx in range(min(16, len(grid_members) * (len(grid_members) - 1) // 2)):
             l_div = rnd.choice(grid_members)
             m_div = rnd.choice(grid_members)
-            rec = lemma61_check(l_div, m_div, flag)
-            corr = rec.inputs["flag_corresponds_to"]
-            ok = rec.passed and (corr is None or rec.slack == 0)
-            records.append({
-                "key": f"lemma61/{name}/{flag.label()}/random-{idx}",
-                "suite": "lemma61", "testbed": name,
-                "lhs": rec.lhs, "rhs": rec.rhs, "slack": rec.slack,
-                "corresponds": corr, "pass": ok,
-            })
+            records.append(_lemma61_record(f"lemma61/{name}/{flag.label()}/random-{idx}",
+                                           name, l_div, m_div, flag))
     return records
+
+
+def _cor15_record(key: str, name: str, res: dict, **extra) -> dict:
+    rec = res["direct"]
+    return {"key": key, "suite": "cor15", "testbed": name,
+            "lhs": rec.lhs, "rhs": rec.rhs, "slack": rec.slack,
+            "proof_path": res["proof_path"] is not None,
+            "pass": res["ok"], **extra}
 
 
 def suite_cor15(config: RunConfig) -> list[dict]:
     records = []
-    tight_done = False
-    for name in config.testbeds:
-        fan = config.fan(name)
+    for name, fan in config.fans.items():
         if fan.dim < 2:
             continue
-        results = cor15_sweep(fan, config.cor15_count, config.seed)
-        for res in results:
-            rec = res["direct"]
-            records.append({
-                "key": f"cor15/{name}/random-{res['index']:04d}",
-                "suite": "cor15", "testbed": name, "seed": res["seed"],
-                "lhs": rec.lhs, "rhs": rec.rhs, "slack": rec.slack,
-                "proof_path": res["proof_path"] is not None,
-                "pass": res["ok"],
-            })
-        if name == "p1xp1" and not tight_done:
-            res = cor15_check(_div(fan, (0, 1, 0, 1)), _div(fan, (0, 1, 0, 0)),
-                              _div(fan, (0, 0, 0, 1)))
-            rec = res["direct"]
-            records.append({
-                "key": "cor15/p1xp1/tight-111-10-01", "suite": "cor15",
-                "testbed": name, "lhs": rec.lhs, "rhs": rec.rhs,
-                "slack": rec.slack,
-                "proof_path": res["proof_path"] is not None,
-                "pass": res["ok"] and rec.slack == 0
-                        and res["proof_path"] is not None,
-            })
-            tight_done = True
+        for res in cor15_sweep(fan, COR15_COUNT, config.seed):
+            records.append(_cor15_record(f"cor15/{name}/random-{res['index']:04d}",
+                                         name, res, seed=res["seed"]))
+        if name == "p1xp1":
+            res = cor15_check(TDivisor(fan, (0, 1, 0, 1)), TDivisor(fan, (0, 1, 0, 0)),
+                              TDivisor(fan, (0, 0, 0, 1)))
+            rec = _cor15_record("cor15/p1xp1/tight-111-10-01", name, res)
+            rec["pass"] = rec["pass"] and rec["slack"] == 0 and rec["proof_path"]
+            records.append(rec)
     return records
 
 
@@ -425,7 +388,7 @@ DERIVATIVE_PAIRS = [
 def suite_lx(config: RunConfig) -> list[dict]:
     records = []
     for dim in (2, 3):
-        for rec in lehmann_xiao_sweep(dim, config.lx_count, config.seed + dim):
+        for rec in lehmann_xiao_sweep(dim, LX_COUNT, config.seed + dim):
             records.append({
                 "key": f"lx/d{dim}/triple-{rec.inputs['triple']:04d}/k{rec.inputs['k']}",
                 "suite": "lx", "dim": dim, "k": rec.inputs["k"],
@@ -433,12 +396,12 @@ def suite_lx(config: RunConfig) -> list[dict]:
                 "seed": rec.inputs["seed"], "pass": rec.passed,
             })
     for idx, (name, flag_rays, lco, mco) in enumerate(DERIVATIVE_PAIRS):
-        if name not in config.testbeds:
+        fan = config.fans.get(name)
+        if fan is None:
             continue
-        fan = config.fan(name)
-        flag = _flag(fan, flag_rays)
-        bl = nef_body(_div(fan, lco), flag)
-        bm = nef_body(_div(fan, mco), flag)
+        flag = AdmissibleFlag(fan, flag_rays)
+        bl = nef_body(TDivisor(fan, lco), flag)
+        bm = nef_body(TDivisor(fan, mco), flag)
         ok, info = derivative_check_bodies(bl.body, bm.body)
         records.append({
             "key": f"lx/derivative-{idx:02d}/{name}", "suite": "lx",
@@ -448,30 +411,20 @@ def suite_lx(config: RunConfig) -> list[dict]:
     return records
 
 
-def suite_strict_search(config: RunConfig, testbed_name: str,
-                        flag_rays=None) -> list[dict]:
-    fan = config.fan(testbed_name)
-    if flag_rays is None:
-        flag_rays = SWEEP_CONFIGS[testbed_name][0][0]
-    flag = _flag(fan, tuple(flag_rays))
-    outcome = strict_search(fan, flag, bound=config.search_bound)
+def suite_strict_search(flag: AdmissibleFlag, bound: int = 5) -> list[dict]:
+    fan = flag.fan
+    rec = {"key": f"search/{fan.name}/{flag.label()}", "suite": "search",
+           "testbed": fan.name, "pass": True}
+    outcome = strict_search(fan, flag, bound=bound)
     if outcome[0] == "strict":
         _, pair, verdict = outcome
-        return [{
-            "key": f"search/{testbed_name}/{flag.label()}",
-            "suite": "search", "testbed": testbed_name,
-            "outcome": "strict", "pair": pair,
-            "witness": verdict.witness, "violated": verdict.violated,
-            "pass": True,
-        }]
-    _, checked, bound = outcome
-    return [{
-        "key": f"search/{testbed_name}/{flag.label()}",
-        "suite": "search", "testbed": testbed_name,
-        "outcome": "none-found-within-bounds",
-        "pairs_checked": checked, "bound": bound,
-        "pass": True,
-    }]
+        rec.update(outcome="strict", pair=pair, witness=verdict.witness,
+                   violated=verdict.violated)
+    else:
+        _, checked, bound = outcome
+        rec.update(outcome="none-found-within-bounds", pairs_checked=checked,
+                   bound=bound)
+    return [rec]
 
 
 SUITES = {

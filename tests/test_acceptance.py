@@ -183,12 +183,12 @@ def test_criterion_11_convex_body_inequality():
 
 
 def test_criterion_12_strict_search():
-    rec_bl = suite_strict_search(CONFIG, "blpq-p2")[0]
+    bl = testbed("blpq-p2")
+    flag = AdmissibleFlag(bl, SWEEP_CONFIGS["blpq-p2"][0][0])
+    rec_bl = suite_strict_search(flag)[0]
     ok = rec_bl["outcome"] in ("strict", "none-found-within-bounds")
     if rec_bl["outcome"] == "strict":
         # re-validate the witness independently of the search path
-        bl = testbed("blpq-p2")
-        flag = AdmissibleFlag(bl, SWEEP_CONFIGS["blpq-p2"][0][0])
         c1, c2 = rec_bl["pair"]
         d1 = bl.classes.divisor_from_class(c1)
         d2 = bl.classes.divisor_from_class(c2)
@@ -196,7 +196,8 @@ def test_criterion_12_strict_search():
                              no_body_rational(d2, flag).body)
         ok = ok and not msum.contains_point(rec_bl["witness"])
     for name in ("p2", "p1xp1"):
-        rec = suite_strict_search(CONFIG, name)[0]
+        flag = AdmissibleFlag(testbed(name), SWEEP_CONFIGS[name][0][0])
+        rec = suite_strict_search(flag)[0]
         ok = ok and rec["outcome"] == "none-found-within-bounds"
     report(12, f"strict search: blpq-p2 -> {rec_bl['outcome']}; "
                "p2 and p1xp1 certified additive within bounds", ok)

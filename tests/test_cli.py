@@ -194,9 +194,21 @@ def test_enumerations_over_budget_rejected(capsys, argv, what):
 
 
 def test_nonpositive_bounds_rejected(capsys):
-    code, _, err = run(capsys, "body", "--testbed", "p1", "--class", "2",
-                       "--grid-den", "0")
-    assert code == 2 and "positive" in err
+    for argv in (["body", "--testbed", "p1", "--class", "2", "--grid-den", "0"],
+                 ["search-strict", "--testbed", "p2", "--bound", "0"],
+                 ["search-strict", "--testbed", "p2", "--bound", "-1"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mixedvol", "--bodies", "@/nonexistent/x.json"],
+    ["mixedvol", "--bodies", "[[[[1,0]]]]"],  # a zero denominator
+    ["mu", "--testbed", "p2", "--class", "2,0,0", "--out", "/nonexistent/dir/r.json"],
+])
+def test_bad_input_exits_2_with_a_message(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error:")
 
 
 QUADRIC = {"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],
@@ -275,9 +287,14 @@ def test_intersect_on_blown_up_catalog_fans(tmp_path, capsys, spec):
 # sha256 of `oklab verify --suite S` (default settings, no catalog); any
 # change to these bytes is a change to the report format or to a verdict
 REPORT_SHA256 = {
+    "additivity": "aa3e879189571cf88d481a0e33975185d52a502a0466bbb6fe1d61ce95eb447c",
     "slices": "095b24e313aa9a7a8820ebe0b1ee7bda7711486ea75dafd76cdfc4834e14b9d3",
+    "replay": "e55739b8d218d3d188a8ac19b38be192fea50276d5e06e4d0c83bbc3392ebf60",
+    "prop14": "aa6311d7ac82ee7563338e2cdcd54958b5aafbdc624803b10a0450267290270c",
     "cor13": "ff93efd2b1202273eecf82962ecdf5e59f43c4da3a0aa2aa2e1d817c0d38564c",
     "lemma61": "a25d245e3f6271678da5fca660186ab538b90e8db9a4fb79abeb58a96cabff3e",
+    "cor15": "448e5382b0b2fa8510d75977e00151d697930cb8c23a181f649dfe2a5b4694f2",
+    "lx": "d95baf50765c153e9621ce87705e5efd27e401525d1a90dea53176f60a7845f9",
 }
 
 

@@ -15,7 +15,6 @@ from oklab.inequalities import (
     cor15_sweep,
     decide_power_inequality,
     delta_map,
-    delta_map_for_classes,
     derivative_check_bodies,
     find_corresponding_flag,
     injectivity_check,
@@ -68,27 +67,6 @@ def test_delta_map_rejects_outside_span():
                      flag)
     with pytest.raises(ValueError):
         dmap.apply(bl.classes.divisor_from_class((0, 0, 1)))
-
-
-def test_delta_map_for_classes_reordering():
-    # three ample classes whose cone is generated by the outer two
-    fan = testbed("p1xp1")
-    flag = AdmissibleFlag(fan, (0, 2))
-    classes = [TDivisor(fan, (0, 1, 0, 1)), TDivisor(fan, (0, 2, 0, 1)),
-               TDivisor(fan, (0, 1, 0, 2))]
-    dmap = delta_map_for_classes(classes, flag)
-    assert {dmap.L.cls, dmap.M.cls} == {(2, 1), (1, 2)}
-    for cls in classes:
-        assert dmap.apply(cls).as_polytope() == \
-            no_body_rational(cls, flag).body
-
-
-def test_delta_map_for_classes_proportional_fallback():
-    fan = testbed("p1xp1")
-    flag = AdmissibleFlag(fan, (0, 2))
-    classes = [TDivisor(fan, (0, 1, 0, 1)), TDivisor(fan, (0, 2, 0, 2))]
-    dmap = delta_map_for_classes(classes, flag)
-    assert not dmap.dependent  # an independent companion was found
 
 
 # --- cor13 ---------------------------------------------------------------------

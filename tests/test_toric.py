@@ -14,7 +14,7 @@ from blowups import blown_up_fans, star_subdivision
 from graded_oracle import face_tails, lattice_points
 from oklab import exactgeom, toric
 from oklab.exactgeom import mixed_volume
-from oklab.linalg import common_denominator, det_int, dot, nullspace, primitive, rank, solve, vec
+from oklab.linalg import common_denominator, det_int, dot, nullspace, primitive, solve, vec
 from oklab.toric import (
     AdmissibleFlag,
     CurveModel,
@@ -587,21 +587,6 @@ def test_ample_class_is_the_sum_of_nef_rays(fan):
     assert classes.is_ample(classes.ample_class)
     for ray in classes.nef_rays:
         assert classes.is_nef(ray) and classes.is_ample(ray) == (classes.rank == 1)
-
-
-def test_independent_ample_without_a_box_scan(monkeypatch):
-    from oklab import additivity, inequalities
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the ample class needs no box scan")
-
-    monkeypatch.setattr(additivity, "ample_grid_classes", forbidden)
-    for name in ("p1xp1", "f1", "blpq-p2", "p1xp1xp1"):
-        fan = testbed(name)
-        anchor = fan.classes.divisor_from_class(fan.classes.ample_class).scaled(2)
-        other = inequalities._independent_ample(fan, anchor)
-        assert fan.classes.is_ample(other.cls)
-        assert rank([list(pair) for pair in zip(anchor.cls, other.cls)]) == 2
 
 
 def test_auto_sweep_config_on_rank_six_fan(monkeypatch):
