@@ -21,7 +21,6 @@ from .exactgeom import (  # noqa: F401
 )
 from .toric import (  # noqa: F401
     AdmissibleFlag,
-    CurveModel,
     Fan,
     TDivisor,
     boundary_membership,

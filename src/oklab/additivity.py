@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import combinations, product
 
 from .exactgeom import Polytope, minkowski_sum, slice_at
-from .linalg import dot, rank, rat, solve, vec
+from .linalg import dot, rat, vec
 from .okounkov import _section_image, no_body_rational, restricted_body
 from .toric import (
     AdmissibleFlag,
@@ -57,7 +58,7 @@ class UncertifiedBodyError(ValueError):
 
 # The most points one enumeration may visit: the (2 bound + 1)^rank class
 # vectors of `ample_grid_classes`, the k(k + 1)/2 pairs of its k classes in
-# `strict_search`, or the grid_den + 1 parameters of a segment.  Larger
+# `strict_search`, or the grid_den + 1 parameters of a t-grid.  Larger
 # requests are refused before anything is enumerated.
 ENUMERATION_BUDGET = 100_000
 
@@ -90,6 +91,35 @@ class ConeCLM:
     def member(self, lam, m) -> TDivisor:
         return self.L.scaled(lam) + self.M.scaled(m)
 
+    @cached_property
+    def _minor(self):
+        """(i, j, det) for the first nonzero 2x2 minor of the classes of L, M."""
+        cl, cm = self.L.cls, self.M.cls
+        return next(((i, j, det) for i, j in combinations(range(len(cl)), 2)
+                     if (det := cl[i] * cm[j] - cl[j] * cm[i])), None)
+
+    @property
+    def dependent(self) -> bool:
+        return self._minor is None
+
+    def coordinates(self, n: TDivisor):
+        """(lambda, mu) with N = lambda L + mu M in N^1, by Cramer's rule on
+        one minor.  On a dependent basis mu = 0 and lambda takes the class,
+        or lambda = 0 when L is numerically trivial."""
+        cl, cm, cn = self.L.cls, self.M.cls, n.cls
+        lam = m = Fraction(0)
+        if self._minor:
+            i, j, det = self._minor
+            lam = (cn[i] * cm[j] - cn[j] * cm[i]) / det
+            m = (cl[i] * cn[j] - cl[j] * cn[i]) / det
+        elif any(cl):
+            lam = next(c / x for x, c in zip(cl, cn) if x)
+        elif any(cm):
+            m = next(c / x for x, c in zip(cm, cn) if x)
+        if any(lam * a + m * b != c for a, b, c in zip(cl, cm, cn)):
+            raise ValueError(f"class {cn} is not in the span of the cone basis")
+        return lam, m
+
 
 def in_cone(n: TDivisor, cone: ConeCLM):
     """Solve N = lambda L + mu M in N^1; in-cone iff mu >= 0 and N ample.
@@ -98,18 +128,9 @@ def in_cone(n: TDivisor, cone: ConeCLM):
     coefficient mu is set to zero (lambda picks up the whole class),
     and membership degenerates to ampleness of N inside the span.
     """
-    fan = cone.fan
-    cl, cm, cn = cone.L.cls, cone.M.cls, n.cls
-    rows = [[cl[i], cm[i]] for i in range(len(cn))]
-    sol = solve(rows, vec(cn))
-    if sol is None:
-        raise ValueError(f"class {cn} is not in the span of the cone basis")
-    lam, m = sol
-    dependent = rank(rows) < 2
-    ample = fan.classes.is_ample(cn)
-    if dependent:
-        return ample, lam, m
-    return (m >= 0 and ample), lam, m
+    lam, m = cone.coordinates(n)
+    ample = cone.fan.classes.is_ample(n.cls)
+    return (ample if cone.dependent else m >= 0 and ample), lam, m
 
 
 @dataclass(frozen=True)
@@ -220,12 +241,6 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
                       "lhs": lhs.to_json(), "rhs": rhs.to_json()})
         return okstep
 
-    def body(div):
-        nb = no_body_rational(div, flag)
-        if not nb.exact:
-            raise UncertifiedBodyError(f"body of class {div.cls} not certified")
-        return nb.body
-
     def image_body(div):
         # valuations of the sections restricted to Y_1: the nu_1 = 0 slice
         return slice_at(_section_image(div, flag).body, 0)
@@ -235,7 +250,7 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
     if tuple(flag_valuation(flag, oy1, (0,) * d)) != e1:
         raise AssertionError("canonical section of O(Y_1) has valuation != e_1")
 
-    body_n12 = body(n1 + n2)
+    body1, body2, body_n12 = (no_body_rational(x, flag).body for x in (n1, n2, n1 + n2))
     slice_n12 = slice_at(body_n12, t)
     ok = True
 
@@ -243,18 +258,19 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
         d2 = n1.scaled(1 + c) + oy1.scaled(t0)
         if d2.cls != (n1 + n2).cls:
             raise AssertionError("class identity N1+N2 = (1+c)N1 + t0 O(Y_1) failed")
+        slice_d2 = slice_at(no_body_rational(d2, flag).body, t)
         ok = step("slice(N1+N2, t) = slice((1+c)N1 + t0*O(Y1), t)",
-                  slice_n12, slice_at(body(d2), t)) and ok
+                  slice_n12, slice_d2) and ok
         shifted = n1.scaled(1 + c) - oy1.scaled(t - t0)
         img = image_body(shifted)
         ok = step("slice((1+c)N1 + t0*O(Y1), t) = restricted((1+c)N1 - (t-t0)*O(Y1))",
-                  slice_at(body(d2), t), img) and ok
+                  slice_d2, img) and ok
         lhs_embed = img.embed_prefix(t)
         rhs_embed = img.embed_prefix(t - t0).translate(e1_scaled(t0, d))
         ok = step("{t} x S = t0*e1 + {t-t0} x S", lhs_embed, rhs_embed) and ok
         ok = step("restricted((1+c)N1 - (t-t0)*O(Y1)) = slice((1+c)N1, t-t0)",
-                  img, slice_at(body(n1.scaled(1 + c)), t - t0)) and ok
-        total = minkowski_sum(body(n1), body(n2))
+                  img, slice_at(no_body_rational(n1.scaled(1 + c), flag).body, t - t0)) and ok
+        total = minkowski_sum(body1, body2)
         incl = total.contains(slice_n12.embed_prefix(t))
         trace.append({"step": "slice(N1+N2, t) inside body(N1) + body(N2)",
                       "equal": incl})
@@ -274,30 +290,25 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
         img1 = image_body(n1 + n2 - oy1.scaled(t))
         ok = step("slice(N1+N2, t) = restricted(N1+N2 - t*O(Y1))",
                   slice_n12, img1) and ok
-        star1 = restricted_body(combo1, flag)
-        if not star1.exact:
-            raise UncertifiedBodyError("star body of the ample combination not certified")
+        star1 = restricted_body(combo1, flag).body
         ok = step("restricted(N1+N2 - t*O(Y1)) = star body of the ample combination",
-                  img1, star1.body) and ok
-        s1 = restricted_body(n1, flag)
-        s2 = restricted_body(combo2, flag)
-        if not (s1.exact and s2.exact):
-            raise UncertifiedBodyError("star bodies for the induction step not certified")
+                  img1, star1) and ok
+        s1 = restricted_body(n1, flag).body
+        s2 = restricted_body(combo2, flag).body
         ok = step("induction on Y_1: star(N1+N2-t*O(Y1)) = star(N1) + star(combo)",
-                  star1.body, minkowski_sum(s1.body, s2.body)) and ok
-        lhs_embed = minkowski_sum(s1.body.embed_prefix(0), s2.body.embed_prefix(t))
-        rhs_embed = minkowski_sum(s1.body, s2.body).embed_prefix(t)
+                  star1, minkowski_sum(s1, s2)) and ok
+        lhs_embed = minkowski_sum(s1.embed_prefix(0), s2.embed_prefix(t))
+        rhs_embed = minkowski_sum(s1, s2).embed_prefix(t)
         ok = step("{0} x S1 + {t} x S2 = {t} x (S1 + S2)", lhs_embed, rhs_embed) and ok
         img2 = image_body(n2 - oy1.scaled(t))
         ok = step("restricted(N2 - t*O(Y1)) = star body of the second combination",
-                  img2, s2.body) and ok
-        ok = step("slice(N1, 0) = star(N1)",
-                  slice_at(body(n1), 0), s1.body) and ok
+                  img2, s2) and ok
+        ok = step("slice(N1, 0) = star(N1)", slice_at(body1, 0), s1) and ok
         ok = step("slice(N2, t) = restricted(N2 - t*O(Y1))",
-                  slice_at(body(n2), t), img2) and ok
+                  slice_at(body2, t), img2) and ok
         ok = step("slice(N1+N2, t) = slice(N1, 0) + slice(N2, t)",
                   slice_n12,
-                  minkowski_sum(slice_at(body(n1), 0), slice_at(body(n2), t))) and ok
+                  minkowski_sum(slice_at(body1, 0), slice_at(body2, t))) and ok
     meta = {"r": r, "t0": t0, "t": t, "case": "t>=t0" if t >= t0 else "t<t0",
             "lambda": (lam1, lam2), "mu": (mu1, mu2)}
     return ok, {"meta": meta, "steps": trace}
@@ -312,7 +323,7 @@ def e1_scaled(t, d):
 # ---------------------------------------------------------------------------
 
 def necessary_condition_check(l_div: TDivisor, m_div: TDivisor,
-                              flag: AdmissibleFlag, grid_den: int = 12) -> dict:
+                              flag: AdmissibleFlag) -> dict:
     """Boundary-cone condition implied by additivity of an ample pair.
 
     For an additive pair the endpoint function must be additive,
@@ -340,23 +351,14 @@ def necessary_condition_check(l_div: TDivisor, m_div: TDivisor,
         return report
     lshift = tuple(a - mu_l * b for a, b in zip(vec(l_div.cls), vec(e_cls)))
     mshift = tuple(a - mu_m * b for a, b in zip(vec(m_div.cls), vec(e_cls)))
-    check_enumeration(grid_den + 1, f"a segment grid of denominator {grid_den}")
-    segment_ok = True
-    for k in range(grid_den + 1):
-        s = Fraction(k, grid_den)
-        point = tuple(s * a + (1 - s) * b for a, b in zip(lshift, mshift))
-        if cls.boundary_membership(point) != "boundary":
-            segment_ok = False
-            break
+    segment_ok = cls.segment_on_boundary(lshift, mshift)  # both ends on it too
     report.update({
         "L_shift": lshift, "M_shift": mshift,
         "L_shift_membership": cls.boundary_membership(lshift),
         "M_shift_membership": cls.boundary_membership(mshift),
         "segment_on_boundary": segment_ok,
+        "ok": report["mu_additive"] and segment_ok,
     })
-    report["ok"] = (report["mu_additive"] and segment_ok
-                    and report["L_shift_membership"] == "boundary"
-                    and report["M_shift_membership"] == "boundary")
     return report
 
 

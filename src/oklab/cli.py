@@ -12,10 +12,11 @@ Reports are byte-deterministic for a fixed (config, seed): rationals are
 emitted as [numerator, denominator] pairs (never floats), records are
 sorted by key, and JSON uses sorted keys with fixed separators.  Exit
 codes: 0 all checks passed, 1 check failures, 2 configuration error,
-3 hard invariant violation (the one-sided inclusion failed, which means
-the implementation itself is broken).  A sweep that would enumerate more
-than `additivity.ENUMERATION_BUDGET` points (from --bound, --grid-den or
-the rank of a catalog fan) is a configuration error.
+3 hard invariant violation (the one-sided inclusion failed, or a nef body
+failed its d! vol = D^d certificate, which means the implementation
+itself is broken).  A sweep that would enumerate more than
+`additivity.ENUMERATION_BUDGET` points (from --bound, --grid-den or the
+rank of a catalog fan) is a configuration error.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from . import __version__
 from .additivity import EnumerationBudgetError, InclusionViolationError, check_enumeration
 from .exactgeom import Polytope, mixed_volume
-from .okounkov import NonBigClassError, no_body_rational
+from .okounkov import CertificateError, NonBigClassError, no_body_rational
 from .toric import (
     AdmissibleFlag,
     Fan,
@@ -238,7 +239,7 @@ def _parse_flag(fan: Fan, text: str | None) -> AdmissibleFlag:
         else:
             raise ValueError("expected cone:i,j or a {\"cone\": [...]} object")
         return AdmissibleFlag(fan, rays)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad flag {text!r}: {exc}") from exc
 
 
@@ -249,7 +250,7 @@ def _parse_divisor(fan: Fan, text: str) -> TDivisor:
         else:
             parts = [p for p in text.split(",") if p != ""]
         coeffs = [parse_rational(p) for p in parts]
-    except (ValueError, KeyError, ZeroDivisionError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad divisor {text!r}: {exc}") from exc
     if fan.dim == 1 and len(coeffs) == 1:
         coeffs = [Fraction(0), coeffs[0]]  # curve shorthand: a degree
@@ -296,10 +297,10 @@ def cmd_body(args, fans) -> int:
 
 
 def cmd_verify(args, fans) -> int:
-    config = RunConfig(grid_den=args.grid_den, seed=args.seed)
     if args.testbed:
-        config.fans = {args.testbed: _pick_fan(args, fans)}
-    records = run_suite(args.suite, config)
+        fans = {args.testbed: _pick_fan(args, fans)}
+    records = run_suite(args.suite, RunConfig(fans=fans, grid_den=args.grid_den,
+                                              seed=args.seed))
     report = make_report("verify", _config_echo(args, {"suite": args.suite}),
                          records)
     emit(report, args.format, args.out)
@@ -395,7 +396,7 @@ def main(argv=None) -> int:
     except (ConfigError, EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InclusionViolationError as exc:
+    except (InclusionViolationError, CertificateError) as exc:
         print(f"hard invariant violated: {exc}", file=sys.stderr)
         return 3
 

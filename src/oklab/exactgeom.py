@@ -31,13 +31,13 @@ from math import comb, factorial, gcd
 
 from .linalg import (
     Vec,
+    adjugate,
     common_denominator,
     cross_normal_int,
     det_int,
     dot,
     independent_rows,
     interpolate,
-    nullspace,
     rat,
     to_int_points,
     vec,
@@ -314,9 +314,17 @@ class Polytope:
         """
         g = self._geometry()
         if "halfspaces" not in g:
-            d, p0 = self.dim, self.vertices[0]
-            eqs = [] if g["k"] == d else [
-                (w, dot(w, p0)) for w in nullspace(g["rows"] or [[0] * d])]
+            d, p0, rows, cols = self.dim, self.vertices[0], g["rows"], g["cols"]
+            # one normal w per free column f, w_f = 1: the echelon rows restricted
+            # to the pivot columns are square and invertible (Cramer's rule)
+            free = [f for f in range(d) if f not in cols]
+            adj, det = adjugate([[e[c] for c in cols] for e in rows]) if free else ([], 1)
+            eqs = []
+            for f in free:
+                w = [Fraction(int(j == f)) for j in range(d)]
+                for j, c in enumerate(cols):
+                    w[c] = Fraction(-sum(e[f] * a[j] for e, a in zip(rows, adj)), det)
+                eqs.append((tuple(w), dot(w, p0)))
             ineqs = []
             for n, c in g["facets"]:
                 normal = [Fraction(0)] * d

@@ -30,7 +30,8 @@ from math import comb, factorial
 
 from .exactgeom import (FormalBody, Polytope, minkowski_sum, mixed_volume,
                         mixed_volume_by_polarization, scale)
-from .linalg import interpolate, iroot, rank, solve, vec
+from .additivity import ConeCLM
+from .linalg import interpolate, iroot, rank
 from .okounkov import NOBody, nef_body
 from .toric import (
     AdmissibleFlag,
@@ -78,10 +79,10 @@ class InequalityRecord:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DeltaMap:
+class DeltaMap(ConeCLM):
     """N = lambda L + mu M  |->  lambda body(L) + mu body(M).
 
-    The basis classes must be nef with certified exact bodies; on the
+    The basis classes must be nef, so their bodies are certified; on the
     invariant flags of the toric testbeds the anchors corresponding to a
     flag are the prime-divisor classes, which sit on the nef boundary, so
     ampleness of L is not required here (the map itself only needs the
@@ -89,29 +90,16 @@ class DeltaMap:
     hypothesis under which the compatibility with intersection products
     is a theorem rather than an observation.  A dependent basis (M a
     multiple of L, forced on Picard-rank-one testbeds) is tolerated in a
-    degenerate mode; injectivity is not defined there.
+    degenerate mode; injectivity is not defined there.  (lambda, mu) are
+    the basis coordinates of `ConeCLM.coordinates`.
     """
 
     flag: AdmissibleFlag
-    L: TDivisor
-    M: TDivisor
     body_l: NOBody
     body_m: NOBody
-    dependent: bool
-
-    @property
-    def fan(self) -> Fan:
-        return self.flag.fan
-
-    def decompose(self, n: TDivisor):
-        rows = [[a, b] for a, b in zip(self.L.cls, self.M.cls)]
-        sol = solve(rows, vec(n.cls))
-        if sol is None:
-            raise ValueError(f"class {n.cls} outside the span of the basis")
-        return sol
 
     def apply(self, n: TDivisor) -> FormalBody:
-        lam, m = self.decompose(n)
+        lam, m = self.coordinates(n)
         pos = FormalBody(scale(self.body_l.body, max(lam, 0)))
         pos = pos + FormalBody(scale(self.body_m.body, max(m, 0)))
         neg = FormalBody(scale(self.body_l.body, max(-lam, 0)))
@@ -125,13 +113,8 @@ def delta_map(l_div: TDivisor, m_div: TDivisor, flag: AdmissibleFlag) -> DeltaMa
         raise ValueError("the anchor class L must be nef")
     if not fan.classes.is_nef(m_div.cls):
         raise ValueError("the companion class M must be nef")
-    bl = nef_body(l_div, flag)
-    bm = nef_body(m_div, flag)
-    if not (bl.exact and bm.exact):
-        raise ValueError("basis bodies could not be certified exact")
-    dependent = rank([[a, b] for a, b in zip(l_div.cls, m_div.cls)]) < 2
-    return DeltaMap(flag=flag, L=l_div, M=m_div, body_l=bl, body_m=bm,
-                    dependent=dependent)
+    return DeltaMap(L=l_div, M=m_div, flag=flag, body_l=nef_body(l_div, flag),
+                    body_m=nef_body(m_div, flag))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +136,7 @@ def check_cor13(dmap: DeltaMap, divisors) -> tuple[bool, dict]:
     divisors = list(divisors)
     if len(divisors) != d:
         raise ValueError(f"need exactly {d} classes")
-    decomps = [dmap.decompose(n) for n in divisors]
+    decomps = [dmap.coordinates(n) for n in divisors]
     ints = _basis_intersections(dmap)
     mixed = [mixed_volume([dmap.body_l.body] * k + [dmap.body_m.body] * (d - k))
              for k in range(d + 1)]
@@ -265,8 +248,6 @@ def lemma61_check(l_div: TDivisor, m_div: TDivisor,
     d = fan.dim
     bl = nef_body(l_div, flag)
     bm = nef_body(m_div, flag)
-    if not (bl.exact and bm.exact):
-        raise ValueError("bodies could not be certified exact")
     lhs = mixed_volume([bl.body] + [bm.body] * (d - 1))
     rhs = intersection_number(fan, [l_div] + [m_div] * (d - 1)) / factorial(d)
     corresponds = None
@@ -345,8 +326,6 @@ def cor15_check(l_div: TDivisor, m_div: TDivisor, n_div: TDivisor) -> dict:
     bl = nef_body(l_div, flag)
     bm = nef_body(m_div, flag)
     bn = nef_body(n_div, flag)
-    if not (bl.exact and bm.exact and bn.exact):
-        return out
     lx = lehmann_xiao_check(bm.body, bl.body, bn.body, 1)
     d_fact = factorial(d)
     eq_ml = mixed_volume([bm.body] + [bl.body] * (d - 1)) == m_l / d_fact
@@ -388,11 +367,7 @@ def derivative_check_bodies(k_body: Polytope, base: Polytope) -> tuple[bool, dic
 
 def mixed_volume_derivative_check(l_div: TDivisor, m_div: TDivisor,
                                   flag: AdmissibleFlag) -> bool:
-    bl = nef_body(l_div, flag)
-    bm = nef_body(m_div, flag)
-    if not (bl.exact and bm.exact):
-        raise ValueError("bodies could not be certified exact")
-    ok, _ = derivative_check_bodies(bl.body, bm.body)
+    ok, _ = derivative_check_bodies(nef_body(l_div, flag).body, nef_body(m_div, flag).body)
     return ok
 
 

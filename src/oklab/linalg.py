@@ -1,18 +1,20 @@
-"""Exact rational linear algebra over fractions.Fraction.
+"""Exact integer and rational linear algebra.
 
 Everything in this package runs on exact arithmetic; this module holds the
-small dense-matrix toolbox (row reduction, solving, nullspaces, integer
-determinants, polynomial interpolation) shared by the geometry and the
-toric backends.  Matrices are plain tuples of tuples, vectors are tuples.
-Sizes are tiny (dimensions up to ~6).  Ranks and bases come from one
+small dense-matrix toolbox (ranks, integer determinants and adjugates,
+normals, polynomial interpolation) shared by the geometry and the toric
+backends.  Matrices are plain tuples of tuples, vectors are tuples.  Sizes
+are tiny (dimensions up to ~6).  Ranks and bases come from one
 fraction-free integer elimination (`independent_rows`); rational rows are
-scaled to integers first.  `rref` stays for solving and for nullspaces.
+scaled to integers first.  Every square system is solved in closed form by
+the integer adjugate, so there is no rational elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -34,38 +36,13 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(m):
-            break
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
 def independent_rows(rows: Iterable[Sequence[int]]) -> list[tuple[int, int, list[int]]]:
     """(row index, pivot column, echelon row) for each row of an integer
     matrix that is independent of the rows before it.
 
     Fraction-free: each row is cross-multiplied against the echelon rows
-    kept so far and divided by its gcd.  The pivots are those of the rref.
+    kept so far and divided by its gcd.  The pivot columns are those of the
+    reduced row echelon form.
     """
     kept = []
     for i, row in enumerate(rows):
@@ -93,39 +70,6 @@ def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a rational matrix, its rows scaled to integers."""
     return len(independent_rows(integer_row(row)[0] for row in rows))
-
-
-def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | None:
-    """One exact solution x of A x = b, or None if inconsistent.
-
-    For underdetermined systems the free variables are set to 0.
-    """
-    arows = [list(r) + [bv] for r, bv in zip(a, b, strict=True)]
-    red, pivots = rref(arows)
-    ncols = len(a[0]) if a else 0
-    if ncols in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    x = [Fraction(0)] * ncols
-    for row, c in zip(red, pivots):
-        x[c] = row[-1]
-    return tuple(x)
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
-    """Basis of the right kernel of the matrix."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, c in zip(red, pivots):
-            v[c] = -row[f]
-        basis.append(tuple(v))
-    return basis
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -158,6 +102,17 @@ def cross_normal_int(diffs: Sequence[Sequence[int]]) -> tuple[int, ...]:
         minor = [[d[c] for c in range(k) if c != j] for d in diffs]
         out.append((-1) ** j * det_int(minor))
     return tuple(out)
+
+
+def adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], int]:
+    """(a, det) for a square integer matrix: <a_k, r_l> = det * delta_kl.
+
+    a_k is the signed normal to the other rows, so R x = b is solved by
+    x = sum_k b_k a_k / det whenever det != 0.
+    """
+    adj = [tuple((-1) ** k * x for x in cross_normal_int(rows[:k] + rows[k + 1:]))
+           for k in range(len(rows))]
+    return adj, sum(map(mul, adj[0], rows[0])) if rows else 1
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:

@@ -7,12 +7,14 @@ polytope, Delta(D) = phi(P_D) with phi(u) = (<u, v_i> + a_{v_i})_i
 the vertices of P_D map onto the vertices of the body and no lattice
 enumeration is needed.
 
-A computed body carries an exactness flag: it is set when the class is nef
-and d! vol(body) equals the top self-intersection number D^d.  D^d comes
-from the fan's intersection form and touches no polytope, so the two sides
-of the certificate are independent.  Big classes outside the nef cone have
-no such volume oracle here and come back flagged inexact; the checkers
-refuse those.
+A body is certified once, where it is made: for a nef class d! vol(body)
+must equal the top self-intersection number D^d, and a body that fails
+raises CertificateError, a hard invariant violation like a failed
+Minkowski inclusion.  D^d comes from the fan's intersection form and
+touches no polytope, so the two sides of the certificate are independent.
+So a body is flagged exact exactly when its class is nef.  Big classes
+outside the nef cone have no such volume oracle here and come back flagged
+inexact; the checkers that accept big classes refuse those.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .toric import (
 
 __all__ = [
     "NOBody",
+    "CertificateError",
     "NonBigClassError",
     "NotAmpleError",
     "no_body_rational",
@@ -51,6 +54,10 @@ class NonBigClassError(ValueError):
 
 class NotAmpleError(ValueError):
     pass
+
+
+class CertificateError(AssertionError):
+    """A nef body failed d! vol = D^d: the implementation is broken."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +79,7 @@ class NOBody:
 
 @lru_cache(maxsize=None)
 def _section_image(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
-    """phi(P_D) for the flag, with the nef volume certificate.
+    """phi(P_D) for the flag; a nef class must pass the volume certificate.
 
     Memoised on the divisor and flag objects, which compare their fans by
     identity, so two fans that share a name never share a body.  D need not
@@ -87,10 +94,11 @@ def _section_image(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     body = Polytope.hull(
         [tuple(dot(u, r) + a for r, a in zip(rays, shifts))
          for u in polytope_of_divisor(fan, divisor).vertices], dim=d)
-    exact = (fan.classes.is_nef(divisor.cls)
-             and factorial(d) * body.volume()
-             == intersection_number(fan, [divisor] * d))
-    return NOBody(body=body, flag=flag.ray_indices, cls=divisor.cls, exact=exact)
+    nef = fan.classes.is_nef(divisor.cls)
+    if nef and factorial(d) * body.volume() != intersection_number(fan, [divisor] * d):
+        raise CertificateError(
+            f"d! vol of the body of nef class {divisor.cls} is not D^d on {fan.name}")
+    return NOBody(body=body, flag=flag.ray_indices, cls=divisor.cls, exact=nef)
 
 
 def no_body_rational(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
@@ -151,10 +159,7 @@ def slice_formula_check(divisor: TDivisor, flag: AdmissibleFlag, t):
     if not nb.exact:
         raise ValueError("body of M could not be certified exact")
     lhs = slice_at(nb.body, t)
-    rhs_nb = restricted_body(divisor, flag, t_shift=t)
-    if not rhs_nb.exact:
-        raise ValueError("restricted body could not be certified exact")
-    rhs = rhs_nb.body
+    rhs = restricted_body(divisor, flag, t_shift=t).body
     if lhs == rhs:
         return True, None
     for v in lhs.vertices:

@@ -8,8 +8,8 @@ rows.  Intersection numbers come from one multilinear form per fan, the
 Chow-ring rule on ray monomials: top intersections, degrees on invariant
 curves and the Kleiman rows of the nef cone all contract it, and none of
 them touches a polytope.  For nef D, P_D is the hull of one point per
-maximal cone; only non-nef classes search the d-subsets of rays.  The
-curve backend (dimension one, a divisor is its degree) lives here too.
+maximal cone; only non-nef classes search the d-subsets of rays.  Every
+linear system is square and solved by one integer adjugate.
 
 Nothing in this module touches floating point, and all values are immutable
 after construction, so independent computations can run concurrently.
@@ -28,17 +28,16 @@ from operator import mul
 
 from .exactgeom import Polytope
 from .linalg import (
+    adjugate,
     common_denominator,
+    cross_normal_int,
     det_int,
     dot,
     independent_rows,
     integer_row,
-    nullspace,
     primitive,
     rank,
     rat,
-    rref,
-    solve,
     vec,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "TDivisor",
     "AdmissibleFlag",
     "NumClassSpace",
-    "CurveModel",
     "FanError",
     "polytope_of_divisor",
     "flag_valuation",
@@ -141,11 +139,11 @@ class Fan:
             if len(inc) != 2:
                 raise FanError(f"ridge {sorted(key)} lies in {len(inc)} cones, not 2")
             (c1, o1), (c2, o2) = inc
-            normal = nullspace([vec(self.rays[i]) for i in sorted(key)])
-            if len(normal) != 1:
+            normal = cross_normal_int([self.rays[i] for i in sorted(key)])
+            if not any(normal):
                 raise FanError(f"ridge {sorted(key)} not of rank {d - 1}")
-            s1 = dot(normal[0], vec(self.rays[o1]))
-            s2 = dot(normal[0], vec(self.rays[o2]))
+            s1 = sum(map(mul, normal, self.rays[o1]))
+            s2 = sum(map(mul, normal, self.rays[o2]))
             if s1 == 0 or s2 == 0 or (s1 > 0) == (s2 > 0):
                 raise FanError(f"cones at ridge {sorted(key)} do not span both sides")
             adj[c1].add(c2)
@@ -268,15 +266,16 @@ class NumClassSpace:
     def __init__(self, fan: Fan):
         self.fan = fan
         n, d = len(fan.rays), fan.dim
-        relations = [[Fraction(fan.rays[i][j]) for i in range(n)] for j in range(d)]
-        red, pivots = rref(relations)
+        pivots = [i for i, _, _ in independent_rows(fan.rays)]
         if len(pivots) != d:
             raise FanError("rays do not span the ambient lattice")
         self.free_rays = tuple(i for i in range(n) if i not in pivots)
         self.rank = len(self.free_rays)
-        # v_f = sum_k red[k][f] v_{p_k}, so D_{p_k} = -sum_f red[k][f] D_f in N^1
+        # v_f = sum_k <a_k, v_f>/det v_{p_k}, so D_{p_k} = -sum_f <a_k, v_f>/det D_f in N^1
+        adj, det = adjugate([fan.rays[i] for i in pivots])
         self.eff_generators = tuple(
-            tuple(-red[pivots.index(i)][f] if i in pivots else Fraction(int(i == f))
+            tuple(Fraction(-sum(map(mul, adj[pivots.index(i)], fan.rays[f])), det)
+                  if i in pivots else Fraction(int(i == f))
                   for f in self.free_rays) for i in range(n))
         den = self._class_den = common_denominator(self.eff_generators)
         self._class_rows = tuple(zip(*([int(x * den) for x in g] for g in self.eff_generators)))
@@ -337,6 +336,14 @@ class NumClassSpace:
         low = min(_pairings(self.eff_rows, cls))
         return "outside" if low < 0 else "boundary" if low == 0 else "interior"
 
+    def segment_on_boundary(self, a, b) -> bool:
+        """Whether the segment [a, b] lies on the pseudo-effective boundary.  Each
+        facet pairing is linear along it and nonnegative at boundary ends, so it
+        does iff both ends are boundary classes and one facet row vanishes at both."""
+        return (self.boundary_membership(a) == self.boundary_membership(b) == "boundary"
+                and any(x == y == 0 for x, y in zip(_pairings(self.eff_rows, a),
+                                                     _pairings(self.eff_rows, b))))
+
     def mu(self, m_cls, e_cls) -> Fraction:
         """sup{s : M - s E big} for big M, as an exact facet-ratio minimum."""
         if not self.is_big(m_cls):
@@ -367,8 +374,8 @@ def _cone_facets(generators, dim):
     done = [i for i, _, _ in independent_rows(gens)]
     if len(done) != dim:
         raise FanError("cone is not full-dimensional")
-    basis = [vec(gens[i]) for i in done]
-    rays = {primitive(integer_row(solve(basis, _unit(dim, k)))[0]) for k in range(dim)}
+    adj, det = adjugate([gens[i] for i in done])
+    rays = {primitive([det * x for x in a]) for a in adj}
     for j in range(len(gens)):
         # a positive and a negative ray meet in a new extreme ray iff the
         # halfspaces tight at both have rank dim - 2 (they are adjacent)
@@ -407,10 +414,12 @@ def polytope_of_divisor(fan: Fan, divisor: TDivisor) -> Polytope:
     a = divisor.coeffs
     verts = []
     for sub in combinations(range(n), d):
-        # a dependent subset's solution, if feasible, lies in P_D: harmless
-        u = solve([vec(fan.rays[i]) for i in sub], [-a[i] for i in sub])
-        if u is not None and all(dot(u, vec(fan.rays[i])) >= -a[i] for i in range(n)):
-            verts.append(u)
+        # each vertex is cut out by d independent hyperplanes
+        adj, det = adjugate([fan.rays[i] for i in sub])
+        if det:
+            u = tuple(sum(-a[i] * m[j] for i, m in zip(sub, adj)) / det for j in range(d))
+            if all(dot(u, fan.rays[i]) >= -a[i] for i in range(n)):
+                verts.append(u)
     return Polytope.hull(verts, dim=d)
 
 
@@ -434,8 +443,8 @@ def flag_valuation(flag: AdmissibleFlag, divisor: TDivisor, u):
 @lru_cache(maxsize=None)
 def _dual_basis(fan: Fan, cone: tuple) -> tuple:
     """Integer rows m_k with <m_k, v_l> = delta_kl on a smooth cone's rays (memoised)."""
-    rows = [vec(fan.rays[i]) for i in cone]
-    return tuple(tuple(int(x) for x in solve(rows, _unit(len(cone), k))) for k in range(len(cone)))
+    adj, det = adjugate([fan.rays[i] for i in cone])  # det = +-1
+    return tuple(tuple(det * x for x in a) for a in adj)
 
 
 @lru_cache(maxsize=None)
@@ -599,27 +608,6 @@ def star_model(fan: Fan, flag: AdmissibleFlag) -> StarModel:
                                tuple(ray_map[i] for i in flag.ray_indices[1:]))
     return StarModel(fan=fan, star_fan=star_fan, flag=flag,
                      star_flag=star_flag, ray_map=ray_map, u_rows=urows)
-
-
-# ---------------------------------------------------------------------------
-# the curve backend
-# ---------------------------------------------------------------------------
-
-class CurveModel:
-    """Dimension-one backend: a divisor is just its degree."""
-
-    dim = 1
-
-    @staticmethod
-    def body_of(degree) -> Polytope:
-        q = rat(degree)
-        if q <= 0:
-            raise ValueError("body of a non-big degree")
-        return Polytope.hull([(0,), (q,)])
-
-    @staticmethod
-    def volume_of(degree) -> Fraction:
-        return rat(degree)
 
 
 # ---------------------------------------------------------------------------

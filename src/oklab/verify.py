@@ -117,8 +117,7 @@ class RunConfig:
     builtin testbeds in `testbed_names()` order); suites driven by a
     per-testbed table skip the names it does not list, and lemma61 draws
     its random pairs in this order.  `grid_den` is the denominator of the
-    slice, replay and boundary-segment parameters; `seed` seeds the
-    randomized batteries.
+    slice and replay parameters; `seed` seeds the randomized batteries.
     """
 
     fans: dict = field(default_factory=lambda: {n: testbed(n) for n in testbed_names()})
@@ -249,7 +248,7 @@ def suite_replay(config: RunConfig) -> list[dict]:
 def suite_prop14(config: RunConfig) -> list[dict]:
     records = []
     for name, flag, key, _, n1, n2 in _theorem_pairs(config):
-        rep = necessary_condition_check(n1, n2, flag, grid_den=config.grid_den)
+        rep = necessary_condition_check(n1, n2, flag)
         records.append({
             "key": "prop14/" + key, "suite": "prop14", "testbed": name,
             "verdict": rep["verdict"],
@@ -400,13 +399,11 @@ def suite_lx(config: RunConfig) -> list[dict]:
         if fan is None:
             continue
         flag = AdmissibleFlag(fan, flag_rays)
-        bl = nef_body(TDivisor(fan, lco), flag)
-        bm = nef_body(TDivisor(fan, mco), flag)
-        ok, info = derivative_check_bodies(bl.body, bm.body)
+        ok, info = derivative_check_bodies(nef_body(TDivisor(fan, lco), flag).body,
+                                           nef_body(TDivisor(fan, mco), flag).body)
         records.append({
             "key": f"lx/derivative-{idx:02d}/{name}", "suite": "lx",
-            "testbed": name, "coefficients": info["coefficients"],
-            "pass": ok and bl.exact and bm.exact,
+            "testbed": name, "coefficients": info["coefficients"], "pass": ok,
         })
     return records
 

@@ -1,0 +1,67 @@
+"""Gauss-Jordan elimination over Fractions: a test-only oracle.
+
+The package answers every linear question by an integer closed form (the
+adjugate of a square integer matrix, Cramer's rule on pivot columns, one
+2x2 minor).  These helpers solve the same systems by plain rational row
+reduction, so the tests can check the closed forms against them.
+"""
+
+from fractions import Fraction
+
+
+def rref(rows):
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        if r >= len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def solve(a, b):
+    """One exact solution x of A x = b, or None if inconsistent.
+
+    For underdetermined systems the free variables are set to 0.
+    """
+    red, pivots = rref([list(r) + [bv] for r, bv in zip(a, b, strict=True)])
+    ncols = len(a[0]) if a else 0
+    if ncols in pivots:
+        return None  # pivot in the augmented column: inconsistent
+    x = [Fraction(0)] * ncols
+    for row, c in zip(red, pivots):
+        x[c] = row[-1]
+    return tuple(x)
+
+
+def nullspace(rows):
+    """Basis of the right kernel of the matrix, one vector per free column."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, c in zip(red, pivots):
+            v[c] = -row[f]
+        basis.append(tuple(v))
+    return basis

@@ -13,8 +13,9 @@ from fractions import Fraction
 from itertools import product
 from math import ceil, floor
 
+from fraction_oracle import solve
 from oklab.exactgeom import Polytope
-from oklab.linalg import common_denominator, dot, solve, vec
+from oklab.linalg import common_denominator, dot, vec
 from oklab.toric import polytope_of_divisor
 
 

@@ -1,9 +1,11 @@
 """Additivity verdicts, proof replay, and the boundary-cone condition."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from fraction_oracle import rref, solve
 from oklab.additivity import (
     ConeCLM,
     InclusionViolationError,
@@ -18,7 +20,7 @@ from oklab.additivity import (
     theorem_sweep_pairs,
 )
 from oklab.exactgeom import convex_hull
-from oklab.toric import AdmissibleFlag, TDivisor, testbed
+from oklab.toric import AdmissibleFlag, TDivisor, testbed, testbed_names
 
 
 def setup_p1xp1():
@@ -51,6 +53,41 @@ def test_in_cone_outside_span():
                    bl.classes.divisor_from_class((0, 1, 0)))
     with pytest.raises(ValueError):
         in_cone(bl.classes.divisor_from_class((0, 0, 1)), cone)
+
+
+@pytest.mark.parametrize("name, l_cls, m_cls", [
+    ("p1xp1", (1, 0), (0, 1)),
+    ("f1", (1, 1), (2, 1)),
+    ("blpq-p2", (1, 0, 1), (1, -1, 1)),    # a plane in rank 3
+    ("p2", (1,), (2,)),                    # dependent
+    ("blpq-p2", (1, 0, 1), (2, 0, 2)),     # dependent in rank 3
+    ("blpq-p2", (0, 0, 0), (1, 1, 0)),     # L numerically trivial
+    ("p1xp1", (0, 0), (0, 0)),
+])
+def test_cone_coordinates_match_solve_oracle(name, l_cls, m_cls):
+    classes = testbed(name).classes
+    cone = ConeCLM(classes.divisor_from_class(l_cls), classes.divisor_from_class(m_cls))
+    rows = [[a, b] for a, b in zip(cone.L.cls, cone.M.cls)]
+    assert cone.dependent == (len(rref(rows)[1]) < 2)
+    rnd = random.Random(7)
+    for _ in range(10):
+        n = cone.member(F(rnd.randint(-6, 6), rnd.randint(1, 3)),
+                        F(rnd.randint(-6, 6), rnd.randint(1, 3)))
+        assert cone.coordinates(n) == solve(rows, n.cls)
+    for k in range(classes.rank):  # unit classes, some outside the span
+        n = classes.divisor_from_class([int(j == k) for j in range(classes.rank)])
+        expected = solve(rows, n.cls)
+        if expected is None:
+            with pytest.raises(ValueError):
+                cone.coordinates(n)
+        else:
+            assert cone.coordinates(n) == expected
+
+
+def test_in_cone_dependent_basis_puts_the_class_on_l():
+    p2 = testbed("p2")
+    cone = ConeCLM(TDivisor(p2, (1, 0, 0)), TDivisor(p2, (2, 0, 0)))
+    assert in_cone(TDivisor(p2, (3, 0, 0)), cone) == (True, 3, 0)
 
 
 # --- check_additivity ---------------------------------------------------------
@@ -190,6 +227,27 @@ def test_necessary_condition_requires_ample():
     fan, flag, cone = setup_p1xp1()
     with pytest.raises(ValueError):
         necessary_condition_check(cone.L, cone.member(1, 1), flag)
+
+
+def test_segment_on_boundary_matches_the_grid():
+    # pairs of boundary classes M - mu(M; E) E, on one facet or on two
+    rnd = random.Random(11)
+    for name in testbed_names():
+        classes = testbed(name).classes
+        ends = []
+        for _ in range(6):
+            k = rnd.randint(1, 3)
+            coeffs = [rnd.randint(0, 2) for _ in classes.eff_generators]
+            m = tuple(k * a + sum(c * g[i] for c, g in zip(coeffs, classes.eff_generators))
+                      for i, a in enumerate(classes.ample_class))
+            e = rnd.choice(classes.eff_generators)
+            ends.append(tuple(a - classes.mu(m, e) * b for a, b in zip(m, e)))
+        for a in ends:
+            for b in ends:
+                points = [tuple(F(k, 12) * x + (1 - F(k, 12)) * y for x, y in zip(a, b))
+                          for k in range(13)]
+                grid = all(classes.boundary_membership(p) == "boundary" for p in points)
+                assert classes.segment_on_boundary(a, b) == grid
 
 
 # --- sweeps ----------------------------------------------------------------------

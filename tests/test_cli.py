@@ -9,7 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from blowups import blown_up_fans
+from oklab import cli, okounkov
 from oklab.cli import CATALOG_ENV, main
+from oklab.toric import testbed_names
 
 
 def run(capsys, *argv):
@@ -205,14 +207,39 @@ def test_nonpositive_bounds_rejected(capsys):
     ["mixedvol", "--bodies", "@/nonexistent/x.json"],
     ["mixedvol", "--bodies", "[[[[1,0]]]]"],  # a zero denominator
     ["mu", "--testbed", "p2", "--class", "2,0,0", "--out", "/nonexistent/dir/r.json"],
+    ["body", "--testbed", "p2", "--class", "1,0,0", "--flag", '{"cone":5}'],
+    ["body", "--testbed", "p2", "--class", '{"coeffs":5}'],
+    ["body", "--testbed", "p2", "--class", '{"coeffs":[null,0,0]}'],
 ])
 def test_bad_input_exits_2_with_a_message(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2 and err.startswith("error:")
 
 
+def test_failed_body_certificate_exits_3(capsys, monkeypatch):
+    real = okounkov.intersection_number
+    monkeypatch.setattr(okounkov, "intersection_number",
+                        lambda fan, divisors: real(fan, divisors) + 1)
+    okounkov._section_image.cache_clear()
+    try:
+        for argv in (["body", "--testbed", "p2", "--class", "1,0,0"],
+                     ["verify", "--suite", "lemma61"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 3 and err.startswith("hard invariant violated")
+    finally:
+        okounkov._section_image.cache_clear()
+
+
 QUADRIC = {"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],
            "max_cones": [[0, 2], [1, 2], [1, 3], [0, 3]]}
+
+
+def test_verify_runs_catalog_fans_after_the_builtins(tmp_path, capsys, monkeypatch):
+    (tmp_path / "q.json").write_text(json.dumps({"name": "quad", **QUADRIC}))
+    configs = []
+    monkeypatch.setattr(cli, "run_suite", lambda suite, config: configs.append(config) or [])
+    code, _, _ = run(capsys, "verify", "--suite", "cor15", "--catalog", str(tmp_path))
+    assert code == 0 and list(configs[0].fans) == testbed_names() + ["quad"]
 
 
 @pytest.mark.parametrize("files", [

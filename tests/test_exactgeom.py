@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
+from fraction_oracle import nullspace, rref, solve
 from oklab.exactgeom import (
     DimensionMismatch,
     FormalBody,
@@ -19,7 +20,7 @@ from oklab.exactgeom import (
     scale,
     slice_at,
 )
-from oklab.linalg import common_denominator, rank, rref, to_int_points
+from oklab.linalg import adjugate, common_denominator, det_int, dot, rank, to_int_points
 
 UNIT_SQUARE = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
 UNIT_SIMPLEX = convex_hull([(0, 0), (1, 0), (0, 1)])
@@ -304,7 +305,6 @@ def _in_hull_oracle(point, points):
     nonnegative barycentric coordinates over some affinely independent
     subset of size <= d+1.  Independent of the incremental hull."""
     from itertools import combinations
-    from oklab.linalg import solve
 
     d = len(point)
     pts = list(points)
@@ -475,6 +475,47 @@ def test_integer_rank_matches_fraction_rref(ncols, data):
     extra.append([F(0)] * ncols)
     matrix = data.draw(st.permutations(rows + extra))
     assert rank(matrix) == len(rref(matrix)[1])
+
+
+@seed(2024)
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_adjugate_matches_fraction_solve(n, data):
+    entry = st.integers(-3, 3)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and data.draw(st.booleans()):  # singular: the last row a combination
+        a, b = data.draw(entry), data.draw(entry)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[min(1, n - 2)])]
+    adj, det = adjugate(rows)
+    assert det == det_int(rows)
+    for k, a in enumerate(adj):
+        pairings = [sum(x * y for x, y in zip(a, r)) for r in rows]
+        assert pairings == [det * (k == l) for l in range(n)]
+        x = solve(rows, [F(int(l == k)) for l in range(n)])
+        if det:
+            assert x == tuple(F(y, det) for y in a)
+    if not det:
+        assert len(rref(rows)[1]) < n
+        assert any(solve(rows, [F(int(l == k)) for l in range(n)]) is None for k in range(n))
+
+
+@seed(2024)
+@given(st.integers(2, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_halfspace_equalities_match_nullspace_oracle(d, data):
+    # points on a random affine subspace of dimension < d
+    k = data.draw(st.integers(0, d - 1))
+    p0 = data.draw(st.tuples(*[small_coords] * d))
+    dirs = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                              min_size=k, max_size=k))
+    combos = data.draw(st.lists(st.lists(small_coords, min_size=k, max_size=k),
+                                min_size=1, max_size=6))
+    body = convex_hull([tuple(x + sum(c * v[j] for c, v in zip(cs, dirs))
+                              for j, x in enumerate(p0)) for cs in combos])
+    v0 = body.vertices[0]
+    diffs = [[a - b for a, b in zip(v, v0)] for v in body.vertices[1:]]
+    eqs, _ = body.halfspaces()
+    assert eqs == [(w, dot(w, v0)) for w in nullspace(diffs or [[0] * d])]
 
 
 def test_minkowski_memo_is_bounded_and_transparent():

@@ -11,13 +11,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from blowups import blown_up_fans, star_subdivision
+from fraction_oracle import nullspace, solve
 from graded_oracle import face_tails, lattice_points
 from oklab import exactgeom, toric
 from oklab.exactgeom import mixed_volume
-from oklab.linalg import common_denominator, det_int, dot, nullspace, primitive, solve, vec
+from oklab.linalg import common_denominator, det_int, dot, primitive, vec
 from oklab.toric import (
     AdmissibleFlag,
-    CurveModel,
     Fan,
     FanError,
     TDivisor,
@@ -421,25 +421,6 @@ def test_star_model_threefold():
     assert len(sm.star_fan.rays) == 4  # a quadric surface
     restricted = sm.restrict_divisor(TDivisor(ppp, (0, 2, 0, 1, 0, 3)))
     assert sm.star_fan.classes.class_of(restricted.coeffs) == (1, 3)
-
-
-# --- curve backend ----------------------------------------------------------
-
-def test_curve_model():
-    assert CurveModel.body_of(3).vertices == verts((0,), (3,))
-    assert CurveModel.body_of(F(3, 2)).vertices == verts((0,), (F(3, 2),))
-    assert CurveModel.volume_of(F(5, 2)) == F(5, 2)
-    with pytest.raises(ValueError):
-        CurveModel.body_of(0)
-
-
-def test_curve_model_agrees_with_p1_fan():
-    p1 = testbed("p1")
-    flag = AdmissibleFlag(p1, (0,))
-    from oklab.okounkov import no_body_rational
-    for q in (1, 2, F(3, 2)):
-        assert no_body_rational(TDivisor(p1, (0, q)), flag).body \
-            == CurveModel.body_of(q)
 
 
 # --- catalog loading --------------------------------------------------------
