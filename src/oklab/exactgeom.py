@@ -12,9 +12,10 @@ denominator; one fraction-free elimination over their differences gives
 the affine rank k and pivot coordinates onto which the affine hull
 projects bijectively.  The hull is taken there: Andrew's monotone chain
 for k = 2 (vertices, edge inequalities and the shoelace area in one
-pass), a beneath-beyond incremental hull for k >= 3, so all orientation
-predicates are exact integer determinants.  Facets, volume and vertices
-come out of that one pass and are kept with the body.
+pass), a conflict-list beneath-beyond for k >= 3 with the vertices read
+off the facet incidences, so all orientation predicates are exact integer
+determinants.  Facets, volume and vertices come out of that one pass and
+are kept with the body.
 
 Mixed volumes of two distinct bodies, V(K^j, L^(d-j)), are read off the
 polynomial vol(sK + L), fitted exactly from d - 1 Minkowski sums; three
@@ -23,18 +24,16 @@ or more distinct bodies go through the polarization formula.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial, gcd
+from operator import mul
 
 from .linalg import (
     Vec,
     adjugate,
     common_denominator,
     cross_normal_int,
-    det_int,
     dot,
     independent_rows,
     interpolate,
@@ -101,95 +100,96 @@ def _planar_hull(pts: list[tuple[int, int]]) -> tuple[list[int], list, int]:
     return ring, sorted(facets), area2
 
 
-def _incremental_hull(pts: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """Facet simplices of the hull of affinely spanning integer points.
+class _Face:
+    """Oriented facet simplex of a growing hull: n.x <= c holds on the hull,
+    nbrs[j] lies across the ridge opposite verts[j], and `above` holds the
+    pairs (height, index) of the pending points strictly above it."""
 
-    Returns triples (vertex indices, outward integer normal n, offset c)
-    with the hull contained in n.x <= c.  Input must be distinct points
-    of affine rank k = len(pts[0]) >= 2.
+    __slots__ = ("verts", "n", "c", "nbrs", "above", "dead")
+
+    def __init__(self, pts, verts, zsum):
+        a = pts[verts[0]]
+        n = cross_normal_int([[x - y for x, y in zip(pts[v], a)] for v in verts[1:]])
+        c = sum(map(mul, n, a))
+        if sum(map(mul, n, zsum)) > (len(a) + 1) * c:  # orient away from zsum / (k + 1)
+            n, c = tuple(-x for x in n), -c
+        self.verts, self.n, self.c, self.nbrs = verts, n, c, [None] * len(verts)
+        self.above, self.dead = [], False
+
+
+def _simplicial_hull(pts: list[tuple[int, ...]]) -> tuple[list[int], list, int]:
+    """Conflict-list beneath-beyond (Clarkson-Shor) on distinct integer points
+    of affine rank k = len(pts[0]) >= 2, the counterpart of `_planar_hull`:
+    vertex indices, primitive facets and k! times the k-volume.
+
+    Each facet simplex keeps the points strictly above it.  The highest
+    point above a face goes in next (Quickhull order); the faces it sees
+    are found by walking the adjacency from that face and are replaced by
+    the simplices joining it to the horizon ridges; only their orphaned
+    points are tested again, against the new faces alone.  A corner is a
+    vertex iff the distinct facet normals at it span R^k.
     """
     k = len(pts[0])
     q0 = pts[0]
     base = [0] + [i + 1 for i, _, _ in independent_rows(
         [x - y for x, y in zip(p, q0)] for p in pts[1:])]
-    if len(base) != k + 1:
-        raise ValueError("points do not affinely span")
-    zsum = tuple(sum(pts[i][j] for i in base) for j in range(k))
+    zsum = tuple(map(sum, zip(*(pts[i] for i in base))))
+    faces = [_Face(pts, tuple(base[:j] + base[j + 1:]), zsum) for j in range(k + 1)]
+    for j, f in enumerate(faces):
+        f.nbrs = faces[:j] + faces[j + 1:]  # face i lies across from base[i]
 
-    def make_face(verts: tuple[int, ...]):
-        q0 = pts[verts[0]]
-        diffs = [tuple(x - y for x, y in zip(pts[v], q0)) for v in verts[1:]]
-        n = cross_normal_int(diffs)
-        if all(x == 0 for x in n):
-            raise ValueError("degenerate face")
-        c = sum(a * b for a, b in zip(n, q0))
-        side = sum(a * b for a, b in zip(n, zsum)) - (k + 1) * c
-        if side > 0:
-            n = tuple(-x for x in n)
-            c = -c
-        elif side == 0:
-            raise ValueError("interior reference on a face plane")
-        return tuple(sorted(verts)), n, c
+    def assign(indices, new):  # each point to the first new face it is above
+        for i in indices:
+            p = pts[i]
+            for f in new:
+                h = sum(map(mul, f.n, p)) - f.c
+                if h > 0:
+                    f.above.append((h, i))
+                    break
 
-    faces = {}
-    for sub in combinations(base, k):
-        key, n, c = make_face(tuple(sub))
-        faces[key] = (n, c)
-
-    in_base = set(base)
-    for i in range(len(pts)):
-        if i in in_base:
+    assign(set(range(len(pts))).difference(base), faces)
+    for face in faces:  # the list grows as new faces are made
+        if face.dead or not face.above:
             continue
-        p = pts[i]
-        visible = [key for key, (n, c) in faces.items()
-                   if sum(a * b for a, b in zip(n, p)) > c]
-        if not visible:
-            continue
-        ridges = Counter()
-        for key in visible:
-            for ridge in combinations(key, k - 1):
-                ridges[ridge] += 1
-        for key in visible:
-            del faces[key]
-        for ridge, cnt in ridges.items():
-            if cnt == 1:
-                fkey, n, c = make_face(ridge + (i,))
-                faces[fkey] = (n, c)
-    return [(key, n, c) for key, (n, c) in sorted(faces.items())]
-
-
-def _facets_from_faces(faces) -> list[tuple[tuple[int, ...], int]]:
-    """Deduplicate simplicial face planes into primitive facet inequalities."""
-    seen = set()
-    for _, n, c in faces:
-        g = gcd(*n)  # divides c, an integer combination of n
-        seen.add((tuple(x // g for x in n), c // g))
-    return sorted(seen)
-
-
-def _extreme_indices(int_pts, facets, k) -> list[int]:
-    """Vertices = points whose active facet normals span R^k."""
-    out = []
-    for i, p in enumerate(int_pts):
-        active = [n for n, c in facets
-                  if sum(a * b for a, b in zip(n, p)) == c]
-        if len(active) >= k and len(independent_rows(active)) == k:
-            out.append(i)
-    return out
-
-
-def _simplicial_hull(pts: list[tuple[int, ...]]) -> tuple[list[int], list, int]:
-    """Beneath-beyond counterpart of `_planar_hull` for affine rank k >= 2:
-    vertex indices, primitive facets and k! times the k-volume."""
-    k = len(pts[0])
-    faces = _incremental_hull(pts)
-    facets = _facets_from_faces(faces)
-    corners = sorted({i for verts, _, _ in faces for i in verts})
-    keep = [corners[i] for i in _extreme_indices([pts[i] for i in corners], facets, k)]
-    q0 = pts[0]  # a hull point: cones over the face simplices tile the body
-    kvol = sum(abs(det_int([[x - y for x, y in zip(pts[v], q0)] for v in verts]))
-               for verts, _, _ in faces if 0 not in verts)
-    return keep, facets, kvol
+        top = max(face.above)[1]
+        p = pts[top]
+        face.dead, visible, horizon = True, [face], []
+        for f in visible:
+            for j, g in enumerate(f.nbrs):
+                if g.dead:
+                    continue
+                if sum(map(mul, g.n, p)) > g.c:
+                    g.dead = True
+                    visible.append(g)
+                else:
+                    horizon.append((f.verts[:j] + f.verts[j + 1:], g, f))
+        new, open_ridges = [], {}
+        for ridge, g, f in horizon:
+            h = _Face(pts, ridge + (top,), zsum)
+            h.nbrs[-1] = g
+            g.nbrs[g.nbrs.index(f)] = h
+            for j in range(k - 1):  # the other ridges contain p: shared with new faces
+                key = tuple(sorted(ridge[:j] + ridge[j + 1:]))
+                if key in open_ridges:
+                    h2, j2 = open_ridges.pop(key)
+                    h.nbrs[j], h2.nbrs[j2] = h2, h
+                else:
+                    open_ridges[key] = (h, j)
+            new.append(h)
+        assign((i for f in visible for _, i in f.above if i != top), new)
+        faces += new
+    normals, facets, kvol = {}, set(), 0
+    for f in faces:
+        if not f.dead:
+            g = gcd(*f.n)  # divides c, an integer combination of n
+            n = tuple(x // g for x in f.n)
+            facets.add((n, f.c // g))
+            kvol += f.c - sum(map(mul, f.n, q0))  # |det| of the cone from the hull point q0
+            for v in f.verts:
+                normals.setdefault(v, set()).add(n)
+    keep = [v for v, ns in normals.items()
+            if len(ns) >= k and (k <= 3 or len(independent_rows(list(ns))) == k)]
+    return keep, sorted(facets), kvol
 
 
 def _from_int(d: int, L: int, ipts: list[tuple[int, ...]], pts=None) -> "Polytope":
@@ -199,9 +199,9 @@ def _from_int(d: int, L: int, ipts: list[tuple[int, ...]], pts=None) -> "Polytop
     differences from ipts[0].  Its direction projects bijectively onto the
     pivot columns, so the hull is taken there, in k = affine rank
     coordinates: an interval for k = 1, the monotone chain for k = 2 and
-    beneath-beyond for k >= 3.  The body keeps k, the echelon rows, the
-    pivot columns, the primitive facets (n, c) of the projection and its
-    volume.
+    the conflict-list beneath-beyond for k >= 3.  The body keeps k, the
+    echelon rows, the pivot columns, the primitive facets (n, c) of the
+    projection and its volume.
     """
     q0 = ipts[0]
     echelon = independent_rows([x - y for x, y in zip(p, q0)] for p in ipts[1:])
@@ -235,14 +235,14 @@ def _from_int(d: int, L: int, ipts: list[tuple[int, ...]], pts=None) -> "Polytop
 class Polytope:
     """Canonical exact polytope: sorted minimal vertex list in Q^d."""
 
-    __slots__ = ("dim", "vertices", "_geom")
+    __slots__ = ("dim", "vertices", "_geom", "_hash")
 
     def __init__(self, dim: int, vertices: tuple[Vec, ...], _trusted=False):
         if not _trusted:
             raise TypeError("use Polytope.hull / Polytope.empty / Polytope.point")
         self.dim = dim
         self.vertices = vertices
-        self._geom = None
+        self._geom = self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -274,8 +274,10 @@ class Polytope:
         return (isinstance(other, Polytope)
                 and self.dim == other.dim and self.vertices == other.vertices)
 
-    def __hash__(self):
-        return hash((self.dim, self.vertices))
+    def __hash__(self):  # cached: the vertices never change
+        if self._hash is None:
+            self._hash = hash((self.dim, self.vertices))
+        return self._hash
 
     def __repr__(self):
         if self.is_empty():

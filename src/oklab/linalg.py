@@ -95,8 +95,12 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
 
 
 def cross_normal_int(diffs: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Generalized cross product: integer normal to k-1 vectors in Z^k."""
+    """Generalized cross product: integer normal to k-1 vectors in Z^k
+    (signed minors; the ordinary cross product in closed form for k = 3)."""
     k = len(diffs) + 1
+    if k == 3:
+        (a, b, c), (d, e, f) = diffs
+        return (b * f - c * e, c * d - a * f, a * e - b * d)
     out = []
     for j in range(k):
         minor = [[d[c] for c in range(k) if c != j] for d in diffs]

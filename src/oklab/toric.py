@@ -508,6 +508,7 @@ def intersection_number(fan: Fan, divisors) -> Fraction:
     return _form(fan, [dv.coeffs for dv in divisors])
 
 
+@lru_cache(maxsize=None)
 def flag_corresponds(fan: Fan, flag: AdmissibleFlag, divisor: TDivisor):
     """Decide Def-style correspondence of the flag with the divisor class.
 
@@ -515,7 +516,9 @@ def flag_corresponds(fan: Fan, flag: AdmissibleFlag, divisor: TDivisor):
     curve of Y_i (the ridges containing the first i flag rays); these
     curves span the curve classes, so proportionality against them is
     exact.  Returns (True, ratios) or (False, None); a zero ratio means the
-    restriction of the class to Y_i is numerically trivial.
+    restriction of the class to Y_i is numerically trivial.  Memoised on
+    the fan, flag and divisor objects (fans compare by identity): the
+    replay asks again for every t of a case.
     """
     d = fan.dim
     ratios = []

@@ -1,0 +1,100 @@
+"""Brute-force beneath-beyond hull on integer points: a test-only oracle.
+
+The package takes hulls of affine rank k >= 3 by a conflict-list
+beneath-beyond and reads the vertices off the facet incidences.  This
+oracle inserts the points in index order, tests every live face against
+every point, and then finds the vertices by a rank test of the facets
+active at each corner, so the tests can check the fast hull against it.
+"""
+
+from collections import Counter
+from itertools import combinations
+from math import gcd
+
+from oklab.linalg import cross_normal_int, det_int, independent_rows
+
+
+def incremental_hull(pts):
+    """Facet simplices of the hull of affinely spanning integer points.
+
+    Returns triples (vertex indices, outward integer normal n, offset c)
+    with the hull contained in n.x <= c.  Input must be distinct points
+    of affine rank k = len(pts[0]) >= 2.
+    """
+    k = len(pts[0])
+    q0 = pts[0]
+    base = [0] + [i + 1 for i, _, _ in independent_rows(
+        [x - y for x, y in zip(p, q0)] for p in pts[1:])]
+    if len(base) != k + 1:
+        raise ValueError("points do not affinely span")
+    zsum = tuple(sum(pts[i][j] for i in base) for j in range(k))
+
+    def make_face(verts):
+        q0 = pts[verts[0]]
+        diffs = [tuple(x - y for x, y in zip(pts[v], q0)) for v in verts[1:]]
+        n = cross_normal_int(diffs)
+        if all(x == 0 for x in n):
+            raise ValueError("degenerate face")
+        c = sum(a * b for a, b in zip(n, q0))
+        side = sum(a * b for a, b in zip(n, zsum)) - (k + 1) * c
+        if side > 0:
+            n = tuple(-x for x in n)
+            c = -c
+        elif side == 0:
+            raise ValueError("interior reference on a face plane")
+        return tuple(sorted(verts)), n, c
+
+    faces = {}
+    for sub in combinations(base, k):
+        key, n, c = make_face(tuple(sub))
+        faces[key] = (n, c)
+
+    in_base = set(base)
+    for i in range(len(pts)):
+        if i in in_base:
+            continue
+        p = pts[i]
+        visible = [key for key, (n, c) in faces.items()
+                   if sum(a * b for a, b in zip(n, p)) > c]
+        if not visible:
+            continue
+        ridges = Counter()
+        for key in visible:
+            for ridge in combinations(key, k - 1):
+                ridges[ridge] += 1
+        for key in visible:
+            del faces[key]
+        for ridge, cnt in ridges.items():
+            if cnt == 1:
+                fkey, n, c = make_face(ridge + (i,))
+                faces[fkey] = (n, c)
+    return [(key, n, c) for key, (n, c) in sorted(faces.items())]
+
+
+def extreme_indices(int_pts, facets, k):
+    """Vertices = points whose active facet normals span R^k."""
+    out = []
+    for i, p in enumerate(int_pts):
+        active = [n for n, c in facets
+                  if sum(a * b for a, b in zip(n, p)) == c]
+        if len(active) >= k and len(independent_rows(active)) == k:
+            out.append(i)
+    return out
+
+
+def simplicial_hull(pts):
+    """(vertex indices, primitive facets, k! times the k-volume) of distinct
+    integer points of affine rank k = len(pts[0]) >= 2."""
+    k = len(pts[0])
+    faces = incremental_hull(pts)
+    facets = set()
+    for _, n, c in faces:
+        g = gcd(*n)  # divides c, an integer combination of n
+        facets.add((tuple(x // g for x in n), c // g))
+    facets = sorted(facets)
+    corners = sorted({i for verts, _, _ in faces for i in verts})
+    keep = [corners[i] for i in extreme_indices([pts[i] for i in corners], facets, k)]
+    q0 = pts[0]  # a hull point: cones over the face simplices tile the body
+    kvol = sum(abs(det_int([[x - y for x, y in zip(pts[v], q0)] for v in verts]))
+               for verts, _, _ in faces if 0 not in verts)
+    return keep, facets, kvol

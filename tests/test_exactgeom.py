@@ -1,11 +1,15 @@
 """Exact convex-body arithmetic: frozen examples plus algebraic laws."""
 
 from fractions import Fraction as F
+from itertools import product
+from math import factorial
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from fraction_oracle import nullspace, rref, solve
+from hull_oracle import simplicial_hull
 from oklab.exactgeom import (
     DimensionMismatch,
     FormalBody,
@@ -20,7 +24,8 @@ from oklab.exactgeom import (
     scale,
     slice_at,
 )
-from oklab.linalg import adjugate, common_denominator, det_int, dot, rank, to_int_points
+from oklab.linalg import (adjugate, common_denominator, cross_normal_int, det_int, dot, rank,
+                          to_int_points)
 
 UNIT_SQUARE = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
 UNIT_SIMPLEX = convex_hull([(0, 0), (1, 0), (0, 1)])
@@ -529,3 +534,96 @@ def test_minkowski_memo_is_bounded_and_transparent():
     assert again is not first and again == first
     assert again.volume() == first.volume()
     assert again.halfspaces() == first.halfspaces()
+
+
+# --- conflict-list hull against the brute-force oracle ------------------------
+
+def _assert_matches_hull_oracle(ipts):
+    """Compare the hull with the brute-force oracle; return the oracle's."""
+    keep, facets, kvol = _simplicial_hull(ipts)
+    oracle = simplicial_hull(ipts)
+    assert (sorted(keep), facets, kvol) == oracle
+    return oracle
+
+
+def _lattice_box(data, d):
+    # every lattice point of a box: points on edges and in facet interiors
+    lows = data.draw(st.tuples(*[st.integers(-2, 1)] * d))
+    sides = data.draw(st.tuples(*[st.integers(1, 2)] * d))
+    return list(product(*[range(a, a + s + 1) for a, s in zip(lows, sides)]))
+
+
+def _coplanar_clusters(data, d):
+    # a few clusters, each on one hyperplane through a small base point
+    small = st.integers(-2, 2)
+    pts = []
+    for _ in range(data.draw(st.integers(2, 4))):
+        base = data.draw(st.tuples(*[small] * d))
+        dirs = data.draw(st.lists(st.tuples(*[small] * d), min_size=d - 1, max_size=d - 1))
+        for cs in data.draw(st.lists(st.tuples(*[small] * (d - 1)), min_size=2, max_size=6)):
+            pts.append(tuple(b + sum(c * v[j] for c, v in zip(cs, dirs))
+                             for j, b in enumerate(base)))
+    return pts
+
+
+def _one_denominator(data, d):
+    # rational points, scaled below to integers over their common denominator
+    return data.draw(st.lists(st.tuples(*[grid_coords] * d), min_size=d + 1, max_size=30))
+
+
+@seed(2024)
+@pytest.mark.parametrize("make", [_lattice_box, _coplanar_clusters, _one_denominator])
+@given(st.sampled_from([3, 4]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_conflict_list_hull_matches_oracle(make, d, data):
+    pts, ipts = _integer_points(make(data, d))
+    assume(rank([[x - y for x, y in zip(p, ipts[0])] for p in ipts[1:]]) == d)
+    keep, facets, kvol = _assert_matches_hull_oracle(ipts)
+    body = convex_hull(pts)
+    assert body.vertices == tuple(pts[i] for i in keep)
+    assert body._geometry()["facets"] == facets
+    assert body.volume() * factorial(d) * body._geometry()["L"] ** d == kvol
+
+
+@seed(2024)
+@given(st.data(), st.sampled_from([
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)),
+    ((2, -1, 0), (0, 1, 3), (1, 0, -1), (0, 2, 1)),
+    ((1, 2, 0), (0, 0, 1), (-1, 1, 1), (3, 0, 2))]))
+@settings(max_examples=60, deadline=None)
+def test_conflict_list_hull_of_rank_three_sets_in_four_space(data, rows):
+    # x -> A x + b is injective (A has rank 3), so the image has affine rank 3
+    flat = data.draw(st.sampled_from([_lattice_box, _coplanar_clusters, _one_denominator]))(data, 3)
+    offset = data.draw(st.tuples(*[grid_coords] * 4))
+    pts, ipts = _integer_points([tuple(sum(map(mul, r, x)) + o for r, o in zip(rows, offset))
+                                 for x in flat])
+    space = convex_hull(pts)
+    assume(space.affine_dim == 3)
+    cols = space._geometry()["cols"]
+    proj = [tuple(p[c] for c in cols) for p in ipts]
+    keep, facets, _ = _assert_matches_hull_oracle(proj)
+    assert space.vertices == tuple(pts[i] for i in keep)
+    assert space._geometry()["facets"] == facets and space.volume() == 0
+
+
+@seed(2024)
+@given(st.tuples(*[st.integers(-50, 50)] * 3), st.tuples(*[st.integers(-50, 50)] * 3))
+@settings(max_examples=100, deadline=None)
+def test_cross_normal_closed_form_matches_minors(u, v):
+    minors = tuple((-1) ** j * det_int([[r[c] for c in range(3) if c != j] for r in (u, v)])
+                   for j in range(3))
+    assert cross_normal_int([u, v]) == minors
+    assert dot(minors, u) == dot(minors, v) == 0
+
+
+def test_edge_points_of_the_cross_polytope_in_four_space():
+    # an edge of the 4D cross-polytope lies in four facets whose normals span
+    # only R^3, so its lattice midpoint has four distinct normals and is no vertex
+    tips = [tuple(s * 2 * (j == i) for j in range(4)) for i in range(4) for s in (1, -1)]
+    mids = {tuple((a + b) // 2 for a, b in zip(p, q))
+            for p in tips for q in tips if dot(p, q) == 0}
+    pts, ipts = _integer_points(tips + sorted(mids))
+    _assert_matches_hull_oracle(ipts)
+    body = convex_hull(pts)
+    assert sorted(body.vertices) == sorted(tuple(map(F, p)) for p in tips)
+    assert len(body.halfspaces()[1]) == 16 and body.volume() == F(2 ** 4 * 16, 24)
