@@ -8,7 +8,8 @@ that proves it, checks the necessary boundary-cone condition on the
 projections L - mu_L O(Y_1), and searches coefficient grids for strict
 inclusions.
 
-The one-sided inclusion sum(bodies) <= body(sum) is a hard invariant: a
+The one-sided inclusion sum(bodies) <= body(sum) is a hard invariant,
+checked on every pair whose Minkowski sum is not the body itself: a
 violation means the implementation (not the mathematics) is broken, and
 aborts the run with InclusionViolationError.
 """
@@ -120,6 +121,15 @@ class ConeCLM:
             raise ValueError(f"class {cn} is not in the span of the cone basis")
         return lam, m
 
+    def grid_members(self, grid):
+        """((a, b), a L + b M) for the grid coefficients, rows by a, that lie
+        in the cone.  On an independent basis (a, b) are the class's
+        coordinates, so membership is b >= 0 and ampleness; on a dependent
+        one it is ampleness alone, as in `in_cone`."""
+        is_ample = self.fan.classes.is_ample
+        return [((rat(a), rat(b)), n) for a in grid for b in grid
+                if (self.dependent or b >= 0) and is_ample((n := self.member(a, b)).cls)]
+
 
 def in_cone(n: TDivisor, cone: ConeCLM):
     """Solve N = lambda L + mu M in N^1; in-cone iff mu >= 0 and N ample.
@@ -139,7 +149,6 @@ class AdditivityVerdict:
     witness: tuple | None  # vertex of body(sum) outside the Minkowski sum
     violated: tuple | None  # the (normal, offset) certificate for the witness
     vol_sum_body: Fraction
-    vol_minkowski: Fraction
     vol_n1: Fraction
     vol_n2: Fraction
 
@@ -148,24 +157,26 @@ def compare_additive_bodies(body1: Polytope, body2: Polytope,
                             body_sum: Polytope, context: str = "") -> AdditivityVerdict:
     """Verdict on body_sum vs body1 + body2 (the hard inclusion included).
 
-    The strictness witness is a vertex of body_sum together with one
+    Bodies are equal iff their canonical vertex tuples are, so a Minkowski
+    sum equal to body_sum settles the verdict, and the inclusion with it.
+    Only a sum that differs is tested for containment in body_sum.  The
+    strictness witness is then a vertex of body_sum together with one
     violated halfspace (or affine-hull equality) of the Minkowski sum, so
     a reader can re-check it independently.
     """
     msum = minkowski_sum(body1, body2)
+    volumes = body_sum.volume(), body1.volume(), body2.volume()
+    if msum == body_sum:
+        return AdditivityVerdict("equal", None, None, *volumes)
     if not body_sum.contains(msum):
         raise InclusionViolationError(
             f"Minkowski sum not contained in the body of the sum {context}")
-    if msum == body_sum:
-        return AdditivityVerdict("equal", None, None, body_sum.volume(),
-                                 msum.volume(), body1.volume(), body2.volume())
     witness = next(v for v in body_sum.vertices if not msum.contains_point(v))
     eqs, ineqs = msum.halfspaces()
     violated = next(((n, c) for n, c in eqs if dot(n, witness) != c), None)
     if violated is None:
         violated = next((n, c) for n, c in ineqs if dot(n, witness) > c)
-    return AdditivityVerdict("strict", witness, violated, body_sum.volume(),
-                             msum.volume(), body1.volume(), body2.volume())
+    return AdditivityVerdict("strict", witness, violated, *volumes)
 
 
 def check_additivity(n1: TDivisor, n2: TDivisor,
@@ -377,18 +388,8 @@ def ample_grid_classes(fan: Fan, bound: int = 5):
 
 def theorem_sweep_pairs(cone: ConeCLM, grid):
     """All unordered coefficient pairs from the grid that land in the cone."""
-    members = []
-    for a in grid:
-        for b in grid:
-            n = cone.member(a, b)
-            inside, _, _ = in_cone(n, cone)
-            if inside:
-                members.append(((rat(a), rat(b)), n))
-    pairs = []
-    for i in range(len(members)):
-        for j in range(i, len(members)):
-            pairs.append((members[i], members[j]))
-    return pairs
+    members = cone.grid_members(grid)
+    return [(m1, m2) for i, m1 in enumerate(members) for m2 in members[i:]]
 
 
 def strict_search(fan: Fan, flag: AdmissibleFlag, bound: int = 5):

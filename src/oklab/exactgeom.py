@@ -192,8 +192,8 @@ def _simplicial_hull(pts: list[tuple[int, ...]]) -> tuple[list[int], list, int]:
     return keep, sorted(facets), kvol
 
 
-def _from_int(d: int, L: int, ipts: list[tuple[int, ...]], pts=None) -> "Polytope":
-    """Hull of the distinct sorted points ipts / L (pts: the same points).
+def _from_int(d: int, L: int, ipts: list[tuple[int, ...]]) -> "Polytope":
+    """Hull of the distinct sorted points ipts / L.
 
     The affine hull comes from one fraction-free elimination over the
     differences from ipts[0].  Its direction projects bijectively onto the
@@ -219,8 +219,7 @@ def _from_int(d: int, L: int, ipts: list[tuple[int, ...]], pts=None) -> "Polytop
     else:
         keep, facets, kvol = _simplicial_hull(coords)
     keep.sort()
-    verts = tuple(pts[i] if pts else tuple(Fraction(x, L) for x in ipts[i])
-                  for i in keep)
+    verts = tuple(tuple(Fraction(x, L) for x in ipts[i]) for i in keep)
     out = Polytope(d, verts, _trusted=True)
     out._geom = {"k": k, "rows": [e for _, _, e in echelon], "cols": cols,
                  "facets": facets, "L": L,
@@ -257,7 +256,7 @@ class Polytope:
 
     @staticmethod
     def hull(points, dim: int | None = None) -> "Polytope":
-        pts = sorted({vec(p) for p in points})
+        pts = {vec(p) for p in points}
         if not pts:
             if dim is None:
                 raise ValueError("empty hull needs an explicit ambient dimension")
@@ -266,7 +265,8 @@ class Polytope:
         if dim is not None and dim != d:
             raise DimensionMismatch(f"expected dimension {dim}, got {d}")
         L = common_denominator(pts)
-        return _from_int(d, L, to_int_points(pts, L), pts)
+        # L > 0, so the integer points sort like the rationals they scale
+        return _from_int(d, L, sorted(to_int_points(pts, L)))
 
     # -- basic protocol ----------------------------------------------------
 
@@ -302,8 +302,7 @@ class Polytope:
             if self.is_empty():
                 raise ValueError("empty polytope has no geometry")
             L = common_denominator(self.vertices)
-            self._geom = _from_int(self.dim, L, to_int_points(self.vertices, L),
-                                   self.vertices)._geom
+            self._geom = _from_int(self.dim, L, to_int_points(self.vertices, L))._geom
         return self._geom
 
     def halfspaces(self):

@@ -280,9 +280,11 @@ class NumClassSpace:
         den = self._class_den = common_denominator(self.eff_generators)
         self._class_rows = tuple(zip(*([int(x * den) for x in g] for g in self.eff_generators)))
         self.eff_rows = _cone_facets(self.eff_generators, self.rank)
-        degrees = [[_curve_degree(fan, _unit(n, k), tau) for k in self.free_rays]
-                   for tau in fan.ridges]
-        self.nef_rows = tuple(sorted({primitive(integer_row(g)[0]) for g in degrees if any(g)}))
+        # D . C_tau = <curve_rows[tau], class of D>: the degrees of the free-ray
+        # divisors on the invariant curve of the ridge tau
+        self.curve_rows = {tau: tuple(_monomial(fan, tuple(sorted((f,) + tau)))
+                                      for f in self.free_rays) for tau in fan.ridges}
+        self.nef_rows = tuple(sorted({primitive(g) for g in self.curve_rows.values() if any(g)}))
 
     # -- class map -------------------------------------------------------------
 
@@ -325,9 +327,6 @@ class NumClassSpace:
     def is_ample(self, cls) -> bool:
         return all(v > 0 for v in _pairings(self.nef_rows, cls))
 
-    def is_effective_class(self, cls) -> bool:
-        return all(v >= 0 for v in _pairings(self.eff_rows, cls))
-
     def is_big(self, cls) -> bool:
         return all(v > 0 for v in _pairings(self.eff_rows, cls))
 
@@ -360,10 +359,6 @@ def _pairings(rows, cls):
     """<g, cls> for each integer row g, times the denominator of cls."""
     y, _ = integer_row(cls)
     return (sum(map(mul, g, y)) for g in rows)
-
-
-def _unit(n, i):
-    return [int(k == i) for k in range(n)]
 
 
 def _cone_facets(generators, dim):
@@ -483,12 +478,6 @@ def _form(fan: Fan, coeff_vectors) -> Fraction:
     return Fraction(total, prod(den for _, den in scaled))
 
 
-def _curve_degree(fan: Fan, coeffs, tau) -> Fraction:
-    """D . C_tau for the invariant curve of the ridge tau."""
-    n = len(fan.rays)
-    return _form(fan, [coeffs] + [_unit(n, t) for t in tau])
-
-
 def intersection_number(fan: Fan, divisors) -> Fraction:
     """(D_1 . ... . D_d) for nef divisors, contracted from the fan's form.
 
@@ -527,9 +516,10 @@ def flag_corresponds(fan: Fan, flag: AdmissibleFlag, divisor: TDivisor):
         level = [tau for tau in fan.ridges if head <= set(tau)]
         if not level:
             raise FanError("no invariant curves found at flag level")
-        ey = _unit(len(fan.rays), flag.ray_indices[i])
-        avals = [_curve_degree(fan, ey, tau) for tau in level]
-        bvals = [_curve_degree(fan, divisor.coeffs, tau) for tau in level]
+        # the form sees classes only: degrees are pairings with the curve rows
+        rows = [fan.classes.curve_rows[tau] for tau in level]
+        avals = [dot(g, fan.classes.eff_generators[flag.ray_indices[i]]) for g in rows]
+        bvals = [dot(g, divisor.cls) for g in rows]
         pivot = next(((av, bv) for av, bv in zip(avals, bvals) if av != 0), None)
         if all(bv == 0 for bv in bvals):
             r = Fraction(0)

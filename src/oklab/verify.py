@@ -330,12 +330,7 @@ def suite_lemma61(config: RunConfig) -> list[dict]:
         flag_rays, lco, mco = SWEEP_CONFIGS[name][0]
         flag = AdmissibleFlag(fan, flag_rays)
         cone = ConeCLM(TDivisor(fan, lco), TDivisor(fan, mco))
-        grid_members = []
-        for a in DEFAULT_GRID:
-            for b in DEFAULT_GRID:
-                n = cone.member(a, b)
-                if fan.classes.is_ample(n.cls):
-                    grid_members.append(n)
+        grid_members = [n for _, n in cone.grid_members(DEFAULT_GRID)]
         for idx in range(min(16, len(grid_members) * (len(grid_members) - 1) // 2)):
             l_div = rnd.choice(grid_members)
             m_div = rnd.choice(grid_members)

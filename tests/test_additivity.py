@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from fraction_oracle import rref, solve
 from oklab.additivity import (
@@ -19,7 +20,7 @@ from oklab.additivity import (
     strict_search,
     theorem_sweep_pairs,
 )
-from oklab.exactgeom import convex_hull
+from oklab.exactgeom import Polytope, convex_hull
 from oklab.toric import AdmissibleFlag, TDivisor, testbed, testbed_names
 
 
@@ -132,6 +133,56 @@ def test_inclusion_violation_is_hard_error():
     tri = convex_hull([(0, 0), (1, 0), (0, 1)])
     with pytest.raises(InclusionViolationError):
         compare_additive_bodies(tri, tri, tri)  # sum is bigger than "body"
+
+
+def test_equal_verdict_runs_no_containment_test(monkeypatch):
+    # equal canonical vertex tuples settle the inclusion
+    def refuse(self, other):
+        raise AssertionError("containment tested on an equal pair")
+
+    monkeypatch.setattr(Polytope, "contains", refuse)
+    fan, flag, cone = setup_p1xp1()
+    assert check_additivity(cone.member(1, 1), cone.member(2, 1), flag).status == "equal"
+
+
+rational_coords = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@seed(2024)
+@given(st.integers(2, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_compare_additive_bodies_outcomes_on_random_bodies(d, data):
+    point = st.tuples(*[rational_coords] * d)
+    k_body, l_body = (convex_hull(data.draw(st.lists(point, min_size=1, max_size=5)))
+                      for _ in range(2))
+    sums = [tuple(a + b for a, b in zip(u, v))
+            for u in k_body.vertices for v in l_body.vertices]
+    msum = convex_hull(sums)
+    assert compare_additive_bodies(k_body, l_body, msum).status == "equal"
+
+    # a point outside K + L: drawn from a wider box, pushed past it if inside
+    p = data.draw(st.tuples(*[rational_coords.map(lambda x: 3 * x)] * d))
+    if msum.contains_point(p):
+        p = (max(v[0] for v in msum.vertices) + 1,) + p[1:]
+    verdict = compare_additive_bodies(k_body, l_body, convex_hull(sums + [p]))
+    assert verdict.status == "strict"
+    assert verdict.witness in convex_hull(sums + [p]).vertices
+    normal, offset = verdict.violated
+
+    def val(x):
+        return sum(a * b for a, b in zip(normal, x))
+
+    # re-checked on the vertex sums alone, as the benchmark does
+    if val(verdict.witness) > offset:
+        assert all(val(s) <= offset for s in sums)
+    else:
+        assert val(verdict.witness) != offset and all(val(s) == offset for s in sums)
+
+    # a body that misses a vertex of K + L breaks the hard inclusion
+    dropped = data.draw(st.sampled_from(msum.vertices))
+    smaller = convex_hull([s for s in sums if s != dropped], dim=d)
+    with pytest.raises(InclusionViolationError):
+        compare_additive_bodies(k_body, l_body, smaller)
 
 
 # --- replay --------------------------------------------------------------------
@@ -257,6 +308,20 @@ def test_theorem_sweep_pairs_filter():
     pairs = theorem_sweep_pairs(cone, (F(1, 2), 1))
     # 4 ample members -> 10 unordered pairs
     assert len(pairs) == 10
+    # with negative coefficients, against the in_cone filter, on independent
+    # (p1xp1) and dependent (p2) bases; with an ample L some classes
+    # a L + b M with b < 0 are ample, and only the independent basis drops them
+    classes, p2 = fan.classes, testbed("p2")
+    ample_l = ConeCLM(classes.divisor_from_class((2, 1)), classes.divisor_from_class((1, 2)))
+    dependent = ConeCLM(TDivisor(p2, (1, 0, 0)), TDivisor(p2, (2, 0, 0)))
+    grid = (-1, F(-1, 2), 0, F(1, 2), 1, 2)
+    for cone in (cone, ample_l, dependent):
+        members = [((F(a), F(b)), cone.member(a, b)) for a in grid for b in grid
+                   if in_cone(cone.member(a, b), cone)[0]]
+        assert theorem_sweep_pairs(cone, grid) == [
+            (m1, m2) for i, m1 in enumerate(members) for m2 in members[i:]]
+        assert any(b < 0 for (_, b), _ in members) == cone.dependent
+    assert classes.is_ample(ample_l.member(2, F(-1, 2)).cls)
 
 
 def test_ample_grid_classes_blpq():
