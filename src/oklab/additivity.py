@@ -121,14 +121,17 @@ class ConeCLM:
             raise ValueError(f"class {cn} is not in the span of the cone basis")
         return lam, m
 
+    def admits(self, n: TDivisor, mu) -> bool:
+        """Whether N = lambda L + mu M lies in the cone: N ample and mu >= 0,
+        with the sign ignored on a dependent basis (mu is zero there)."""
+        return (self.dependent or mu >= 0) and self.fan.classes.is_ample(n.cls)
+
     def grid_members(self, grid):
         """((a, b), a L + b M) for the grid coefficients, rows by a, that lie
         in the cone.  On an independent basis (a, b) are the class's
-        coordinates, so membership is b >= 0 and ampleness; on a dependent
-        one it is ampleness alone, as in `in_cone`."""
-        is_ample = self.fan.classes.is_ample
+        coordinates, so no solve is needed."""
         return [((rat(a), rat(b)), n) for a in grid for b in grid
-                if (self.dependent or b >= 0) and is_ample((n := self.member(a, b)).cls)]
+                if self.admits(n := self.member(a, b), b)]
 
 
 def in_cone(n: TDivisor, cone: ConeCLM):
@@ -139,8 +142,7 @@ def in_cone(n: TDivisor, cone: ConeCLM):
     and membership degenerates to ampleness of N inside the span.
     """
     lam, m = cone.coordinates(n)
-    ample = cone.fan.classes.is_ample(n.cls)
-    return (ample if cone.dependent else m >= 0 and ample), lam, m
+    return cone.admits(n, m), lam, m
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,14 @@
 """Wall times of the `oklab verify` suites, each call in a fresh process.
 
-    python3 tools/bench_suites.py [--src DIR --label NAME]... [--runs N] [--out FILE]
+    python3 tools/bench_suites.py [--src DIR --label NAME]... [--out FILE]
 
-Each run calls `oklab verify --suite S --out TMP` once per source tree for
+Each of RUNS runs calls `oklab verify --suite S --out TMP` once per source tree for
 each of the eight suites and for `all`, each call in a fresh interpreter
 with the tree's `src` directory on PYTHONPATH, so a time covers start-up,
 imports and cold caches.  Two trees (repeat `--src` and `--label`, in the
 same order) alternate call by call, and the order flips every run, so the
 speed phases of a shared host fall on both alike.  A suite reports the
-median and quartiles of its N times in seconds and the sha256 of its
+median and quartiles of its RUNS times in seconds and the sha256 of its
 report, which must be the same in every run of a tree.  The results go to
 FILE (default BENCH_suites.json at the repo root) under `runs[NAME]`, next
 to the runs already there.  Standard library only.
@@ -29,6 +29,7 @@ from statistics import quantiles
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+RUNS = 5
 SUITES = ("additivity", "slices", "replay", "prop14", "cor13", "lemma61", "cor15", "lx", "all")
 CLI = "import sys; from oklab.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -51,19 +52,18 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, action="append",
                         help="directory that holds the oklab package (repeatable)")
     parser.add_argument("--label", action="append", help="name of the run of each --src")
-    parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_suites.json")
     args = parser.parse_args(argv)
     srcs = [p.resolve() for p in args.src or [ROOT / "src"]]
     labels = args.label or ["current"]
-    if len(labels) != len(srcs) or args.runs < 2:
-        parser.error("give one --label per --src, and --runs of at least 2")
+    if len(labels) != len(srcs):
+        parser.error("give one --label per --src")
 
     times = {label: {s: [] for s in SUITES} for label in labels}
     digests = {label: {} for label in labels}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
-        for run in range(args.runs):
+        for run in range(RUNS):
             trees = list(zip(labels, srcs))
             if run % 2:
                 trees.reverse()
@@ -84,7 +84,7 @@ def main(argv=None) -> int:
                              "q3_s": round(q3, 3), "times_s": [round(t, 3) for t in ts],
                              "sha256": digests[label][suite]}
         data.setdefault("runs", {})[label] = {
-            "runs": args.runs, "alternated_with": [x for x in labels if x != label],
+            "runs": RUNS, "alternated_with": [x for x in labels if x != label],
             "python": platform.python_version(), "machine": platform.machine(),
             "suites": suites}
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
