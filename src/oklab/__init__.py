@@ -23,7 +23,6 @@ from .toric import (  # noqa: F401
     AdmissibleFlag,
     Fan,
     TDivisor,
-    boundary_membership,
     flag_corresponds,
     flag_valuation,
     intersection_number,

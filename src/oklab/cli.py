@@ -274,10 +274,10 @@ def _config_echo(args, extra=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its records and the config entries it adds
 # ---------------------------------------------------------------------------
 
-def cmd_body(args, fans) -> int:
+def cmd_body(args, fans):
     fan = _pick_fan(args, fans)
     flag = _parse_flag(fan, args.flag)
     divisor = _parse_divisor(fan, args.divisor)
@@ -285,29 +285,19 @@ def cmd_body(args, fans) -> int:
         nb = no_body_rational(divisor, flag)
     except NonBigClassError as exc:
         raise ConfigError(str(exc)) from exc
-    record = {
-        "key": f"body/{fan.name}/{flag.label()}/{args.divisor}",
-        "suite": "body", "testbed": fan.name,
-        "body": nb.to_json(), "pass": nb.exact,
-    }
-    report = make_report("body", _config_echo(args, {"class": args.divisor}),
-                         [record])
-    emit(report, args.format, args.out)
-    return 0 if nb.exact else 1
+    return [{"key": f"body/{fan.name}/{flag.label()}/{args.divisor}",
+             "suite": "body", "testbed": fan.name,
+             "body": nb.to_json(), "pass": nb.exact}], {"class": args.divisor}
 
 
-def cmd_verify(args, fans) -> int:
+def cmd_verify(args, fans):
     if args.testbed:
         fans = {args.testbed: _pick_fan(args, fans)}
-    records = run_suite(args.suite, RunConfig(fans=fans, grid_den=args.grid_den,
-                                              seed=args.seed))
-    report = make_report("verify", _config_echo(args, {"suite": args.suite}),
-                         records)
-    emit(report, args.format, args.out)
-    return 0 if report["summary"]["failed"] == 0 else 1
+    return run_suite(args.suite, RunConfig(fans=fans, grid_den=args.grid_den,
+                                           seed=args.seed)), {"suite": args.suite}
 
 
-def cmd_search_strict(args, fans) -> int:
+def cmd_search_strict(args, fans):
     if args.bound < 1:
         raise ConfigError("--bound must be positive")
     fan = _pick_fan(args, fans)
@@ -315,13 +305,10 @@ def cmd_search_strict(args, fans) -> int:
         flag = AdmissibleFlag(fan, SWEEP_CONFIGS[fan.name][0][0])
     else:
         flag = _parse_flag(fan, args.flag)
-    records = suite_strict_search(flag, args.bound)
-    report = make_report("search-strict", _config_echo(args), records)
-    emit(report, args.format, args.out)
-    return 0
+    return suite_strict_search(flag, args.bound), None
 
 
-def cmd_mu(args, fans) -> int:
+def cmd_mu(args, fans):
     fan = _pick_fan(args, fans)
     flag = _parse_flag(fan, args.flag)
     divisor = _parse_divisor(fan, args.divisor)
@@ -329,15 +316,11 @@ def cmd_mu(args, fans) -> int:
         value = mu(fan, divisor, flag.divisor_of_y1().cls)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    record = {"key": f"mu/{fan.name}/{flag.label()}/{args.divisor}",
-              "suite": "mu", "testbed": fan.name, "mu": value, "pass": True}
-    report = make_report("mu", _config_echo(args, {"class": args.divisor}),
-                         [record])
-    emit(report, args.format, args.out)
-    return 0
+    return ([{"key": f"mu/{fan.name}/{flag.label()}/{args.divisor}", "suite": "mu",
+              "testbed": fan.name, "mu": value, "pass": True}], {"class": args.divisor})
 
 
-def cmd_intersect(args, fans) -> int:
+def cmd_intersect(args, fans):
     fan = _pick_fan(args, fans)
     divisors = [_parse_divisor(fan, part)
                 for part in args.classes.split(";") if part]
@@ -345,17 +328,12 @@ def cmd_intersect(args, fans) -> int:
         value = intersection_number(fan, divisors)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    record = {"key": f"intersect/{fan.name}/{args.classes}",
-              "suite": "intersect", "testbed": fan.name,
-              "value": value, "pass": True}
-    report = make_report("intersect",
-                         _config_echo(args, {"classes": args.classes}),
-                         [record])
-    emit(report, args.format, args.out)
-    return 0
+    return [{"key": f"intersect/{fan.name}/{args.classes}",
+             "suite": "intersect", "testbed": fan.name,
+             "value": value, "pass": True}], {"classes": args.classes}
 
 
-def cmd_mixedvol(args, fans) -> int:
+def cmd_mixedvol(args, fans):
     text = args.bodies
     try:
         if text.startswith("@"):
@@ -367,11 +345,7 @@ def cmd_mixedvol(args, fans) -> int:
         value = mixed_volume(bodies)
     except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad bodies: {exc}") from exc
-    record = {"key": "mixedvol", "suite": "mixedvol", "value": value,
-              "pass": True}
-    report = make_report("mixedvol", _config_echo(args), [record])
-    emit(report, args.format, args.out)
-    return 0
+    return [{"key": "mixedvol", "suite": "mixedvol", "value": value, "pass": True}], None
 
 
 COMMANDS = {
@@ -392,7 +366,10 @@ def main(argv=None) -> int:
             raise ConfigError("--grid-den must be positive")
         check_enumeration(args.grid_den + 1, "--grid-den")
         fans = _load_fans(args)
-        return COMMANDS[args.command](args, fans)
+        records, extra = COMMANDS[args.command](args, fans)
+        report = make_report(args.command, _config_echo(args, extra), records)
+        emit(report, args.format, args.out)
+        return 0 if report["summary"]["failed"] == 0 else 1
     except (ConfigError, EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,8 @@
 """Exact convex-body arithmetic over the rationals.
 
 Polytopes live in Q^d and are stored by their canonical V-representation:
-the lexicographically sorted tuple of extreme points.  Every operation
+the lexicographically sorted extreme points, as integer points over the
+least common denominator of their coordinates.  Every operation
 (hulls, Minkowski sums, scalings, slices, volumes, mixed volumes) is pure
 and exact; no floating point appears anywhere.  Lower-dimensional bodies
 (segments in the plane, faces of slices, ...) are first-class values with
@@ -15,7 +16,11 @@ for k = 2 (vertices, edge inequalities and the shoelace area in one
 pass), a conflict-list beneath-beyond for k >= 3 with the vertices read
 off the facet incidences, so all orientation predicates are exact integer
 determinants.  Facets, volume and vertices come out of that one pass and
-are kept with the body.
+are kept with the body.  Every body is built by that integer hull
+(`integer_hull`); `Polytope.hull` is the only place where rational points
+are scaled to integers, and the other operations scale only their
+rational argument (a shift, a scale factor).  Scaling keeps the hull data
+of its argument instead of taking the hull again.
 
 Mixed volumes of two distinct bodies, V(K^j, L^(d-j)), are read off the
 polynomial vol(sK + L), fitted exactly from d - 1 Minkowski sums; three
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from operator import mul
 
 from .linalg import (
@@ -45,7 +50,9 @@ from .linalg import (
 __all__ = [
     "Polytope",
     "FormalBody",
+    "affine_image",
     "convex_hull",
+    "integer_hull",
     "minkowski_sum",
     "scale",
     "mixed_volume",
@@ -192,17 +199,21 @@ def _simplicial_hull(pts: list[tuple[int, ...]]) -> tuple[list[int], list, int]:
     return keep, sorted(facets), kvol
 
 
-def _from_int(d: int, L: int, ipts: list[tuple[int, ...]]) -> "Polytope":
-    """Hull of the distinct sorted points ipts / L.
+def integer_hull(d: int, L: int, ipts) -> "Polytope":
+    """Hull of the integer points ipts / L in R^d, in any order and with
+    repeats; no points give the empty body.
 
     The affine hull comes from one fraction-free elimination over the
-    differences from ipts[0].  Its direction projects bijectively onto the
-    pivot columns, so the hull is taken there, in k = affine rank
+    differences from the least point.  Its direction projects bijectively
+    onto the pivot columns, so the hull is taken there, in k = affine rank
     coordinates: an interval for k = 1, the monotone chain for k = 2 and
     the conflict-list beneath-beyond for k >= 3.  The body keeps k, the
     echelon rows, the pivot columns, the primitive facets (n, c) of the
     projection and its volume.
     """
+    ipts = sorted(set(ipts))  # L > 0, so the points sort like the rationals they scale
+    if not ipts:
+        return Polytope.empty(d)
     q0 = ipts[0]
     echelon = independent_rows([x - y for x, y in zip(p, q0)] for p in ipts[1:])
     k = len(echelon)
@@ -218,13 +229,9 @@ def _from_int(d: int, L: int, ipts: list[tuple[int, ...]]) -> "Polytope":
         keep, facets, kvol = _planar_hull(coords)
     else:
         keep, facets, kvol = _simplicial_hull(coords)
-    keep.sort()
-    verts = tuple(tuple(Fraction(x, L) for x in ipts[i]) for i in keep)
-    out = Polytope(d, verts, _trusted=True)
-    out._geom = {"k": k, "rows": [e for _, _, e in echelon], "cols": cols,
-                 "facets": facets, "L": L,
-                 "volume": Fraction(kvol, factorial(d) * L ** d) if k == d else Fraction(0)}
-    return out
+    volume = Fraction(kvol, factorial(d) * L ** d) if k == d else Fraction(0)
+    return Polytope(d, L, [ipts[i] for i in sorted(keep)],
+                    (k, [e for _, _, e in echelon], cols, facets, volume), _trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -232,31 +239,43 @@ def _from_int(d: int, L: int, ipts: list[tuple[int, ...]]) -> "Polytope":
 # ---------------------------------------------------------------------------
 
 class Polytope:
-    """Canonical exact polytope: sorted minimal vertex list in Q^d."""
+    """Canonical exact polytope: its sorted vertices as integer points `ipts`
+    over L, the least common denominator of their coordinates, kept with the
+    hull data of those points (see `integer_hull`)."""
 
-    __slots__ = ("dim", "vertices", "_geom", "_hash")
+    __slots__ = ("dim", "L", "ipts", "k", "rows", "cols", "facets", "_volume", "_halfspaces")
 
-    def __init__(self, dim: int, vertices: tuple[Vec, ...], _trusted=False):
+    def __init__(self, dim: int, L: int, ipts, hull, _trusted=False):
+        """hull = (k, echelon rows, pivot columns, facets, volume) of the
+        sorted vertices ipts / L, or None for the empty body.  The points and
+        facet offsets are divided by g = gcd(L, coordinates), so that `==`
+        and `hash` compare (dim, L, points); g divides every offset, which
+        is n.x at some vertex x."""
         if not _trusted:
             raise TypeError("use Polytope.hull / Polytope.empty / Polytope.point")
-        self.dim = dim
-        self.vertices = vertices
-        self._geom = self._hash = None
+        k, rows, cols, facets, volume = hull or (-1, None, None, None, Fraction(0))
+        g = gcd(L, *(x for p in ipts for x in p))
+        if g > 1:
+            L //= g
+            ipts = [tuple(x // g for x in p) for p in ipts]
+            facets = [(n, c // g) for n, c in facets]
+        self.dim, self.L, self.ipts = dim, L, tuple(ipts)
+        self.k, self.rows, self.cols, self.facets, self._volume = k, rows, cols, facets, volume
+        self._halfspaces = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def empty(dim: int) -> "Polytope":
-        return Polytope(dim, (), _trusted=True)
+        return Polytope(dim, 1, (), None, _trusted=True)
 
     @staticmethod
     def point(coords) -> "Polytope":
-        v = vec(coords)
-        return Polytope(len(v), (v,), _trusted=True)
+        return Polytope.hull([coords])
 
     @staticmethod
     def hull(points, dim: int | None = None) -> "Polytope":
-        pts = {vec(p) for p in points}
+        pts = [vec(p) for p in points]
         if not pts:
             if dim is None:
                 raise ValueError("empty hull needs an explicit ambient dimension")
@@ -265,45 +284,36 @@ class Polytope:
         if dim is not None and dim != d:
             raise DimensionMismatch(f"expected dimension {dim}, got {d}")
         L = common_denominator(pts)
-        # L > 0, so the integer points sort like the rationals they scale
-        return _from_int(d, L, sorted(to_int_points(pts, L)))
+        return integer_hull(d, L, to_int_points(pts, L))
 
     # -- basic protocol ----------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, Polytope)
-                and self.dim == other.dim and self.vertices == other.vertices)
+        return (isinstance(other, Polytope) and self.dim == other.dim
+                and self.L == other.L and self.ipts == other.ipts)
 
-    def __hash__(self):  # cached: the vertices never change
-        if self._hash is None:
-            self._hash = hash((self.dim, self.vertices))
-        return self._hash
+    def __hash__(self):
+        return hash((self.dim, self.L, self.ipts))
 
     def __repr__(self):
         if self.is_empty():
             return f"Polytope(empty, R^{self.dim})"
-        return f"Polytope({len(self.vertices)} vertices, R^{self.dim})"
+        return f"Polytope({len(self.ipts)} vertices, R^{self.dim})"
 
     def is_empty(self) -> bool:
-        return not self.vertices
+        return not self.ipts
+
+    @property
+    def vertices(self) -> tuple[Vec, ...]:
+        """The sorted vertices as Fractions, built on each access."""
+        return tuple(tuple(Fraction(x, self.L) for x in p) for p in self.ipts)
 
     @property
     def affine_dim(self) -> int:
         """Dimension of the affine hull (-1 for the empty body)."""
-        if self.is_empty():
-            return -1
-        return self._geometry()["k"]
+        return self.k
 
     # -- derived geometry ----------------------------------------------------
-
-    def _geometry(self):
-        """Integer hull data of the vertices (cached; see `_from_int`)."""
-        if self._geom is None:
-            if self.is_empty():
-                raise ValueError("empty polytope has no geometry")
-            L = common_denominator(self.vertices)
-            self._geom = _from_int(self.dim, L, to_int_points(self.vertices, L))._geom
-        return self._geom
 
     def halfspaces(self):
         """(equalities, inequalities): pairs (normal, offset).
@@ -313,9 +323,11 @@ class Polytope:
         Facet normals are the primitive integer normals of the body's
         projection to the pivot coordinates of its affine hull.
         """
-        g = self._geometry()
-        if "halfspaces" not in g:
-            d, p0, rows, cols = self.dim, self.vertices[0], g["rows"], g["cols"]
+        if self.is_empty():
+            raise ValueError("empty polytope has no geometry")
+        if self._halfspaces is None:
+            d, rows, cols = self.dim, self.rows, self.cols
+            p0 = tuple(Fraction(x, self.L) for x in self.ipts[0])
             # one normal w per free column f, w_f = 1: the echelon rows restricted
             # to the pivot columns are square and invertible (Cramer's rule)
             free = [f for f in range(d) if f not in cols]
@@ -327,13 +339,13 @@ class Polytope:
                     w[c] = Fraction(-sum(e[f] * a[j] for e, a in zip(rows, adj)), det)
                 eqs.append((tuple(w), dot(w, p0)))
             ineqs = []
-            for n, c in g["facets"]:
+            for n, c in self.facets:
                 normal = [Fraction(0)] * d
-                for col, x in zip(g["cols"], n):
+                for col, x in zip(cols, n):
                     normal[col] = Fraction(x)
-                ineqs.append((tuple(normal), Fraction(c, g["L"])))
-            g["halfspaces"] = (eqs, ineqs)
-        eqs, ineqs = g["halfspaces"]
+                ineqs.append((tuple(normal), Fraction(c, self.L)))
+            self._halfspaces = (eqs, ineqs)
+        eqs, ineqs = self._halfspaces
         return list(eqs), list(ineqs)
 
     def contains_point(self, point) -> bool:
@@ -357,31 +369,25 @@ class Polytope:
 
     def volume(self) -> Fraction:
         """Exact d-dimensional volume (0 for lower-dimensional bodies)."""
-        if self.is_empty():
-            return Fraction(0)
-        return self._geometry()["volume"]
+        return self._volume
 
     def first_coordinate_range(self):
         """(min, max) of the first coordinate over the body."""
         if self.is_empty():
             raise ValueError("empty polytope")
-        xs = [v[0] for v in self.vertices]
-        return min(xs), max(xs)
+        xs = [p[0] for p in self.ipts]
+        return Fraction(min(xs), self.L), Fraction(max(xs), self.L)
 
     def translate(self, offset) -> "Polytope":
-        off = vec(offset)
-        if self.is_empty():
-            return self
-        if len(off) != self.dim:
-            raise DimensionMismatch("translation dimension mismatch")
-        verts = tuple(tuple(x + o for x, o in zip(v, off)) for v in self.vertices)
-        return Polytope(self.dim, verts, _trusted=True)  # lex order preserved
+        return minkowski_sum(self, Polytope.point(offset))
 
     def embed_prefix(self, value) -> "Polytope":
         """{value} x P inside R^{d+1}."""
         t = rat(value)
-        verts = tuple((t,) + v for v in self.vertices)
-        return Polytope(self.dim + 1, verts, _trusted=True)
+        L = lcm(self.L, t.denominator)
+        head, s = t.numerator * (L // t.denominator), L // self.L
+        return integer_hull(self.dim + 1, L, [(head,) + tuple(s * x for x in p)
+                                              for p in self.ipts])
 
     def to_json(self):
         return {
@@ -409,30 +415,41 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     """
     if p.dim != q.dim:
         raise DimensionMismatch("Minkowski sum of different ambient dimensions")
-    if p.is_empty() or q.is_empty():
-        return Polytope.empty(p.dim)
-    if len(q.vertices) == 1:
-        return p.translate(q.vertices[0])
-    if len(p.vertices) == 1:
-        return q.translate(p.vertices[0])
-    L = common_denominator(p.vertices + q.vertices)
-    sums = {tuple(a + b for a, b in zip(u, v))
-            for u in to_int_points(p.vertices, L)
-            for v in to_int_points(q.vertices, L)}
-    return _from_int(p.dim, L, sorted(sums))
+    L = lcm(p.L, q.L)
+    a, b = L // p.L, L // q.L
+    return integer_hull(p.dim, L, [tuple(a * x + b * y for x, y in zip(u, v))
+                                   for u in p.ipts for v in q.ipts])
 
 
 def scale(p: Polytope, c) -> Polytope:
-    """{c x : x in P} for rational c >= 0."""
+    """{c x : x in P} for rational c >= 0.
+
+    For c = a/b > 0 the hull data carry over: the affine rank, echelon rows
+    and pivot columns stay, each facet (n, f) becomes (n, a f) over b L
+    and the volume gains the factor c^d.
+    """
     c = rat(c)
     if c < 0:
         raise ValueError("scale factor must be nonnegative")
-    if p.is_empty():
-        return p
-    if c == 0:
-        return Polytope.point([0] * p.dim)
-    verts = tuple(tuple(c * x for x in v) for v in p.vertices)
-    return Polytope(p.dim, verts, _trusted=True)  # order preserved for c > 0
+    if not c or p.is_empty():  # the hull of the origin, or of no point
+        return integer_hull(p.dim, 1, [(0,) * p.dim for _ in p.ipts[:1]])
+    a = c.numerator
+    return Polytope(p.dim, p.L * c.denominator, [tuple(a * x for x in v) for v in p.ipts],
+                    (p.k, p.rows, p.cols, [(n, a * f) for n, f in p.facets],
+                     p._volume * c ** p.dim), _trusted=True)
+
+
+def affine_image(p: Polytope, rows, shift) -> Polytope:
+    """{R x + s : x in P} for an integer matrix R, one row per coordinate of
+    the image, and a rational shift s, taken on integers."""
+    s = vec(shift)
+    if len(s) != len(rows) or any(len(r) != p.dim for r in rows):
+        raise DimensionMismatch("affine map does not fit the polytope")
+    L = lcm(p.L, *(x.denominator for x in s))
+    f = L // p.L
+    s = [x.numerator * (L // x.denominator) for x in s]
+    return integer_hull(len(rows), L, [tuple(f * sum(map(mul, r, x)) + o
+                                             for r, o in zip(rows, s)) for x in p.ipts])
 
 
 def mixed_volume(bodies) -> Fraction:
@@ -497,9 +514,10 @@ def slice_at(p: Polytope, t) -> Polytope:
     if p.dim < 2:
         raise ValueError("slice needs ambient dimension >= 2")
     t = rat(t)
-    pts = [v[1:] for v in p.vertices if v[0] == t]
-    below = [v for v in p.vertices if v[0] < t]
-    above = [v for v in p.vertices if v[0] > t]
+    verts = p.vertices
+    pts = [v[1:] for v in verts if v[0] == t]
+    below = [v for v in verts if v[0] < t]
+    above = [v for v in verts if v[0] > t]
     for u in below:
         for w in above:
             lam = (t - u[0]) / (w[0] - u[0])
@@ -511,7 +529,7 @@ def equals(p: Polytope, q: Polytope) -> bool:
     """Exact set equality, decided on canonical V-representations."""
     if p.dim != q.dim:
         raise DimensionMismatch("comparing polytopes of different dimensions")
-    return p.vertices == q.vertices
+    return p == q
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +584,7 @@ class FormalBody:
 
     def is_convex_body(self) -> bool:
         """True if the class is represented by an honest convex body."""
-        return len(self.negative.vertices) == 1
+        return len(self.negative.ipts) == 1
 
     def as_polytope(self) -> Polytope:
         """The represented body when the negative side is a point."""

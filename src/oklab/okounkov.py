@@ -24,8 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exactgeom import Polytope, slice_at
-from .linalg import dot
+from .exactgeom import Polytope, affine_image, slice_at
 from .toric import (
     AdmissibleFlag,
     TDivisor,
@@ -89,11 +88,9 @@ def _section_image(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     """
     fan = flag.fan
     d = fan.dim
-    rays = [fan.rays[i] for i in flag.ray_indices]
-    shifts = [divisor.coeffs[i] for i in flag.ray_indices]
-    body = Polytope.hull(
-        [tuple(dot(u, r) + a for r, a in zip(rays, shifts))
-         for u in polytope_of_divisor(fan, divisor).vertices], dim=d)
+    body = affine_image(polytope_of_divisor(fan, divisor),
+                        [fan.rays[i] for i in flag.ray_indices],
+                        [divisor.coeffs[i] for i in flag.ray_indices])
     nef = fan.classes.is_nef(divisor.cls)
     if nef and factorial(d) * body.volume() != intersection_number(fan, [divisor] * d):
         raise CertificateError(

@@ -26,12 +26,10 @@ from itertools import combinations, product
 from math import prod
 from operator import mul
 
-from .exactgeom import Polytope
+from .exactgeom import Polytope, integer_hull
 from .linalg import (
     adjugate,
     common_denominator,
-    cross_normal_int,
-    det_int,
     dot,
     independent_rows,
     integer_row,
@@ -52,7 +50,6 @@ __all__ = [
     "intersection_number",
     "flag_corresponds",
     "mu",
-    "boundary_membership",
     "star_model",
     "testbed",
     "testbed_names",
@@ -85,7 +82,9 @@ class Fan:
     unimodular), and completeness: every ridge is shared by exactly two
     maximal cones sitting on opposite sides, the adjacency graph is
     connected, and a deterministic generic point is covered exactly once
-    (which rules out fans wrapping around the origin multiple times).
+    (which rules out fans wrapping around the origin multiple times).  The
+    smoothness test takes each cone's adjugate, which gives its dual basis,
+    kept in `dual_bases` for the ridge test and the divisor polytopes.
     """
 
     def __init__(self, name: str, rays, max_cones):
@@ -110,13 +109,16 @@ class Fan:
                 raise FanError("zero ray")
             if primitive(r) != r:
                 raise FanError(f"non-primitive ray {r}")
+        self.dual_bases = {}  # cone -> rows m_k with <m_k, v_l> = delta_kl on its rays
         for c in self.max_cones:
             if len(c) != d or len(set(c)) != d:
                 raise FanError(f"maximal cone {c} must have {d} distinct rays")
             if not all(0 <= i < len(self.rays) for i in c):
                 raise FanError(f"cone {c} references unknown rays")
-            if abs(det_int([list(self.rays[i]) for i in c])) != 1:
+            adj, det = adjugate([self.rays[i] for i in c])
+            if abs(det) != 1:
                 raise FanError(f"cone {c} is not smooth (|det| != 1)")
+            self.dual_bases[c] = tuple(tuple(det * x for x in a) for a in adj)
         if len(set(self.max_cones)) != len(self.max_cones):
             raise FanError("duplicate maximal cones")
         if d == 1:
@@ -139,12 +141,9 @@ class Fan:
             if len(inc) != 2:
                 raise FanError(f"ridge {sorted(key)} lies in {len(inc)} cones, not 2")
             (c1, o1), (c2, o2) = inc
-            normal = cross_normal_int([self.rays[i] for i in sorted(key)])
-            if not any(normal):
-                raise FanError(f"ridge {sorted(key)} not of rank {d - 1}")
-            s1 = sum(map(mul, normal, self.rays[o1]))
-            s2 = sum(map(mul, normal, self.rays[o2]))
-            if s1 == 0 or s2 == 0 or (s1 > 0) == (s2 > 0):
+            # the dual vector of o1 on its cone is normal to the ridge, <m, v_o1> = 1
+            cone = self.max_cones[c1]
+            if sum(map(mul, self.dual_bases[cone][cone.index(o1)], self.rays[o2])) >= 0:
                 raise FanError(f"cones at ridge {sorted(key)} do not span both sides")
             adj[c1].add(c2)
             adj[c2].add(c1)
@@ -163,9 +162,8 @@ class Fan:
     def _check_generic_point(self):
         for k in (997, 1009, 1013, 1019, 1021):
             p = [Fraction(1, k ** j) for j in range(self.dim)]
-            # p = sum_i <m_i, p> v_i on each smooth cone; no memo for an unchecked fan
-            lams = [[dot(m, p) for m in _dual_basis.__wrapped__(self, cone)]
-                    for cone in self.max_cones]
+            # p = sum_i <m_i, p> v_i on each smooth cone
+            lams = [[dot(m, p) for m in self.dual_bases[cone]] for cone in self.max_cones]
             if any(x == 0 for lam in lams for x in lam):
                 continue
             hits = sum(all(x > 0 for x in lam) for lam in lams)
@@ -345,11 +343,14 @@ class NumClassSpace:
 
     def mu(self, m_cls, e_cls) -> Fraction:
         """sup{s : M - s E big} for big M, as an exact facet-ratio minimum."""
-        if not self.is_big(m_cls):
-            raise ValueError("mu requires a big class")
         (m, m_den), (e, e_den) = integer_row(m_cls), integer_row(e_cls)
-        ratios = [Fraction(sum(map(mul, g, m)) * e_den, ge * m_den)
-                  for g in self.eff_rows if (ge := sum(map(mul, g, e))) > 0]
+        ratios = []
+        for g in self.eff_rows:
+            gm = sum(map(mul, g, m))
+            if gm <= 0:
+                raise ValueError("mu requires a big class")
+            if (ge := sum(map(mul, g, e))) > 0:
+                ratios.append(Fraction(gm * e_den, ge * m_den))
         if not ratios:
             raise ValueError("mu is unbounded: E never exits the cone")
         return min(ratios)
@@ -402,10 +403,9 @@ def polytope_of_divisor(fan: Fan, divisor: TDivisor) -> Polytope:
     n, d = len(fan.rays), fan.dim
     if fan.classes.is_nef(divisor.cls):
         a, den = integer_row(divisor.coeffs)
-        return Polytope.hull(
-            [tuple(Fraction(-sum(a[i] * m[j] for i, m in zip(sigma, _dual_basis(fan, sigma))),
-                            den) for j in range(d))
-             for sigma in fan.max_cones], dim=d)
+        return integer_hull(d, den, [
+            tuple(-sum(a[i] * m[j] for i, m in zip(sigma, fan.dual_bases[sigma]))
+                  for j in range(d)) for sigma in fan.max_cones])
     a = divisor.coeffs
     verts = []
     for sub in combinations(range(n), d):
@@ -436,13 +436,6 @@ def flag_valuation(flag: AdmissibleFlag, divisor: TDivisor, u):
 
 
 @lru_cache(maxsize=None)
-def _dual_basis(fan: Fan, cone: tuple) -> tuple:
-    """Integer rows m_k with <m_k, v_l> = delta_kl on a smooth cone's rays (memoised)."""
-    adj, det = adjugate([fan.rays[i] for i in cone])  # det = +-1
-    return tuple(tuple(det * x for x in a) for a in adj)
-
-
-@lru_cache(maxsize=None)
 def _monomial(fan: Fan, rays: tuple) -> int:
     """D_{r_1} ... D_{r_d} for a sorted ray tuple, memoised on the fan object
     (Fulton, Introduction to Toric Varieties, Sec. 5.2).
@@ -460,7 +453,7 @@ def _monomial(fan: Fan, rays: tuple) -> int:
     if len(support) == len(rays):
         return 1
     rho = next(r for r, s in zip(rays, rays[1:]) if r == s)
-    m = _dual_basis(fan, sigma)[sigma.index(rho)]
+    m = fan.dual_bases[sigma][sigma.index(rho)]
     rest = list(rays)
     rest.remove(rho)
     return -sum(sum(x * y for x, y in zip(m, fan.rays[j]))
@@ -538,10 +531,6 @@ def mu(fan: Fan, m: TDivisor, e_cls) -> Fraction:
     return fan.classes.mu(m.cls, e_cls)
 
 
-def boundary_membership(fan: Fan, cls) -> str:
-    return fan.classes.boundary_membership(cls)
-
-
 # ---------------------------------------------------------------------------
 # star fans (restriction to Y_1)
 # ---------------------------------------------------------------------------
@@ -579,7 +568,8 @@ def star_model(fan: Fan, flag: AdmissibleFlag) -> StarModel:
     if fan.dim < 2:
         raise ValueError("star models need dimension >= 2")
     d = fan.dim
-    urows = _dual_basis(fan, flag.ray_indices)
+    sigma = tuple(sorted(flag.ray_indices))
+    urows = tuple(fan.dual_bases[sigma][sigma.index(i)] for i in flag.ray_indices)
     v1 = flag.ray_indices[0]
     adjacent = sorted({rho for cone in fan.max_cones if v1 in cone
                        for rho in cone if rho != v1})

@@ -16,6 +16,7 @@ from oklab.exactgeom import (
     Polytope,
     _planar_hull,
     _simplicial_hull,
+    affine_image,
     convex_hull,
     equals,
     minkowski_sum,
@@ -439,7 +440,7 @@ def test_planar_sets_embedded_in_space(pts, a, b, offset):
         assert flat.vertices == tuple(sorted(pts[i] for i in keep))
         # the chain runs on the pivot coordinates of the embedded set
         _, ispace = _integer_points([embed(p) for p in pts])
-        cols = space._geometry()["cols"]
+        cols = space.cols
         _assert_chain_matches_beneath_beyond([tuple(p[c] for c in cols) for p in ispace])
     for p in pts:
         assert space.contains_point(embed(p))
@@ -581,8 +582,10 @@ def test_conflict_list_hull_matches_oracle(make, d, data):
     keep, facets, kvol = _assert_matches_hull_oracle(ipts)
     body = convex_hull(pts)
     assert body.vertices == tuple(pts[i] for i in keep)
-    assert body._geometry()["facets"] == facets
-    assert body.volume() * factorial(d) * body._geometry()["L"] ** d == kvol
+    # the body keeps its offsets over the least common denominator of its vertices
+    den = common_denominator(pts)
+    assert [(n, c * den // body.L) for n, c in body.facets] == facets
+    assert body.volume() * factorial(d) * den ** d == kvol
 
 
 @seed(2024)
@@ -599,11 +602,13 @@ def test_conflict_list_hull_of_rank_three_sets_in_four_space(data, rows):
                                  for x in flat])
     space = convex_hull(pts)
     assume(space.affine_dim == 3)
-    cols = space._geometry()["cols"]
+    cols = space.cols
     proj = [tuple(p[c] for c in cols) for p in ipts]
     keep, facets, _ = _assert_matches_hull_oracle(proj)
     assert space.vertices == tuple(pts[i] for i in keep)
-    assert space._geometry()["facets"] == facets and space.volume() == 0
+    den = common_denominator(pts)
+    assert [(n, c * den // space.L) for n, c in space.facets] == facets
+    assert space.volume() == 0
 
 
 @seed(2024)
@@ -627,3 +632,64 @@ def test_edge_points_of_the_cross_polytope_in_four_space():
     body = convex_hull(pts)
     assert sorted(body.vertices) == sorted(tuple(map(F, p)) for p in tips)
     assert len(body.halfspaces()[1]) == 16 and body.volume() == F(2 ** 4 * 16, 24)
+
+
+# --- integer vertices over one denominator ------------------------------------
+
+def _assert_canonical(body):
+    """The body is the hull of its own vertices, kept over their least common
+    denominator with the same points, facets and volume."""
+    again = Polytope.hull(body.vertices, dim=body.dim)
+    assert body.L == common_denominator(body.vertices)
+    assert (body.L, body.ipts, body.k, body.cols, body.facets, body.volume()) == \
+        (again.L, again.ipts, again.k, again.cols, again.facets, again.volume())
+    assert body == again and hash(body) == hash(again)
+
+
+@seed(2024)
+@given(st.integers(2, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_operation_keeps_the_canonical_integer_body(d, data):
+    point_sets = st.lists(st.tuples(*[grid_coords] * d), min_size=1, max_size=8)
+    p, q = convex_hull(data.draw(point_sets)), convex_hull(data.draw(point_sets))
+    offset = data.draw(st.tuples(*[grid_coords] * d))
+    rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                              min_size=1, max_size=d + 1))
+    shift = data.draw(st.tuples(*[grid_coords] * len(rows)))
+    empty = Polytope.empty(d)
+    bodies = [p, q, empty, Polytope.point(offset), p.translate(offset), empty.translate(offset),
+              p.embed_prefix(offset[0]), minkowski_sum(p, q), minkowski_sum(p, empty),
+              affine_image(p, rows, shift), affine_image(empty, rows, shift)]
+    bodies += [scale(b, c) for b in (p, q, empty) for c in (0, F(1, 3), 2, F(5, 2))]
+    for body in bodies:
+        _assert_canonical(body)
+    for a in bodies:
+        for b in bodies:
+            assert (a == b) == (a.dim == b.dim and a.vertices == b.vertices)
+            assert a != b or hash(a) == hash(b)
+
+
+@seed(2024)
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_affine_image_matches_the_fraction_route(d, m, data):
+    pts = data.draw(st.lists(st.tuples(*[grid_coords] * d), min_size=1, max_size=8))
+    entry = st.integers(-3, 3)
+    rows = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=m, max_size=m))
+    if m > 1 and data.draw(st.booleans()):  # singular: the last row a combination
+        a, b = data.draw(entry), data.draw(entry)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[m - 2])]
+    shift = data.draw(st.tuples(*[grid_coords] * m))
+    body = convex_hull(pts)
+    image = affine_image(body, rows, shift)
+    oracle = Polytope.hull([tuple(dot(r, x) + s for r, s in zip(rows, shift))
+                            for x in body.vertices], dim=m)
+    assert image == oracle
+    assert (image.facets, image.volume()) == (oracle.facets, oracle.volume())
+
+
+def test_affine_image_rejects_a_map_of_the_wrong_shape():
+    with pytest.raises(DimensionMismatch):
+        affine_image(UNIT_SQUARE, [(1, 0, 0)], (0,))
+    with pytest.raises(DimensionMismatch):
+        affine_image(UNIT_SQUARE, [(1, 0), (0, 1)], (0,))

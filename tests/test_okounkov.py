@@ -13,9 +13,10 @@ from graded_oracle import (
 )
 from oklab.exactgeom import Polytope, convex_hull, scale, slice_at
 from oklab.inequalities import find_corresponding_flag
-from oklab.linalg import common_denominator
+from oklab.linalg import common_denominator, dot
 from oklab.okounkov import (
     NonBigClassError,
+    _section_image,
     NotAmpleError,
     mu_endpoint_check,
     nef_body,
@@ -33,6 +34,7 @@ from oklab.toric import (
     star_model,
     testbed,
 )
+from oklab.verify import SLICE_CONFIGS, SWEEP_CONFIGS
 
 
 def verts(*points):
@@ -372,3 +374,34 @@ def test_fans_sharing_a_name_share_no_cached_data():
     assert restricted.body == restricted_body(TDivisor(f1, (0, 1, 2, 0)), f1_flag).body
     assert find_corresponding_flag(alias, TDivisor(alias, (1, 0, 0, 0))).ray_indices \
         == (0, 1)
+
+
+# --- the integer image phi(P_D) against the Fraction route ----------------------
+
+def _section_cases():
+    for name, specs in SWEEP_CONFIGS.items():
+        for flag_rays, lco, mco in specs:
+            yield name, flag_rays, lco
+            yield name, flag_rays, mco
+    for name, specs in SLICE_CONFIGS.items():
+        for flag_rays, mco in specs:
+            yield name, flag_rays, mco
+    # big classes outside the nef cone, with fractional coefficients
+    yield "f1", (1, 0), (F(1, 2), 3, 0, F(5, 2))
+    yield "blpq-p2", (3, 0), (0, F(1, 3), 1, 1, F(5, 2))
+
+
+@pytest.mark.parametrize("name, flag_rays, coeffs", list(_section_cases()))
+def test_section_image_matches_the_fraction_route(name, flag_rays, coeffs):
+    fan = testbed(name)
+    flag = AdmissibleFlag(fan, flag_rays)
+    div = TDivisor(fan, coeffs)
+    if any(isinstance(c, F) for c in coeffs):
+        assert fan.classes.is_big(div.cls) and not fan.classes.is_nef(div.cls)
+    # phi(u) = (<u, v_i> + a_i)_i over the Fraction vertices of P_D
+    oracle = Polytope.hull(
+        [tuple(dot(u, fan.rays[i]) + div.coeffs[i] for i in flag.ray_indices)
+         for u in polytope_of_divisor(fan, div).vertices], dim=fan.dim)
+    body = _section_image(div, flag).body
+    assert body == oracle
+    assert (body.facets, body.volume()) == (oracle.facets, oracle.volume())

@@ -21,7 +21,6 @@ from oklab.toric import (
     Fan,
     FanError,
     TDivisor,
-    boundary_membership,
     flag_corresponds,
     flag_valuation,
     intersection_number,
@@ -76,6 +75,13 @@ def test_fan_rejects_duplicate_ray():
         Fan("bad", [[1, 0], [1, 0], [0, 1]], [[0, 2], [1, 2]])
 
 
+def test_fan_rejects_cones_on_one_side_of_a_ridge():
+    # every cone is smooth and every ridge lies in two cones, but the cones
+    # [0, 1] and [0, 2] both lie above the ridge spanned by ray 0
+    with pytest.raises(FanError, match="both sides"):
+        Fan("folded", [[1, 0], [0, 1], [1, 1]], [[0, 1], [1, 2], [0, 2]])
+
+
 # --- classes and cones ------------------------------------------------------
 
 def test_p2_class_is_degree():
@@ -103,17 +109,17 @@ def test_f1_cone_structure():
     f1 = testbed("f1")
     e_cls = f1.classes.class_of((0, 1, 0, 0))
     assert e_cls == (-1, 1)
-    assert boundary_membership(f1, e_cls) == "boundary"  # E on the eff boundary
+    assert f1.classes.boundary_membership(e_cls) == "boundary"  # E on the eff boundary
     assert f1.classes.is_ample((1, 1))  # 2H - E
     assert not f1.classes.is_nef(e_cls)
 
 
 def test_boundary_membership_trichotomy():
     pp = testbed("p1xp1")
-    assert boundary_membership(pp, (1, 1)) == "interior"
-    assert boundary_membership(pp, (0, 1)) == "boundary"
-    assert boundary_membership(pp, (-1, 1)) == "outside"
-    assert boundary_membership(pp, (0, 0)) == "boundary"  # apex of the cone
+    assert pp.classes.boundary_membership((1, 1)) == "interior"
+    assert pp.classes.boundary_membership((0, 1)) == "boundary"
+    assert pp.classes.boundary_membership((-1, 1)) == "outside"
+    assert pp.classes.boundary_membership((0, 0)) == "boundary"  # apex of the cone
 
 
 def test_divisor_from_class_roundtrip():
