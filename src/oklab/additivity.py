@@ -279,7 +279,7 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
         ok = step("slice((1+c)N1 + t0*O(Y1), t) = restricted((1+c)N1 - (t-t0)*O(Y1))",
                   slice_d2, img) and ok
         lhs_embed = img.embed_prefix(t)
-        rhs_embed = img.embed_prefix(t - t0).translate(e1_scaled(t0, d))
+        rhs_embed = img.embed_prefix(t - t0).translate(tuple(t0 * x for x in e1))
         ok = step("{t} x S = t0*e1 + {t-t0} x S", lhs_embed, rhs_embed) and ok
         ok = step("restricted((1+c)N1 - (t-t0)*O(Y1)) = slice((1+c)N1, t-t0)",
                   img, slice_at(no_body_rational(n1.scaled(1 + c), flag).body, t - t0)) and ok
@@ -325,10 +325,6 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
     meta = {"r": r, "t0": t0, "t": t, "case": "t>=t0" if t >= t0 else "t<t0",
             "lambda": (lam1, lam2), "mu": (mu1, mu2)}
     return ok, {"meta": meta, "steps": trace}
-
-
-def e1_scaled(t, d):
-    return tuple(rat(t) if i == 0 else Fraction(0) for i in range(d))
 
 
 # ---------------------------------------------------------------------------

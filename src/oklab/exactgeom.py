@@ -19,8 +19,8 @@ determinants.  Facets, volume and vertices come out of that one pass and
 are kept with the body.  Every body is built by that integer hull
 (`integer_hull`); `Polytope.hull` is the only place where rational points
 are scaled to integers, and the other operations scale only their
-rational argument (a shift, a scale factor).  Scaling keeps the hull data
-of its argument instead of taking the hull again.
+rational argument (a shift, a scale factor, a slice level).  Scaling
+keeps the hull data of its argument instead of taking the hull again.
 
 Mixed volumes of two distinct bodies, V(K^j, L^(d-j)), are read off the
 polynomial vol(sK + L), fitted exactly from d - 1 Minkowski sums; three
@@ -505,24 +505,26 @@ def mixed_volume_by_polarization(bodies) -> Fraction:
 
 
 def slice_at(p: Polytope, t) -> Polytope:
-    """{x in R^(d-1) : (t, x) in P}: the slice at first coordinate t.
+    """{x in R^(d-1) : (t, x) in P}: the slice at first coordinate t, on integers.
 
-    Computed from the V-representation: the hull of all crossings of
-    vertex segments with the hyperplane (pairs that are not edges only
-    contribute interior points, which the hull removes).
+    With h(u) = u_0 t_den - t_num L for u in ipts, the vertices with h = 0
+    lie on the slice and each pair with h(u) < 0 < h(w) crosses it at
+    (h(w) u - h(u) w) / (h(w) - h(u)) / L, all over one denominator m L
+    (pairs that are not edges only add interior points).
     """
     if p.dim < 2:
         raise ValueError("slice needs ambient dimension >= 2")
     t = rat(t)
-    verts = p.vertices
-    pts = [v[1:] for v in verts if v[0] == t]
-    below = [v for v in verts if v[0] < t]
-    above = [v for v in verts if v[0] > t]
-    for u in below:
-        for w in above:
-            lam = (t - u[0]) / (w[0] - u[0])
-            pts.append(tuple(a + lam * (b - a) for a, b in zip(u[1:], w[1:])))
-    return Polytope.hull(pts, dim=p.dim - 1)
+    h = [(u[0] * t.denominator - t.numerator * p.L, u[1:]) for u in p.ipts]
+    below = [(a, u) for a, u in h if a < 0]
+    above = [(b, w) for b, w in h if b > 0]
+    m = lcm(*{b - a for a, _ in below for b, _ in above})
+    pts = [tuple(m * x for x in u) for a, u in h if a == 0]
+    for a, u in below:
+        for b, w in above:
+            f = m // (b - a)
+            pts.append(tuple(f * (b * x - a * y) for x, y in zip(u, w)))
+    return integer_hull(p.dim - 1, m * p.L, pts)
 
 
 def equals(p: Polytope, q: Polytope) -> bool:
@@ -557,11 +559,6 @@ class FormalBody:
             raise ValueError("formal body sides must be nonempty convex bodies")
         self.positive = positive
         self.negative = negative
-
-    @staticmethod
-    def zero(dim: int) -> "FormalBody":
-        z = Polytope.point([0] * dim)
-        return FormalBody(z, z)
 
     def __eq__(self, other):
         if not isinstance(other, FormalBody):

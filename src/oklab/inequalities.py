@@ -129,27 +129,24 @@ def _basis_intersections(dmap: DeltaMap):
 
 
 def check_cor13(dmap: DeltaMap, divisors) -> tuple[bool, dict]:
-    """(1/d!)(M_1 ... M_d) == V(Delta(M_1), ..., Delta(M_d)), expanded
-    multilinearly in the (L, M) basis on both sides."""
+    """(1/d!)(M_1 ... M_d) == V(Delta(M_1), ..., Delta(M_d)): the fan's form
+    on the classes against the mixed volume expanded multilinearly in the
+    (L, M) basis."""
     fan = dmap.fan
     d = fan.dim
     divisors = list(divisors)
     if len(divisors) != d:
         raise ValueError(f"need exactly {d} classes")
     decomps = [dmap.coordinates(n) for n in divisors]
-    ints = _basis_intersections(dmap)
     mixed = [mixed_volume([dmap.body_l.body] * k + [dmap.body_m.body] * (d - k))
              for k in range(d + 1)]
-    lhs = Fraction(0)
     rhs = Fraction(0)
     for picks in product((0, 1), repeat=d):
         coeff = Fraction(1)
         for (lam, m), pick in zip(decomps, picks):
             coeff *= lam if pick else m
-        k = sum(picks)
-        lhs += coeff * ints[k]
-        rhs += coeff * mixed[k]
-    lhs /= factorial(d)
+        rhs += coeff * mixed[sum(picks)]
+    lhs = fan.classes.form([n.cls for n in divisors]) / factorial(d)
     report = {"lhs": lhs, "rhs": rhs,
               "decompositions": [tuple(x) for x in decomps]}
     return lhs == rhs, report
@@ -375,14 +372,14 @@ def mixed_volume_derivative_check(l_div: TDivisor, m_div: TDivisor,
 # randomized sweeps (seeded, deterministic)
 # ---------------------------------------------------------------------------
 
-def random_polytope(rnd: random.Random, dim: int, max_coord: int = 4,
-                    points: int = 5) -> Polytope:
+def random_polytope(rnd: random.Random, dim: int) -> Polytope:
+    """The hull of 5 points with coordinates k / den in [0, 4], den in 1..4."""
     pts = []
-    for _ in range(points):
+    for _ in range(5):
         pt = []
         for _ in range(dim):
             den = rnd.choice((1, 2, 3, 4))
-            pt.append(Fraction(rnd.randint(0, max_coord * den), den))
+            pt.append(Fraction(rnd.randint(0, 4 * den), den))
         pts.append(tuple(pt))
     return Polytope.hull(pts)
 
@@ -410,13 +407,13 @@ def random_nef_divisor(rnd: random.Random, fan: Fan, bound: int = 4) -> TDivisor
             return div
 
 
-def cor15_sweep(fan: Fan, count: int, seed: int, bound: int = 4) -> list[dict]:
+def cor15_sweep(fan: Fan, count: int, seed: int) -> list[dict]:
     rnd = random.Random(seed)
     out = []
     for idx in range(count):
-        l_div = random_nef_divisor(rnd, fan, bound)
-        m_div = random_nef_divisor(rnd, fan, bound)
-        n_div = random_nef_divisor(rnd, fan, bound)
+        l_div = random_nef_divisor(rnd, fan)
+        m_div = random_nef_divisor(rnd, fan)
+        n_div = random_nef_divisor(rnd, fan)
         res = cor15_check(l_div, m_div, n_div)
         res["index"] = idx
         res["seed"] = seed

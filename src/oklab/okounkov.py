@@ -90,7 +90,7 @@ def _section_image(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     d = fan.dim
     body = affine_image(polytope_of_divisor(fan, divisor),
                         [fan.rays[i] for i in flag.ray_indices],
-                        [divisor.coeffs[i] for i in flag.ray_indices])
+                        [Fraction(divisor.ints[i], divisor.den) for i in flag.ray_indices])
     nef = fan.classes.is_nef(divisor.cls)
     if nef and factorial(d) * body.volume() != intersection_number(fan, [divisor] * d):
         raise CertificateError(

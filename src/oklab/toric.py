@@ -1,15 +1,15 @@
 """Smooth projective toric testbeds with exact divisor/cone arithmetic.
 
 A variety is modelled by its complete smooth fan (primitive ray generators
-plus maximal cones).  Torus-invariant Q-divisors are coefficient vectors
-over the rays.  Each fan's linear algebra is done once: the class map is one
-integer matrix, and the nef and pseudo-effective cones are primitive integer
-rows.  Intersection numbers come from one multilinear form per fan, the
-Chow-ring rule on ray monomials: top intersections, degrees on invariant
-curves and the Kleiman rows of the nef cone all contract it, and none of
-them touches a polytope.  For nef D, P_D is the hull of one point per
-maximal cone; only non-nef classes search the d-subsets of rays.  Every
-linear system is square and solved by one integer adjugate.
+plus maximal cones); a torus-invariant Q-divisor is integer coefficients on
+the rays over one denominator.  Each fan's linear algebra is done once: the
+class map is one integer matrix, the nef and pseudo-effective cones are
+primitive integer rows, and the Chow-ring rule on ray monomials gives the
+curve degrees (the Kleiman rows) and the intersection form, one integer
+table on class coordinates; none of them touches a polytope.  For nef D,
+P_D is the hull of one point per maximal cone; only non-nef classes search
+the d-subsets of rays.  Every linear system is square and solved by one
+integer adjugate.
 
 Nothing in this module touches floating point, and all values are immutable
 after construction, so independent computations can run concurrently.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import prod
+from math import gcd, lcm
 from operator import mul
 
 from .exactgeom import Polytope, integer_hull
@@ -63,12 +63,22 @@ class FanError(ValueError):
 
 
 def parse_rational(x) -> Fraction:
-    """Rationals from ints, 'n/d' strings, or [num, den] pairs."""
+    """Rationals from ints, 'n/d' strings, or [num, den] pairs of ints; a float
+    such as the JSON number 0.1 is a binary value, not 1/10, so it is refused."""
     if isinstance(x, (list, tuple)):
         if len(x) != 2:
             raise ValueError(f"rational pair must have two entries: {x!r}")
-        return Fraction(int(x[0]), int(x[1]))
+        return Fraction(_integer(x[0]), _integer(x[1]))
+    if isinstance(x, (bool, float)):
+        raise ValueError(f"{x!r} is not an exact rational; write \"n/d\" or [n, d]")
     return rat(x)
+
+
+def _integer(x) -> int:
+    """x itself if it is an int; bools, floats and strings are refused, not cast."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +99,8 @@ class Fan:
 
     def __init__(self, name: str, rays, max_cones):
         self.name = name
-        self.rays = tuple(tuple(int(x) for x in r) for r in rays)
-        self.max_cones = tuple(tuple(sorted(int(i) for i in c)) for c in max_cones)
+        self.rays = tuple(tuple(_integer(x) for x in r) for r in rays)
+        self.max_cones = tuple(tuple(sorted(_integer(i) for i in c)) for c in max_cones)
         if not self.rays:
             raise FanError("fan without rays")
         self.dim = len(self.rays[0])
@@ -186,33 +196,54 @@ class Fan:
 # divisors and flags
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TDivisor:
-    """Torus-invariant Q-divisor: one rational coefficient per ray."""
+    """Torus-invariant Q-divisor: one rational coefficient per ray, kept as
+    the integers `ints` over their least common denominator `den`.  `==` and
+    `hash` compare (fan, den, ints), fans by identity; `+`, `-` and `scaled`
+    stay on integers, and `coeffs` is a read-only Fraction view."""
 
     fan: Fan
-    coeffs: tuple
+    den: int
+    ints: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(rat(c) for c in self.coeffs))
-        if len(self.coeffs) != len(self.fan.rays):
+    def __init__(self, fan: Fan, coeffs):
+        ints, den = integer_row(vec(coeffs))
+        if len(ints) != len(fan.rays):
             raise ValueError("coefficient count does not match ray count")
+        self.__dict__.update(fan=fan, den=den, ints=tuple(ints))
+
+    @staticmethod
+    def _from_ints(fan: Fan, ints, den: int) -> "TDivisor":
+        """The divisor ints / den for den > 0, reduced to the canonical form."""
+        g = gcd(den, *ints)
+        div = object.__new__(TDivisor)
+        div.__dict__.update(fan=fan, den=den // g, ints=tuple(a // g for a in ints))
+        return div
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(a, self.den) for a in self.ints)
 
     @cached_property
     def cls(self):
-        return self.fan.classes.class_of(self.coeffs)
+        return self.fan.classes.class_of(self.ints, self.den)
 
     def __add__(self, other: "TDivisor") -> "TDivisor":
         if other.fan is not self.fan:
             raise ValueError("divisors on different fans")
-        return TDivisor(self.fan, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return TDivisor._from_ints(
+            self.fan, [s * a + t * b for a, b in zip(self.ints, other.ints)], den)
 
     def __sub__(self, other: "TDivisor") -> "TDivisor":
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "TDivisor":
         c = rat(c)
-        return TDivisor(self.fan, tuple(c * a for a in self.coeffs))
+        return TDivisor._from_ints(self.fan, [c.numerator * a for a in self.ints],
+                                   self.den * c.denominator)
 
 
 @dataclass(frozen=True)
@@ -225,14 +256,10 @@ class AdmissibleFlag:
 
     def __post_init__(self):
         object.__setattr__(self, "ray_indices",
-                           tuple(int(i) for i in self.ray_indices))
+                           tuple(_integer(i) for i in self.ray_indices))
         if tuple(sorted(self.ray_indices)) not in self.fan.max_cones:
             raise ValueError(
                 f"flag rays {self.ray_indices} are not a maximal cone of {self.fan.name}")
-
-    @property
-    def dim(self):
-        return self.fan.dim
 
     def label(self) -> str:
         return "cone:" + ",".join(str(i) for i in self.ray_indices)
@@ -283,26 +310,35 @@ class NumClassSpace:
         self.curve_rows = {tau: tuple(_monomial(fan, tuple(sorted((f,) + tau)))
                                       for f in self.free_rays) for tau in fan.ridges}
         self.nef_rows = tuple(sorted({primitive(g) for g in self.curve_rows.values() if any(g)}))
+        # D_{f_1} ... D_{f_d} over the ordered d-tuples of free rays, flat in
+        # lexicographic order: the intersection form on classes
+        self._form_table = [_monomial(fan, tuple(sorted(fs)))
+                            for fs in product(self.free_rays, repeat=d)]
 
-    # -- class map -------------------------------------------------------------
+    # -- class map and intersection form ----------------------------------------
 
-    def class_of(self, coeffs):
-        """Numerical class of a ray-coefficient vector, in free-ray coordinates."""
-        a, den = integer_row(vec(coeffs))
-        if len(a) != len(self.fan.rays):
-            raise ValueError("coefficient count does not match ray count")
-        return tuple(Fraction(sum(map(mul, row, a)), den * self._class_den)
+    def class_of(self, ints, den):
+        """Numerical class of the ray-coefficient vector ints / den, in free-ray
+        coordinates: one integer product with the class matrix."""
+        return tuple(Fraction(sum(map(mul, row, ints)), den * self._class_den)
                      for row in self._class_rows)
+
+    def form(self, classes) -> Fraction:
+        """D_1 ... D_d for d classes, nef or not (Fulton, Sec. 5.2): the
+        table contracted one class at a time, on integers."""
+        table, den, r = self._form_table, 1, self.rank
+        for cls in classes:
+            y, c = integer_row(cls)
+            table = [sum(map(mul, y, table[i:i + r])) for i in range(0, len(table), r)]
+            den *= c
+        return Fraction(table[0], den)
 
     def divisor_from_class(self, cls) -> TDivisor:
         """Canonical representative: class coordinates on the free rays."""
-        cls = vec(cls)
         if len(cls) != self.rank:
             raise ValueError("class coordinate count mismatch")
-        coeffs = [Fraction(0)] * len(self.fan.rays)
-        for i, c in zip(self.free_rays, cls):
-            coeffs[i] = c
-        return TDivisor(self.fan, tuple(coeffs))
+        coeffs = dict(zip(self.free_rays, cls))
+        return TDivisor(self.fan, [coeffs.get(i, 0) for i in range(len(self.fan.rays))])
 
     @cached_property
     def nef_rays(self) -> tuple:
@@ -402,7 +438,7 @@ def polytope_of_divisor(fan: Fan, divisor: TDivisor) -> Polytope:
     """
     n, d = len(fan.rays), fan.dim
     if fan.classes.is_nef(divisor.cls):
-        a, den = integer_row(divisor.coeffs)
+        a, den = divisor.ints, divisor.den
         return integer_hull(d, den, [
             tuple(-sum(a[i] * m[j] for i, m in zip(sigma, fan.dual_bases[sigma]))
                   for j in range(d)) for sigma in fan.max_cones])
@@ -435,10 +471,9 @@ def flag_valuation(flag: AdmissibleFlag, divisor: TDivisor, u):
                  for i in flag.ray_indices)
 
 
-@lru_cache(maxsize=None)
 def _monomial(fan: Fan, rays: tuple) -> int:
-    """D_{r_1} ... D_{r_d} for a sorted ray tuple, memoised on the fan object
-    (Fulton, Introduction to Toric Varieties, Sec. 5.2).
+    """D_{r_1} ... D_{r_d} for a sorted ray tuple (Fulton, Introduction to
+    Toric Varieties, Sec. 5.2); called only while a class space is built.
 
     Distinct rays meet in one point when they span a maximal cone and not at
     all otherwise.  A repeated ray rho is traded, inside a maximal cone sigma
@@ -461,18 +496,8 @@ def _monomial(fan: Fan, rays: tuple) -> int:
                 for j in range(len(fan.rays)) if j not in sigma)
 
 
-def _form(fan: Fan, coeff_vectors) -> Fraction:
-    """The intersection form on d ray-coefficient vectors, nef or not, on integers."""
-    scaled = [integer_row(v) for v in coeff_vectors]
-    supports = [[(i, a) for i, a in enumerate(v) if a] for v, _ in scaled]
-    total = sum(prod(a for _, a in picks)
-                * _monomial(fan, tuple(sorted(i for i, _ in picks)))
-                for picks in product(*supports))
-    return Fraction(total, prod(den for _, den in scaled))
-
-
 def intersection_number(fan: Fan, divisors) -> Fraction:
-    """(D_1 . ... . D_d) for nef divisors, contracted from the fan's form.
+    """(D_1 . ... . D_d) for nef divisors: the fan's form on their classes.
 
     The form is defined for every divisor and uses no polytope; the nef
     precondition is the contract of the inequality checks and of the
@@ -487,7 +512,7 @@ def intersection_number(fan: Fan, divisors) -> Fraction:
             raise ValueError("divisor on a different fan")
         if not fan.classes.is_nef(dv.cls):
             raise ValueError("intersection numbers are only certified for nef inputs")
-    return _form(fan, [dv.coeffs for dv in divisors])
+    return fan.classes.form([dv.cls for dv in divisors])
 
 
 @lru_cache(maxsize=None)
@@ -513,13 +538,8 @@ def flag_corresponds(fan: Fan, flag: AdmissibleFlag, divisor: TDivisor):
         rows = [fan.classes.curve_rows[tau] for tau in level]
         avals = [dot(g, fan.classes.eff_generators[flag.ray_indices[i]]) for g in rows]
         bvals = [dot(g, divisor.cls) for g in rows]
-        pivot = next(((av, bv) for av, bv in zip(avals, bvals) if av != 0), None)
-        if all(bv == 0 for bv in bvals):
-            r = Fraction(0)
-        elif pivot is None:
-            return False, None
-        else:
-            r = pivot[1] / pivot[0]
+        # the ratio on the first curve Y_{i+1} meets; 0 if it meets none
+        r = next((bv / av for av, bv in zip(avals, bvals) if av), Fraction(0))
         if any(r * av != bv for av, bv in zip(avals, bvals)):
             return False, None
         ratios.append(r)
@@ -554,12 +574,12 @@ class StarModel:
     def restrict_divisor(self, divisor: TDivisor) -> TDivisor:
         """(D + div(chi^w))|_{Y_1} with w clearing the v_1 coefficient."""
         v1 = self.flag.ray_indices[0]
-        a = divisor.coeffs
+        a = divisor.ints
         w = tuple(-a[v1] * x for x in self.u_rows[0])
-        coeffs = [Fraction(0)] * len(self.star_fan.rays)
+        ints = [0] * len(self.star_fan.rays)
         for rho, si in self.ray_map.items():
-            coeffs[si] = a[rho] + dot(vec(w), vec(self.fan.rays[rho]))
-        return TDivisor(self.star_fan, tuple(coeffs))
+            ints[si] = a[rho] + sum(map(mul, w, self.fan.rays[rho]))
+        return TDivisor._from_ints(self.star_fan, ints, divisor.den)
 
 
 @lru_cache(maxsize=None)

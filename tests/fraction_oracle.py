@@ -1,12 +1,20 @@
-"""Gauss-Jordan elimination over Fractions: a test-only oracle.
+"""Gauss-Jordan elimination and the ray-support intersection form over
+Fractions: test-only oracles.
 
 The package answers every linear question by an integer closed form (the
 adjugate of a square integer matrix, Cramer's rule on pivot columns, one
 2x2 minor).  These helpers solve the same systems by plain rational row
-reduction, so the tests can check the closed forms against them.
+reduction, so the tests can check the closed forms against them.  The
+package contracts the intersection form on classes; `ray_form` expands it
+over the ray coefficients instead.
 """
 
 from fractions import Fraction
+from functools import cache, partial
+from itertools import product
+from math import prod
+
+from oklab.toric import _monomial
 
 
 def rref(rows):
@@ -65,3 +73,12 @@ def nullspace(rows):
             v[c] = -row[f]
         basis.append(tuple(v))
     return basis
+
+
+def ray_form(fan, coeff_vectors):
+    """D_1 ... D_d for d ray-coefficient vectors: the sum, over one nonzero
+    coefficient of each vector, of their product times the ray monomial."""
+    monomial = cache(partial(_monomial, fan))
+    supports = [[(i, Fraction(a)) for i, a in enumerate(v) if a] for v in coeff_vectors]
+    return sum((prod(a for _, a in picks) * monomial(tuple(sorted(i for i, _ in picks)))
+                for picks in product(*supports)), Fraction(0))

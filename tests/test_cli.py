@@ -210,6 +210,12 @@ def test_nonpositive_bounds_rejected(capsys):
     ["body", "--testbed", "p2", "--class", "1,0,0", "--flag", '{"cone":5}'],
     ["body", "--testbed", "p2", "--class", '{"coeffs":5}'],
     ["body", "--testbed", "p2", "--class", '{"coeffs":[null,0,0]}'],
+    # floats and bools are refused, not truncated or read as binary values
+    ["body", "--testbed", "p2", "--class", "1,0,0", "--flag", '{"cone":[0.7,2]}'],
+    ["body", "--testbed", "p2", "--class", "1,0,0", "--flag", '{"cone":[true,2]}'],
+    ["mu", "--testbed", "p1xp1", "--class", '{"coeffs":[0.1,1,0,1]}'],
+    ["mu", "--testbed", "p1xp1", "--class", '{"coeffs":[[1,2.0],1,0,1]}'],
+    ["mixedvol", "--bodies", "[[[0.5,0]],[[0,1]]]"],
 ])
 def test_bad_input_exits_2_with_a_message(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -261,6 +267,10 @@ def test_catalog_names_must_be_new_and_unique(tmp_path, capsys, files):
     '{"name": "half", "rays": [[1, 0], [0, 1]]}',
     '{"name": 5, "rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
     ' "max_cones": [[0, 2], [1, 2], [1, 3], [0, 3]]}',
+    # a non-integer ray or cone index is refused, not truncated to a line
+    '{"name": "half", "rays": [[1.7], [-1]], "max_cones": [[0], [1]]}',
+    '{"name": "half", "rays": [[1], [-1]], "max_cones": [[0], [1.9]]}',
+    '{"name": "half", "rays": [[true], [-1]], "max_cones": [[0], [1]]}',
 ])
 def test_bad_catalog_is_config_error(tmp_path, capsys, text):
     (tmp_path / "half.json").write_text(text)

@@ -11,7 +11,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from blowups import blown_up_fans, star_subdivision
-from fraction_oracle import nullspace, solve
+from fraction_oracle import nullspace, ray_form, solve
 from graded_oracle import face_tails, lattice_points
 from oklab import exactgeom, toric
 from oklab.exactgeom import mixed_volume
@@ -86,8 +86,8 @@ def test_fan_rejects_cones_on_one_side_of_a_ridge():
 
 def test_p2_class_is_degree():
     p2 = testbed("p2")
-    assert p2.classes.class_of((1, 0, 0)) == (1,)
-    assert p2.classes.class_of((F(1, 2), 1, 1)) == (F(5, 2),)
+    assert TDivisor(p2, (1, 0, 0)).cls == (1,)
+    assert TDivisor(p2, (F(1, 2), 1, 1)).cls == (F(5, 2),)
 
 
 def test_blpq_ray_classes_match_hand_computation():
@@ -95,7 +95,7 @@ def test_blpq_ray_classes_match_hand_computation():
     expected = [(1, -1, 1), (1, -1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     for i, want in enumerate(expected):
         coeffs = [1 if j == i else 0 for j in range(5)]
-        assert bl.classes.class_of(coeffs) == tuple(F(x) for x in want)
+        assert TDivisor(bl, coeffs).cls == tuple(F(x) for x in want)
 
 
 def test_nef_and_eff_cones_p1xp1():
@@ -107,7 +107,7 @@ def test_nef_and_eff_cones_p1xp1():
 
 def test_f1_cone_structure():
     f1 = testbed("f1")
-    e_cls = f1.classes.class_of((0, 1, 0, 0))
+    e_cls = TDivisor(f1, (0, 1, 0, 0)).cls
     assert e_cls == (-1, 1)
     assert f1.classes.boundary_membership(e_cls) == "boundary"  # E on the eff boundary
     assert f1.classes.is_ample((1, 1))  # 2H - E
@@ -246,7 +246,7 @@ def test_wall_self_intersections_on_f1():
     f1 = testbed("f1")
     def self_int(ray):
         coeffs = [1 if i == ray else 0 for i in range(4)]
-        return toric._form(f1, [coeffs, coeffs])
+        return f1.classes.form([TDivisor(f1, coeffs).cls] * 2)
     assert self_int(1) == -1
     assert self_int(0) == 0 and self_int(2) == 0
     assert self_int(3) == 1
@@ -254,7 +254,8 @@ def test_wall_self_intersections_on_f1():
 
 def test_exceptional_self_intersections_on_blpq():
     bl = testbed("blpq-p2")
-    assert toric._monomial(bl, (3, 3)) == toric._monomial(bl, (4, 4)) == -1
+    e3, e4 = (TDivisor(bl, [int(i == ray) for i in range(5)]).cls for ray in (3, 4))
+    assert bl.classes.form([e3, e3]) == bl.classes.form([e4, e4]) == -1
 
 
 def mixed_volume_intersection(fan, divisors):
@@ -313,7 +314,7 @@ def test_nef_and_ample_match_support_function_oracle(name):
         shift = rnd.randint(0, 3)
         coeffs = tuple(F(rnd.randint(-9, 9), rnd.choice((1, 2, 3))) + shift
                        for _ in fan.rays)
-        cls = fan.classes.class_of(coeffs)
+        cls = TDivisor(fan, coeffs).cls
         want = support_positivity(fan, coeffs)
         assert (fan.classes.is_nef(cls), fan.classes.is_ample(cls)) == want
         seen.add(want)
@@ -336,13 +337,42 @@ def test_form_on_blown_up_fans(spec, data):
                for _ in range(d)]
     u = data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
     principal = [sum(x * y for x, y in zip(u, r)) for r in rays]
-    value = toric._form(fan, vectors)
-    assert toric._form(fan, vectors[::-1]) == value
+
+    def form(vectors):
+        return fan.classes.form([TDivisor(fan, v).cls for v in vectors])
+
+    value = form(vectors)
+    assert form(vectors[::-1]) == value
     moved = [[a + b for a, b in zip(vectors[0], principal)]] + vectors[1:]
-    assert toric._form(fan, moved) == value
+    assert form(moved) == value
     if tau is not None and len(tau) == d:  # a blown-up point: E^d = (-1)^(d-1)
         e = [0] * (n - 1) + [1]
-        assert toric._form(fan, [e] * d) == (-1) ** (d - 1)
+        assert form([e] * d) == (-1) ** (d - 1)
+
+
+@seed(2024)
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(testbed_names()), data=st.data())
+def test_divisor_is_an_integer_value(name, data):
+    fan = testbed(name)
+    n = len(fan.rays)
+    entry = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6))
+    a = data.draw(st.lists(entry, min_size=n, max_size=n))
+    b = data.draw(st.one_of(st.just([F(2 * x, 2) for x in a]),
+                            st.lists(entry, min_size=n, max_size=n)))
+    c = data.draw(entry)
+    da, db = TDivisor(fan, a), TDivisor(fan, b)
+    assert da.coeffs == tuple(F(x) for x in a)
+    assert (da == db) == (da.coeffs == db.coeffs)
+    assert da != TDivisor(Fan(name, fan.rays, fan.max_cones), a)  # fans by identity
+    if da == db:
+        assert hash(da) == hash(db)
+    for div, want in ((da + db, [x + y for x, y in zip(a, b)]),
+                      (da - db, [x - y for x, y in zip(a, b)]),
+                      (da.scaled(c), [c * x for x in a])):
+        assert div == TDivisor(fan, want) and hash(div) == hash(TDivisor(fan, want))
+        assert div.coeffs == tuple(F(x) for x in want)
+        assert div.den == common_denominator([div.coeffs])  # the least one
 
 
 def test_intersection_numbers_touch_no_polytope(monkeypatch):
@@ -426,7 +456,7 @@ def test_star_model_threefold():
     assert sm.star_fan.dim == 2
     assert len(sm.star_fan.rays) == 4  # a quadric surface
     restricted = sm.restrict_divisor(TDivisor(ppp, (0, 2, 0, 1, 0, 3)))
-    assert sm.star_fan.classes.class_of(restricted.coeffs) == (1, 3)
+    assert restricted.cls == (1, 3)
 
 
 # --- catalog loading --------------------------------------------------------
@@ -446,6 +476,9 @@ def test_parse_rational_forms():
     assert parse_rational([3, 2]) == F(3, 2)
     with pytest.raises(ValueError):
         parse_rational([1, 2, 3])
+    for inexact in (0.1, [1, 2.0], True):  # binary floats and bools are refused
+        with pytest.raises(ValueError):
+            parse_rational(inexact)
 
 
 def test_mu_positive_for_ample_with_effective_e():
@@ -492,18 +525,33 @@ def test_class_map_matches_solve_oracle(fan, data):
               [[order.index(i) for i in cone] for cone in fan.max_cones])
     ints = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
     for coeffs in (ints, [F(x, 2) for x in ints], [F(-x, 3) + 1 for x in ints]):
-        cls = fan.classes.class_of(coeffs)
+        cls = TDivisor(fan, coeffs).cls
         assert cls == class_by_solve(fan, coeffs)
         assert all(type(x) is F for x in cls)
-        assert TDivisor(fan, coeffs).cls == cls
-    units = [fan.classes.class_of([int(i == k) for k in range(n)]) for i in range(n)]
+    units = [TDivisor(fan, [int(i == k) for k in range(n)]).cls for i in range(n)]
     assert tuple(units) == fan.classes.eff_generators
+
+
+@seed(2024)
+@settings(max_examples=60, deadline=None)
+@given(fan=any_fan, data=st.data())
+def test_form_on_classes_matches_ray_support_oracle(fan, data):
+    n, d = len(fan.rays), fan.dim
+    entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    vectors = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(d)]
+    u = data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    principal = [sum(x * y for x, y in zip(u, r)) for r in fan.rays]
+    moved = [[a + b for a, b in zip(vectors[-1], principal)]] + vectors[:-1]
+    want = ray_form(fan, vectors)
+    assert ray_form(fan, moved) == want
+    for vs in (vectors, moved):
+        assert fan.classes.form([TDivisor(fan, v).cls for v in vs]) == want
 
 
 def test_class_matrix_with_a_denominator():
     assert HEXAGON.classes._class_den == 2
     for coeffs in ([1, 0, 0, 0, 0, 0], [0, F(1, 2), 3, 0, -1, 2]):
-        assert HEXAGON.classes.class_of(coeffs) == class_by_solve(HEXAGON, coeffs)
+        assert TDivisor(HEXAGON, coeffs).cls == class_by_solve(HEXAGON, coeffs)
 
 
 def subset_loop_polytope(fan, divisor):
@@ -551,9 +599,9 @@ def test_divisor_class_is_computed_once(monkeypatch):
     original = toric.NumClassSpace.class_of
     calls = []
 
-    def counting(self, coeffs):
-        calls.append(coeffs)
-        return original(self, coeffs)
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
 
     monkeypatch.setattr(toric.NumClassSpace, "class_of", counting)
     div = TDivisor(fan, (1, F(3, 2), 1, 1, 1))
