@@ -118,13 +118,13 @@ class ConeCLM:
         elif any(cm):
             m = next(c / x for x, c in zip(cm, cn) if x)
         if any(lam * a + m * b != c for a, b, c in zip(cl, cm, cn)):
-            raise ValueError(f"class {cn} is not in the span of the cone basis")
+            raise ValueError(f"class {n.class_text()} is not in the span of the cone basis")
         return lam, m
 
     def admits(self, n: TDivisor, mu) -> bool:
         """Whether N = lambda L + mu M lies in the cone: N ample and mu >= 0,
         with the sign ignored on a dependent basis (mu is zero there)."""
-        return (self.dependent or mu >= 0) and self.fan.classes.is_ample(n.cls)
+        return (self.dependent or mu >= 0) and self.fan.classes.is_ample(n.num_class[0])
 
     def grid_members(self, grid):
         """((a, b), a L + b M) for the grid coefficients, rows by a, that lie
@@ -156,7 +156,7 @@ class AdditivityVerdict:
 
 
 def compare_additive_bodies(body1: Polytope, body2: Polytope,
-                            body_sum: Polytope, context: str = "") -> AdditivityVerdict:
+                            body_sum: Polytope) -> AdditivityVerdict:
     """Verdict on body_sum vs body1 + body2 (the hard inclusion included).
 
     Bodies are equal iff their canonical vertex tuples are, so a Minkowski
@@ -172,7 +172,7 @@ def compare_additive_bodies(body1: Polytope, body2: Polytope,
         return AdditivityVerdict("equal", None, None, *volumes)
     if not body_sum.contains(msum):
         raise InclusionViolationError(
-            f"Minkowski sum not contained in the body of the sum {context}")
+            "Minkowski sum not contained in the body of the sum")
     witness = next(v for v in body_sum.vertices if not msum.contains_point(v))
     eqs, ineqs = msum.halfspaces()
     violated = next(((n, c) for n, c in eqs if dot(n, witness) != c), None)
@@ -190,9 +190,11 @@ def check_additivity(n1: TDivisor, n2: TDivisor,
     for nb, which in ((b1, "N1"), (b2, "N2"), (b12, "N1+N2")):
         if not nb.exact:
             raise UncertifiedBodyError(f"body of {which} not certified exact")
-    return compare_additive_bodies(
-        b1.body, b2.body, b12.body,
-        context=f"(classes {n1.cls} and {n2.cls})")
+    try:
+        return compare_additive_bodies(b1.body, b2.body, b12.body)
+    except InclusionViolationError as exc:
+        raise InclusionViolationError(
+            f"{exc} (classes {n1.class_text()} and {n2.class_text()})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +244,7 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
     if t0 < 0:
         raise ReplayPreconditionError("ordering failed to make t0 nonnegative")
     oy1 = flag.divisor_of_y1()
-    endpoint = mu(fan, n1 + n2, oy1.cls)
+    endpoint = mu(fan, n1 + n2, oy1)
     if not 0 < t < endpoint:
         raise ReplayPreconditionError(f"t={t} outside (0, {endpoint})")
 
@@ -269,7 +271,7 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
 
     if t >= t0:
         d2 = n1.scaled(1 + c) + oy1.scaled(t0)
-        if d2.cls != (n1 + n2).cls:
+        if d2.num_class != (n1 + n2).num_class:
             raise AssertionError("class identity N1+N2 = (1+c)N1 + t0 O(Y_1) failed")
         slice_d2 = slice_at(no_body_rational(d2, flag).body, t)
         ok = step("slice(N1+N2, t) = slice((1+c)N1 + t0*O(Y1), t)",
@@ -293,12 +295,12 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
             raise AssertionError("t0 > 0 forces r != 0")
         chat = (mu2 / mu1) * (t / t0)
         combo1 = n1.scaled(1 + chat) + n2.scaled((t0 - t) / t0)
-        if combo1.cls != (n1 + n2 - oy1.scaled(t)).cls:
+        if combo1.num_class != (n1 + n2 - oy1.scaled(t)).num_class:
             raise AssertionError("class identity for N1+N2 - t O(Y1) failed")
-        if not fan.classes.is_ample(combo1.cls):
+        if not fan.classes.is_ample(combo1.num_class[0]):
             raise AssertionError("N1+N2 - t O(Y1) must be ample for t < t0")
         combo2 = n1.scaled(chat) + n2.scaled((t0 - t) / t0)
-        if combo2.cls != (n2 - oy1.scaled(t)).cls:
+        if combo2.num_class != (n2 - oy1.scaled(t)).num_class:
             raise AssertionError("class identity for N2 - t O(Y1) failed")
         img1 = image_body(n1 + n2 - oy1.scaled(t))
         ok = step("slice(N1+N2, t) = restricted(N1+N2 - t*O(Y1))",
@@ -343,13 +345,11 @@ def necessary_condition_check(l_div: TDivisor, m_div: TDivisor,
     """
     fan = flag.fan
     cls = fan.classes
-    if not (cls.is_ample(l_div.cls) and cls.is_ample(m_div.cls)):
+    if not (cls.is_ample(l_div.num_class[0]) and cls.is_ample(m_div.num_class[0])):
         raise ValueError("necessary condition is stated for ample pairs")
     verdict = check_additivity(l_div, m_div, flag)
-    e_cls = flag.divisor_of_y1().cls
-    mu_l = cls.mu(l_div.cls, e_cls)
-    mu_m = cls.mu(m_div.cls, e_cls)
-    mu_sum = cls.mu(vec((l_div + m_div).cls), e_cls)
+    e_div = flag.divisor_of_y1()
+    mu_l, mu_m, mu_sum = (mu(fan, n, e_div) for n in (l_div, m_div, l_div + m_div))
     report = {
         "verdict": verdict.status,
         "mu_L": mu_l, "mu_M": mu_m, "mu_sum": mu_sum,
@@ -358,13 +358,13 @@ def necessary_condition_check(l_div: TDivisor, m_div: TDivisor,
     if verdict.status != "equal":
         report["ok"] = True  # vacuous: nothing is claimed for strict pairs
         return report
-    lshift = tuple(a - mu_l * b for a, b in zip(vec(l_div.cls), vec(e_cls)))
-    mshift = tuple(a - mu_m * b for a, b in zip(vec(m_div.cls), vec(e_cls)))
-    segment_ok = cls.segment_on_boundary(lshift, mshift)  # both ends on it too
+    lshift, mshift = (n - e_div.scaled(s) for n, s in ((l_div, mu_l), (m_div, mu_m)))
+    ly, my = lshift.num_class[0], mshift.num_class[0]
+    segment_ok = cls.segment_on_boundary(ly, my)  # both ends on it too
     report.update({
-        "L_shift": lshift, "M_shift": mshift,
-        "L_shift_membership": cls.boundary_membership(lshift),
-        "M_shift_membership": cls.boundary_membership(mshift),
+        "L_shift": lshift.cls, "M_shift": mshift.cls,
+        "L_shift_membership": cls.boundary_membership(ly),
+        "M_shift_membership": cls.boundary_membership(my),
         "segment_on_boundary": segment_ok,
         "ok": report["mu_additive"] and segment_ok,
     })

@@ -239,7 +239,7 @@ def _parse_divisor(fan: Fan, text: str) -> TDivisor:
         else:
             parts = [p for p in text.split(",") if p != ""]
         coeffs = [parse_rational(p) for p in parts]
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad divisor {text!r}: {exc}") from exc
     if fan.dim == 1 and len(coeffs) == 1:
         coeffs = [Fraction(0), coeffs[0]]  # curve shorthand: a degree
@@ -302,7 +302,7 @@ def cmd_mu(args, fans):
     flag = _parse_flag(fan, args.flag)
     divisor = _parse_divisor(fan, args.divisor)
     try:
-        value = mu(fan, divisor, flag.divisor_of_y1().cls)
+        value = mu(fan, divisor, flag.divisor_of_y1())
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return ([{"key": f"mu/{fan.name}/{flag.label()}/{args.divisor}", "suite": "mu",
@@ -332,7 +332,7 @@ def cmd_mixedvol(args, fans):
         bodies = [Polytope.hull([[parse_rational(x) for x in v] for v in verts])
                   for verts in data]
         value = mixed_volume(bodies)
-    except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad bodies: {exc}") from exc
     return [{"key": "mixedvol", "suite": "mixedvol", "value": value, "pass": True}], None
 

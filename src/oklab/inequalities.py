@@ -25,13 +25,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from .exactgeom import (FormalBody, Polytope, minkowski_sum, mixed_volume,
                         mixed_volume_by_polarization, scale)
 from .additivity import ConeCLM
-from .linalg import interpolate, iroot, rank
+from .linalg import interpolate, iroot
 from .okounkov import NOBody, nef_body
 from .toric import (
     AdmissibleFlag,
@@ -109,9 +109,9 @@ class DeltaMap(ConeCLM):
 
 def delta_map(l_div: TDivisor, m_div: TDivisor, flag: AdmissibleFlag) -> DeltaMap:
     fan = flag.fan
-    if not fan.classes.is_nef(l_div.cls):
+    if not fan.classes.is_nef(l_div.num_class[0]):
         raise ValueError("the anchor class L must be nef")
-    if not fan.classes.is_nef(m_div.cls):
+    if not fan.classes.is_nef(m_div.num_class[0]):
         raise ValueError("the companion class M must be nef")
     return DeltaMap(L=l_div, M=m_div, flag=flag, body_l=nef_body(l_div, flag),
                     body_m=nef_body(m_div, flag))
@@ -146,7 +146,7 @@ def check_cor13(dmap: DeltaMap, divisors) -> tuple[bool, dict]:
         for (lam, m), pick in zip(decomps, picks):
             coeff *= lam if pick else m
         rhs += coeff * mixed[sum(picks)]
-    lhs = fan.classes.form([n.cls for n in divisors]) / factorial(d)
+    lhs = fan.classes.form([n.num_class for n in divisors]) / factorial(d)
     report = {"lhs": lhs, "rhs": rhs,
               "decompositions": [tuple(x) for x in decomps]}
     return lhs == rhs, report
@@ -278,19 +278,21 @@ def lehmann_xiao_check(k_body: Polytope, l_body: Polytope, m_body: Polytope,
 
 def find_corresponding_flag(fan: Fan, divisor: TDivisor) -> AdmissibleFlag | None:
     """First invariant flag (cone + ordering) corresponding to the class."""
-    return _flag_for_class(fan, divisor.cls)
+    return _flag_for_class(fan, divisor.num_class)
 
 
 @lru_cache(maxsize=None)
-def _flag_for_class(fan: Fan, target: tuple) -> AdmissibleFlag | None:
+def _flag_for_class(fan: Fan, num_class: tuple) -> AdmissibleFlag | None:
     # correspondence is numerical, so any representative of the class will
     # do; memoised on the fan object, which compares by identity
-    divisor = fan.classes.divisor_from_class(target)
+    y, q = num_class
+    ints = dict(zip(fan.classes.free_rays, y))
+    divisor = TDivisor._from_ints(fan, [ints.get(i, 0) for i in range(len(fan.rays))], q)
     for cone in fan.max_cones:
         for perm in permutations(cone):
-            y1 = fan.classes.eff_generators[perm[0]]
-            if rank([[a, b] for a, b in zip(y1, target)]) > 1:
-                continue  # level-0 proportionality already fails
+            y1 = [row[perm[0]] for row in fan.classes._class_rows]
+            if any(y1[i] * y[j] != y1[j] * y[i] for i, j in combinations(range(len(y)), 2)):
+                continue  # a nonzero 2x2 minor: level-0 proportionality fails
             flag = AdmissibleFlag(fan, perm)
             if flag_corresponds(fan, flag, divisor)[0]:
                 return flag
@@ -403,7 +405,7 @@ def random_nef_divisor(rnd: random.Random, fan: Fan, bound: int = 4) -> TDivisor
     while True:
         coeffs = tuple(rnd.randint(0, bound) for _ in fan.rays)
         div = TDivisor(fan, coeffs)
-        if fan.classes.is_nef(div.cls):
+        if fan.classes.is_nef(div.num_class[0]):
             return div
 
 

@@ -13,12 +13,11 @@ the integer adjugate, so there is no rational elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
-Mat = tuple[Vec, ...]
 
 
 def rat(x) -> Fraction:
@@ -65,11 +64,6 @@ def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     or Fractions: integers with the row's signs and ratios."""
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row], den
-
-
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix, its rows scaled to integers."""
-    return len(independent_rows(integer_row(row)[0] for row in rows))
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -139,18 +133,22 @@ def to_int_points(points: Sequence[Sequence[Fraction]], scale: int) -> list[tupl
 
 def interpolate(values: Sequence[Fraction]) -> list[Fraction]:
     """Coefficients c_0..c_{n-1} of the polynomial of degree < n that takes
-    values[s] at s = 0..n-1, exactly (Lagrange basis on the integer nodes)."""
+    values[s] at s = 0..n-1, exactly (Lagrange basis on the integer nodes).
+
+    The basis denominator prod_{t != s} (s - t) is (-1)^(n-1-s) s! (n-1-s)!,
+    which divides (n - 1)!, so the sum is taken on integers over (n - 1)!
+    times the values' common denominator and divided once."""
     n = len(values)
-    coeffs = [Fraction(0)] * n
-    for s, v in enumerate(values):
-        basis, den = [1], 1
+    ints, den = integer_row(values)
+    acc = [0] * n
+    for s, v in enumerate(ints):
+        basis = [1]
         for t in range(n):
             if t != s:
                 basis = [a - t * b for a, b in zip([0] + basis, basis + [0])]
-                den *= s - t
-        for j, b in enumerate(basis):
-            coeffs[j] += Fraction(v) * b / den
-    return coeffs
+        w = (-1) ** (n - 1 - s) * comb(n - 1, s) * v
+        acc = [a + w * b for a, b in zip(acc, basis)]
+    return [Fraction(a, factorial(n - 1) * den) for a in acc]
 
 
 def iroot(n: int, k: int) -> tuple[int, bool]:

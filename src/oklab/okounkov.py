@@ -91,18 +91,18 @@ def _section_image(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     body = affine_image(polytope_of_divisor(fan, divisor),
                         [fan.rays[i] for i in flag.ray_indices],
                         [Fraction(divisor.ints[i], divisor.den) for i in flag.ray_indices])
-    nef = fan.classes.is_nef(divisor.cls)
+    nef = fan.classes.is_nef(divisor.num_class[0])
     if nef and factorial(d) * body.volume() != intersection_number(fan, [divisor] * d):
-        raise CertificateError(
-            f"d! vol of the body of nef class {divisor.cls} is not D^d on {fan.name}")
+        raise CertificateError(f"d! vol of the body of nef class "
+                               f"{divisor.class_text()} is not D^d on {fan.name}")
     return NOBody(body=body, flag=flag.ray_indices, cls=divisor.cls, exact=nef)
 
 
 def no_body_rational(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     """Body of a big rational class."""
     fan = flag.fan
-    if not fan.classes.is_big(divisor.cls):
-        raise NonBigClassError(f"class {divisor.cls} is not big on {fan.name}")
+    if not fan.classes.is_big(divisor.num_class[0]):
+        raise NonBigClassError(f"class {divisor.class_text()} is not big on {fan.name}")
     return _section_image(divisor, flag)
 
 
@@ -115,8 +115,8 @@ def nef_body(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     pins 0 = 0.
     """
     fan = flag.fan
-    if not fan.classes.is_nef(divisor.cls):
-        raise ValueError(f"class {divisor.cls} is not nef on {fan.name}")
+    if not fan.classes.is_nef(divisor.num_class[0]):
+        raise ValueError(f"class {divisor.class_text()} is not nef on {fan.name}")
     return _section_image(divisor, flag)
 
 
@@ -132,9 +132,9 @@ def restricted_body(divisor: TDivisor, flag: AdmissibleFlag, t_shift=0) -> NOBod
     if fan.dim < 2:
         raise ValueError("restricted bodies need dimension >= 2")
     arg = divisor - flag.divisor_of_y1().scaled(t_shift)
-    if not fan.classes.is_ample(arg.cls):
+    if not fan.classes.is_ample(arg.num_class[0]):
         raise NotAmpleError(
-            f"restricted body needs an ample argument; got class {arg.cls}")
+            f"restricted body needs an ample argument; got class {arg.class_text()}")
     sm = star_model(fan, flag)
     return no_body_rational(sm.restrict_divisor(arg), sm.star_flag)
 
@@ -148,8 +148,7 @@ def slice_formula_check(divisor: TDivisor, flag: AdmissibleFlag, t):
     """
     fan = flag.fan
     t = Fraction(t)
-    e_cls = flag.divisor_of_y1().cls
-    endpoint = mu(fan, divisor, e_cls)
+    endpoint = mu(fan, divisor, flag.divisor_of_y1())
     if not 0 <= t < endpoint:
         raise ValueError(f"t={t} outside [0, mu) = [0, {endpoint})")
     nb = no_body_rational(divisor, flag)
@@ -171,8 +170,7 @@ def slice_formula_check(divisor: TDivisor, flag: AdmissibleFlag, t):
 def mu_endpoint_check(divisor: TDivisor, flag: AdmissibleFlag) -> bool:
     """mu from the cone inequalities == max first coordinate of the body."""
     fan = flag.fan
-    e_cls = flag.divisor_of_y1().cls
-    endpoint = mu(fan, divisor, e_cls)
+    endpoint = mu(fan, divisor, flag.divisor_of_y1())
     nb = no_body_rational(divisor, flag)
     if not nb.exact:
         raise ValueError("body could not be certified exact")

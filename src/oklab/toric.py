@@ -27,17 +27,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .exactgeom import Polytope, integer_hull
-from .linalg import (
-    adjugate,
-    common_denominator,
-    dot,
-    independent_rows,
-    integer_row,
-    primitive,
-    rank,
-    rat,
-    vec,
-)
+from .linalg import adjugate, dot, independent_rows, integer_row, primitive, rat, vec
 
 __all__ = [
     "Fan",
@@ -65,13 +55,14 @@ class FanError(ValueError):
 def parse_rational(x) -> Fraction:
     """Rationals from ints, 'n/d' strings, or [num, den] pairs of ints; a float
     such as the JSON number 0.1 is a binary value, not 1/10, so it is refused."""
-    if isinstance(x, (list, tuple)):
-        if len(x) != 2:
-            raise ValueError(f"rational pair must have two entries: {x!r}")
-        return Fraction(_integer(x[0]), _integer(x[1]))
     if isinstance(x, (bool, float)):
         raise ValueError(f"{x!r} is not an exact rational; write \"n/d\" or [n, d]")
-    return rat(x)
+    if isinstance(x, (list, tuple)) and len(x) != 2:
+        raise ValueError(f"rational pair must have two entries: {x!r}")
+    try:
+        return Fraction(*map(_integer, x)) if isinstance(x, (list, tuple)) else rat(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r} has a zero denominator") from None
 
 
 def _integer(x) -> int:
@@ -201,7 +192,8 @@ class TDivisor:
     """Torus-invariant Q-divisor: one rational coefficient per ray, kept as
     the integers `ints` over their least common denominator `den`.  `==` and
     `hash` compare (fan, den, ints), fans by identity; `+`, `-` and `scaled`
-    stay on integers, and `coeffs` is a read-only Fraction view."""
+    stay on integers.  `num_class` is the numerical class, canonical integers
+    over one denominator; `coeffs` and `cls` are read-only Fraction views."""
 
     fan: Fan
     den: int
@@ -226,8 +218,17 @@ class TDivisor:
         return tuple(Fraction(a, self.den) for a in self.ints)
 
     @cached_property
-    def cls(self):
+    def num_class(self) -> tuple:
         return self.fan.classes.class_of(self.ints, self.den)
+
+    @property
+    def cls(self) -> tuple:
+        y, q = self.num_class
+        return tuple(Fraction(a, q) for a in y)
+
+    def class_text(self) -> str:
+        """The class as "(n/d, ...)" text, for messages."""
+        return "(" + ", ".join(map(str, self.cls)) + ")"
 
     def __add__(self, other: "TDivisor") -> "TDivisor":
         if other.fan is not self.fan:
@@ -280,12 +281,13 @@ class NumClassSpace:
 
     Classes are coordinates over the rays left free after quotienting the
     ray-coefficient space by the relations u -> (<u, v_rho>)_rho.  The class
-    map is one integer matrix per fan, built here: its columns are the
-    classes of the ray divisors, which also generate the pseudo-effective
-    cone.  The nef cone is cut out by the degrees on the invariant curves,
-    one Kleiman row per ridge (Cox-Little-Schenck Thm 6.3.12).  Both
-    H-representations are primitive integer rows, so membership questions
-    are sign tests on integers, each class scaled by its denominator once.
+    map is one integer matrix over one denominator, built here: its columns
+    are the classes of the ray divisors, which also generate the
+    pseudo-effective cone.  The nef cone is cut out by the degrees on the
+    invariant curves, one Kleiman row per ridge (Cox-Little-Schenck Thm
+    6.3.12).  Both H-representations are primitive integer rows.  A class
+    y / q is kept as its integers y over q > 0, so every membership question
+    is a sign test on y, and the form and mu contract the integers.
     """
 
     def __init__(self, fan: Fan):
@@ -296,15 +298,15 @@ class NumClassSpace:
             raise FanError("rays do not span the ambient lattice")
         self.free_rays = tuple(i for i in range(n) if i not in pivots)
         self.rank = len(self.free_rays)
-        # v_f = sum_k <a_k, v_f>/det v_{p_k}, so D_{p_k} = -sum_f <a_k, v_f>/det D_f in N^1
+        # v_f = sum_k <a_k, v_f>/det v_{p_k}, so D_{p_k} = -sum_f <a_k, v_f>/det D_f
+        # in N^1: column i over |det| is the class of D_i
         adj, det = adjugate([fan.rays[i] for i in pivots])
-        self.eff_generators = tuple(
-            tuple(Fraction(-sum(map(mul, adj[pivots.index(i)], fan.rays[f])), det)
-                  if i in pivots else Fraction(int(i == f))
-                  for f in self.free_rays) for i in range(n))
-        den = self._class_den = common_denominator(self.eff_generators)
-        self._class_rows = tuple(zip(*([int(x * den) for x in g] for g in self.eff_generators)))
-        self.eff_rows = _cone_facets(self.eff_generators, self.rank)
+        sign, self._class_den = (1, det) if det > 0 else (-1, -det)
+        self._class_rows = tuple(
+            tuple(-sign * sum(map(mul, adj[pivots.index(i)], fan.rays[f]))
+                  if i in pivots else self._class_den * (i == f) for i in range(n))
+            for f in self.free_rays)
+        self.eff_rows = _cone_facets(list(zip(*self._class_rows)), self.rank)
         # D . C_tau = <curve_rows[tau], class of D>: the degrees of the free-ray
         # divisors on the invariant curve of the ridge tau
         self.curve_rows = {tau: tuple(_monomial(fan, tuple(sorted((f,) + tau)))
@@ -317,20 +319,22 @@ class NumClassSpace:
 
     # -- class map and intersection form ----------------------------------------
 
-    def class_of(self, ints, den):
-        """Numerical class of the ray-coefficient vector ints / den, in free-ray
-        coordinates: one integer product with the class matrix."""
-        return tuple(Fraction(sum(map(mul, row, ints)), den * self._class_den)
-                     for row in self._class_rows)
+    def class_of(self, ints, den) -> tuple:
+        """Numerical class of the ray-coefficient vector ints / den in free-ray
+        coordinates, by one integer product with the class matrix: the canonical
+        y / q with q > 0 and gcd(q, *y) = 1, so equal classes are equal pairs."""
+        y = [sum(map(mul, row, ints)) for row in self._class_rows]
+        q = den * self._class_den
+        g = gcd(q, *y)
+        return tuple(a // g for a in y), q // g
 
     def form(self, classes) -> Fraction:
-        """D_1 ... D_d for d classes, nef or not (Fulton, Sec. 5.2): the
-        table contracted one class at a time, on integers."""
+        """D_1 ... D_d for d classes (y, q), nef or not (Fulton, Sec. 5.2):
+        the table contracted one class at a time, on integers."""
         table, den, r = self._form_table, 1, self.rank
-        for cls in classes:
-            y, c = integer_row(cls)
+        for y, q in classes:
             table = [sum(map(mul, y, table[i:i + r])) for i in range(0, len(table), r)]
-            den *= c
+            den *= q
         return Fraction(table[0], den)
 
     def divisor_from_class(self, cls) -> TDivisor:
@@ -353,20 +357,20 @@ class NumClassSpace:
             raise FanError(f"{self.fan.name} has no ample class")
         return cls
 
-    # -- membership (classes are tuples of ints or Fractions) ------------------
+    # -- membership: sign tests, on any positive multiple y of a class ---------
 
-    def is_nef(self, cls) -> bool:
-        return all(v >= 0 for v in _pairings(self.nef_rows, cls))
+    def is_nef(self, y) -> bool:
+        return all(sum(map(mul, g, y)) >= 0 for g in self.nef_rows)
 
-    def is_ample(self, cls) -> bool:
-        return all(v > 0 for v in _pairings(self.nef_rows, cls))
+    def is_ample(self, y) -> bool:
+        return all(sum(map(mul, g, y)) > 0 for g in self.nef_rows)
 
-    def is_big(self, cls) -> bool:
-        return all(v > 0 for v in _pairings(self.eff_rows, cls))
+    def is_big(self, y) -> bool:
+        return all(sum(map(mul, g, y)) > 0 for g in self.eff_rows)
 
-    def boundary_membership(self, cls) -> str:
+    def boundary_membership(self, y) -> str:
         """Exact trichotomy against the pseudo-effective cone."""
-        low = min(_pairings(self.eff_rows, cls))
+        low = min(sum(map(mul, g, y)) for g in self.eff_rows)
         return "outside" if low < 0 else "boundary" if low == 0 else "interior"
 
     def segment_on_boundary(self, a, b) -> bool:
@@ -374,12 +378,13 @@ class NumClassSpace:
         facet pairing is linear along it and nonnegative at boundary ends, so it
         does iff both ends are boundary classes and one facet row vanishes at both."""
         return (self.boundary_membership(a) == self.boundary_membership(b) == "boundary"
-                and any(x == y == 0 for x, y in zip(_pairings(self.eff_rows, a),
-                                                     _pairings(self.eff_rows, b))))
+                and any(not sum(map(mul, g, a)) and not sum(map(mul, g, b))
+                        for g in self.eff_rows))
 
-    def mu(self, m_cls, e_cls) -> Fraction:
-        """sup{s : M - s E big} for big M, as an exact facet-ratio minimum."""
-        (m, m_den), (e, e_den) = integer_row(m_cls), integer_row(e_cls)
+    def mu(self, m_class, e_class) -> Fraction:
+        """sup{s : M - s E big} for big M, as an exact facet-ratio minimum;
+        each class is a pair (y, q) for y / q."""
+        (m, m_den), (e, e_den) = m_class, e_class
         ratios = []
         for g in self.eff_rows:
             gm = sum(map(mul, g, m))
@@ -392,17 +397,10 @@ class NumClassSpace:
         return min(ratios)
 
 
-def _pairings(rows, cls):
-    """<g, cls> for each integer row g, times the denominator of cls."""
-    y, _ = integer_row(cls)
-    return (sum(map(mul, g, y)) for g in rows)
-
-
-def _cone_facets(generators, dim):
+def _cone_facets(gens, dim):
     """Primitive integer facet rows of a full-dimensional pointed cone from its
-    generators, by double description: they are the extreme rays of the dual
-    cone {x : <g, x> >= 0}, built one generator at a time from a basis."""
-    gens = [integer_row(g)[0] for g in generators]
+    integer generators, by double description: they are the extreme rays of
+    the dual cone {x : <g, x> >= 0}, built one generator at a time from a basis."""
     done = [i for i, _, _ in independent_rows(gens)]
     if len(done) != dim:
         raise FanError("cone is not full-dimensional")
@@ -416,7 +414,7 @@ def _cone_facets(generators, dim):
         rays = {r for r, v in vals.items() if v >= 0} | {
             primitive([vp * x - vn * y for x, y in zip(n, p)])
             for p, vp in vals.items() if vp > 0 for n, vn in vals.items() if vn < 0
-            if rank([gens[i] for i in tight[p] & tight[n]]) == dim - 2}
+            if len(independent_rows(gens[i] for i in tight[p] & tight[n])) == dim - 2}
         done.append(j)
     if not rays:
         raise FanError("cone facet enumeration failed")
@@ -437,7 +435,7 @@ def polytope_of_divisor(fan: Fan, divisor: TDivisor) -> Polytope:
     (Cox-Little-Schenck Sec. 6.1); only a non-nef D tries every d rays.
     """
     n, d = len(fan.rays), fan.dim
-    if fan.classes.is_nef(divisor.cls):
+    if fan.classes.is_nef(divisor.num_class[0]):
         a, den = divisor.ints, divisor.den
         return integer_hull(d, den, [
             tuple(-sum(a[i] * m[j] for i, m in zip(sigma, fan.dual_bases[sigma]))
@@ -510,9 +508,9 @@ def intersection_number(fan: Fan, divisors) -> Fraction:
     for dv in divisors:
         if dv.fan is not fan:
             raise ValueError("divisor on a different fan")
-        if not fan.classes.is_nef(dv.cls):
+        if not fan.classes.is_nef(dv.num_class[0]):
             raise ValueError("intersection numbers are only certified for nef inputs")
-    return fan.classes.form([dv.cls for dv in divisors])
+    return fan.classes.form([dv.num_class for dv in divisors])
 
 
 @lru_cache(maxsize=None)
@@ -527,28 +525,31 @@ def flag_corresponds(fan: Fan, flag: AdmissibleFlag, divisor: TDivisor):
     the fan, flag and divisor objects (fans compare by identity): the
     replay asks again for every t of a case.
     """
-    d = fan.dim
+    classes = fan.classes
+    y, q = divisor.num_class
     ratios = []
-    for i in range(d - 1):
+    for i in range(fan.dim - 1):
         head = set(flag.ray_indices[:i])
         level = [tau for tau in fan.ridges if head <= set(tau)]
         if not level:
             raise FanError("no invariant curves found at flag level")
-        # the form sees classes only: degrees are pairings with the curve rows
-        rows = [fan.classes.curve_rows[tau] for tau in level]
-        avals = [dot(g, fan.classes.eff_generators[flag.ray_indices[i]]) for g in rows]
-        bvals = [dot(g, divisor.cls) for g in rows]
+        # the form sees classes only: degrees are pairings with the curve rows,
+        # here of the integers of D's class and of column v_{i+1} of the class matrix
+        rows = [classes.curve_rows[tau] for tau in level]
+        e = [row[flag.ray_indices[i]] for row in classes._class_rows]
+        vals = [(sum(map(mul, g, e)), sum(map(mul, g, y))) for g in rows]
         # the ratio on the first curve Y_{i+1} meets; 0 if it meets none
-        r = next((bv / av for av, bv in zip(avals, bvals) if av), Fraction(0))
-        if any(r * av != bv for av, bv in zip(avals, bvals)):
+        a0, b0 = next(((av, bv) for av, bv in vals if av), (1, 0))
+        if any(b0 * av != bv * a0 for av, bv in vals):
             return False, None
-        ratios.append(r)
+        ratios.append(Fraction(b0 * classes._class_den, a0 * q))
     return True, tuple(ratios)
 
 
-def mu(fan: Fan, m: TDivisor, e_cls) -> Fraction:
-    """sup{s > 0 : M - s O(E) big}, exact over the effective-cone facets."""
-    return fan.classes.mu(m.cls, e_cls)
+def mu(fan: Fan, m: TDivisor, e) -> Fraction:
+    """sup{s > 0 : M - s O(E) big}, exact over the effective-cone facets; E
+    is a divisor or the coordinates of its class."""
+    return fan.classes.mu(m.num_class, e.num_class if isinstance(e, TDivisor) else (e, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -199,16 +199,16 @@ def suite_slices(config: RunConfig) -> list[dict]:
         for flag_rays, mco in SLICE_CONFIGS[name]:
             flag = AdmissibleFlag(fan, flag_rays)
             m_div = TDivisor(fan, mco)
-            if not fan.classes.is_ample(m_div.cls):
+            if not fan.classes.is_ample(m_div.num_class[0]):
                 raise ValueError(f"slice case {name}/{mco} is not ample")
             y1 = flag.divisor_of_y1()
-            endpoint = mu(fan, m_div, y1.cls)
+            endpoint = mu(fan, m_div, y1)
             case = f"slices/{name}/{flag.label()}/{','.join(map(str, mco))}"
             records.append({"key": case + "/mu-endpoint", "suite": "slices",
                             "testbed": name, "check": "mu-endpoint",
                             "mu": endpoint, "pass": mu_endpoint_check(m_div, flag)})
             for t in _t_grid(fan, config, 0, endpoint):
-                if not fan.classes.is_ample((m_div - y1.scaled(t)).cls):
+                if not fan.classes.is_ample((m_div - y1.scaled(t)).num_class[0]):
                     continue
                 ok, witness = slice_formula_check(m_div, flag, t)
                 rec = {"key": case + f"/t={t}", "suite": "slices",
@@ -228,7 +228,7 @@ def suite_replay(config: RunConfig) -> list[dict]:
             cone = ConeCLM(TDivisor(fan, lco), TDivisor(fan, mco))
             n1 = cone.member(a1, b1)
             n2 = cone.member(a2, b2)
-            endpoint = mu(fan, n1 + n2, flag.divisor_of_y1().cls)
+            endpoint = mu(fan, n1 + n2, flag.divisor_of_y1())
             case = f"replay/{name}/{flag.label()}/{a1},{b1}/{a2},{b2}"
             for t in _t_grid(fan, config, 1, endpoint):
                 ok, trace = slice_decomposition_replay(n1, n2, flag, cone, t)

@@ -1,12 +1,13 @@
-"""Gauss-Jordan elimination and the ray-support intersection form over
-Fractions: test-only oracles.
+"""Gauss-Jordan elimination, the ray-support intersection form and Lagrange
+interpolation over Fractions: test-only oracles.
 
 The package answers every linear question by an integer closed form (the
 adjugate of a square integer matrix, Cramer's rule on pivot columns, one
 2x2 minor).  These helpers solve the same systems by plain rational row
 reduction, so the tests can check the closed forms against them.  The
 package contracts the intersection form on classes; `ray_form` expands it
-over the ray coefficients instead.
+over the ray coefficients instead.  The package interpolates on integers
+over one denominator; `interpolate` adds up the Lagrange terms in Fractions.
 """
 
 from fractions import Fraction
@@ -82,3 +83,19 @@ def ray_form(fan, coeff_vectors):
     supports = [[(i, Fraction(a)) for i, a in enumerate(v) if a] for v in coeff_vectors]
     return sum((prod(a for _, a in picks) * monomial(tuple(sorted(i for i, _ in picks)))
                 for picks in product(*supports)), Fraction(0))
+
+
+def interpolate(values):
+    """Coefficients c_0..c_{n-1} of the polynomial of degree < n that takes
+    values[s] at s = 0..n-1: each Lagrange term added in Fractions."""
+    n = len(values)
+    coeffs = [Fraction(0)] * n
+    for s, v in enumerate(values):
+        basis, den = [1], 1
+        for t in range(n):
+            if t != s:
+                basis = [a - t * b for a, b in zip([0] + basis, basis + [0])]
+                den *= s - t
+        for j, b in enumerate(basis):
+            coeffs[j] += Fraction(v) * b / den
+    return coeffs

@@ -285,14 +285,17 @@ def test_segment_on_boundary_matches_the_grid():
     rnd = random.Random(11)
     for name in testbed_names():
         classes = testbed(name).classes
+        den = classes._class_den
+        gens = list(zip(*classes._class_rows))  # the ray classes, integers over den
         ends = []
         for _ in range(6):
             k = rnd.randint(1, 3)
-            coeffs = [rnd.randint(0, 2) for _ in classes.eff_generators]
-            m = tuple(k * a + sum(c * g[i] for c, g in zip(coeffs, classes.eff_generators))
+            coeffs = [rnd.randint(0, 2) for _ in gens]
+            m = tuple(k * den * a + sum(c * g[i] for c, g in zip(coeffs, gens))
                       for i, a in enumerate(classes.ample_class))
-            e = rnd.choice(classes.eff_generators)
-            ends.append(tuple(a - classes.mu(m, e) * b for a, b in zip(m, e)))
+            e = rnd.choice(gens)
+            s = classes.mu((m, den), (e, den))
+            ends.append(tuple(F(a - s * b, den) for a, b in zip(m, e)))
         for a in ends:
             for b in ends:
                 points = [tuple(F(k, 12) * x + (1 - F(k, 12)) * y for x, y in zip(a, b))

@@ -216,10 +216,16 @@ def test_nonpositive_bounds_rejected(capsys):
     ["mu", "--testbed", "p1xp1", "--class", '{"coeffs":[0.1,1,0,1]}'],
     ["mu", "--testbed", "p1xp1", "--class", '{"coeffs":[[1,2.0],1,0,1]}'],
     ["mixedvol", "--bodies", "[[[0.5,0]],[[0,1]]]"],
+    # classes that are not big, and a zero denominator: messages print
+    # rationals as n/d text, never as Python reprs
+    ["body", "--testbed", "p2", "--class", "0,0,0"],
+    ["body", "--testbed", "blpq-p2", "--class", "1/2,0,-1,0,0"],
+    ["body", "--testbed", "p2", "--class", "1/0,0,0"],
 ])
 def test_bad_input_exits_2_with_a_message(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2 and err.startswith("error:")
+    assert "Fraction(" not in err
 
 
 def test_failed_body_certificate_exits_3(capsys, monkeypatch):
@@ -232,6 +238,7 @@ def test_failed_body_certificate_exits_3(capsys, monkeypatch):
                      ["verify", "--suite", "lemma61"]):
             code, _, err = run(capsys, *argv)
             assert code == 3 and err.startswith("hard invariant violated")
+            assert "Fraction(" not in err
     finally:
         okounkov._section_image.cache_clear()
 

@@ -25,8 +25,15 @@ from oklab.exactgeom import (
     scale,
     slice_at,
 )
-from oklab.linalg import (adjugate, common_denominator, cross_normal_int, det_int, dot, rank,
-                          to_int_points)
+from oklab.linalg import (adjugate, common_denominator, cross_normal_int, det_int, dot,
+                          independent_rows, integer_row, to_int_points)
+
+
+def rank(rows):
+    """Rank of a rational matrix: its rows scaled to integers, then one
+    fraction-free elimination."""
+    return len(independent_rows(integer_row(row)[0] for row in rows))
+
 
 UNIT_SQUARE = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
 UNIT_SIMPLEX = convex_hull([(0, 0), (1, 0), (0, 1)])

@@ -2,10 +2,15 @@
 
 import random
 from fractions import Fraction as F
+from itertools import permutations
 from math import comb
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+import fraction_oracle
+from blowups import blown_up_fans
 from oklab import exactgeom, inequalities
 from oklab.exactgeom import convex_hull, scale
 from oklab.inequalities import (
@@ -26,7 +31,7 @@ from oklab.inequalities import (
 )
 from oklab.linalg import interpolate, iroot
 from oklab.okounkov import no_body_rational
-from oklab.toric import AdmissibleFlag, TDivisor, testbed
+from oklab.toric import AdmissibleFlag, Fan, TDivisor, flag_corresponds, testbed, testbed_names
 
 
 def p1xp1_map():
@@ -350,6 +355,30 @@ def test_find_corresponding_flag():
 
 # --- derivative identity ---------------------------------------------------------------
 
+def brute_force_flag(fan, divisor):
+    """Oracle: the first cone ordering, in `find_corresponding_flag`'s order,
+    whose flag corresponds to the divisor, with no pre-filter."""
+    return next((AdmissibleFlag(fan, perm) for cone in fan.max_cones
+                 for perm in permutations(cone)
+                 if flag_corresponds(fan, AdmissibleFlag(fan, perm), divisor)[0]), None)
+
+
+@seed(2024)
+@settings(max_examples=40, deadline=None)
+@given(fan=st.one_of(st.sampled_from(testbed_names()).map(testbed),
+                     blown_up_fans().map(lambda spec: Fan("blowup", spec[1], spec[2]))),
+       data=st.data())
+def test_find_corresponding_flag_matches_brute_force(fan, data):
+    n = len(fan.rays)
+    entry = st.one_of(st.integers(-2, 3), st.fractions(-2, 3, max_denominator=3))
+    ray = data.draw(st.integers(0, n - 1))
+    vectors = [data.draw(st.lists(entry, min_size=n, max_size=n)),
+               [int(i == ray) for i in range(n)]]
+    for coeffs in vectors:  # a random divisor and a ray divisor
+        divisor = TDivisor(fan, coeffs)
+        assert find_corresponding_flag(fan, divisor) == brute_force_flag(fan, divisor)
+
+
 def test_derivative_square_case():
     sq = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     ok, info = derivative_check_bodies(sq, sq)
@@ -372,6 +401,17 @@ def test_derivative_on_divisor_classes():
     assert mixed_volume_derivative_check(TDivisor(fan, (0, 3, 0, 5)),
                                          TDivisor(fan, (0, 1, 0, 0)),
                                          AdmissibleFlag(fan, (0, 2)))
+
+
+@seed(2024)
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.fractions(-50, 50, max_denominator=12), max_size=7))
+def test_interpolate_matches_fraction_oracle(values):
+    coeffs = interpolate(values)
+    assert coeffs == fraction_oracle.interpolate(values)
+    assert all(type(c) is F for c in coeffs)
+    for s, v in enumerate(values):
+        assert sum(c * s ** j for j, c in enumerate(coeffs)) == v
 
 
 def test_derivative_check_sides_do_not_share_the_fit(monkeypatch):

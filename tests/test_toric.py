@@ -246,7 +246,7 @@ def test_wall_self_intersections_on_f1():
     f1 = testbed("f1")
     def self_int(ray):
         coeffs = [1 if i == ray else 0 for i in range(4)]
-        return f1.classes.form([TDivisor(f1, coeffs).cls] * 2)
+        return f1.classes.form([TDivisor(f1, coeffs).num_class] * 2)
     assert self_int(1) == -1
     assert self_int(0) == 0 and self_int(2) == 0
     assert self_int(3) == 1
@@ -254,7 +254,7 @@ def test_wall_self_intersections_on_f1():
 
 def test_exceptional_self_intersections_on_blpq():
     bl = testbed("blpq-p2")
-    e3, e4 = (TDivisor(bl, [int(i == ray) for i in range(5)]).cls for ray in (3, 4))
+    e3, e4 = (TDivisor(bl, [int(i == ray) for i in range(5)]).num_class for ray in (3, 4))
     assert bl.classes.form([e3, e3]) == bl.classes.form([e4, e4]) == -1
 
 
@@ -339,7 +339,7 @@ def test_form_on_blown_up_fans(spec, data):
     principal = [sum(x * y for x, y in zip(u, r)) for r in rays]
 
     def form(vectors):
-        return fan.classes.form([TDivisor(fan, v).cls for v in vectors])
+        return fan.classes.form([TDivisor(fan, v).num_class for v in vectors])
 
     value = form(vectors)
     assert form(vectors[::-1]) == value
@@ -529,7 +529,8 @@ def test_class_map_matches_solve_oracle(fan, data):
         assert cls == class_by_solve(fan, coeffs)
         assert all(type(x) is F for x in cls)
     units = [TDivisor(fan, [int(i == k) for k in range(n)]).cls for i in range(n)]
-    assert tuple(units) == fan.classes.eff_generators
+    den = fan.classes._class_den
+    assert units == [tuple(F(x, den) for x in col) for col in zip(*fan.classes._class_rows)]
 
 
 @seed(2024)
@@ -545,7 +546,70 @@ def test_form_on_classes_matches_ray_support_oracle(fan, data):
     want = ray_form(fan, vectors)
     assert ray_form(fan, moved) == want
     for vs in (vectors, moved):
-        assert fan.classes.form([TDivisor(fan, v).cls for v in vs]) == want
+        assert fan.classes.form([TDivisor(fan, v).num_class for v in vs]) == want
+
+
+def fraction_route_queries(fan, vectors, flag):
+    """Oracle: every class query on the classes of `class_by_solve`, in
+    Fractions.  The Kleiman rows are the curve degrees, the effective facets
+    come from `facets_by_subsets` on the ray classes, and the flag test
+    compares the curve degrees level by level."""
+    n, d = len(fan.rays), fan.dim
+    classes = fan.classes
+    cls = class_by_solve(fan, vectors[0])
+    rays = [class_by_solve(fan, [int(i == k) for k in range(n)]) for i in range(n)]
+    degrees = [dot(row, cls) for row in classes.curve_rows.values()]
+    eff = [dot(g, cls) for g in facets_by_subsets(rays, classes.rank)]
+    e = rays[flag.ray_indices[0]]
+    out = {"nef": min(degrees) >= 0, "ample": min(degrees) > 0, "big": min(eff) > 0,
+           "boundary": "outside" if min(eff) < 0 else "boundary" if min(eff) == 0
+           else "interior", "form": ray_form(fan, vectors[:d]), "mu": None}
+    if out["big"]:
+        out["mu"] = min(dot(g, cls) / dot(g, e) for g in facets_by_subsets(rays, classes.rank)
+                        if dot(g, e) > 0)
+    ratios = []
+    for i in range(d - 1):
+        level = [row for tau, row in classes.curve_rows.items()
+                 if set(flag.ray_indices[:i]) <= set(tau)]
+        avals = [dot(row, rays[flag.ray_indices[i]]) for row in level]
+        bvals = [dot(row, cls) for row in level]
+        r = next((b / a for a, b in zip(avals, bvals) if a), F(0))
+        if any(r * a != b for a, b in zip(avals, bvals)):
+            ratios = None
+            break
+        ratios.append(r)
+    out["corresponds"] = (False, None) if ratios is None else (True, tuple(ratios))
+    return out
+
+
+@seed(2024)
+@settings(max_examples=60, deadline=None)
+@given(fan=st.one_of(any_fan, st.just(HEXAGON)), data=st.data())
+def test_class_queries_match_fraction_route(fan, data):
+    n, d = len(fan.rays), fan.dim
+    entry = st.one_of(st.integers(-2, 4), st.fractions(-2, 4, max_denominator=4))
+    vectors = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(d)]
+    cone = data.draw(st.sampled_from(fan.max_cones))
+    flag = AdmissibleFlag(fan, data.draw(st.permutations(cone)))
+    if data.draw(st.booleans()):  # a multiple of O(Y_1), which level 0 admits
+        c = data.draw(st.sampled_from([F(1, 3), 1, 2]))
+        vectors[0] = [c * (i == flag.ray_indices[0]) for i in range(n)]
+    div = TDivisor(fan, vectors[0])
+    classes = fan.classes
+    want = fraction_route_queries(fan, vectors, flag)
+    for y in (div.num_class[0], div.cls):  # integers or Fractions
+        assert classes.is_nef(y) == want["nef"]
+        assert classes.is_ample(y) == want["ample"]
+        assert classes.is_big(y) == want["big"]
+        assert classes.boundary_membership(y) == want["boundary"]
+    assert classes.form([TDivisor(fan, v).num_class for v in vectors]) == want["form"]
+    if want["mu"] is None:
+        with pytest.raises(ValueError):
+            mu(fan, div, flag.divisor_of_y1())
+    else:
+        assert mu(fan, div, flag.divisor_of_y1()) == want["mu"]
+        assert mu(fan, div, flag.divisor_of_y1().cls) == want["mu"]
+    assert flag_corresponds(fan, flag, div) == want["corresponds"]
 
 
 def test_class_matrix_with_a_denominator():
@@ -667,5 +731,5 @@ def facets_by_subsets(generators, dim):
 @given(fan=any_fan)
 def test_double_description_matches_subset_facets(fan):
     classes = fan.classes
-    assert classes.eff_rows == facets_by_subsets(classes.eff_generators, classes.rank)
+    assert classes.eff_rows == facets_by_subsets(list(zip(*classes._class_rows)), classes.rank)
     assert classes.nef_rays == facets_by_subsets(classes.nef_rows, classes.rank)
