@@ -94,32 +94,32 @@ class ConeCLM:
 
     @cached_property
     def _minor(self):
-        """(i, j, det) for the first nonzero 2x2 minor of the classes of L, M."""
-        cl, cm = self.L.cls, self.M.cls
-        return next(((i, j, det) for i, j in combinations(range(len(cl)), 2)
-                     if (det := cl[i] * cm[j] - cl[j] * cm[i])), None)
+        """(i, j, det) for the first nonzero 2x2 minor of the integer classes of L, M."""
+        yl, ym = self.L.num_class[0], self.M.num_class[0]
+        return next(((i, j, det) for i, j in combinations(range(len(yl)), 2)
+                     if (det := yl[i] * ym[j] - yl[j] * ym[i])), None)
 
     @property
     def dependent(self) -> bool:
         return self._minor is None
 
     def coordinates(self, n: TDivisor):
-        """(lambda, mu) with N = lambda L + mu M in N^1, by Cramer's rule on
-        one minor.  On a dependent basis mu = 0 and lambda takes the class,
-        or lambda = 0 when L is numerically trivial."""
-        cl, cm, cn = self.L.cls, self.M.cls, n.cls
-        lam = m = Fraction(0)
+        """(lambda, mu) with N = lambda L + mu M in N^1: p y_L + r y_M = det y_N
+        on the integer classes y / q by Cramer's rule on one minor, then one
+        division each.  On a dependent basis mu = 0 and lambda takes the
+        class, or lambda = 0 when L is numerically trivial."""
+        (yl, ql), (ym, qm), (yn, qn) = self.L.num_class, self.M.num_class, n.num_class
+        p, r, det = 0, 0, 1
         if self._minor:
             i, j, det = self._minor
-            lam = (cn[i] * cm[j] - cn[j] * cm[i]) / det
-            m = (cl[i] * cn[j] - cl[j] * cn[i]) / det
-        elif any(cl):
-            lam = next(c / x for x, c in zip(cl, cn) if x)
-        elif any(cm):
-            m = next(c / x for x, c in zip(cm, cn) if x)
-        if any(lam * a + m * b != c for a, b, c in zip(cl, cm, cn)):
+            p, r = yn[i] * ym[j] - yn[j] * ym[i], yl[i] * yn[j] - yl[j] * yn[i]
+        elif any(yl):
+            p, det = next((c, x) for x, c in zip(yl, yn) if x)
+        elif any(ym):
+            r, det = next((c, x) for x, c in zip(ym, yn) if x)
+        if any(p * a + r * b != det * c for a, b, c in zip(yl, ym, yn)):
             raise ValueError(f"class {n.class_text()} is not in the span of the cone basis")
-        return lam, m
+        return Fraction(p * ql, det * qn), Fraction(r * qm, det * qn)
 
     def admits(self, n: TDivisor, mu) -> bool:
         """Whether N = lambda L + mu M lies in the cone: N ample and mu >= 0,

@@ -15,8 +15,9 @@ codes: 0 all checks passed, 1 check failures, 2 configuration error,
 3 hard invariant violation (the one-sided inclusion failed, or a nef body
 failed its d! vol = D^d certificate, which means the implementation
 itself is broken).  A sweep that would enumerate more than
-`additivity.ENUMERATION_BUDGET` points (from --bound, --grid-den or the
-rank of a catalog fan) is a configuration error.
+`additivity.ENUMERATION_BUDGET` points (from --bound, the --grid-den of
+verify, the rank of a catalog fan, or the vertex sums of the largest
+Minkowski sum mixedvol would form) is a configuration error.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import prod
 
 from . import __version__
 from .additivity import EnumerationBudgetError, InclusionViolationError, check_enumeration
@@ -133,46 +135,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--testbed", help="testbed name (built-in or catalog)")
-        p.add_argument("--flag", help="flag as cone:i,j,... (ordered ray indices)")
-        p.add_argument("--grid-den", type=int, default=12,
-                       help="denominator bound for parameter grids")
-        p.add_argument("--seed", type=int, default=2024)
+    def command(name, run, text, testbed="required", flag=False):
+        """A subcommand with the options `run` reads: the fan (--testbed,
+        --catalog) unless testbed is None, --flag if asked, the output."""
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        if testbed:
+            p.add_argument("--testbed", required=testbed == "required",
+                           help="testbed name (built-in or catalog)")
+            p.add_argument("--catalog", default=os.environ.get(CATALOG_ENV),
+                           help="directory of extra testbed JSON files "
+                                f"(default ${CATALOG_ENV})")
+        if flag:
+            p.add_argument("--flag", help="flag as cone:i,j,... (ordered ray indices)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--catalog",
-                       default=os.environ.get(CATALOG_ENV),
-                       help="directory of extra testbed JSON files "
-                            f"(default ${CATALOG_ENV})")
+        return p
 
-    p = sub.add_parser("body", help="Newton-Okounkov body of a divisor class")
-    common(p)
+    p = command("body", cmd_body, "Newton-Okounkov body of a divisor class", flag=True)
     p.add_argument("--class", dest="divisor", required=True,
                    help="ray coefficients, e.g. 1,0,0 or 3/2,0 (curves: degree)")
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    common(p)
+    p = command("verify", cmd_verify, "run a verification suite", testbed="optional")
     p.add_argument("--suite", required=True,
                    choices=("additivity", "slices", "replay", "prop14",
                             "cor13", "lemma61", "cor15", "lx", "all"))
+    p.add_argument("--grid-den", type=int, default=12,
+                   help="denominator bound for parameter grids")
+    p.add_argument("--seed", type=int, default=2024)
 
-    p = sub.add_parser("search-strict", help="sweep ample pairs for strictness")
-    common(p)
+    p = command("search-strict", cmd_search_strict, "sweep ample pairs for strictness",
+                flag=True)
     p.add_argument("--bound", type=int, default=5,
                    help="class-coordinate bound of the sweep grid")
 
-    p = sub.add_parser("mu", help="endpoint sup{s : M - s O(Y1) big}")
-    common(p)
+    p = command("mu", cmd_mu, "endpoint sup{s : M - s O(Y1) big}", flag=True)
     p.add_argument("--class", dest="divisor", required=True)
 
-    p = sub.add_parser("intersect", help="intersection number of nef divisors")
-    common(p)
+    p = command("intersect", cmd_intersect, "intersection number of nef divisors")
     p.add_argument("--classes", required=True,
                    help="d divisors separated by ';', e.g. 0,1,0,1;0,1,0,0")
 
-    p = sub.add_parser("mixedvol", help="mixed volume of d polytopes")
-    common(p)
+    p = command("mixedvol", cmd_mixedvol, "mixed volume of d polytopes", testbed=None)
     p.add_argument("--bodies", required=True,
                    help="JSON list of vertex lists (rationals as [n,d] pairs)"
                         " or @file")
@@ -209,8 +213,6 @@ def _load_fans(args) -> dict[str, Fan]:
 
 
 def _pick_fan(args, fans) -> Fan:
-    if not args.testbed:
-        raise ConfigError("--testbed is required for this command")
     if args.testbed not in fans:
         raise ConfigError(f"unknown testbed {args.testbed!r}; "
                           f"known: {', '.join(sorted(fans))}")
@@ -250,13 +252,8 @@ def _parse_divisor(fan: Fan, text: str) -> TDivisor:
 
 
 def _config_echo(args, extra=None) -> dict:
-    echo = {
-        "testbed": getattr(args, "testbed", None),
-        "flag": getattr(args, "flag", None),
-        "grid_den": args.grid_den,
-        "seed": args.seed,
-        "format": args.format,
-    }
+    echo = {key: getattr(args, key, None)
+            for key in ("testbed", "flag", "grid_den", "seed", "format")}
     if extra:
         echo.update(extra)
     return echo
@@ -280,6 +277,9 @@ def cmd_body(args, fans):
 
 
 def cmd_verify(args, fans):
+    if args.grid_den < 1:
+        raise ConfigError("--grid-den must be positive")
+    check_enumeration(args.grid_den + 1, "--grid-den")
     if args.testbed:
         fans = {args.testbed: _pick_fan(args, fans)}
     return run_suite(args.suite, RunConfig(fans=fans, grid_den=args.grid_den,
@@ -331,31 +331,23 @@ def cmd_mixedvol(args, fans):
         data = json.loads(text)
         bodies = [Polytope.hull([[parse_rational(x) for x in v] for v in verts])
                   for verts in data]
+        # vertex sums of the largest Minkowski sum: K + L, or all d bodies
+        summands = bodies if len(set(bodies)) > 2 else set(bodies)
+        check_enumeration(prod(len(b.ipts) for b in summands), "the Minkowski sum of --bodies")
         value = mixed_volume(bodies)
+    except EnumerationBudgetError:
+        raise
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad bodies: {exc}") from exc
     return [{"key": "mixedvol", "suite": "mixedvol", "value": value, "pass": True}], None
-
-
-COMMANDS = {
-    "body": cmd_body,
-    "verify": cmd_verify,
-    "search-strict": cmd_search_strict,
-    "mu": cmd_mu,
-    "intersect": cmd_intersect,
-    "mixedvol": cmd_mixedvol,
-}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_signed_values(argv))
     try:
-        if args.grid_den < 1:
-            raise ConfigError("--grid-den must be positive")
-        check_enumeration(args.grid_den + 1, "--grid-den")
-        fans = _load_fans(args)
-        records, extra = COMMANDS[args.command](args, fans)
+        fans = _load_fans(args) if "catalog" in vars(args) else None
+        records, extra = args.run(args, fans)
         report = make_report(args.command, _config_echo(args, extra), records)
         emit(report, args.format, args.out)
         return 0 if report["summary"]["failed"] == 0 else 1

@@ -200,7 +200,9 @@ class TDivisor:
     ints: tuple
 
     def __init__(self, fan: Fan, coeffs):
-        ints, den = integer_row(vec(coeffs))
+        coeffs = tuple(coeffs)
+        ints, den = ((coeffs, 1) if all(type(a) is int for a in coeffs)
+                     else integer_row(vec(coeffs)))
         if len(ints) != len(fan.rays):
             raise ValueError("coefficient count does not match ray count")
         self.__dict__.update(fan=fan, den=den, ints=tuple(ints))
@@ -261,15 +263,15 @@ class AdmissibleFlag:
         if tuple(sorted(self.ray_indices)) not in self.fan.max_cones:
             raise ValueError(
                 f"flag rays {self.ray_indices} are not a maximal cone of {self.fan.name}")
+        y1 = [int(i == self.ray_indices[0]) for i in range(len(self.fan.rays))]
+        object.__setattr__(self, "_y1", TDivisor._from_ints(self.fan, y1, 1))
 
     def label(self) -> str:
         return "cone:" + ",".join(str(i) for i in self.ray_indices)
 
     def divisor_of_y1(self) -> TDivisor:
-        """O(Y_1) as a torus-invariant divisor."""
-        coeffs = [0] * len(self.fan.rays)
-        coeffs[self.ray_indices[0]] = 1
-        return TDivisor(self.fan, tuple(coeffs))
+        """O(Y_1) as a torus-invariant divisor, built once per flag."""
+        return self._y1
 
 
 # ---------------------------------------------------------------------------

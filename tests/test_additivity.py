@@ -85,6 +85,33 @@ def test_cone_coordinates_match_solve_oracle(name, l_cls, m_cls):
             assert cone.coordinates(n) == expected
 
 
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@seed(2024)
+@given(st.sampled_from(testbed_names()), st.data())
+@settings(max_examples=80, deadline=None)
+def test_integer_cone_coordinates_match_solve_oracle(name, data):
+    # bases that are independent, dependent (M a multiple of L) or trivial (L = 0),
+    # and classes in their span or drawn freely (outside it on rank >= 3)
+    classes = testbed(name).classes
+    cls = st.lists(small_rationals, min_size=classes.rank, max_size=classes.rank)
+    basis = data.draw(st.sampled_from(("free", "multiple", "trivial")))
+    l_cls = [0] * classes.rank if basis == "trivial" else data.draw(cls)
+    m_cls = ([data.draw(small_rationals) * x for x in l_cls] if basis == "multiple"
+             else data.draw(cls))
+    cone = ConeCLM(classes.divisor_from_class(l_cls), classes.divisor_from_class(m_cls))
+    n = (cone.member(data.draw(small_rationals), data.draw(small_rationals))
+         if data.draw(st.booleans()) else classes.divisor_from_class(data.draw(cls)))
+    expected = solve([[a, b] for a, b in zip(cone.L.cls, cone.M.cls)], n.cls)
+    if expected is None:
+        with pytest.raises(ValueError, match="not in the span") as exc:
+            cone.coordinates(n)
+        assert "Fraction(" not in str(exc.value)
+    else:
+        assert cone.coordinates(n) == expected
+
+
 def test_in_cone_dependent_basis_puts_the_class_on_l():
     p2 = testbed("p2")
     cone = ConeCLM(TDivisor(p2, (1, 0, 0)), TDivisor(p2, (2, 0, 0)))

@@ -1,5 +1,6 @@
 """CLI: commands, exit codes, deterministic report bytes."""
 
+import argparse
 import hashlib
 import json
 from time import perf_counter
@@ -181,12 +182,66 @@ def test_json_object_divisor_and_flag_forms(capsys):
     assert body["flag"] == [1, 2] and body["exact"] is True
 
 
+# the options each command reads; argparse refuses every other one
+COMMAND_OPTIONS = {
+    "body": ["--catalog", "--class", "--flag", "--format", "--out", "--testbed"],
+    "verify": ["--catalog", "--format", "--grid-den", "--out", "--seed", "--suite",
+               "--testbed"],
+    "search-strict": ["--bound", "--catalog", "--flag", "--format", "--out", "--testbed"],
+    "mu": ["--catalog", "--class", "--flag", "--format", "--out", "--testbed"],
+    "intersect": ["--catalog", "--classes", "--format", "--out", "--testbed"],
+    "mixedvol": ["--bodies", "--format", "--out"],
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(a.option_strings[-1] for a in p._actions if a.dest != "help")
+               for name, p in sub.choices.items()}
+    assert options == COMMAND_OPTIONS
+    assert sum(map(len, options.values())) == 33
+
+
+@pytest.mark.parametrize("argv", [
+    ["body", "--testbed", "p2", "--class", "1,0,0", "--grid-den", "0"],
+    ["verify", "--suite", "cor13", "--testbed", "p2", "--flag", "cone:7,7"],
+    ["search-strict", "--testbed", "p2", "--seed", "3"],
+    ["mu", "--testbed", "p2", "--class", "2,0,0", "--grid-den", "12"],
+    ["intersect", "--testbed", "p2", "--classes", "1,0,0;1,0,0", "--flag", "cone:5,5"],
+    ["mixedvol", "--bodies", "[[[0]],[[1]]]", "--catalog", "/nonexistent"],
+])
+def test_options_a_command_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_mixedvol_reads_no_catalog(tmp_path, capsys, monkeypatch):
+    (tmp_path / "half.json").write_text('{"name": "half", "rays": [[1, 0]')
+    monkeypatch.setenv(CATALOG_ENV, str(tmp_path))
+    assert run(capsys, "body", "--testbed", "p1", "--class", "2")[0] == 2
+    code, out, _ = run(capsys, "mixedvol", "--bodies", "[[[0],[2]]]")
+    assert code == 0 and json.loads(out)["checks"][0]["value"] == [2, 1]
+
+
+def test_config_echo_is_null_for_options_a_command_lacks(capsys):
+    code, out, _ = run(capsys, "body", "--testbed", "p1", "--class", "2")
+    assert code == 0
+    assert json.loads(out)["config"] == {"class": "2", "flag": None, "format": "json",
+                                         "grid_den": None, "seed": None, "testbed": "p1"}
+
+
 @pytest.mark.parametrize("argv, what", [
     (["search-strict", "--testbed", "p1xp1", "--bound", "1000000"], "class grid"),
-    (["search-strict", "--testbed", "p2", "--grid-den", "1000000"], "--grid-den"),
+    (["verify", "--suite", "cor13", "--testbed", "p2", "--grid-den", "1000000"], "--grid-den"),
     (["verify", "--suite", "prop14", "--grid-den", "100000"], "--grid-den"),
     # 8000 ample classes pass the box budget; their 32 004 000 pairs do not
     (["search-strict", "--testbed", "p1xp1xp1", "--bound", "20"], "pairs"),
+    # six 8-vertex cyclic polytopes in R^6: 8^6 = 262 144 vertex sums
+    (["mixedvol", "--bodies", json.dumps([[[t ** e for e in range(1, 7)]
+                                            for t in range(s, s + 8)]
+                                           for s in range(0, 48, 8)])], "Minkowski sum"),
 ])
 def test_enumerations_over_budget_rejected(capsys, argv, what):
     start = perf_counter()
@@ -196,7 +251,7 @@ def test_enumerations_over_budget_rejected(capsys, argv, what):
 
 
 def test_nonpositive_bounds_rejected(capsys):
-    for argv in (["body", "--testbed", "p1", "--class", "2", "--grid-den", "0"],
+    for argv in (["verify", "--suite", "cor13", "--testbed", "p1", "--grid-den", "0"],
                  ["search-strict", "--testbed", "p2", "--bound", "0"],
                  ["search-strict", "--testbed", "p2", "--bound", "-1"]):
         code, _, err = run(capsys, *argv)
