@@ -196,27 +196,29 @@ def _attach_signed_values(argv) -> list[str]:
     return out
 
 
-def _load_fans(args) -> dict[str, Fan]:
-    fans = {name: testbed(name) for name in testbed_names()}
+def _load_catalog(args) -> dict[str, Fan]:
+    """The fans of --catalog (none without it), whose names must be new."""
     if not args.catalog:
-        return fans
+        return {}
     # FanError and json.JSONDecodeError are ValueErrors
     try:
-        extra = load_catalog_dir(args.catalog)
+        catalog = load_catalog_dir(args.catalog)
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"bad catalog {args.catalog!r}: {exc}") from exc
-    shadowed = sorted(set(extra) & set(fans))
+    shadowed = sorted(set(catalog) & set(testbed_names()))
     if shadowed:
         raise ConfigError(f"catalog names shadow built-in testbeds: {', '.join(shadowed)}")
-    fans.update(extra)
-    return fans
+    return catalog
 
 
-def _pick_fan(args, fans) -> Fan:
-    if args.testbed not in fans:
+def _pick_fan(args, catalog) -> Fan:
+    """The fan --testbed names; only that one built-in testbed is built."""
+    if args.testbed in catalog:
+        return catalog[args.testbed]
+    if args.testbed not in testbed_names():
         raise ConfigError(f"unknown testbed {args.testbed!r}; "
-                          f"known: {', '.join(sorted(fans))}")
-    return fans[args.testbed]
+                          f"known: {', '.join(sorted([*testbed_names(), *catalog]))}")
+    return testbed(args.testbed)
 
 
 def _parse_flag(fan: Fan, text: str | None) -> AdmissibleFlag:
@@ -263,8 +265,8 @@ def _config_echo(args, extra=None) -> dict:
 # commands: each returns its records and the config entries it adds
 # ---------------------------------------------------------------------------
 
-def cmd_body(args, fans):
-    fan = _pick_fan(args, fans)
+def cmd_body(args, catalog):
+    fan = _pick_fan(args, catalog)
     flag = _parse_flag(fan, args.flag)
     divisor = _parse_divisor(fan, args.divisor)
     try:
@@ -276,20 +278,20 @@ def cmd_body(args, fans):
              "body": nb.to_json(), "pass": nb.exact}], {"class": args.divisor}
 
 
-def cmd_verify(args, fans):
+def cmd_verify(args, catalog):
     if args.grid_den < 1:
         raise ConfigError("--grid-den must be positive")
     check_enumeration(args.grid_den + 1, "--grid-den")
-    if args.testbed:
-        fans = {args.testbed: _pick_fan(args, fans)}
+    fans = ({args.testbed: _pick_fan(args, catalog)} if args.testbed
+            else {**{name: testbed(name) for name in testbed_names()}, **catalog})
     return run_suite(args.suite, RunConfig(fans=fans, grid_den=args.grid_den,
                                            seed=args.seed)), {"suite": args.suite}
 
 
-def cmd_search_strict(args, fans):
+def cmd_search_strict(args, catalog):
     if args.bound < 1:
         raise ConfigError("--bound must be positive")
-    fan = _pick_fan(args, fans)
+    fan = _pick_fan(args, catalog)
     if args.flag is None and fan.name in SWEEP_CONFIGS:
         flag = AdmissibleFlag(fan, SWEEP_CONFIGS[fan.name][0][0])
     else:
@@ -297,8 +299,8 @@ def cmd_search_strict(args, fans):
     return suite_strict_search(flag, args.bound), None
 
 
-def cmd_mu(args, fans):
-    fan = _pick_fan(args, fans)
+def cmd_mu(args, catalog):
+    fan = _pick_fan(args, catalog)
     flag = _parse_flag(fan, args.flag)
     divisor = _parse_divisor(fan, args.divisor)
     try:
@@ -309,8 +311,8 @@ def cmd_mu(args, fans):
               "testbed": fan.name, "mu": value, "pass": True}], {"class": args.divisor})
 
 
-def cmd_intersect(args, fans):
-    fan = _pick_fan(args, fans)
+def cmd_intersect(args, catalog):
+    fan = _pick_fan(args, catalog)
     divisors = [_parse_divisor(fan, part)
                 for part in args.classes.split(";") if part]
     try:
@@ -322,7 +324,7 @@ def cmd_intersect(args, fans):
              "value": value, "pass": True}], {"classes": args.classes}
 
 
-def cmd_mixedvol(args, fans):
+def cmd_mixedvol(args, catalog):
     text = args.bodies
     try:
         if text.startswith("@"):
@@ -346,8 +348,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_signed_values(argv))
     try:
-        fans = _load_fans(args) if "catalog" in vars(args) else None
-        records, extra = args.run(args, fans)
+        catalog = _load_catalog(args) if "catalog" in vars(args) else None
+        records, extra = args.run(args, catalog)
         report = make_report(args.command, _config_echo(args, extra), records)
         emit(report, args.format, args.out)
         return 0 if report["summary"]["failed"] == 0 else 1

@@ -50,7 +50,6 @@ from .linalg import (
 __all__ = [
     "Polytope",
     "FormalBody",
-    "affine_image",
     "convex_hull",
     "integer_hull",
     "minkowski_sum",
@@ -437,19 +436,6 @@ def scale(p: Polytope, c) -> Polytope:
     return Polytope(p.dim, p.L * c.denominator, [tuple(a * x for x in v) for v in p.ipts],
                     (p.k, p.rows, p.cols, [(n, a * f) for n, f in p.facets],
                      p._volume * c ** p.dim), _trusted=True)
-
-
-def affine_image(p: Polytope, rows, shift) -> Polytope:
-    """{R x + s : x in P} for an integer matrix R, one row per coordinate of
-    the image, and a rational shift s, taken on integers."""
-    s = vec(shift)
-    if len(s) != len(rows) or any(len(r) != p.dim for r in rows):
-        raise DimensionMismatch("affine map does not fit the polytope")
-    L = lcm(p.L, *(x.denominator for x in s))
-    f = L // p.L
-    s = [x.numerator * (L // x.denominator) for x in s]
-    return integer_hull(len(rows), L, [tuple(f * sum(map(mul, r, x)) + o
-                                             for r, o in zip(rows, s)) for x in p.ipts])
 
 
 def mixed_volume(bodies) -> Fraction:

@@ -24,13 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from .exactgeom import (FormalBody, Polytope, minkowski_sum, mixed_volume,
                         mixed_volume_by_polarization, scale)
-from .additivity import ConeCLM
+from .additivity import ENUMERATION_BUDGET, ConeCLM, EnumerationBudgetError
 from .linalg import interpolate, iroot
 from .okounkov import NOBody, nef_body
 from .toric import (
@@ -278,16 +277,7 @@ def lehmann_xiao_check(k_body: Polytope, l_body: Polytope, m_body: Polytope,
 
 def find_corresponding_flag(fan: Fan, divisor: TDivisor) -> AdmissibleFlag | None:
     """First invariant flag (cone + ordering) corresponding to the class."""
-    return _flag_for_class(fan, divisor.num_class)
-
-
-@lru_cache(maxsize=None)
-def _flag_for_class(fan: Fan, num_class: tuple) -> AdmissibleFlag | None:
-    # correspondence is numerical, so any representative of the class will
-    # do; memoised on the fan object, which compares by identity
-    y, q = num_class
-    ints = dict(zip(fan.classes.free_rays, y))
-    divisor = TDivisor._from_ints(fan, [ints.get(i, 0) for i in range(len(fan.rays))], q)
+    y = divisor.num_class[0]
     for cone in fan.max_cones:
         for perm in permutations(cone):
             y1 = [row[perm[0]] for row in fan.classes._class_rows]
@@ -402,11 +392,14 @@ def lehmann_xiao_sweep(dim: int, count: int, seed: int) -> list[InequalityRecord
 
 
 def random_nef_divisor(rnd: random.Random, fan: Fan, bound: int = 4) -> TDivisor:
-    while True:
-        coeffs = tuple(rnd.randint(0, bound) for _ in fan.rays)
-        div = TDivisor(fan, coeffs)
+    """The first nef divisor among draws from [0, bound]^rays; a fan whose nef
+    cone ENUMERATION_BUDGET draws all miss raises EnumerationBudgetError."""
+    for _ in range(ENUMERATION_BUDGET):
+        div = TDivisor(fan, tuple(rnd.randint(0, bound) for _ in fan.rays))
         if fan.classes.is_nef(div.num_class[0]):
             return div
+    raise EnumerationBudgetError(
+        f"no nef class on {fan.name} in {ENUMERATION_BUDGET} draws from [0, {bound}]^rays")
 
 
 def cor15_sweep(fan: Fan, count: int, seed: int) -> list[dict]:

@@ -4,8 +4,9 @@ For the invariant flag of a smooth cone with ordered rays v_1, ..., v_d
 the body of a big divisor D = sum a_rho D_rho is the image of its section
 polytope, Delta(D) = phi(P_D) with phi(u) = (<u, v_i> + a_{v_i})_i
 (Lazarsfeld-Mustata 2009, Prop. 6.1).  phi is a unimodular affine map, so
-the vertices of P_D map onto the vertices of the body and no lattice
-enumeration is needed.
+it sends the integer points spanning P_D (`toric.section_points`) onto
+points spanning the body: each body is one integer hull of their images,
+and no lattice enumeration is needed.
 
 A body is certified once, where it is made: for a nef class d! vol(body)
 must equal the top self-intersection number D^d, and a body that fails
@@ -23,14 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
-from .exactgeom import Polytope, affine_image, slice_at
+from .exactgeom import Polytope, integer_hull, slice_at
 from .toric import (
     AdmissibleFlag,
     TDivisor,
     intersection_number,
     mu,
-    polytope_of_divisor,
+    section_points,
     star_model,
 )
 
@@ -78,7 +80,8 @@ class NOBody:
 
 @lru_cache(maxsize=None)
 def _section_image(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
-    """phi(P_D) for the flag; a nef class must pass the volume certificate.
+    """phi(P_D) for the flag, one integer hull of phi applied to the points
+    spanning P_D; a nef class must pass the volume certificate.
 
     Memoised on the divisor and flag objects, which compare their fans by
     identity, so two fans that share a name never share a body.  D need not
@@ -88,9 +91,10 @@ def _section_image(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     """
     fan = flag.fan
     d = fan.dim
-    body = affine_image(polytope_of_divisor(fan, divisor),
-                        [fan.rays[i] for i in flag.ray_indices],
-                        [Fraction(divisor.ints[i], divisor.den) for i in flag.ray_indices])
+    L, points = section_points(fan, divisor)
+    a, s = divisor.ints, L // divisor.den
+    body = integer_hull(d, L, [tuple(sum(map(mul, fan.rays[i], p)) + s * a[i]
+                                     for i in flag.ray_indices) for p in points])
     nef = fan.classes.is_nef(divisor.num_class[0])
     if nef and factorial(d) * body.volume() != intersection_number(fan, [divisor] * d):
         raise CertificateError(f"d! vol of the body of nef class "

@@ -6,8 +6,9 @@ the rays over one denominator.  Each fan's linear algebra is done once: the
 class map is one integer matrix, the nef and pseudo-effective cones are
 primitive integer rows, and the Chow-ring rule on ray monomials gives the
 curve degrees (the Kleiman rows) and the intersection form, one integer
-table on class coordinates; none of them touches a polytope.  For nef D,
-P_D is the hull of one point per maximal cone; only non-nef classes search
+table on class coordinates; none of them touches a polytope.  P_D is given
+by integer points over one denominator that span it (`section_points`):
+one point per maximal cone for nef D, while only non-nef classes search
 the d-subsets of rays.  Every linear system is square and solved by one
 integer adjugate.
 
@@ -36,6 +37,7 @@ __all__ = [
     "NumClassSpace",
     "FanError",
     "polytope_of_divisor",
+    "section_points",
     "flag_valuation",
     "intersection_number",
     "flag_corresponds",
@@ -427,31 +429,38 @@ def _cone_facets(gens, dim):
 # divisor polytopes, valuations, intersection numbers
 # ---------------------------------------------------------------------------
 
-def polytope_of_divisor(fan: Fan, divisor: TDivisor) -> Polytope:
-    """P_D = {u : <u, v_rho> >= -a_rho}: sections of mD live on m P_D.
+def section_points(fan: Fan, divisor: TDivisor) -> tuple[int, list]:
+    """(L, points): integer points over L, a multiple of D's denominator,
+    whose hull is P_D = {u : <u, v_rho> >= -a_rho}; no points when D has no
+    sections.
 
     Completeness of the fan (validated on load) makes the recession cone
-    trivial, so P_D is always bounded here; a divisor without sections
-    comes back as the empty polytope.  For nef D, P_D is the hull of the
-    points m_sigma = -sum_{i in sigma} a_i m_i(sigma), one per maximal cone
-    (Cox-Little-Schenck Sec. 6.1); only a non-nef D tries every d rays.
+    trivial, so P_D is always bounded here.  For nef D the points are
+    m_sigma = -sum_{i in sigma} a_i m_i(sigma), one per maximal cone
+    (Cox-Little-Schenck Sec. 6.1).  Otherwise every d rays with adjugate
+    (adj, det != 0) cut out U / (det den) with U = -sum a_i adj_i, kept when
+    it meets every inequality; the vertices are among the kept points.
     """
-    n, d = len(fan.rays), fan.dim
+    a, den, d = divisor.ints, divisor.den, fan.dim
     if fan.classes.is_nef(divisor.num_class[0]):
-        a, den = divisor.ints, divisor.den
-        return integer_hull(d, den, [
-            tuple(-sum(a[i] * m[j] for i, m in zip(sigma, fan.dual_bases[sigma]))
-                  for j in range(d)) for sigma in fan.max_cones])
-    a = divisor.coeffs
-    verts = []
-    for sub in combinations(range(n), d):
-        # each vertex is cut out by d independent hyperplanes
+        return den, [tuple(-sum(a[i] * m[j] for i, m in zip(sigma, fan.dual_bases[sigma]))
+                           for j in range(d)) for sigma in fan.max_cones]
+    kept = []
+    for sub in combinations(range(len(fan.rays)), d):
         adj, det = adjugate([fan.rays[i] for i in sub])
         if det:
-            u = tuple(sum(-a[i] * m[j] for i, m in zip(sub, adj)) / det for j in range(d))
-            if all(dot(u, fan.rays[i]) >= -a[i] for i in range(n)):
-                verts.append(u)
-    return Polytope.hull(verts, dim=d)
+            u = [-sum(a[i] * m[j] for i, m in zip(sub, adj)) for j in range(d)]
+            # <u / (det den), v_rho> + a_rho / den >= 0, times (det den)^2 / den
+            if all((sum(map(mul, u, v)) + b * det) * det >= 0 for v, b in zip(fan.rays, a)):
+                kept.append((det, u))
+    L = lcm(*(det for det, _ in kept))
+    return den * L, [tuple(x * (L // det) for x in u) for det, u in kept]
+
+
+def polytope_of_divisor(fan: Fan, divisor: TDivisor) -> Polytope:
+    """P_D, the hull of `section_points`: sections of mD live on m P_D, and a
+    divisor without sections comes back as the empty polytope."""
+    return integer_hull(fan.dim, *section_points(fan, divisor))
 
 
 def flag_valuation(flag: AdmissibleFlag, divisor: TDivisor, u):
@@ -515,7 +524,6 @@ def intersection_number(fan: Fan, divisors) -> Fraction:
     return fan.classes.form([dv.num_class for dv in divisors])
 
 
-@lru_cache(maxsize=None)
 def flag_corresponds(fan: Fan, flag: AdmissibleFlag, divisor: TDivisor):
     """Decide Def-style correspondence of the flag with the divisor class.
 
@@ -523,9 +531,7 @@ def flag_corresponds(fan: Fan, flag: AdmissibleFlag, divisor: TDivisor):
     curve of Y_i (the ridges containing the first i flag rays); these
     curves span the curve classes, so proportionality against them is
     exact.  Returns (True, ratios) or (False, None); a zero ratio means the
-    restriction of the class to Y_i is numerically trivial.  Memoised on
-    the fan, flag and divisor objects (fans compare by identity): the
-    replay asks again for every t of a case.
+    restriction of the class to Y_i is numerically trivial.
     """
     classes = fan.classes
     y, q = divisor.num_class

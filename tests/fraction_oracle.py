@@ -8,13 +8,16 @@ reduction, so the tests can check the closed forms against them.  The
 package contracts the intersection form on classes; `ray_form` expands it
 over the ray coefficients instead.  The package interpolates on integers
 over one denominator; `interpolate` adds up the Lagrange terms in Fractions.
+The package spans P_D by integer points over one denominator;
+`subset_loop_polytope` solves every d facet equations in Fractions.
 """
 
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
+from oklab.exactgeom import Polytope
 from oklab.toric import _monomial
 
 
@@ -99,3 +102,16 @@ def interpolate(values):
         for j, b in enumerate(basis):
             coeffs[j] += Fraction(v) * b / den
     return coeffs
+
+
+def subset_loop_polytope(fan, divisor):
+    """P_D = {u : <u, v_rho> >= -a_rho} as the hull of the points where d
+    independent facet hyperplanes meet and every inequality holds."""
+    a, n, d = divisor.coeffs, len(fan.rays), fan.dim
+    points = []
+    for sub in combinations(range(n), d):
+        if len(rref([fan.rays[i] for i in sub])[1]) == d:
+            u = solve([fan.rays[i] for i in sub], [-a[i] for i in sub])
+            if all(sum(x * y for x, y in zip(u, fan.rays[i])) >= -a[i] for i in range(n)):
+                points.append(u)
+    return Polytope.hull(points, dim=d)

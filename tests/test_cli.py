@@ -9,10 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from blowups import blown_up_fans
-from oklab import cli, okounkov
+from blowups import blown_up_fans, star_subdivision
+from oklab import cli, inequalities, okounkov
 from oklab.cli import CATALOG_ENV, main
-from oklab.toric import testbed_names
+from oklab.toric import testbed, testbed_names
 
 
 def run(capsys, *argv):
@@ -308,6 +308,35 @@ def test_verify_runs_catalog_fans_after_the_builtins(tmp_path, capsys, monkeypat
     monkeypatch.setattr(cli, "run_suite", lambda suite, config: configs.append(config) or [])
     code, _, _ = run(capsys, "verify", "--suite", "cor15", "--catalog", str(tmp_path))
     assert code == 0 and list(configs[0].fans) == testbed_names() + ["quad"]
+
+
+def test_a_command_builds_only_the_testbed_it_names(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "testbed", lambda name: built.append(name) or testbed(name))
+    monkeypatch.setattr(cli, "run_suite", lambda suite, config: [])
+    for argv in (["body", "--testbed", "p2", "--class", "1,0,0"],
+                 ["mu", "--testbed", "p2", "--class", "1,0,0"],
+                 ["intersect", "--testbed", "p2", "--classes", "1,0,0;1,0,0"],
+                 ["search-strict", "--testbed", "p2", "--bound", "1"],
+                 ["verify", "--suite", "cor13", "--testbed", "p2"]):
+        built.clear()
+        assert run(capsys, *argv)[0] == 0 and built == ["p2"], argv
+    built.clear()
+    assert run(capsys, "verify", "--suite", "cor13")[0] == 0 and built == testbed_names()
+
+
+def test_cor15_on_a_fan_without_nef_draws_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # P^2 blown up eight times at fixed points: 11 rays, and no draw from
+    # [0, 4]^11 is nef, so the cor15 sweep stops at the draw budget
+    rays, cones = [list(r) for r in testbed("p2").rays], list(testbed("p2").max_cones)
+    for _ in range(8):
+        rays, cones = star_subdivision(rays, cones, cones[0])
+    (tmp_path / "bl8.json").write_text(json.dumps(
+        {"name": "p2-bl8", "rays": rays, "max_cones": [list(c) for c in cones]}))
+    monkeypatch.setattr(inequalities, "ENUMERATION_BUDGET", 2000)
+    code, _, err = run(capsys, "verify", "--suite", "cor15", "--testbed", "p2-bl8",
+                       "--catalog", str(tmp_path))
+    assert code == 2 and err.startswith("error: no nef class on p2-bl8 in 2000 draws")
 
 
 @pytest.mark.parametrize("files", [

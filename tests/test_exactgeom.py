@@ -16,7 +16,6 @@ from oklab.exactgeom import (
     Polytope,
     _planar_hull,
     _simplicial_hull,
-    affine_image,
     convex_hull,
     equals,
     minkowski_sum,
@@ -660,13 +659,9 @@ def test_every_operation_keeps_the_canonical_integer_body(d, data):
     point_sets = st.lists(st.tuples(*[grid_coords] * d), min_size=1, max_size=8)
     p, q = convex_hull(data.draw(point_sets)), convex_hull(data.draw(point_sets))
     offset = data.draw(st.tuples(*[grid_coords] * d))
-    rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
-                              min_size=1, max_size=d + 1))
-    shift = data.draw(st.tuples(*[grid_coords] * len(rows)))
     empty = Polytope.empty(d)
     bodies = [p, q, empty, Polytope.point(offset), p.translate(offset), empty.translate(offset),
-              p.embed_prefix(offset[0]), minkowski_sum(p, q), minkowski_sum(p, empty),
-              affine_image(p, rows, shift), affine_image(empty, rows, shift)]
+              p.embed_prefix(offset[0]), minkowski_sum(p, q), minkowski_sum(p, empty)]
     bodies += [scale(b, c) for b in (p, q, empty) for c in (0, F(1, 3), 2, F(5, 2))]
     for body in bodies:
         _assert_canonical(body)
@@ -674,29 +669,3 @@ def test_every_operation_keeps_the_canonical_integer_body(d, data):
         for b in bodies:
             assert (a == b) == (a.dim == b.dim and a.vertices == b.vertices)
             assert a != b or hash(a) == hash(b)
-
-
-@seed(2024)
-@given(st.integers(1, 3), st.integers(1, 4), st.data())
-@settings(max_examples=80, deadline=None)
-def test_affine_image_matches_the_fraction_route(d, m, data):
-    pts = data.draw(st.lists(st.tuples(*[grid_coords] * d), min_size=1, max_size=8))
-    entry = st.integers(-3, 3)
-    rows = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=m, max_size=m))
-    if m > 1 and data.draw(st.booleans()):  # singular: the last row a combination
-        a, b = data.draw(entry), data.draw(entry)
-        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[m - 2])]
-    shift = data.draw(st.tuples(*[grid_coords] * m))
-    body = convex_hull(pts)
-    image = affine_image(body, rows, shift)
-    oracle = Polytope.hull([tuple(dot(r, x) + s for r, s in zip(rows, shift))
-                            for x in body.vertices], dim=m)
-    assert image == oracle
-    assert (image.facets, image.volume()) == (oracle.facets, oracle.volume())
-
-
-def test_affine_image_rejects_a_map_of_the_wrong_shape():
-    with pytest.raises(DimensionMismatch):
-        affine_image(UNIT_SQUARE, [(1, 0, 0)], (0,))
-    with pytest.raises(DimensionMismatch):
-        affine_image(UNIT_SQUARE, [(1, 0), (0, 1)], (0,))

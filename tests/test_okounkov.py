@@ -5,12 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from fraction_oracle import subset_loop_polytope
 from graded_oracle import (
     face_tails,
     graded_body,
     level,
     restriction_image,
 )
+from oklab import exactgeom, okounkov, toric
 from oklab.exactgeom import Polytope, convex_hull, scale, slice_at
 from oklab.inequalities import find_corresponding_flag
 from oklab.linalg import common_denominator, dot
@@ -401,7 +403,24 @@ def test_section_image_matches_the_fraction_route(name, flag_rays, coeffs):
     # phi(u) = (<u, v_i> + a_i)_i over the Fraction vertices of P_D
     oracle = Polytope.hull(
         [tuple(dot(u, fan.rays[i]) + div.coeffs[i] for i in flag.ray_indices)
-         for u in polytope_of_divisor(fan, div).vertices], dim=fan.dim)
+         for u in subset_loop_polytope(fan, div).vertices], dim=fan.dim)
     body = _section_image(div, flag).body
     assert body == oracle
     assert (body.facets, body.volume()) == (oracle.facets, oracle.volume())
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 1, 1), (0, 1, 0, 0), (F(1, 2), 3, 0, F(5, 2))])
+def test_a_cold_body_takes_one_integer_hull(monkeypatch, coeffs):
+    # a nef, a non-big nef and a big non-nef class on a fresh fan, so no memo holds it
+    hull, calls = exactgeom.integer_hull, []
+
+    def counting(*args):
+        calls.append(args)
+        return hull(*args)
+
+    for module in (exactgeom, toric, okounkov):
+        monkeypatch.setattr(module, "integer_hull", counting)
+    f1 = testbed("f1")
+    fan = Fan("f1", f1.rays, f1.max_cones)
+    nb = _section_image(TDivisor(fan, coeffs), AdmissibleFlag(fan, (1, 0)))
+    assert len(calls) == 1 and nb.body.dim == 2

@@ -7,14 +7,15 @@ from itertools import combinations
 from math import factorial
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from blowups import blown_up_fans, star_subdivision
-from fraction_oracle import nullspace, ray_form, solve
+from fraction_oracle import nullspace, ray_form, solve, subset_loop_polytope
 from graded_oracle import face_tails, lattice_points
 from oklab import exactgeom, toric
-from oklab.exactgeom import mixed_volume
+from oklab.exactgeom import Polytope, mixed_volume
+from oklab.okounkov import _section_image
 from oklab.linalg import common_denominator, det_int, dot, primitive, vec
 from oklab.toric import (
     AdmissibleFlag,
@@ -618,13 +619,6 @@ def test_class_matrix_with_a_denominator():
         assert TDivisor(HEXAGON, coeffs).cls == class_by_solve(HEXAGON, coeffs)
 
 
-def subset_loop_polytope(fan, divisor):
-    """The subset loop of `polytope_of_divisor`, forced for a nef class."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(toric.NumClassSpace, "is_nef", lambda self, cls: False)
-        return polytope_of_divisor(fan, divisor)
-
-
 @seed(2024)
 @settings(max_examples=40, deadline=None)
 @given(fan=any_fan, data=st.data())
@@ -656,6 +650,74 @@ def test_non_big_nef_polytopes_match_subset_loop(name, coeffs, affine_dim):
     body = polytope_of_divisor(fan, div)
     assert body == subset_loop_polytope(fan, div)
     assert body.affine_dim == affine_dim
+
+
+def _draw_divisor(fan, data, kind):
+    """A divisor of the given kind with weights in {0, 1/3, 1/2, 1, 2}, or None
+    when the fan has no class of that kind."""
+    classes, n = fan.classes, len(fan.rays)
+    weights = st.sampled_from([0, F(1, 3), F(1, 2), 1, 2])
+    ray = [TDivisor(fan, [int(i == k) for k in range(n)]) for i in range(n)]
+    ample = classes.divisor_from_class(classes.ample_class)
+    if kind == "nef":
+        w = data.draw(st.lists(weights, min_size=len(classes.nef_rays),
+                               max_size=len(classes.nef_rays)))
+        return classes.divisor_from_class(
+            [sum(a * r[k] for a, r in zip(w, classes.nef_rays)) for k in range(classes.rank)])
+    if kind == "big, not nef":
+        bad = [i for i in range(n) if not classes.is_nef(ray[i].num_class[0])]
+        if not bad:
+            return None
+        div, step = ample, ray[data.draw(st.sampled_from(bad))].scaled(data.draw(weights) or 1)
+        while classes.is_nef(div.num_class[0]):
+            div, step = div + step, step.scaled(2)
+        return div
+    coeffs = data.draw(st.lists(weights, min_size=n, max_size=n))
+    if kind == "not big":  # effective on the rays of one pseudo-effective facet
+        g = data.draw(st.sampled_from(classes.eff_rows))
+        return TDivisor(fan, [0 if dot(g, ray[i].num_class[0]) else a
+                              for i, a in enumerate(coeffs)])
+    div = TDivisor(fan, coeffs)  # empty: pushed out of the pseudo-effective cone
+    while classes.boundary_membership(div.num_class[0]) != "outside":
+        div = div - ample
+    return div
+
+
+@seed(2024)
+@settings(max_examples=120, deadline=None)
+@given(fan=any_fan, kind=st.sampled_from(["nef", "big, not nef", "not big", "empty", "free"]),
+       data=st.data())
+def test_section_polytope_and_body_match_the_subset_loop(fan, kind, data):
+    classes, n, d = fan.classes, len(fan.rays), fan.dim
+    if kind == "free":
+        div = TDivisor(fan, data.draw(st.lists(st.fractions(-2, 3, max_denominator=3),
+                                               min_size=n, max_size=n)))
+    else:
+        div = _draw_divisor(fan, data, kind)
+        assume(div is not None)
+    # the same class through another representative: D + div(chi^w)
+    w = data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    div = TDivisor(fan, [a + dot(w, r) for a, r in zip(div.coeffs, fan.rays)])
+    y = div.num_class[0]
+    assert {"nef": classes.is_nef(y), "big, not nef": classes.is_big(y) and not classes.is_nef(y),
+            "not big": not classes.is_big(y), "free": True,
+            "empty": classes.boundary_membership(y) == "outside"}[kind]
+    oracle = subset_loop_polytope(fan, div)
+    body = polytope_of_divisor(fan, div)
+    assert (body.L, body.ipts, body.k, body.cols, body.facets, body.volume()) == \
+        (oracle.L, oracle.ipts, oracle.k, oracle.cols, oracle.facets, oracle.volume())
+    assert body.is_empty() == (kind == "empty") or kind == "free"
+    assert (body.affine_dim == d) == classes.is_big(y)
+    if kind == "nef":  # the d-subset route on a nef class too
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(toric.NumClassSpace, "is_nef", lambda self, y: False)
+            assert polytope_of_divisor(fan, div) == oracle
+    flag = AdmissibleFlag(fan, data.draw(st.permutations(data.draw(st.sampled_from(
+        fan.max_cones)))))
+    image = _section_image(div, flag).body
+    phi = Polytope.hull([tuple(dot(u, fan.rays[i]) + div.coeffs[i] for i in flag.ray_indices)
+                         for u in oracle.vertices], dim=d)
+    assert (image, image.facets, image.volume()) == (phi, phi.facets, phi.volume())
 
 
 def test_divisor_class_is_computed_once(monkeypatch):
