@@ -16,8 +16,8 @@ codes: 0 all checks passed, 1 check failures, 2 configuration error,
 failed its d! vol = D^d certificate, which means the implementation
 itself is broken).  A sweep that would enumerate more than
 `additivity.ENUMERATION_BUDGET` points (from --bound, the --grid-den of
-verify, the rank of a catalog fan, or the vertex sums of the largest
-Minkowski sum mixedvol would form) is a configuration error.
+verify, the rank of a catalog fan, or the vertex sums of a Minkowski sum
+the mixed-volume route of mixedvol would form) is a configuration error.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import prod
 
 from . import __version__
 from .additivity import EnumerationBudgetError, InclusionViolationError, check_enumeration
@@ -333,10 +332,8 @@ def cmd_mixedvol(args, catalog):
         data = json.loads(text)
         bodies = [Polytope.hull([[parse_rational(x) for x in v] for v in verts])
                   for verts in data]
-        # vertex sums of the largest Minkowski sum: K + L, or all d bodies
-        summands = bodies if len(set(bodies)) > 2 else set(bodies)
-        check_enumeration(prod(len(b.ipts) for b in summands), "the Minkowski sum of --bodies")
-        value = mixed_volume(bodies)
+        value = mixed_volume(bodies, lambda sums: check_enumeration(
+            sums, "the Minkowski sum of --bodies"))
     except EnumerationBudgetError:
         raise
     except (OSError, ValueError, TypeError) as exc:

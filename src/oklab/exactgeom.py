@@ -22,16 +22,20 @@ are scaled to integers, and the other operations scale only their
 rational argument (a shift, a scale factor, a slice level).  Scaling
 keeps the hull data of its argument instead of taking the hull again.
 
-Mixed volumes of two distinct bodies, V(K^j, L^(d-j)), are read off the
-polynomial vol(sK + L), fitted exactly from d - 1 Minkowski sums; three
-or more distinct bodies go through the polarization formula.
+Mixed volumes take one of three routes.  Two distinct bodies in the form
+V(K, L^(d-1)) come from Minkowski's formula, sum_F w_F h_K(n_F) over the
+facets of L, whose weights w_F the hull keeps with each facet; no
+Minkowski sum is formed.  Other two-body mixed volumes V(K^j, L^(d-j)),
+2 <= j <= d - 2, are read off the polynomial vol(sK + L), fitted exactly
+from d - 1 Minkowski sums.  Three or more distinct bodies go through the
+polarization formula.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
 from .linalg import (
@@ -42,6 +46,7 @@ from .linalg import (
     dot,
     independent_rows,
     interpolate,
+    primitive,
     rat,
     to_int_points,
     vec,
@@ -81,7 +86,8 @@ def _planar_hull(pts: list[tuple[int, int]]) -> tuple[list[int], list, int]:
 
     Returns the indices of the vertices (counter-clockwise, collinear
     points dropped), the primitive facet inequalities (n, c) with
-    n.x <= c, one per ring edge, and twice the area (shoelace).
+    n.x <= c and the lattice length w of their edge, one per ring edge,
+    and twice the area (shoelace).
     """
     order = sorted(range(len(pts)), key=pts.__getitem__)
     ring = []
@@ -101,7 +107,7 @@ def _planar_hull(pts: list[tuple[int, int]]) -> tuple[list[int], list, int]:
         (ax, ay), (bx, by) = pts[i], pts[j]
         g = gcd(bx - ax, by - ay)
         n = ((by - ay) // g, (ax - bx) // g)
-        facets.append((n, n[0] * ax + n[1] * ay))
+        facets.append((n, n[0] * ax + n[1] * ay, g))
         area2 += ax * by - ay * bx
     return ring, sorted(facets), area2
 
@@ -126,7 +132,10 @@ class _Face:
 def _simplicial_hull(pts: list[tuple[int, ...]]) -> tuple[list[int], list, int]:
     """Conflict-list beneath-beyond (Clarkson-Shor) on distinct integer points
     of affine rank k = len(pts[0]) >= 2, the counterpart of `_planar_hull`:
-    vertex indices, primitive facets and k! times the k-volume.
+    vertex indices, primitive facets (n, c, w) and k! times the k-volume.
+    Here w = (k-1)! times the lattice volume of the facet: the gcd of a
+    simplex's cross normal is (k-1)! times its lattice volume, summed over
+    the facet's simplices, so sum_F w (c - n.q0) = k! vol.
 
     Each facet simplex keeps the points strictly above it.  The highest
     point above a face goes in next (Quickhull order); the faces it sees
@@ -184,18 +193,19 @@ def _simplicial_hull(pts: list[tuple[int, ...]]) -> tuple[list[int], list, int]:
             new.append(h)
         assign((i for f in visible for _, i in f.above if i != top), new)
         faces += new
-    normals, facets, kvol = {}, set(), 0
+    normals, facets, kvol = {}, {}, 0
     for f in faces:
         if not f.dead:
             g = gcd(*f.n)  # divides c, an integer combination of n
             n = tuple(x // g for x in f.n)
-            facets.add((n, f.c // g))
+            key = (n, f.c // g)
+            facets[key] = facets.get(key, 0) + g
             kvol += f.c - sum(map(mul, f.n, q0))  # |det| of the cone from the hull point q0
             for v in f.verts:
                 normals.setdefault(v, set()).add(n)
     keep = [v for v, ns in normals.items()
             if len(ns) >= k and (k <= 3 or len(independent_rows(list(ns))) == k)]
-    return keep, sorted(facets), kvol
+    return keep, sorted((n, c, w) for (n, c), w in facets.items()), kvol
 
 
 def integer_hull(d: int, L: int, ipts) -> "Polytope":
@@ -207,8 +217,9 @@ def integer_hull(d: int, L: int, ipts) -> "Polytope":
     onto the pivot columns, so the hull is taken there, in k = affine rank
     coordinates: an interval for k = 1, the monotone chain for k = 2 and
     the conflict-list beneath-beyond for k >= 3.  The body keeps k, the
-    echelon rows, the pivot columns, the primitive facets (n, c) of the
-    projection and its volume.
+    echelon rows, the pivot columns, the primitive facets (n, c, w) of the
+    projection, w being (k-1)! times the facet's lattice volume, and its
+    volume.
     """
     ipts = sorted(set(ipts))  # L > 0, so the points sort like the rationals they scale
     if not ipts:
@@ -223,7 +234,7 @@ def integer_hull(d: int, L: int, ipts) -> "Polytope":
     elif k == 1:
         keep = [coords.index(min(coords)), coords.index(max(coords))]
         (lo,), (hi,) = coords[keep[0]], coords[keep[1]]
-        facets, kvol = [((1,), hi), ((-1,), -lo)], hi - lo
+        facets, kvol = [((1,), hi, 1), ((-1,), -lo, 1)], hi - lo
     elif k == 2:
         keep, facets, kvol = _planar_hull(coords)
     else:
@@ -247,9 +258,10 @@ class Polytope:
     def __init__(self, dim: int, L: int, ipts, hull, _trusted=False):
         """hull = (k, echelon rows, pivot columns, facets, volume) of the
         sorted vertices ipts / L, or None for the empty body.  The points and
-        facet offsets are divided by g = gcd(L, coordinates), so that `==`
-        and `hash` compare (dim, L, points); g divides every offset, which
-        is n.x at some vertex x."""
+        facet offsets are divided by g = gcd(L, coordinates), and the facet
+        weights by g^(k-1), so that `==` and `hash` compare (dim, L, points);
+        g divides every offset, which is n.x at some vertex x, and g^(k-1)
+        every weight, which the divided lattice points give again."""
         if not _trusted:
             raise TypeError("use Polytope.hull / Polytope.empty / Polytope.point")
         k, rows, cols, facets, volume = hull or (-1, None, None, None, Fraction(0))
@@ -257,7 +269,7 @@ class Polytope:
         if g > 1:
             L //= g
             ipts = [tuple(x // g for x in p) for p in ipts]
-            facets = [(n, c // g) for n, c in facets]
+            facets = [(n, c // g, w // g ** (k - 1)) for n, c, w in facets]
         self.dim, self.L, self.ipts = dim, L, tuple(ipts)
         self.k, self.rows, self.cols, self.facets, self._volume = k, rows, cols, facets, volume
         self._halfspaces = None
@@ -338,7 +350,7 @@ class Polytope:
                     w[c] = Fraction(-sum(e[f] * a[j] for e, a in zip(rows, adj)), det)
                 eqs.append((tuple(w), dot(w, p0)))
             ineqs = []
-            for n, c in self.facets:
+            for n, c, _ in self.facets:
                 normal = [Fraction(0)] * d
                 for col, x in zip(cols, n):
                     normal[col] = Fraction(x)
@@ -409,8 +421,10 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     """Minkowski sum; the hull of pairwise vertex sums, taken on integers.
 
-    Memoised on the two bodies: the interpolation of `mixed_volume` and
-    the Lehmann-Xiao sweeps over k ask for the same sums again.
+    Memoised on the two bodies: `additivity.compare_additive_bodies` meets
+    the same pair of bodies again within the additivity sweep and again in
+    the prop14 suite, and `additivity.slice_decomposition_replay` sums the
+    same two bodies for every t of a case.
     """
     if p.dim != q.dim:
         raise DimensionMismatch("Minkowski sum of different ambient dimensions")
@@ -424,8 +438,8 @@ def scale(p: Polytope, c) -> Polytope:
     """{c x : x in P} for rational c >= 0.
 
     For c = a/b > 0 the hull data carry over: the affine rank, echelon rows
-    and pivot columns stay, each facet (n, f) becomes (n, a f) over b L
-    and the volume gains the factor c^d.
+    and pivot columns stay, each facet (n, f, w) becomes (n, a f, a^(k-1) w)
+    over b L and the volume gains the factor c^d.
     """
     c = rat(c)
     if c < 0:
@@ -434,18 +448,29 @@ def scale(p: Polytope, c) -> Polytope:
         return integer_hull(p.dim, 1, [(0,) * p.dim for _ in p.ipts[:1]])
     a = c.numerator
     return Polytope(p.dim, p.L * c.denominator, [tuple(a * x for x in v) for v in p.ipts],
-                    (p.k, p.rows, p.cols, [(n, a * f) for n, f in p.facets],
+                    (p.k, p.rows, p.cols,
+                     [(n, a * f, a ** (p.k - 1) * w) for n, f, w in p.facets],
                      p._volume * c ** p.dim), _trusted=True)
 
 
-def mixed_volume(bodies) -> Fraction:
-    """Mixed volume V(K_1, ..., K_d) of d bodies in R^d.
+def mixed_volume(bodies, check_sum=None) -> Fraction:
+    """Mixed volume V(K_1, ..., K_d) of d bodies in R^d, by one of three routes.
 
-    One distinct body: its volume.  Two distinct bodies K (j times) and
-    L: the coefficient of s^j in vol(sK + L) = sum_i C(d, i) V(K^i, L^(d-i)) s^i,
-    divided by C(d, j); the polynomial is fitted exactly from vol(L),
-    vol(sK + L) for s = 1..d-1 and its leading term vol(K).  Three or more:
-    `mixed_volume_by_polarization`.
+    One distinct body: its volume.  Two distinct bodies K (j times) and L:
+    - j = 1 or d - 1, so the form is V(A, B^(d-1)): Minkowski's formula
+      d! V(A, B^(d-1)) = sum_F w_F h_A(n_F) over the facets of B
+      (`_facet_mixed_volume`), with no Minkowski sum;
+    - 2 <= j <= d - 2 (d >= 4): the coefficient of s^j in
+      vol(sK + L) = sum_i C(d, i) V(K^i, L^(d-i)) s^i, divided by C(d, j);
+      the polynomial is fitted exactly from vol(L), vol(sK + L) for
+      s = 1..d-1 and its leading term vol(K).
+    Three or more: `mixed_volume_by_polarization`.
+
+    check_sum, if given, is called before any Minkowski sum is formed with
+    a bound on the vertex sums of the largest one the route forms, and may
+    raise to refuse the work: the facet route forms none, the fit forms
+    sums of |V(K)| |V(L)| vertex sums (sK has the vertices of K), and
+    polarization passes the product of all d vertex counts.
     """
     bodies = list(bodies)
     if not bodies:
@@ -460,24 +485,66 @@ def mixed_volume(bodies) -> Fraction:
             raise ValueError("mixed_volume of an empty body")
     distinct = list(dict.fromkeys(bodies))
     if len(distinct) > 2:
-        return mixed_volume_by_polarization(bodies)
+        return mixed_volume_by_polarization(bodies, check_sum)
     if len(distinct) == 1:
         return distinct[0].volume()
     k_body, l_body = distinct
+    j = bodies.count(k_body)
+    if j == d - 1:  # V(K^(d-1), L) = V(L, K^(d-1))
+        k_body, l_body, j = l_body, k_body, 1
+    if j == 1:
+        return _facet_mixed_volume(k_body, l_body)
+    if check_sum:
+        check_sum(len(k_body.ipts) * len(l_body.ipts))
     top = k_body.volume()
     values = [l_body.volume()] + [
         minkowski_sum(scale(k_body, s), l_body).volume() - top * s ** d
         for s in range(1, d)]
-    j = bodies.count(k_body)
     return interpolate(values)[j] / comb(d, j)
 
 
-def mixed_volume_by_polarization(bodies) -> Fraction:
+def _facet_mixed_volume(k_body: Polytope, l_body: Polytope) -> Fraction:
+    """V(K, L^(d-1)) by Minkowski's formula (Schneider, Convex Bodies, 5.1):
+
+        d! V(K, L^(d-1)) = sum_F w_F h_K(n_F),
+
+    over the facets F of L with primitive outer normal n_F and weight
+    w_F = (d-1)! times the lattice volume of F, where h_K(n) = max n.x
+    over the vertices x of K.  With K's points over K.L and L's weights in
+    its integer coordinates over L.L, the sum is taken on integers over
+    d! K.L L.L^(d-1).  A body L of affine rank d - 1 is its own facet,
+    twice: normals +-nu for the primitive normal nu of its hyperplane, and
+    w = (d-1)! vol of its projection to the pivot columns divided by
+    |nu_f| on the free column f.  Lower ranks give 0.
+    """
+    d, k = l_body.dim, l_body.k
+    if k < d - 1:
+        return Fraction(0)
+    if k == d:
+        terms = [(n, w) for n, _, w in l_body.facets]
+    else:  # (d-1)! vol of the projection, from its own facets: sum w (c - n.q)
+        nu = primitive(cross_normal_int(l_body.rows))
+        f = next(f for f in range(d) if f not in l_body.cols)
+        q = [l_body.ipts[0][c] for c in l_body.cols]
+        kvol = sum(w * (c - sum(map(mul, n, q))) for n, c, w in l_body.facets)
+        w = kvol // abs(nu[f])
+        terms = [(nu, w), (tuple(-x for x in nu), w)]
+    total = sum(w * max(sum(map(mul, n, x)) for x in k_body.ipts) for n, w in terms)
+    return Fraction(total, factorial(d) * k_body.L * l_body.L ** (d - 1))
+
+
+def mixed_volume_by_polarization(bodies, check_sum=None) -> Fraction:
     """Mixed volume of d nonempty bodies in R^d by the polarization formula:
 
         V(K_1,...,K_d) = (1/d!) sum_J (-1)^(d-|J|) vol(sum_{j in J} K_j).
+
+    check_sum, if given, is called first with the product of the vertex
+    counts, which bounds the vertex sums of the largest sum formed, that of
+    all d bodies.
     """
     d = len(bodies)
+    if check_sum:
+        check_sum(prod(len(b.ipts) for b in bodies))
     sums: dict[int, Polytope] = {}
     total = Fraction(0)
     for mask in range(1, 1 << d):

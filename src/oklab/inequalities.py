@@ -342,9 +342,11 @@ def derivative_check_bodies(k_body: Polytope, base: Polytope) -> tuple[bool, dic
     """d * V(K, B^{d-1}) equals the linear coefficient of t -> vol(tK + B).
 
     The volume of tK + B is a degree-d polynomial in t >= 0; it is fitted
-    exactly from the d+1 integer evaluations t = 0..d.  The mixed volume
-    comes from polarization, so the check does not compare the fit that
-    `mixed_volume` itself uses for two bodies with itself.
+    exactly from the d+1 integer evaluations t = 0..d, and the mixed volume
+    comes from polarization.  Both sides form Minkowski sums, so neither
+    shares code with the facet formula sum_F w_F h_K(n_F) that
+    `mixed_volume` uses for V(K, B^{d-1}), and the fit is not compared
+    with itself.
     """
     d = k_body.dim
     coeffs = interpolate([minkowski_sum(scale(k_body, j), base).volume()

@@ -75,7 +75,7 @@ def extreme_indices(int_pts, facets, k):
     """Vertices = points whose active facet normals span R^k."""
     out = []
     for i, p in enumerate(int_pts):
-        active = [n for n, c in facets
+        active = [n for n, c, _ in facets
                   if sum(a * b for a, b in zip(n, p)) == c]
         if len(active) >= k and len(independent_rows(active)) == k:
             out.append(i)
@@ -83,15 +83,19 @@ def extreme_indices(int_pts, facets, k):
 
 
 def simplicial_hull(pts):
-    """(vertex indices, primitive facets, k! times the k-volume) of distinct
-    integer points of affine rank k = len(pts[0]) >= 2."""
+    """(vertex indices, primitive facets (n, c, w), k! times the k-volume) of
+    distinct integer points of affine rank k = len(pts[0]) >= 2.
+
+    w is (k-1)! times the lattice volume of the facet: the sum, over the
+    facet's simplices in this oracle's own triangulation, of the gcd of
+    their cross normals."""
     k = len(pts[0])
     faces = incremental_hull(pts)
-    facets = set()
+    weights = Counter()
     for _, n, c in faces:
         g = gcd(*n)  # divides c, an integer combination of n
-        facets.add((tuple(x // g for x in n), c // g))
-    facets = sorted(facets)
+        weights[tuple(x // g for x in n), c // g] += g
+    facets = sorted((n, c, w) for (n, c), w in weights.items())
     corners = sorted({i for verts, _, _ in faces for i in verts})
     keep = [corners[i] for i in extreme_indices([pts[i] for i in corners], facets, k)]
     q0 = pts[0]  # a hull point: cones over the face simplices tile the body

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from blowups import blown_up_fans, star_subdivision
 from oklab import cli, inequalities, okounkov
 from oklab.cli import CATALOG_ENV, main
+from oklab.exactgeom import convex_hull
 from oklab.toric import testbed, testbed_names
 
 
@@ -95,6 +96,17 @@ def test_mixedvol_command(capsys):
     code, out, _ = run(capsys, "mixedvol", "--bodies", bodies)
     assert code == 0
     assert json.loads(out)["checks"][0]["value"] == [2, 1]
+
+
+def test_mixedvol_budgets_no_sum_for_the_facet_route(capsys):
+    # 400 x 400 vertex sums would be over the budget, but V(K, L) in the
+    # plane reads L's facets and K's support function and forms no sum
+    parabola = [[t, t * t] for t in range(400)]
+    bodies = [[[2 * x, 2 * y] for x, y in parabola], parabola]
+    code, out, _ = run(capsys, "mixedvol", "--bodies", json.dumps(bodies))
+    area = convex_hull(parabola).volume()
+    assert code == 0
+    assert json.loads(out)["checks"][0]["value"] == [(2 * area).numerator, (2 * area).denominator]
 
 
 def test_verify_suite_exit_zero_and_deterministic(capsys):

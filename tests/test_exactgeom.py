@@ -10,6 +10,7 @@ from hypothesis import assume, given, seed, settings, strategies as st
 
 from fraction_oracle import nullspace, rref, solve
 from hull_oracle import simplicial_hull
+from oklab import exactgeom
 from oklab.exactgeom import (
     DimensionMismatch,
     FormalBody,
@@ -469,6 +470,91 @@ def test_two_body_mixed_volume_matches_polarization(d, data):
         assert mixed_volume(bodies) == mixed_volume_by_polarization(bodies)
 
 
+def _body_of_rank(data, d, k):
+    """The hull of a few points p0 + sum_i c_i v_i over k integer directions:
+    affine rank at most k, usually exactly k."""
+    p0 = data.draw(st.tuples(*[small_coords] * d))
+    dirs = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=k, max_size=k))
+    combos = data.draw(st.lists(st.tuples(*[small_coords] * k), min_size=k + 1, max_size=k + 2))
+    return convex_hull([tuple(x + sum(c * v[i] for c, v in zip(cs, dirs))
+                              for i, x in enumerate(p0)) for cs in combos])
+
+
+scale_factors = st.sampled_from([F(1), F(2), F(3), F(1, 2), F(3, 2), F(2, 3)])
+
+
+@seed(2024)
+@given(st.integers(2, 4), st.data())
+@settings(max_examples=120, deadline=None)
+def test_facet_mixed_volume_matches_polarization(d, data):
+    # L of every affine rank: full, a hyperplane body (its own facet twice)
+    # and lower (V = 0).  Scaling multiplies the weights by a^(k-1), and the
+    # half- and third-integral points make Polytope.__init__ divide them by
+    # g^(k-1), both in the hull and after a scaling.
+    l_body = scale(_body_of_rank(data, d, data.draw(st.integers(0, d))), data.draw(scale_factors))
+    k_body = scale(_body_of_rank(data, d, d), data.draw(scale_factors))
+    assume(k_body != l_body)
+    for bodies in ([k_body] + [l_body] * (d - 1), [l_body] + [k_body] * (d - 1)):
+        assert mixed_volume(bodies) == mixed_volume_by_polarization(bodies)
+
+
+def _with_weight(body, i, delta):
+    """The body with the weight of its i-th facet moved by delta."""
+    facets = list(body.facets)
+    n, c, w = facets[i]
+    facets[i] = (n, c, w + delta)
+    return Polytope(body.dim, body.L, body.ipts,
+                    (body.k, body.rows, body.cols, facets, body.volume()), _trusted=True)
+
+
+@pytest.mark.parametrize("l_body", [
+    convex_hull([(0, 0), (2, 0), (F(1, 2), 3)]),
+    convex_hull([(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, F(3, 2))]),
+    scale(convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]), F(4, 3)),
+])
+def test_every_facet_weight_enters_the_facet_route(l_body):
+    # K holds the origin in its interior, so h_K(n) > 0 for every n != 0 and
+    # a wrong weight on any one facet changes the mixed volume
+    # (L listed first: in the plane it is then the body whose facets are read)
+    d = l_body.dim
+    k_body = convex_hull(product((-1, 1), repeat=d))
+    bodies = [l_body] * (d - 1) + [k_body]
+    expected = mixed_volume_by_polarization(bodies)
+    assert mixed_volume(bodies) == expected
+    for i in range(len(l_body.facets)):
+        for delta in (1, -1):
+            assert mixed_volume([_with_weight(l_body, i, delta)] * (d - 1) + [k_body]) != expected
+
+
+def test_facet_route_forms_no_minkowski_sum(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("minkowski_sum called")
+
+    monkeypatch.setattr(exactgeom, "minkowski_sum", forbidden)
+    cube = convex_hull(product((0, 1), repeat=3))
+    seg = convex_hull([(0, 0, 0), (1, 2, 3)])
+    tri = convex_hull([(0, 0, 0), (2, 0, 0), (0, 1, 1)])  # in the plane y = z, area sqrt 2
+    # 3 V(seg, K, K) = |v| area(K projected along v): 6 for the unit cube
+    assert mixed_volume([seg, cube, cube]) == mixed_volume([cube, cube, seg]) == 2
+    # 3 V(K, T, T) = area(T) times the width of K across the plane of T
+    assert mixed_volume([cube, tri, tri]) == F(2, 3)
+    assert mixed_volume([seg, tri, tri]) == F(1, 3)
+    assert mixed_volume([cube, seg, seg]) == 0  # a segment twice: rank 1 <= d - 2
+
+
+def test_mixed_volume_budgets_only_the_sums_its_route_forms():
+    seen = []
+    simplex = convex_hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    box = convex_hull(product((0, 2), repeat=4))
+    mixed_volume([simplex, box, box, box], seen.append)
+    mixed_volume([simplex, simplex, simplex, box], seen.append)
+    assert seen == []  # the facet route
+    mixed_volume([simplex, simplex, box, box], seen.append)
+    assert seen == [5 * 16]  # the fit: sK + L for s = 1, 2, 3
+    mixed_volume([simplex, box, scale(simplex, 2), box], seen.append)
+    assert seen == [5 * 16, 5 * 16 * 5 * 16]  # polarization: the product
+
+
 rational_entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
@@ -546,10 +632,12 @@ def test_minkowski_memo_is_bounded_and_transparent():
 # --- conflict-list hull against the brute-force oracle ------------------------
 
 def _assert_matches_hull_oracle(ipts):
-    """Compare the hull with the brute-force oracle; return the oracle's."""
+    """Compare the hull with the brute-force oracle, weights included, and
+    check sum_F w_F (c_F - n_F.q0) = k! vol; return the oracle's."""
     keep, facets, kvol = _simplicial_hull(ipts)
     oracle = simplicial_hull(ipts)
     assert (sorted(keep), facets, kvol) == oracle
+    assert sum(w * (c - dot(n, ipts[0])) for n, c, w in facets) == kvol
     return oracle
 
 
@@ -588,9 +676,11 @@ def test_conflict_list_hull_matches_oracle(make, d, data):
     keep, facets, kvol = _assert_matches_hull_oracle(ipts)
     body = convex_hull(pts)
     assert body.vertices == tuple(pts[i] for i in keep)
-    # the body keeps its offsets over the least common denominator of its vertices
+    # the body keeps its offsets over the least common denominator of its
+    # vertices, and its weights for the points over that denominator
     den = common_denominator(pts)
-    assert [(n, c * den // body.L) for n, c in body.facets] == facets
+    s = den // body.L
+    assert [(n, c * s, w * s ** (d - 1)) for n, c, w in body.facets] == facets
     assert body.volume() * factorial(d) * den ** d == kvol
 
 
@@ -612,8 +702,8 @@ def test_conflict_list_hull_of_rank_three_sets_in_four_space(data, rows):
     proj = [tuple(p[c] for c in cols) for p in ipts]
     keep, facets, _ = _assert_matches_hull_oracle(proj)
     assert space.vertices == tuple(pts[i] for i in keep)
-    den = common_denominator(pts)
-    assert [(n, c * den // space.L) for n, c in space.facets] == facets
+    s = common_denominator(pts) // space.L
+    assert [(n, c * s, w * s ** 2) for n, c, w in space.facets] == facets
     assert space.volume() == 0
 
 

@@ -346,6 +346,26 @@ def test_cor15_sweep_seeded():
     assert [r["direct"].lhs for r in res] == [r["direct"].lhs for r in res2]
 
 
+def test_lehmann_xiao_and_cor15_form_no_minkowski_sum(monkeypatch):
+    # for d <= 3 every mixed volume the two checks ask for is a volume or
+    # has the form V(A, B^(d-1)), which the facet formula gives without a sum
+    def forbidden(*args):
+        raise AssertionError("minkowski_sum called")
+
+    monkeypatch.setattr(exactgeom, "minkowski_sum", forbidden)
+    monkeypatch.setattr(inequalities, "minkowski_sum", forbidden)
+    for dim in (2, 3):
+        assert all(r.passed for r in lehmann_xiao_sweep(dim, 10, seed=7))
+    replayed = 0
+    for name in testbed_names():
+        fan = testbed(name)
+        if 2 <= fan.dim <= 3:
+            res = cor15_sweep(fan, 5, seed=3)
+            assert all(r["ok"] for r in res)
+            replayed += sum(r["proof_path"] is not None for r in res)
+    assert replayed  # the body-level derivation ran
+
+
 def test_find_corresponding_flag():
     fan = testbed("p1xp1")
     flag = find_corresponding_flag(fan, TDivisor(fan, (0, 1, 0, 0)))

@@ -6,7 +6,8 @@ Times, per seeded input set:
 - hull+volume: `Polytope.hull` of 25 or 150 random rational points in R^2
   and R^3, then `volume()`;
 - mixed_volume.d3: V(K, K, L) of two 3D bodies of 5 and 30 points, with the
-  Minkowski-sum memo cleared first, so it pays for its two sums.
+  Minkowski-sum memo cleared first, so a route that forms sums pays for
+  them (the facet route forms none).
 
 The points are drawn like the `geometry` workload of perfbench: coordinates
 in [0, 4] with denominators 1-4.  Each of 200 sets is timed 3 times and
