@@ -212,8 +212,9 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
     Splits at t0 = r*lambda_2 - (mu_2/mu_1) r*lambda_1 after ordering the
     pair, replays every displayed polytope identity of the relevant case
     exactly, and finishes with the slice-wise inclusion into the Minkowski
-    sum.  Returns (ok, trace) where the trace lists each step with both
-    sides serialized; ok is False from the first failing step on.
+    sum.  Returns (ok, trace) where the trace lists each step with its two
+    sides `lhs` and `rhs` as `Polytope`s, which a report serializes through
+    `to_json`; ok is False from the first failing step on.
     """
     fan = flag.fan
     d = fan.dim
@@ -252,8 +253,7 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
 
     def step(name, lhs: Polytope, rhs: Polytope) -> bool:
         okstep = lhs == rhs
-        trace.append({"step": name, "equal": okstep,
-                      "lhs": lhs.to_json(), "rhs": rhs.to_json()})
+        trace.append({"step": name, "equal": okstep, "lhs": lhs, "rhs": rhs})
         return okstep
 
     def image_body(div):

@@ -21,6 +21,9 @@ are kept with the body.  Every body is built by that integer hull
 are scaled to integers, and the other operations scale only their
 rational argument (a shift, a scale factor, a slice level).  Scaling
 keeps the hull data of its argument instead of taking the hull again.
+Containment is hull equality as well: Q lies in P iff the integer hull of
+both vertex sets is P.  `Polytope.halfspaces` is a Fraction view built on
+demand for witnesses; no membership test reads it.
 
 Mixed volumes take one of three routes.  Two distinct bodies in the form
 V(K, L^(d-1)) come from Minkowski's formula, sum_F w_F h_K(n_F) over the
@@ -253,7 +256,7 @@ class Polytope:
     over L, the least common denominator of their coordinates, kept with the
     hull data of those points (see `integer_hull`)."""
 
-    __slots__ = ("dim", "L", "ipts", "k", "rows", "cols", "facets", "_volume", "_halfspaces")
+    __slots__ = ("dim", "L", "ipts", "k", "rows", "cols", "facets", "_volume")
 
     def __init__(self, dim: int, L: int, ipts, hull, _trusted=False):
         """hull = (k, echelon rows, pivot columns, facets, volume) of the
@@ -272,7 +275,6 @@ class Polytope:
             facets = [(n, c // g, w // g ** (k - 1)) for n, c, w in facets]
         self.dim, self.L, self.ipts = dim, L, tuple(ipts)
         self.k, self.rows, self.cols, self.facets, self._volume = k, rows, cols, facets, volume
-        self._halfspaces = None
 
     # -- constructors ------------------------------------------------------
 
@@ -327,7 +329,8 @@ class Polytope:
     # -- derived geometry ----------------------------------------------------
 
     def halfspaces(self):
-        """(equalities, inequalities): pairs (normal, offset).
+        """(equalities, inequalities): pairs (normal, offset) of Fractions,
+        built on each call, the view that strictness witnesses are checked on.
 
         The body is {x : n.x = c on equalities, n.x <= c on inequalities};
         equalities cut out the affine hull of lower-dimensional bodies.
@@ -336,47 +339,42 @@ class Polytope:
         """
         if self.is_empty():
             raise ValueError("empty polytope has no geometry")
-        if self._halfspaces is None:
-            d, rows, cols = self.dim, self.rows, self.cols
-            p0 = tuple(Fraction(x, self.L) for x in self.ipts[0])
-            # one normal w per free column f, w_f = 1: the echelon rows restricted
-            # to the pivot columns are square and invertible (Cramer's rule)
-            free = [f for f in range(d) if f not in cols]
-            adj, det = adjugate([[e[c] for c in cols] for e in rows]) if free else ([], 1)
-            eqs = []
-            for f in free:
-                w = [Fraction(int(j == f)) for j in range(d)]
-                for j, c in enumerate(cols):
-                    w[c] = Fraction(-sum(e[f] * a[j] for e, a in zip(rows, adj)), det)
-                eqs.append((tuple(w), dot(w, p0)))
-            ineqs = []
-            for n, c, _ in self.facets:
-                normal = [Fraction(0)] * d
-                for col, x in zip(cols, n):
-                    normal[col] = Fraction(x)
-                ineqs.append((tuple(normal), Fraction(c, self.L)))
-            self._halfspaces = (eqs, ineqs)
-        eqs, ineqs = self._halfspaces
-        return list(eqs), list(ineqs)
+        d, rows, cols = self.dim, self.rows, self.cols
+        p0 = tuple(Fraction(x, self.L) for x in self.ipts[0])
+        # one normal w per free column f, w_f = 1: the echelon rows restricted
+        # to the pivot columns are square and invertible (Cramer's rule)
+        free = [f for f in range(d) if f not in cols]
+        adj, det = adjugate([[e[c] for c in cols] for e in rows]) if free else ([], 1)
+        eqs = []
+        for f in free:
+            w = [Fraction(int(j == f)) for j in range(d)]
+            for j, c in enumerate(cols):
+                w[c] = Fraction(-sum(e[f] * a[j] for e, a in zip(rows, adj)), det)
+            eqs.append((tuple(w), dot(w, p0)))
+        ineqs = []
+        for n, c, _ in self.facets:
+            normal = [Fraction(0)] * d
+            for col, x in zip(cols, n):
+                normal[col] = Fraction(x)
+            ineqs.append((tuple(normal), Fraction(c, self.L)))
+        return eqs, ineqs
 
     def contains_point(self, point) -> bool:
-        if self.is_empty():
-            return False
-        q = vec(point)
-        if len(q) != self.dim:
-            raise DimensionMismatch("point/polytope dimension mismatch")
-        eqs, ineqs = self.halfspaces()
-        return (all(dot(n, q) == c for n, c in eqs)
-                and all(dot(n, q) <= c for n, c in ineqs))
+        return self.contains(Polytope.point(point))
 
     def contains(self, other: "Polytope") -> bool:
+        """Q inside P iff conv(P u Q) = P: one integer hull of both vertex
+        sets over lcm(L, L'), compared with the canonical body."""
         if self.dim != other.dim:
             raise DimensionMismatch("polytope dimension mismatch")
         if other.is_empty():
             return True
         if self.is_empty():
             return False
-        return all(self.contains_point(v) for v in other.vertices)
+        L = lcm(self.L, other.L)
+        a, b = L // self.L, L // other.L
+        return self == integer_hull(self.dim, L, [tuple(a * x for x in p) for p in self.ipts]
+                                    + [tuple(b * x for x in p) for p in other.ipts])
 
     def volume(self) -> Fraction:
         """Exact d-dimensional volume (0 for lower-dimensional bodies)."""

@@ -267,12 +267,16 @@ def lehmann_xiao_check(k_body: Polytope, l_body: Polytope, m_body: Polytope,
         raise ValueError(f"k must lie in [0, {d}]")
     if l_body.dim != d or m_body.dim != d:
         raise ValueError("bodies of different ambient dimensions")
-    lhs = l_body.volume() * mixed_volume([k_body] * k + [m_body] * (d - k))
-    rhs = (comb(d, k)
-           * mixed_volume([k_body] * k + [l_body] * (d - k))
-           * mixed_volume([l_body] * k + [m_body] * (d - k)))
-    return InequalityRecord(name=f"lehmann-xiao-k{k}", lhs=lhs, rhs=rhs,
-                            inputs={"k": k, "dim": d})
+    return _lehmann_xiao_record(k, d, l_body.volume(),
+                                mixed_volume([k_body] * k + [m_body] * (d - k)),
+                                mixed_volume([k_body] * k + [l_body] * (d - k)),
+                                mixed_volume([l_body] * k + [m_body] * (d - k)))
+
+
+def _lehmann_xiao_record(k, d, vol_l, v_km, v_kl, v_lm) -> InequalityRecord:
+    """The record from vol(L), V(K^k, M^(d-k)), V(K^k, L^(d-k)), V(L^k, M^(d-k))."""
+    return InequalityRecord(name=f"lehmann-xiao-k{k}", lhs=vol_l * v_km,
+                            rhs=comb(d, k) * v_kl * v_lm, inputs={"k": k, "dim": d})
 
 
 def find_corresponding_flag(fan: Fan, divisor: TDivisor) -> AdmissibleFlag | None:
@@ -315,11 +319,14 @@ def cor15_check(l_div: TDivisor, m_div: TDivisor, n_div: TDivisor) -> dict:
     bl = nef_body(l_div, flag)
     bm = nef_body(m_div, flag)
     bn = nef_body(n_div, flag)
-    lx = lehmann_xiao_check(bm.body, bl.body, bn.body, 1)
+    # the three mixed volumes of the Lehmann-Xiao check at k = 1, formed once
+    v_mn, v_ml, v_ln = (mixed_volume([a.body] + [b.body] * (d - 1))
+                        for a, b in ((bm, bn), (bm, bl), (bl, bn)))
+    lx = _lehmann_xiao_record(1, d, bl.body.volume(), v_mn, v_ml, v_ln)
     d_fact = factorial(d)
-    eq_ml = mixed_volume([bm.body] + [bl.body] * (d - 1)) == m_l / d_fact
-    eq_mn = mixed_volume([bm.body] + [bn.body] * (d - 1)) == m_n / d_fact
-    le_ln = mixed_volume([bl.body] + [bn.body] * (d - 1)) <= l_n / d_fact
+    eq_ml = v_ml == m_l / d_fact
+    eq_mn = v_mn == m_n / d_fact
+    le_ln = v_ln <= l_n / d_fact
     vol_id = bl.body.volume() == l_top / d_fact
     path_ok = lx.passed and eq_ml and eq_mn and le_ln and vol_id
     out["proof_path"] = {

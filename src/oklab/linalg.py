@@ -67,25 +67,24 @@ def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a small integer matrix (Bareiss / expansion hybrid)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    # cofactor expansion along the first row; n stays <= ~6 here
-    total = 0
-    for j, x in enumerate(rows[0]):
-        if x == 0:
-            continue
-        minor = [[r[k] for k in range(n) if k != j] for r in rows[1:]]
-        total += (-1) ** j * x * det_int(minor)
-    return total
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination (Bareiss 1968).  Step k replaces each entry below and right
+    of the pivot by its 2 x 2 minor with the pivot, divided exactly by the
+    previous pivot; a zero pivot is swapped with the first lower row that is
+    nonzero in its column, and none means the matrix is singular."""
+    m, sign, prev = [list(r) for r in rows], 1, 1
+    for k in range(len(m) - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        p, top = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            a = row[k]
+            row[k + 1:] = [(p * x - a * y) // prev for x, y in zip(row[k + 1:], top)]
+        prev = p
+    return sign * m[-1][-1] if m else 1
 
 
 def cross_normal_int(diffs: Sequence[Sequence[int]]) -> tuple[int, ...]:

@@ -3,10 +3,12 @@
 A variety is modelled by its complete smooth fan (primitive ray generators
 plus maximal cones); a torus-invariant Q-divisor is integer coefficients on
 the rays over one denominator.  Each fan's linear algebra is done once: the
-class map is one integer matrix, the nef and pseudo-effective cones are
-primitive integer rows, and the Chow-ring rule on ray monomials gives the
-curve degrees (the Kleiman rows) and the intersection form, one integer
-table on class coordinates; none of them touches a polytope.  P_D is given
+class map is one integer matrix, and the Chow-ring rule on ray monomials
+gives the curve degrees (the Kleiman rows) and the intersection form, one
+integer table on class coordinates; none of them touches a polytope.  The
+nef and pseudo-effective cones are primitive integer rows; a cone given by
+generators has as facets those through the apex of one integer hull
+(`_cone_facets`), so the hull is the only facet enumeration.  P_D is given
 by integer points over one denominator that span it (`section_points`):
 one point per maximal cone for nef D, while only non-nef classes search
 the d-subsets of rays.  Every linear system is square and solved by one
@@ -402,27 +404,17 @@ class NumClassSpace:
 
 
 def _cone_facets(gens, dim):
-    """Primitive integer facet rows of a full-dimensional pointed cone from its
-    integer generators, by double description: they are the extreme rays of
-    the dual cone {x : <g, x> >= 0}, built one generator at a time from a basis."""
-    done = [i for i, _, _ in independent_rows(gens)]
-    if len(done) != dim:
+    """Primitive integer facet rows of a full-dimensional cone from its integer
+    generators.  By Minkowski-Weyl duality the cone's facets are the facets
+    through the apex of conv({0} u gens), those of offset 0 in its one
+    integer hull; their outer normals n give the rows -n, with <-n, g> >= 0."""
+    hull = integer_hull(dim, 1, [(0,) * dim, *gens])
+    if hull.k != dim:
         raise FanError("cone is not full-dimensional")
-    adj, det = adjugate([gens[i] for i in done])
-    rays = {primitive([det * x for x in a]) for a in adj}
-    for j in range(len(gens)):
-        # a positive and a negative ray meet in a new extreme ray iff the
-        # halfspaces tight at both have rank dim - 2 (they are adjacent)
-        vals = {r: sum(map(mul, gens[j], r)) for r in rays}
-        tight = {r: {i for i in done if not sum(map(mul, gens[i], r))} for r in rays}
-        rays = {r for r, v in vals.items() if v >= 0} | {
-            primitive([vp * x - vn * y for x, y in zip(n, p)])
-            for p, vp in vals.items() if vp > 0 for n, vn in vals.items() if vn < 0
-            if len(independent_rows(gens[i] for i in tight[p] & tight[n])) == dim - 2}
-        done.append(j)
-    if not rays:
+    rows = tuple(sorted(tuple(-x for x in n) for n, c, _ in hull.facets if not c))
+    if not rows:
         raise FanError("cone facet enumeration failed")
-    return tuple(sorted(rays))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from oklab.additivity import (
     strict_search,
     theorem_sweep_pairs,
 )
+from oklab.cli import encode
 from oklab.exactgeom import Polytope, convex_hull
 from oklab.toric import AdmissibleFlag, TDivisor, testbed, testbed_names
 
@@ -224,6 +225,10 @@ def test_replay_matches_worked_example():
     assert ok
     assert trace["meta"]["case"] == "t<t0"
     assert all(step["equal"] for step in trace["steps"])
+    # the sides are bodies; a report serializes them through to_json
+    step = trace["steps"][0]
+    assert isinstance(step["lhs"], Polytope) and step["lhs"] == step["rhs"]
+    assert encode(step)["lhs"] == step["lhs"].to_json()
 
 
 def test_replay_swaps_to_paper_ordering():

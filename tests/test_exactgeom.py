@@ -230,6 +230,70 @@ def test_halfspace_representation_roundtrip():
     assert not p.contains_point((4, 4))
 
 
+def _h_contains(body, points):
+    """Oracle: every point meets the equalities and inequalities that
+    `halfspaces` gives, checked on Fractions; no point lies in the empty body."""
+    if body.is_empty():
+        return not points
+    eqs, ineqs = body.halfspaces()
+    return all(all(dot(n, q) == c for n, c in eqs) and all(dot(n, q) <= c for n, c in ineqs)
+               for q in points)
+
+
+@seed(2024)
+@pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 5) for k in range(-1, d + 1)])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_hull_containment_matches_halfspaces(d, k, data):
+    # P spans an affine k-flat (k = -1: empty); Q is part of P, lies on its
+    # flat, lies anywhere, or is empty; coordinates carry mixed denominators
+    cols = data.draw(st.permutations(range(d)))
+    dirs = [[int(j == cols[i]) if j in cols[:i + 1] else data.draw(st.integers(-2, 2))
+             for j in range(d)] for i in range(max(k, 0))]  # rank k: unit pivots
+    p0 = data.draw(st.tuples(*[small_coords] * d))
+
+    def on_flat(combos):
+        return [tuple(x + sum(c * v[j] for c, v in zip(cs, dirs)) for j, x in enumerate(p0))
+                for cs in combos]
+
+    corners = [[F(int(i == j)) for j in range(k)] for i in range(k)] + [[F(0)] * k]
+    combos = st.lists(st.lists(coords, min_size=k, max_size=k), max_size=4)
+    pts = on_flat(corners + data.draw(combos)) if k >= 0 else []
+    body = Polytope.hull(pts, dim=d)
+    assert body.affine_dim == k
+    kind = data.draw(st.sampled_from(["part", "flat", "anywhere", "empty"]))
+    if k < 0 and kind in ("part", "flat"):
+        kind = "anywhere"
+    if kind == "part":
+        chosen = data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=3))
+        others = [tuple((a + b) / 2 for a, b in zip(chosen[0], q)) for q in pts]
+        inner = chosen + others[:data.draw(st.integers(0, len(others)))]
+    elif kind == "flat":
+        inner = on_flat(data.draw(st.lists(st.lists(coords, min_size=k, max_size=k),
+                                           min_size=1, max_size=3)))
+    elif kind == "empty":
+        inner = []
+    else:
+        inner = data.draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=3))
+    other = Polytope.hull(inner, dim=d)
+    assert body.contains(other) == _h_contains(body, other.vertices)
+    if kind == "part":
+        assert body.contains(other)
+    for q in inner:
+        assert body.contains_point(q) == _h_contains(body, [q])
+
+
+def test_containment_refuses_a_dimension_mismatch():
+    for body in (UNIT_SQUARE, Polytope.empty(2)):
+        with pytest.raises(DimensionMismatch):
+            body.contains(convex_hull([(0, 0, 0)]))
+        with pytest.raises(DimensionMismatch):
+            body.contains(Polytope.empty(3))
+        with pytest.raises(DimensionMismatch):
+            body.contains_point((0, 0, 0))
+    assert UNIT_SQUARE.contains(Polytope.empty(2)) and not Polytope.empty(2).contains_point((0, 0))
+
+
 # --- property-based laws ---------------------------------------------------
 
 coords = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -595,6 +659,33 @@ def test_adjugate_matches_fraction_solve(n, data):
     if not det:
         assert len(rref(rows)[1]) < n
         assert any(solve(rows, [F(int(l == k)) for l in range(n)]) is None for k in range(n))
+
+
+def cofactor_det(rows):
+    """Oracle: Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+@seed(2024)
+@pytest.mark.parametrize("n", range(8))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_bareiss_det_matches_cofactor_expansion(n, data):
+    entry = st.sampled_from([0, 0, 1, -1]) | st.integers(-5, 5)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and data.draw(st.booleans()):  # singular: the last row a combination
+        a, b = data.draw(entry), data.draw(entry)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[min(1, n - 2)])]
+    if n > 1 and data.draw(st.booleans()):  # a zero pivot: a singular leading block
+        j = data.draw(st.integers(1, n - 1))
+        rows[0][0] *= data.draw(st.sampled_from([0, 1]))
+        for r in rows[1:j + 1]:
+            c = data.draw(entry)
+            r[:j] = [c * x for x in rows[0][:j]]
+    assert det_int(rows) == cofactor_det(rows)
 
 
 @seed(2024)

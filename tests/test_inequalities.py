@@ -316,6 +316,25 @@ def test_cor15_computes_each_product_once(monkeypatch):
         "ok": True}
 
 
+def test_cor15_forms_three_mixed_volumes_per_proof_path(monkeypatch):
+    # V(M, N^(d-1)), V(M, L^(d-1)) and V(L, N^(d-1)) serve both the
+    # Lehmann-Xiao record and the tight identities
+    calls = []
+
+    def counting(bodies, *args):
+        calls.append(1)
+        return real(bodies, *args)
+
+    real = inequalities.mixed_volume
+    monkeypatch.setattr(inequalities, "mixed_volume", counting)
+    paths = 0
+    for name in ("p2", "p1xp1", "f1", "p1xp1xp1"):
+        for res in cor15_sweep(testbed(name), 6, seed=11):
+            assert res["ok"]
+            paths += res["proof_path"] is not None
+    assert paths and len(calls) == 3 * paths
+
+
 def test_cor15_p2_slack_one():
     p2 = testbed("p2")
     h = TDivisor(p2, (1, 0, 0))

@@ -791,7 +791,18 @@ def facets_by_subsets(generators, dim):
 @seed(2024)
 @settings(max_examples=25, deadline=None)
 @given(fan=any_fan)
-def test_double_description_matches_subset_facets(fan):
+def test_cone_facets_match_subset_facets(fan):
     classes = fan.classes
     assert classes.eff_rows == facets_by_subsets(list(zip(*classes._class_rows)), classes.rank)
     assert classes.nef_rays == facets_by_subsets(classes.nef_rows, classes.rank)
+
+
+def test_cone_facets_of_flat_and_full_cones():
+    # the facets through the apex of conv({0} u gens): a half-plane has one,
+    # the whole plane none, and a flat cone's hull is not of full rank
+    assert toric._cone_facets([(1, 0), (-1, 0), (0, 1)], 2) == ((0, 1),)
+    assert toric._cone_facets([(2, 1), (1, 2), (1, 1)], 2) == ((-1, 2), (2, -1))
+    with pytest.raises(FanError, match="not full-dimensional"):
+        toric._cone_facets([(1, 0), (2, 0)], 2)
+    with pytest.raises(FanError, match="failed"):
+        toric._cone_facets([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)

@@ -7,7 +7,11 @@ Times, per seeded input set:
   and R^3, then `volume()`;
 - mixed_volume.d3: V(K, K, L) of two 3D bodies of 5 and 30 points, with the
   Minkowski-sum memo cleared first, so a route that forms sums pays for
-  them (the facet route forms none).
+  them (the facet route forms none);
+- contains: `P.contains({t} x S)` for the hull P of 25 points in R^2 and
+  R^3 and its slice S at a level t inside its first-coordinate range, the
+  inclusion step of the slice-wise proof replay.  Each run takes a fresh
+  copy of P, so nothing an earlier run cached on the body carries over.
 
 The points are drawn like the `geometry` workload of perfbench: coordinates
 in [0, 4] with denominators 1-4.  Each of 200 sets is timed 3 times and
@@ -38,7 +42,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SETS, ROUNDS, SEED = 200, 3, 0
 CASES = [("hull_volume.d2.n25", 2, 25), ("hull_volume.d2.n150", 2, 150),
          ("hull_volume.d3.n25", 3, 25), ("hull_volume.d3.n150", 3, 150),
-         ("mixed_volume.d3.n5_n30", 3, None)]
+         ("mixed_volume.d3.n5_n30", 3, None), ("contains.d2", 2, "slice"),
+         ("contains.d3", 3, "slice")]
 
 
 def random_points(rnd: random.Random, dim: int, count: int) -> list[tuple]:
@@ -61,7 +66,7 @@ def kernel_s() -> float:
     return perf_counter() - start
 
 
-def time_case(exactgeom, dim: int, count: int | None, rnd: random.Random) -> dict:
+def time_case(exactgeom, dim: int, count: int | str | None, rnd: random.Random) -> dict:
     hull = exactgeom.Polytope.hull
     if count is None:  # two-body mixed volume
         inputs = [(hull(random_points(rnd, dim, 5)), hull(random_points(rnd, dim, 30)))
@@ -71,6 +76,19 @@ def time_case(exactgeom, dim: int, count: int | None, rnd: random.Random) -> dic
             exactgeom.minkowski_sum.cache_clear()
             k_body, l_body = bodies
             exactgeom.mixed_volume([k_body, k_body, l_body])
+    elif count == "slice":  # a body and the {t} x slice it contains
+        inputs = []
+        for _ in range(SETS):
+            body = hull(random_points(rnd, dim, 25))
+            lo, hi = body.first_coordinate_range()
+            t = lo + (hi - lo) * Fraction(rnd.randint(1, 7), 8)
+            inputs.append((body, exactgeom.slice_at(body, t).embed_prefix(t)))
+
+        def run(pair):
+            body, inner = pair
+            fresh = exactgeom.Polytope(body.dim, body.L, body.ipts, (
+                body.k, body.rows, body.cols, body.facets, body._volume), _trusted=True)
+            assert fresh.contains(inner)
     else:
         inputs = [random_points(rnd, dim, count) for _ in range(SETS)]
 
