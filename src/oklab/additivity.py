@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import combinations, product
 
 from .exactgeom import Polytope, minkowski_sum, slice_at
-from .linalg import dot, rat, vec
+from .linalg import rat, vec
 from .okounkov import _section_image, no_body_rational, restricted_body
 from .toric import (
     AdmissibleFlag,
@@ -173,11 +173,7 @@ def compare_additive_bodies(body1: Polytope, body2: Polytope,
     if not body_sum.contains(msum):
         raise InclusionViolationError(
             "Minkowski sum not contained in the body of the sum")
-    witness = next(v for v in body_sum.vertices if not msum.contains_point(v))
-    eqs, ineqs = msum.halfspaces()
-    violated = next(((n, c) for n, c in eqs if dot(n, witness) != c), None)
-    if violated is None:
-        violated = next((n, c) for n, c in ineqs if dot(n, witness) > c)
+    witness, violated = msum.first_outside(body_sum.vertices)
     return AdditivityVerdict("strict", witness, violated, *volumes)
 
 

@@ -16,8 +16,10 @@ codes: 0 all checks passed, 1 check failures, 2 configuration error,
 failed its d! vol = D^d certificate, which means the implementation
 itself is broken).  A sweep that would enumerate more than
 `additivity.ENUMERATION_BUDGET` points (from --bound, the --grid-den of
-verify, the rank of a catalog fan, or the vertex sums of a Minkowski sum
-the mixed-volume route of mixedvol would form) is a configuration error.
+verify, the rank of a catalog fan, or a bound on the vertex sums of the
+Minkowski sums the mixed-volume route of mixedvol would form, for three or
+more bodies the product of all their vertex counts) is a configuration
+error.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .additivity import EnumerationBudgetError, InclusionViolationError, check_enumeration
@@ -126,7 +129,10 @@ def emit(report: dict, fmt: str, out: str | None) -> None:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: its options
+    hold no environment, so it can serve every `main` call."""
     parser = argparse.ArgumentParser(
         prog="oklab",
         description="Exact Newton-Okounkov bodies, mixed volumes and "
@@ -142,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         if testbed:
             p.add_argument("--testbed", required=testbed == "required",
                            help="testbed name (built-in or catalog)")
-            p.add_argument("--catalog", default=os.environ.get(CATALOG_ENV),
+            p.add_argument("--catalog",
                            help="directory of extra testbed JSON files "
                                 f"(default ${CATALOG_ENV})")
         if flag:
@@ -196,14 +202,17 @@ def _attach_signed_values(argv) -> list[str]:
 
 
 def _load_catalog(args) -> dict[str, Fan]:
-    """The fans of --catalog (none without it), whose names must be new."""
-    if not args.catalog:
+    """The fans of --catalog, else of $OKLAB_CATALOG as it reads at this
+    call (none without either; an empty --catalog means none), whose names
+    must be new."""
+    path = os.environ.get(CATALOG_ENV) if args.catalog is None else args.catalog
+    if not path:
         return {}
     # FanError and json.JSONDecodeError are ValueErrors
     try:
-        catalog = load_catalog_dir(args.catalog)
+        catalog = load_catalog_dir(path)
     except (KeyError, TypeError, ValueError, OSError) as exc:
-        raise ConfigError(f"bad catalog {args.catalog!r}: {exc}") from exc
+        raise ConfigError(f"bad catalog {path!r}: {exc}") from exc
     shadowed = sorted(set(catalog) & set(testbed_names()))
     if shadowed:
         raise ConfigError(f"catalog names shadow built-in testbeds: {', '.join(shadowed)}")
@@ -342,6 +351,8 @@ def cmd_mixedvol(args, catalog):
 
 
 def main(argv=None) -> int:
+    """Run one command; the exit code is described in the module docstring.
+    The argument parser is built once per process, on the first call."""
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_signed_values(argv))
     try:

@@ -23,15 +23,19 @@ rational argument (a shift, a scale factor, a slice level).  Scaling
 keeps the hull data of its argument instead of taking the hull again.
 Containment is hull equality as well: Q lies in P iff the integer hull of
 both vertex sets is P.  `Polytope.halfspaces` is a Fraction view built on
-demand for witnesses; no membership test reads it.
+demand for witnesses: `first_outside` reads off it the first of some
+points that breaks a halfspace, and the halfspace, without a hull.
 
-Mixed volumes take one of three routes.  Two distinct bodies in the form
-V(K, L^(d-1)) come from Minkowski's formula, sum_F w_F h_K(n_F) over the
-facets of L, whose weights w_F the hull keeps with each facet; no
-Minkowski sum is formed.  Other two-body mixed volumes V(K^j, L^(d-j)),
-2 <= j <= d - 2, are read off the polynomial vol(sK + L), fitted exactly
-from d - 1 Minkowski sums.  Three or more distinct bodies go through the
-polarization formula.
+Mixed volumes take one of three routes, all built on Minkowski's formula
+d! V(K, L^(d-1)) = sum_F w_F h_K(n_F) over the facets of L, whose weights
+w_F the hull keeps with each facet.  Two distinct bodies in the form
+V(K, L^(d-1)) take it directly, with no Minkowski sum.  Other two-body
+mixed volumes V(K^j, L^(d-j)), 2 <= j <= d - 2, are read off the
+polynomial vol(sK + L), whose coefficients of s and s^(d-1) the formula
+gives, so d - 3 Minkowski sums fit the rest.  Three or more distinct
+bodies polarize the formula over the d - 1 bodies after the first, so the
+largest sum has d - 1 bodies.  `mixed_volume_by_polarization`, over sums
+of up to all d bodies, is the independent route that checks them.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from .linalg import (
     cross_normal_int,
     dot,
     independent_rows,
-    interpolate,
     primitive,
     rat,
     to_int_points,
@@ -362,6 +365,22 @@ class Polytope:
     def contains_point(self, point) -> bool:
         return self.contains(Polytope.point(point))
 
+    def first_outside(self, points):
+        """(x, (n, c)) for the first of the points outside the body and the
+        first halfspace of `halfspaces()` that x breaks, an equality n.x = c
+        before an inequality n.x <= c; None if every point lies in the body.
+        The halfspaces are built once and no hull is taken.  The empty body
+        has none, so its certificate for the first point is None."""
+        if self.is_empty():
+            return (points[0], None) if points else None
+        eqs, ineqs = self.halfspaces()
+        for x in points:
+            broken = next(((n, c) for n, c in eqs if dot(n, x) != c), None) \
+                or next(((n, c) for n, c in ineqs if dot(n, x) > c), None)
+            if broken:
+                return x, broken
+        return None
+
     def contains(self, other: "Polytope") -> bool:
         """Q inside P iff conv(P u Q) = P: one integer hull of both vertex
         sets over lcm(L, L'), compared with the canonical body."""
@@ -458,17 +477,25 @@ def mixed_volume(bodies, check_sum=None) -> Fraction:
     - j = 1 or d - 1, so the form is V(A, B^(d-1)): Minkowski's formula
       d! V(A, B^(d-1)) = sum_F w_F h_A(n_F) over the facets of B
       (`_facet_mixed_volume`), with no Minkowski sum;
-    - 2 <= j <= d - 2 (d >= 4): the coefficient of s^j in
-      vol(sK + L) = sum_i C(d, i) V(K^i, L^(d-i)) s^i, divided by C(d, j);
-      the polynomial is fitted exactly from vol(L), vol(sK + L) for
-      s = 1..d-1 and its leading term vol(K).
-    Three or more: `mixed_volume_by_polarization`.
+    - 2 <= j <= d - 2 (d >= 4): the coefficient c_j of s^j in
+      vol(sK + L) = sum_i c_i s^i, c_i = C(d, i) V(K^i, L^(d-i)), divided
+      by C(d, j).  c_0 = vol L and c_d = vol K, and the facet formula gives
+      c_1 and c_(d-1), so the d - 3 unknowns c_2..c_(d-2) are solved
+      exactly from vol(sK + L) for s = 1..d-3: one Minkowski sum in R^4.
+    Three or more distinct bodies: the facet formula polarized over the
+    d - 1 bodies after K_1,
+
+        (d-1)! V(K_1, ..., K_d) = sum_J (-1)^(d-1-|J|) V(K_1, (sum_J K_j)^(d-1)),
+
+    J ranging over the nonempty subsets of {2..d}; the largest sum has
+    d - 1 bodies, one in R^3.
 
     check_sum, if given, is called before any Minkowski sum is formed with
     a bound on the vertex sums of the largest one the route forms, and may
     raise to refuse the work: the facet route forms none, the fit forms
     sums of |V(K)| |V(L)| vertex sums (sK has the vertices of K), and
-    polarization passes the product of all d vertex counts.
+    three or more bodies pass the product of all d vertex counts, the bound
+    of `mixed_volume_by_polarization`.
     """
     bodies = list(bodies)
     if not bodies:
@@ -483,7 +510,11 @@ def mixed_volume(bodies, check_sum=None) -> Fraction:
             raise ValueError("mixed_volume of an empty body")
     distinct = list(dict.fromkeys(bodies))
     if len(distinct) > 2:
-        return mixed_volume_by_polarization(bodies, check_sum)
+        if check_sum:
+            check_sum(prod(len(b.ipts) for b in bodies))
+        first, rest = bodies[0], bodies[1:]
+        return sum((-1) ** (d - 1 - size) * _facet_mixed_volume(first, body)
+                   for size, body in _subset_sums(rest)) / factorial(d - 1)
     if len(distinct) == 1:
         return distinct[0].volume()
     k_body, l_body = distinct
@@ -494,11 +525,13 @@ def mixed_volume(bodies, check_sum=None) -> Fraction:
         return _facet_mixed_volume(k_body, l_body)
     if check_sum:
         check_sum(len(k_body.ipts) * len(l_body.ipts))
-    top = k_body.volume()
-    values = [l_body.volume()] + [
-        minkowski_sum(scale(k_body, s), l_body).volume() - top * s ** d
-        for s in range(1, d)]
-    return interpolate(values)[j] / comb(d, j)
+    known = {0: l_body.volume(), 1: d * _facet_mixed_volume(k_body, l_body),
+             d - 1: d * _facet_mixed_volume(l_body, k_body), d: k_body.volume()}
+    residues = [minkowski_sum(scale(k_body, s), l_body).volume()
+                - sum(c * s ** i for i, c in known.items()) for s in range(1, d - 2)]
+    # sum_(i=2..d-2) c_i s^i = residues[s-1]: Cramer's rule on the integer matrix (s^i)
+    adj, det = adjugate([[s ** i for i in range(2, d - 1)] for s in range(1, d - 2)])
+    return sum(r * a[j - 2] for r, a in zip(residues, adj)) / det / comb(d, j)
 
 
 def _facet_mixed_volume(k_body: Polytope, l_body: Polytope) -> Fraction:
@@ -531,6 +564,18 @@ def _facet_mixed_volume(k_body: Polytope, l_body: Polytope) -> Fraction:
     return Fraction(total, factorial(d) * k_body.L * l_body.L ** (d - 1))
 
 
+def _subset_sums(bodies):
+    """(|J|, sum_J K_j) for each nonempty subset J of the bodies, each sum
+    formed from an earlier one and one body."""
+    sums: dict[int, Polytope] = {}
+    for mask in range(1, 1 << len(bodies)):
+        low = mask & -mask
+        rest = mask ^ low
+        body = bodies[low.bit_length() - 1]
+        sums[mask] = body if rest == 0 else minkowski_sum(sums[rest], body)
+        yield mask.bit_count(), sums[mask]
+
+
 def mixed_volume_by_polarization(bodies, check_sum=None) -> Fraction:
     """Mixed volume of d nonempty bodies in R^d by the polarization formula:
 
@@ -543,16 +588,8 @@ def mixed_volume_by_polarization(bodies, check_sum=None) -> Fraction:
     d = len(bodies)
     if check_sum:
         check_sum(prod(len(b.ipts) for b in bodies))
-    sums: dict[int, Polytope] = {}
-    total = Fraction(0)
-    for mask in range(1, 1 << d):
-        low = mask & -mask
-        rest = mask ^ low
-        body = bodies[low.bit_length() - 1]
-        sums[mask] = body if rest == 0 else minkowski_sum(sums[rest], body)
-        sign = -1 if (d - mask.bit_count()) % 2 else 1
-        total += sign * sums[mask].volume()
-    return total / factorial(d)
+    return sum((-1) ** (d - size) * body.volume()
+               for size, body in _subset_sums(bodies)) / factorial(d)
 
 
 def slice_at(p: Polytope, t) -> Polytope:

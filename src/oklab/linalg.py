@@ -66,38 +66,65 @@ def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in row], den
 
 
+def _reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss
+    1968, the exact division applied above the pivot as well).
+
+    Returns (reduced rows, pivot columns, sign, D).  Each column takes as
+    pivot the first row at or below the current one that is nonzero there,
+    swapped up (flipping sign), and every other row becomes its 2 x 2
+    minors with the pivot row over the previous pivot.  The rows end as D
+    times the identity on the pivot columns, D the determinant of the
+    swapped rows there; an entry in another column j is that determinant
+    with the row's pivot column replaced by column j."""
+    m, cols, sign, prev = [list(r) for r in rows], [], 1, 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(cols)
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        if i != r:
+            m[r], m[i], sign = m[i], m[r], -sign
+        p, top = m[r][c], m[r]
+        for i, row in enumerate(m):
+            if i != r:
+                a = row[c]
+                m[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        prev = p
+        cols.append(c)
+    return m, cols, sign, prev
+
+
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by Bareiss fraction-free
-    elimination (Bareiss 1968).  Step k replaces each entry below and right
-    of the pivot by its 2 x 2 minor with the pivot, divided exactly by the
-    previous pivot; a zero pivot is swapped with the first lower row that is
-    nonzero in its column, and none means the matrix is singular."""
-    m, sign, prev = [list(r) for r in rows], 1, 1
-    for k in range(len(m) - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap], sign = m[swap], m[k], -sign
-        p, top = m[k][k], m[k][k + 1:]
-        for row in m[k + 1:]:
-            a = row[k]
-            row[k + 1:] = [(p * x - a * y) // prev for x, y in zip(row[k + 1:], top)]
-        prev = p
-    return sign * m[-1][-1] if m else 1
+    elimination (`_reduce`); a column without a pivot means the matrix is
+    singular."""
+    _, cols, sign, prev = _reduce(rows)
+    return sign * prev if len(cols) == len(rows) else 0
 
 
 def cross_normal_int(diffs: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Generalized cross product: integer normal to k-1 vectors in Z^k
-    (signed minors; the ordinary cross product in closed form for k = 3)."""
+    """Generalized cross product: the integer normal n to k-1 vectors in Z^k
+    with n.x = det(x; diffs), i.e. the signed maximal minors (the ordinary
+    cross product in closed form for k = 3).
+
+    Otherwise all k minors come from one elimination (`_reduce`), O(k^3):
+    rank k - 1 leaves one free column f, the minor without it is n_f =
+    (-1)^f sign D, and the kernel of the reduced rows, D x_(pivot i) =
+    -(row i)_f x_f, scales to n.  A lower rank gives 0."""
     k = len(diffs) + 1
     if k == 3:
         (a, b, c), (d, e, f) = diffs
         return (b * f - c * e, c * d - a * f, a * e - b * d)
-    out = []
-    for j in range(k):
-        minor = [[d[c] for c in range(k) if c != j] for d in diffs]
-        out.append((-1) ** j * det_int(minor))
+    m, cols, sign, prev = _reduce(diffs)
+    if len(cols) < k - 1:
+        return (0,) * k
+    f = next(c for c in range(k) if c not in cols)
+    s = -sign if f % 2 else sign
+    out = [0] * k
+    out[f] = s * prev
+    for row, c in zip(m, cols):
+        out[c] = -s * row[f]
     return tuple(out)
 
 

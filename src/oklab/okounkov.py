@@ -162,13 +162,8 @@ def slice_formula_check(divisor: TDivisor, flag: AdmissibleFlag, t):
     rhs = restricted_body(divisor, flag, t_shift=t).body
     if lhs == rhs:
         return True, None
-    for v in lhs.vertices:
-        if not rhs.contains_point(v):
-            return False, v
-    for v in rhs.vertices:
-        if not lhs.contains_point(v):
-            return False, v
-    return False, None
+    found = rhs.first_outside(lhs.vertices) or lhs.first_outside(rhs.vertices)
+    return False, found[0] if found else None
 
 
 def mu_endpoint_check(divisor: TDivisor, flag: AdmissibleFlag) -> bool:

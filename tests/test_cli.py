@@ -185,6 +185,51 @@ def test_verify_auto_config_for_catalog_testbed(tmp_path, capsys):
     assert report["summary"]["total"] > 0 and report["summary"]["failed"] == 0
 
 
+def test_each_call_reads_the_catalog_environment_as_it_is(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process, so no call may keep an earlier
+    # call's $OKLAB_CATALOG
+    spec = {"name": "quadric5", "rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+            "max_cones": [[0, 2], [1, 2], [1, 3], [0, 3]]}
+    (tmp_path / "q.json").write_text(json.dumps(spec))
+    argv = ("intersect", "--testbed", "quadric5", "--classes", "1,0,1,0;1,0,1,0")
+    monkeypatch.delenv(CATALOG_ENV, raising=False)
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "unknown testbed" in err
+    monkeypatch.setenv(CATALOG_ENV, str(tmp_path))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["checks"][0]["value"] == [2, 1]
+    code, _, err = run(capsys, *argv, "--catalog", "")  # an empty --catalog: none
+    assert code == 2 and "unknown testbed" in err
+    monkeypatch.setenv(CATALOG_ENV, str(tmp_path / "missing"))
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "bad catalog" in err and "missing" in err
+    assert run(capsys, *argv, "--catalog", str(tmp_path))[0] == 0
+    monkeypatch.delenv(CATALOG_ENV)
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "unknown testbed" in err
+
+
+def test_main_builds_the_parser_once_per_process(capsys, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "oklab":  # not a subcommand's parser
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    try:
+        for argv in (["mu", "--testbed", "p2", "--class", "2,0,0"],
+                     ["intersect", "--testbed", "p2", "--classes", "1,0,0;1,0,0"],
+                     ["mixedvol", "--bodies", "[[[0],[2]]]"],
+                     ["body", "--testbed", "nope", "--class", "1"]) * 3:
+            run(capsys, *argv)
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
+
+
 def test_json_object_divisor_and_flag_forms(capsys):
     code, out, _ = run(capsys, "body", "--testbed", "p2",
                        "--class", '{"coeffs": [1, 0, 0]}',

@@ -562,6 +562,24 @@ def test_facet_mixed_volume_matches_polarization(d, data):
         assert mixed_volume(bodies) == mixed_volume_by_polarization(bodies)
 
 
+@seed(2024)
+@given(st.integers(2, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_mixed_volume_of_any_bodies_matches_polarization(d, data):
+    # n distinct bodies of every affine rank, each listed at least once and
+    # in any order, so every route is met: three or more distinct bodies
+    # (the facet route polarized over d - 1 bodies), two (the facet formula,
+    # or in R^4 the fit over one sum) and one (its volume)
+    n = data.draw(st.integers(1, d))
+    pool = [scale(_body_of_rank(data, d, data.draw(st.integers(0, d))), data.draw(scale_factors))
+            for _ in range(n)]
+    picks = data.draw(st.permutations(
+        list(range(n)) + data.draw(st.lists(st.integers(0, n - 1), min_size=d - n,
+                                            max_size=d - n))))
+    bodies = [pool[i] for i in picks]
+    assert mixed_volume(bodies) == mixed_volume_by_polarization(bodies)
+
+
 def _with_weight(body, i, delta):
     """The body with the weight of its i-th facet moved by delta."""
     facets = list(body.facets)
@@ -614,9 +632,9 @@ def test_mixed_volume_budgets_only_the_sums_its_route_forms():
     mixed_volume([simplex, simplex, simplex, box], seen.append)
     assert seen == []  # the facet route
     mixed_volume([simplex, simplex, box, box], seen.append)
-    assert seen == [5 * 16]  # the fit: sK + L for s = 1, 2, 3
+    assert seen == [5 * 16]  # the fit: sK + L for s = 1
     mixed_volume([simplex, box, scale(simplex, 2), box], seen.append)
-    assert seen == [5 * 16, 5 * 16 * 5 * 16]  # polarization: the product
+    assert seen == [5 * 16, 5 * 16 * 5 * 16]  # three bodies: the product of all four
 
 
 rational_entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -806,6 +824,26 @@ def test_cross_normal_closed_form_matches_minors(u, v):
                    for j in range(3))
     assert cross_normal_int([u, v]) == minors
     assert dot(minors, u) == dot(minors, v) == 0
+
+
+@seed(2024)
+@pytest.mark.parametrize("k", [1, 2, 4, 5, 6, 7])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_cross_normal_from_one_elimination_matches_minors(k, data):
+    # every signed maximal minor against the Laplace oracle, with zero pivots
+    # and every rank up to k - 1
+    entry = st.sampled_from([0, 0, 1, -1]) | st.integers(-5, 5)
+    rows = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                              min_size=k - 1, max_size=k - 1))
+    if k > 2 and data.draw(st.booleans()):  # rank deficient: the last row a combination
+        a, b = data.draw(entry), data.draw(entry)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[min(1, k - 3)])]
+    if k > 2 and data.draw(st.booleans()):  # a zero leading column
+        rows = [[0] + r[1:] for r in rows]
+    minors = tuple((-1) ** j * cofactor_det([r[:j] + r[j + 1:] for r in rows]) for j in range(k))
+    assert cross_normal_int(rows) == minors
+    assert all(dot(minors, r) == 0 for r in rows)
 
 
 def test_edge_points_of_the_cross_polytope_in_four_space():

@@ -461,7 +461,6 @@ def test_derivative_check_sides_do_not_share_the_fit(monkeypatch):
         coeffs[1] += 1
         return coeffs
 
-    monkeypatch.setattr(exactgeom, "interpolate", wrong_fit)
     monkeypatch.setattr(inequalities, "interpolate", wrong_fit)
     sq = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     rect = convex_hull([(0, 0), (3, 0), (0, 5), (3, 5)])

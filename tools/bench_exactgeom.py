@@ -5,9 +5,10 @@
 Times, per seeded input set:
 - hull+volume: `Polytope.hull` of 25 or 150 random rational points in R^2
   and R^3, then `volume()`;
-- mixed_volume.d3: V(K, K, L) of two 3D bodies of 5 and 30 points, with the
-  Minkowski-sum memo cleared first, so a route that forms sums pays for
-  them (the facet route forms none);
+- mixed_volume.d3: V(K, K, L) of two 3D bodies of 5 and 30 points, and
+  V(K, L, M) of three 3D bodies of 5 points each, with the Minkowski-sum
+  memo cleared first, so a route that forms sums pays for them (the facet
+  route forms none for two bodies, and one, L + M, for three);
 - contains: `P.contains({t} x S)` for the hull P of 25 points in R^2 and
   R^3 and its slice S at a level t inside its first-coordinate range, the
   inclusion step of the slice-wise proof replay.  Each run takes a fresh
@@ -42,8 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SETS, ROUNDS, SEED = 200, 3, 0
 CASES = [("hull_volume.d2.n25", 2, 25), ("hull_volume.d2.n150", 2, 150),
          ("hull_volume.d3.n25", 3, 25), ("hull_volume.d3.n150", 3, 150),
-         ("mixed_volume.d3.n5_n30", 3, None), ("contains.d2", 2, "slice"),
-         ("contains.d3", 3, "slice")]
+         ("mixed_volume.d3.n5_n30", 3, None), ("mixed_volume.d3.three_bodies", 3, "three"),
+         ("contains.d2", 2, "slice"), ("contains.d3", 3, "slice")]
 
 
 def random_points(rnd: random.Random, dim: int, count: int) -> list[tuple]:
@@ -76,6 +77,13 @@ def time_case(exactgeom, dim: int, count: int | str | None, rnd: random.Random) 
             exactgeom.minkowski_sum.cache_clear()
             k_body, l_body = bodies
             exactgeom.mixed_volume([k_body, k_body, l_body])
+    elif count == "three":  # three distinct bodies
+        inputs = [tuple(hull(random_points(rnd, dim, 5)) for _ in range(3))
+                  for _ in range(SETS)]
+
+        def run(bodies):
+            exactgeom.minkowski_sum.cache_clear()
+            exactgeom.mixed_volume(bodies)
     elif count == "slice":  # a body and the {t} x slice it contains
         inputs = []
         for _ in range(SETS):
