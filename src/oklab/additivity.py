@@ -173,7 +173,7 @@ def compare_additive_bodies(body1: Polytope, body2: Polytope,
     if not body_sum.contains(msum):
         raise InclusionViolationError(
             "Minkowski sum not contained in the body of the sum")
-    witness, violated = msum.first_outside(body_sum.vertices)
+    witness, violated = msum.first_outside(body_sum)
     return AdditivityVerdict("strict", witness, violated, *volumes)
 
 

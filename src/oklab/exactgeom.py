@@ -21,10 +21,11 @@ are kept with the body.  Every body is built by that integer hull
 are scaled to integers, and the other operations scale only their
 rational argument (a shift, a scale factor, a slice level).  Scaling
 keeps the hull data of its argument instead of taking the hull again.
-Containment is hull equality as well: Q lies in P iff the integer hull of
-both vertex sets is P.  `Polytope.halfspaces` is a Fraction view built on
-demand for witnesses: `first_outside` reads off it the first of some
-points that breaks a halfspace, and the halfspace, without a hull.
+The same data give each body one integer H-representation, built on
+demand: an affine-hull equality per free column and an inequality per
+facet (Minkowski-Weyl).  Containment, the strictness witnesses of
+`first_outside` and the hyperplane of a facet body all read it, with no
+hull; `Polytope.halfspaces` is its Fraction view.
 
 Mixed volumes take one of three routes, all built on Minkowski's formula
 d! V(K, L^(d-1)) = sum_F w_F h_K(n_F) over the facets of L, whose weights
@@ -50,7 +51,6 @@ from .linalg import (
     adjugate,
     common_denominator,
     cross_normal_int,
-    dot,
     independent_rows,
     primitive,
     rat,
@@ -287,7 +287,11 @@ class Polytope:
 
     @staticmethod
     def point(coords) -> "Polytope":
-        return Polytope.hull([coords])
+        """The one-point body: affine rank 0, no facet, no hull taken."""
+        p = vec(coords)
+        L = common_denominator([p])
+        return Polytope(len(p), L, to_int_points([p], L),
+                        (0, [], [], [], Fraction(int(not p))), _trusted=True)
 
     @staticmethod
     def hull(points, dim: int | None = None) -> "Polytope":
@@ -331,69 +335,71 @@ class Polytope:
 
     # -- derived geometry ----------------------------------------------------
 
-    def halfspaces(self):
-        """(equalities, inequalities): pairs (normal, offset) of Fractions,
-        built on each call, the view that strictness witnesses are checked on.
-
-        The body is {x : n.x = c on equalities, n.x <= c on inequalities};
-        equalities cut out the affine hull of lower-dimensional bodies.
-        Facet normals are the primitive integer normals of the body's
-        projection to the pivot coordinates of its affine hull.
-        """
+    def integer_halfspaces(self):
+        """(equalities, inequalities) as integer triples (n, c, s): the body
+        is {x : n.x L = c on equalities, n.x L <= c on inequalities}.  One
+        equality per free column f, n_f = s = det of the echelon rows on the
+        pivot columns and the pivot entries from its adjugate (Cramer's
+        rule), made primitive; one inequality per facet, its normal put back
+        on the pivot columns, s = 1."""
         if self.is_empty():
             raise ValueError("empty polytope has no geometry")
-        d, rows, cols = self.dim, self.rows, self.cols
-        p0 = tuple(Fraction(x, self.L) for x in self.ipts[0])
-        # one normal w per free column f, w_f = 1: the echelon rows restricted
-        # to the pivot columns are square and invertible (Cramer's rule)
+        d, rows, cols, q = self.dim, self.rows, self.cols, self.ipts[0]
         free = [f for f in range(d) if f not in cols]
         adj, det = adjugate([[e[c] for c in cols] for e in rows]) if free else ([], 1)
         eqs = []
         for f in free:
-            w = [Fraction(int(j == f)) for j in range(d)]
+            n = [0] * d
+            n[f] = det
             for j, c in enumerate(cols):
-                w[c] = Fraction(-sum(e[f] * a[j] for e, a in zip(rows, adj)), det)
-            eqs.append((tuple(w), dot(w, p0)))
+                n[c] = -sum(e[f] * a[j] for e, a in zip(rows, adj))
+            n = primitive(n)
+            eqs.append((n, sum(map(mul, n, q)), n[f]))
         ineqs = []
-        for n, c, _ in self.facets:
-            normal = [Fraction(0)] * d
-            for col, x in zip(cols, n):
-                normal[col] = Fraction(x)
-            ineqs.append((tuple(normal), Fraction(c, self.L)))
+        for m, c, _ in self.facets:
+            n = [0] * d
+            for col, x in zip(cols, m):
+                n[col] = x
+            ineqs.append((tuple(n), c, 1))
         return eqs, ineqs
+
+    def halfspaces(self):
+        """(equalities, inequalities): the Fraction view (n / s, c / (s L)) of
+        `integer_halfspaces`, pairs (normal, offset) with the body {x : n.x = c
+        on equalities, n.x <= c on inequalities}; an equality's normal is 1 on
+        its free column."""
+        return tuple([self._fraction_row(*h) for h in part]
+                     for part in self.integer_halfspaces())
+
+    def _fraction_row(self, n, c, s):
+        return tuple(Fraction(x, s) for x in n), Fraction(c, s * self.L)
 
     def contains_point(self, point) -> bool:
         return self.contains(Polytope.point(point))
 
-    def first_outside(self, points):
-        """(x, (n, c)) for the first of the points outside the body and the
-        first halfspace of `halfspaces()` that x breaks, an equality n.x = c
-        before an inequality n.x <= c; None if every point lies in the body.
-        The halfspaces are built once and no hull is taken.  The empty body
-        has none, so its certificate for the first point is None."""
+    def first_outside(self, other: "Polytope"):
+        """(x, (n, c)) for the first vertex x of the other body outside this
+        one and the first halfspace of `halfspaces()` it breaks, an equality
+        before an inequality; None if the other body lies in this one.  Each
+        vertex y / L' meets the rows of `integer_halfspaces` on integers,
+        n.y L against c L', with no hull.  The empty body has no halfspace,
+        so its certificate is None."""
+        if self.dim != other.dim:
+            raise DimensionMismatch("polytope dimension mismatch")
         if self.is_empty():
-            return (points[0], None) if points else None
-        eqs, ineqs = self.halfspaces()
-        for x in points:
-            broken = next(((n, c) for n, c in eqs if dot(n, x) != c), None) \
-                or next(((n, c) for n, c in ineqs if dot(n, x) > c), None)
+            return (other.vertices[0], None) if other.ipts else None
+        eqs, ineqs = self.integer_halfspaces()
+        L, M = self.L, other.L
+        for y in other.ipts:
+            broken = next((h for h in eqs if sum(map(mul, h[0], y)) * L != h[1] * M), None) \
+                or next((h for h in ineqs if sum(map(mul, h[0], y)) * L > h[1] * M), None)
             if broken:
-                return x, broken
+                return tuple(Fraction(x, M) for x in y), self._fraction_row(*broken)
         return None
 
     def contains(self, other: "Polytope") -> bool:
-        """Q inside P iff conv(P u Q) = P: one integer hull of both vertex
-        sets over lcm(L, L'), compared with the canonical body."""
-        if self.dim != other.dim:
-            raise DimensionMismatch("polytope dimension mismatch")
-        if other.is_empty():
-            return True
-        if self.is_empty():
-            return False
-        L = lcm(self.L, other.L)
-        a, b = L // self.L, L // other.L
-        return self == integer_hull(self.dim, L, [tuple(a * x for x in p) for p in self.ipts]
-                                    + [tuple(b * x for x in p) for p in other.ipts])
+        """Q inside P iff no vertex of Q breaks a halfspace of P."""
+        return self.first_outside(other) is None
 
     def volume(self) -> Fraction:
         """Exact d-dimensional volume (0 for lower-dimensional bodies)."""
@@ -494,8 +500,8 @@ def mixed_volume(bodies, check_sum=None) -> Fraction:
     a bound on the vertex sums of the largest one the route forms, and may
     raise to refuse the work: the facet route forms none, the fit forms
     sums of |V(K)| |V(L)| vertex sums (sK has the vertices of K), and
-    three or more bodies pass the product of all d vertex counts, the bound
-    of `mixed_volume_by_polarization`.
+    three or more bodies pass the product of all d vertex counts, which
+    bounds the vertex sums of a sum of all d bodies.
     """
     bodies = list(bodies)
     if not bodies:
@@ -544,9 +550,10 @@ def _facet_mixed_volume(k_body: Polytope, l_body: Polytope) -> Fraction:
     over the vertices x of K.  With K's points over K.L and L's weights in
     its integer coordinates over L.L, the sum is taken on integers over
     d! K.L L.L^(d-1).  A body L of affine rank d - 1 is its own facet,
-    twice: normals +-nu for the primitive normal nu of its hyperplane, and
-    w = (d-1)! vol of its projection to the pivot columns divided by
-    |nu_f| on the free column f.  Lower ranks give 0.
+    twice: normals +-nu for the primitive normal nu of its one affine-hull
+    equality (`Polytope.integer_halfspaces`), and w = (d-1)! vol of its
+    projection to the pivot columns divided by |nu_f| on the free column
+    f.  Lower ranks give 0.
     """
     d, k = l_body.dim, l_body.k
     if k < d - 1:
@@ -554,11 +561,10 @@ def _facet_mixed_volume(k_body: Polytope, l_body: Polytope) -> Fraction:
     if k == d:
         terms = [(n, w) for n, _, w in l_body.facets]
     else:  # (d-1)! vol of the projection, from its own facets: sum w (c - n.q)
-        nu = primitive(cross_normal_int(l_body.rows))
-        f = next(f for f in range(d) if f not in l_body.cols)
+        (nu, _, nu_f), = l_body.integer_halfspaces()[0]
         q = [l_body.ipts[0][c] for c in l_body.cols]
         kvol = sum(w * (c - sum(map(mul, n, q))) for n, c, w in l_body.facets)
-        w = kvol // abs(nu[f])
+        w = kvol // abs(nu_f)
         terms = [(nu, w), (tuple(-x for x in nu), w)]
     total = sum(w * max(sum(map(mul, n, x)) for x in k_body.ipts) for n, w in terms)
     return Fraction(total, factorial(d) * k_body.L * l_body.L ** (d - 1))
@@ -576,18 +582,12 @@ def _subset_sums(bodies):
         yield mask.bit_count(), sums[mask]
 
 
-def mixed_volume_by_polarization(bodies, check_sum=None) -> Fraction:
+def mixed_volume_by_polarization(bodies) -> Fraction:
     """Mixed volume of d nonempty bodies in R^d by the polarization formula:
 
         V(K_1,...,K_d) = (1/d!) sum_J (-1)^(d-|J|) vol(sum_{j in J} K_j).
-
-    check_sum, if given, is called first with the product of the vertex
-    counts, which bounds the vertex sums of the largest sum formed, that of
-    all d bodies.
     """
     d = len(bodies)
-    if check_sum:
-        check_sum(prod(len(b.ipts) for b in bodies))
     return sum((-1) ** (d - size) * body.volume()
                for size, body in _subset_sums(bodies)) / factorial(d)
 

@@ -162,7 +162,7 @@ def slice_formula_check(divisor: TDivisor, flag: AdmissibleFlag, t):
     rhs = restricted_body(divisor, flag, t_shift=t).body
     if lhs == rhs:
         return True, None
-    found = rhs.first_outside(lhs.vertices) or lhs.first_outside(rhs.vertices)
+    found = rhs.first_outside(lhs) or lhs.first_outside(rhs)
     return False, found[0] if found else None
 
 

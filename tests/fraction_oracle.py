@@ -9,7 +9,9 @@ package contracts the intersection form on classes; `ray_form` expands it
 over the ray coefficients instead.  The package interpolates on integers
 over one denominator; `interpolate` adds up the Lagrange terms in Fractions.
 The package spans P_D by integer points over one denominator;
-`subset_loop_polytope` solves every d facet equations in Fractions.
+`subset_loop_polytope` solves every d facet equations in Fractions.  The
+package builds a body's halfspaces on integers and divides once;
+`adjugate_halfspaces` builds each entry as a Fraction.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ from itertools import combinations, product
 from math import prod
 
 from oklab.exactgeom import Polytope
+from oklab.linalg import adjugate, dot
 from oklab.toric import _monomial
 
 
@@ -115,3 +118,27 @@ def subset_loop_polytope(fan, divisor):
             if all(sum(x * y for x, y in zip(u, fan.rays[i])) >= -a[i] for i in range(n)):
                 points.append(u)
     return Polytope.hull(points, dim=d)
+
+
+def adjugate_halfspaces(body):
+    """(equalities, inequalities) of a nonempty body as Fraction pairs
+    (normal, offset): one equality normal w per free column f, w_f = 1 and
+    w on the pivot columns by Cramer's rule on the echelon rows' pivot
+    block, and each facet normal put back on the pivot columns."""
+    d, rows, cols = body.dim, body.rows, body.cols
+    p0 = tuple(Fraction(x, body.L) for x in body.ipts[0])
+    free = [f for f in range(d) if f not in cols]
+    adj, det = adjugate([[e[c] for c in cols] for e in rows]) if free else ([], 1)
+    eqs = []
+    for f in free:
+        w = [Fraction(int(j == f)) for j in range(d)]
+        for j, c in enumerate(cols):
+            w[c] = Fraction(-sum(e[f] * a[j] for e, a in zip(rows, adj)), det)
+        eqs.append((tuple(w), dot(w, p0)))
+    ineqs = []
+    for n, c, _ in body.facets:
+        normal = [Fraction(0)] * d
+        for col, x in zip(cols, n):
+            normal[col] = Fraction(x)
+        ineqs.append((tuple(normal), Fraction(c, body.L)))
+    return eqs, ineqs

@@ -1,16 +1,20 @@
-"""Brute-force beneath-beyond hull on integer points: a test-only oracle.
+"""Brute-force beneath-beyond hull on integer points, and containment by
+hull equality: test-only oracles.
 
 The package takes hulls of affine rank k >= 3 by a conflict-list
 beneath-beyond and reads the vertices off the facet incidences.  This
 oracle inserts the points in index order, tests every live face against
 every point, and then finds the vertices by a rank test of the facets
 active at each corner, so the tests can check the fast hull against it.
+The package decides containment on a body's integer H-representation;
+`union_hull_contains` decides it by one hull of both vertex sets instead.
 """
 
 from collections import Counter
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
+from oklab.exactgeom import integer_hull
 from oklab.linalg import cross_normal_int, det_int, independent_rows
 
 
@@ -102,3 +106,16 @@ def simplicial_hull(pts):
     kvol = sum(abs(det_int([[x - y for x, y in zip(pts[v], q0)] for v in verts]))
                for verts, _, _ in faces if 0 not in verts)
     return keep, facets, kvol
+
+
+def union_hull_contains(body, other):
+    """Q inside P iff conv(P u Q) = P: one integer hull of both vertex sets
+    over lcm(L, L'), compared with the canonical body P."""
+    if other.is_empty():
+        return True
+    if body.is_empty():
+        return False
+    L = lcm(body.L, other.L)
+    a, b = L // body.L, L // other.L
+    return body == integer_hull(body.dim, L, [tuple(a * x for x in p) for p in body.ipts]
+                                + [tuple(b * x for x in p) for p in other.ipts])

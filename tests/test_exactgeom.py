@@ -8,8 +8,8 @@ from operator import mul
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from fraction_oracle import nullspace, rref, solve
-from hull_oracle import simplicial_hull
+from fraction_oracle import adjugate_halfspaces, nullspace, rref, solve
+from hull_oracle import simplicial_hull, union_hull_contains
 from oklab import exactgeom
 from oklab.exactgeom import (
     DimensionMismatch,
@@ -240,13 +240,10 @@ def _h_contains(body, points):
                for q in points)
 
 
-@seed(2024)
-@pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 5) for k in range(-1, d + 1)])
-@given(data=st.data())
-@settings(max_examples=15, deadline=None)
-def test_hull_containment_matches_halfspaces(d, k, data):
-    # P spans an affine k-flat (k = -1: empty); Q is part of P, lies on its
-    # flat, lies anywhere, or is empty; coordinates carry mixed denominators
+def _draw_body_and_other(d, k, data):
+    """(P, Q, points of Q): P spans an affine k-flat (k = -1: empty); Q is
+    part of P, lies on its flat, lies anywhere, or is empty; coordinates
+    carry mixed denominators."""
     cols = data.draw(st.permutations(range(d)))
     dirs = [[int(j == cols[i]) if j in cols[:i + 1] else data.draw(st.integers(-2, 2))
              for j in range(d)] for i in range(max(k, 0))]  # rank k: unit pivots
@@ -276,11 +273,76 @@ def test_hull_containment_matches_halfspaces(d, k, data):
     else:
         inner = data.draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=3))
     other = Polytope.hull(inner, dim=d)
-    assert body.contains(other) == _h_contains(body, other.vertices)
-    if kind == "part":
-        assert body.contains(other)
+    assert kind != "part" or union_hull_contains(body, other)
+    return body, other, inner
+
+
+rank_cases = pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 5) for k in range(-1, d + 1)])
+
+
+@seed(2024)
+@rank_cases
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_hull_containment_matches_halfspaces(d, k, data):
+    body, other, inner = _draw_body_and_other(d, k, data)
+    expected = union_hull_contains(body, other)
+    assert body.contains(other) == _h_contains(body, other.vertices) == expected
     for q in inner:
-        assert body.contains_point(q) == _h_contains(body, [q])
+        assert body.contains_point(q) == _h_contains(body, [q]) \
+            == union_hull_contains(body, Polytope.hull([q]))
+    if not body.is_empty():
+        assert body.halfspaces() == adjugate_halfspaces(body)
+
+
+@seed(2024)
+@rank_cases
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_first_outside_names_a_vertex_and_a_halfspace_it_breaks(d, k, data):
+    body, other, _ = _draw_body_and_other(d, k, data)
+    found = body.first_outside(other)
+    assert (found is None) == union_hull_contains(body, other)
+    if found is None:
+        return
+    x, broken = found
+    assert x in other.vertices
+    earlier = other.vertices[:other.vertices.index(x)]
+    assert all(union_hull_contains(body, Polytope.hull([v])) for v in earlier)
+    if body.is_empty():
+        assert x == other.vertices[0] and broken is None
+        return
+    eqs, ineqs = body.halfspaces()
+    n, c = broken
+    if broken in eqs:  # the first halfspace x breaks, equalities first
+        assert dot(n, x) != c and all(dot(m, x) == e for m, e in eqs[:eqs.index(broken)])
+        assert all(dot(n, v) == c for v in body.vertices)
+    else:
+        assert dot(n, x) > c and all(dot(m, x) == e for m, e in eqs)
+        assert all(dot(m, x) <= e for m, e in ineqs[:ineqs.index(broken)])
+        assert all(dot(n, v) <= c for v in body.vertices)
+
+
+def test_containment_takes_no_hull_and_no_sum(monkeypatch):
+    bodies = [UNIT_SQUARE, convex_hull([(0, 0), (2, 2)]), convex_hull([(F(1, 2), F(1, 3))]),
+              Polytope.empty(2), convex_hull([(0, 0), (F(3, 2), 0), (0, F(3, 2))])]
+    calls = []
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(exactgeom, "integer_hull", counting("hull", exactgeom.integer_hull))
+    monkeypatch.setattr(exactgeom, "minkowski_sum", counting("sum", exactgeom.minkowski_sum))
+    for body in bodies:
+        for other in bodies:
+            body.contains(other)
+            body.first_outside(other)
+        for q in ((0, 0), (1, 1), (F(1, 2), F(1, 3)), (F(7, 4), 0)):
+            body.contains_point(q)
+    assert calls == []
 
 
 def test_containment_refuses_a_dimension_mismatch():

@@ -1,6 +1,7 @@
-"""Layer microbenchmark of oklab.exactgeom: hulls, volumes, mixed volumes.
+"""Layer microbenchmark of oklab.exactgeom: hulls, volumes, mixed volumes,
+containment and witnesses.
 
-    python3 tools/bench_exactgeom.py [--label NAME] [--src DIR] [--out FILE]
+    python3 tools/bench_exactgeom.py [--src DIR --label NAME]... [--out FILE]
 
 Times, per seeded input set:
 - hull+volume: `Polytope.hull` of 25 or 150 random rational points in R^2
@@ -9,30 +10,45 @@ Times, per seeded input set:
   V(K, L, M) of three 3D bodies of 5 points each, with the Minkowski-sum
   memo cleared first, so a route that forms sums pays for them (the facet
   route forms none for two bodies, and one, L + M, for three);
-- contains: `P.contains({t} x S)` for the hull P of 25 points in R^2 and
-  R^3 and its slice S at a level t inside its first-coordinate range, the
-  inclusion step of the slice-wise proof replay.  Each run takes a fresh
-  copy of P, so nothing an earlier run cached on the body carries over.
+- contains: `P.contains({t} x S)` for the hull P of 25 points and its
+  slice S at a level t inside its first-coordinate range, the inclusion
+  step of the slice-wise proof replay: P full-dimensional in R^2 and R^3,
+  and P of affine rank 2 in R^3 (`contains.d3.rank2`), whose affine-hull
+  equality is tested as well;
+- first_outside.d3: the witness search of a strict additivity verdict,
+  `P.first_outside(Q)` for the hull P of 25 points in R^3 and the hull Q
+  of P's vertices and one point outside P, which Q keeps as its last
+  vertex, so every vertex is tested.  A tree whose `first_outside` takes
+  points is passed `Q.vertices`, as its callers did.
+Each containment and witness run takes a fresh copy of P, so nothing an
+earlier run cached on the body carries over.
 
 The points are drawn like the `geometry` workload of perfbench: coordinates
-in [0, 4] with denominators 1-4.  Each of 200 sets is timed 3 times and
-keeps its fastest run; a case reports the median and quartiles of those
-times over the sets.  A fixed kernel that runs none of oklab's code is
-timed after every tenth set, and `median_kernels` is the median in units
-of the kernel's median time, which stays comparable across the speed
-phases of a shared host that change the times in ms.  The results go to
-FILE (default BENCH_exactgeom.json at the repo root) under `runs[NAME]`,
-next to the runs already there, so two source trees can be compared: run
-it once with `--src` pointing at the `src` directory of the other tree.
+in [0, 4] with denominators 1-4.  In one run, each of 200 sets is timed 3
+times and keeps its fastest time, and a case takes the median of those
+times over the sets, in ms and in units of a fixed kernel that runs none of
+oklab's code (`median_kernels`).  One run per tree does not compare two
+trees: on a shared host the speed phases moved a case's median up to 2x
+between two consecutive runs of the same code, in ms and in kernels alike.
+So each of RUNS rounds runs every source tree once, each run in a fresh
+interpreter with the tree's `src` directory on PYTHONPATH; two trees
+(repeat `--src` and `--label`, in the same order) alternate, and the order
+flips every round, so the phases fall on both alike.  A case reports, per
+tree, the median and quartiles of its RUNS run medians, and the run
+medians themselves.  The results go to FILE (default BENCH_exactgeom.json
+at the repo root) under `runs[NAME]`, next to the runs already there.
 Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import os
 import platform
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -40,11 +56,14 @@ from statistics import median, quantiles
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-SETS, ROUNDS, SEED = 200, 3, 0
+SETS, ROUNDS, SEED, RUNS = 200, 3, 0, 5
 CASES = [("hull_volume.d2.n25", 2, 25), ("hull_volume.d2.n150", 2, 150),
          ("hull_volume.d3.n25", 3, 25), ("hull_volume.d3.n150", 3, 150),
          ("mixed_volume.d3.n5_n30", 3, None), ("mixed_volume.d3.three_bodies", 3, "three"),
-         ("contains.d2", 2, "slice"), ("contains.d3", 3, "slice")]
+         ("contains.d2", 2, "slice"), ("contains.d3", 3, "slice"),
+         ("contains.d3.rank2", 3, "plane slice"), ("first_outside.d3", 3, "witness")]
+CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench_exactgeom; "
+         "print(json.dumps(bench_exactgeom.time_cases()))")
 
 
 def random_points(rnd: random.Random, dim: int, count: int) -> list[tuple]:
@@ -67,8 +86,25 @@ def kernel_s() -> float:
     return perf_counter() - start
 
 
+def plane_points(rnd: random.Random, count: int) -> list[tuple]:
+    """count points p0 + a u + b v on a random plane of R^3 (u, v integer
+    and independent), a and b drawn like the coordinates of `random_points`."""
+    while True:
+        u, v = ([rnd.randint(-2, 2) for _ in range(3)] for _ in range(2))
+        if any(u[i] * v[j] - u[j] * v[i] for i, j in ((0, 1), (0, 2), (1, 2))):
+            break
+    p0 = random_points(rnd, 3, 1)[0]
+    return [tuple(x + a * y + b * z for x, y, z in zip(p0, u, v))
+            for a, b in random_points(rnd, 2, count)]
+
+
 def time_case(exactgeom, dim: int, count: int | str | None, rnd: random.Random) -> dict:
     hull = exactgeom.Polytope.hull
+
+    def fresh(body):
+        return exactgeom.Polytope(body.dim, body.L, body.ipts, (
+            body.k, body.rows, body.cols, body.facets, body._volume), _trusted=True)
+
     if count is None:  # two-body mixed volume
         inputs = [(hull(random_points(rnd, dim, 5)), hull(random_points(rnd, dim, 30)))
                   for _ in range(SETS)]
@@ -84,19 +120,28 @@ def time_case(exactgeom, dim: int, count: int | str | None, rnd: random.Random) 
         def run(bodies):
             exactgeom.minkowski_sum.cache_clear()
             exactgeom.mixed_volume(bodies)
-    elif count == "slice":  # a body and the {t} x slice it contains
+    elif count in ("slice", "plane slice"):  # a body and the {t} x slice it contains
         inputs = []
         for _ in range(SETS):
-            body = hull(random_points(rnd, dim, 25))
+            body = hull(random_points(rnd, dim, 25) if count == "slice" else plane_points(rnd, 25))
             lo, hi = body.first_coordinate_range()
             t = lo + (hi - lo) * Fraction(rnd.randint(1, 7), 8)
             inputs.append((body, exactgeom.slice_at(body, t).embed_prefix(t)))
 
         def run(pair):
             body, inner = pair
-            fresh = exactgeom.Polytope(body.dim, body.L, body.ipts, (
-                body.k, body.rows, body.cols, body.facets, body._volume), _trusted=True)
-            assert fresh.contains(inner)
+            assert fresh(body).contains(inner)
+    elif count == "witness":  # a body and a larger one with one vertex outside it
+        takes_points = "points" in inspect.signature(exactgeom.Polytope.first_outside).parameters
+        inputs = []
+        for _ in range(SETS):
+            body = hull(random_points(rnd, dim, 25))
+            outside = (Fraction(5),) + random_points(rnd, dim - 1, 1)[0]
+            inputs.append((body, hull(body.vertices + (outside,))))
+
+        def run(pair):
+            body, outer = pair
+            assert fresh(body).first_outside(outer.vertices if takes_points else outer)
     else:
         inputs = [random_points(rnd, dim, count) for _ in range(SETS)]
 
@@ -111,33 +156,69 @@ def time_case(exactgeom, dim: int, count: int | str | None, rnd: random.Random) 
             best[i] = min(best[i], perf_counter() - start)
             if i % 10 == 0:
                 kernels.append(kernel_s())
-    q1, q2, q3 = quantiles(best, n=4)
-    kernel = median(kernels)
-    return {"median_ms": round(q2 * 1e3, 4), "q1_ms": round(q1 * 1e3, 4),
-            "q3_ms": round(q3 * 1e3, 4), "sets": SETS, "kernel_ms": round(kernel * 1e3, 4),
-            "median_kernels": round(q2 / kernel, 3)}
+    q2 = median(best)
+    return {"median_ms": q2 * 1e3, "median_kernels": q2 / median(kernels)}
+
+
+def time_cases() -> dict:
+    """One run of every case on the oklab package that Python imports."""
+    from oklab import exactgeom
+
+    return {name: time_case(exactgeom, dim, count, random.Random(f"{SEED}:{name}"))
+            for name, dim, count in CASES}
+
+
+def run_tree(src: Path) -> dict:
+    """`time_cases` in a fresh interpreter with src on PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(Path(__file__).resolve().parent)],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"run on {src} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", default="current")
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="directory that holds the oklab package")
+    parser.add_argument("--src", type=Path, action="append",
+                        help="directory that holds the oklab package (repeatable)")
+    parser.add_argument("--label", action="append", help="name of the run of each --src")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_exactgeom.json")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
-    from oklab import exactgeom
+    srcs = [p.resolve() for p in args.src or [ROOT / "src"]]
+    labels = args.label or ["current"]
+    if len(labels) != len(srcs):
+        parser.error("give one --label per --src")
 
-    cases = {}
-    for name, dim, count in CASES:
-        rnd = random.Random(f"{SEED}:{name}")
-        cases[name] = time_case(exactgeom, dim, count, rnd)
-        print(f"{name:26s} median {cases[name]['median_ms']:9.3f} ms"
-              f" = {cases[name]['median_kernels']:7.3f} kernels")
+    runs = {label: [] for label in labels}
+    for rnd in range(RUNS):
+        trees = list(zip(labels, srcs))
+        if rnd % 2:
+            trees.reverse()
+        for label, src in trees:
+            cases = run_tree(src)
+            runs[label].append(cases)
+            print(f"run {rnd} {label}", flush=True)
+            for name, case in cases.items():
+                print(f"  {name:28s} median {case['median_ms']:9.4f} ms"
+                      f" = {case['median_kernels']:7.3f} kernels", flush=True)
+
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data.setdefault("runs", {})[args.label] = {
-        "seed": SEED, "rounds": ROUNDS, "python": platform.python_version(),
-        "machine": platform.machine(), "cases": cases}
+    for label in labels:
+        cases = {}
+        for name, _, _ in CASES:
+            ms = [r[name]["median_ms"] for r in runs[label]]
+            kernels = [r[name]["median_kernels"] for r in runs[label]]
+            q1, q2, q3 = quantiles(ms, n=4)
+            cases[name] = {"median_ms": round(q2, 4), "q1_ms": round(q1, 4),
+                           "q3_ms": round(q3, 4), "run_medians_ms": [round(x, 4) for x in ms],
+                           "median_kernels": round(median(kernels), 3),
+                           "run_medians_kernels": [round(x, 3) for x in kernels]}
+        data.setdefault("runs", {})[label] = {
+            "seed": SEED, "sets": SETS, "rounds": ROUNDS, "runs": RUNS,
+            "alternated_with": [x for x in labels if x != label],
+            "python": platform.python_version(), "machine": platform.machine(),
+            "cases": cases}
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return 0
 
