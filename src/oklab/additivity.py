@@ -9,9 +9,8 @@ projections L - mu_L O(Y_1), and searches coefficient grids for strict
 inclusions.
 
 The one-sided inclusion sum(bodies) <= body(sum) is a hard invariant,
-checked on every pair whose Minkowski sum is not the body itself: a
-violation means the implementation (not the mathematics) is broken, and
-aborts the run with InclusionViolationError.
+checked on every pair: a violation means the implementation (not the
+mathematics) is broken, and aborts the run with InclusionViolationError.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 
-from .exactgeom import Polytope, minkowski_sum, slice_at
+from .exactgeom import Polytope, minkowski_sum, slice_at, sum_relation
 from .linalg import rat, vec
 from .okounkov import _section_image, no_body_rational, restricted_body
 from .toric import (
@@ -157,24 +156,18 @@ class AdditivityVerdict:
 
 def compare_additive_bodies(body1: Polytope, body2: Polytope,
                             body_sum: Polytope) -> AdditivityVerdict:
-    """Verdict on body_sum vs body1 + body2 (the hard inclusion included).
-
-    Bodies are equal iff their canonical vertex tuples are, so a Minkowski
-    sum equal to body_sum settles the verdict, and the inclusion with it.
-    Only a sum that differs is tested for containment in body_sum.  The
-    strictness witness is then a vertex of body_sum together with one
-    violated halfspace (or affine-hull equality) of the Minkowski sum, so
-    a reader can re-check it independently.
-    """
-    msum = minkowski_sum(body1, body2)
-    volumes = body_sum.volume(), body1.volume(), body2.volume()
-    if msum == body_sum:
-        return AdditivityVerdict("equal", None, None, *volumes)
-    if not body_sum.contains(msum):
-        raise InclusionViolationError(
-            "Minkowski sum not contained in the body of the sum")
-    witness, violated = msum.first_outside(body_sum)
-    return AdditivityVerdict("strict", witness, violated, *volumes)
+    """Verdict on body_sum vs body1 + body2, the hard inclusion included,
+    decided by `sum_relation` with no Minkowski sum.  Only a strict pair
+    forms the sum, for its witness: a vertex of body_sum with one violated
+    halfspace (or affine-hull equality) of the sum, which a reader can
+    re-check independently."""
+    status = sum_relation(body_sum, body1, body2)
+    if status == "outside":
+        raise InclusionViolationError("Minkowski sum not contained in the body of the sum")
+    witness, violated = minkowski_sum(body1, body2).first_outside(body_sum) \
+        if status == "strict" else (None, None)
+    return AdditivityVerdict(status, witness, violated,
+                             body_sum.volume(), body1.volume(), body2.volume())
 
 
 def check_additivity(n1: TDivisor, n2: TDivisor,

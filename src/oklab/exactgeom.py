@@ -23,9 +23,9 @@ rational argument (a shift, a scale factor, a slice level).  Scaling
 keeps the hull data of its argument instead of taking the hull again.
 The same data give each body one integer H-representation, built on
 demand: an affine-hull equality per free column and an inequality per
-facet (Minkowski-Weyl).  Containment, the strictness witnesses of
-`first_outside` and the hyperplane of a facet body all read it, with no
-hull; `Polytope.halfspaces` is its Fraction view.
+facet (Minkowski-Weyl).  Containment, the witnesses of `first_outside`,
+the hyperplane of a facet body and `sum_relation` (P = Q + R on vertex
+sums) read it with no hull; `Polytope.halfspaces` is its Fraction view.
 
 Mixed volumes take one of three routes, all built on Minkowski's formula
 d! V(K, L^(d-1)) = sum_F w_F h_K(n_F) over the facets of L, whose weights
@@ -64,6 +64,7 @@ __all__ = [
     "convex_hull",
     "integer_hull",
     "minkowski_sum",
+    "sum_relation",
     "scale",
     "mixed_volume",
     "mixed_volume_by_polarization",
@@ -135,13 +136,14 @@ class _Face:
         self.above, self.dead = [], False
 
 
-def _simplicial_hull(pts: list[tuple[int, ...]]) -> tuple[list[int], list, int]:
+def _simplicial_hull(pts: list[tuple[int, ...]], base: list[int]) -> tuple[list[int], list, int]:
     """Conflict-list beneath-beyond (Clarkson-Shor) on distinct integer points
     of affine rank k = len(pts[0]) >= 2, the counterpart of `_planar_hull`:
     vertex indices, primitive facets (n, c, w) and k! times the k-volume.
     Here w = (k-1)! times the lattice volume of the facet: the gcd of a
     simplex's cross normal is (k-1)! times its lattice volume, summed over
-    the facet's simplices, so sum_F w (c - n.q0) = k! vol.
+    the facet's simplices, so sum_F w (c - n.pts[0]) = k! vol.  base indexes
+    the k + 1 affinely independent points of the first simplex, pts[0] first.
 
     Each facet simplex keeps the points strictly above it.  The highest
     point above a face goes in next (Quickhull order); the faces it sees
@@ -151,9 +153,6 @@ def _simplicial_hull(pts: list[tuple[int, ...]]) -> tuple[list[int], list, int]:
     vertex iff the distinct facet normals at it span R^k.
     """
     k = len(pts[0])
-    q0 = pts[0]
-    base = [0] + [i + 1 for i, _, _ in independent_rows(
-        [x - y for x, y in zip(p, q0)] for p in pts[1:])]
     zsum = tuple(map(sum, zip(*(pts[i] for i in base))))
     faces = [_Face(pts, tuple(base[:j] + base[j + 1:]), zsum) for j in range(k + 1)]
     for j, f in enumerate(faces):
@@ -206,7 +205,7 @@ def _simplicial_hull(pts: list[tuple[int, ...]]) -> tuple[list[int], list, int]:
             n = tuple(x // g for x in f.n)
             key = (n, f.c // g)
             facets[key] = facets.get(key, 0) + g
-            kvol += f.c - sum(map(mul, f.n, q0))  # |det| of the cone from the hull point q0
+            kvol += f.c - sum(map(mul, f.n, pts[0]))  # |det| of the cone from pts[0]
             for v in f.verts:
                 normals.setdefault(v, set()).add(n)
     keep = [v for v, ns in normals.items()
@@ -222,10 +221,10 @@ def integer_hull(d: int, L: int, ipts) -> "Polytope":
     differences from the least point.  Its direction projects bijectively
     onto the pivot columns, so the hull is taken there, in k = affine rank
     coordinates: an interval for k = 1, the monotone chain for k = 2 and
-    the conflict-list beneath-beyond for k >= 3.  The body keeps k, the
-    echelon rows, the pivot columns, the primitive facets (n, c, w) of the
-    projection, w being (k-1)! times the facet's lattice volume, and its
-    volume.
+    the beneath-beyond for k >= 3, from the simplex of the echelon rows'
+    points.  The body keeps k, the echelon rows, the pivot columns, the
+    primitive facets (n, c, w) of the projection, w being (k-1)! times the
+    facet's lattice volume, and its volume.
     """
     ipts = sorted(set(ipts))  # L > 0, so the points sort like the rationals they scale
     if not ipts:
@@ -244,7 +243,7 @@ def integer_hull(d: int, L: int, ipts) -> "Polytope":
     elif k == 2:
         keep, facets, kvol = _planar_hull(coords)
     else:
-        keep, facets, kvol = _simplicial_hull(coords)
+        keep, facets, kvol = _simplicial_hull(coords, [0] + [i + 1 for i, _, _ in echelon])
     volume = Fraction(kvol, factorial(d) * L ** d) if k == d else Fraction(0)
     return Polytope(d, L, [ipts[i] for i in sorted(keep)],
                     (k, [e for _, _, e in echelon], cols, facets, volume), _trusted=True)
@@ -379,22 +378,27 @@ class Polytope:
 
     def first_outside(self, other: "Polytope"):
         """(x, (n, c)) for the first vertex x of the other body outside this
-        one and the first halfspace of `halfspaces()` it breaks, an equality
-        before an inequality; None if the other body lies in this one.  Each
-        vertex y / L' meets the rows of `integer_halfspaces` on integers,
-        n.y L against c L', with no hull.  The empty body has no halfspace,
-        so its certificate is None."""
+        one and the first halfspace of `halfspaces()` it breaks, equalities
+        first (None for the empty body); None if the other lies in this one."""
         if self.dim != other.dim:
             raise DimensionMismatch("polytope dimension mismatch")
+        found = self._first_outside(other.L, other.ipts)
+        return found and (tuple(Fraction(x, other.L) for x in found[0]),
+                          found[1] and self._fraction_row(*found[1]))
+
+    def _first_outside(self, M: int, ipts):
+        """(y, row) for the first integer point y / M outside this body and the first
+        row of `integer_halfspaces` it breaks, on integers (n.y L against c M)."""
         if self.is_empty():
-            return (other.vertices[0], None) if other.ipts else None
+            return (ipts[0], None) if ipts else None
         eqs, ineqs = self.integer_halfspaces()
-        L, M = self.L, other.L
-        for y in other.ipts:
-            broken = next((h for h in eqs if sum(map(mul, h[0], y)) * L != h[1] * M), None) \
-                or next((h for h in ineqs if sum(map(mul, h[0], y)) * L > h[1] * M), None)
-            if broken:
-                return tuple(Fraction(x, M) for x in y), self._fraction_row(*broken)
+        for y in ipts:
+            for h in eqs:
+                if sum(map(mul, h[0], y)) * self.L != h[1] * M:
+                    return y, h
+            for h in ineqs:
+                if sum(map(mul, h[0], y)) * self.L > h[1] * M:
+                    return y, h
         return None
 
     def contains(self, other: "Polytope") -> bool:
@@ -440,21 +444,39 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
     return Polytope.hull(points, dim=dim)
 
 
-@lru_cache(maxsize=4096)
-def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
-    """Minkowski sum; the hull of pairwise vertex sums, taken on integers.
-
-    Memoised on the two bodies: `additivity.compare_additive_bodies` meets
-    the same pair of bodies again within the additivity sweep and again in
-    the prop14 suite, and `additivity.slice_decomposition_replay` sums the
-    same two bodies for every t of a case.
-    """
+def _vertex_sums(p: Polytope, q: Polytope) -> tuple[int, list]:
+    """(L, sums): the pairwise vertex sums as integer points over L = lcm(p.L, q.L)."""
     if p.dim != q.dim:
         raise DimensionMismatch("Minkowski sum of different ambient dimensions")
     L = lcm(p.L, q.L)
     a, b = L // p.L, L // q.L
-    return integer_hull(p.dim, L, [tuple(a * x + b * y for x, y in zip(u, v))
-                                   for u in p.ipts for v in q.ipts])
+    return L, [tuple(a * x + b * y for x, y in zip(u, v)) for u in p.ipts for v in q.ipts]
+
+
+@lru_cache(maxsize=4096)
+def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
+    """Minkowski sum; the hull of pairwise vertex sums, taken on integers.
+
+    Memoised on the two bodies: `additivity.slice_decomposition_replay`
+    sums the same two bodies for every t of a case.
+    """
+    return integer_hull(p.dim, *_vertex_sums(p, q))
+
+
+def sum_relation(p: Polytope, q: Polytope, r: Polytope) -> str:
+    """"equal" if P = Q + R, "strict" if Q + R is a proper subset of P, else
+    "outside", with no hull.  Each vertex of Q + R is a vertex sum (Schneider,
+    Convex Bodies, Thm 1.7.5), so Q + R lies in P iff every vertex sum meets
+    P's integer H-representation, and then P = Q + R iff every vertex of P,
+    over the sums' denominator, is a vertex sum."""
+    if p.dim != q.dim:
+        raise DimensionMismatch("comparing polytopes of different dimensions")
+    L, sums = _vertex_sums(q, r)
+    if p._first_outside(L, sums):
+        return "outside"
+    s, rem = divmod(L, p.L)
+    scaled = {tuple(s * x for x in v) for v in p.ipts}
+    return "strict" if rem or not scaled <= set(sums) else "equal"
 
 
 def scale(p: Polytope, c) -> Polytope:

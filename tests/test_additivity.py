@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from fraction_oracle import rref, solve
+from hull_oracle import union_hull_contains
 from oklab.additivity import (
     ConeCLM,
     InclusionViolationError,
@@ -20,8 +21,9 @@ from oklab.additivity import (
     strict_search,
     theorem_sweep_pairs,
 )
+from oklab import additivity, exactgeom, okounkov, toric
 from oklab.cli import encode
-from oklab.exactgeom import Polytope, convex_hull
+from oklab.exactgeom import Polytope, convex_hull, minkowski_sum, sum_relation
 from oklab.toric import AdmissibleFlag, TDivisor, testbed, testbed_names
 
 
@@ -164,7 +166,7 @@ def test_inclusion_violation_is_hard_error():
 
 
 def test_equal_verdict_runs_no_containment_test(monkeypatch):
-    # equal canonical vertex tuples settle the inclusion
+    # the vertex sums meet the body's own rows: no formed sum is tested for containment
     def refuse(self, other):
         raise AssertionError("containment tested on an equal pair")
 
@@ -173,7 +175,93 @@ def test_equal_verdict_runs_no_containment_test(monkeypatch):
     assert check_additivity(cone.member(1, 1), cone.member(2, 1), flag).status == "equal"
 
 
+@pytest.mark.parametrize("name,rays,c1,c2", [
+    ("p1xp1", (0, 2), (0, 1, 0, 1), (0, 2, 0, 1)),
+    ("p1xp1xp1", (0, 2, 4), (0, 1, 0, 1, 0, 1), (0, 2, 0, 1, 0, 1))])
+def test_equal_pair_forms_no_sum_and_no_hull_beyond_its_bodies(monkeypatch, name, rays, c1, c2):
+    fan = testbed(name)
+    flag, n1, n2 = AdmissibleFlag(fan, rays), TDivisor(fan, c1), TDivisor(fan, c2)
+    assert check_additivity(n1, n2, flag).status == "equal"  # the fan's own caches
+    okounkov._section_image.cache_clear()
+    calls = []
+
+    def counting(what, real):
+        def wrapped(*args):
+            calls.append(what)
+            return real(*args)
+        return wrapped
+
+    hull, msum = counting("hull", exactgeom.integer_hull), counting("sum", minkowski_sum)
+    for module in (exactgeom, okounkov, toric):
+        monkeypatch.setattr(module, "integer_hull", hull)
+    for module in (exactgeom, additivity):
+        monkeypatch.setattr(module, "minkowski_sum", msum)
+    assert check_additivity(n1, n2, flag).status == "equal"
+    assert calls == ["hull"] * 3  # the bodies of N1, N2 and N1 + N2
+
+
 rational_coords = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+def _flat_body(d, k, data):
+    """A body of affine rank k in R^d: a k-simplex on a random flat with unit
+    pivots and up to three more points of the flat, mixed denominators."""
+    cols = data.draw(st.permutations(range(d)))
+    dirs = [[int(j == cols[i]) if j in cols[:i + 1] else data.draw(st.integers(-2, 2))
+             for j in range(d)] for i in range(k)]
+    p0 = data.draw(st.tuples(*[rational_coords] * d))
+    combos = [[F(int(i == j)) for j in range(k)] for i in range(k)] + [[F(0)] * k]
+    combos += data.draw(st.lists(st.lists(rational_coords, min_size=k, max_size=k), max_size=3))
+    body = convex_hull([tuple(x + sum(c * v[j] for c, v in zip(cs, dirs))
+                              for j, x in enumerate(p0)) for cs in combos])
+    assert body.affine_dim == k
+    return body
+
+
+def _relation_by_sum(p, q, r):
+    """Oracle: the relation read off the formed Minkowski sum, containment
+    by one hull of both vertex sets."""
+    msum = minkowski_sum(q, r)
+    return "equal" if msum == p else "strict" if union_hull_contains(p, msum) else "outside"
+
+
+@seed(2024)
+@pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 5) for k in range(d + 1)])
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_sum_relation_matches_the_formed_sum(d, k, data):
+    q, r = _flat_body(d, k, data), _flat_body(d, data.draw(st.integers(0, d)), data)
+    sums = [tuple(a + b for a, b in zip(u, v)) for u in q.vertices for v in r.vertices]
+    msum = convex_hull(sums)
+    assert sum_relation(msum, q, r) == _relation_by_sum(msum, q, r) == "equal"
+    assert compare_additive_bodies(q, r, msum).status == "equal"
+
+    # a point outside Q + R: the old route's witness and halfspace are kept
+    x = data.draw(st.tuples(*[rational_coords.map(lambda c: 3 * c)] * d))
+    if msum.contains_point(x):
+        x = (max(v[0] for v in msum.vertices) + 1,) + x[1:]
+    bigger = convex_hull(sums + [x])
+    assert sum_relation(bigger, q, r) == _relation_by_sum(bigger, q, r) == "strict"
+    verdict = compare_additive_bodies(q, r, bigger)
+    assert verdict.status == "strict"
+    assert (verdict.witness, verdict.violated) == msum.first_outside(bigger)
+    assert verdict.witness in bigger.vertices
+    normal, offset = verdict.violated
+
+    def val(y):
+        return sum(a * b for a, b in zip(normal, y))
+
+    if val(verdict.witness) > offset:  # an inequality of Q + R, or its equality
+        assert all(val(s) <= offset for s in sums)
+    else:
+        assert val(verdict.witness) != offset and all(val(s) == offset for s in sums)
+
+    # a body that misses a vertex sum of Q + R breaks the inclusion
+    dropped = data.draw(st.sampled_from(msum.vertices))
+    smaller = convex_hull([s for s in sums if s != dropped], dim=d)
+    assert sum_relation(smaller, q, r) == _relation_by_sum(smaller, q, r) == "outside"
+    with pytest.raises(InclusionViolationError):
+        compare_additive_bodies(q, r, smaller)
 
 
 @seed(2024)

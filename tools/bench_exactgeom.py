@@ -9,7 +9,10 @@ Times, per seeded input set:
 - mixed_volume.d3: V(K, K, L) of two 3D bodies of 5 and 30 points, and
   V(K, L, M) of three 3D bodies of 5 points each, with the Minkowski-sum
   memo cleared first, so a route that forms sums pays for them (the facet
-  route forms none for two bodies, and one, L + M, for three);
+  route forms none for two bodies, and one, L + M, for three).  A set of
+  the two-body case runs REPEAT mixed volumes in a row and reports their
+  mean, so that one timed set is long against the timer and the host's
+  short stalls;
 - contains: `P.contains({t} x S)` for the hull P of 25 points and its
   slice S at a level t inside its first-coordinate range, the inclusion
   step of the slice-wise proof replay: P full-dimensional in R^2 and R^3,
@@ -19,7 +22,11 @@ Times, per seeded input set:
   `P.first_outside(Q)` for the hull P of 25 points in R^3 and the hull Q
   of P's vertices and one point outside P, which Q keeps as its last
   vertex, so every vertex is tested.  A tree whose `first_outside` takes
-  points is passed `Q.vertices`, as its callers did.
+  points is passed `Q.vertices`, as its callers did;
+- compare_additive: `additivity.compare_additive_bodies(Q, R, Q + R)` on an
+  equal pair, with the Minkowski-sum memo cleared first: two boxes of 8
+  vertices in R^3 (the shape of the bodies of P^1 x P^1 x P^1) and two
+  pentagons in R^2, Q + R taken beforehand as the hull of the vertex sums.
 Each containment and witness run takes a fresh copy of P, so nothing an
 earlier run cached on the body carries over.
 
@@ -51,17 +58,20 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from statistics import median, quantiles
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-SETS, ROUNDS, SEED, RUNS = 200, 3, 0, 5
+SETS, ROUNDS, SEED, RUNS, REPEAT = 200, 3, 0, 5, 20
 CASES = [("hull_volume.d2.n25", 2, 25), ("hull_volume.d2.n150", 2, 150),
          ("hull_volume.d3.n25", 3, 25), ("hull_volume.d3.n150", 3, 150),
          ("mixed_volume.d3.n5_n30", 3, None), ("mixed_volume.d3.three_bodies", 3, "three"),
          ("contains.d2", 2, "slice"), ("contains.d3", 3, "slice"),
-         ("contains.d3.rank2", 3, "plane slice"), ("first_outside.d3", 3, "witness")]
+         ("contains.d3.rank2", 3, "plane slice"), ("first_outside.d3", 3, "witness"),
+         ("compare_additive.d3.boxes", 3, "boxes"),
+         ("compare_additive.d2.pentagons", 2, "pentagons")]
 CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench_exactgeom; "
          "print(json.dumps(bench_exactgeom.time_cases()))")
 
@@ -98,6 +108,24 @@ def plane_points(rnd: random.Random, count: int) -> list[tuple]:
             for a, b in random_points(rnd, 2, count)]
 
 
+def equal_pair(hull, rnd: random.Random, dim: int, shape: str) -> tuple:
+    """(Q, R, Q + R) for two random boxes with 2^dim vertices, or two random
+    pentagons (hulls of 6 points with 5 vertices); the sum is the hull of
+    the vertex sums."""
+    def body():
+        while True:
+            if shape == "boxes":
+                lo, hi = random_points(rnd, dim, 2)
+                if all(a != b for a, b in zip(lo, hi)):
+                    return hull(list(product(*zip(lo, hi))))
+            elif len((pentagon := hull(random_points(rnd, dim, 6))).vertices) == 5:
+                return pentagon
+
+    q, r = body(), body()
+    return q, r, hull([tuple(a + b for a, b in zip(u, v))
+                       for u in q.vertices for v in r.vertices])
+
+
 def time_case(exactgeom, dim: int, count: int | str | None, rnd: random.Random) -> dict:
     hull = exactgeom.Polytope.hull
 
@@ -110,9 +138,10 @@ def time_case(exactgeom, dim: int, count: int | str | None, rnd: random.Random) 
                   for _ in range(SETS)]
 
         def run(bodies):
-            exactgeom.minkowski_sum.cache_clear()
             k_body, l_body = bodies
-            exactgeom.mixed_volume([k_body, k_body, l_body])
+            for _ in range(REPEAT):
+                exactgeom.minkowski_sum.cache_clear()
+                exactgeom.mixed_volume([k_body, k_body, l_body])
     elif count == "three":  # three distinct bodies
         inputs = [tuple(hull(random_points(rnd, dim, 5)) for _ in range(3))
                   for _ in range(SETS)]
@@ -142,6 +171,14 @@ def time_case(exactgeom, dim: int, count: int | str | None, rnd: random.Random) 
         def run(pair):
             body, outer = pair
             assert fresh(body).first_outside(outer.vertices if takes_points else outer)
+    elif count in ("boxes", "pentagons"):  # an equal additivity pair
+        from oklab.additivity import compare_additive_bodies
+
+        inputs = [equal_pair(hull, rnd, dim, count) for _ in range(SETS)]
+
+        def run(bodies):
+            exactgeom.minkowski_sum.cache_clear()
+            assert compare_additive_bodies(*bodies).status == "equal"
     else:
         inputs = [random_points(rnd, dim, count) for _ in range(SETS)]
 
@@ -153,7 +190,7 @@ def time_case(exactgeom, dim: int, count: int | str | None, rnd: random.Random) 
         for i, item in enumerate(inputs):
             start = perf_counter()
             run(item)
-            best[i] = min(best[i], perf_counter() - start)
+            best[i] = min(best[i], (perf_counter() - start) / (REPEAT if count is None else 1))
             if i % 10 == 0:
                 kernels.append(kernel_s())
     q2 = median(best)
