@@ -10,10 +10,7 @@ intersection-number inequalities.
 __version__ = "0.1.0"
 
 from .exactgeom import (  # noqa: F401
-    FormalBody,
     Polytope,
-    convex_hull,
-    equals,
     minkowski_sum,
     mixed_volume,
     scale,
@@ -58,5 +55,4 @@ from .inequalities import (  # noqa: F401
     injectivity_check,
     lehmann_xiao_check,
     lemma61_check,
-    mixed_volume_derivative_check,
 )

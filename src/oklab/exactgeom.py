@@ -60,8 +60,6 @@ from .linalg import (
 
 __all__ = [
     "Polytope",
-    "FormalBody",
-    "convex_hull",
     "integer_hull",
     "minkowski_sum",
     "sum_relation",
@@ -69,7 +67,6 @@ __all__ = [
     "mixed_volume",
     "mixed_volume_by_polarization",
     "slice_at",
-    "equals",
 ]
 
 
@@ -268,7 +265,7 @@ class Polytope:
         g divides every offset, which is n.x at some vertex x, and g^(k-1)
         every weight, which the divided lattice points give again."""
         if not _trusted:
-            raise TypeError("use Polytope.hull / Polytope.empty / Polytope.point")
+            raise TypeError("use Polytope.hull / Polytope.empty")
         k, rows, cols, facets, volume = hull or (-1, None, None, None, Fraction(0))
         g = gcd(L, *(x for p in ipts for x in p))
         if g > 1:
@@ -283,14 +280,6 @@ class Polytope:
     @staticmethod
     def empty(dim: int) -> "Polytope":
         return Polytope(dim, 1, (), None, _trusted=True)
-
-    @staticmethod
-    def point(coords) -> "Polytope":
-        """The one-point body: affine rank 0, no facet, no hull taken."""
-        p = vec(coords)
-        L = common_denominator([p])
-        return Polytope(len(p), L, to_int_points([p], L),
-                        (0, [], [], [], Fraction(int(not p))), _trusted=True)
 
     @staticmethod
     def hull(points, dim: int | None = None) -> "Polytope":
@@ -326,11 +315,6 @@ class Polytope:
     def vertices(self) -> tuple[Vec, ...]:
         """The sorted vertices as Fractions, built on each access."""
         return tuple(tuple(Fraction(x, self.L) for x in p) for p in self.ipts)
-
-    @property
-    def affine_dim(self) -> int:
-        """Dimension of the affine hull (-1 for the empty body)."""
-        return self.k
 
     # -- derived geometry ----------------------------------------------------
 
@@ -373,9 +357,6 @@ class Polytope:
     def _fraction_row(self, n, c, s):
         return tuple(Fraction(x, s) for x in n), Fraction(c, s * self.L)
 
-    def contains_point(self, point) -> bool:
-        return self.contains(Polytope.point(point))
-
     def first_outside(self, other: "Polytope"):
         """(x, (n, c)) for the first vertex x of the other body outside this
         one and the first halfspace of `halfspaces()` it breaks, equalities
@@ -417,7 +398,15 @@ class Polytope:
         return Fraction(min(xs), self.L), Fraction(max(xs), self.L)
 
     def translate(self, offset) -> "Polytope":
-        return minkowski_sum(self, Polytope.point(offset))
+        """P + offset: the vertices shifted on integers over lcm(L, denominator
+        of the offset), with one hull and no Minkowski sum."""
+        o = vec(offset)
+        if len(o) != self.dim:
+            raise DimensionMismatch("translation of a different ambient dimension")
+        L = lcm(self.L, common_denominator([o]))
+        s, (t,) = L // self.L, to_int_points([o], L)
+        return integer_hull(self.dim, L, [tuple(s * x + y for x, y in zip(p, t))
+                                          for p in self.ipts])
 
     def embed_prefix(self, value) -> "Polytope":
         """{value} x P inside R^{d+1}."""
@@ -438,11 +427,6 @@ class Polytope:
 # ---------------------------------------------------------------------------
 # module-level operations (the public vocabulary)
 # ---------------------------------------------------------------------------
-
-def convex_hull(points, dim: int | None = None) -> Polytope:
-    """Minimal canonical V-representation of the hull of rational points."""
-    return Polytope.hull(points, dim=dim)
-
 
 def _vertex_sums(p: Polytope, q: Polytope) -> tuple[int, list]:
     """(L, sums): the pairwise vertex sums as integer points over L = lcm(p.L, q.L)."""
@@ -635,69 +619,3 @@ def slice_at(p: Polytope, t) -> Polytope:
             f = m // (b - a)
             pts.append(tuple(f * (b * x - a * y) for x, y in zip(u, w)))
     return integer_hull(p.dim - 1, m * p.L, pts)
-
-
-def equals(p: Polytope, q: Polytope) -> bool:
-    """Exact set equality, decided on canonical V-representations."""
-    if p.dim != q.dim:
-        raise DimensionMismatch("comparing polytopes of different dimensions")
-    return p == q
-
-
-# ---------------------------------------------------------------------------
-# formal differences of convex bodies
-# ---------------------------------------------------------------------------
-
-class FormalBody:
-    """Formal difference of convex bodies (vector-space completion).
-
-    Represented as a pair (positive, negative) of nonempty polytopes;
-    two pairs are equal iff pos + other.neg == other.pos + neg (the
-    cancellation law for Minkowski sums).  No canonical form exists in
-    general, so equality is tested through the defining relation.  A
-    missing side is represented by the zero body {0}.
-    """
-
-    __slots__ = ("positive", "negative")
-
-    def __init__(self, positive: Polytope, negative: Polytope | None = None):
-        if negative is None:
-            negative = Polytope.point([0] * positive.dim)
-        if positive.dim != negative.dim:
-            raise DimensionMismatch("formal body sides of different dimensions")
-        if positive.is_empty() or negative.is_empty():
-            raise ValueError("formal body sides must be nonempty convex bodies")
-        self.positive = positive
-        self.negative = negative
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalBody):
-            return NotImplemented
-        return equals(minkowski_sum(self.positive, other.negative),
-                      minkowski_sum(other.positive, self.negative))
-
-    def __hash__(self):
-        raise TypeError("FormalBody is unhashable (no canonical form)")
-
-    def __add__(self, other: "FormalBody") -> "FormalBody":
-        return FormalBody(minkowski_sum(self.positive, other.positive),
-                          minkowski_sum(self.negative, other.negative))
-
-    def scaled(self, c) -> "FormalBody":
-        c = rat(c)
-        if c >= 0:
-            return FormalBody(scale(self.positive, c), scale(self.negative, c))
-        return FormalBody(scale(self.negative, -c), scale(self.positive, -c))
-
-    def is_convex_body(self) -> bool:
-        """True if the class is represented by an honest convex body."""
-        return len(self.negative.ipts) == 1
-
-    def as_polytope(self) -> Polytope:
-        """The represented body when the negative side is a point."""
-        if not self.is_convex_body():
-            raise ValueError("formal body with a nontrivial negative side")
-        return self.positive.translate(tuple(-x for x in self.negative.vertices[0]))
-
-    def __repr__(self):
-        return f"FormalBody({self.positive!r} - {self.negative!r})"

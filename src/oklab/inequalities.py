@@ -1,9 +1,10 @@
 """Intersection-number inequalities through convex bodies.
 
-The bridge is the linear map N = lambda L + mu M  |->  lambda body(L) +
-mu body(M) into formal differences of convex bodies.  On a flag
-corresponding to L it is compatible with intersection products
-((1/d!) M_1...M_d equals the mixed volume of the images), and injective
+The bridge is the body map extended linearly, N = lambda L + mu M  |->
+lambda body(L) + mu body(M).  On a flag corresponding to L it is
+compatible with intersection products: (1/d!) M_1...M_d equals the mixed
+volume of the images, which multilinearity expands in the basis bodies,
+so no body of a class other than L and M is formed.  It is injective
 because Brunn-Minkowski is strict for independent classes.  From there the
 Lehmann-Xiao mixed-volume inequality for arbitrary convex bodies yields
 the nef intersection-number inequality
@@ -27,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
-from .exactgeom import (FormalBody, Polytope, minkowski_sum, mixed_volume,
+from .exactgeom import (Polytope, minkowski_sum, mixed_volume,
                         mixed_volume_by_polarization, scale)
 from .additivity import ENUMERATION_BUDGET, ConeCLM, EnumerationBudgetError
 from .linalg import interpolate, iroot
@@ -49,7 +50,6 @@ __all__ = [
     "lemma61_check",
     "lehmann_xiao_check",
     "cor15_check",
-    "mixed_volume_derivative_check",
     "find_corresponding_flag",
     "random_polytope",
     "lehmann_xiao_sweep",
@@ -74,12 +74,13 @@ class InequalityRecord:
 
 
 # ---------------------------------------------------------------------------
-# the linear map into formal bodies
+# the body map on the span of L and M
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DeltaMap(ConeCLM):
-    """N = lambda L + mu M  |->  lambda body(L) + mu body(M).
+    """N = lambda L + mu M  |->  lambda body(L) + mu body(M), kept as the
+    basis and its two bodies; `check_cor13` reads the map through them.
 
     The basis classes must be nef, so their bodies are certified; on the
     invariant flags of the toric testbeds the anchors corresponding to a
@@ -96,14 +97,6 @@ class DeltaMap(ConeCLM):
     flag: AdmissibleFlag
     body_l: NOBody
     body_m: NOBody
-
-    def apply(self, n: TDivisor) -> FormalBody:
-        lam, m = self.coordinates(n)
-        pos = FormalBody(scale(self.body_l.body, max(lam, 0)))
-        pos = pos + FormalBody(scale(self.body_m.body, max(m, 0)))
-        neg = FormalBody(scale(self.body_l.body, max(-lam, 0)))
-        neg = neg + FormalBody(scale(self.body_m.body, max(-m, 0)))
-        return FormalBody(pos.positive, neg.positive)
 
 
 def delta_map(l_div: TDivisor, m_div: TDivisor, flag: AdmissibleFlag) -> DeltaMap:
@@ -206,8 +199,8 @@ def decide_power_inequality(a: Fraction, b: Fraction, c: Fraction, d: int):
 
 
 def injectivity_check(dmap: DeltaMap) -> InequalityRecord:
-    """Strict Brunn-Minkowski for the basis pair, hence independence of
-    the basis bodies in the formal-body vector space."""
+    """Strict Brunn-Minkowski for the basis pair, hence linear independence
+    of the basis bodies and injectivity of the map on span(L, M)."""
     if dmap.dependent:
         raise ValueError("injectivity is undefined for a dependent basis")
     fan = dmap.fan
@@ -361,12 +354,6 @@ def derivative_check_bodies(k_body: Polytope, base: Polytope) -> tuple[bool, dic
     expected = d * mixed_volume_by_polarization([k_body] + [base] * (d - 1))
     return coeffs[1] == expected, {"coefficients": tuple(coeffs),
                                    "d_times_mixed": expected}
-
-
-def mixed_volume_derivative_check(l_div: TDivisor, m_div: TDivisor,
-                                  flag: AdmissibleFlag) -> bool:
-    ok, _ = derivative_check_bodies(nef_body(l_div, flag).body, nef_body(m_div, flag).body)
-    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from math import factorial
 import pytest
 
 from oklab.additivity import ample_grid_classes, compare_additive_bodies
-from oklab.exactgeom import minkowski_sum
+from oklab.exactgeom import Polytope, minkowski_sum
 from oklab.okounkov import no_body_rational
 from oklab.toric import AdmissibleFlag, TDivisor, intersection_number, testbed
 from oklab.verify import (
@@ -194,7 +194,7 @@ def test_criterion_12_strict_search():
         d2 = bl.classes.divisor_from_class(c2)
         msum = minkowski_sum(no_body_rational(d1, flag).body,
                              no_body_rational(d2, flag).body)
-        ok = ok and not msum.contains_point(rec_bl["witness"])
+        ok = ok and not msum.contains(Polytope.hull([rec_bl["witness"]]))
     for name in ("p2", "p1xp1"):
         flag = AdmissibleFlag(testbed(name), SWEEP_CONFIGS[name][0][0])
         rec = suite_strict_search(flag)[0]

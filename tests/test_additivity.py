@@ -23,7 +23,7 @@ from oklab.additivity import (
 )
 from oklab import additivity, exactgeom, okounkov, toric
 from oklab.cli import encode
-from oklab.exactgeom import Polytope, convex_hull, minkowski_sum, sum_relation
+from oklab.exactgeom import Polytope, minkowski_sum, sum_relation
 from oklab.toric import AdmissibleFlag, TDivisor, testbed, testbed_names
 
 
@@ -150,8 +150,8 @@ def test_additivity_d1_base_case():
 def test_strict_branch_on_synthetic_bodies():
     # 2*simplex sits strictly inside the 2x2 square: witness must be a
     # square vertex violating one halfspace of the sum
-    tri = convex_hull([(0, 0), (1, 0), (0, 1)])
-    square = convex_hull([(0, 0), (2, 0), (0, 2), (2, 2)])
+    tri = Polytope.hull([(0, 0), (1, 0), (0, 1)])
+    square = Polytope.hull([(0, 0), (2, 0), (0, 2), (2, 2)])
     verdict = compare_additive_bodies(tri, tri, square)
     assert verdict.status == "strict"
     assert verdict.witness == (F(2), F(2))
@@ -160,7 +160,7 @@ def test_strict_branch_on_synthetic_bodies():
 
 
 def test_inclusion_violation_is_hard_error():
-    tri = convex_hull([(0, 0), (1, 0), (0, 1)])
+    tri = Polytope.hull([(0, 0), (1, 0), (0, 1)])
     with pytest.raises(InclusionViolationError):
         compare_additive_bodies(tri, tri, tri)  # sum is bigger than "body"
 
@@ -212,9 +212,9 @@ def _flat_body(d, k, data):
     p0 = data.draw(st.tuples(*[rational_coords] * d))
     combos = [[F(int(i == j)) for j in range(k)] for i in range(k)] + [[F(0)] * k]
     combos += data.draw(st.lists(st.lists(rational_coords, min_size=k, max_size=k), max_size=3))
-    body = convex_hull([tuple(x + sum(c * v[j] for c, v in zip(cs, dirs))
-                              for j, x in enumerate(p0)) for cs in combos])
-    assert body.affine_dim == k
+    body = Polytope.hull([tuple(x + sum(c * v[j] for c, v in zip(cs, dirs))
+                                for j, x in enumerate(p0)) for cs in combos])
+    assert body.k == k
     return body
 
 
@@ -232,15 +232,15 @@ def _relation_by_sum(p, q, r):
 def test_sum_relation_matches_the_formed_sum(d, k, data):
     q, r = _flat_body(d, k, data), _flat_body(d, data.draw(st.integers(0, d)), data)
     sums = [tuple(a + b for a, b in zip(u, v)) for u in q.vertices for v in r.vertices]
-    msum = convex_hull(sums)
+    msum = Polytope.hull(sums)
     assert sum_relation(msum, q, r) == _relation_by_sum(msum, q, r) == "equal"
     assert compare_additive_bodies(q, r, msum).status == "equal"
 
     # a point outside Q + R: the old route's witness and halfspace are kept
     x = data.draw(st.tuples(*[rational_coords.map(lambda c: 3 * c)] * d))
-    if msum.contains_point(x):
+    if msum.contains(Polytope.hull([x])):
         x = (max(v[0] for v in msum.vertices) + 1,) + x[1:]
-    bigger = convex_hull(sums + [x])
+    bigger = Polytope.hull(sums + [x])
     assert sum_relation(bigger, q, r) == _relation_by_sum(bigger, q, r) == "strict"
     verdict = compare_additive_bodies(q, r, bigger)
     assert verdict.status == "strict"
@@ -258,7 +258,7 @@ def test_sum_relation_matches_the_formed_sum(d, k, data):
 
     # a body that misses a vertex sum of Q + R breaks the inclusion
     dropped = data.draw(st.sampled_from(msum.vertices))
-    smaller = convex_hull([s for s in sums if s != dropped], dim=d)
+    smaller = Polytope.hull([s for s in sums if s != dropped], dim=d)
     assert sum_relation(smaller, q, r) == _relation_by_sum(smaller, q, r) == "outside"
     with pytest.raises(InclusionViolationError):
         compare_additive_bodies(q, r, smaller)
@@ -269,20 +269,20 @@ def test_sum_relation_matches_the_formed_sum(d, k, data):
 @settings(max_examples=60, deadline=None)
 def test_compare_additive_bodies_outcomes_on_random_bodies(d, data):
     point = st.tuples(*[rational_coords] * d)
-    k_body, l_body = (convex_hull(data.draw(st.lists(point, min_size=1, max_size=5)))
+    k_body, l_body = (Polytope.hull(data.draw(st.lists(point, min_size=1, max_size=5)))
                       for _ in range(2))
     sums = [tuple(a + b for a, b in zip(u, v))
             for u in k_body.vertices for v in l_body.vertices]
-    msum = convex_hull(sums)
+    msum = Polytope.hull(sums)
     assert compare_additive_bodies(k_body, l_body, msum).status == "equal"
 
     # a point outside K + L: drawn from a wider box, pushed past it if inside
     p = data.draw(st.tuples(*[rational_coords.map(lambda x: 3 * x)] * d))
-    if msum.contains_point(p):
+    if msum.contains(Polytope.hull([p])):
         p = (max(v[0] for v in msum.vertices) + 1,) + p[1:]
-    verdict = compare_additive_bodies(k_body, l_body, convex_hull(sums + [p]))
+    verdict = compare_additive_bodies(k_body, l_body, Polytope.hull(sums + [p]))
     assert verdict.status == "strict"
-    assert verdict.witness in convex_hull(sums + [p]).vertices
+    assert verdict.witness in Polytope.hull(sums + [p]).vertices
     normal, offset = verdict.violated
 
     def val(x):
@@ -296,7 +296,7 @@ def test_compare_additive_bodies_outcomes_on_random_bodies(d, data):
 
     # a body that misses a vertex of K + L breaks the hard inclusion
     dropped = data.draw(st.sampled_from(msum.vertices))
-    smaller = convex_hull([s for s in sums if s != dropped], dim=d)
+    smaller = Polytope.hull([s for s in sums if s != dropped], dim=d)
     with pytest.raises(InclusionViolationError):
         compare_additive_bodies(k_body, l_body, smaller)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from blowups import blown_up_fans, star_subdivision
 from oklab import cli, inequalities, okounkov
 from oklab.cli import CATALOG_ENV, main
-from oklab.exactgeom import convex_hull
+from oklab.exactgeom import Polytope
 from oklab.toric import testbed, testbed_names
 
 
@@ -104,7 +104,7 @@ def test_mixedvol_budgets_no_sum_for_the_facet_route(capsys):
     parabola = [[t, t * t] for t in range(400)]
     bodies = [[[2 * x, 2 * y] for x, y in parabola], parabola]
     code, out, _ = run(capsys, "mixedvol", "--bodies", json.dumps(bodies))
-    area = convex_hull(parabola).volume()
+    area = Polytope.hull(parabola).volume()
     assert code == 0
     assert json.loads(out)["checks"][0]["value"] == [(2 * area).numerator, (2 * area).denominator]
 

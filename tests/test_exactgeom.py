@@ -13,12 +13,9 @@ from hull_oracle import simplicial_hull, union_hull_contains
 from oklab import exactgeom
 from oklab.exactgeom import (
     DimensionMismatch,
-    FormalBody,
     Polytope,
     _planar_hull,
     _simplicial_hull,
-    convex_hull,
-    equals,
     minkowski_sum,
     mixed_volume,
     mixed_volume_by_polarization,
@@ -43,23 +40,23 @@ def simplicial_hull_from_base(ipts):
     return _simplicial_hull(ipts, base)
 
 
-UNIT_SQUARE = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-UNIT_SIMPLEX = convex_hull([(0, 0), (1, 0), (0, 1)])
+UNIT_SQUARE = Polytope.hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+UNIT_SIMPLEX = Polytope.hull([(0, 0), (1, 0), (0, 1)])
 
 
 def verts(*points):
     return tuple(tuple(F(x) for x in p) for p in points)
 
 
-# --- convex_hull -----------------------------------------------------------
+# --- Polytope.hull ---------------------------------------------------------
 
 def test_hull_removes_interior_point():
-    p = convex_hull([(0, 0), (1, 0), (0, 1), (F(1, 2), F(1, 4))])
+    p = Polytope.hull([(0, 0), (1, 0), (0, 1), (F(1, 2), F(1, 4))])
     assert p.vertices == verts((0, 0), (0, 1), (1, 0))
 
 
 def test_hull_single_point():
-    p = convex_hull([(0, 0)])
+    p = Polytope.hull([(0, 0)])
     assert p.vertices == verts((0, 0))
     assert p.volume() == 0
 
@@ -67,25 +64,25 @@ def test_hull_single_point():
 def test_hull_of_doubled_simplex_lattice_points():
     # oracle: the six lattice points with i + j <= 2, listed by hand
     pts = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)]
-    p = convex_hull(pts)
+    p = Polytope.hull(pts)
     assert p.vertices == verts((0, 0), (0, 2), (2, 0))
 
 
 def test_hull_idempotent_and_pure():
     pts = [(0, 0), (3, 1), (1, 3), (2, 2), (0, 0)]
-    a = convex_hull(pts)
-    b = convex_hull(a.vertices)
+    a = Polytope.hull(pts)
+    b = Polytope.hull(a.vertices)
     assert a == b and a.vertices == b.vertices
 
 
 def test_hull_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        convex_hull([(0, 0), (1, 0, 0)])
+        Polytope.hull([(0, 0), (1, 0, 0)])
 
 
 def test_hull_3d_box_from_many_points():
     pts = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
-    p = convex_hull(pts)
+    p = Polytope.hull(pts)
     assert len(p.vertices) == 8
     assert p.volume() == 8
 
@@ -98,23 +95,23 @@ def test_minkowski_square_plus_square():
 
 
 def test_minkowski_square_plus_segment():
-    seg = convex_hull([(0, 0), (1, 0)])
+    seg = Polytope.hull([(0, 0), (1, 0)])
     s = minkowski_sum(UNIT_SQUARE, seg)
     assert s.vertices == verts((0, 0), (0, 1), (2, 0), (2, 1))
 
 
 def test_minkowski_translation_and_neutral():
-    v = convex_hull([(F(5, 2), -3)])
-    p = convex_hull([(0, 0), (1, 2), (2, 0)])
+    v = Polytope.hull([(F(5, 2), -3)])
+    p = Polytope.hull([(0, 0), (1, 2), (2, 0)])
     assert minkowski_sum(p, v).vertices == verts(
         (F(5, 2), -3), (F(7, 2), -1), (F(9, 2), -3))
-    zero = convex_hull([(0, 0)])
-    assert equals(minkowski_sum(p, zero), p)
+    zero = Polytope.hull([(0, 0)])
+    assert minkowski_sum(p, zero) == p
 
 
 def test_minkowski_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        minkowski_sum(UNIT_SQUARE, convex_hull([(0,), (1,)]))
+        minkowski_sum(UNIT_SQUARE, Polytope.hull([(0,), (1,)]))
 
 
 def test_minkowski_with_empty_is_empty():
@@ -126,7 +123,7 @@ def test_minkowski_with_empty_is_empty():
 def test_scale_examples():
     assert scale(UNIT_SIMPLEX, 3).vertices == verts((0, 0), (0, 3), (3, 0))
     assert scale(UNIT_SIMPLEX, 0).vertices == verts((0, 0))
-    rect = convex_hull([(0, 0), (2, 0), (0, 3), (2, 3)])
+    rect = Polytope.hull([(0, 0), (2, 0), (0, 3), (2, 3)])
     assert scale(rect, F(1, 2)).vertices == verts(
         (0, 0), (0, F(3, 2)), (1, 0), (1, F(3, 2)))
     assert scale(UNIT_SQUARE, 1) == UNIT_SQUARE
@@ -141,13 +138,13 @@ def test_scale_negative_rejected():
 
 def test_volume_examples():
     assert UNIT_SQUARE.volume() == 1
-    assert convex_hull([(0, 0), (2, 0), (0, 2)]).volume() == 2
-    assert convex_hull([(0, 0), (1, 1)]).volume() == 0  # lower-dimensional
+    assert Polytope.hull([(0, 0), (2, 0), (0, 2)]).volume() == 2
+    assert Polytope.hull([(0, 0), (1, 1)]).volume() == 0  # lower-dimensional
     assert Polytope.empty(2).volume() == 0
 
 
 def test_volume_tetrahedron():
-    assert convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]).volume() == F(1, 6)
+    assert Polytope.hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]).volume() == F(1, 6)
 
 
 # --- mixed_volume ----------------------------------------------------------
@@ -159,7 +156,7 @@ def test_mixed_volume_multilinearity_example():
 def test_mixed_volume_square_segment():
     # polarization by hand: vol([0,1]x[0,2]) - vol(square) - vol(segment)
     # = 2 - 1 - 0, halved
-    seg = convex_hull([(0, 0), (0, 1)])
+    seg = Polytope.hull([(0, 0), (0, 1)])
     assert mixed_volume([UNIT_SQUARE, seg]) == F(1, 2)
 
 
@@ -167,8 +164,8 @@ def test_mixed_volume_square_segment():
 @settings(max_examples=25, deadline=None)
 def test_mixed_volume_rectangles_closed_form(a, b, c, e):
     # brute-force polarization oracle for boxes: ((a+c)(b+e) - ab - ce)/2
-    r1 = convex_hull([(0, 0), (a, 0), (0, b), (a, b)])
-    r2 = convex_hull([(0, 0), (c, 0), (0, e), (c, e)])
+    r1 = Polytope.hull([(0, 0), (a, 0), (0, b), (a, b)])
+    r2 = Polytope.hull([(0, 0), (c, 0), (0, e), (c, e)])
     oracle = F((a + c) * (b + e) - a * b - c * e, 2)
     assert oracle == F(a * e + b * c, 2)
     assert mixed_volume([r1, r2]) == oracle
@@ -182,16 +179,16 @@ def test_mixed_volume_errors():
 
 
 def test_mixed_volume_diagonal_is_volume_3d():
-    tet = convex_hull([(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)])
+    tet = Polytope.hull([(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert mixed_volume([tet, tet, tet]) == tet.volume()
 
 
 # --- slice_at --------------------------------------------------------------
 
 def test_slice_examples():
-    rect = convex_hull([(0, 0), (2, 0), (0, 3), (2, 3)])
+    rect = Polytope.hull([(0, 0), (2, 0), (0, 3), (2, 3)])
     assert slice_at(rect, 1).vertices == verts((0,), (3,))
-    tri = convex_hull([(0, 0), (2, 0), (0, 2)])
+    tri = Polytope.hull([(0, 0), (2, 0), (0, 2)])
     # halfspace oracle: {x : (1, x) in tri} = [0, 1]
     assert slice_at(tri, 1).vertices == verts((0,), (1,))
     assert slice_at(rect, F(5, 2)).is_empty()
@@ -199,43 +196,40 @@ def test_slice_examples():
 
 def test_slice_requires_dim_two():
     with pytest.raises(ValueError):
-        slice_at(convex_hull([(0,), (1,)]), F(1, 2))
+        slice_at(Polytope.hull([(0,), (1,)]), F(1, 2))
 
 
 def test_slice_fubini_rectangle():
     # product body: every slice has the same length, so volume = width * slice
-    rect = convex_hull([(0, 0), (F(7, 2), 0), (0, F(5, 3)), (F(7, 2), F(5, 3))])
+    rect = Polytope.hull([(0, 0), (F(7, 2), 0), (0, F(5, 3)), (F(7, 2), F(5, 3))])
     s = slice_at(rect, F(1, 3))
     assert rect.volume() == F(7, 2) * s.volume() == F(35, 6)
 
 
-# --- equals / membership ---------------------------------------------------
+# --- equality / membership -------------------------------------------------
 
 def test_equals_examples():
-    hull_with_center = convex_hull(
+    hull_with_center = Polytope.hull(
         [(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), F(1, 2))])
-    assert equals(UNIT_SQUARE, hull_with_center)
-    assert not equals(UNIT_SIMPLEX, UNIT_SQUARE)
-    assert equals(UNIT_SQUARE,
-                  minkowski_sum(UNIT_SQUARE, convex_hull([(0, 0)])))
-    with pytest.raises(DimensionMismatch):
-        equals(UNIT_SQUARE, convex_hull([(0,), (1,)]))
+    assert UNIT_SQUARE == hull_with_center
+    assert UNIT_SIMPLEX != UNIT_SQUARE
+    assert UNIT_SQUARE == minkowski_sum(UNIT_SQUARE, Polytope.hull([(0, 0)]))
 
 
 def test_membership_lower_dimensional():
-    seg = convex_hull([(0, 0), (2, 2)])
-    assert seg.contains_point((1, 1))
-    assert not seg.contains_point((1, 0))
-    assert not seg.contains_point((3, 3))
+    seg = Polytope.hull([(0, 0), (2, 2)])
+    assert seg.contains(Polytope.hull([(1, 1)]))
+    assert not seg.contains(Polytope.hull([(1, 0)]))
+    assert not seg.contains(Polytope.hull([(3, 3)]))
 
 
 def test_halfspace_representation_roundtrip():
-    p = convex_hull([(0, 0), (4, 0), (0, 4), (3, 3)])
+    p = Polytope.hull([(0, 0), (4, 0), (0, 4), (3, 3)])
     eqs, ineqs = p.halfspaces()
     assert not eqs
     for v in p.vertices:
-        assert p.contains_point(v)
-    assert not p.contains_point((4, 4))
+        assert p.contains(Polytope.hull([v]))
+    assert not p.contains(Polytope.hull([(4, 4)]))
 
 
 def _h_contains(body, points):
@@ -265,7 +259,7 @@ def _draw_body_and_other(d, k, data):
     combos = st.lists(st.lists(coords, min_size=k, max_size=k), max_size=4)
     pts = on_flat(corners + data.draw(combos)) if k >= 0 else []
     body = Polytope.hull(pts, dim=d)
-    assert body.affine_dim == k
+    assert body.k == k
     kind = data.draw(st.sampled_from(["part", "flat", "anywhere", "empty"]))
     if k < 0 and kind in ("part", "flat"):
         kind = "anywhere"
@@ -297,7 +291,7 @@ def test_hull_containment_matches_halfspaces(d, k, data):
     expected = union_hull_contains(body, other)
     assert body.contains(other) == _h_contains(body, other.vertices) == expected
     for q in inner:
-        assert body.contains_point(q) == _h_contains(body, [q]) \
+        assert body.contains(Polytope.hull([q])) == _h_contains(body, [q]) \
             == union_hull_contains(body, Polytope.hull([q]))
     if not body.is_empty():
         assert body.halfspaces() == adjugate_halfspaces(body)
@@ -332,8 +326,9 @@ def test_first_outside_names_a_vertex_and_a_halfspace_it_breaks(d, k, data):
 
 
 def test_containment_takes_no_hull_and_no_sum(monkeypatch):
-    bodies = [UNIT_SQUARE, convex_hull([(0, 0), (2, 2)]), convex_hull([(F(1, 2), F(1, 3))]),
-              Polytope.empty(2), convex_hull([(0, 0), (F(3, 2), 0), (0, F(3, 2))])]
+    bodies = [UNIT_SQUARE, Polytope.hull([(0, 0), (2, 2)]), Polytope.hull([(F(1, 2), F(1, 3))]),
+              Polytope.empty(2), Polytope.hull([(0, 0), (F(3, 2), 0), (0, F(3, 2))])]
+    points = [Polytope.hull([q]) for q in ((0, 0), (1, 1), (F(1, 2), F(1, 3)), (F(7, 4), 0))]
     calls = []
 
     def counting(name, real):
@@ -348,20 +343,19 @@ def test_containment_takes_no_hull_and_no_sum(monkeypatch):
         for other in bodies:
             body.contains(other)
             body.first_outside(other)
-        for q in ((0, 0), (1, 1), (F(1, 2), F(1, 3)), (F(7, 4), 0)):
-            body.contains_point(q)
+        for point in points:
+            body.contains(point)
     assert calls == []
 
 
 def test_containment_refuses_a_dimension_mismatch():
     for body in (UNIT_SQUARE, Polytope.empty(2)):
         with pytest.raises(DimensionMismatch):
-            body.contains(convex_hull([(0, 0, 0)]))
+            body.contains(Polytope.hull([(0, 0, 0)]))
         with pytest.raises(DimensionMismatch):
             body.contains(Polytope.empty(3))
-        with pytest.raises(DimensionMismatch):
-            body.contains_point((0, 0, 0))
-    assert UNIT_SQUARE.contains(Polytope.empty(2)) and not Polytope.empty(2).contains_point((0, 0))
+    assert UNIT_SQUARE.contains(Polytope.empty(2))
+    assert not Polytope.empty(2).contains(Polytope.hull([(0, 0)]))
 
 
 # --- property-based laws ---------------------------------------------------
@@ -374,8 +368,8 @@ points2 = st.tuples(coords, coords)
        st.lists(points2, min_size=0, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_hull_inclusion_monotone(base, extra):
-    small = convex_hull(base)
-    big = convex_hull(base + extra)
+    small = Polytope.hull(base)
+    big = Polytope.hull(base + extra)
     assert big.contains(small)
 
 
@@ -383,8 +377,8 @@ def test_hull_inclusion_monotone(base, extra):
        st.lists(points2, min_size=1, max_size=5))
 @settings(max_examples=40, deadline=None)
 def test_minkowski_volume_expansion_plane(ps, qs):
-    k = convex_hull(ps)
-    l = convex_hull(qs)
+    k = Polytope.hull(ps)
+    l = Polytope.hull(qs)
     lhs = minkowski_sum(k, l).volume()
     rhs = k.volume() + 2 * mixed_volume([k, l]) + l.volume()
     assert lhs == rhs
@@ -395,9 +389,9 @@ def test_minkowski_volume_expansion_plane(ps, qs):
        st.lists(points2, min_size=1, max_size=4))
 @settings(max_examples=30, deadline=None)
 def test_mixed_volume_symmetric_and_multilinear(ps, qs, rs):
-    k = convex_hull(ps)
-    l = convex_hull(qs)
-    m = convex_hull(rs)
+    k = Polytope.hull(ps)
+    l = Polytope.hull(qs)
+    m = Polytope.hull(rs)
     assert mixed_volume([k, l]) == mixed_volume([l, k])
     assert mixed_volume([k, k]) == k.volume()
     # polarization vs multilinear expansion
@@ -410,39 +404,9 @@ def test_mixed_volume_symmetric_and_multilinear(ps, qs, rs):
 def test_scale_volume_and_hull_commute(ps, c):
     if c < 0:
         c = -c
-    p = convex_hull(ps)
+    p = Polytope.hull(ps)
     assert scale(p, c).volume() == c * c * p.volume()
-    assert scale(p, c) == convex_hull([(c * x, c * y) for x, y in ps])
-
-
-# --- FormalBody ------------------------------------------------------------
-
-def test_formal_body_cancellation_equality():
-    a = FormalBody(minkowski_sum(UNIT_SQUARE, UNIT_SQUARE), UNIT_SQUARE)
-    b = FormalBody(UNIT_SQUARE)
-    assert a == b
-
-
-def test_formal_body_scale_and_add():
-    fb = FormalBody(UNIT_SQUARE).scaled(-2)
-    assert fb.positive.vertices == verts((0, 0))
-    assert fb.negative == scale(UNIT_SQUARE, 2)
-    total = FormalBody(UNIT_SIMPLEX) + fb
-    # simplex - 2 square == simplex - 2 square through the defining relation
-    assert total == FormalBody(UNIT_SIMPLEX, scale(UNIT_SQUARE, 2))
-
-
-def test_formal_body_as_polytope():
-    fb = FormalBody(UNIT_SQUARE.translate((1, 1)), convex_hull([(1, 1)]))
-    assert fb.is_convex_body()
-    assert fb.as_polytope() == UNIT_SQUARE
-    with pytest.raises(ValueError):
-        (FormalBody(UNIT_SQUARE, UNIT_SIMPLEX)).as_polytope()
-
-
-def test_formal_body_requires_nonempty_sides():
-    with pytest.raises(ValueError):
-        FormalBody(Polytope.empty(2))
+    assert scale(p, c) == Polytope.hull([(c * x, c * y) for x, y in ps])
 
 
 # --- brute-force oracle fuzzing ---------------------------------------------
@@ -477,13 +441,13 @@ flat_coords = st.sampled_from([F(0), F(1), F(2), F(1, 2)])
 @given(st.lists(st.tuples(coords3, coords3, coords3), min_size=1, max_size=7))
 @settings(max_examples=40, deadline=None)
 def test_hull_vertices_match_oracle_3d(pts):
-    hull = convex_hull(pts)
+    hull = Polytope.hull(pts)
     pts = list({tuple(map(F, p)) for p in pts})
     for p in pts:
         others = [q for q in pts if q != p]
         expect_vertex = not others or not _in_hull_oracle(p, others)
         assert (p in hull.vertices) == expect_vertex
-        assert hull.contains_point(p)
+        assert hull.contains(Polytope.hull([p]))
 
 
 @given(st.lists(st.tuples(flat_coords, flat_coords, flat_coords),
@@ -491,11 +455,11 @@ def test_hull_vertices_match_oracle_3d(pts):
 @settings(max_examples=40, deadline=None)
 def test_hull_handles_degenerate_configurations(pts):
     # many coincident / collinear / coplanar points
-    hull = convex_hull(pts)
+    hull = Polytope.hull(pts)
     dedup = {tuple(map(F, p)) for p in pts}
     assert set(hull.vertices) <= dedup
     for p in dedup:
-        assert hull.contains_point(p)
+        assert hull.contains(Polytope.hull([p]))
     # every vertex is extreme per the oracle
     for v in hull.vertices:
         others = [q for q in dedup if q != v]
@@ -511,13 +475,13 @@ def test_hull_handles_degenerate_configurations(pts):
        st.fractions(min_value=-2, max_value=2, max_denominator=4))
 @settings(max_examples=40, deadline=None)
 def test_slice_against_membership_oracle(pts, t):
-    hull = convex_hull(pts)
+    hull = Polytope.hull(pts)
     sl = slice_at(hull, t)
     for v in sl.vertices:
-        assert hull.contains_point((t,) + v)
+        assert hull.contains(Polytope.hull([(t,) + v]))
     for p in {tuple(map(F, q)) for q in pts}:
         if p[0] == t:
-            assert sl.contains_point(p[1:])
+            assert sl.contains(Polytope.hull([p[1:]]))
 
 
 @given(st.lists(st.tuples(coords3, coords3, coords3), min_size=1, max_size=5),
@@ -525,7 +489,7 @@ def test_slice_against_membership_oracle(pts, t):
        st.lists(st.tuples(coords3, coords3, coords3), min_size=1, max_size=5))
 @settings(max_examples=20, deadline=None)
 def test_mixed_volume_nonnegative_3d(ps, qs, rs):
-    bodies = [convex_hull(ps), convex_hull(qs), convex_hull(rs)]
+    bodies = [Polytope.hull(ps), Polytope.hull(qs), Polytope.hull(rs)]
     assert mixed_volume(bodies) >= 0
 
 
@@ -571,12 +535,12 @@ def test_planar_sets_embedded_in_space(pts, a, b, offset):
     def embed(x):
         return tuple(x[0] * u + x[1] * v + o for u, v, o in zip(a, b, offset))
 
-    flat = convex_hull(pts)
-    space = convex_hull([embed(p) for p in pts])
+    flat = Polytope.hull(pts)
+    space = Polytope.hull([embed(p) for p in pts])
     assert space.vertices == tuple(sorted(embed(v) for v in flat.vertices))
-    assert space.affine_dim == flat.affine_dim and space.volume() == 0
+    assert space.k == flat.k and space.volume() == 0
     pts, ipts = _integer_points(pts)
-    if flat.affine_dim == 2:
+    if flat.k == 2:
         keep, _, _ = simplicial_hull_from_base(ipts)
         assert flat.vertices == tuple(sorted(pts[i] for i in keep))
         # the chain runs on the pivot coordinates of the embedded set
@@ -584,8 +548,8 @@ def test_planar_sets_embedded_in_space(pts, a, b, offset):
         cols = space.cols
         _assert_chain_matches_beneath_beyond([tuple(p[c] for c in cols) for p in ispace])
     for p in pts:
-        assert space.contains_point(embed(p))
-    assert not space.contains_point(embed((F(9), F(9))))
+        assert space.contains(Polytope.hull([embed(p)]))
+    assert not space.contains(Polytope.hull([embed((F(9), F(9)))]))
 
 
 small_coords = st.integers(-2, 2).map(F) | st.sampled_from([F(1, 2), F(-1, 3)])
@@ -597,7 +561,7 @@ small_coords = st.integers(-2, 2).map(F) | st.sampled_from([F(1, 2), F(-1, 3)])
 def test_two_body_mixed_volume_matches_polarization(d, data):
     # sizes 1 and 2 give points and segments; small coordinates often give
     # lower-dimensional bodies
-    body = st.lists(st.tuples(*[small_coords] * d), min_size=1, max_size=5).map(convex_hull)
+    body = st.lists(st.tuples(*[small_coords] * d), min_size=1, max_size=5).map(Polytope.hull)
     k_body, l_body = data.draw(body), data.draw(body)
     for j in range(d + 1):
         bodies = [k_body] * j + [l_body] * (d - j)
@@ -610,8 +574,8 @@ def _body_of_rank(data, d, k):
     p0 = data.draw(st.tuples(*[small_coords] * d))
     dirs = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=k, max_size=k))
     combos = data.draw(st.lists(st.tuples(*[small_coords] * k), min_size=k + 1, max_size=k + 2))
-    return convex_hull([tuple(x + sum(c * v[i] for c, v in zip(cs, dirs))
-                              for i, x in enumerate(p0)) for cs in combos])
+    return Polytope.hull([tuple(x + sum(c * v[i] for c, v in zip(cs, dirs))
+                                for i, x in enumerate(p0)) for cs in combos])
 
 
 scale_factors = st.sampled_from([F(1), F(2), F(3), F(1, 2), F(3, 2), F(2, 3)])
@@ -660,16 +624,16 @@ def _with_weight(body, i, delta):
 
 
 @pytest.mark.parametrize("l_body", [
-    convex_hull([(0, 0), (2, 0), (F(1, 2), 3)]),
-    convex_hull([(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, F(3, 2))]),
-    scale(convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]), F(4, 3)),
+    Polytope.hull([(0, 0), (2, 0), (F(1, 2), 3)]),
+    Polytope.hull([(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, F(3, 2))]),
+    scale(Polytope.hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]), F(4, 3)),
 ])
 def test_every_facet_weight_enters_the_facet_route(l_body):
     # K holds the origin in its interior, so h_K(n) > 0 for every n != 0 and
     # a wrong weight on any one facet changes the mixed volume
     # (L listed first: in the plane it is then the body whose facets are read)
     d = l_body.dim
-    k_body = convex_hull(product((-1, 1), repeat=d))
+    k_body = Polytope.hull(product((-1, 1), repeat=d))
     bodies = [l_body] * (d - 1) + [k_body]
     expected = mixed_volume_by_polarization(bodies)
     assert mixed_volume(bodies) == expected
@@ -683,9 +647,9 @@ def test_facet_route_forms_no_minkowski_sum(monkeypatch):
         raise AssertionError("minkowski_sum called")
 
     monkeypatch.setattr(exactgeom, "minkowski_sum", forbidden)
-    cube = convex_hull(product((0, 1), repeat=3))
-    seg = convex_hull([(0, 0, 0), (1, 2, 3)])
-    tri = convex_hull([(0, 0, 0), (2, 0, 0), (0, 1, 1)])  # in the plane y = z, area sqrt 2
+    cube = Polytope.hull(product((0, 1), repeat=3))
+    seg = Polytope.hull([(0, 0, 0), (1, 2, 3)])
+    tri = Polytope.hull([(0, 0, 0), (2, 0, 0), (0, 1, 1)])  # in the plane y = z, area sqrt 2
     # 3 V(seg, K, K) = |v| area(K projected along v): 6 for the unit cube
     assert mixed_volume([seg, cube, cube]) == mixed_volume([cube, cube, seg]) == 2
     # 3 V(K, T, T) = area(T) times the width of K across the plane of T
@@ -696,8 +660,8 @@ def test_facet_route_forms_no_minkowski_sum(monkeypatch):
 
 def test_mixed_volume_budgets_only_the_sums_its_route_forms():
     seen = []
-    simplex = convex_hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
-    box = convex_hull(product((0, 2), repeat=4))
+    simplex = Polytope.hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    box = Polytope.hull(product((0, 2), repeat=4))
     mixed_volume([simplex, box, box, box], seen.append)
     mixed_volume([simplex, simplex, simplex, box], seen.append)
     assert seen == []  # the facet route
@@ -787,8 +751,8 @@ def test_halfspace_equalities_match_nullspace_oracle(d, data):
                               min_size=k, max_size=k))
     combos = data.draw(st.lists(st.lists(small_coords, min_size=k, max_size=k),
                                 min_size=1, max_size=6))
-    body = convex_hull([tuple(x + sum(c * v[j] for c, v in zip(cs, dirs))
-                              for j, x in enumerate(p0)) for cs in combos])
+    body = Polytope.hull([tuple(x + sum(c * v[j] for c, v in zip(cs, dirs))
+                                for j, x in enumerate(p0)) for cs in combos])
     v0 = body.vertices[0]
     diffs = [[a - b for a, b in zip(v, v0)] for v in body.vertices[1:]]
     eqs, _ = body.halfspaces()
@@ -798,7 +762,7 @@ def test_halfspace_equalities_match_nullspace_oracle(d, data):
 def test_minkowski_memo_is_bounded_and_transparent():
     maxsize = minkowski_sum.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize < 10 ** 6
-    seg = convex_hull([(0, 0), (F(1, 2), 1)])
+    seg = Polytope.hull([(0, 0), (F(1, 2), 1)])
     first = minkowski_sum(UNIT_SIMPLEX, seg)
     assert minkowski_sum(UNIT_SIMPLEX, seg) is first
     minkowski_sum.cache_clear()
@@ -853,7 +817,7 @@ def test_conflict_list_hull_matches_oracle(make, d, data):
     pts, ipts = _integer_points(make(data, d))
     assume(rank([[x - y for x, y in zip(p, ipts[0])] for p in ipts[1:]]) == d)
     keep, facets, kvol = _assert_matches_hull_oracle(ipts)
-    body = convex_hull(pts)
+    body = Polytope.hull(pts)
     assert body.vertices == tuple(pts[i] for i in keep)
     # the body keeps its offsets over the least common denominator of its
     # vertices, and its weights for the points over that denominator
@@ -875,8 +839,8 @@ def test_conflict_list_hull_of_rank_three_sets_in_four_space(data, rows):
     offset = data.draw(st.tuples(*[grid_coords] * 4))
     pts, ipts = _integer_points([tuple(sum(map(mul, r, x)) + o for r, o in zip(rows, offset))
                                  for x in flat])
-    space = convex_hull(pts)
-    assume(space.affine_dim == 3)
+    space = Polytope.hull(pts)
+    assume(space.k == 3)
     cols = space.cols
     proj = [tuple(p[c] for c in cols) for p in ipts]
     keep, facets, _ = _assert_matches_hull_oracle(proj)
@@ -924,7 +888,7 @@ def test_edge_points_of_the_cross_polytope_in_four_space():
             for p in tips for q in tips if dot(p, q) == 0}
     pts, ipts = _integer_points(tips + sorted(mids))
     _assert_matches_hull_oracle(ipts)
-    body = convex_hull(pts)
+    body = Polytope.hull(pts)
     assert sorted(body.vertices) == sorted(tuple(map(F, p)) for p in tips)
     assert len(body.halfspaces()[1]) == 16 and body.volume() == F(2 ** 4 * 16, 24)
 
@@ -946,10 +910,10 @@ def _assert_canonical(body):
 @settings(max_examples=60, deadline=None)
 def test_every_operation_keeps_the_canonical_integer_body(d, data):
     point_sets = st.lists(st.tuples(*[grid_coords] * d), min_size=1, max_size=8)
-    p, q = convex_hull(data.draw(point_sets)), convex_hull(data.draw(point_sets))
+    p, q = Polytope.hull(data.draw(point_sets)), Polytope.hull(data.draw(point_sets))
     offset = data.draw(st.tuples(*[grid_coords] * d))
     empty = Polytope.empty(d)
-    bodies = [p, q, empty, Polytope.point(offset), p.translate(offset), empty.translate(offset),
+    bodies = [p, q, empty, Polytope.hull([offset]), p.translate(offset), empty.translate(offset),
               p.embed_prefix(offset[0]), minkowski_sum(p, q), minkowski_sum(p, empty)]
     bodies += [scale(b, c) for b in (p, q, empty) for c in (0, F(1, 3), 2, F(5, 2))]
     for body in bodies:
@@ -958,3 +922,19 @@ def test_every_operation_keeps_the_canonical_integer_body(d, data):
         for b in bodies:
             assert (a == b) == (a.dim == b.dim and a.vertices == b.vertices)
             assert a != b or hash(a) == hash(b)
+
+
+@seed(2024)
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_translate_is_the_sum_with_a_point_and_forms_no_sum(d, data):
+    pts = data.draw(st.lists(st.tuples(*[grid_coords] * d), max_size=8))
+    body = Polytope.hull(pts, dim=d)
+    offset = data.draw(st.tuples(*[grid_coords] * d))
+    before = minkowski_sum.cache_info().currsize
+    moved = body.translate(offset)
+    assert minkowski_sum.cache_info().currsize == before
+    assert moved == minkowski_sum(body, Polytope.hull([offset]))
+    _assert_canonical(moved)
+    with pytest.raises(DimensionMismatch):
+        body.translate(offset + (F(0),))

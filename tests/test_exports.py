@@ -1,0 +1,34 @@
+"""The package's public names: every `__all__` entry and every name that
+`oklab/__init__.py` re-exports is defined."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import oklab
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(oklab.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_star_import_defines_every_all_entry(name):
+    module = importlib.import_module(f"oklab.{name}")
+    names = getattr(module, "__all__", [])
+    assert [n for n in names if not hasattr(module, n)] == []
+    namespace = {}
+    exec(f"from oklab.{name} import *", namespace)
+    assert [n for n in names if n not in namespace] == []
+
+
+def test_package_reexports_exist():
+    tree = ast.parse(Path(oklab.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"oklab.{node.module}")
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+            assert getattr(oklab, alias.asname or alias.name) is getattr(module, alias.name)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import fraction_oracle
 from blowups import blown_up_fans
 from oklab import exactgeom, inequalities
-from oklab.exactgeom import convex_hull, scale
+from oklab.exactgeom import Polytope, minkowski_sum, scale
 from oklab.inequalities import (
     InequalityRecord,
     check_cor13,
@@ -26,11 +26,10 @@ from oklab.inequalities import (
     lehmann_xiao_check,
     lehmann_xiao_sweep,
     lemma61_check,
-    mixed_volume_derivative_check,
     random_polytope,
 )
 from oklab.linalg import interpolate, iroot
-from oklab.okounkov import no_body_rational
+from oklab.okounkov import nef_body, no_body_rational
 from oklab.toric import AdmissibleFlag, Fan, TDivisor, flag_corresponds, testbed, testbed_names
 
 
@@ -43,25 +42,33 @@ def p1xp1_map():
 
 # --- the linear map -----------------------------------------------------------
 
+def image_parts(dmap, n):
+    """(positive, negative) sides of the image lambda body(L) + mu body(M) of
+    N = lambda L + mu M, each coefficient on the side of its sign."""
+    lam, mu = dmap.coordinates(n)
+    return tuple(minkowski_sum(scale(dmap.body_l.body, max(s * lam, 0)),
+                               scale(dmap.body_m.body, max(s * mu, 0))) for s in (1, -1))
+
+
 def test_delta_map_identity_on_anchor():
     fan, dmap = p1xp1_map()
-    fb = dmap.apply(dmap.L)
-    assert fb.is_convex_body() and fb.as_polytope() == dmap.body_l.body
+    positive, negative = image_parts(dmap, dmap.L)
+    assert positive == dmap.body_l.body and negative.vertices == ((F(0), F(0)),)
 
 
 def test_delta_map_matches_direct_body():
     fan, dmap = p1xp1_map()
     n = TDivisor(fan, (0, 2, 0, 3))
-    fb = dmap.apply(n)
+    positive, negative = image_parts(dmap, n)
     flag = AdmissibleFlag(fan, (0, 2))
-    assert fb.as_polytope() == no_body_rational(n, flag).body
+    assert positive == no_body_rational(n, flag).body and negative.vertices == ((F(0), F(0)),)
 
 
 def test_delta_map_negative_coefficient():
     fan, dmap = p1xp1_map()
-    fb = dmap.apply(dmap.M.scaled(-1))
-    assert fb.positive.vertices == ((F(0), F(0)),)
-    assert fb.negative == dmap.body_m.body
+    positive, negative = image_parts(dmap, dmap.M.scaled(-1))
+    assert positive.vertices == ((F(0), F(0)),)
+    assert negative == dmap.body_m.body
 
 
 def test_delta_map_rejects_outside_span():
@@ -71,7 +78,7 @@ def test_delta_map_rejects_outside_span():
                      bl.classes.divisor_from_class((1, 0, 1)),    # H
                      flag)
     with pytest.raises(ValueError):
-        dmap.apply(bl.classes.divisor_from_class((0, 0, 1)))
+        dmap.coordinates(bl.classes.divisor_from_class((0, 0, 1)))
 
 
 # --- cor13 ---------------------------------------------------------------------
@@ -244,7 +251,7 @@ def test_lemma61_non_corresponding_flag_nonnegative():
 # --- lehmann-xiao -------------------------------------------------------------------
 
 def test_lx_trivial_cases():
-    sq = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    sq = Polytope.hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     rec = lehmann_xiao_check(sq, sq, sq, 1)
     assert (rec.lhs, rec.rhs, rec.slack) == (1, 2, 1)
     rec = lehmann_xiao_check(sq, sq, sq, 0)
@@ -252,15 +259,15 @@ def test_lx_trivial_cases():
 
 
 def test_lx_mixed_bodies():
-    sq = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    sq = Polytope.hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     big = scale(sq, 2)
-    tri = convex_hull([(0, 0), (1, 0), (0, 1)])
+    tri = Polytope.hull([(0, 0), (1, 0), (0, 1)])
     for k in (0, 1, 2):
         assert lehmann_xiao_check(sq, big, tri, k).passed
 
 
 def test_lx_bad_k():
-    sq = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    sq = Polytope.hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     with pytest.raises(ValueError):
         lehmann_xiao_check(sq, sq, sq, 3)
 
@@ -419,14 +426,14 @@ def test_find_corresponding_flag_matches_brute_force(fan, data):
 
 
 def test_derivative_square_case():
-    sq = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    sq = Polytope.hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     ok, info = derivative_check_bodies(sq, sq)
     assert ok and info["coefficients"] == (1, 2, 1)  # vol(tK+K) = (1+t)^2
 
 
 def test_derivative_rectangle_segment():
-    rect = convex_hull([(0, 0), (3, 0), (0, 5), (3, 5)])
-    seg = convex_hull([(0, 0), (1, 0)])
+    rect = Polytope.hull([(0, 0), (3, 0), (0, 5), (3, 5)])
+    seg = Polytope.hull([(0, 0), (1, 0)])
     ok, info = derivative_check_bodies(seg, rect)
     assert ok and info["d_times_mixed"] == 5  # 2 V(seg, rect) = 2 * (5/2)
 
@@ -434,12 +441,12 @@ def test_derivative_rectangle_segment():
 def test_derivative_on_divisor_classes():
     p2 = testbed("p2")
     flag = AdmissibleFlag(p2, (1, 2))
-    assert mixed_volume_derivative_check(TDivisor(p2, (1, 0, 0)),
-                                         TDivisor(p2, (2, 0, 0)), flag)
+    assert derivative_check_bodies(nef_body(TDivisor(p2, (1, 0, 0)), flag).body,
+                                   nef_body(TDivisor(p2, (2, 0, 0)), flag).body)[0]
     fan = testbed("p1xp1")
-    assert mixed_volume_derivative_check(TDivisor(fan, (0, 3, 0, 5)),
-                                         TDivisor(fan, (0, 1, 0, 0)),
-                                         AdmissibleFlag(fan, (0, 2)))
+    flag = AdmissibleFlag(fan, (0, 2))
+    assert derivative_check_bodies(nef_body(TDivisor(fan, (0, 3, 0, 5)), flag).body,
+                                   nef_body(TDivisor(fan, (0, 1, 0, 0)), flag).body)[0]
 
 
 @seed(2024)
@@ -462,8 +469,8 @@ def test_derivative_check_sides_do_not_share_the_fit(monkeypatch):
         return coeffs
 
     monkeypatch.setattr(inequalities, "interpolate", wrong_fit)
-    sq = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-    rect = convex_hull([(0, 0), (3, 0), (0, 5), (3, 5)])
-    for k_body, base in ((sq, sq), (rect, sq), (sq, convex_hull([(0, 0), (1, 0)]))):
+    sq = Polytope.hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    rect = Polytope.hull([(0, 0), (3, 0), (0, 5), (3, 5)])
+    for k_body, base in ((sq, sq), (rect, sq), (sq, Polytope.hull([(0, 0), (1, 0)]))):
         ok, _ = derivative_check_bodies(k_body, base)
         assert not ok

@@ -13,7 +13,7 @@ from graded_oracle import (
     restriction_image,
 )
 from oklab import exactgeom, okounkov, toric
-from oklab.exactgeom import Polytope, convex_hull, scale, slice_at
+from oklab.exactgeom import Polytope, scale, slice_at
 from oklab.inequalities import find_corresponding_flag
 from oklab.linalg import common_denominator, dot
 from oklab.okounkov import (
@@ -90,7 +90,7 @@ def test_p2_body_is_simplex_two_routes():
     # independent routes: the graded lattice hull, and the affine image of
     # the section polytope's vertices
     assert graded_body(div, flag) == nb.body
-    image = convex_hull(
+    image = Polytope.hull(
         [flag_valuation(flag, div, u) for u in [(0, 0), (1, 0), (0, 1)]])
     assert nb.body == image
 
@@ -151,7 +151,7 @@ def test_f1_nontrivial_body_shape():
     nb = no_body_rational(div, flag)
     assert nb.exact
     p = polytope_of_divisor(fan, div.scaled(2))
-    image = convex_hull(
+    image = Polytope.hull(
         [flag_valuation(flag, div.scaled(2), tuple(map(int, u)))
          for u in p.vertices])
     assert nb.body == scale(image, F(1, 2))
@@ -253,7 +253,7 @@ def test_e1_is_a_valuation_of_o_y1():
     p2, flag = flag_of("p2", (1, 2))
     oy1 = flag.divisor_of_y1()
     assert flag_valuation(flag, oy1, (0, 0)) == (1, 0)
-    assert no_body_rational(oy1, flag).body.contains_point((1, 0))
+    assert no_body_rational(oy1, flag).body.contains(Polytope.hull([(1, 0)]))
     f1, eflag = flag_of("f1", (1, 0))
     assert flag_valuation(eflag, eflag.divisor_of_y1(), (0, 0)) == (1, 0)
 
@@ -274,7 +274,7 @@ def test_bodies_match_section_polytope_images_everywhere():
             found += 1
             nb = no_body_rational(div, flag)
             p = polytope_of_divisor(fan, div)
-            image = convex_hull(
+            image = Polytope.hull(
                 [tuple(sum(int(u[j]) * fan.rays[i][j] for j in range(fan.dim))
                        + div.coeffs[i] for i in flag.ray_indices)
                  for u in p.vertices])

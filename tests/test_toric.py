@@ -633,23 +633,23 @@ def test_nef_vertices_match_subset_loop(fan, data):
     for cls in (nef, ample):
         div = classes.divisor_from_class(cls)
         assert polytope_of_divisor(fan, div) == subset_loop_polytope(fan, div)
-    assert polytope_of_divisor(fan, classes.divisor_from_class(ample)).affine_dim == fan.dim
+    assert polytope_of_divisor(fan, classes.divisor_from_class(ample)).k == fan.dim
 
 
-@pytest.mark.parametrize("name, coeffs, affine_dim", [
+@pytest.mark.parametrize("name, coeffs, rank", [
     ("p1xp1", (1, 0, 0, 0), 1),
     ("p1xp1xp1", (0, 0, F(1, 2), 0, 1, 0), 2),
     ("p1xp1xp1", (0, 0, 0, 0, 0, 3), 1),
     ("f1", (1, 0, 0, 0), 1),
     ("blpq-p2", (0, 0, F(5, 2), 0, 0), 1),
 ])
-def test_non_big_nef_polytopes_match_subset_loop(name, coeffs, affine_dim):
+def test_non_big_nef_polytopes_match_subset_loop(name, coeffs, rank):
     fan = testbed(name)
     div = TDivisor(fan, coeffs)
     assert fan.classes.is_nef(div.cls) and not fan.classes.is_big(div.cls)
     body = polytope_of_divisor(fan, div)
     assert body == subset_loop_polytope(fan, div)
-    assert body.affine_dim == affine_dim
+    assert body.k == rank
 
 
 def _draw_divisor(fan, data, kind):
@@ -707,7 +707,7 @@ def test_section_polytope_and_body_match_the_subset_loop(fan, kind, data):
     assert (body.L, body.ipts, body.k, body.cols, body.facets, body.volume()) == \
         (oracle.L, oracle.ipts, oracle.k, oracle.cols, oracle.facets, oracle.volume())
     assert body.is_empty() == (kind == "empty") or kind == "free"
-    assert (body.affine_dim == d) == classes.is_big(y)
+    assert (body.k == d) == classes.is_big(y)
     if kind == "nef":  # the d-subset route on a nef class too
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(toric.NumClassSpace, "is_nef", lambda self, y: False)
