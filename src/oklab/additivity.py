@@ -22,7 +22,7 @@ from itertools import combinations, product
 
 from .exactgeom import Polytope, minkowski_sum, slice_at, sum_relation
 from .linalg import rat, vec
-from .okounkov import _section_image, no_body_rational, restricted_body
+from .okounkov import body, no_body_rational, restricted_body
 from .toric import (
     AdmissibleFlag,
     Fan,
@@ -247,7 +247,7 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
 
     def image_body(div):
         # valuations of the sections restricted to Y_1: the nu_1 = 0 slice
-        return slice_at(_section_image(div, flag).body, 0)
+        return slice_at(body(div, flag).body, 0)
 
     # the canonical section of O(Y_1) has valuation vector e_1
     e1 = tuple(Fraction(1 if i == 0 else 0) for i in range(d))

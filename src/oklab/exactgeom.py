@@ -44,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
-from operator import mul
+from operator import gt, mul, ne
 
 from .linalg import (
     Vec,
@@ -363,23 +363,14 @@ class Polytope:
         first (None for the empty body); None if the other lies in this one."""
         if self.dim != other.dim:
             raise DimensionMismatch("polytope dimension mismatch")
-        found = self._first_outside(other.L, other.ipts)
-        return found and (tuple(Fraction(x, other.L) for x in found[0]),
-                          found[1] and self._fraction_row(*found[1]))
-
-    def _first_outside(self, M: int, ipts):
-        """(y, row) for the first integer point y / M outside this body and the first
-        row of `integer_halfspaces` it breaks, on integers (n.y L against c M)."""
         if self.is_empty():
-            return (ipts[0], None) if ipts else None
+            return (other.vertices[0], None) if other.ipts else None
         eqs, ineqs = self.integer_halfspaces()
-        for y in ipts:
-            for h in eqs:
-                if sum(map(mul, h[0], y)) * self.L != h[1] * M:
-                    return y, h
-            for h in ineqs:
-                if sum(map(mul, h[0], y)) * self.L > h[1] * M:
-                    return y, h
+        rows = [(ne, h) for h in eqs] + [(gt, h) for h in ineqs]
+        for y in other.ipts:  # the vertex y / L', on integers: n.y L against c L'
+            for breaks, h in rows:
+                if breaks(sum(map(mul, h[0], y)) * self.L, h[1] * other.L):
+                    return tuple(Fraction(x, other.L) for x in y), self._fraction_row(*h)
         return None
 
     def contains(self, other: "Polytope") -> bool:
@@ -449,18 +440,23 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
 
 def sum_relation(p: Polytope, q: Polytope, r: Polytope) -> str:
     """"equal" if P = Q + R, "strict" if Q + R is a proper subset of P, else
-    "outside", with no hull.  Each vertex of Q + R is a vertex sum (Schneider,
-    Convex Bodies, Thm 1.7.5), so Q + R lies in P iff every vertex sum meets
-    P's integer H-representation, and then P = Q + R iff every vertex of P,
-    over the sums' denominator, is a vertex sum."""
-    if p.dim != q.dim:
+    "outside", with no hull: Q + R lies in P iff h_Q(n) + h_R(n) <= c on each
+    row (n, c) of P, an equality as two rows, and then P = Q + R iff each vertex
+    of P is a vertex sum (Schneider, Convex Bodies, Thm 1.7.5)."""
+    if not p.dim == q.dim == r.dim:
         raise DimensionMismatch("comparing polytopes of different dimensions")
-    L, sums = _vertex_sums(q, r)
-    if p._first_outside(L, sums):
+    if q.is_empty() or r.is_empty() or p.is_empty():
+        return "outside" if q.ipts and r.ipts else "strict" if p.ipts else "equal"
+    L, (eqs, ineqs) = lcm(q.L, r.L), p.integer_halfspaces()
+
+    def h(n):  # L (h_Q(n) + h_R(n)): |V(Q)| + |V(R)| dot products
+        return sum(L // b.L * max(sum(map(mul, n, y)) for y in b.ipts) for b in (q, r))
+    if any(h(n) * p.L > c * L for n, c, _ in eqs + ineqs) \
+            or any(h(tuple(-x for x in n)) * p.L > -c * L for n, c, _ in eqs):
         return "outside"
     s, rem = divmod(L, p.L)
     scaled = {tuple(s * x for x in v) for v in p.ipts}
-    return "strict" if rem or not scaled <= set(sums) else "equal"
+    return "strict" if rem or not scaled <= set(_vertex_sums(q, r)[1]) else "equal"
 
 
 def scale(p: Polytope, c) -> Polytope:

@@ -16,6 +16,10 @@ touches no polytope, so the two sides of the certificate are independent.
 So a body is flagged exact exactly when its class is nef.  Big classes
 outside the nef cone have no such volume oracle here and come back flagged
 inexact; the checkers that accept big classes refuse those.
+
+The slice formula Delta(M) & {nu_1 = t} = {t} x Delta_{Y_1}((M - t Y_1)|_{Y_1})
+is checked on a grid of t at once (`slice_formula_checks`): restriction to
+Y_1 is linear, so each right side is the body of r(M) - t r(Y_1), on integers.
 """
 
 from __future__ import annotations
@@ -44,7 +48,10 @@ __all__ = [
     "no_body_rational",
     "nef_body",
     "restricted_body",
+    "body",
+    "is_ample_shift",
     "slice_formula_check",
+    "slice_formula_checks",
     "mu_endpoint_check",
 ]
 
@@ -79,9 +86,10 @@ class NOBody:
 
 
 @lru_cache(maxsize=None)
-def _section_image(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
+def body(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     """phi(P_D) for the flag, one integer hull of phi applied to the points
-    spanning P_D; a nef class must pass the volume certificate.
+    spanning P_D; a nef class must pass the volume certificate.  The class is
+    not checked: `no_body_rational` and `nef_body` check it first.
 
     Memoised on the divisor and flag objects, which compare their fans by
     identity, so two fans that share a name never share a body.  D need not
@@ -93,13 +101,13 @@ def _section_image(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     d = fan.dim
     L, points = section_points(fan, divisor)
     a, s = divisor.ints, L // divisor.den
-    body = integer_hull(d, L, [tuple(sum(map(mul, fan.rays[i], p)) + s * a[i]
-                                     for i in flag.ray_indices) for p in points])
+    image = integer_hull(d, L, [tuple(sum(map(mul, fan.rays[i], p)) + s * a[i]
+                                      for i in flag.ray_indices) for p in points])
     nef = fan.classes.is_nef(divisor.num_class[0])
-    if nef and factorial(d) * body.volume() != intersection_number(fan, [divisor] * d):
+    if nef and factorial(d) * image.volume() != intersection_number(fan, [divisor] * d):
         raise CertificateError(f"d! vol of the body of nef class "
                                f"{divisor.class_text()} is not D^d on {fan.name}")
-    return NOBody(body=body, flag=flag.ray_indices, cls=divisor.cls, exact=nef)
+    return NOBody(body=image, flag=flag.ray_indices, cls=divisor.cls, exact=nef)
 
 
 def no_body_rational(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
@@ -107,7 +115,7 @@ def no_body_rational(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     fan = flag.fan
     if not fan.classes.is_big(divisor.num_class[0]):
         raise NonBigClassError(f"class {divisor.class_text()} is not big on {fan.name}")
-    return _section_image(divisor, flag)
+    return body(divisor, flag)
 
 
 def nef_body(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
@@ -121,7 +129,7 @@ def nef_body(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     fan = flag.fan
     if not fan.classes.is_nef(divisor.num_class[0]):
         raise ValueError(f"class {divisor.class_text()} is not nef on {fan.name}")
-    return _section_image(divisor, flag)
+    return body(divisor, flag)
 
 
 def restricted_body(divisor: TDivisor, flag: AdmissibleFlag, t_shift=0) -> NOBody:
@@ -132,15 +140,48 @@ def restricted_body(divisor: TDivisor, flag: AdmissibleFlag, t_shift=0) -> NOBod
     the restriction on Y_1.  For non-ample arguments the image can be
     strictly smaller and this routine refuses rather than substitute.
     """
-    fan = flag.fan
-    if fan.dim < 2:
-        raise ValueError("restricted bodies need dimension >= 2")
     arg = divisor - flag.divisor_of_y1().scaled(t_shift)
-    if not fan.classes.is_ample(arg.num_class[0]):
+    if not flag.fan.classes.is_ample(arg.num_class[0]):
         raise NotAmpleError(
             f"restricted body needs an ample argument; got class {arg.class_text()}")
-    sm = star_model(fan, flag)
+    sm = star_model(flag.fan, flag)
     return no_body_rational(sm.restrict_divisor(arg), sm.star_flag)
+
+
+def is_ample_shift(divisor: TDivisor, flag: AdmissibleFlag, t) -> bool:
+    """Whether M - t O(Y_1) is ample: a sign test on the integers
+    y_M q_Y t.den - t.num y_Y q_M, a positive multiple of its class."""
+    (ym, qm), (yy, qy), t = divisor.num_class, flag.divisor_of_y1().num_class, Fraction(t)
+    return flag.fan.classes.is_ample([a * qy * t.denominator - t.numerator * b * qm
+                                      for a, b in zip(ym, yy)])
+
+
+def slice_formula_checks(divisor: TDivisor, flag: AdmissibleFlag, ts) -> list:
+    """`slice_formula_check` at each t of ts, with what depends only on (M, flag)
+    done once: mu(M; Y_1), the certified body of M, the star model and the
+    restrictions r(M) and r(Y_1).  Each right side is certified on its own."""
+    fan, y1, ts = flag.fan, flag.divisor_of_y1(), [Fraction(t) for t in ts]
+    endpoint = mu(fan, divisor, y1)
+    if outside := [t for t in ts if not 0 <= t < endpoint]:
+        raise ValueError(f"t={outside[0]} outside [0, mu) = [0, {endpoint})")
+    nb = no_body_rational(divisor, flag)
+    if not nb.exact:
+        raise ValueError("body of M could not be certified exact")
+    sm = star_model(fan, flag)
+    rm, ry = sm.restrict_divisor(divisor), sm.restrict_divisor(y1)
+
+    def check(t):
+        if not is_ample_shift(divisor, flag, t):
+            raise NotAmpleError(f"class {(divisor - y1.scaled(t)).class_text()} is not ample")
+        n, m = t.numerator * rm.den, t.denominator * ry.den
+        shifted = [m * a - n * b for a, b in zip(rm.ints, ry.ints)]
+        lhs = slice_at(nb.body, t)
+        rhs = body(TDivisor._from_ints(sm.star_fan, shifted, rm.den * m), sm.star_flag).body
+        if lhs == rhs:
+            return True, None
+        found = rhs.first_outside(lhs) or lhs.first_outside(rhs)
+        return False, found[0] if found else None
+    return [check(t) for t in ts]
 
 
 def slice_formula_check(divisor: TDivisor, flag: AdmissibleFlag, t):
@@ -149,29 +190,14 @@ def slice_formula_check(divisor: TDivisor, flag: AdmissibleFlag, t):
     Returns (True, None) or (False, witness) with a witness vertex in the
     symmetric difference.  Preconditions: 0 <= t < mu(M; Y_1) and the
     shifted class ample (so the restricted body is the star-model body).
+    The one-element call of `slice_formula_checks`.
     """
-    fan = flag.fan
-    t = Fraction(t)
-    endpoint = mu(fan, divisor, flag.divisor_of_y1())
-    if not 0 <= t < endpoint:
-        raise ValueError(f"t={t} outside [0, mu) = [0, {endpoint})")
-    nb = no_body_rational(divisor, flag)
-    if not nb.exact:
-        raise ValueError("body of M could not be certified exact")
-    lhs = slice_at(nb.body, t)
-    rhs = restricted_body(divisor, flag, t_shift=t).body
-    if lhs == rhs:
-        return True, None
-    found = rhs.first_outside(lhs) or lhs.first_outside(rhs)
-    return False, found[0] if found else None
+    return slice_formula_checks(divisor, flag, [t])[0]
 
 
 def mu_endpoint_check(divisor: TDivisor, flag: AdmissibleFlag) -> bool:
     """mu from the cone inequalities == max first coordinate of the body."""
-    fan = flag.fan
-    endpoint = mu(fan, divisor, flag.divisor_of_y1())
     nb = no_body_rational(divisor, flag)
     if not nb.exact:
         raise ValueError("body could not be certified exact")
-    _, top = nb.body.first_coordinate_range()
-    return top == endpoint
+    return nb.body.first_coordinate_range()[1] == mu(flag.fan, divisor, flag.divisor_of_y1())

@@ -42,7 +42,7 @@ from .inequalities import (
     lemma61_check,
     nef_body,
 )
-from .okounkov import mu_endpoint_check, slice_formula_check
+from .okounkov import is_ample_shift, mu_endpoint_check, slice_formula_checks
 from .toric import (AdmissibleFlag, Fan, FanError, TDivisor, flag_corresponds, mu,
                     testbed, testbed_names)
 
@@ -201,16 +201,14 @@ def suite_slices(config: RunConfig) -> list[dict]:
             m_div = TDivisor(fan, mco)
             if not fan.classes.is_ample(m_div.num_class[0]):
                 raise ValueError(f"slice case {name}/{mco} is not ample")
-            y1 = flag.divisor_of_y1()
-            endpoint = mu(fan, m_div, y1)
+            endpoint = mu(fan, m_div, flag.divisor_of_y1())
             case = f"slices/{name}/{flag.label()}/{','.join(map(str, mco))}"
             records.append({"key": case + "/mu-endpoint", "suite": "slices",
                             "testbed": name, "check": "mu-endpoint",
                             "mu": endpoint, "pass": mu_endpoint_check(m_div, flag)})
-            for t in _t_grid(fan, config, 0, endpoint):
-                if not fan.classes.is_ample((m_div - y1.scaled(t)).num_class[0]):
-                    continue
-                ok, witness = slice_formula_check(m_div, flag, t)
+            ts = [t for t in _t_grid(fan, config, 0, endpoint)
+                  if is_ample_shift(m_div, flag, t)]
+            for t, (ok, witness) in zip(ts, slice_formula_checks(m_div, flag, ts)):
                 rec = {"key": case + f"/t={t}", "suite": "slices",
                        "testbed": name, "check": "slice-formula",
                        "t": t, "pass": ok}

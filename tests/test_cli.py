@@ -344,7 +344,7 @@ def test_failed_body_certificate_exits_3(capsys, monkeypatch):
     real = okounkov.intersection_number
     monkeypatch.setattr(okounkov, "intersection_number",
                         lambda fan, divisors: real(fan, divisors) + 1)
-    okounkov._section_image.cache_clear()
+    okounkov.body.cache_clear()
     try:
         for argv in (["body", "--testbed", "p2", "--class", "1,0,0"],
                      ["verify", "--suite", "lemma61"]):
@@ -352,7 +352,7 @@ def test_failed_body_certificate_exits_3(capsys, monkeypatch):
             assert code == 3 and err.startswith("hard invariant violated")
             assert "Fraction(" not in err
     finally:
-        okounkov._section_image.cache_clear()
+        okounkov.body.cache_clear()
 
 
 QUADRIC = {"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],

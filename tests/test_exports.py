@@ -32,3 +32,14 @@ def test_package_reexports_exist():
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
             assert getattr(oklab, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_a_private_name_of_another(name):
+    tree = ast.parse(Path(oklab.__file__).with_name(f"{name}.py").read_text())
+    private = [f"{node.module or '.'}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("oklab"))
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []

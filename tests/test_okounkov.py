@@ -2,9 +2,14 @@
 
 import random
 from fractions import Fraction as F
+from itertools import permutations
+from math import ceil
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from blowups import blown_up_fans
 from fraction_oracle import subset_loop_polytope
 from graded_oracle import (
     face_tails,
@@ -18,13 +23,14 @@ from oklab.inequalities import find_corresponding_flag
 from oklab.linalg import common_denominator, dot
 from oklab.okounkov import (
     NonBigClassError,
-    _section_image,
     NotAmpleError,
+    is_ample_shift,
     mu_endpoint_check,
     nef_body,
     no_body_rational,
     restricted_body,
     slice_formula_check,
+    slice_formula_checks,
 )
 from oklab.toric import (
     AdmissibleFlag,
@@ -32,9 +38,11 @@ from oklab.toric import (
     TDivisor,
     flag_corresponds,
     flag_valuation,
+    mu,
     polytope_of_divisor,
     star_model,
     testbed,
+    testbed_names,
 )
 from oklab.verify import SLICE_CONFIGS, SWEEP_CONFIGS
 
@@ -225,6 +233,91 @@ def test_slice_formula_rejects_out_of_range():
         slice_formula_check(TDivisor(fan, (0, 2, 0, 3)), flag, 2)
 
 
+def per_t_slice_check(m, flag, t):
+    """Oracle: the slice formula at t from the body of M and the restricted
+    body of the shifted class M - t O(Y_1), each formed from scratch."""
+    lhs = slice_at(no_body_rational(m, flag).body, t)
+    rhs = restricted_body(m, flag, t_shift=t).body
+    if lhs == rhs:
+        return True, None
+    found = rhs.first_outside(lhs) or lhs.first_outside(rhs)
+    return False, found[0] if found else None
+
+
+def assert_grid_matches_per_t(m, flag, ts):
+    shifted = [m - flag.divisor_of_y1().scaled(t) for t in ts]
+    ample = [t for t, s in zip(ts, shifted) if m.fan.classes.is_ample(s.num_class[0])]
+    assert [t for t in ts if is_ample_shift(m, flag, t)] == ample
+    assert slice_formula_checks(m, flag, ample) \
+        == [slice_formula_check(m, flag, t) for t in ample] \
+        == [per_t_slice_check(m, flag, t) for t in ample]
+    for t in ts:
+        if t not in ample:
+            with pytest.raises(NotAmpleError):
+                slice_formula_check(m, flag, t)
+    return ample
+
+
+@pytest.mark.parametrize("name, flag_rays, mco",
+                         [(n, f, m) for n, cases in SLICE_CONFIGS.items() for f, m in cases])
+def test_slice_grid_matches_per_t_checks(name, flag_rays, mco):
+    fan, flag = flag_of(name, flag_rays)
+    m = TDivisor(fan, mco)
+    endpoint = mu(fan, m, flag.divisor_of_y1())
+    ample = assert_grid_matches_per_t(m, flag, [F(k, 4) for k in range(ceil(endpoint * 4))])
+    assert ample and all(ok for ok, _ in slice_formula_checks(m, flag, ample))
+
+
+@seed(2024)
+@settings(max_examples=12, deadline=None)
+@given(spec=blown_up_fans(max_blowups=2), data=st.data())
+def test_slice_grid_matches_per_t_checks_on_blown_up_fans(spec, data):
+    fan = Fan("blowup", spec[1], spec[2])
+    flag = AdmissibleFlag(fan, data.draw(st.permutations(data.draw(st.sampled_from(
+        fan.max_cones)))))
+    m = fan.classes.divisor_from_class(fan.classes.ample_class)
+    endpoint = mu(fan, m, flag.divisor_of_y1())
+    assert assert_grid_matches_per_t(m, flag, [endpoint * F(k, 5) for k in range(5)])
+
+
+def test_slice_grid_errors():
+    fan, flag = flag_of("p1xp1", (0, 2))
+    m = TDivisor(fan, (0, 2, 0, 3))  # mu = 2
+    for ts in ([-F(1, 2)], [2], [0, F(5, 2)]):
+        with pytest.raises(ValueError, match="outside"):
+            slice_formula_checks(m, flag, ts)
+    assert slice_formula_checks(m, flag, []) == []
+    fan, flag = flag_of("f1", (0, 1))
+    m = TDivisor(fan, (1, 1, 1, 1))  # mu = 3; M - O(Y_1) is nef, not ample
+    with pytest.raises(NotAmpleError):
+        slice_formula_check(m, flag, 1)
+    with pytest.raises(NotAmpleError):
+        slice_formula_checks(m, flag, [0, 1])
+
+
+def test_restriction_is_linear_and_the_shift_test_is_the_class_test():
+    # the two identities the slice grid rests on, at every flag of every testbed
+    rnd, outcomes = random.Random(22), set()
+    for name in testbed_names():
+        fan = testbed(name)
+        if fan.dim < 2:
+            continue
+        ample = fan.classes.divisor_from_class(fan.classes.ample_class)
+        for flag in (AdmissibleFlag(fan, p) for c in fan.max_cones for p in permutations(c)):
+            sm, y1 = star_model(fan, flag), flag.divisor_of_y1()
+            for _ in range(4):
+                m = ample.scaled(rnd.randint(1, 3)) + TDivisor(
+                    fan, [F(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in fan.rays])
+                t = F(rnd.randint(-6, 12), rnd.randint(1, 4))
+                shifted = m - y1.scaled(t)
+                assert sm.restrict_divisor(shifted) \
+                    == sm.restrict_divisor(m) - sm.restrict_divisor(y1).scaled(t)
+                ok = is_ample_shift(m, flag, t)
+                assert ok == fan.classes.is_ample(shifted.num_class[0])
+                outcomes.add(ok)
+    assert outcomes == {True, False}
+
+
 def test_mu_endpoint_examples():
     fan, flag = flag_of("p1xp1", (0, 2))
     assert mu_endpoint_check(TDivisor(fan, (0, 4, 0, 7)), flag)
@@ -404,7 +497,7 @@ def test_section_image_matches_the_fraction_route(name, flag_rays, coeffs):
     oracle = Polytope.hull(
         [tuple(dot(u, fan.rays[i]) + div.coeffs[i] for i in flag.ray_indices)
          for u in subset_loop_polytope(fan, div).vertices], dim=fan.dim)
-    body = _section_image(div, flag).body
+    body = okounkov.body(div, flag).body
     assert body == oracle
     assert (body.facets, body.volume()) == (oracle.facets, oracle.volume())
 
@@ -423,5 +516,5 @@ def test_a_cold_body_takes_one_integer_hull(monkeypatch, coeffs):
     fan.classes  # the class space takes its cone facets from hulls of its own
     for module in (exactgeom, toric, okounkov):
         monkeypatch.setattr(module, "integer_hull", counting)
-    nb = _section_image(TDivisor(fan, coeffs), AdmissibleFlag(fan, (1, 0)))
+    nb = okounkov.body(TDivisor(fan, coeffs), AdmissibleFlag(fan, (1, 0)))
     assert len(calls) == 1 and nb.body.dim == 2

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from blowups import blown_up_fans, star_subdivision
 from fraction_oracle import nullspace, ray_form, solve, subset_loop_polytope
 from graded_oracle import face_tails, lattice_points
-from oklab import exactgeom, toric
+from oklab import exactgeom, okounkov, toric
 from oklab.exactgeom import Polytope, mixed_volume
-from oklab.okounkov import _section_image
 from oklab.linalg import common_denominator, det_int, dot, primitive, vec
 from oklab.toric import (
     AdmissibleFlag,
@@ -714,7 +713,7 @@ def test_section_polytope_and_body_match_the_subset_loop(fan, kind, data):
             assert polytope_of_divisor(fan, div) == oracle
     flag = AdmissibleFlag(fan, data.draw(st.permutations(data.draw(st.sampled_from(
         fan.max_cones)))))
-    image = _section_image(div, flag).body
+    image = okounkov.body(div, flag).body
     phi = Polytope.hull([tuple(dot(u, fan.rays[i]) + div.coeffs[i] for i in flag.ray_indices)
                          for u in oracle.vertices], dim=d)
     assert (image, image.facets, image.volume()) == (phi, phi.facets, phi.volume())
