@@ -34,7 +34,6 @@ from .okounkov import (  # noqa: F401
     no_body_rational,
     restricted_body,
     slice_formula_check,
-    mu_endpoint_check,
 )
 from .additivity import (  # noqa: F401
     AdditivityVerdict,

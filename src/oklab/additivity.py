@@ -210,7 +210,7 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
     if d < 2:
         raise ReplayPreconditionError("replay needs dimension >= 2 (d=1 is the base case)")
     t = rat(t)
-    ok_corr, ratios = flag_corresponds(fan, flag, cone.L)
+    ok_corr, ratios = flag_corresponds(flag, cone.L)
     if not ok_corr:
         raise ReplayPreconditionError("flag does not correspond to the cone class L")
     r = ratios[0]
@@ -299,10 +299,11 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
                   img1, star1) and ok
         s1 = restricted_body(n1, flag).body
         s2 = restricted_body(combo2, flag).body
+        s12 = minkowski_sum(s1, s2)
         ok = step("induction on Y_1: star(N1+N2-t*O(Y1)) = star(N1) + star(combo)",
-                  star1, minkowski_sum(s1, s2)) and ok
+                  star1, s12) and ok
         lhs_embed = minkowski_sum(s1.embed_prefix(0), s2.embed_prefix(t))
-        rhs_embed = minkowski_sum(s1, s2).embed_prefix(t)
+        rhs_embed = s12.embed_prefix(t)
         ok = step("{0} x S1 + {t} x S2 = {t} x (S1 + S2)", lhs_embed, rhs_embed) and ok
         img2 = image_body(n2 - oy1.scaled(t))
         ok = step("restricted(N2 - t*O(Y1)) = star body of the second combination",
@@ -379,12 +380,13 @@ def theorem_sweep_pairs(cone: ConeCLM, grid):
     return [(m1, m2) for i, m1 in enumerate(members) for m2 in members[i:]]
 
 
-def strict_search(fan: Fan, flag: AdmissibleFlag, bound: int = 5):
+def strict_search(flag: AdmissibleFlag, bound: int = 5):
     """Sweep ample class pairs for a strict inclusion, in a fixed order.
 
     Returns ("strict", pair, verdict) for the first strict pair found, or
     ("exhausted", count, bound) when the whole bounded grid is additive.
     """
+    fan = flag.fan
     classes = ample_grid_classes(fan, bound=bound)
     k = len(classes)
     check_enumeration(k * (k + 1) // 2, f"the pairs of the {k} ample classes of bound {bound}")

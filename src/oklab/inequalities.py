@@ -113,13 +113,6 @@ def delta_map(l_div: TDivisor, m_div: TDivisor, flag: AdmissibleFlag) -> DeltaMa
 # compatibility with intersection products (polarization bridge)
 # ---------------------------------------------------------------------------
 
-def _basis_intersections(dmap: DeltaMap):
-    """L^k M^{d-k} for k = 0..d."""
-    d = dmap.fan.dim
-    return [intersection_number(dmap.fan, [dmap.L] * k + [dmap.M] * (d - k))
-            for k in range(d + 1)]
-
-
 def check_cor13(dmap: DeltaMap, divisors) -> tuple[bool, dict]:
     """(1/d!)(M_1 ... M_d) == V(Delta(M_1), ..., Delta(M_d)): the fan's form
     on the classes against the mixed volume expanded multilinearly in the
@@ -205,7 +198,9 @@ def injectivity_check(dmap: DeltaMap) -> InequalityRecord:
         raise ValueError("injectivity is undefined for a dependent basis")
     fan = dmap.fan
     d = fan.dim
-    ints = _basis_intersections(dmap)
+    # L^k M^{d-k} for k = 0..d
+    ints = [intersection_number(fan, [dmap.L] * k + [dmap.M] * (d - k))
+            for k in range(d + 1)]
     a = ints[d]      # L^d
     b = ints[0]      # M^d
     c = intersection_number(fan, [dmap.L + dmap.M] * d)
@@ -240,9 +235,9 @@ def lemma61_check(l_div: TDivisor, m_div: TDivisor,
     lhs = mixed_volume([bl.body] + [bm.body] * (d - 1))
     rhs = intersection_number(fan, [l_div] + [m_div] * (d - 1)) / factorial(d)
     corresponds = None
-    if flag_corresponds(fan, flag, l_div)[0]:
+    if flag_corresponds(flag, l_div)[0]:
         corresponds = "L"
-    elif flag_corresponds(fan, flag, m_div)[0]:
+    elif flag_corresponds(flag, m_div)[0]:
         corresponds = "M"
     return InequalityRecord(
         name="mixed-volume-vs-intersection",
@@ -281,7 +276,7 @@ def find_corresponding_flag(fan: Fan, divisor: TDivisor) -> AdmissibleFlag | Non
             if any(y1[i] * y[j] != y1[j] * y[i] for i, j in combinations(range(len(y)), 2)):
                 continue  # a nonzero 2x2 minor: level-0 proportionality fails
             flag = AdmissibleFlag(fan, perm)
-            if flag_corresponds(fan, flag, divisor)[0]:
+            if flag_corresponds(flag, divisor)[0]:
                 return flag
     return None
 

@@ -95,14 +95,6 @@ def _reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], 
     return m, cols, sign, prev
 
 
-def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss fraction-free
-    elimination (`_reduce`); a column without a pivot means the matrix is
-    singular."""
-    _, cols, sign, prev = _reduce(rows)
-    return sign * prev if len(cols) == len(rows) else 0
-
-
 def cross_normal_int(diffs: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Generalized cross product: the integer normal n to k-1 vectors in Z^k
     with n.x = det(x; diffs), i.e. the signed maximal minors (the ordinary

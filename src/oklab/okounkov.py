@@ -52,7 +52,6 @@ __all__ = [
     "is_ample_shift",
     "slice_formula_check",
     "slice_formula_checks",
-    "mu_endpoint_check",
 ]
 
 
@@ -132,20 +131,19 @@ def nef_body(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     return body(divisor, flag)
 
 
-def restricted_body(divisor: TDivisor, flag: AdmissibleFlag, t_shift=0) -> NOBody:
-    """Body of (N - t O(Y_1)) restricted to E = Y_1, on the star model.
+def restricted_body(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
+    """Body of N restricted to E = Y_1, on the star model.
 
     Only ample arguments are accepted: ampleness makes the restriction maps
     eventually surjective, so the restricted body equals the full body of
     the restriction on Y_1.  For non-ample arguments the image can be
     strictly smaller and this routine refuses rather than substitute.
     """
-    arg = divisor - flag.divisor_of_y1().scaled(t_shift)
-    if not flag.fan.classes.is_ample(arg.num_class[0]):
+    if not flag.fan.classes.is_ample(divisor.num_class[0]):
         raise NotAmpleError(
-            f"restricted body needs an ample argument; got class {arg.class_text()}")
-    sm = star_model(flag.fan, flag)
-    return no_body_rational(sm.restrict_divisor(arg), sm.star_flag)
+            f"restricted body needs an ample argument; got class {divisor.class_text()}")
+    sm = star_model(flag)
+    return no_body_rational(sm.restrict_divisor(divisor), sm.star_flag)
 
 
 def is_ample_shift(divisor: TDivisor, flag: AdmissibleFlag, t) -> bool:
@@ -167,7 +165,7 @@ def slice_formula_checks(divisor: TDivisor, flag: AdmissibleFlag, ts) -> list:
     nb = no_body_rational(divisor, flag)
     if not nb.exact:
         raise ValueError("body of M could not be certified exact")
-    sm = star_model(fan, flag)
+    sm = star_model(flag)
     rm, ry = sm.restrict_divisor(divisor), sm.restrict_divisor(y1)
 
     def check(t):
@@ -193,11 +191,3 @@ def slice_formula_check(divisor: TDivisor, flag: AdmissibleFlag, t):
     The one-element call of `slice_formula_checks`.
     """
     return slice_formula_checks(divisor, flag, [t])[0]
-
-
-def mu_endpoint_check(divisor: TDivisor, flag: AdmissibleFlag) -> bool:
-    """mu from the cone inequalities == max first coordinate of the body."""
-    nb = no_body_rational(divisor, flag)
-    if not nb.exact:
-        raise ValueError("body could not be certified exact")
-    return nb.body.first_coordinate_range()[1] == mu(flag.fan, divisor, flag.divisor_of_y1())

@@ -24,7 +24,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
@@ -516,7 +516,7 @@ def intersection_number(fan: Fan, divisors) -> Fraction:
     return fan.classes.form([dv.num_class for dv in divisors])
 
 
-def flag_corresponds(fan: Fan, flag: AdmissibleFlag, divisor: TDivisor):
+def flag_corresponds(flag: AdmissibleFlag, divisor: TDivisor):
     """Decide Def-style correspondence of the flag with the divisor class.
 
     For each level i the restricted classes are compared on every invariant
@@ -525,6 +525,7 @@ def flag_corresponds(fan: Fan, flag: AdmissibleFlag, divisor: TDivisor):
     exact.  Returns (True, ratios) or (False, None); a zero ratio means the
     restriction of the class to Y_i is numerically trivial.
     """
+    fan = flag.fan
     classes = fan.classes
     y, q = divisor.num_class
     ratios = []
@@ -565,7 +566,6 @@ class StarModel:
     standard basis and the induced flag is the standard cone.
     """
 
-    fan: Fan
     star_fan: Fan
     flag: AdmissibleFlag
     star_flag: AdmissibleFlag
@@ -579,13 +579,14 @@ class StarModel:
         w = tuple(-a[v1] * x for x in self.u_rows[0])
         ints = [0] * len(self.star_fan.rays)
         for rho, si in self.ray_map.items():
-            ints[si] = a[rho] + sum(map(mul, w, self.fan.rays[rho]))
+            ints[si] = a[rho] + sum(map(mul, w, self.flag.fan.rays[rho]))
         return TDivisor._from_ints(self.star_fan, ints, divisor.den)
 
 
-@lru_cache(maxsize=None)
-def star_model(fan: Fan, flag: AdmissibleFlag) -> StarModel:
-    """Memoised on the fan and flag objects (fans compare by identity)."""
+@cache
+def star_model(flag: AdmissibleFlag) -> StarModel:
+    """Memoised on the flag, which compares its fan by identity."""
+    fan = flag.fan
     if fan.dim < 2:
         raise ValueError("star models need dimension >= 2")
     d = fan.dim
@@ -610,7 +611,7 @@ def star_model(fan: Fan, flag: AdmissibleFlag) -> StarModel:
     star_fan = Fan(f"{fan.name}|ray{v1}", star_rays, star_cones)
     star_flag = AdmissibleFlag(star_fan,
                                tuple(ray_map[i] for i in flag.ray_indices[1:]))
-    return StarModel(fan=fan, star_fan=star_fan, flag=flag,
+    return StarModel(star_fan=star_fan, flag=flag,
                      star_flag=star_flag, ray_map=ray_map, u_rows=urows)
 
 
@@ -652,20 +653,16 @@ _BUILTIN_SPECS = {
     },
 }
 
-_TESTBED_CACHE: dict[str, Fan] = {}
-
-
 def testbed_names():
     return sorted(_BUILTIN_SPECS)
 
 
+@cache
 def testbed(name: str) -> Fan:
     if name not in _BUILTIN_SPECS:
         raise KeyError(f"unknown testbed {name!r}; known: {', '.join(testbed_names())}")
-    if name not in _TESTBED_CACHE:
-        spec = _BUILTIN_SPECS[name]
-        _TESTBED_CACHE[name] = Fan(name, spec["rays"], spec["max_cones"])
-    return _TESTBED_CACHE[name]
+    spec = _BUILTIN_SPECS[name]
+    return Fan(name, spec["rays"], spec["max_cones"])
 
 
 def load_catalog_dir(path) -> dict[str, Fan]:

@@ -42,7 +42,7 @@ from .inequalities import (
     lemma61_check,
     nef_body,
 )
-from .okounkov import is_ample_shift, mu_endpoint_check, slice_formula_checks
+from .okounkov import is_ample_shift, no_body_rational, slice_formula_checks
 from .toric import (AdmissibleFlag, Fan, FanError, TDivisor, flag_corresponds, mu,
                     testbed, testbed_names)
 
@@ -141,7 +141,7 @@ def auto_sweep_config(fan: Fan):
         for order in permutations(cone):
             flag = AdmissibleFlag(fan, order)
             l_div = flag.divisor_of_y1()
-            if flag_corresponds(fan, flag, l_div)[0]:
+            if flag_corresponds(flag, l_div)[0]:
                 return [(order, l_div.coeffs, m_div.coeffs)]
     return []
 
@@ -201,11 +201,13 @@ def suite_slices(config: RunConfig) -> list[dict]:
             m_div = TDivisor(fan, mco)
             if not fan.classes.is_ample(m_div.num_class[0]):
                 raise ValueError(f"slice case {name}/{mco} is not ample")
+            # the endpoint identity: mu(M; Y_1) from the cone is the body's max nu_1
             endpoint = mu(fan, m_div, flag.divisor_of_y1())
+            top = no_body_rational(m_div, flag).body.first_coordinate_range()[1]
             case = f"slices/{name}/{flag.label()}/{','.join(map(str, mco))}"
             records.append({"key": case + "/mu-endpoint", "suite": "slices",
                             "testbed": name, "check": "mu-endpoint",
-                            "mu": endpoint, "pass": mu_endpoint_check(m_div, flag)})
+                            "mu": endpoint, "pass": top == endpoint})
             ts = [t for t in _t_grid(fan, config, 0, endpoint)
                   if is_ample_shift(m_div, flag, t)]
             for t, (ok, witness) in zip(ts, slice_formula_checks(m_div, flag, ts)):
@@ -405,7 +407,7 @@ def suite_strict_search(flag: AdmissibleFlag, bound: int = 5) -> list[dict]:
     fan = flag.fan
     rec = {"key": f"search/{fan.name}/{flag.label()}", "suite": "search",
            "testbed": fan.name, "pass": True}
-    outcome = strict_search(fan, flag, bound=bound)
+    outcome = strict_search(flag, bound=bound)
     if outcome[0] == "strict":
         _, pair, verdict = outcome
         rec.update(outcome="strict", pair=pair, witness=verdict.witness,

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from oklab.exactgeom import integer_hull
-from oklab.linalg import cross_normal_int, det_int, independent_rows
+from oklab.linalg import cross_normal_int, independent_rows
 
 
 def incremental_hull(pts):
@@ -103,9 +103,17 @@ def simplicial_hull(pts):
     corners = sorted({i for verts, _, _ in faces for i in verts})
     keep = [corners[i] for i in extreme_indices([pts[i] for i in corners], facets, k)]
     q0 = pts[0]  # a hull point: cones over the face simplices tile the body
-    kvol = sum(abs(det_int([[x - y for x, y in zip(pts[v], q0)] for v in verts]))
+    kvol = sum(abs(cofactor_det([[x - y for x, y in zip(pts[v], q0)] for v in verts]))
                for verts, _, _ in faces if 0 not in verts)
     return keep, facets, kvol
+
+
+def cofactor_det(rows):
+    """Oracle: the determinant by Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
 
 
 def union_hull_contains(body, other):

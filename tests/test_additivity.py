@@ -456,5 +456,5 @@ def test_ample_grid_classes_blpq():
 
 def test_strict_search_exhausts_on_p2():
     p2 = testbed("p2")
-    outcome = strict_search(p2, AdmissibleFlag(p2, (1, 2)), bound=3)
+    outcome = strict_search(AdmissibleFlag(p2, (1, 2)), bound=3)
     assert outcome[0] == "exhausted" and outcome[1] > 0

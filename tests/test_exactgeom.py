@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from fraction_oracle import adjugate_halfspaces, nullspace, rref, solve
-from hull_oracle import simplicial_hull, union_hull_contains
+from hull_oracle import cofactor_det, simplicial_hull, union_hull_contains
 from oklab import exactgeom
 from oklab.exactgeom import (
     DimensionMismatch,
@@ -22,7 +22,7 @@ from oklab.exactgeom import (
     scale,
     slice_at,
 )
-from oklab.linalg import (adjugate, common_denominator, cross_normal_int, det_int, dot,
+from oklab.linalg import (adjugate, common_denominator, cross_normal_int, dot,
                           independent_rows, integer_row, to_int_points)
 
 
@@ -701,7 +701,7 @@ def test_adjugate_matches_fraction_solve(n, data):
         a, b = data.draw(entry), data.draw(entry)
         rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[min(1, n - 2)])]
     adj, det = adjugate(rows)
-    assert det == det_int(rows)
+    assert det == cofactor_det(rows)
     for k, a in enumerate(adj):
         pairings = [sum(x * y for x, y in zip(a, r)) for r in rows]
         assert pairings == [det * (k == l) for l in range(n)]
@@ -711,14 +711,6 @@ def test_adjugate_matches_fraction_solve(n, data):
     if not det:
         assert len(rref(rows)[1]) < n
         assert any(solve(rows, [F(int(l == k)) for l in range(n)]) is None for k in range(n))
-
-
-def cofactor_det(rows):
-    """Oracle: Laplace expansion along the first row."""
-    if not rows:
-        return 1
-    return sum((-1) ** j * x * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j, x in enumerate(rows[0]) if x)
 
 
 @seed(2024)
@@ -737,7 +729,7 @@ def test_bareiss_det_matches_cofactor_expansion(n, data):
         for r in rows[1:j + 1]:
             c = data.draw(entry)
             r[:j] = [c * x for x in rows[0][:j]]
-    assert det_int(rows) == cofactor_det(rows)
+    assert adjugate(rows)[1] == cofactor_det(rows)
 
 
 @seed(2024)
@@ -854,7 +846,7 @@ def test_conflict_list_hull_of_rank_three_sets_in_four_space(data, rows):
 @given(st.tuples(*[st.integers(-50, 50)] * 3), st.tuples(*[st.integers(-50, 50)] * 3))
 @settings(max_examples=100, deadline=None)
 def test_cross_normal_closed_form_matches_minors(u, v):
-    minors = tuple((-1) ** j * det_int([[r[c] for c in range(3) if c != j] for r in (u, v)])
+    minors = tuple((-1) ** j * cofactor_det([[r[c] for c in range(3) if c != j] for r in (u, v)])
                    for j in range(3))
     assert cross_normal_int([u, v]) == minors
     assert dot(minors, u) == dot(minors, v) == 0

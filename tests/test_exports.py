@@ -3,6 +3,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -43,3 +44,27 @@ def test_no_module_imports_a_private_name_of_another(name):
                for alias in node.names
                if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert private == []
+
+
+def _public_callables(module):
+    """(qualified name, callable) for the public functions and methods that
+    a module defines."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isclass(obj):
+            for attr in vars(obj):
+                member = getattr(obj, attr)
+                if not attr.startswith("_") and (inspect.isfunction(member)
+                                                 or inspect.ismethod(member)):
+                    yield f"{name}.{attr}", member
+        elif callable(obj):
+            yield name, obj
+
+
+def test_no_operation_takes_a_fan_beside_its_flag():
+    # a flag carries its fan, so a second `fan` argument could only disagree
+    both = [f"{name}.{qual}" for name in MODULES
+            for qual, fn in _public_callables(importlib.import_module(f"oklab.{name}"))
+            if {"fan", "flag"} <= set(inspect.signature(fn).parameters)]
+    assert both == []

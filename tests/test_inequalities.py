@@ -406,7 +406,7 @@ def brute_force_flag(fan, divisor):
     whose flag corresponds to the divisor, with no pre-filter."""
     return next((AdmissibleFlag(fan, perm) for cone in fan.max_cones
                  for perm in permutations(cone)
-                 if flag_corresponds(fan, AdmissibleFlag(fan, perm), divisor)[0]), None)
+                 if flag_corresponds(AdmissibleFlag(fan, perm), divisor)[0]), None)
 
 
 @seed(2024)

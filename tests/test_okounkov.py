@@ -17,7 +17,7 @@ from graded_oracle import (
     level,
     restriction_image,
 )
-from oklab import exactgeom, okounkov, toric
+from oklab import exactgeom, okounkov, toric, verify
 from oklab.exactgeom import Polytope, scale, slice_at
 from oklab.inequalities import find_corresponding_flag
 from oklab.linalg import common_denominator, dot
@@ -25,7 +25,6 @@ from oklab.okounkov import (
     NonBigClassError,
     NotAmpleError,
     is_ample_shift,
-    mu_endpoint_check,
     nef_body,
     no_body_rational,
     restricted_body,
@@ -180,9 +179,9 @@ def test_restricted_body_refuses_non_ample():
     fan, flag = flag_of("p1xp1", (0, 2))
     with pytest.raises(NotAmpleError):
         restricted_body(TDivisor(fan, (0, 1, 0, 0)), flag)
-    # the shift can push an ample class out of the ample cone
+    # the shift M - O(Y_1) can push an ample class out of the ample cone
     with pytest.raises(NotAmpleError):
-        restricted_body(TDivisor(fan, (0, 1, 0, 2)), flag, t_shift=1)
+        restricted_body(TDivisor(fan, (0, 1, 0, 2)) - flag.divisor_of_y1(), flag)
 
 
 def test_restricted_body_needs_dimension_two():
@@ -237,7 +236,7 @@ def per_t_slice_check(m, flag, t):
     """Oracle: the slice formula at t from the body of M and the restricted
     body of the shifted class M - t O(Y_1), each formed from scratch."""
     lhs = slice_at(no_body_rational(m, flag).body, t)
-    rhs = restricted_body(m, flag, t_shift=t).body
+    rhs = restricted_body(m - flag.divisor_of_y1().scaled(t), flag).body
     if lhs == rhs:
         return True, None
     found = rhs.first_outside(lhs) or lhs.first_outside(rhs)
@@ -304,7 +303,7 @@ def test_restriction_is_linear_and_the_shift_test_is_the_class_test():
             continue
         ample = fan.classes.divisor_from_class(fan.classes.ample_class)
         for flag in (AdmissibleFlag(fan, p) for c in fan.max_cones for p in permutations(c)):
-            sm, y1 = star_model(fan, flag), flag.divisor_of_y1()
+            sm, y1 = star_model(flag), flag.divisor_of_y1()
             for _ in range(4):
                 m = ample.scaled(rnd.randint(1, 3)) + TDivisor(
                     fan, [F(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in fan.rays])
@@ -318,17 +317,42 @@ def test_restriction_is_linear_and_the_shift_test_is_the_class_test():
     assert outcomes == {True, False}
 
 
+def assert_mu_is_max_nu1(m, flag):
+    """The endpoint identity: mu(M; Y_1) from the cone inequalities is the
+    largest first coordinate of the certified body of M."""
+    nb = no_body_rational(m, flag)
+    assert nb.exact
+    assert nb.body.first_coordinate_range()[1] == mu(m.fan, m, flag.divisor_of_y1())
+
+
 def test_mu_endpoint_examples():
     fan, flag = flag_of("p1xp1", (0, 2))
-    assert mu_endpoint_check(TDivisor(fan, (0, 4, 0, 7)), flag)
+    assert_mu_is_max_nu1(TDivisor(fan, (0, 4, 0, 7)), flag)
     p2, flag2 = flag_of("p2", (1, 2))
-    assert mu_endpoint_check(TDivisor(p2, (3, 0, 0)), flag2)
-    assert mu_endpoint_check(TDivisor(p2, (1, 0, 0)), flag2)  # M = O(Y_1)
+    assert_mu_is_max_nu1(TDivisor(p2, (3, 0, 0)), flag2)
+    assert_mu_is_max_nu1(TDivisor(p2, (1, 0, 0)), flag2)  # M = O(Y_1)
 
 
 def test_mu_endpoint_f1():
     fan, flag = flag_of("f1", (1, 0))
-    assert mu_endpoint_check(TDivisor(fan, (1, F(1, 2), 1, 1)), flag)
+    assert_mu_is_max_nu1(TDivisor(fan, (1, F(1, 2), 1, 1)), flag)
+
+
+def test_slice_case_computes_mu_at_most_twice(monkeypatch):
+    # one case: the suite's endpoint record and the grid's own range check
+    calls = []
+    mu_of_classes = toric.NumClassSpace.mu
+
+    def counting_mu(self, m_class, e_class):
+        calls.append((m_class, e_class))
+        return mu_of_classes(self, m_class, e_class)
+
+    monkeypatch.setattr(toric.NumClassSpace, "mu", counting_mu)
+    monkeypatch.setattr(verify, "SLICE_CONFIGS", {"p2": [((1, 2), (2, 0, 0))]})
+    records = verify.suite_slices(verify.RunConfig(fans={"p2": testbed("p2")}))
+    assert [r["check"] for r in records][:2] == ["mu-endpoint", "slice-formula"]
+    assert all(r["pass"] for r in records)
+    assert 1 <= len(calls) <= 2
 
 
 def test_body_serialization():
@@ -380,8 +404,7 @@ def test_flag_corresponds_multiples_of_y1():
         fan = testbed(name)
         flag = AdmissibleFlag(fan, fan.max_cones[0])
         r = F(rnd.randint(1, 5), rnd.randint(1, 3))
-        ok, ratios = flag_corresponds(fan, flag,
-                                      flag.divisor_of_y1().scaled(r))
+        ok, ratios = flag_corresponds(flag, flag.divisor_of_y1().scaled(r))
         assert ok and ratios[0] == r, name
 
 
@@ -462,8 +485,9 @@ def test_fans_sharing_a_name_share_no_cached_data():
     nb = no_body_rational(div, alias_flag)
     assert nb.exact
     assert nb.body.vertices == verts((0, 0), (0, 2), (1, 2), (3, 0))
-    sm = star_model(alias, alias_flag)
-    assert sm.fan is alias and sorted(sm.ray_map) == [1, 3]
+    sm = star_model(alias_flag)
+    assert sm.flag.fan is alias and sorted(sm.ray_map) == [1, 3]
+    assert sm is not star_model(flag)  # the same name and rays (0, 3) on p1xp1
     restricted = restricted_body(TDivisor(alias, (0, 1, 2, 0)), alias_flag)
     assert restricted.body.vertices == verts((0,), (1,))
     assert restricted.body == restricted_body(TDivisor(f1, (0, 1, 2, 0)), f1_flag).body

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from blowups import blown_up_fans, star_subdivision
 from fraction_oracle import nullspace, ray_form, solve, subset_loop_polytope
 from graded_oracle import face_tails, lattice_points
+from hull_oracle import cofactor_det
 from oklab import exactgeom, okounkov, toric
 from oklab.exactgeom import Polytope, mixed_volume
-from oklab.linalg import common_denominator, det_int, dot, primitive, vec
+from oklab.linalg import common_denominator, dot, primitive, vec
 from oklab.toric import (
     AdmissibleFlag,
     Fan,
@@ -44,7 +45,7 @@ def test_all_testbeds_load_and_are_smooth():
     for name in testbed_names():
         fan = testbed(name)
         for cone in fan.max_cones:
-            assert abs(det_int([list(fan.rays[i]) for i in cone])) == 1
+            assert abs(cofactor_det([list(fan.rays[i]) for i in cone])) == 1
 
 
 def test_testbed_inventory():
@@ -53,6 +54,9 @@ def test_testbed_inventory():
     for name, (dim, rho) in expected.items():
         fan = testbed(name)
         assert (fan.dim, fan.classes.rank) == (dim, rho)
+        assert testbed(name) is fan  # built once per process
+    with pytest.raises(KeyError, match="unknown testbed 'p4'"):
+        testbed("p4")
 
 
 def test_fan_rejects_non_primitive_ray():
@@ -391,28 +395,28 @@ def test_intersection_numbers_touch_no_polytope(monkeypatch):
 
 def test_flag_corresponds_examples():
     p2 = testbed("p2")
-    assert flag_corresponds(p2, AdmissibleFlag(p2, (1, 2)),
+    assert flag_corresponds(AdmissibleFlag(p2, (1, 2)),
                             TDivisor(p2, (1, 0, 0))) == (True, (1,))
     pp = testbed("p1xp1")
     fl = AdmissibleFlag(pp, (0, 2))
-    assert flag_corresponds(pp, fl, TDivisor(pp, (0, 1, 0, 0))) == (True, (1,))
-    ok, ratios = flag_corresponds(pp, fl, TDivisor(pp, (0, 1, 0, 1)))
+    assert flag_corresponds(fl, TDivisor(pp, (0, 1, 0, 0))) == (True, (1,))
+    ok, ratios = flag_corresponds(fl, TDivisor(pp, (0, 1, 0, 1)))
     assert not ok and ratios is None
 
 
 def test_flag_corresponds_deeper_levels():
     p3 = testbed("p3")
-    assert flag_corresponds(p3, AdmissibleFlag(p3, (0, 1, 2)),
+    assert flag_corresponds(AdmissibleFlag(p3, (0, 1, 2)),
                             TDivisor(p3, (0, 0, 0, 1))) == (True, (1, 1))
     ppp = testbed("p1xp1xp1")
-    ok, ratios = flag_corresponds(ppp, AdmissibleFlag(ppp, (0, 2, 4)),
+    ok, ratios = flag_corresponds(AdmissibleFlag(ppp, (0, 2, 4)),
                                   TDivisor(ppp, (0, 1, 0, 0, 0, 0)))
     assert ok and ratios == (1, 0)  # restriction to Y_1 is numerically trivial
 
 
 def test_flag_corresponds_d1_is_vacuous():
     p1 = testbed("p1")
-    assert flag_corresponds(p1, AdmissibleFlag(p1, (0,)),
+    assert flag_corresponds(AdmissibleFlag(p1, (0,)),
                             TDivisor(p1, (0, 3))) == (True, ())
 
 
@@ -436,7 +440,7 @@ def test_mu_requires_big():
 
 def test_star_model_p1xp1_is_p1():
     pp = testbed("p1xp1")
-    sm = star_model(pp, AdmissibleFlag(pp, (0, 2)))
+    sm = star_model(AdmissibleFlag(pp, (0, 2)))
     assert sm.star_fan.dim == 1
     restricted = sm.restrict_divisor(TDivisor(pp, (0, 2, 0, 3)))
     assert sum(restricted.coeffs) == 3  # degree of O(2,3) on a ruling
@@ -444,15 +448,24 @@ def test_star_model_p1xp1_is_p1():
 
 def test_star_model_f1_exceptional():
     f1 = testbed("f1")
-    sm = star_model(f1, AdmissibleFlag(f1, (1, 0)))
+    sm = star_model(AdmissibleFlag(f1, (1, 0)))
     assert sm.star_fan.dim == 1
     restricted = sm.restrict_divisor(TDivisor(f1, (1, 1, 1, 1)))
     assert sum(restricted.coeffs) == 1  # (-K).E = 1 on the (-1)-curve
 
 
+def test_star_model_is_memoised_per_flag():
+    # flags compare by fan identity and rays, so equal flags share one model
+    f1 = testbed("f1")
+    sm = star_model(AdmissibleFlag(f1, (1, 0)))
+    assert star_model(AdmissibleFlag(f1, (1, 0))) is sm
+    assert sm.flag == AdmissibleFlag(f1, (1, 0))
+    assert star_model(AdmissibleFlag(f1, (1, 2))) is not sm
+
+
 def test_star_model_threefold():
     ppp = testbed("p1xp1xp1")
-    sm = star_model(ppp, AdmissibleFlag(ppp, (0, 2, 4)))
+    sm = star_model(AdmissibleFlag(ppp, (0, 2, 4)))
     assert sm.star_fan.dim == 2
     assert len(sm.star_fan.rays) == 4  # a quadric surface
     restricted = sm.restrict_divisor(TDivisor(ppp, (0, 2, 0, 1, 0, 3)))
@@ -609,7 +622,7 @@ def test_class_queries_match_fraction_route(fan, data):
     else:
         assert mu(fan, div, flag.divisor_of_y1()) == want["mu"]
         assert mu(fan, div, flag.divisor_of_y1().cls) == want["mu"]
-    assert flag_corresponds(fan, flag, div) == want["corresponds"]
+    assert flag_corresponds(flag, div) == want["corresponds"]
 
 
 def test_class_matrix_with_a_denominator():
