@@ -58,8 +58,9 @@ class UncertifiedBodyError(ValueError):
 
 # The most points one enumeration may visit: the (2 bound + 1)^rank class
 # vectors of `ample_grid_classes`, the k(k + 1)/2 pairs of its k classes in
-# `strict_search`, or the grid_den + 1 parameters of a t-grid.  Larger
-# requests are refused before anything is enumerated.
+# `strict_search`, or the grid_den + 1 parameters of --grid-den and the
+# ceil(mu den) of each t-grid.  Larger requests are refused before anything
+# is enumerated.
 ENUMERATION_BUDGET = 100_000
 
 

@@ -26,7 +26,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, gcd
 
 from .exactgeom import (Polytope, minkowski_sum, mixed_volume,
                         mixed_volume_by_polarization, scale)
@@ -268,8 +269,16 @@ def _lehmann_xiao_record(k, d, vol_l, v_km, v_kl, v_lm) -> InequalityRecord:
 
 
 def find_corresponding_flag(fan: Fan, divisor: TDivisor) -> AdmissibleFlag | None:
-    """First invariant flag (cone + ordering) corresponding to the class."""
+    """First invariant flag (cone + ordering) corresponding to the class;
+    memoised on (fan, primitive integer class), as each test compares proportions."""
     y = divisor.num_class[0]
+    g = gcd(*y) or 1  # the zero class (gcd 0) is its own ray
+    return _corresponding_flag(fan, tuple(a // g for a in y))
+
+
+@lru_cache(maxsize=None)
+def _corresponding_flag(fan: Fan, y: tuple) -> AdmissibleFlag | None:
+    divisor = fan.classes.divisor_from_class(y)
     for cone in fan.max_cones:
         for perm in permutations(cone):
             y1 = [row[perm[0]] for row in fan.classes._class_rows]

@@ -6,13 +6,16 @@ polytope, Delta(D) = phi(P_D) with phi(u) = (<u, v_i> + a_{v_i})_i
 (Lazarsfeld-Mustata 2009, Prop. 6.1).  phi is a unimodular affine map, so
 it sends the integer points spanning P_D (`toric.section_points`) onto
 points spanning the body: each body is one integer hull of their images,
-and no lattice enumeration is needed.
+and no lattice enumeration is needed.  The body depends only on the class
+of D and Delta(c D) = c Delta(D) for c > 0 (ibid., Prop. 4.1), so each ray
+of classes takes one hull per flag (`body`).
 
-A body is certified once, where it is made: for a nef class d! vol(body)
+A body is certified once, where it is hulled: for a nef class d! vol(body)
 must equal the top self-intersection number D^d, and a body that fails
 raises CertificateError, a hard invariant violation like a failed
 Minkowski inclusion.  D^d comes from the fan's intersection form and
 touches no polytope, so the two sides of the certificate are independent.
+A scaled body carries its ray's certificate: d! vol(c B) = c^d D^d = (c D)^d.
 So a body is flagged exact exactly when its class is nef.  Big classes
 outside the nef cone have no such volume oracle here and come back flagged
 inexact; the checkers that accept big classes refuse those.
@@ -24,13 +27,12 @@ Y_1 is linear, so each right side is the body of r(M) - t r(Y_1), on integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 from operator import mul
 
-from .exactgeom import Polytope, integer_hull, slice_at
+from .exactgeom import Polytope, integer_hull, scale, slice_at
 from .toric import (
     AdmissibleFlag,
     TDivisor,
@@ -84,29 +86,46 @@ class NOBody:
         return out
 
 
-@lru_cache(maxsize=None)
+# (class (y, q), flag) -> its body; the primitive classes (y', 1) hold the ray bodies
+_BODIES: dict = {}
+
+
 def body(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     """phi(P_D) for the flag, one integer hull of phi applied to the points
     spanning P_D; a nef class must pass the volume certificate.  The class is
     not checked: `no_body_rational` and `nef_body` check it first.
 
-    Memoised on the divisor and flag objects, which compare their fans by
-    identity, so two fans that share a name never share a body.  D need not
-    be big: the nu_1 = 0 slice of phi(P_D), which is phi of the face
-    P_D & {<u, v_1> = -a_{v_1}}, is the valuation image of the sections
+    Memoised on (class, flag), flags comparing fans by identity, so two fans
+    that share a name never share a body.  The body depends only on the
+    class (D + div(chi^m) moves P_D by -m and a by <m, v>), and the class
+    c y' has c times the body of the primitive integer class y': the first
+    class on a ray hulls its divisor times 1/c and certifies, under the key
+    of y', and every class on the ray is a scaled copy that inherits the
+    certificate.  The zero class is its own ray.
+    D need not be big: the nu_1 = 0 slice of phi(P_D), which is phi of the
+    face P_D & {<u, v_1> = -a_{v_1}}, is the valuation image of the sections
     restricted to E = Y_1.
     """
-    fan = flag.fan
-    d = fan.dim
-    L, points = section_points(fan, divisor)
-    a, s = divisor.ints, L // divisor.den
-    image = integer_hull(d, L, [tuple(sum(map(mul, fan.rays[i], p)) + s * a[i]
-                                      for i in flag.ray_indices) for p in points])
-    nef = fan.classes.is_nef(divisor.num_class[0])
-    if nef and factorial(d) * image.volume() != intersection_number(fan, [divisor] * d):
-        raise CertificateError(f"d! vol of the body of nef class "
-                               f"{divisor.class_text()} is not D^d on {fan.name}")
-    return NOBody(body=image, flag=flag.ray_indices, cls=divisor.cls, exact=nef)
+    if (nb := _BODIES.get(key := (divisor.num_class, flag))) is not None:
+        return nb
+    y, q = divisor.num_class
+    g = gcd(*y) or 1  # the zero class (gcd 0) has c = 1
+    ray = _BODIES.get(ray_key := ((tuple(a // g for a in y), 1), flag))
+    if ray is None:
+        fan, prim = flag.fan, divisor if g == q else divisor.scaled(Fraction(q, g))
+        d = fan.dim
+        L, points = section_points(fan, prim)
+        a, s = prim.ints, L // prim.den
+        image = integer_hull(d, L, [tuple(sum(map(mul, fan.rays[i], p)) + s * a[i]
+                                          for i in flag.ray_indices) for p in points])
+        nef = fan.classes.is_nef(y)
+        if nef and factorial(d) * image.volume() != intersection_number(fan, [prim] * d):
+            raise CertificateError(f"d! vol of the body of nef class "
+                                   f"{divisor.class_text()} is not D^d on {fan.name}")
+        ray = _BODIES[ray_key] = NOBody(image, flag.ray_indices, prim.cls, nef)
+    nb = _BODIES[key] = ray if g == q else replace(
+        ray, body=scale(ray.body, Fraction(g, q)), cls=divisor.cls)
+    return nb
 
 
 def no_body_rational(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:

@@ -26,6 +26,7 @@ from math import ceil
 from .additivity import (
     ConeCLM,
     check_additivity,
+    check_enumeration,
     necessary_condition_check,
     slice_decomposition_replay,
     strict_search,
@@ -165,11 +166,14 @@ def _theorem_pairs(config: RunConfig):
 
 
 def _t_grid(fan: Fan, config: RunConfig, start: int, endpoint: Fraction):
-    """The parameters k/den with start <= k and k/den < endpoint.  The
-    three-folds keep the coarser grid that defines their slice and replay
-    record sets (a finer one multiplies the 3D replays per case)."""
+    """The parameters k/den with start <= k and k/den < endpoint, refused
+    over the enumeration budget before any is made.  The three-folds keep
+    the coarser grid that defines their slice and replay record sets (a
+    finer one multiplies the 3D replays per case)."""
     den = min(config.grid_den, 4) if fan.dim >= 3 else config.grid_den
-    return [Fraction(k, den) for k in range(start, ceil(endpoint * den))]
+    stop = ceil(endpoint * den)
+    check_enumeration(stop - start, f"the t-grid of --grid-den {config.grid_den}")
+    return [Fraction(k, den) for k in range(start, stop)]
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,8 @@ def test_config_echo_is_null_for_options_a_command_lacks(capsys):
     (["mixedvol", "--bodies", json.dumps([[[t ** e for e in range(1, 7)]
                                             for t in range(s, s + 8)]
                                            for s in range(0, 48, 8)])], "Minkowski sum"),
+    # 99 999 + 1 parameters pass; the p2 replay grid (mu = 7) has 699 992
+    (["verify", "--suite", "replay", "--testbed", "p2", "--grid-den", "99999"], "--grid-den"),
 ])
 def test_enumerations_over_budget_rejected(capsys, argv, what):
     start = perf_counter()
@@ -344,15 +346,12 @@ def test_failed_body_certificate_exits_3(capsys, monkeypatch):
     real = okounkov.intersection_number
     monkeypatch.setattr(okounkov, "intersection_number",
                         lambda fan, divisors: real(fan, divisors) + 1)
-    okounkov.body.cache_clear()
-    try:
-        for argv in (["body", "--testbed", "p2", "--class", "1,0,0"],
-                     ["verify", "--suite", "lemma61"]):
-            code, _, err = run(capsys, *argv)
-            assert code == 3 and err.startswith("hard invariant violated")
-            assert "Fraction(" not in err
-    finally:
-        okounkov.body.cache_clear()
+    monkeypatch.setattr(okounkov, "_BODIES", {})  # a cold body memo, restored after
+    for argv in (["body", "--testbed", "p2", "--class", "1,0,0"],
+                 ["verify", "--suite", "lemma61"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and err.startswith("hard invariant violated")
+        assert "Fraction(" not in err
 
 
 QUADRIC = {"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],

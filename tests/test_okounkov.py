@@ -2,8 +2,8 @@
 
 import random
 from fractions import Fraction as F
-from itertools import permutations
-from math import ceil
+from itertools import permutations, product
+from math import ceil, factorial
 
 import pytest
 from hypothesis import given, seed, settings
@@ -526,19 +526,154 @@ def test_section_image_matches_the_fraction_route(name, flag_rays, coeffs):
     assert (body.facets, body.volume()) == (oracle.facets, oracle.volume())
 
 
-@pytest.mark.parametrize("coeffs", [(1, 1, 1, 1), (0, 1, 0, 0), (F(1, 2), 3, 0, F(5, 2))])
-def test_a_cold_body_takes_one_integer_hull(monkeypatch, coeffs):
-    # a nef, a non-big nef and a big non-nef class on a fresh fan, so no memo holds it
+def count_hulls(monkeypatch) -> list:
+    """The arguments of every `integer_hull` call from here on, in order."""
     hull, calls = exactgeom.integer_hull, []
 
     def counting(*args):
         calls.append(args)
         return hull(*args)
 
+    for module in (exactgeom, toric, okounkov):
+        monkeypatch.setattr(module, "integer_hull", counting)
+    return calls
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 1, 1), (0, 1, 0, 0), (F(1, 2), 3, 0, F(5, 2))])
+def test_a_cold_body_takes_one_integer_hull(monkeypatch, coeffs):
+    # a nef, a non-big nef and a big non-nef class on a fresh fan, so no memo holds it
     f1 = testbed("f1")
     fan = Fan("f1", f1.rays, f1.max_cones)
     fan.classes  # the class space takes its cone facets from hulls of its own
-    for module in (exactgeom, toric, okounkov):
-        monkeypatch.setattr(module, "integer_hull", counting)
+    calls = count_hulls(monkeypatch)
     nb = okounkov.body(TDivisor(fan, coeffs), AdmissibleFlag(fan, (1, 0)))
     assert len(calls) == 1 and nb.body.dim == 2
+
+
+# --- the ray memo: one hull per (primitive class, flag) --------------------------
+
+RAY_FACTORS = (F(1, 3), F(1, 2), F(2), F(7, 4))
+
+
+def _principal(fan, m):
+    """div(chi^m): the coefficient <m, v_rho> on each ray, of class zero."""
+    return TDivisor(fan, [sum(a * x for a, x in zip(m, v)) for v in fan.rays])
+
+
+def _ray_classes(fan):
+    """A nef, a non-big nef, a big non-nef and a zero class of the fan, as
+    divisors, where the fan has one; the zero class is a principal divisor."""
+    classes = fan.classes
+    out = [classes.divisor_from_class(classes.ample_class)]
+    out += [classes.divisor_from_class(y) for y in classes.nef_rays if not classes.is_big(y)][:1]
+    out += [classes.divisor_from_class(y) for y in product(range(-3, 4), repeat=classes.rank)
+            if classes.is_big(y) and not classes.is_nef(y)][:1]
+    return out + [_principal(fan, [1 - 2 * j for j in range(fan.dim)])]
+
+
+def _fresh_body(divisor, flag):
+    """phi of the section points of D, hulled here, not through the memo."""
+    fan = flag.fan
+    L, points = toric.section_points(fan, divisor)
+    s = L // divisor.den
+    return exactgeom.integer_hull(fan.dim, L, [
+        tuple(sum(a * x for a, x in zip(fan.rays[i], p)) + s * divisor.ints[i]
+              for i in flag.ray_indices) for p in points])
+
+
+def _ray_bodies_mismatch(fan, flags):
+    """(flag, class) of each c D whose memoised body differs from a fresh
+    hull, in its points, facets or volume, or misses d! vol = (c D)^d when
+    nef; D runs over `_ray_classes`, c over RAY_FACTORS and 1."""
+    bad, d = [], fan.dim
+    divisors = [div.scaled(c) for div in _ray_classes(fan) for c in RAY_FACTORS + (1,)]
+    for flag in flags:
+        for cd in divisors:
+            nb, oracle = okounkov.body(cd, flag), _fresh_body(cd, flag)
+            ok = (nb.body == oracle and nb.cls == cd.cls
+                  and (nb.body.facets, nb.body.volume()) == (oracle.facets, oracle.volume()))
+            if fan.classes.is_nef(cd.num_class[0]):
+                ok = ok and nb.exact and (factorial(d) * nb.body.volume()
+                                          == toric.intersection_number(fan, [cd] * d))
+            if not ok:
+                bad.append((flag.ray_indices, cd.class_text()))
+    return bad
+
+
+@pytest.mark.parametrize("name", testbed_names())
+def test_ray_bodies_match_fresh_hulls_on_every_flag(monkeypatch, name):
+    monkeypatch.setattr(okounkov, "_BODIES", {})
+    fan = testbed(name)
+    kinds = _ray_classes(fan)
+    assert kinds[-1].num_class[0] == (0,) * fan.classes.rank and len(kinds) >= 2
+    flags = [AdmissibleFlag(fan, order) for cone in fan.max_cones for order in permutations(cone)]
+    assert _ray_bodies_mismatch(fan, flags) == []
+
+
+@seed(2024)
+@settings(max_examples=10, deadline=None)
+@given(spec=blown_up_fans(max_blowups=2), data=st.data())
+def test_ray_bodies_match_fresh_hulls_on_blown_up_fans(spec, data):
+    fan = Fan("blowup", spec[1], spec[2])
+    flag = AdmissibleFlag(fan, data.draw(st.permutations(data.draw(st.sampled_from(
+        fan.max_cones)))))
+    assert _ray_bodies_mismatch(fan, [flag]) == []
+
+
+def test_a_ray_body_returned_unscaled_fails(monkeypatch):
+    monkeypatch.setattr(okounkov, "_BODIES", {})
+    monkeypatch.setattr(okounkov, "scale", lambda body, c: body)
+    fan = testbed("p2")
+    assert _ray_bodies_mismatch(fan, [AdmissibleFlag(fan, (1, 2))]) != []
+
+
+@pytest.mark.parametrize("name, flag_rays, coeffs", [
+    ("p1xp1", (0, 2), (0, 2, 0, 3)), ("p2", (1, 2), (2, 0, 0)),
+    ("f1", (1, 0), (F(1, 2), 3, 0, F(5, 2))), ("p3", (0, 1, 2), (1, 0, 0, F(3, 2)))])
+def test_a_principal_shift_gives_the_same_body(monkeypatch, name, flag_rays, coeffs):
+    fan, flag = flag_of(name, flag_rays)
+    div = TDivisor(fan, coeffs)
+    for m in ([1] * fan.dim, [F(-1, 2)] + [3] * (fan.dim - 1)):
+        shifted = div + _principal(fan, m)
+        assert shifted != div and shifted.cls == div.cls
+        monkeypatch.setattr(okounkov, "_BODIES", {})
+        first = okounkov.body(shifted, flag)
+        assert okounkov.body(div, flag) == first
+        monkeypatch.setattr(okounkov, "_BODIES", {})
+        assert okounkov.body(div, flag) == first
+        assert first.body.facets == _fresh_body(div, flag).facets
+
+
+@pytest.mark.parametrize("name, flag_rays, coeffs", [
+    ("p1xp1", (0, 2), (0, 1, 0, 2)), ("f1", (1, 0), (1, 1, 1, 1)),
+    ("blpq-p2", (3, 0), (0, F(1, 3), 1, 1, F(5, 2))), ("p1xp1xp1", (0, 2, 4), (0, 1, 0, 1, 0, 2))])
+def test_ray_bodies_do_not_depend_on_the_order_of_requests(monkeypatch, name, flag_rays, coeffs):
+    fan, flag = flag_of(name, flag_rays)
+    div = TDivisor(fan, coeffs)
+    runs = []
+    for order in ((2, 1), (1, 2)):
+        monkeypatch.setattr(okounkov, "_BODIES", {})
+        bodies = {c: okounkov.body(div.scaled(c), flag) for c in order}
+        runs.append({c: (nb, nb.body.facets, nb.body.volume()) for c, nb in bodies.items()})
+    assert runs[0] == runs[1]
+
+
+def test_one_ray_takes_one_hull(monkeypatch):
+    fan, flag = flag_of("p3", (0, 1, 2))
+    fan.classes
+    monkeypatch.setattr(okounkov, "_BODIES", {})
+    calls = count_hulls(monkeypatch)
+    div = TDivisor(fan, (1, 0, 0, 0))
+    bodies = [okounkov.body(div.scaled(c), flag) for c in (1, 2, F(3, 2))]
+    assert len(calls) == 1
+    assert [nb.body.volume() for nb in bodies] == [F(1, 6), F(8, 6), F(27, 48)]
+
+
+def test_a_cold_cor15_suite_takes_few_hulls(monkeypatch):
+    # fresh fans, so no memo holds their bodies: 88 hulls, where a memo per divisor took 708
+    fans = {name: Fan(name, testbed(name).rays, testbed(name).max_cones)
+            for name in testbed_names()}
+    calls = count_hulls(monkeypatch)
+    records = verify.run_suite("cor15", verify.RunConfig(fans=fans))
+    assert records and all(rec["pass"] for rec in records)
+    assert len(calls) <= 100
