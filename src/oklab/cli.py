@@ -61,16 +61,11 @@ class ConfigError(ValueError):
 # serialization
 # ---------------------------------------------------------------------------
 
-def encode(value):
-    """Exact JSON encoding: Fractions become [num, den], never floats."""
+def json_default(value):
+    """The `json.dumps` hook for what JSON has no type for: Fractions become
+    [num, den], never floats, and bodies their `to_json()`."""
     if isinstance(value, Fraction):
         return [value.numerator, value.denominator]
-    if isinstance(value, dict):
-        return {str(k): encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [encode(v) for v in value]
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
     if hasattr(value, "to_json"):
         return value.to_json()
     raise TypeError(f"cannot encode {type(value).__name__} exactly")
@@ -95,7 +90,7 @@ def make_report(command: str, config_echo: dict, records: list[dict]) -> dict:
 
 def emit(report: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(encode(report), sort_keys=True,
+        text = json.dumps(report, default=json_default, sort_keys=True,
                           separators=(",", ":")) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
@@ -110,7 +105,7 @@ def emit(report: dict, fmt: str, out: str | None) -> None:
                 rec["key"], rec.get("suite", ""), rec.get("testbed", ""),
                 "pass" if rec.get("pass", True) else "FAIL",
                 rec.get("lhs", ""), rec.get("rhs", ""), rec.get("slack", ""),  # str(): "n/d"
-                json.dumps(encode(detail), sort_keys=True),
+                json.dumps(detail, default=json_default, sort_keys=True),
             ])
         text = buf.getvalue()
     else:

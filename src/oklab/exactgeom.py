@@ -16,11 +16,12 @@ for k = 2 (vertices, edge inequalities and the shoelace area in one
 pass), a conflict-list beneath-beyond for k >= 3 with the vertices read
 off the facet incidences, so all orientation predicates are exact integer
 determinants.  Facets, volume and vertices come out of that one pass and
-are kept with the body.  Every body is built by that integer hull
+are kept with the body, and so are its edges, once read off the facet
+incidences.  Every body is built by that integer hull
 (`integer_hull`); `Polytope.hull` is the only place where rational points
 are scaled to integers, and the other operations scale only their
 rational argument (a shift, a scale factor, a slice level).  Scaling
-keeps the hull data of its argument instead of taking the hull again.
+keeps the hull data and edges of its argument; a slice is one crossing per edge.
 The same data give each body one integer H-representation, built on
 demand: an affine-hull equality per free column and an inequality per
 facet (Minkowski-Weyl).  Containment, the witnesses of `first_outside`,
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
 from operator import gt, mul, ne
 
@@ -67,6 +69,7 @@ __all__ = [
     "mixed_volume",
     "mixed_volume_by_polarization",
     "slice_at",
+    "slice_vertices",
 ]
 
 
@@ -253,9 +256,9 @@ def integer_hull(d: int, L: int, ipts) -> "Polytope":
 class Polytope:
     """Canonical exact polytope: its sorted vertices as integer points `ipts`
     over L, the least common denominator of their coordinates, kept with the
-    hull data of those points (see `integer_hull`)."""
+    hull data of those points (see `integer_hull`) and its edges."""
 
-    __slots__ = ("dim", "L", "ipts", "k", "rows", "cols", "facets", "_volume")
+    __slots__ = ("dim", "L", "ipts", "k", "rows", "cols", "facets", "_volume", "_edges")
 
     def __init__(self, dim: int, L: int, ipts, hull, _trusted=False):
         """hull = (k, echelon rows, pivot columns, facets, volume) of the
@@ -274,6 +277,7 @@ class Polytope:
             facets = [(n, c // g, w // g ** (k - 1)) for n, c, w in facets]
         self.dim, self.L, self.ipts = dim, L, tuple(ipts)
         self.k, self.rows, self.cols, self.facets, self._volume = k, rows, cols, facets, volume
+        self._edges = None
 
     # -- constructors ------------------------------------------------------
 
@@ -317,6 +321,23 @@ class Polytope:
         return tuple(tuple(Fraction(x, self.L) for x in p) for p in self.ipts)
 
     # -- derived geometry ----------------------------------------------------
+
+    def edges(self) -> tuple:
+        """The edges as index pairs i < j into `ipts`, built once: v lies on the
+        facet (n, c) iff n.v = c on the pivot columns, and two vertices span
+        an edge iff the facets through both have rank k - 1, for k <= 4 iff
+        there are k - 1 of them (a face of dimension >= k - 2 is in <= 2 facets)."""
+        if self._edges is None:
+            k, shared = self.k, {}
+            vs = self.ipts if k == self.dim else [[v[c] for c in self.cols] for v in self.ipts]
+            for n, c, _ in self.facets or ():  # the normals through each pair of vertices
+                for pair in combinations([i for i, v in enumerate(vs)
+                                          if sum(map(mul, n, v)) == c], 2):
+                    shared.setdefault(pair, []).append(n)
+            self._edges = tuple(combinations(range(len(vs)), 2)) if k <= 1 else tuple(sorted(
+                pair for pair, ns in shared.items()
+                if len(ns) >= k - 1 and (k <= 4 or len(independent_rows(ns)) == k - 1)))
+        return self._edges
 
     def integer_halfspaces(self):
         """(equalities, inequalities) as integer triples (n, c, s): the body
@@ -408,11 +429,9 @@ class Polytope:
                                               for p in self.ipts])
 
     def to_json(self):
-        return {
-            "dim": self.dim,
-            "vertices": [[[x.numerator, x.denominator] for x in v]
-                         for v in self.vertices],
-        }
+        L = self.L
+        return {"dim": self.dim, "vertices": [[[x // (g := gcd(x, L)), L // g] for x in v]
+                                              for v in self.ipts]}
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +481,9 @@ def sum_relation(p: Polytope, q: Polytope, r: Polytope) -> str:
 def scale(p: Polytope, c) -> Polytope:
     """{c x : x in P} for rational c >= 0.
 
-    For c = a/b > 0 the hull data carry over: the affine rank, echelon rows
-    and pivot columns stay, each facet (n, f, w) becomes (n, a f, a^(k-1) w)
-    over b L and the volume gains the factor c^d.
+    For c = a/b > 0 the hull data carry over: the affine rank, echelon rows,
+    pivot columns and edges stay, each facet (n, f, w) becomes
+    (n, a f, a^(k-1) w) over b L and the volume gains the factor c^d.
     """
     c = rat(c)
     if c < 0:
@@ -472,10 +491,12 @@ def scale(p: Polytope, c) -> Polytope:
     if not c or p.is_empty():  # the hull of the origin, or of no point
         return integer_hull(p.dim, 1, [(0,) * p.dim for _ in p.ipts[:1]])
     a = c.numerator
-    return Polytope(p.dim, p.L * c.denominator, [tuple(a * x for x in v) for v in p.ipts],
-                    (p.k, p.rows, p.cols,
-                     [(n, a * f, a ** (p.k - 1) * w) for n, f, w in p.facets],
-                     p._volume * c ** p.dim), _trusted=True)
+    out = Polytope(p.dim, p.L * c.denominator, [tuple(a * x for x in v) for v in p.ipts],
+                   (p.k, p.rows, p.cols,
+                    [(n, a * f, a ** (p.k - 1) * w) for n, f, w in p.facets],
+                    p._volume * c ** p.dim), _trusted=True)
+    out._edges = p._edges  # c > 0 keeps the order of the vertices
+    return out
 
 
 def mixed_volume(bodies, check_sum=None) -> Fraction:
@@ -594,24 +615,27 @@ def mixed_volume_by_polarization(bodies) -> Fraction:
                for size, body in _subset_sums(bodies)) / factorial(d)
 
 
-def slice_at(p: Polytope, t) -> Polytope:
-    """{x in R^(d-1) : (t, x) in P}: the slice at first coordinate t, on integers.
-
-    With h(u) = u_0 t_den - t_num L for u in ipts, the vertices with h = 0
-    lie on the slice and each pair with h(u) < 0 < h(w) crosses it at
-    (h(w) u - h(u) w) / (h(w) - h(u)) / L, all over one denominator m L
-    (pairs that are not edges only add interior points).
-    """
+def slice_vertices(p: Polytope, t) -> tuple[int, list]:
+    """(L, points): the vertices of {x in R^(d-1) : (t, x) in P}, sorted
+    integer points over L with no common factor.  With h(u) = u_0 t_den -
+    t_num p.L they are the vertices u with h(u) = 0 and the crossing
+    (h(w) u - h(u) w) / (h(w) - h(u)) of each edge uw with h(u) h(w) < 0
+    (Ziegler, Lectures on Polytopes, 1995), over one denominator m p.L."""
     if p.dim < 2:
         raise ValueError("slice needs ambient dimension >= 2")
-    t = rat(t)
-    h = [(u[0] * t.denominator - t.numerator * p.L, u[1:]) for u in p.ipts]
-    below = [(a, u) for a, u in h if a < 0]
-    above = [(b, w) for b, w in h if b > 0]
-    m = lcm(*{b - a for a, _ in below for b, _ in above})
-    pts = [tuple(m * x for x in u) for a, u in h if a == 0]
-    for a, u in below:
-        for b, w in above:
-            f = m // (b - a)
-            pts.append(tuple(f * (b * x - a * y) for x, y in zip(u, w)))
-    return integer_hull(p.dim - 1, m * p.L, pts)
+    t, vs = rat(t), p.ipts
+    h = [v[0] * t.denominator - t.numerator * p.L for v in vs]
+    cross = [(i, j) for i, j in p.edges() if h[i] * h[j] < 0]
+    m = lcm(*{abs(h[j] - h[i]) for i, j in cross})
+    pts = [tuple(m * x for x in v[1:]) for a, v in zip(h, vs) if a == 0]
+    for i, j in cross:
+        f = m // (h[j] - h[i])
+        pts.append(tuple(f * (h[j] * x - h[i] * y) for x, y in zip(vs[i][1:], vs[j][1:])))
+    g = gcd(m * p.L, *(x for q in pts for x in q))
+    return m * p.L // g, sorted(tuple(x // g for x in q) for q in pts)
+
+
+def slice_at(p: Polytope, t) -> Polytope:
+    """{x in R^(d-1) : (t, x) in P}: the slice at first coordinate t, one
+    integer hull of its vertices (`slice_vertices`)."""
+    return integer_hull(p.dim - 1, *slice_vertices(p, t))

@@ -22,7 +22,8 @@ inexact; the checkers that accept big classes refuse those.
 
 The slice formula Delta(M) & {nu_1 = t} = {t} x Delta_{Y_1}((M - t Y_1)|_{Y_1})
 is checked on a grid of t at once (`slice_formula_checks`): restriction to
-Y_1 is linear, so each right side is the body of r(M) - t r(Y_1), on integers.
+Y_1 is linear, so each right side is c times the ray body of r(M) - t r(Y_1),
+compared on integers with the slice's vertices: no polytope per t.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from math import factorial, gcd
 from operator import mul
 
-from .exactgeom import Polytope, integer_hull, scale, slice_at
+from .exactgeom import Polytope, integer_hull, scale, slice_at, slice_vertices
 from .toric import (
     AdmissibleFlag,
     TDivisor,
@@ -108,6 +109,15 @@ def body(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     """
     if (nb := _BODIES.get(key := (divisor.num_class, flag))) is not None:
         return nb
+    ray, c = _ray_body(divisor, flag)
+    nb = _BODIES[key] = ray if c == 1 else replace(
+        ray, body=scale(ray.body, c), cls=divisor.cls)
+    return nb
+
+
+def _ray_body(divisor: TDivisor, flag: AdmissibleFlag) -> tuple:
+    """(the body of y', c) for D's class c y', y' primitive, hulled and
+    certified on the ray's first request."""
     y, q = divisor.num_class
     g = gcd(*y) or 1  # the zero class (gcd 0) has c = 1
     ray = _BODIES.get(ray_key := ((tuple(a // g for a in y), 1), flag))
@@ -123,9 +133,7 @@ def body(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
             raise CertificateError(f"d! vol of the body of nef class "
                                    f"{divisor.class_text()} is not D^d on {fan.name}")
         ray = _BODIES[ray_key] = NOBody(image, flag.ray_indices, prim.cls, nef)
-    nb = _BODIES[key] = ray if g == q else replace(
-        ray, body=scale(ray.body, Fraction(g, q)), cls=divisor.cls)
-    return nb
+    return ray, Fraction(g, q)
 
 
 def no_body_rational(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
@@ -176,7 +184,8 @@ def is_ample_shift(divisor: TDivisor, flag: AdmissibleFlag, t) -> bool:
 def slice_formula_checks(divisor: TDivisor, flag: AdmissibleFlag, ts) -> list:
     """`slice_formula_check` at each t of ts, with what depends only on (M, flag)
     done once: mu(M; Y_1), the certified body of M, the star model and the
-    restrictions r(M) and r(Y_1).  Each right side is certified on its own."""
+    restrictions r(M) and r(Y_1).  Each right side is c times a certified ray
+    body; only where the slice differs are both sides built, for a witness."""
     fan, y1, ts = flag.fan, flag.divisor_of_y1(), [Fraction(t) for t in ts]
     endpoint = mu(fan, divisor, y1)
     if outside := [t for t in ts if not 0 <= t < endpoint]:
@@ -191,13 +200,15 @@ def slice_formula_checks(divisor: TDivisor, flag: AdmissibleFlag, ts) -> list:
         if not is_ample_shift(divisor, flag, t):
             raise NotAmpleError(f"class {(divisor - y1.scaled(t)).class_text()} is not ample")
         n, m = t.numerator * rm.den, t.denominator * ry.den
-        shifted = [m * a - n * b for a, b in zip(rm.ints, ry.ints)]
-        lhs = slice_at(nb.body, t)
-        rhs = body(TDivisor._from_ints(sm.star_fan, shifted, rm.den * m), sm.star_flag).body
-        if lhs == rhs:
+        shifted = TDivisor._from_ints(sm.star_fan, [m * a - n * b for a, b in zip(
+            rm.ints, ry.ints)], rm.den * m)
+        (ray, c), (L, pts) = _ray_body(shifted, sm.star_flag), slice_vertices(nb.body, t)
+        a, b = c.numerator * L, c.denominator * ray.body.L  # pts / L = c ray iff b pts = a ray
+        if [[b * x for x in u] for u in pts] == [[a * y for y in v] for v in ray.body.ipts]:
             return True, None
-        found = rhs.first_outside(lhs) or lhs.first_outside(rhs)
-        return False, found[0] if found else None
+        lhs, rhs = slice_at(nb.body, t), body(shifted, sm.star_flag).body
+        found = rhs.first_outside(lhs) or lhs.first_outside(rhs)  # None iff lhs == rhs
+        return (False, found[0]) if found else (True, None)
     return [check(t) for t in ts]
 
 

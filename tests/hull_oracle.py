@@ -8,9 +8,12 @@ every point, and then finds the vertices by a rank test of the facets
 active at each corner, so the tests can check the fast hull against it.
 The package decides containment on a body's integer H-representation;
 `union_hull_contains` decides it by one hull of both vertex sets instead.
+The package slices a body through its edges; `all_pairs_slice` crosses
+every pair of vertices on opposite sides of the hyperplane instead.
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
@@ -127,3 +130,22 @@ def union_hull_contains(body, other):
     a, b = L // body.L, L // other.L
     return body == integer_hull(body.dim, L, [tuple(a * x for x in p) for p in body.ipts]
                                 + [tuple(b * x for x in p) for p in other.ipts])
+
+
+def all_pairs_slice(body, t):
+    """(L, points) spanning the slice {x : (t, x) in body}: the vertices u
+    with h(u) = u_0 t_den - t_num L = 0, and for every pair with
+    h(u) < 0 < h(w), edge or not, the crossing (h(w) u - h(u) w) / (h(w) - h(u)),
+    all over one denominator m L (pairs that are not edges only add
+    interior points)."""
+    t = Fraction(t)
+    h = [(u[0] * t.denominator - t.numerator * body.L, u[1:]) for u in body.ipts]
+    below = [(a, u) for a, u in h if a < 0]
+    above = [(b, w) for b, w in h if b > 0]
+    m = lcm(*{b - a for a, _ in below for b, _ in above})
+    pts = [tuple(m * x for x in u) for a, u in h if a == 0]
+    for a, u in below:
+        for b, w in above:
+            f = m // (b - a)
+            pts.append(tuple(f * (b * x - a * y) for x, y in zip(u, w)))
+    return m * body.L, pts

@@ -1,5 +1,6 @@
 """Additivity verdicts, proof replay, and the boundary-cone condition."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -22,7 +23,7 @@ from oklab.additivity import (
     theorem_sweep_pairs,
 )
 from oklab import additivity, exactgeom, okounkov, toric
-from oklab.cli import encode
+from oklab.cli import json_default
 from oklab.exactgeom import Polytope, minkowski_sum, sum_relation
 from oklab.toric import AdmissibleFlag, TDivisor, testbed, testbed_names
 
@@ -316,7 +317,7 @@ def test_replay_matches_worked_example():
     # the sides are bodies; a report serializes them through to_json
     step = trace["steps"][0]
     assert isinstance(step["lhs"], Polytope) and step["lhs"] == step["rhs"]
-    assert encode(step)["lhs"] == step["lhs"].to_json()
+    assert json.loads(json.dumps(step, default=json_default))["lhs"] == step["lhs"].to_json()
 
 
 def test_replay_swaps_to_paper_ordering():

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+from fractions import Fraction
 from time import perf_counter
 
 import pytest
@@ -466,6 +467,14 @@ def test_intersect_on_blown_up_catalog_fans(tmp_path, capsys, spec):
                        "--classes", classes, "--catalog", str(tmp_path))
     assert code == 0
     assert json.loads(out)["checks"][0]["value"] == [ANTICANONICAL_TOP[name], 1]
+
+
+def test_emit_refuses_a_value_it_cannot_encode_exactly():
+    report = cli.make_report("verify", {}, [{"key": "k", "pass": True, "t": Fraction(1, 2),
+                                             "what": object()}])
+    for fmt in ("json", "csv"):
+        with pytest.raises(TypeError, match="cannot encode object exactly"):
+            cli.emit(report, fmt, None)
 
 
 # sha256 of `oklab verify --suite S` (default settings, no catalog); any

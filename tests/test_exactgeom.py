@@ -1,5 +1,6 @@
 """Exact convex-body arithmetic: frozen examples plus algebraic laws."""
 
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from math import factorial
@@ -9,18 +10,20 @@ import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from fraction_oracle import adjugate_halfspaces, nullspace, rref, solve
-from hull_oracle import cofactor_det, simplicial_hull, union_hull_contains
+from hull_oracle import all_pairs_slice, cofactor_det, simplicial_hull, union_hull_contains
 from oklab import exactgeom
 from oklab.exactgeom import (
     DimensionMismatch,
     Polytope,
     _planar_hull,
     _simplicial_hull,
+    integer_hull,
     minkowski_sum,
     mixed_volume,
     mixed_volume_by_polarization,
     scale,
     slice_at,
+    slice_vertices,
 )
 from oklab.linalg import (adjugate, common_denominator, cross_normal_int, dot,
                           independent_rows, integer_row, to_int_points)
@@ -192,6 +195,7 @@ def test_slice_examples():
     # halfspace oracle: {x : (1, x) in tri} = [0, 1]
     assert slice_at(tri, 1).vertices == verts((0,), (1,))
     assert slice_at(rect, F(5, 2)).is_empty()
+    assert slice_vertices(Polytope.empty(2), 0) == (1, [])
 
 
 def test_slice_requires_dim_two():
@@ -579,6 +583,52 @@ def _body_of_rank(data, d, k):
 
 
 scale_factors = st.sampled_from([F(1), F(2), F(3), F(1, 2), F(3, 2), F(2, 3)])
+
+
+@seed(2024)
+@given(st.integers(2, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_slice_through_the_edges_matches_the_all_pairs_oracle(d, data):
+    # every affine rank, and t at a vertex level as often as not
+    body = _body_of_rank(data, d, data.draw(st.integers(0, d)))
+    lo, hi = body.first_coordinate_range()
+    levels = sorted({v[0] for v in body.vertices})
+    t = data.draw(st.sampled_from(levels) | st.fractions(lo - 1, hi + 1, max_denominator=6))
+    oracle = integer_hull(d - 1, *all_pairs_slice(body, t))
+    sliced = slice_at(body, t)
+    assert sliced == oracle
+    assert (sliced.k, sliced.facets, sliced.volume()) == (oracle.k, oracle.facets, oracle.volume())
+    assert slice_vertices(body, t) == (sliced.L, list(sliced.ipts))
+
+
+@seed(2024)
+@given(st.integers(2, 4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_edges_of_bodies_of_every_rank(d, data):
+    body = _body_of_rank(data, d, data.draw(st.integers(0, d)))
+    c = data.draw(scale_factors)
+    cold = scale(body, c)  # scaled before the body's edges are built
+    edges, k, v = body.edges(), body.k, len(body.ipts)
+    assert edges == tuple(sorted(set(edges))) and all(i < j < v for i, j in edges)
+    assert len(edges) == {0: 0, 1: 1, 2: v}.get(k, len(edges))  # E = V on polygons
+    if k == 3:
+        assert v - len(edges) + len(body.facets) == 2
+    degree = Counter(i for edge in edges for i in edge)
+    assert all(degree[i] >= k for i in range(v))
+    warm = scale(body, c)
+    assert warm.edges() is edges and cold.edges() == edges
+
+
+def test_edges_of_a_bipyramid_over_the_four_cube():
+    # the square 2-faces of the cube lie in four facets of the bipyramid, as
+    # many as an edge's in R^5, so only the rank of their normals rules the
+    # square's diagonals out: 32 cube edges and 16 from each apex
+    cube = [(0,) + c for c in product((0, 2), repeat=4)]
+    body = Polytope.hull(cube + [(1, 1, 1, 1, 1), (-1, 1, 1, 1, 1)])
+    assert (body.k, len(body.ipts), len(body.facets), len(body.edges())) == (5, 18, 16, 64)
+    for t in (-1, F(-1, 2), 0, F(2, 3)):
+        assert slice_at(body, t) == integer_hull(4, *all_pairs_slice(body, t))
+    assert slice_at(body, 0) == Polytope.hull([c[1:] for c in cube])
 
 
 @seed(2024)

@@ -1,6 +1,7 @@
 """Newton-Okounkov engine: bodies, certificates, slices, endpoints."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations, product
 from math import ceil, factorial
@@ -277,6 +278,35 @@ def test_slice_grid_matches_per_t_checks_on_blown_up_fans(spec, data):
     m = fan.classes.divisor_from_class(fan.classes.ample_class)
     endpoint = mu(fan, m, flag.divisor_of_y1())
     assert assert_grid_matches_per_t(m, flag, [endpoint * F(k, 5) for k in range(5)])
+
+
+@pytest.mark.parametrize("name, flag_rays, mco", [
+    ("p1xp1", (0, 2), (0, 2, 0, 3)), ("blpq-p2", (4, 1), (2, 1, 2, 1, 1)),
+    ("p3", (0, 1, 2), (0, 0, 0, 3)), ("p1xp1xp1", (0, 2, 4), (0, 2, 0, 1, 0, 2))])
+def test_a_wrong_ray_body_fails_with_the_per_t_witness(monkeypatch, name, flag_rays, mco):
+    # every right side c B gets a vertex beyond its ray body B: the integer
+    # comparison must fail at every t, and the witness path must give what
+    # the per-t oracle gives from the same wrong bodies
+    fan, flag = flag_of(name, flag_rays)
+    m = TDivisor(fan, mco)
+    monkeypatch.setattr(okounkov, "_BODIES", {})
+    ray_body = okounkov._ray_body
+
+    def perturbed(divisor, fl):
+        if fl.fan.dim == fan.dim:  # the body of M itself
+            return ray_body(divisor, fl)
+        with monkeypatch.context() as aside:  # the true ray body, kept out of the memo
+            aside.setattr(okounkov, "_BODIES", {})
+            ray, c = ray_body(divisor, fl)
+        top = max(ray.body.vertices)
+        return replace(ray, body=Polytope.hull(ray.body.vertices + ((top[0] + 1,) + top[1:],))), c
+
+    monkeypatch.setattr(okounkov, "_ray_body", perturbed)
+    ts = [t for t in (F(k, 3) for k in range(ceil(mu(fan, m, flag.divisor_of_y1()) * 3)))
+          if is_ample_shift(m, flag, t)]
+    results = slice_formula_checks(m, flag, ts)
+    assert ts and results == [per_t_slice_check(m, flag, t) for t in ts]
+    assert all(not ok and witness is not None for ok, witness in results)
 
 
 def test_slice_grid_errors():
@@ -667,6 +697,17 @@ def test_one_ray_takes_one_hull(monkeypatch):
     bodies = [okounkov.body(div.scaled(c), flag) for c in (1, 2, F(3, 2))]
     assert len(calls) == 1
     assert [nb.body.volume() for nb in bodies] == [F(1, 6), F(8, 6), F(27, 48)]
+
+
+def test_a_cold_slices_suite_takes_few_hulls(monkeypatch):
+    # fresh fans, so no memo holds their bodies: 48 hulls, where a slice hull
+    # and a body per t took 440
+    fans = {name: Fan(name, testbed(name).rays, testbed(name).max_cones)
+            for name in testbed_names()}
+    calls = count_hulls(monkeypatch)
+    records = verify.run_suite("slices", verify.RunConfig(fans=fans))
+    assert len(records) > 400 and all(rec["pass"] for rec in records)
+    assert len(calls) <= 60
 
 
 def test_a_cold_cor15_suite_takes_few_hulls(monkeypatch):

@@ -23,12 +23,16 @@ Times, per seeded input set:
   of P's vertices and one point outside P, which Q keeps as its last
   vertex, so every vertex is tested.  A tree whose `first_outside` takes
   points is passed `Q.vertices`, as its callers did;
+- slice_at: `slice_at(P, t)` for the hull P of 25 points in R^2 and R^3 at
+  every t of the grid j/12 in P's first-coordinate range, the per-case work
+  of the slice formula on a `--grid-den 12` grid: one timed set slices one
+  fresh copy of P at all its levels;
 - compare_additive: `additivity.compare_additive_bodies(Q, R, Q + R)` on an
   equal pair, with the Minkowski-sum memo cleared first: two boxes of 8
   vertices in R^3 (the shape of the bodies of P^1 x P^1 x P^1) and two
   pentagons in R^2, Q + R taken beforehand as the hull of the vertex sums.
-Each containment and witness run takes a fresh copy of P, so nothing an
-earlier run cached on the body carries over.
+Each containment, witness and slice run takes a fresh copy of P, so
+nothing an earlier run cached on the body (its edges) carries over.
 
 The points are drawn like the `geometry` workload of perfbench: coordinates
 in [0, 4] with denominators 1-4.  In one run, each of 200 sets is timed 3
@@ -59,6 +63,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor
 from pathlib import Path
 from statistics import median, quantiles
 from time import perf_counter
@@ -71,7 +76,8 @@ CASES = [("hull_volume.d2.n25", 2, 25), ("hull_volume.d2.n150", 2, 150),
          ("contains.d2", 2, "slice"), ("contains.d3", 3, "slice"),
          ("contains.d3.rank2", 3, "plane slice"), ("first_outside.d3", 3, "witness"),
          ("compare_additive.d3.boxes", 3, "boxes"),
-         ("compare_additive.d2.pentagons", 2, "pentagons")]
+         ("compare_additive.d2.pentagons", 2, "pentagons"),
+         ("slice_at.d2", 2, "grid"), ("slice_at.d3", 3, "grid")]
 CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench_exactgeom; "
          "print(json.dumps(bench_exactgeom.time_cases()))")
 
@@ -160,6 +166,19 @@ def time_case(exactgeom, dim: int, count: int | str | None, rnd: random.Random) 
         def run(pair):
             body, inner = pair
             assert fresh(body).contains(inner)
+    elif count == "grid":  # a body and its levels j/12
+        inputs = []
+        for _ in range(SETS):
+            body = hull(random_points(rnd, dim, 25))
+            lo, hi = body.first_coordinate_range()
+            inputs.append((body, [Fraction(j, 12)
+                                  for j in range(ceil(lo * 12), floor(hi * 12) + 1)]))
+
+        def run(pair):
+            body, ts = pair
+            copy = fresh(body)
+            for t in ts:
+                exactgeom.slice_at(copy, t)
     elif count == "witness":  # a body and a larger one with one vertex outside it
         takes_points = "points" in inspect.signature(exactgeom.Polytope.first_outside).parameters
         inputs = []
