@@ -21,7 +21,7 @@ incidences.  Every body is built by that integer hull
 (`integer_hull`); `Polytope.hull` is the only place where rational points
 are scaled to integers, and the other operations scale only their
 rational argument (a shift, a scale factor, a slice level).  Scaling
-keeps the hull data and edges of its argument; a slice is one crossing per edge.
+keeps the hull data of its argument and shares its edges; a slice is one crossing per edge.
 The same data give each body one integer H-representation, built on
 demand: an affine-hull equality per free column and an inequality per
 facet (Minkowski-Weyl).  Containment, the witnesses of `first_outside`,
@@ -327,6 +327,8 @@ class Polytope:
         facet (n, c) iff n.v = c on the pivot columns, and two vertices span
         an edge iff the facets through both have rank k - 1, for k <= 4 iff
         there are k - 1 of them (a face of dimension >= k - 2 is in <= 2 facets)."""
+        if isinstance(self._edges, Polytope):  # a scaled copy: its source builds them
+            self._edges = self._edges.edges()
         if self._edges is None:
             k, shared = self.k, {}
             vs = self.ipts if k == self.dim else [[v[c] for c in self.cols] for v in self.ipts]
@@ -482,8 +484,8 @@ def scale(p: Polytope, c) -> Polytope:
     """{c x : x in P} for rational c >= 0.
 
     For c = a/b > 0 the hull data carry over: the affine rank, echelon rows,
-    pivot columns and edges stay, each facet (n, f, w) becomes
-    (n, a f, a^(k-1) w) over b L and the volume gains the factor c^d.
+    pivot columns stay, each facet (n, f, w) becomes (n, a f, a^(k-1) w)
+    over b L, the volume gains the factor c^d, and P and c P share one edge set.
     """
     c = rat(c)
     if c < 0:
@@ -495,7 +497,7 @@ def scale(p: Polytope, c) -> Polytope:
                    (p.k, p.rows, p.cols,
                     [(n, a * f, a ** (p.k - 1) * w) for n, f, w in p.facets],
                     p._volume * c ** p.dim), _trusted=True)
-    out._edges = p._edges  # c > 0 keeps the order of the vertices
+    out._edges = p._edges or p  # c > 0 keeps the vertex order: P's edges, or P to build them
     return out
 
 

@@ -21,16 +21,16 @@ outside the nef cone have no such volume oracle here and come back flagged
 inexact; the checkers that accept big classes refuse those.
 
 The slice formula Delta(M) & {nu_1 = t} = {t} x Delta_{Y_1}((M - t Y_1)|_{Y_1})
-is checked on a grid of t at once (`slice_formula_checks`): restriction to
-Y_1 is linear, so each right side is c times the ray body of r(M) - t r(Y_1),
-compared on integers with the slice's vertices: no polytope per t.
+is checked on a grid of t at once (`slice_formula_checks`) from one interval of t
+with M - t Y_1 ample (`ample_interval`) and one class line r(M) - t r(Y_1) per case,
+restriction being linear: no divisor and no polytope per t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, inf
 from operator import mul
 
 from .exactgeom import Polytope, integer_hull, scale, slice_at, slice_vertices
@@ -52,7 +52,7 @@ __all__ = [
     "nef_body",
     "restricted_body",
     "body",
-    "is_ample_shift",
+    "ample_interval",
     "slice_formula_check",
     "slice_formula_checks",
 ]
@@ -173,40 +173,49 @@ def restricted_body(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     return no_body_rational(sm.restrict_divisor(divisor), sm.star_flag)
 
 
-def is_ample_shift(divisor: TDivisor, flag: AdmissibleFlag, t) -> bool:
-    """Whether M - t O(Y_1) is ample: a sign test on the integers
-    y_M q_Y t.den - t.num y_Y q_M, a positive multiple of its class."""
-    (ym, qm), (yy, qy), t = divisor.num_class, flag.divisor_of_y1().num_class, Fraction(t)
-    return flag.fan.classes.is_ample([a * qy * t.denominator - t.numerator * b * qm
-                                      for a, b in zip(ym, yy)])
+def ample_interval(divisor: TDivisor, flag: AdmissibleFlag) -> tuple:
+    """(lo, hi) with M - t O(Y_1) ample iff lo < t < hi, -inf or inf on an open side:
+    each Kleiman row g (Cox-Little-Schenck Thm 6.3.12) is positive on y_M q_Y - t y_Y q_M
+    iff a - t b > 0, a = g.y_M q_Y and b = g.y_Y q_M: t < a / b if b > 0, t > a / b if b < 0."""
+    (ym, qm), (yy, qy) = divisor.num_class, flag.divisor_of_y1().num_class
+    rows = [(qy * sum(map(mul, g, ym)), qm * sum(map(mul, g, yy)))
+            for g in flag.fan.classes.nef_rows]
+    if any(a <= 0 for a, b in rows if not b):  # a row that no t makes positive
+        return inf, -inf
+    return (max((Fraction(a, b) for a, b in rows if b < 0), default=-inf),
+            min((Fraction(a, b) for a, b in rows if b > 0), default=inf))
 
 
 def slice_formula_checks(divisor: TDivisor, flag: AdmissibleFlag, ts) -> list:
-    """`slice_formula_check` at each t of ts, with what depends only on (M, flag)
-    done once: mu(M; Y_1), the certified body of M, the star model and the
-    restrictions r(M) and r(Y_1).  Each right side is c times a certified ray
-    body; only where the slice differs are both sides built, for a witness."""
+    """`slice_formula_check` at each t of ts, with what depends only on (M, flag) done
+    once: mu(M; Y_1), the ample interval, the body of M, the star model and the class
+    line r(M) - t r(Y_1).  Each right side is c times the ray body of the line's primitive
+    vector; a divisor is built per t only on a ray miss or for a failing t's witness."""
     fan, y1, ts = flag.fan, flag.divisor_of_y1(), [Fraction(t) for t in ts]
     endpoint = mu(fan, divisor, y1)
     if outside := [t for t in ts if not 0 <= t < endpoint]:
         raise ValueError(f"t={outside[0]} outside [0, mu) = [0, {endpoint})")
+    lo, hi = ample_interval(divisor, flag)
+    if bad := [t for t in ts if not lo < t < hi]:
+        raise NotAmpleError(f"class {(divisor - y1.scaled(bad[0])).class_text()} is not ample")
     nb = no_body_rational(divisor, flag)
     if not nb.exact:
         raise ValueError("body of M could not be certified exact")
     sm = star_model(flag)
-    rm, ry = sm.restrict_divisor(divisor), sm.restrict_divisor(y1)
+    rm, ry, star = sm.restrict_divisor(divisor), sm.restrict_divisor(y1), sm.star_flag
+    (ym, qm), (yy, qy) = rm.num_class, ry.num_class
 
     def check(t):
-        if not is_ample_shift(divisor, flag, t):
-            raise NotAmpleError(f"class {(divisor - y1.scaled(t)).class_text()} is not ample")
-        n, m = t.numerator * rm.den, t.denominator * ry.den
-        shifted = TDivisor._from_ints(sm.star_fan, [m * a - n * b for a, b in zip(
-            rm.ints, ry.ints)], rm.den * m)
-        (ray, c), (L, pts) = _ray_body(shifted, sm.star_flag), slice_vertices(nb.body, t)
-        a, b = c.numerator * L, c.denominator * ray.body.L  # pts / L = c ray iff b pts = a ray
-        if [[b * x for x in u] for u in pts] == [[a * y for y in v] for v in ray.body.ipts]:
+        line = [a * qy * t.denominator - t.numerator * b * qm for a, b in zip(ym, yy)]
+        g = gcd(*line) or 1  # the class is line / (t.den qm qy), so c = g / (t.den qm qy)
+        prim = tuple(a // g for a in line)  # the ray key; a miss hulls the primitive class
+        ray = _BODIES.get(((prim, 1), star)) or _ray_body(
+            star.fan.classes.divisor_from_class(prim), star)[0]
+        (L, pts), rb = slice_vertices(nb.body, t), ray.body
+        a, b = g * L, t.denominator * qm * qy * rb.L  # pts / L = c ray iff b pts = a ray
+        if [[b * x for x in u] for u in pts] == [[a * y for y in v] for v in rb.ipts]:
             return True, None
-        lhs, rhs = slice_at(nb.body, t), body(shifted, sm.star_flag).body
+        lhs, rhs = slice_at(nb.body, t), body(rm - ry.scaled(t), star).body
         found = rhs.first_outside(lhs) or lhs.first_outside(rhs)  # None iff lhs == rhs
         return (False, found[0]) if found else (True, None)
     return [check(t) for t in ts]

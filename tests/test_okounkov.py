@@ -4,13 +4,13 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations, product
-from math import ceil, factorial
+from math import ceil, factorial, inf
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from blowups import blown_up_fans
+from blowups import BASES, blown_up_fans, cones_to_blow_up, star_subdivision
 from fraction_oracle import subset_loop_polytope
 from graded_oracle import (
     face_tails,
@@ -25,7 +25,7 @@ from oklab.linalg import common_denominator, dot
 from oklab.okounkov import (
     NonBigClassError,
     NotAmpleError,
-    is_ample_shift,
+    ample_interval,
     nef_body,
     no_body_rational,
     restricted_body,
@@ -247,7 +247,8 @@ def per_t_slice_check(m, flag, t):
 def assert_grid_matches_per_t(m, flag, ts):
     shifted = [m - flag.divisor_of_y1().scaled(t) for t in ts]
     ample = [t for t, s in zip(ts, shifted) if m.fan.classes.is_ample(s.num_class[0])]
-    assert [t for t in ts if is_ample_shift(m, flag, t)] == ample
+    lo, hi = ample_interval(m, flag)
+    assert [t for t in ts if lo < t < hi] == ample
     assert slice_formula_checks(m, flag, ample) \
         == [slice_formula_check(m, flag, t) for t in ample] \
         == [per_t_slice_check(m, flag, t) for t in ample]
@@ -302,8 +303,9 @@ def test_a_wrong_ray_body_fails_with_the_per_t_witness(monkeypatch, name, flag_r
         return replace(ray, body=Polytope.hull(ray.body.vertices + ((top[0] + 1,) + top[1:],))), c
 
     monkeypatch.setattr(okounkov, "_ray_body", perturbed)
+    lo, hi = ample_interval(m, flag)
     ts = [t for t in (F(k, 3) for k in range(ceil(mu(fan, m, flag.divisor_of_y1()) * 3)))
-          if is_ample_shift(m, flag, t)]
+          if lo < t < hi]
     results = slice_formula_checks(m, flag, ts)
     assert ts and results == [per_t_slice_check(m, flag, t) for t in ts]
     assert all(not ok and witness is not None for ok, witness in results)
@@ -322,29 +324,85 @@ def test_slice_grid_errors():
         slice_formula_check(m, flag, 1)
     with pytest.raises(NotAmpleError):
         slice_formula_checks(m, flag, [0, 1])
+    fan, flag = flag_of("f1", (1, 0))
+    m = TDivisor(fan, (0, 0, 0, 1))  # nef, not ample; M - t O(Y_1) is ample for 0 < t < 1 = mu
+    assert ample_interval(m, flag) == (0, 1)
+    assert slice_formula_check(m, flag, F(1, 2)) == (True, None)
+    with pytest.raises(NotAmpleError):  # the open end lo = 0
+        slice_formula_check(m, flag, 0)
+
+
+def seeded_blown_up_fans(count, seed):
+    """count fans, each one or two star subdivisions of a base testbed."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        base = testbed(rnd.choice(BASES))
+        rays, cones = [list(r) for r in base.rays], [tuple(c) for c in base.max_cones]
+        for _ in range(rnd.randint(1, 2)):
+            rays, cones = star_subdivision(rays, cones, rnd.choice(cones_to_blow_up(cones)))
+        yield Fan("blowup", rays, cones)
 
 
 def test_restriction_is_linear_and_the_shift_test_is_the_class_test():
-    # the two identities the slice grid rests on, at every flag of every testbed
-    rnd, outcomes = random.Random(22), set()
-    for name in testbed_names():
-        fan = testbed(name)
+    # the two identities the slice grid rests on, at every flag of every
+    # testbed and of ten blown-up fans: restriction is linear, and lo < t < hi
+    # for the ample interval iff M - t O(Y_1) is ample, also at finite ends
+    rnd, kinds = random.Random(22), set()
+    fans = [(testbed(name), 4) for name in testbed_names()] + [
+        (fan, 1) for fan in seeded_blown_up_fans(10, 27)]
+    for fan, samples in fans:
         if fan.dim < 2:
             continue
         ample = fan.classes.divisor_from_class(fan.classes.ample_class)
         for flag in (AdmissibleFlag(fan, p) for c in fan.max_cones for p in permutations(c)):
             sm, y1 = star_model(flag), flag.divisor_of_y1()
-            for _ in range(4):
+            for _ in range(samples):
                 m = ample.scaled(rnd.randint(1, 3)) + TDivisor(
                     fan, [F(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in fan.rays])
                 t = F(rnd.randint(-6, 12), rnd.randint(1, 4))
                 shifted = m - y1.scaled(t)
                 assert sm.restrict_divisor(shifted) \
                     == sm.restrict_divisor(m) - sm.restrict_divisor(y1).scaled(t)
-                ok = is_ample_shift(m, flag, t)
-                assert ok == fan.classes.is_ample(shifted.num_class[0])
-                outcomes.add(ok)
-    assert outcomes == {True, False}
+                lo, hi = ample_interval(m, flag)
+                for s in [t] + [e for e in (lo, hi) if isinstance(e, F)]:
+                    ok = lo < s < hi
+                    assert ok == fan.classes.is_ample((m - y1.scaled(s)).num_class[0])
+                    kinds.add(ok)
+                kinds.add("empty" if lo >= hi else "no lower bound" if lo == -inf else "bounded")
+    assert kinds == {True, False, "empty", "no lower bound", "bounded"}
+
+
+def test_no_divisor_is_built_per_t_on_a_ray_hit(monkeypatch):
+    # warm cases: every ray body is memoised, so a grid builds the divisors of
+    # its case (the two restrictions) and none per t
+    made, misses = [], []
+    from_ints, ray_body = TDivisor._from_ints, okounkov._ray_body
+
+    def counting(*args):
+        made.append(args)
+        return from_ints(*args)
+
+    def missing(*args):
+        misses.append(args)
+        return ray_body(*args)
+
+    for name, flag_rays, mco in [(n, f, m) for n, cases in SLICE_CONFIGS.items()
+                                 for f, m in cases if n in ("p1xp1", "p1xp1xp1")]:
+        fan, flag = flag_of(name, flag_rays)
+        m = TDivisor(fan, mco)
+        lo, hi = ample_interval(m, flag)
+        ts = [t for t in (F(k, 6) for k in range(ceil(mu(fan, m, flag.divisor_of_y1()) * 6)))
+              if lo < t < hi]
+        slice_formula_checks(m, flag, ts)
+        counts = []
+        for grid in (ts, ts[:1]):
+            made.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(TDivisor, "_from_ints", staticmethod(counting))
+                patched.setattr(okounkov, "_ray_body", missing)
+                assert all(ok for ok, _ in slice_formula_checks(m, flag, grid))
+            counts.append(len(made))
+        assert len(ts) > 3 and misses == [] and counts[0] == counts[1] <= 2
 
 
 def assert_mu_is_max_nu1(m, flag):
@@ -697,6 +755,19 @@ def test_one_ray_takes_one_hull(monkeypatch):
     bodies = [okounkov.body(div.scaled(c), flag) for c in (1, 2, F(3, 2))]
     assert len(calls) == 1
     assert [nb.body.volume() for nb in bodies] == [F(1, 6), F(8, 6), F(27, 48)]
+
+
+@pytest.mark.parametrize("order", list(permutations(range(3))))
+def test_one_ray_builds_one_edge_set(monkeypatch, order):
+    # D, 2D and (3/2) D are the ray body and its scaled copies: whichever is
+    # sliced first builds the edges, and the others read the same tuple
+    fan, flag = flag_of("p1xp1", (0, 2))
+    monkeypatch.setattr(okounkov, "_BODIES", {})
+    div = TDivisor(fan, (0, 1, 0, 2))
+    bodies = [okounkov.body(div.scaled(c), flag).body for c in (1, 2, F(3, 2))]
+    for i in order:
+        exactgeom.slice_vertices(bodies[i], F(1, 2))
+    assert len({id(b.edges()) for b in bodies}) == 1
 
 
 def test_a_cold_slices_suite_takes_few_hulls(monkeypatch):

@@ -30,7 +30,12 @@ Times, per seeded input set:
 - compare_additive: `additivity.compare_additive_bodies(Q, R, Q + R)` on an
   equal pair, with the Minkowski-sum memo cleared first: two boxes of 8
   vertices in R^3 (the shape of the bodies of P^1 x P^1 x P^1) and two
-  pentagons in R^2, Q + R taken beforehand as the hull of the vertex sums.
+  pentagons in R^2, Q + R taken beforehand as the hull of the vertex sums;
+- slice_grid: `okounkov.slice_formula_checks(M, flag, ts)` warm, per t, for
+  each case of `verify.SLICE_CONFIGS` on the grid of `verify --suite slices`
+  (j/12, j/4 on three-folds) cut to the t where M - t O(Y_1) is ample; the
+  bodies and star models are built by one call before timing, so a timed set
+  is the per-t work of the suite's slice records.  The sets are the cases.
 Each containment, witness and slice run takes a fresh copy of P, so
 nothing an earlier run cached on the body (its edges) carries over.
 
@@ -77,7 +82,8 @@ CASES = [("hull_volume.d2.n25", 2, 25), ("hull_volume.d2.n150", 2, 150),
          ("contains.d3.rank2", 3, "plane slice"), ("first_outside.d3", 3, "witness"),
          ("compare_additive.d3.boxes", 3, "boxes"),
          ("compare_additive.d2.pentagons", 2, "pentagons"),
-         ("slice_at.d2", 2, "grid"), ("slice_at.d3", 3, "grid")]
+         ("slice_at.d2", 2, "grid"), ("slice_at.d3", 3, "grid"),
+         ("slice_grid", None, "slice grid")]
 CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench_exactgeom; "
          "print(json.dumps(bench_exactgeom.time_cases()))")
 
@@ -148,6 +154,7 @@ def time_case(exactgeom, dim: int, count: int | str | None, rnd: random.Random) 
             for _ in range(REPEAT):
                 exactgeom.minkowski_sum.cache_clear()
                 exactgeom.mixed_volume([k_body, k_body, l_body])
+            return REPEAT
     elif count == "three":  # three distinct bodies
         inputs = [tuple(hull(random_points(rnd, dim, 5)) for _ in range(3))
                   for _ in range(SETS)]
@@ -179,6 +186,24 @@ def time_case(exactgeom, dim: int, count: int | str | None, rnd: random.Random) 
             copy = fresh(body)
             for t in ts:
                 exactgeom.slice_at(copy, t)
+    elif count == "slice grid":  # the warm slice checks of each slice case, per t
+        from oklab import okounkov, toric, verify
+
+        inputs = []
+        for name, cases in verify.SLICE_CONFIGS.items():
+            fan = toric.testbed(name)
+            den = 12 if fan.dim < 3 else 4
+            for flag_rays, mco in cases:
+                flag, m = toric.AdmissibleFlag(fan, flag_rays), toric.TDivisor(fan, mco)
+                y1 = flag.divisor_of_y1()
+                ts = [t for t in (Fraction(j, den) for j in range(ceil(toric.mu(fan, m, y1) * den)))
+                      if fan.classes.is_ample((m - y1.scaled(t)).num_class[0])]
+                okounkov.slice_formula_checks(m, flag, ts)
+                inputs.append((m, flag, ts))
+
+        def run(case):
+            assert all(ok for ok, _ in okounkov.slice_formula_checks(*case))
+            return len(case[2])
     elif count == "witness":  # a body and a larger one with one vertex outside it
         takes_points = "points" in inspect.signature(exactgeom.Polytope.first_outside).parameters
         inputs = []
@@ -204,12 +229,12 @@ def time_case(exactgeom, dim: int, count: int | str | None, rnd: random.Random) 
         def run(points):
             hull(points).volume()
 
-    best, kernels = [float("inf")] * SETS, []
+    best, kernels = [float("inf")] * len(inputs), []
     for _ in range(ROUNDS):
         for i, item in enumerate(inputs):
             start = perf_counter()
-            run(item)
-            best[i] = min(best[i], (perf_counter() - start) / (REPEAT if count is None else 1))
+            units = run(item) or 1  # a set that times several calls returns their count
+            best[i] = min(best[i], (perf_counter() - start) / units)
             if i % 10 == 0:
                 kernels.append(kernel_s())
     q2 = median(best)
