@@ -48,7 +48,7 @@ from .toric import (
     testbed,
     testbed_names,
 )
-from .verify import RunConfig, SWEEP_CONFIGS, run_suite, suite_strict_search
+from .verify import RunConfig, SUITES, SWEEP_CONFIGS, run_suite, suite_strict_search
 
 CATALOG_ENV = "OKLAB_CATALOG"
 
@@ -157,9 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ray coefficients, e.g. 1,0,0 or 3/2,0 (curves: degree)")
 
     p = command("verify", cmd_verify, "run a verification suite", testbed="optional")
-    p.add_argument("--suite", required=True,
-                   choices=("additivity", "slices", "replay", "prop14",
-                            "cor13", "lemma61", "cor15", "lx", "all"))
+    p.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     p.add_argument("--grid-den", type=int, default=12,
                    help="denominator bound for parameter grids")
     p.add_argument("--seed", type=int, default=2024)
@@ -278,7 +276,9 @@ def cmd_body(args, catalog):
         raise ConfigError(str(exc)) from exc
     return [{"key": f"body/{fan.name}/{flag.label()}/{args.divisor}",
              "suite": "body", "testbed": fan.name,
-             "body": nb.to_json(), "pass": nb.exact}], {"class": args.divisor}
+             "body": {**nb.body.to_json(), "flag": list(flag.ray_indices),
+                      "class": list(divisor.cls), "exact": nb.exact},
+             "pass": nb.exact}], {"class": args.divisor}
 
 
 def cmd_verify(args, catalog):

@@ -281,7 +281,7 @@ def _corresponding_flag(fan: Fan, y: tuple) -> AdmissibleFlag | None:
     divisor = fan.classes.divisor_from_class(y)
     for cone in fan.max_cones:
         for perm in permutations(cone):
-            y1 = [row[perm[0]] for row in fan.classes._class_rows]
+            y1 = fan.classes.ray_classes[perm[0]][0]
             if any(y1[i] * y[j] != y1[j] * y[i] for i, j in combinations(range(len(y)), 2)):
                 continue  # a nonzero 2x2 minor: level-0 proportionality fails
             flag = AdmissibleFlag(fan, perm)

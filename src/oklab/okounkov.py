@@ -3,12 +3,13 @@
 For the invariant flag of a smooth cone with ordered rays v_1, ..., v_d
 the body of a big divisor D = sum a_rho D_rho is the image of its section
 polytope, Delta(D) = phi(P_D) with phi(u) = (<u, v_i> + a_{v_i})_i
-(Lazarsfeld-Mustata 2009, Prop. 6.1).  phi is a unimodular affine map, so
-it sends the integer points spanning P_D (`toric.section_points`) onto
-points spanning the body: each body is one integer hull of their images,
-and no lattice enumeration is needed.  The body depends only on the class
-of D and Delta(c D) = c Delta(D) for c > 0 (ibid., Prop. 4.1), so each ray
-of classes takes one hull per flag (`body`).
+(Lazarsfeld-Mustata 2009, Prop. 6.1).  phi is a unimodular affine map, the
+flag's: `AdmissibleFlag.section_image` sends the integer points spanning
+P_D onto points spanning the body, so each body is one integer hull of
+their images.  The body depends only on the class of D and Delta(c D) =
+c Delta(D) for c > 0 (ibid., Prop. 4.1), so each ray of classes takes one
+hull per flag (`_ray_body`).  This module keeps only bodies and their
+certificates (`NOBody`); cone intervals are `NumClassSpace.interval`.
 
 A body is certified once, where it is hulled: for a nef class d! vol(body)
 must equal the top self-intersection number D^d, and a body that fails
@@ -22,16 +23,16 @@ inexact; the checkers that accept big classes refuse those.
 
 The slice formula Delta(M) & {nu_1 = t} = {t} x Delta_{Y_1}((M - t Y_1)|_{Y_1})
 is checked on a grid of t at once (`slice_formula_checks`) from one interval of t
-with M - t Y_1 ample (`ample_interval`) and one class line r(M) - t r(Y_1) per case,
-restriction being linear: no divisor and no polytope per t.
+with M - t Y_1 ample (`ample_interval`, the class interval on the Kleiman rows) and
+one class line r(M) - t r(Y_1) per case, restriction being linear: no divisor and no
+polytope per t.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, inf
-from operator import mul
+from math import factorial, gcd
 
 from .exactgeom import Polytope, integer_hull, scale, slice_at, slice_vertices
 from .toric import (
@@ -39,7 +40,6 @@ from .toric import (
     TDivisor,
     intersection_number,
     mu,
-    section_points,
     star_model,
 )
 
@@ -72,19 +72,10 @@ class CertificateError(AssertionError):
 
 @dataclass(frozen=True)
 class NOBody:
-    body: Polytope
-    flag: tuple
-    cls: tuple
-    exact: bool
+    """A body and whether it is certified exact; `oklab body` adds the flag and class."""
 
-    def to_json(self):
-        out = self.body.to_json()
-        out.update({
-            "flag": list(self.flag),
-            "class": [[c.numerator, c.denominator] for c in self.cls],
-            "exact": self.exact,
-        })
-        return out
+    body: Polytope
+    exact: bool
 
 
 # (class (y, q), flag) -> its body; the primitive classes (y', 1) hold the ray bodies
@@ -92,55 +83,49 @@ _BODIES: dict = {}
 
 
 def body(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
-    """phi(P_D) for the flag, one integer hull of phi applied to the points
+    """phi(P_D) for the flag, one integer hull of the flag's image of the points
     spanning P_D; a nef class must pass the volume certificate.  The class is
     not checked: `no_body_rational` and `nef_body` check it first.
 
     Memoised on (class, flag), flags comparing fans by identity, so two fans
     that share a name never share a body.  The body depends only on the
     class (D + div(chi^m) moves P_D by -m and a by <m, v>), and the class
-    c y' has c times the body of the primitive integer class y': the first
-    class on a ray hulls its divisor times 1/c and certifies, under the key
-    of y', and every class on the ray is a scaled copy that inherits the
-    certificate.  The zero class is its own ray.
+    c y' has c times the body of the primitive integer class y': D's class
+    is split into y' and c = g / q, and every class on the ray is a scaled
+    copy of the ray body (`_ray_body`) that inherits its certificate.  The
+    zero class is its own ray.
     D need not be big: the nu_1 = 0 slice of phi(P_D), which is phi of the
     face P_D & {<u, v_1> = -a_{v_1}}, is the valuation image of the sections
     restricted to E = Y_1.
     """
     if (nb := _BODIES.get(key := (divisor.num_class, flag))) is not None:
         return nb
-    ray, c = _ray_body(divisor, flag)
-    nb = _BODIES[key] = ray if c == 1 else replace(
-        ray, body=scale(ray.body, c), cls=divisor.cls)
+    y, q = key[0]
+    g = gcd(*y) or 1  # the zero class (gcd 0) has c = 1
+    ray = _ray_body(tuple(a // g for a in y), flag)
+    nb = _BODIES[key] = ray if g == q else NOBody(scale(ray.body, Fraction(g, q)), ray.exact)
     return nb
 
 
-def _ray_body(divisor: TDivisor, flag: AdmissibleFlag) -> tuple:
-    """(the body of y', c) for D's class c y', y' primitive, hulled and
-    certified on the ray's first request."""
-    y, q = divisor.num_class
-    g = gcd(*y) or 1  # the zero class (gcd 0) has c = 1
-    ray = _BODIES.get(ray_key := ((tuple(a // g for a in y), 1), flag))
-    if ray is None:
-        fan, prim = flag.fan, divisor if g == q else divisor.scaled(Fraction(q, g))
-        d = fan.dim
-        L, points = section_points(fan, prim)
-        a, s = prim.ints, L // prim.den
-        image = integer_hull(d, L, [tuple(sum(map(mul, fan.rays[i], p)) + s * a[i]
-                                          for i in flag.ray_indices) for p in points])
-        nef = fan.classes.is_nef(y)
-        if nef and factorial(d) * image.volume() != intersection_number(fan, [prim] * d):
+def _ray_body(prim: tuple, flag: AdmissibleFlag) -> NOBody:
+    """The body of the primitive integer class y' = prim under the ray key ((y', 1), flag),
+    hulled and certified, from the divisor of the class, on the ray's first request."""
+    if (ray := _BODIES.get(key := ((prim, 1), flag))) is None:
+        fan, d = flag.fan, flag.fan.dim
+        div = fan.classes.divisor_from_class(prim)
+        image = integer_hull(d, *flag.section_image(div))
+        nef = fan.classes.is_nef(prim)
+        if nef and factorial(d) * image.volume() != intersection_number(fan, [div] * d):
             raise CertificateError(f"d! vol of the body of nef class "
-                                   f"{divisor.class_text()} is not D^d on {fan.name}")
-        ray = _BODIES[ray_key] = NOBody(image, flag.ray_indices, prim.cls, nef)
-    return ray, Fraction(g, q)
+                                   f"{div.class_text()} is not D^d on {fan.name}")
+        ray = _BODIES[key] = NOBody(image, nef)
+    return ray
 
 
 def no_body_rational(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     """Body of a big rational class."""
-    fan = flag.fan
-    if not fan.classes.is_big(divisor.num_class[0]):
-        raise NonBigClassError(f"class {divisor.class_text()} is not big on {fan.name}")
+    if not flag.fan.classes.is_big(divisor.num_class[0]):
+        raise NonBigClassError(f"class {divisor.class_text()} is not big on {flag.fan.name}")
     return body(divisor, flag)
 
 
@@ -152,9 +137,8 @@ def nef_body(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     a ruling class on a quadric), and the volume identity d! vol = D^d
     pins 0 = 0.
     """
-    fan = flag.fan
-    if not fan.classes.is_nef(divisor.num_class[0]):
-        raise ValueError(f"class {divisor.class_text()} is not nef on {fan.name}")
+    if not flag.fan.classes.is_nef(divisor.num_class[0]):
+        raise ValueError(f"class {divisor.class_text()} is not nef on {flag.fan.name}")
     return body(divisor, flag)
 
 
@@ -174,29 +158,25 @@ def restricted_body(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
 
 
 def ample_interval(divisor: TDivisor, flag: AdmissibleFlag) -> tuple:
-    """(lo, hi) with M - t O(Y_1) ample iff lo < t < hi, -inf or inf on an open side:
-    each Kleiman row g (Cox-Little-Schenck Thm 6.3.12) is positive on y_M q_Y - t y_Y q_M
-    iff a - t b > 0, a = g.y_M q_Y and b = g.y_Y q_M: t < a / b if b > 0, t > a / b if b < 0."""
-    (ym, qm), (yy, qy) = divisor.num_class, flag.divisor_of_y1().num_class
-    rows = [(qy * sum(map(mul, g, ym)), qm * sum(map(mul, g, yy)))
-            for g in flag.fan.classes.nef_rows]
-    if any(a <= 0 for a, b in rows if not b):  # a row that no t makes positive
-        return inf, -inf
-    return (max((Fraction(a, b) for a, b in rows if b < 0), default=-inf),
-            min((Fraction(a, b) for a, b in rows if b > 0), default=inf))
+    """(lo, hi) with M - t O(Y_1) ample iff lo < t < hi, -inf or inf on an open
+    side: the class interval on the Kleiman rows (Cox-Little-Schenck Thm 6.3.12)."""
+    classes = flag.fan.classes
+    return classes.interval(classes.nef_rows, divisor.num_class, flag.divisor_of_y1().num_class)
 
 
 def slice_formula_checks(divisor: TDivisor, flag: AdmissibleFlag, ts) -> list:
     """`slice_formula_check` at each t of ts, with what depends only on (M, flag) done
     once: mu(M; Y_1), the ample interval, the body of M, the star model and the class
-    line r(M) - t r(Y_1).  Each right side is c times the ray body of the line's primitive
-    vector; a divisor is built per t only on a ray miss or for a failing t's witness."""
+    line r(M) - t r(Y_1); only the smallest and largest t are range-checked.  Each right
+    side is c times the ray body of the line's primitive vector; a divisor is built per t
+    only on a ray miss or for a failing t's witness."""
     fan, y1, ts = flag.fan, flag.divisor_of_y1(), [Fraction(t) for t in ts]
     endpoint = mu(fan, divisor, y1)
-    if outside := [t for t in ts if not 0 <= t < endpoint]:
+    ends = [min(ts), max(ts)] if ts else []  # both ranges are intervals
+    if outside := [t for t in ends if not 0 <= t < endpoint]:
         raise ValueError(f"t={outside[0]} outside [0, mu) = [0, {endpoint})")
     lo, hi = ample_interval(divisor, flag)
-    if bad := [t for t in ts if not lo < t < hi]:
+    if bad := [t for t in ends if not lo < t < hi]:
         raise NotAmpleError(f"class {(divisor - y1.scaled(bad[0])).class_text()} is not ample")
     nb = no_body_rational(divisor, flag)
     if not nb.exact:
@@ -208,10 +188,8 @@ def slice_formula_checks(divisor: TDivisor, flag: AdmissibleFlag, ts) -> list:
     def check(t):
         line = [a * qy * t.denominator - t.numerator * b * qm for a, b in zip(ym, yy)]
         g = gcd(*line) or 1  # the class is line / (t.den qm qy), so c = g / (t.den qm qy)
-        prim = tuple(a // g for a in line)  # the ray key; a miss hulls the primitive class
-        ray = _BODIES.get(((prim, 1), star)) or _ray_body(
-            star.fan.classes.divisor_from_class(prim), star)[0]
-        (L, pts), rb = slice_vertices(nb.body, t), ray.body
+        rb = _ray_body(tuple(a // g for a in line), star).body
+        L, pts = slice_vertices(nb.body, t)
         a, b = g * L, t.denominator * qm * qy * rb.L  # pts / L = c ray iff b pts = a ray
         if [[b * x for x in u] for u in pts] == [[a * y for y in v] for v in rb.ipts]:
             return True, None

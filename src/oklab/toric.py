@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import mul
 
 from .exactgeom import Polytope, integer_hull
@@ -277,6 +277,19 @@ class AdmissibleFlag:
         """O(Y_1) as a torus-invariant divisor, built once per flag."""
         return self._y1
 
+    def phi(self, p, ints, s) -> tuple:
+        """The flag's valuation phi(u) = (<u, v_i> + a_i)_i of chi^u in O(D), a unimodular
+        affine map (Lazarsfeld-Mustata 2009, Prop. 6.1), on integers: (<p, v_i> + s a_i)_i
+        over L for u = p / L, D = ints / den and s = L / den."""
+        rays = self.fan.rays
+        return tuple(sum(map(mul, rays[i], p)) + s * ints[i] for i in self.ray_indices)
+
+    def section_image(self, divisor: TDivisor) -> tuple[int, list]:
+        """(L, phi of `section_points`): integer points over L spanning phi(P_D)."""
+        L, points = section_points(self.fan, divisor)
+        a, s = divisor.ints, L // divisor.den
+        return L, [self.phi(p, a, s) for p in points]
+
 
 # ---------------------------------------------------------------------------
 # numerical classes and cones
@@ -312,6 +325,9 @@ class NumClassSpace:
             tuple(-sign * sum(map(mul, adj[pivots.index(i)], fan.rays[f]))
                   if i in pivots else self._class_den * (i == f) for i in range(n))
             for f in self.free_rays)
+        # the integer class (y, q) of each ray divisor D_i, canonical as in `class_of`
+        self.ray_classes = tuple(self.class_of([int(i == k) for k in range(n)], 1)
+                                 for i in range(n))
         self.eff_rows = _cone_facets(list(zip(*self._class_rows)), self.rank)
         # D . C_tau = <curve_rows[tau], class of D>: the degrees of the free-ray
         # divisors on the invariant curve of the ridge tau
@@ -387,20 +403,31 @@ class NumClassSpace:
                 and any(not sum(map(mul, g, a)) and not sum(map(mul, g, b))
                         for g in self.eff_rows))
 
+    def interval(self, rows, m_class, e_class) -> tuple:
+        """(lo, hi) with every row positive on M - t E iff lo < t < hi, for classes (y, q):
+        big on `eff_rows`, ample on `nef_rows`; -inf or inf on an open side, (inf, -inf) if
+        empty.  Row g is positive iff a - t b > 0 (a = g.y_M q_E, b = g.y_E q_M); each end is
+        a pair (n, d) for n / d, d = 0 on an open side, compared by cross-multiplying."""
+        (m, qm), (e, qe) = m_class, e_class
+        lo, hi = (-1, 0), (1, 0)
+        for g in rows:
+            a, b = qe * sum(map(mul, g, m)), qm * sum(map(mul, g, e))
+            if b > 0 and a * hi[1] < hi[0] * b:
+                hi = a, b
+            elif b < 0 and a * lo[1] < lo[0] * b:
+                lo = -a, -b
+            elif not b and a <= 0:  # a row that no t makes positive
+                return inf, -inf
+        return Fraction(*lo) if lo[1] else -inf, Fraction(*hi) if hi[1] else inf
+
     def mu(self, m_class, e_class) -> Fraction:
-        """sup{s : M - s E big} for big M, as an exact facet-ratio minimum;
-        each class is a pair (y, q) for y / q."""
-        (m, m_den), (e, e_den) = m_class, e_class
-        ratios = []
-        for g in self.eff_rows:
-            gm = sum(map(mul, g, m))
-            if gm <= 0:
-                raise ValueError("mu requires a big class")
-            if (ge := sum(map(mul, g, e))) > 0:
-                ratios.append(Fraction(gm * e_den, ge * m_den))
-        if not ratios:
+        """sup{s : M - s E big} for big M: the upper end of the big interval."""
+        lo, hi = self.interval(self.eff_rows, m_class, e_class)
+        if not lo < 0 < hi:
+            raise ValueError("mu requires a big class")
+        if hi is inf:  # the open upper side that `interval` returns
             raise ValueError("mu is unbounded: E never exits the cone")
-        return min(ratios)
+        return hi
 
 
 def _cone_facets(gens, dim):
@@ -456,20 +483,13 @@ def polytope_of_divisor(fan: Fan, divisor: TDivisor) -> Polytope:
 
 
 def flag_valuation(flag: AdmissibleFlag, divisor: TDivisor, u):
-    """Valuation vector of the monomial section chi^u of O(D).
-
-    For the invariant flag with ordered rays (v_1, ..., v_d) the iterated
-    vanishing orders of a monomial section come out as the affine map
-    u -> (<u, v_i> + a_{v_i})_i, which is nonnegative exactly on P_D.
-    """
-    fan = flag.fan
-    u = tuple(int(x) for x in u)
-    a = divisor.coeffs
-    for i, r in enumerate(fan.rays):
-        if sum(x * y for x, y in zip(u, r)) < -a[i]:
-            raise ValueError(f"lattice point {u} outside P_D")
-    return tuple(sum(x * y for x, y in zip(u, fan.rays[i])) + a[i]
-                 for i in flag.ray_indices)
+    """Valuation vector of the monomial section chi^u of O(D): the flag's phi
+    at the lattice point u of P_D = {u : den <u, v_rho> + a_rho >= 0}, on integers."""
+    u, a, den = tuple(int(x) for x in u), divisor.ints, divisor.den
+    p = tuple(den * x for x in u)
+    if any(sum(map(mul, v, p)) + b < 0 for v, b in zip(flag.fan.rays, a)):
+        raise ValueError(f"lattice point {u} outside P_D")
+    return tuple(Fraction(x, den) for x in flag.phi(p, a, 1))
 
 
 def _monomial(fan: Fan, rays: tuple) -> int:
@@ -535,15 +555,15 @@ def flag_corresponds(flag: AdmissibleFlag, divisor: TDivisor):
         if not level:
             raise FanError("no invariant curves found at flag level")
         # the form sees classes only: degrees are pairings with the curve rows,
-        # here of the integers of D's class and of column v_{i+1} of the class matrix
+        # here of the integers of D's class and of the class of D_{v_{i+1}}
         rows = [classes.curve_rows[tau] for tau in level]
-        e = [row[flag.ray_indices[i]] for row in classes._class_rows]
+        e, qe = classes.ray_classes[flag.ray_indices[i]]
         vals = [(sum(map(mul, g, e)), sum(map(mul, g, y))) for g in rows]
         # the ratio on the first curve Y_{i+1} meets; 0 if it meets none
         a0, b0 = next(((av, bv) for av, bv in vals if av), (1, 0))
         if any(b0 * av != bv * a0 for av, bv in vals):
             return False, None
-        ratios.append(Fraction(b0 * classes._class_den, a0 * q))
+        ratios.append(Fraction(b0 * qe, a0 * q))
     return True, tuple(ratios)
 
 

@@ -199,7 +199,8 @@ def suite_additivity(config: RunConfig) -> list[dict]:
 
 def suite_slices(config: RunConfig) -> list[dict]:
     """Per case, the endpoint identity and the slice formula at each grid t of the
-    one open interval of t with M - t O(Y_1) ample, which holds 0 as M is ample."""
+    one open interval (lo, hi) of t with M - t O(Y_1) ample, which holds 0 as M is
+    ample; ample classes are big, so hi <= mu(M; Y_1) and the grid is [0, hi)."""
     records = []
     for name, fan in _listed(config, SLICE_CONFIGS):
         for flag_rays, mco in SLICE_CONFIGS[name]:
@@ -215,7 +216,7 @@ def suite_slices(config: RunConfig) -> list[dict]:
             records.append({"key": case + "/mu-endpoint", "suite": "slices",
                             "testbed": name, "check": "mu-endpoint",
                             "mu": endpoint, "pass": top == endpoint})
-            ts = [t for t in _t_grid(fan, config, 0, endpoint) if lo < t < hi]
+            ts = _t_grid(fan, config, 0, hi)
             for t, (ok, witness) in zip(ts, slice_formula_checks(m_div, flag, ts)):
                 rec = {"key": case + f"/t={t}", "suite": "slices",
                        "testbed": name, "check": "slice-formula",

@@ -9,11 +9,12 @@ on the new ray, and pulling back keeps a nef divisor nef and its top
 self-intersection unchanged.
 """
 
+import random
 from itertools import combinations
 
 from hypothesis import strategies as st
 
-from oklab.toric import testbed
+from oklab.toric import Fan, testbed
 
 # the anticanonical divisor (all coefficients 1) is ample on each of these
 BASES = ("p2", "p1xp1", "f1", "p3", "p1xp1xp1")
@@ -53,3 +54,14 @@ def blown_up_fans(draw, max_blowups=3):
         rays, cones = star_subdivision(rays, cones, tau)
         coeffs.append(sum(coeffs[i] for i in tau))
     return name, rays, cones, coeffs, tau
+
+
+def seeded_blown_up_fans(count, seed):
+    """count fans, each one or two star subdivisions of a base testbed."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        base = testbed(rnd.choice(BASES))
+        rays, cones = [list(r) for r in base.rays], [tuple(c) for c in base.max_cones]
+        for _ in range(rnd.randint(1, 2)):
+            rays, cones = star_subdivision(rays, cones, rnd.choice(cones_to_blow_up(cones)))
+        yield Fan("blowup", rays, cones)

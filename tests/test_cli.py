@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from blowups import blown_up_fans, star_subdivision
-from oklab import cli, inequalities, okounkov
+from oklab import cli, inequalities, okounkov, verify
 from oklab.cli import CATALOG_ENV, main
 from oklab.exactgeom import Polytope
 from oklab.toric import testbed, testbed_names
@@ -137,6 +137,15 @@ def test_verify_csv_format(capsys):
 def test_verify_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "bogus"])
+
+
+def test_verify_suite_choices_are_the_suite_table_and_all():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert list(suite.choices) == [*verify.SUITES, "all"]
+    assert list(verify.SUITES) == ["additivity", "slices", "replay", "prop14",
+                                   "cor13", "lemma61", "cor15", "lx"]
 
 
 def test_search_strict_none_on_p2(capsys):

@@ -68,3 +68,36 @@ def test_no_operation_takes_a_fan_beside_its_flag():
             for qual, fn in _public_callables(importlib.import_module(f"oklab.{name}"))
             if {"fan", "flag"} <= set(inspect.signature(fn).parameters)]
     assert both == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree) -> set:
+    """The private names a module defines: its functions, classes and
+    methods, the variables and attributes it assigns, and the attributes it
+    sets by name (`object.__setattr__(self, "_x", ...)`)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.Call) and "setattr" in ast.unparse(node.func):
+            names.update(a.value for a in node.args if isinstance(a, ast.Constant)
+                         and isinstance(a.value, str))
+    return {name for name in names if _private(name)}
+
+
+def test_no_module_reads_a_private_attribute_of_another():
+    trees = {name: ast.parse(Path(oklab.__file__).with_name(f"{name}.py").read_text())
+             for name in MODULES}
+    defined = {name: _private_definitions(tree) for name, tree in trees.items()}
+    assert "_class_rows" in defined["toric"] and "_y1" in defined["toric"]
+    reads = [f"{name} reads {other}'s .{node.attr}"
+             for name, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+             and _private(node.attr) and node.attr not in defined[name]
+             for other in MODULES if node.attr in defined[other]]
+    assert reads == []

@@ -1,6 +1,9 @@
 """Newton-Okounkov engine: bodies, certificates, slices, endpoints."""
 
+import io
+import json
 import random
+from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations, product
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from blowups import BASES, blown_up_fans, cones_to_blow_up, star_subdivision
+from blowups import blown_up_fans, seeded_blown_up_fans
 from fraction_oracle import subset_loop_polytope
 from graded_oracle import (
     face_tails,
@@ -18,7 +21,7 @@ from graded_oracle import (
     level,
     restriction_image,
 )
-from oklab import exactgeom, okounkov, toric, verify
+from oklab import cli, exactgeom, okounkov, toric, verify
 from oklab.exactgeom import Polytope, scale, slice_at
 from oklab.inequalities import find_corresponding_flag
 from oklab.linalg import common_denominator, dot
@@ -293,14 +296,14 @@ def test_a_wrong_ray_body_fails_with_the_per_t_witness(monkeypatch, name, flag_r
     monkeypatch.setattr(okounkov, "_BODIES", {})
     ray_body = okounkov._ray_body
 
-    def perturbed(divisor, fl):
+    def perturbed(prim, fl):
         if fl.fan.dim == fan.dim:  # the body of M itself
-            return ray_body(divisor, fl)
+            return ray_body(prim, fl)
         with monkeypatch.context() as aside:  # the true ray body, kept out of the memo
             aside.setattr(okounkov, "_BODIES", {})
-            ray, c = ray_body(divisor, fl)
+            ray = ray_body(prim, fl)
         top = max(ray.body.vertices)
-        return replace(ray, body=Polytope.hull(ray.body.vertices + ((top[0] + 1,) + top[1:],))), c
+        return replace(ray, body=Polytope.hull(ray.body.vertices + ((top[0] + 1,) + top[1:],)))
 
     monkeypatch.setattr(okounkov, "_ray_body", perturbed)
     lo, hi = ample_interval(m, flag)
@@ -330,17 +333,6 @@ def test_slice_grid_errors():
     assert slice_formula_check(m, flag, F(1, 2)) == (True, None)
     with pytest.raises(NotAmpleError):  # the open end lo = 0
         slice_formula_check(m, flag, 0)
-
-
-def seeded_blown_up_fans(count, seed):
-    """count fans, each one or two star subdivisions of a base testbed."""
-    rnd = random.Random(seed)
-    for _ in range(count):
-        base = testbed(rnd.choice(BASES))
-        rays, cones = [list(r) for r in base.rays], [tuple(c) for c in base.max_cones]
-        for _ in range(rnd.randint(1, 2)):
-            rays, cones = star_subdivision(rays, cones, rnd.choice(cones_to_blow_up(cones)))
-        yield Fan("blowup", rays, cones)
 
 
 def test_restriction_is_linear_and_the_shift_test_is_the_class_test():
@@ -382,9 +374,10 @@ def test_no_divisor_is_built_per_t_on_a_ray_hit(monkeypatch):
         made.append(args)
         return from_ints(*args)
 
-    def missing(*args):
-        misses.append(args)
-        return ray_body(*args)
+    def missing(prim, fl):
+        if ((prim, 1), fl) not in okounkov._BODIES:
+            misses.append((prim, fl))
+        return ray_body(prim, fl)
 
     for name, flag_rays, mco in [(n, f, m) for n, cases in SLICE_CONFIGS.items()
                                  for f, m in cases if n in ("p1xp1", "p1xp1xp1")]:
@@ -443,10 +436,18 @@ def test_slice_case_computes_mu_at_most_twice(monkeypatch):
     assert 1 <= len(calls) <= 2
 
 
+def body_record(name, flag_rays, coeffs):
+    """The body entry of the `oklab body` record of the class."""
+    argv = ["body", "--testbed", name, "--flag", "cone:" + ",".join(map(str, flag_rays)),
+            "--class=" + ",".join(map(str, coeffs))]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(argv) in (0, 1)
+    return json.loads(out.getvalue())["checks"][0]["body"]
+
+
 def test_body_serialization():
-    fan, flag = flag_of("p1", (0,))
-    nb = no_body_rational(TDivisor(fan, (0, F(3, 2))), flag)
-    data = nb.to_json()
+    data = body_record("p1", (0,), (0, F(3, 2)))
     assert data["exact"] is True
     assert data["vertices"] == [[[0, 1]], [[3, 2]]]
     assert data["class"] == [[3, 2]]
@@ -678,7 +679,7 @@ def _ray_bodies_mismatch(fan, flags):
     for flag in flags:
         for cd in divisors:
             nb, oracle = okounkov.body(cd, flag), _fresh_body(cd, flag)
-            ok = (nb.body == oracle and nb.cls == cd.cls
+            ok = (nb.body == oracle
                   and (nb.body.facets, nb.body.volume()) == (oracle.facets, oracle.volume()))
             if fan.classes.is_nef(cd.num_class[0]):
                 ok = ok and nb.exact and (factorial(d) * nb.body.volume()
@@ -706,6 +707,27 @@ def test_ray_bodies_match_fresh_hulls_on_blown_up_fans(spec, data):
     flag = AdmissibleFlag(fan, data.draw(st.permutations(data.draw(st.sampled_from(
         fan.max_cones)))))
     assert _ray_bodies_mismatch(fan, [flag]) == []
+
+
+@pytest.mark.parametrize("name", testbed_names())
+def test_the_body_record_states_the_class_of_each_scaled_copy(monkeypatch, name):
+    # a cold memo, so each ray is hulled for its first scaled copy, and every
+    # later copy is read from the memo: each record states its own class
+    monkeypatch.setattr(okounkov, "_BODIES", {})
+    fan = testbed(name)
+    flag_rays = fan.max_cones[0]
+    flag = AdmissibleFlag(fan, flag_rays)
+    checked = 0
+    for cd in (div.scaled(c) for div in _ray_classes(fan) for c in RAY_FACTORS + (1,)):
+        if fan.classes.is_big(cd.num_class[0]):
+            data, nb = body_record(name, flag_rays, cd.coeffs), okounkov.body(cd, flag)
+            assert data["class"] == [[c.numerator, c.denominator] for c in cd.cls]
+            assert data["flag"] == list(flag_rays)
+            assert data["vertices"] == [[[x.numerator, x.denominator] for x in v]
+                                        for v in nb.body.vertices]
+            assert data["exact"] == nb.exact == fan.classes.is_nef(cd.num_class[0])
+            checked += 1
+    assert checked >= len(RAY_FACTORS) + 1
 
 
 def test_a_ray_body_returned_unscaled_fails(monkeypatch):

@@ -4,13 +4,13 @@ import json
 import random
 from fractions import Fraction as F
 from itertools import combinations
-from math import factorial
+from math import factorial, inf
 
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from blowups import blown_up_fans, star_subdivision
+from blowups import blown_up_fans, seeded_blown_up_fans, star_subdivision
 from fraction_oracle import nullspace, ray_form, solve, subset_loop_polytope
 from graded_oracle import face_tails, lattice_points
 from hull_oracle import cofactor_det
@@ -185,6 +185,32 @@ def test_flag_valuation_injective_and_nonnegative():
     vals = [flag_valuation(flag, div, u) for u in pts]
     assert len(set(vals)) == len(pts)
     assert all(x >= 0 for v in vals for x in v)
+
+
+def test_flag_valuation_is_the_flags_image_of_the_section_points():
+    # small integral classes on every flag of every testbed: the lattice
+    # points among the section points map to their image points, and the
+    # valuations of all lattice points of P_D span the flag's image
+    rnd, checked = random.Random(28), 0
+    for name in testbed_names():
+        fan = testbed(name)
+        for flag in (AdmissibleFlag(fan, c) for c in fan.max_cones):
+            for _ in range(3):
+                div = TDivisor(fan, [F(rnd.randint(-2, 4), rnd.choice((1, 2)))
+                                     for _ in fan.rays])
+                L, image = flag.section_image(div)
+                points = toric.section_points(fan, div)[1]
+                assert len(image) == len(points)
+                for p, v in zip(points, image):
+                    if all(x % L == 0 for x in p):
+                        u = tuple(x // L for x in p)
+                        assert flag_valuation(flag, div, u) == tuple(F(x, L) for x in v)
+                        checked += 1
+                if div.den == 1 and fan.classes.is_nef(div.num_class[0]) and image:
+                    assert Polytope.hull([flag_valuation(flag, div, u) for u in
+                                          lattice_points(fan, div)], dim=fan.dim) \
+                        == exactgeom.integer_hull(fan.dim, L, image)
+    assert checked > 100
 
 
 def test_face_lattice_tails_matches_filtered_enumeration():
@@ -505,6 +531,70 @@ def test_mu_positive_for_ample_with_effective_e():
         assert mu(fan, fan.classes.divisor_from_class(amp), e_cls) > 0
 
 
+def _interval_cases(fan, rnd, samples):
+    """(M, E) pairs: M random or a boundary class, E a ray divisor, random or zero."""
+    n = len(fan.rays)
+    units = [TDivisor(fan, [int(i == k) for k in range(n)]) for i in range(n)]
+    nef_rays = [fan.classes.divisor_from_class(y) for y in fan.classes.nef_rays]
+    for _ in range(samples):
+        m = rnd.choice([
+            TDivisor(fan, [F(rnd.randint(-2, 4), rnd.randint(1, 3)) for _ in range(n)]),
+            rnd.choice(units), rnd.choice(nef_rays), rnd.choice(units) + rnd.choice(units)])
+        e = rnd.choice([rnd.choice(units), rnd.choice(units), rnd.choice(nef_rays), m,
+                        TDivisor(fan, [rnd.randint(-2, 2) for _ in range(n)]), units[0].scaled(0)])
+        yield m, e
+
+
+def _inside(lo, hi):
+    """A point of the nonempty open interval (lo, hi)."""
+    if lo == -inf:
+        return F(0) if hi == inf else hi - 1
+    return lo + 1 if hi == inf else (lo + hi) / 2
+
+
+def test_the_class_interval_is_the_cone_test():
+    # lo < t < hi iff M - t E is big (eff_rows) or ample (nef_rows), at points
+    # inside, at each finite end and outside, on every testbed and on ten
+    # blown-up fans; empty, one-sided and bounded intervals all occur
+    rnd, kinds = random.Random(28), {"big": set(), "ample": set()}
+    fans = [(testbed(name), 40) for name in testbed_names()] + [
+        (fan, 15) for fan in seeded_blown_up_fans(10, 28)]
+    for fan, samples in fans:
+        classes = fan.classes
+        for m, e in _interval_cases(fan, rnd, samples):
+            for kind, rows, test in (("big", classes.eff_rows, classes.is_big),
+                                     ("ample", classes.nef_rows, classes.is_ample)):
+                lo, hi = classes.interval(rows, m.num_class, e.num_class)
+                ends = [x for x in (lo, hi) if x not in (inf, -inf)]
+                if lo >= hi:
+                    kinds[kind].add("empty")
+                    ts = ends + [F(rnd.randint(-6, 6), 2)]
+                else:
+                    kinds[kind].add("two-sided" if len(ends) == 2
+                                    else "one-sided" if ends else "every t")
+                    ts = ends + [x + d for x in ends for d in (-1, 1, F(-1, 7), F(1, 7))]
+                    ts.append(_inside(lo, hi))
+                for t in ts:
+                    assert (lo < t < hi) == test((m - e.scaled(t)).num_class[0]), \
+                        (fan.rays, kind, m.coeffs, e.coeffs, t)
+    for seen in kinds.values():
+        assert {"empty", "one-sided", "two-sided"} <= seen, kinds
+
+
+def test_mu_is_the_upper_end_of_the_big_interval():
+    fan = testbed("f1")
+    classes, e = fan.classes, TDivisor(fan, (1, 0, 0, 0))
+    for m in (TDivisor(fan, (1, 1, 1, 1)), TDivisor(fan, (F(1, 2), 3, 0, F(5, 2)))):
+        lo, hi = classes.interval(classes.eff_rows, m.num_class, e.num_class)
+        assert lo < 0 < hi == mu(fan, m, e)
+    with pytest.raises(ValueError, match="^mu requires a big class$"):
+        mu(fan, TDivisor(fan, (0, 1, 0, 0)), e)
+    with pytest.raises(ValueError, match="^mu is unbounded: E never exits the cone$"):
+        mu(fan, TDivisor(fan, (1, 1, 1, 1)), e.scaled(-1))
+    with pytest.raises(ValueError, match="^mu is unbounded: E never exits the cone$"):
+        mu(fan, TDivisor(fan, (1, 1, 1, 1)), (0, 0))
+
+
 # --- per-fan class map, nef vertices, ample class ---------------------------
 
 def class_by_solve(fan, coeffs):
@@ -544,6 +634,7 @@ def test_class_map_matches_solve_oracle(fan, data):
     units = [TDivisor(fan, [int(i == k) for k in range(n)]).cls for i in range(n)]
     den = fan.classes._class_den
     assert units == [tuple(F(x, den) for x in col) for col in zip(*fan.classes._class_rows)]
+    assert [tuple(F(a, q) for a in y) for y, q in fan.classes.ray_classes] == units
 
 
 @seed(2024)
