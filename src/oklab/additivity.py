@@ -15,7 +15,6 @@ mathematics) is broken, and aborts the run with InclusionViolationError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -74,16 +73,14 @@ def check_enumeration(points: int, what: str) -> None:
             f"{what} enumerates {points} points, over the budget of {ENUMERATION_BUDGET}")
 
 
-@dataclass(frozen=True)
 class ConeCLM:
-    """C_L(M): classes lambda L + mu M with mu >= 0, inside the ample cone."""
+    """C_L(M): classes lambda L + mu M with mu >= 0, inside the ample cone;
+    `==` is identity."""
 
-    L: TDivisor
-    M: TDivisor
-
-    def __post_init__(self):
-        if self.L.fan is not self.M.fan:
+    def __init__(self, L: TDivisor, M: TDivisor):
+        if L.fan is not M.fan:
             raise ValueError("cone basis divisors on different fans")
+        self.L, self.M = L, M
 
     @property
     def fan(self) -> Fan:
@@ -145,14 +142,18 @@ def in_cone(n: TDivisor, cone: ConeCLM):
     return cone.admits(n, m), lam, m
 
 
-@dataclass(frozen=True)
 class AdditivityVerdict:
-    status: str  # "equal" | "strict"
-    witness: tuple | None  # vertex of body(sum) outside the Minkowski sum
-    violated: tuple | None  # the (normal, offset) certificate for the witness
-    vol_sum_body: Fraction
-    vol_n1: Fraction
-    vol_n2: Fraction
+    """`==` compares every field."""
+
+    def __init__(self, status: str, witness: tuple | None, violated: tuple | None,
+                 vol_sum_body: Fraction, vol_n1: Fraction, vol_n2: Fraction):
+        self.status = status  # "equal" | "strict"
+        self.witness = witness  # vertex of body(sum) outside the Minkowski sum
+        self.violated = violated  # the (normal, offset) certificate for the witness
+        self.vol_sum_body, self.vol_n1, self.vol_n2 = vol_sum_body, vol_n1, vol_n2
+
+    def __eq__(self, other):
+        return type(other) is AdditivityVerdict and vars(self) == vars(other)
 
 
 def compare_additive_bodies(body1: Polytope, body2: Polytope,

@@ -23,7 +23,6 @@ termwise power criterion (L^k M^{d-k})^d vs (L^d)^k (M^d)^{d-k}.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from functools import lru_cache
@@ -58,12 +57,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class InequalityRecord:
-    name: str
-    lhs: Fraction
-    rhs: Fraction
-    inputs: dict = field(default_factory=dict)
+    """lhs <= rhs, named, with its inputs; `==` compares every field."""
+
+    def __init__(self, name: str, lhs: Fraction, rhs: Fraction, inputs: dict | None = None):
+        self.name, self.lhs, self.rhs = name, lhs, rhs
+        self.inputs = {} if inputs is None else inputs
+
+    def __eq__(self, other):
+        return type(other) is InequalityRecord and vars(self) == vars(other)
 
     @property
     def slack(self) -> Fraction:
@@ -78,7 +80,6 @@ class InequalityRecord:
 # the body map on the span of L and M
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class DeltaMap(ConeCLM):
     """N = lambda L + mu M  |->  lambda body(L) + mu body(M), kept as the
     basis and its two bodies; `check_cor13` reads the map through them.
@@ -95,9 +96,10 @@ class DeltaMap(ConeCLM):
     the basis coordinates of `ConeCLM.coordinates`.
     """
 
-    flag: AdmissibleFlag
-    body_l: NOBody
-    body_m: NOBody
+    def __init__(self, L: TDivisor, M: TDivisor, flag: AdmissibleFlag,
+                 body_l: NOBody, body_m: NOBody):
+        super().__init__(L, M)
+        self.flag, self.body_l, self.body_m = flag, body_l, body_m
 
 
 def delta_map(l_div: TDivisor, m_div: TDivisor, flag: AdmissibleFlag) -> DeltaMap:

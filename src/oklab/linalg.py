@@ -12,10 +12,10 @@ the integer adjugate, so there is no rational elimination.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 

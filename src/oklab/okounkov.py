@@ -30,7 +30,6 @@ polytope per t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -70,12 +69,15 @@ class CertificateError(AssertionError):
     """A nef body failed d! vol = D^d: the implementation is broken."""
 
 
-@dataclass(frozen=True)
 class NOBody:
-    """A body and whether it is certified exact; `oklab body` adds the flag and class."""
+    """A body and whether it is certified exact; `oklab body` adds the flag and
+    class.  `==` compares both fields."""
 
-    body: Polytope
-    exact: bool
+    def __init__(self, body: Polytope, exact: bool):
+        self.body, self.exact = body, exact
+
+    def __eq__(self, other):
+        return type(other) is NOBody and vars(self) == vars(other)
 
 
 # (class (y, q), flag) -> its body; the primitive classes (y', 1) hold the ray bodies

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, product
@@ -191,13 +190,12 @@ class Fan:
 # divisors and flags
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
 class TDivisor:
     """Torus-invariant Q-divisor: one rational coefficient per ray, kept as
     the integers `ints` over their least common denominator `den`.  `==` and
-    `hash` compare (fan, den, ints), fans by identity; `+`, `-` and `scaled`
-    stay on integers.  `num_class` is the numerical class, canonical integers
-    over one denominator; `coeffs` and `cls` are read-only Fraction views."""
+    `hash` compare the read-only fields (fan, den, ints), fans by identity;
+    `+`, `-` and `scaled` stay on integers.  `num_class` is the numerical
+    class, canonical integers over one denominator; `coeffs` and `cls` are Fraction views."""
 
     fan: Fan
     den: int
@@ -210,6 +208,16 @@ class TDivisor:
         if len(ints) != len(fan.rays):
             raise ValueError("coefficient count does not match ray count")
         self.__dict__.update(fan=fan, den=den, ints=tuple(ints))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __eq__(self, other):
+        return type(other) is TDivisor and (
+            (self.fan, self.den, self.ints) == (other.fan, other.den, other.ints))
+
+    def __hash__(self):
+        return hash((self.fan, self.den, self.ints))
 
     @staticmethod
     def _from_ints(fan: Fan, ints, den: int) -> "TDivisor":
@@ -253,22 +261,31 @@ class TDivisor:
                                    self.den * c.denominator)
 
 
-@dataclass(frozen=True)
 class AdmissibleFlag:
     """Ordered rays of one smooth maximal cone: Y_i is the intersection of
-    the invariant divisors of the first i rays, down to the fixed point."""
+    the invariant divisors of the first i rays, down to the fixed point.
+    `==` and `hash` compare the read-only fields (fan, ray_indices), fans by
+    identity."""
 
     fan: Fan
     ray_indices: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "ray_indices",
-                           tuple(_integer(i) for i in self.ray_indices))
+    def __init__(self, fan: Fan, ray_indices):
+        self.__dict__.update(fan=fan, ray_indices=tuple(_integer(i) for i in ray_indices))
         if tuple(sorted(self.ray_indices)) not in self.fan.max_cones:
             raise ValueError(
                 f"flag rays {self.ray_indices} are not a maximal cone of {self.fan.name}")
         y1 = [int(i == self.ray_indices[0]) for i in range(len(self.fan.rays))]
         object.__setattr__(self, "_y1", TDivisor._from_ints(self.fan, y1, 1))
+
+    __setattr__ = TDivisor.__setattr__
+
+    def __eq__(self, other):
+        return type(other) is AdmissibleFlag and (
+            (self.fan, self.ray_indices) == (other.fan, other.ray_indices))
+
+    def __hash__(self):
+        return hash((self.fan, self.ray_indices))
 
     def label(self) -> str:
         return "cone:" + ",".join(str(i) for i in self.ray_indices)
@@ -577,20 +594,19 @@ def mu(fan: Fan, m: TDivisor, e) -> Fraction:
 # star fans (restriction to Y_1)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class StarModel:
     """Y_1 = D_{v_1} as a smooth complete toric variety of dimension d-1.
 
     Coordinates on N/Z v_1 are taken in the unimodular basis given by the
     flag's own maximal cone, so the flag rays v_2, ..., v_d map to the
-    standard basis and the induced flag is the standard cone.
+    standard basis and the induced flag is the standard cone.  `star_model`
+    builds one per flag, and `==` is identity.
     """
 
-    star_fan: Fan
-    flag: AdmissibleFlag
-    star_flag: AdmissibleFlag
-    ray_map: dict
-    u_rows: tuple
+    def __init__(self, star_fan: Fan, flag: AdmissibleFlag, star_flag: AdmissibleFlag,
+                 ray_map: dict, u_rows: tuple):
+        self.star_fan, self.flag, self.star_flag = star_fan, flag, star_flag
+        self.ray_map, self.u_rows = ray_map, u_rows
 
     def restrict_divisor(self, divisor: TDivisor) -> TDivisor:
         """(D + div(chi^w))|_{Y_1} with w clearing the v_1 coefficient."""

@@ -18,7 +18,6 @@ check)."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import ceil
@@ -110,7 +109,6 @@ COR15_COUNT = 200
 LX_COUNT = 100
 
 
-@dataclass
 class RunConfig:
     """What a run varies; the defaults are the acceptance runs.
 
@@ -121,9 +119,9 @@ class RunConfig:
     slice and replay parameters; `seed` seeds the randomized batteries.
     """
 
-    fans: dict = field(default_factory=lambda: {n: testbed(n) for n in testbed_names()})
-    grid_den: int = 12
-    seed: int = 2024
+    def __init__(self, fans: dict | None = None, grid_den: int = 12, seed: int = 2024):
+        self.fans = {n: testbed(n) for n in testbed_names()} if fans is None else fans
+        self.grid_den, self.seed = grid_den, seed
 
 
 def auto_sweep_config(fan: Fan):

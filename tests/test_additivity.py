@@ -10,6 +10,7 @@ from hypothesis import given, seed, settings, strategies as st
 from fraction_oracle import rref, solve
 from hull_oracle import union_hull_contains
 from oklab.additivity import (
+    AdditivityVerdict,
     ConeCLM,
     InclusionViolationError,
     ReplayPreconditionError,
@@ -158,6 +159,16 @@ def test_strict_branch_on_synthetic_bodies():
     assert verdict.witness == (F(2), F(2))
     normal, offset = verdict.violated
     assert sum(n * w for n, w in zip(normal, verdict.witness)) > offset
+
+
+def test_verdicts_compare_by_value():
+    tri = Polytope.hull([(0, 0), (1, 0), (0, 1)])
+    square = Polytope.hull([(0, 0), (2, 0), (0, 2), (2, 2)])
+    strict = compare_additive_bodies(tri, tri, square)
+    assert strict == AdditivityVerdict("strict", (F(2), F(2)), strict.violated,
+                                       F(4), F(1, 2), F(1, 2))
+    equal = compare_additive_bodies(tri, tri, Polytope.hull([(0, 0), (2, 0), (0, 2)]))
+    assert equal == AdditivityVerdict("equal", None, None, F(2), F(1, 2), F(1, 2)) != strict
 
 
 def test_inclusion_violation_is_hard_error():

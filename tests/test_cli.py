@@ -148,6 +148,14 @@ def test_verify_suite_choices_are_the_suite_table_and_all():
                                    "cor13", "lemma61", "cor15", "lx"]
 
 
+def test_run_config_defaults_are_the_acceptance_runs():
+    config, other = verify.RunConfig(), verify.RunConfig()
+    assert list(config.fans) == testbed_names()
+    assert all(fan is testbed(name) for name, fan in config.fans.items())
+    assert (config.grid_den, config.seed) == (12, 2024)
+    assert config.fans is not other.fans and config.fans == other.fans
+
+
 def test_search_strict_none_on_p2(capsys):
     code, out, _ = run(capsys, "search-strict", "--testbed", "p2", "--bound", "3")
     assert code == 0

@@ -1,10 +1,13 @@
 """The package's public names: every `__all__` entry and every name that
-`oklab/__init__.py` re-exports is defined."""
+`oklab/__init__.py` re-exports is defined; and what importing it loads."""
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +104,27 @@ def test_no_module_reads_a_private_attribute_of_another():
              and _private(node.attr) and node.attr not in defined[name]
              for other in MODULES if node.attr in defined[other]]
     assert reads == []
+
+
+# stdlib modules that would cost every cold `oklab` call milliseconds of import
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "typing")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_dataclasses_or_typing(name):
+    tree = ast.parse(Path(oklab.__file__).with_name(f"{name}.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and not node.level]
+    assert [m for m in imported if m.split(".")[0] in ("dataclasses", "typing")] == []
+
+
+def test_importing_the_cli_loads_no_heavy_stdlib_module():
+    # -S: no `site`, which on some hosts imports typing itself
+    code = "import sys, oklab.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(oklab.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *HEAVY], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -275,8 +275,14 @@ def test_lx_bad_k():
 def test_lx_sweep_deterministic():
     a = lehmann_xiao_sweep(2, 5, seed=11)
     b = lehmann_xiao_sweep(2, 5, seed=11)
-    assert [(r.lhs, r.rhs) for r in a] == [(r.lhs, r.rhs) for r in b]
-    assert all(r.passed for r in a)
+    assert a == b and all(r.passed for r in a)
+
+
+def test_records_compare_by_value():
+    rec = InequalityRecord("lx", F(1), F(2), {"k": 1})
+    assert rec == InequalityRecord(name="lx", lhs=F(1), rhs=F(2), inputs={"k": 1})
+    assert rec != InequalityRecord("lx", F(1), F(2)) != InequalityRecord("lx", F(1), F(3))
+    assert InequalityRecord("lx", 0, 0).inputs is not InequalityRecord("lx", 0, 0).inputs
 
 
 def test_random_polytope_in_box():

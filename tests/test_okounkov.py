@@ -4,7 +4,6 @@ import io
 import json
 import random
 from contextlib import redirect_stdout
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations, product
 from math import ceil, factorial, inf
@@ -26,6 +25,7 @@ from oklab.exactgeom import Polytope, scale, slice_at
 from oklab.inequalities import find_corresponding_flag
 from oklab.linalg import common_denominator, dot
 from oklab.okounkov import (
+    NOBody,
     NonBigClassError,
     NotAmpleError,
     ample_interval,
@@ -303,7 +303,7 @@ def test_a_wrong_ray_body_fails_with_the_per_t_witness(monkeypatch, name, flag_r
             aside.setattr(okounkov, "_BODIES", {})
             ray = ray_body(prim, fl)
         top = max(ray.body.vertices)
-        return replace(ray, body=Polytope.hull(ray.body.vertices + ((top[0] + 1,) + top[1:],)))
+        return NOBody(Polytope.hull(ray.body.vertices + ((top[0] + 1,) + top[1:],)), ray.exact)
 
     monkeypatch.setattr(okounkov, "_ray_body", perturbed)
     lo, hi = ample_interval(m, flag)
@@ -582,6 +582,18 @@ def test_fans_sharing_a_name_share_no_cached_data():
     assert restricted.body == restricted_body(TDivisor(f1, (0, 1, 2, 0)), f1_flag).body
     assert find_corresponding_flag(alias, TDivisor(alias, (1, 0, 0, 0))).ray_indices \
         == (0, 1)
+
+
+def test_fans_from_one_spec_keep_separate_bodies(monkeypatch):
+    monkeypatch.setattr(okounkov, "_BODIES", {})
+    fan = testbed("p1xp1")
+    twin = Fan(fan.name, fan.rays, fan.max_cones)
+    bodies = [no_body_rational(TDivisor(f, (1, 1, 1, 1)), AdmissibleFlag(f, (0, 2)))
+              for f in (fan, twin, fan)]
+    assert bodies[0] is bodies[2] and bodies[0] is not bodies[1] and bodies[0] == bodies[1]
+    keys = list(okounkov._BODIES)  # the class (2, 2) and its ray (1, 1), per fan
+    assert {flag.fan for _, flag in keys} == {fan, twin}
+    assert len(keys) == 2 * len({cls for cls, _ in keys}) == 4
 
 
 # --- the integer image phi(P_D) against the Fraction route ----------------------

@@ -231,6 +231,27 @@ def test_admissible_flag_requires_maximal_cone():
         AdmissibleFlag(pp, (0, 1))  # opposite rays: not a cone
 
 
+def test_flags_and_divisors_compare_fans_by_identity():
+    fan = testbed("f1")
+    twin = Fan(fan.name, fan.rays, fan.max_cones)  # the same spec, another fan
+    flag, div = AdmissibleFlag(fan, (1, 0)), TDivisor(fan, (1, F(1, 2), 0, 2))
+    same_flag, same_div = AdmissibleFlag(fan, [1, 0]), TDivisor(fan, (2, 1, 0, 4)).scaled(F(1, 2))
+    assert flag == same_flag and hash(flag) == hash(same_flag)
+    assert div == same_div and hash(div) == hash(same_div)
+    assert flag != AdmissibleFlag(twin, (1, 0)) and flag != AdmissibleFlag(fan, (1, 2))
+    assert div != TDivisor(twin, div.coeffs) and div != div.coeffs
+
+
+def test_divisor_and_flag_fields_are_read_only():
+    fan = testbed("p2")
+    div, flag = TDivisor(fan, (1, 0, 0)), AdmissibleFlag(fan, (1, 2))
+    for obj, field in ((div, "fan"), (div, "den"), (div, "ints"),
+                       (flag, "fan"), (flag, "ray_indices")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+    assert (div.fan, div.den, div.ints, flag.ray_indices) == (fan, 1, (1, 0, 0), (1, 2))
+
+
 # --- intersection numbers ---------------------------------------------------
 
 def test_intersection_examples():

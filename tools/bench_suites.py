@@ -3,11 +3,14 @@
     python3 tools/bench_suites.py [--src DIR --label NAME]... [--out FILE]
 
 Each of RUNS runs calls `oklab verify --suite S --out TMP` once per source tree for
-each of the eight suites and for `all`, each call in a fresh interpreter
-with the tree's `src` directory on PYTHONPATH, so a time covers start-up,
-imports and cold caches.  Two trees (repeat `--src` and `--label`, in the
+each of the eight suites and for `all`, and one trivial request, `oklab mu
+--testbed p2 --class 1,0,0 --flag cone:0,1 --out TMP`, under the name
+`startup`: the interpreter, the imports and little else.  Each call runs in
+a fresh interpreter with the caller's environment (PYTHONDONTWRITEBYTECODE
+included) and the tree's `src` directory on PYTHONPATH, so a time covers
+start-up, imports and cold caches.  Two trees (repeat `--src` and `--label`, in the
 same order) alternate call by call, and the order flips every run, so the
-speed phases of a shared host fall on both alike.  A suite reports the
+speed phases of a shared host fall on both alike.  A call reports the
 median and quartiles of its RUNS times in seconds and the sha256 of its
 report, which must be the same in every run of a tree.  The results go to
 FILE (default BENCH_suites.json at the repo root) under `runs[NAME]`, next
@@ -31,19 +34,21 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 5
 SUITES = ("additivity", "slices", "replay", "prop14", "cor13", "lemma61", "cor15", "lx", "all")
+CALLS = {**{s: ("verify", "--suite", s) for s in SUITES},
+         "startup": ("mu", "--testbed", "p2", "--class", "1,0,0", "--flag", "cone:0,1")}
 CLI = "import sys; from oklab.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def time_suite(src: Path, suite: str, out: Path) -> tuple[float, str]:
-    """(wall seconds, report sha256) of one `oklab verify --suite` call."""
+def time_call(src: Path, args: tuple, out: Path) -> tuple[float, str]:
+    """(wall seconds, report sha256) of one `oklab ARGS --out OUT` call."""
     env = {k: v for k, v in os.environ.items() if k != "OKLAB_CATALOG"}  # builtin testbeds
     env["PYTHONPATH"] = str(src)
     start = perf_counter()
-    proc = subprocess.run([sys.executable, "-c", CLI, "verify", "--suite", suite,
-                           "--out", str(out)], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", CLI, *args, "--out", str(out)],
+                          env=env, capture_output=True, text=True)
     seconds = perf_counter() - start
     if proc.returncode not in (0, 1):  # 1: the report holds failed records
-        raise SystemExit(f"verify --suite {suite} exited {proc.returncode}:\n{proc.stderr}")
+        raise SystemExit(f"{' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
     return seconds, hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -59,7 +64,7 @@ def main(argv=None) -> int:
     if len(labels) != len(srcs):
         parser.error("give one --label per --src")
 
-    times = {label: {s: [] for s in SUITES} for label in labels}
+    times = {label: {s: [] for s in CALLS} for label in labels}
     digests = {label: {} for label in labels}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
@@ -67,9 +72,9 @@ def main(argv=None) -> int:
             trees = list(zip(labels, srcs))
             if run % 2:
                 trees.reverse()
-            for suite in SUITES:
+            for suite, call in CALLS.items():
                 for label, src in trees:
-                    seconds, digest = time_suite(src, suite, out)
+                    seconds, digest = time_call(src, call, out)
                     if digests[label].setdefault(suite, digest) != digest:
                         raise SystemExit(f"{label}: the {suite} report changed between runs")
                     times[label][suite].append(seconds)
