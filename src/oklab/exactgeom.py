@@ -15,9 +15,12 @@ projects bijectively.  The hull is taken there: Andrew's monotone chain
 for k = 2 (vertices, edge inequalities and the shoelace area in one
 pass), a conflict-list beneath-beyond for k >= 3 with the vertices read
 off the facet incidences, so all orientation predicates are exact integer
-determinants.  Facets, volume and vertices come out of that one pass and
-are kept with the body, and so are its edges, once read off the facet
-incidences.  Every body is built by that integer hull
+determinants.  The beneath-beyond is written out on three coordinates for
+k = 3, which every body, mixed volume and sum in R^3 takes; the generic
+loop runs only for k >= 4 (bodies in R^4 and above, and the cone facets
+of class groups of rank >= 4).  Facets, volume and vertices come out of
+that one pass and are kept with the body, and so are its edges, once read
+off the facet incidences.  Every body is built by that integer hull
 (`integer_hull`); `Polytope.hull` is the only place where rational points
 are scaled to integers, and the other operations scale only their
 rational argument (a shift, a scale factor, a slice level).  Scaling
@@ -51,13 +54,10 @@ from operator import gt, mul, ne
 from .linalg import (
     Vec,
     adjugate,
-    common_denominator,
     cross_normal_int,
     independent_rows,
     primitive,
     rat,
-    to_int_points,
-    vec,
 )
 
 __all__ = [
@@ -213,6 +213,83 @@ def _simplicial_hull(pts: list[tuple[int, ...]], base: list[int]) -> tuple[list[
     return keep, sorted((n, c, w) for (n, c), w in facets.items()), kvol
 
 
+def _spatial_hull(pts: list[tuple[int, int, int]], base: list[int]) -> tuple[list[int], list, int]:
+    """`_simplicial_hull` for k = 3, with the same steps and outputs, on flat
+    face lists [nx, ny, nz, c, a, b, e, g_a, g_b, g_e, above]: g_x lies
+    across the edge opposite x, and above is None once the face is dead.
+    The cross product and the heights n.p - c are written out, and the two
+    edges of a new face through the apex are keyed by their horizon vertex."""
+    zx, zy, zz = map(sum, zip(*(pts[i] for i in base)))
+
+    def make(a, b, e):
+        (ax, ay, az), (bx, by, bz), (ex, ey, ez) = pts[a], pts[b], pts[e]
+        bx, by, bz, ex, ey, ez = bx - ax, by - ay, bz - az, ex - ax, ey - ay, ez - az
+        nx, ny, nz = by * ez - bz * ey, bz * ex - bx * ez, bx * ey - by * ex
+        c = nx * ax + ny * ay + nz * az
+        if nx * zx + ny * zy + nz * zz > 4 * c:  # orient away from zsum / 4
+            nx, ny, nz, c = -nx, -ny, -nz, -c
+        return [nx, ny, nz, c, a, b, e, None, None, None, []]
+
+    def assign(indices, new):  # each point to the first new face it is above
+        planes = [(f[0], f[1], f[2], f[3], f[10]) for f in new]
+        for i in indices:
+            x, y, z = pts[i]
+            for nx, ny, nz, c, above in planes:
+                h = nx * x + ny * y + nz * z - c
+                if h > 0:
+                    above.append((h, i))
+                    break
+
+    a, b, e, o = base
+    faces = [make(b, e, o), make(a, e, o), make(a, b, o), make(a, b, e)]
+    for j, f in enumerate(faces):
+        f[7:10] = faces[:j] + faces[j + 1:]
+    assign(set(range(len(pts))).difference(base), faces)
+    for face in faces:  # the list grows as new faces are made
+        if not face[10]:
+            continue
+        top = max(face[10])[1]
+        px, py, pz = pts[top]
+        orphans, face[10], visible, horizon = face[10], None, [face], []
+        for f in visible:
+            _, _, _, _, a, b, e, ga, gb, ge, _ = f
+            for g, u, v in ((ga, b, e), (gb, a, e), (ge, a, b)):
+                if g[10] is None:
+                    continue
+                if g[0] * px + g[1] * py + g[2] * pz > g[3]:
+                    orphans += g[10]
+                    g[10] = None
+                    visible.append(g)
+                else:
+                    horizon.append((f, g, u, v))
+        new, side = [], {}
+        for f, g, u, v in horizon:
+            h = make(u, v, top)
+            h[9] = g
+            g[7 if g[7] is f else 8 if g[8] is f else 9] = h
+            for x, j in ((v, 7), (u, 8)):  # the edge {x, top}, opposite the other of u, v
+                if x in side:
+                    h2, j2 = side.pop(x)
+                    h[j], h2[j2] = h2, h
+                else:
+                    side[x] = (h, j)
+            new.append(h)
+        assign((i for _, i in orphans if i != top), new)
+        faces += new
+    normals, facets, kvol = {}, {}, 0
+    qx, qy, qz = pts[0]
+    for nx, ny, nz, c, a, b, e, _, _, _, above in faces:
+        if above is not None:
+            g = gcd(nx, ny, nz)  # divides c, an integer combination of n
+            n = (nx // g, ny // g, nz // g)
+            facets[n, c // g] = facets.get((n, c // g), 0) + g
+            kvol += c - nx * qx - ny * qy - nz * qz  # |det| of the cone from pts[0]
+            for v in (a, b, e):
+                normals.setdefault(v, set()).add(n)
+    keep = [v for v, ns in normals.items() if len(ns) >= 3]
+    return keep, sorted((n, c, w) for (n, c), w in facets.items()), kvol
+
+
 def integer_hull(d: int, L: int, ipts) -> "Polytope":
     """Hull of the integer points ipts / L in R^d, in any order and with
     repeats; no points give the empty body.
@@ -222,7 +299,8 @@ def integer_hull(d: int, L: int, ipts) -> "Polytope":
     onto the pivot columns, so the hull is taken there, in k = affine rank
     coordinates: an interval for k = 1, the monotone chain for k = 2 and
     the beneath-beyond for k >= 3, from the simplex of the echelon rows'
-    points.  The body keeps k, the echelon rows, the pivot columns, the
+    points: `_spatial_hull` for k = 3, the generic `_simplicial_hull` for
+    k >= 4.  The body keeps k, the echelon rows, the pivot columns, the
     primitive facets (n, c, w) of the projection, w being (k-1)! times the
     facet's lattice volume, and its volume.
     """
@@ -243,7 +321,8 @@ def integer_hull(d: int, L: int, ipts) -> "Polytope":
     elif k == 2:
         keep, facets, kvol = _planar_hull(coords)
     else:
-        keep, facets, kvol = _simplicial_hull(coords, [0] + [i + 1 for i, _, _ in echelon])
+        base = [0] + [i + 1 for i, _, _ in echelon]
+        keep, facets, kvol = (_spatial_hull if k == 3 else _simplicial_hull)(coords, base)
     volume = Fraction(kvol, factorial(d) * L ** d) if k == d else Fraction(0)
     return Polytope(d, L, [ipts[i] for i in sorted(keep)],
                     (k, [e for _, _, e in echelon], cols, facets, volume), _trusted=True)
@@ -287,7 +366,7 @@ class Polytope:
 
     @staticmethod
     def hull(points, dim: int | None = None) -> "Polytope":
-        pts = [vec(p) for p in points]
+        pts = [[rat(x).as_integer_ratio() for x in p] for p in points]
         if not pts:
             if dim is None:
                 raise ValueError("empty hull needs an explicit ambient dimension")
@@ -295,8 +374,8 @@ class Polytope:
         d = _check_same_dim(pts)
         if dim is not None and dim != d:
             raise DimensionMismatch(f"expected dimension {dim}, got {d}")
-        L = common_denominator(pts)
-        return integer_hull(d, L, to_int_points(pts, L))
+        L = lcm(*(b for p in pts for _, b in p))
+        return integer_hull(d, L, [tuple(a * (L // b) for a, b in p) for p in pts])
 
     # -- basic protocol ----------------------------------------------------
 
@@ -414,11 +493,11 @@ class Polytope:
     def translate(self, offset) -> "Polytope":
         """P + offset: the vertices shifted on integers over lcm(L, denominator
         of the offset), with one hull and no Minkowski sum."""
-        o = vec(offset)
+        o = [rat(x).as_integer_ratio() for x in offset]
         if len(o) != self.dim:
             raise DimensionMismatch("translation of a different ambient dimension")
-        L = lcm(self.L, common_denominator([o]))
-        s, (t,) = L // self.L, to_int_points([o], L)
+        L = lcm(self.L, *(b for _, b in o))
+        s, t = L // self.L, [a * (L // b) for a, b in o]
         return integer_hull(self.dim, L, [tuple(s * x + y for x, y in zip(p, t))
                                           for p in self.ipts])
 

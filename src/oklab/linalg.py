@@ -145,10 +145,6 @@ def common_denominator(points: Iterable[Sequence[Fraction]]) -> int:
     return lcm(*(x.denominator for p in points for x in p))
 
 
-def to_int_points(points: Sequence[Sequence[Fraction]], scale: int) -> list[tuple[int, ...]]:
-    return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
-
-
 def interpolate(values: Sequence[Fraction]) -> list[Fraction]:
     """Coefficients c_0..c_{n-1} of the polynomial of degree < n that takes
     values[s] at s = 0..n-1, exactly (Lagrange basis on the integer nodes).

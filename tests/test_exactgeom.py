@@ -17,6 +17,7 @@ from oklab.exactgeom import (
     Polytope,
     _planar_hull,
     _simplicial_hull,
+    _spatial_hull,
     integer_hull,
     minkowski_sum,
     mixed_volume,
@@ -26,7 +27,7 @@ from oklab.exactgeom import (
     slice_vertices,
 )
 from oklab.linalg import (adjugate, common_denominator, cross_normal_int, dot,
-                          independent_rows, integer_row, to_int_points)
+                          independent_rows, integer_row)
 
 
 def rank(rows):
@@ -35,12 +36,13 @@ def rank(rows):
     return len(independent_rows(integer_row(row)[0] for row in rows))
 
 
-def simplicial_hull_from_base(ipts):
-    """`_simplicial_hull` on the base simplex `integer_hull` passes it: the
-    first point and those of the greedy independent differences from it."""
+def simplicial_hull_from_base(ipts, loop=_simplicial_hull):
+    """The hull loop (`_simplicial_hull` by default) on the base simplex
+    `integer_hull` passes it: the first point and those of the greedy
+    independent differences from it."""
     base = [0] + [i + 1 for i, _, _ in independent_rows(
         [x - y for x, y in zip(p, ipts[0])] for p in ipts[1:])]
-    return _simplicial_hull(ipts, base)
+    return loop(ipts, base)
 
 
 UNIT_SQUARE = Polytope.hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -507,7 +509,8 @@ grid_points2 = st.tuples(grid_coords, grid_coords)
 
 def _integer_points(pts):
     pts = sorted({tuple(map(F, p)) for p in pts})
-    return pts, to_int_points(pts, common_denominator(pts))
+    den = common_denominator(pts)
+    return pts, [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts]
 
 
 def _assert_chain_matches_beneath_beyond(ipts):
@@ -817,12 +820,14 @@ def test_minkowski_memo_is_bounded_and_transparent():
 # --- conflict-list hull against the brute-force oracle ------------------------
 
 def _assert_matches_hull_oracle(ipts):
-    """Compare the hull with the brute-force oracle, weights included, and
-    check sum_F w_F (c_F - n_F.q0) = k! vol; return the oracle's."""
-    keep, facets, kvol = simplicial_hull_from_base(ipts)
+    """Compare the generic loop and, at k = 3, the spatial loop with the
+    brute-force oracle, weights included, and check sum_F w_F (c_F - n_F.q0)
+    = k! vol; return the oracle's."""
     oracle = simplicial_hull(ipts)
-    assert (sorted(keep), facets, kvol) == oracle
-    assert sum(w * (c - dot(n, ipts[0])) for n, c, w in facets) == kvol
+    for loop in [_simplicial_hull] + [_spatial_hull] * (len(ipts[0]) == 3):
+        keep, facets, kvol = simplicial_hull_from_base(ipts, loop)
+        assert (sorted(keep), facets, kvol) == oracle, loop.__name__
+        assert sum(w * (c - dot(n, ipts[0])) for n, c, w in facets) == kvol
     return oracle
 
 
@@ -851,8 +856,58 @@ def _one_denominator(data, d):
     return data.draw(st.lists(st.tuples(*[grid_coords] * d), min_size=d + 1, max_size=30))
 
 
+# coordinates like those of perfbench's `geometry` bodies: in [0, 4], denominators 1-4
+bench_coords = st.integers(1, 4).flatmap(lambda den: st.integers(0, 4 * den).map(
+    lambda n: F(n, den)))
+
+
+def _cloud(data, d, size=5):
+    return data.draw(st.lists(st.tuples(*[bench_coords] * d), min_size=size, max_size=size))
+
+
+def _box_corners(data, d):
+    # the 2^d corners of a box, the shape of the bodies of P^1 x P^1 x P^1
+    lo, hi = _cloud(data, d, 2)
+    return list(product(*zip(lo, hi)))
+
+
+def _vertex_sums(data, d):
+    # the 25 pairwise sums of two 5-point clouds, as `mixedvol` sums its bodies
+    return [tuple(x + y for x, y in zip(u, v)) for u in _cloud(data, d) for v in _cloud(data, d)]
+
+
+def _simplex(data, d):
+    return _cloud(data, d, d + 1)
+
+
+def _coplanar_with_apex(data, d):
+    # many points on one hyperplane and one point off it
+    grid = st.integers(-3, 3)
+    dirs = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d - 1,
+                              max_size=d - 1))
+    pts = [tuple(sum(c * v[j] for c, v in zip(cs, dirs)) for j in range(d))
+           for cs in data.draw(st.lists(st.tuples(*[grid] * (d - 1)), min_size=3, max_size=20))]
+    return pts + [data.draw(st.tuples(*[grid] * d))]
+
+
+def _lattice_simplex(data, d):
+    # every lattice point of s times the standard simplex, mapped by a unimodular
+    # shear: points on its edges and in its facets
+    s, a = data.draw(st.integers(1, 3)), data.draw(st.integers(-2, 2))
+    return [(x[0] + a * x[1],) + x[1:] for x in product(range(s + 1), repeat=d) if sum(x) <= s]
+
+
+def _far_negative(data, d):
+    # another shape moved to coordinates near -2^40
+    make = data.draw(st.sampled_from([_cloud, _box_corners, _coplanar_with_apex, _lattice_box]))
+    shift = [-2 ** 40 + data.draw(st.integers(-3, 3)) for _ in range(d)]
+    return [tuple(x + y for x, y in zip(p, shift)) for p in make(data, d)]
+
+
 @seed(2024)
-@pytest.mark.parametrize("make", [_lattice_box, _coplanar_clusters, _one_denominator])
+@pytest.mark.parametrize("make", [_lattice_box, _coplanar_clusters, _one_denominator, _cloud,
+                                  _box_corners, _vertex_sums, _simplex, _coplanar_with_apex,
+                                  _lattice_simplex, _far_negative])
 @given(st.sampled_from([3, 4]), st.data())
 @settings(max_examples=40, deadline=None)
 def test_conflict_list_hull_matches_oracle(make, d, data):
@@ -890,6 +945,18 @@ def test_conflict_list_hull_of_rank_three_sets_in_four_space(data, rows):
     s = common_denominator(pts) // space.L
     assert [(n, c * s, w * s ** 2) for n, c, w in space.facets] == facets
     assert space.volume() == 0
+
+
+def test_only_rank_four_and_above_take_the_generic_loop(monkeypatch):
+    calls = []
+    monkeypatch.setattr(exactgeom, "_simplicial_hull",
+                        lambda pts, base: calls.append(len(pts[0])) or _simplicial_hull(pts, base))
+    cube = list(product((0, 1), repeat=3))
+    assert Polytope.hull(cube).volume() == 1
+    assert Polytope.hull([p + (sum(p),) for p in cube]).k == 3  # rank 3 in R^4
+    assert calls == []
+    assert Polytope.hull(list(product((0, 1), repeat=4))).volume() == 1
+    assert calls == [4]
 
 
 @seed(2024)

@@ -5,7 +5,12 @@ containment and witnesses.
 
 Times, per seeded input set:
 - hull+volume: `Polytope.hull` of 25 or 150 random rational points in R^2
-  and R^3, then `volume()`;
+  and R^3, of 5 in R^3 (the spatial bodies of perfbench's `geometry`), and
+  of the 8 corners of a random box in R^3 (`hull_volume.d3.box`, the shape
+  of the bodies of P^1 x P^1 x P^1), then `volume()`;
+- minkowski_sum.d3.n5_n5: the sum of two hulls of 5 points in R^3, the
+  hull of 25 vertex sums that `mixedvol` forms for three bodies, with the
+  Minkowski-sum memo cleared first;
 - mixed_volume.d3: V(K, K, L) of two 3D bodies of 5 and 30 points, and
   V(K, L, M) of three 3D bodies of 5 points each, with the Minkowski-sum
   memo cleared first, so a route that forms sums pays for them (the facet
@@ -77,6 +82,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SETS, ROUNDS, SEED, RUNS, REPEAT = 200, 3, 0, 5, 20
 CASES = [("hull_volume.d2.n25", 2, 25), ("hull_volume.d2.n150", 2, 150),
          ("hull_volume.d3.n25", 3, 25), ("hull_volume.d3.n150", 3, 150),
+         ("hull_volume.d3.n5", 3, 5), ("hull_volume.d3.box", 3, "box"),
+         ("minkowski_sum.d3.n5_n5", 3, "sum"),
          ("mixed_volume.d3.n5_n30", 3, None), ("mixed_volume.d3.three_bodies", 3, "three"),
          ("contains.d2", 2, "slice"), ("contains.d3", 3, "slice"),
          ("contains.d3.rank2", 3, "plane slice"), ("first_outside.d3", 3, "witness"),
@@ -120,18 +127,24 @@ def plane_points(rnd: random.Random, count: int) -> list[tuple]:
             for a, b in random_points(rnd, 2, count)]
 
 
+def box_corners(rnd: random.Random, dim: int) -> list[tuple]:
+    """The 2^dim corners of a random box with sides of nonzero length."""
+    while True:
+        lo, hi = random_points(rnd, dim, 2)
+        if all(a != b for a, b in zip(lo, hi)):
+            return list(product(*zip(lo, hi)))
+
+
 def equal_pair(hull, rnd: random.Random, dim: int, shape: str) -> tuple:
     """(Q, R, Q + R) for two random boxes with 2^dim vertices, or two random
     pentagons (hulls of 6 points with 5 vertices); the sum is the hull of
     the vertex sums."""
     def body():
-        while True:
-            if shape == "boxes":
-                lo, hi = random_points(rnd, dim, 2)
-                if all(a != b for a, b in zip(lo, hi)):
-                    return hull(list(product(*zip(lo, hi))))
-            elif len((pentagon := hull(random_points(rnd, dim, 6))).vertices) == 5:
-                return pentagon
+        if shape == "boxes":
+            return hull(box_corners(rnd, dim))
+        while len((pentagon := hull(random_points(rnd, dim, 6))).vertices) != 5:
+            pass
+        return pentagon
 
     q, r = body(), body()
     return q, r, hull([tuple(a + b for a, b in zip(u, v))
@@ -155,6 +168,17 @@ def time_case(exactgeom, dim: int, count: int | str | None, rnd: random.Random) 
                 exactgeom.minkowski_sum.cache_clear()
                 exactgeom.mixed_volume([k_body, k_body, l_body])
             return REPEAT
+    elif count == "box":  # the corners of a box
+        inputs = [box_corners(rnd, dim) for _ in range(SETS)]
+
+        def run(points):
+            hull(points).volume()
+    elif count == "sum":  # two bodies of 5 points
+        inputs = [tuple(hull(random_points(rnd, dim, 5)) for _ in range(2)) for _ in range(SETS)]
+
+        def run(bodies):
+            exactgeom.minkowski_sum.cache_clear()
+            exactgeom.minkowski_sum(*bodies)
     elif count == "three":  # three distinct bodies
         inputs = [tuple(hull(random_points(rnd, dim, 5)) for _ in range(3))
                   for _ in range(SETS)]

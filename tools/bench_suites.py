@@ -3,15 +3,16 @@
     python3 tools/bench_suites.py [--src DIR --label NAME]... [--out FILE]
 
 Each of RUNS runs calls `oklab verify --suite S --out TMP` once per source tree for
-each of the eight suites and for `all`, and one trivial request, `oklab mu
---testbed p2 --class 1,0,0 --flag cone:0,1 --out TMP`, under the name
-`startup`: the interpreter, the imports and little else.  Each call runs in
-a fresh interpreter with the caller's environment (PYTHONDONTWRITEBYTECODE
-included) and the tree's `src` directory on PYTHONPATH, so a time covers
-start-up, imports and cold caches.  Two trees (repeat `--src` and `--label`, in the
+each of the eight suites and for `all`.  One trivial request, `oklab mu
+--testbed p2 --class 1,0,0 --flag cone:0,1 --out TMP`, runs under the name
+`startup` in each of STARTUP_RUNS runs: the interpreter, the imports and
+little else, whose change of a few ms five runs do not resolve on a shared
+host.  Each call runs in a fresh interpreter with the caller's environment
+(PYTHONDONTWRITEBYTECODE included) and the tree's `src` directory on
+PYTHONPATH, so a time covers start-up, imports and cold caches.  Two trees (repeat `--src` and `--label`, in the
 same order) alternate call by call, and the order flips every run, so the
 speed phases of a shared host fall on both alike.  A call reports the
-median and quartiles of its RUNS times in seconds and the sha256 of its
+median and quartiles of its times in seconds and the sha256 of its
 report, which must be the same in every run of a tree.  The results go to
 FILE (default BENCH_suites.json at the repo root) under `runs[NAME]`, next
 to the runs already there.  Standard library only.
@@ -32,7 +33,7 @@ from statistics import quantiles
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-RUNS = 5
+RUNS, STARTUP_RUNS = 5, 21
 SUITES = ("additivity", "slices", "replay", "prop14", "cor13", "lemma61", "cor15", "lx", "all")
 CALLS = {**{s: ("verify", "--suite", s) for s in SUITES},
          "startup": ("mu", "--testbed", "p2", "--class", "1,0,0", "--flag", "cone:0,1")}
@@ -68,11 +69,13 @@ def main(argv=None) -> int:
     digests = {label: {} for label in labels}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
-        for run in range(RUNS):
+        for run in range(STARTUP_RUNS):
             trees = list(zip(labels, srcs))
             if run % 2:
                 trees.reverse()
             for suite, call in CALLS.items():
+                if run >= (STARTUP_RUNS if suite == "startup" else RUNS):
+                    continue
                 for label, src in trees:
                     seconds, digest = time_call(src, call, out)
                     if digests[label].setdefault(suite, digest) != digest:
@@ -89,7 +92,8 @@ def main(argv=None) -> int:
                              "q3_s": round(q3, 3), "times_s": [round(t, 3) for t in ts],
                              "sha256": digests[label][suite]}
         data.setdefault("runs", {})[label] = {
-            "runs": RUNS, "alternated_with": [x for x in labels if x != label],
+            "runs": RUNS, "startup_runs": STARTUP_RUNS,
+            "alternated_with": [x for x in labels if x != label],
             "python": platform.python_version(), "machine": platform.machine(),
             "suites": suites}
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
