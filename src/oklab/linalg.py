@@ -141,10 +141,6 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-def common_denominator(points: Iterable[Sequence[Fraction]]) -> int:
-    return lcm(*(x.denominator for p in points for x in p))
-
-
 def interpolate(values: Sequence[Fraction]) -> list[Fraction]:
     """Coefficients c_0..c_{n-1} of the polynomial of degree < n that takes
     values[s] at s = 0..n-1, exactly (Lagrange basis on the integer nodes).

@@ -407,19 +407,6 @@ class NumClassSpace:
     def is_big(self, y) -> bool:
         return all(sum(map(mul, g, y)) > 0 for g in self.eff_rows)
 
-    def boundary_membership(self, y) -> str:
-        """Exact trichotomy against the pseudo-effective cone."""
-        low = min(sum(map(mul, g, y)) for g in self.eff_rows)
-        return "outside" if low < 0 else "boundary" if low == 0 else "interior"
-
-    def segment_on_boundary(self, a, b) -> bool:
-        """Whether the segment [a, b] lies on the pseudo-effective boundary.  Each
-        facet pairing is linear along it and nonnegative at boundary ends, so it
-        does iff both ends are boundary classes and one facet row vanishes at both."""
-        return (self.boundary_membership(a) == self.boundary_membership(b) == "boundary"
-                and any(not sum(map(mul, g, a)) and not sum(map(mul, g, b))
-                        for g in self.eff_rows))
-
     def interval(self, rows, m_class, e_class) -> tuple:
         """(lo, hi) with every row positive on M - t E iff lo < t < hi, for classes (y, q):
         big on `eff_rows`, ample on `nef_rows`; -inf or inf on an open side, (inf, -inf) if

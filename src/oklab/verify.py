@@ -1,8 +1,8 @@
 """Batch verification suites over the shipped testbeds.
 
-Each suite runs one family of checks (theorem sweep, slice formulas,
-boundary-cone condition, proof replay, the inequality batteries) over the
-testbeds of a `RunConfig` and returns a flat list of record dicts.  A
+Each suite runs one family of checks (theorem sweep, slice formulas, the
+necessary condition that mu adds, proof replay, the inequality batteries)
+over the testbeds of a `RunConfig` and returns a flat list of record dicts.  A
 config holds only what a run varies: the testbeds, the denominator of the
 parameter grids and the seed of the randomized batteries.  Records are
 pure data (rationals stay Fractions until serialization) and carry a

@@ -11,17 +11,23 @@ over one denominator; `interpolate` adds up the Lagrange terms in Fractions.
 The package spans P_D by integer points over one denominator;
 `subset_loop_polytope` solves every d facet equations in Fractions.  The
 package builds a body's halfspaces on integers and divides once;
-`adjugate_halfspaces` builds each entry as a Fraction.
+`adjugate_halfspaces` builds each entry as a Fraction.  The package
+decides the necessary condition by whether mu adds; `segment_on_boundary`
+tests the pseudo-effective boundary it stands for, row by row.
 """
 
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations, product
-from math import prod
+from math import lcm, prod
 
 from oklab.exactgeom import Polytope
 from oklab.linalg import adjugate, dot
 from oklab.toric import _monomial
+
+
+def common_denominator(points):
+    return lcm(*(x.denominator for p in points for x in p))
 
 
 def rref(rows):
@@ -142,3 +148,17 @@ def adjugate_halfspaces(body):
             normal[col] = Fraction(x)
         ineqs.append((tuple(normal), Fraction(c, body.L)))
     return eqs, ineqs
+
+
+def boundary_membership(classes, y):
+    """Exact trichotomy of the class y against the pseudo-effective cone."""
+    low = min(dot(g, y) for g in classes.eff_rows)
+    return "outside" if low < 0 else "boundary" if low == 0 else "interior"
+
+
+def segment_on_boundary(classes, a, b):
+    """Whether the segment [a, b] lies on the pseudo-effective boundary.  Each
+    facet pairing is linear along it and nonnegative at boundary ends, so it
+    does iff both ends are boundary classes and one facet row vanishes at both."""
+    return (boundary_membership(classes, a) == boundary_membership(classes, b) == "boundary"
+            and any(not dot(g, a) and not dot(g, b) for g in classes.eff_rows))

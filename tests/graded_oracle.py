@@ -13,9 +13,9 @@ from fractions import Fraction
 from itertools import product
 from math import ceil, floor
 
-from fraction_oracle import solve
+from fraction_oracle import common_denominator, solve
 from oklab.exactgeom import Polytope
-from oklab.linalg import common_denominator, dot, vec
+from oklab.linalg import dot, vec
 from oklab.toric import polytope_of_divisor
 
 

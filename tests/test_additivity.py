@@ -3,11 +3,13 @@
 import json
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from fraction_oracle import rref, solve
+from blowups import seeded_blown_up_fans
+from fraction_oracle import boundary_membership, rref, segment_on_boundary, solve
 from hull_oracle import union_hull_contains
 from oklab.additivity import (
     AdditivityVerdict,
@@ -393,17 +395,24 @@ def test_necessary_condition_worked_example():
     rep = necessary_condition_check(cone.member(1, 2), cone.member(2, 1), flag)
     assert rep["ok"] and rep["verdict"] == "equal"
     assert (rep["mu_L"], rep["mu_M"], rep["mu_sum"]) == (1, 2, 3)
-    assert rep["L_shift"] == (0, 2) and rep["M_shift"] == (0, 1)
-    assert rep["segment_on_boundary"]
+    e_div = flag.divisor_of_y1()
+    lshift = (cone.member(1, 2) - e_div.scaled(rep["mu_L"])).cls
+    mshift = (cone.member(2, 1) - e_div.scaled(rep["mu_M"])).cls
+    assert lshift == (0, 2) and mshift == (0, 1)
+    assert segment_on_boundary(fan.classes, lshift, mshift)
 
 
 def test_necessary_condition_rank_one():
     p2 = testbed("p2")
     flag = AdmissibleFlag(p2, (1, 2))
-    rep = necessary_condition_check(TDivisor(p2, (1, 0, 0)),
-                                    TDivisor(p2, (2, 0, 0)), flag)
+    l_div, m_div = TDivisor(p2, (1, 0, 0)), TDivisor(p2, (2, 0, 0))
+    rep = necessary_condition_check(l_div, m_div, flag)
     assert rep["ok"]
-    assert rep["L_shift"] == (0,) and rep["M_shift"] == (0,)
+    e_div = flag.divisor_of_y1()
+    lshift, mshift = ((n - e_div.scaled(rep[k])).cls
+                      for n, k in ((l_div, "mu_L"), (m_div, "mu_M")))
+    assert lshift == (0,) and mshift == (0,)
+    assert segment_on_boundary(p2.classes, lshift, mshift)
 
 
 def test_necessary_condition_requires_ample():
@@ -432,8 +441,64 @@ def test_segment_on_boundary_matches_the_grid():
             for b in ends:
                 points = [tuple(F(k, 12) * x + (1 - F(k, 12)) * y for x, y in zip(a, b))
                           for k in range(13)]
-                grid = all(classes.boundary_membership(p) == "boundary" for p in points)
-                assert classes.segment_on_boundary(a, b) == grid
+                grid = all(boundary_membership(classes, p) == "boundary" for p in points)
+                assert segment_on_boundary(classes, a, b) == grid
+
+
+def _minimising_rows(classes, d, e):
+    """mu(D; E) as the least (g.D)/(g.E) over the rows g of `eff_rows` with
+    g.E > 0, and the set of rows that attain it."""
+    ratios = {g: F(sum(map(mul, g, d)), sum(map(mul, g, e))) for g in classes.eff_rows
+              if sum(map(mul, g, e)) > 0}
+    low = min(ratios.values())
+    return low, {g for g, r in ratios.items() if r == low}
+
+
+def _boundary_condition(fan, l, m, e):
+    """The condition on the ample classes (L, M) by three routes, which must
+    agree: mu(.; E) adds, the segment between the shifts D - mu(D; E) E lies
+    on the pseudo-effective boundary, and one row attains both minima."""
+    classes = fan.classes
+    mus, rows = [], []
+    for d in (l, m, tuple(a + b for a, b in zip(l, m))):
+        low, attained = _minimising_rows(classes, d, e)
+        assert toric.mu(fan, classes.divisor_from_class(d), e) == low
+        mus.append(low)
+        rows.append(attained)
+    additive = mus[2] == mus[0] + mus[1]
+    shifts = [tuple(a - s * b for a, b in zip(d, e)) for d, s in ((l, mus[0]), (m, mus[1]))]
+    assert segment_on_boundary(classes, *shifts) == additive
+    assert bool(rows[0] & rows[1]) == additive
+    return additive
+
+
+def test_mu_additivity_is_the_boundary_condition():
+    # seeded ample pairs of the testbeds and of blown-up fans, with E = D_1 of
+    # the flags (every ray divisor, as its integer class) and with E the ample
+    # class; rows tie at L = E and at shifts on faces of codimension >= 2
+    rnd = random.Random(31)
+    fans = [testbed(name) for name in testbed_names()] + list(seeded_blown_up_fans(10, 5))
+    with_ample = []
+    for fan in fans:
+        classes, ample = fan.classes, fan.classes.ample_class
+        draws = [ample]
+        for _ in range(5):
+            c, w = rnd.randint(1, 3), [rnd.randint(0, 2) for _ in classes.nef_rays]
+            draws.append(tuple(c * a + sum(x * r[k] for x, r in zip(w, classes.nef_rays))
+                               for k, a in enumerate(ample)))
+        for e, is_ample in [(y, False) for y, _ in classes.ray_classes] + [(ample, True)]:
+            for i, l in enumerate(draws):
+                for m in draws[i:]:
+                    answer = _boundary_condition(fan, l, m, e)
+                    # one answer on the whole open cone spanned by L and M
+                    for k, j in ((2, 1), (1, 3)):
+                        assert _boundary_condition(fan, tuple(k * a for a in l),
+                                                   tuple(j * b for b in m), e) == answer
+                    if is_ample:
+                        with_ample.append(answer)
+                    else:
+                        assert answer  # mu(.; D_1) is linear on the nef cone
+    assert set(with_ample) == {True, False}
 
 
 # --- sweeps ----------------------------------------------------------------------

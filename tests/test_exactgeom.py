@@ -9,7 +9,7 @@ from operator import mul
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from fraction_oracle import adjugate_halfspaces, nullspace, rref, solve
+from fraction_oracle import adjugate_halfspaces, common_denominator, nullspace, rref, solve
 from hull_oracle import all_pairs_slice, cofactor_det, simplicial_hull, union_hull_contains
 from oklab import exactgeom
 from oklab.exactgeom import (
@@ -26,8 +26,7 @@ from oklab.exactgeom import (
     slice_at,
     slice_vertices,
 )
-from oklab.linalg import (adjugate, common_denominator, cross_normal_int, dot,
-                          independent_rows, integer_row)
+from oklab.linalg import adjugate, cross_normal_int, dot, independent_rows, integer_row
 
 
 def rank(rows):

@@ -1,5 +1,6 @@
 """The package's public names: every `__all__` entry and every name that
-`oklab/__init__.py` re-exports is defined; and what importing it loads."""
+`oklab/__init__.py` re-exports is defined, and every public function has a
+caller outside the tests; and what importing it loads."""
 
 import ast
 import importlib
@@ -104,6 +105,35 @@ def test_no_module_reads_a_private_attribute_of_another():
              and _private(node.attr) and node.attr not in defined[name]
              for other in MODULES if node.attr in defined[other]]
     assert reads == []
+
+
+def _loads(tree):
+    """(top-level statement, name) for every name a module reads, bare or
+    as an attribute of a name (`toric.mu`), under the statement that reads it."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield top, node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                yield top, node.attr
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a helper that only tests call belongs in tests/: each public top-level
+    # function of the package is used by the package or by perfbench/, apart
+    # from its own def, `__all__` (strings) and the re-exports of __init__.py
+    package = Path(oklab.__file__).parent
+    trees = {path: ast.parse(path.read_text()) for path in
+             [package / f"{name}.py" for name in MODULES]
+             + sorted((package.parent.parent / "perfbench").glob("*.py"))}
+    used = {(name, getattr(top, "name", None), path) for path, tree in trees.items()
+            for top, name in _loads(tree)}
+    uncalled = [f"{path.stem}.{top.name}" for path, tree in trees.items()
+                if path.parent == package for top in tree.body
+                if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")
+                and not any(name == top.name and (owner, where) != (top.name, path)
+                            for name, owner, where in used)]
+    assert uncalled == []
 
 
 # stdlib modules that would cost every cold `oklab` call milliseconds of import

