@@ -15,7 +15,7 @@ mathematics) is broken, and aborts the run with InclusionViolationError.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 from .exactgeom import Polytope, minkowski_sum, slice_at, sum_relation
@@ -155,13 +155,15 @@ class AdditivityVerdict:
         return type(other) is AdditivityVerdict and vars(self) == vars(other)
 
 
+@lru_cache(maxsize=4096)
 def compare_additive_bodies(body1: Polytope, body2: Polytope,
                             body_sum: Polytope) -> AdditivityVerdict:
     """Verdict on body_sum vs body1 + body2, the hard inclusion included,
     decided by `sum_relation` with no Minkowski sum.  Only a strict pair
     forms the sum, for its witness: a vertex of body_sum with one violated
     halfspace (or affine-hull equality) of the sum, which a reader can
-    re-check independently."""
+    re-check independently.  Memoised on the bodies by value, as `minkowski_sum`
+    is: `verify.suite_prop14` decides again the pairs of `suite_additivity`."""
     status = sum_relation(body_sum, body1, body2)
     if status == "outside":
         raise InclusionViolationError("Minkowski sum not contained in the body of the sum")

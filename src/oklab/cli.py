@@ -243,11 +243,13 @@ def _parse_divisor(fan: Fan, text: str) -> TDivisor:
             parts = json.loads(text)["coeffs"]
         else:
             parts = [p for p in text.split(",") if p != ""]
-        coeffs = [parse_rational(p) for p in parts]
+        # a signed run of digits is read by int(), as by Fraction(): an integer class stays on ints
+        coeffs = [p if type(p) is int else int(p) if type(p) is str and (s := p.strip())[
+            s[:1] in "+-":].isdecimal() else parse_rational(p) for p in parts]
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad divisor {text!r}: {exc}") from exc
     if fan.dim == 1 and len(coeffs) == 1:
-        coeffs = [Fraction(0), coeffs[0]]  # curve shorthand: a degree
+        coeffs = [0, coeffs[0]]  # curve shorthand: a degree
     if len(coeffs) != len(fan.rays):
         raise ConfigError(
             f"{fan.name} has {len(fan.rays)} rays, got {len(coeffs)} coefficients")

@@ -20,11 +20,11 @@ k = 3, which every body, mixed volume and sum in R^3 takes; the generic
 loop runs only for k >= 4 (bodies in R^4 and above, and the cone facets
 of class groups of rank >= 4).  Facets, volume and vertices come out of
 that one pass and are kept with the body, and so are its edges, once read
-off the facet incidences.  Every body is built by that integer hull
-(`integer_hull`); `Polytope.hull` is the only place where rational points
-are scaled to integers, and the other operations scale only their
-rational argument (a shift, a scale factor, a slice level).  Scaling
-keeps the hull data of its argument and shares its edges; a slice is one crossing per edge.
+off the facet incidences.  `integer_hull` builds every body but the scaled,
+translated and embedded copies, which keep their source's hull data, moved,
+and its edges; `Polytope.hull` alone scales rational points to integers.  A
+slice reads one cell of its body, kept per vertex level and per gap between
+levels from the first slice there on: the vertices there and a crossing per edge.
 The same data give each body one integer H-representation, built on
 demand: an affine-hull equality per free column and an inequality per
 facet (Minkowski-Weyl).  Containment, the witnesses of `first_outside`,
@@ -45,6 +45,7 @@ of up to all d bodies, is the independent route that checks them.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -337,7 +338,7 @@ class Polytope:
     over L, the least common denominator of their coordinates, kept with the
     hull data of those points (see `integer_hull`) and its edges."""
 
-    __slots__ = ("dim", "L", "ipts", "k", "rows", "cols", "facets", "_volume", "_edges")
+    __slots__ = ("dim", "L", "ipts", "k", "rows", "cols", "facets", "_volume", "_edges", "_cells")
 
     def __init__(self, dim: int, L: int, ipts, hull, _trusted=False):
         """hull = (k, echelon rows, pivot columns, facets, volume) of the
@@ -356,7 +357,7 @@ class Polytope:
             facets = [(n, c // g, w // g ** (k - 1)) for n, c, w in facets]
         self.dim, self.L, self.ipts = dim, L, tuple(ipts)
         self.k, self.rows, self.cols, self.facets, self._volume = k, rows, cols, facets, volume
-        self._edges = None
+        self._edges = self._cells = None
 
     # -- constructors ------------------------------------------------------
 
@@ -492,22 +493,24 @@ class Polytope:
 
     def translate(self, offset) -> "Polytope":
         """P + offset: the vertices shifted on integers over lcm(L, denominator
-        of the offset), with one hull and no Minkowski sum."""
+        of the offset), with P's hull data (`_moved`): no hull and no Minkowski sum."""
         o = [rat(x).as_integer_ratio() for x in offset]
         if len(o) != self.dim:
             raise DimensionMismatch("translation of a different ambient dimension")
         L = lcm(self.L, *(b for _, b in o))
         s, t = L // self.L, [a * (L // b) for a, b in o]
-        return integer_hull(self.dim, L, [tuple(s * x + y for x, y in zip(p, t))
-                                          for p in self.ipts])
+        moved = [tuple(s * x + y for x, y in zip(v, t)) for v in self.ipts]
+        return _moved(self, self.dim, L, moved, s, [t[c] for c in self.cols or ()], self.rows,
+                      self.cols, self._volume)
 
     def embed_prefix(self, value) -> "Polytope":
-        """{value} x P inside R^{d+1}."""
+        """{value} x P inside R^{d+1}, with P's hull data moved one column on."""
         t = rat(value)
         L = lcm(self.L, t.denominator)
         head, s = t.numerator * (L // t.denominator), L // self.L
-        return integer_hull(self.dim + 1, L, [(head,) + tuple(s * x for x in p)
-                                              for p in self.ipts])
+        return _moved(self, self.dim + 1, L, [(head, *(s * x for x in p)) for p in self.ipts], s,
+                      (), [(0, *e) for e in self.rows or ()], [c + 1 for c in self.cols or ()],
+                      Fraction(0))
 
     def to_json(self):
         L = self.L
@@ -562,9 +565,7 @@ def sum_relation(p: Polytope, q: Polytope, r: Polytope) -> str:
 def scale(p: Polytope, c) -> Polytope:
     """{c x : x in P} for rational c >= 0.
 
-    For c = a/b > 0 the hull data carry over: the affine rank, echelon rows,
-    pivot columns stay, each facet (n, f, w) becomes (n, a f, a^(k-1) w)
-    over b L, the volume gains the factor c^d, and P and c P share one edge set.
+    For c = a/b > 0 the hull data carry over (`_moved`), the volume times c^d.
     """
     c = rat(c)
     if c < 0:
@@ -572,11 +573,19 @@ def scale(p: Polytope, c) -> Polytope:
     if not c or p.is_empty():  # the hull of the origin, or of no point
         return integer_hull(p.dim, 1, [(0,) * p.dim for _ in p.ipts[:1]])
     a = c.numerator
-    out = Polytope(p.dim, p.L * c.denominator, [tuple(a * x for x in v) for v in p.ipts],
-                   (p.k, p.rows, p.cols,
-                    [(n, a * f, a ** (p.k - 1) * w) for n, f, w in p.facets],
-                    p._volume * c ** p.dim), _trusted=True)
-    out._edges = p._edges or p  # c > 0 keeps the vertex order: P's edges, or P to build them
+    return _moved(p, p.dim, p.L * c.denominator, [tuple(a * x for x in v) for v in p.ipts],
+                  a, (), p.rows, p.cols, p._volume * c ** p.dim)
+
+
+def _moved(p: Polytope, dim, L, ipts, s, t, rows, cols, volume) -> Polytope:
+    """The points ipts / L, P's vertices in order under x -> s x + t (s > 0, t on the pivot
+    columns), with P's rank, facets (n, s c + n.t, s^(k-1) w) and edges, as `integer_hull` has."""
+    if p.is_empty():
+        return Polytope.empty(dim)
+    out = Polytope(dim, L, ipts, (p.k, rows, cols, [
+        (n, s * c + sum(map(mul, n, t)), s ** (p.k - 1) * w) for n, c, w in p.facets], volume),
+        _trusted=True)
+    out._edges = p._edges or p  # the vertex order is kept: P's edges, or P to build them
     return out
 
 
@@ -697,23 +706,30 @@ def mixed_volume_by_polarization(bodies) -> Fraction:
 
 
 def slice_vertices(p: Polytope, t) -> tuple[int, list]:
-    """(L, points): the vertices of {x in R^(d-1) : (t, x) in P}, sorted
-    integer points over L with no common factor.  With h(u) = u_0 t_den -
-    t_num p.L they are the vertices u with h(u) = 0 and the crossing
-    (h(w) u - h(u) w) / (h(w) - h(u)) of each edge uw with h(u) h(w) < 0
-    (Ziegler, Lectures on Polytopes, 1995), over one denominator m p.L."""
+    """(L, points): the vertices of {x in R^(d-1) : (t, x) in P}, sorted integer points over
+    L with no common factor: the tails u' of the vertices at T = t p.L and the crossing of each
+    edge uw with u_0 < T < w_0 (Ziegler, Lectures on Polytopes, 1995).  P keeps a cell per level
+    and gap, built on first use: m = lcm(w_0 - u_0), m u' and (A, B) per crossing edge uw."""
     if p.dim < 2:
         raise ValueError("slice needs ambient dimension >= 2")
     t, vs = rat(t), p.ipts
-    h = [v[0] * t.denominator - t.numerator * p.L for v in vs]
-    cross = [(i, j) for i, j in p.edges() if h[i] * h[j] < 0]
-    m = lcm(*{abs(h[j] - h[i]) for i, j in cross})
-    pts = [tuple(m * x for x in v[1:]) for a, v in zip(h, vs) if a == 0]
-    for i, j in cross:
-        f = m // (h[j] - h[i])
-        pts.append(tuple(f * (h[j] * x - h[i] * y) for x, y in zip(vs[i][1:], vs[j][1:])))
-    g = gcd(m * p.L, *(x for q in pts for x in q))
-    return m * p.L // g, sorted(tuple(x // g for x in q) for q in pts)
+    n, den = t.numerator * p.L, t.denominator
+    if p._cells is None:  # the first coordinates of the sorted vertices, and the cells
+        p._cells = [v[0] for v in vs], {}
+    xs, cells = p._cells  # vs[lo:hi] lie at T, those before below it, those after above
+    key = lo, hi = bisect_left(xs, -(-n // den)), bisect_right(xs, n // den)
+    if (cell := cells.get(key)) is None:
+        cross = [(vs[i], vs[j]) for i, j in p.edges() if i < lo and hi <= j]  # i < j
+        m = lcm(*(w[0] - u[0] for u, w in cross))
+        cell = cells[key] = m, [[m * x for x in v[1:]] for v in vs[lo:hi]], [
+            ([f * (w[0] * x - u[0] * y) for x, y in zip(u[1:], w[1:])],  # A
+             [f * (x - y) for x, y in zip(u[1:], w[1:])])  # B
+            for u, w in cross for f in (m // (w[0] - u[0]),)]
+    m, at, crossings = cell
+    pts = sorted([[den * x for x in v] for v in at]  # the crossings (den A - n B) / (den m)
+                 + [[den * a - n * b for a, b in zip(A, B)] for A, B in crossings])
+    g = gcd(den * m * p.L, *(x for q in pts for x in q))
+    return den * m * p.L // g, [tuple([x // g for x in q]) for q in pts]
 
 
 def slice_at(p: Polytope, t) -> Polytope:

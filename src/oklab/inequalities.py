@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial, gcd
 
 from .exactgeom import (Polytope, minkowski_sum, mixed_volume,
@@ -101,6 +101,12 @@ class DeltaMap(ConeCLM):
         super().__init__(L, M)
         self.flag, self.body_l, self.body_m = flag, body_l, body_m
 
+    @cached_property
+    def mixed_volumes(self) -> tuple:
+        """V(Delta(L)^k, Delta(M)^(d-k)), k = 0..d, formed once for `check_cor13`."""
+        d, bl, bm = self.fan.dim, self.body_l.body, self.body_m.body
+        return tuple(mixed_volume([bl] * k + [bm] * (d - k)) for k in range(d + 1))
+
 
 def delta_map(l_div: TDivisor, m_div: TDivisor, flag: AdmissibleFlag) -> DeltaMap:
     fan = flag.fan
@@ -125,9 +131,7 @@ def check_cor13(dmap: DeltaMap, divisors) -> tuple[bool, dict]:
     divisors = list(divisors)
     if len(divisors) != d:
         raise ValueError(f"need exactly {d} classes")
-    decomps = [dmap.coordinates(n) for n in divisors]
-    mixed = [mixed_volume([dmap.body_l.body] * k + [dmap.body_m.body] * (d - k))
-             for k in range(d + 1)]
+    decomps, mixed = [dmap.coordinates(n) for n in divisors], dmap.mixed_volumes
     rhs = Fraction(0)
     for picks in product((0, 1), repeat=d):
         coeff = Fraction(1)

@@ -4,11 +4,11 @@ For the invariant flag of a smooth cone with ordered rays v_1, ..., v_d
 the body of a big divisor D = sum a_rho D_rho is the image of its section
 polytope, Delta(D) = phi(P_D) with phi(u) = (<u, v_i> + a_{v_i})_i
 (Lazarsfeld-Mustata 2009, Prop. 6.1).  phi is a unimodular affine map, the
-flag's: `AdmissibleFlag.section_image` sends the integer points spanning
-P_D onto points spanning the body, so each body is one integer hull of
-their images.  The body depends only on the class of D and Delta(c D) =
-c Delta(D) for c > 0 (ibid., Prop. 4.1), so each ray of classes takes one
-hull per flag (`_ray_body`).  This module keeps only bodies and their
+flag's: `AdmissibleFlag.section_image` sends the integer points spanning P_D
+onto points spanning the body (for nef D, one per maximal cone from one table
+per flag), so each body is one integer hull.  The body depends only on the
+class of D and Delta(c D) = c Delta(D) for c > 0 (ibid., Prop. 4.1), so each ray
+of classes takes one hull per flag (`_ray_body`).  This module keeps only bodies and their
 certificates (`NOBody`); cone intervals are `NumClassSpace.interval`.
 
 A body is certified once, where it is hulled: for a nef class d! vol(body)
@@ -21,11 +21,11 @@ So a body is flagged exact exactly when its class is nef.  Big classes
 outside the nef cone have no such volume oracle here and come back flagged
 inexact; the checkers that accept big classes refuse those.
 
-The slice formula Delta(M) & {nu_1 = t} = {t} x Delta_{Y_1}((M - t Y_1)|_{Y_1})
-is checked on a grid of t at once (`slice_formula_checks`) from one interval of t
-with M - t Y_1 ample (`ample_interval`, the class interval on the Kleiman rows) and
-one class line r(M) - t r(Y_1) per case, restriction being linear: no divisor and no
-polytope per t.
+The slice formula Delta(M) & {nu_1 = t} = {t} x Delta_{Y_1}((M - t Y_1)|_{Y_1}) is
+checked on a grid of t at once (`slice_formula_checks`) from one interval of t with
+M - t Y_1 ample (`ample_interval`, the class interval on the Kleiman rows) and one class
+line r(M) - t r(Y_1) per case, restriction being linear, and each slice reads the cell
+of its level that the body keeps: no divisor, no polytope and no scan of the body per t.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from .exactgeom import Polytope, integer_hull, scale, slice_at, slice_vertices
+from .linalg import rat
 from .toric import (
     AdmissibleFlag,
     TDivisor,
@@ -172,7 +173,7 @@ def slice_formula_checks(divisor: TDivisor, flag: AdmissibleFlag, ts) -> list:
     line r(M) - t r(Y_1); only the smallest and largest t are range-checked.  Each right
     side is c times the ray body of the line's primitive vector; a divisor is built per t
     only on a ray miss or for a failing t's witness."""
-    fan, y1, ts = flag.fan, flag.divisor_of_y1(), [Fraction(t) for t in ts]
+    fan, y1, ts = flag.fan, flag.divisor_of_y1(), [rat(t) for t in ts]
     endpoint = mu(fan, divisor, y1)
     ends = [min(ts), max(ts)] if ts else []  # both ranges are intervals
     if outside := [t for t in ends if not 0 <= t < endpoint]:
@@ -186,11 +187,13 @@ def slice_formula_checks(divisor: TDivisor, flag: AdmissibleFlag, ts) -> list:
     sm = star_model(flag)
     rm, ry, star = sm.restrict_divisor(divisor), sm.restrict_divisor(y1), sm.star_flag
     (ym, qm), (yy, qy) = rm.num_class, ry.num_class
+    rays = {}  # the ray bodies by primitive vector, for the rays of this line
 
     def check(t):
         line = [a * qy * t.denominator - t.numerator * b * qm for a, b in zip(ym, yy)]
         g = gcd(*line) or 1  # the class is line / (t.den qm qy), so c = g / (t.den qm qy)
-        rb = _ray_body(tuple(a // g for a in line), star).body
+        prim = tuple(a // g for a in line)
+        rb = rays.get(prim) or rays.setdefault(prim, _ray_body(prim, star).body)
         L, pts = slice_vertices(nb.body, t)
         a, b = g * L, t.denominator * qm * qy * rb.L  # pts / L = c ray iff b pts = a ray
         if [[b * x for x in u] for u in pts] == [[a * y for y in v] for v in rb.ipts]:

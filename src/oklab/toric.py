@@ -302,10 +302,23 @@ class AdmissibleFlag:
         return tuple(sum(map(mul, rays[i], p)) + s * ints[i] for i in self.ray_indices)
 
     def section_image(self, divisor: TDivisor) -> tuple[int, list]:
-        """(L, phi of `section_points`): integer points over L spanning phi(P_D)."""
-        L, points = section_points(self.fan, divisor)
-        a, s = divisor.ints, L // divisor.den
-        return L, [self.phi(p, a, s) for p in points]
+        """(L, phi of `section_points`): integer points over L spanning phi(P_D), for
+        nef D one phi(m_sigma) = a_f + R_sigma a_sigma per maximal cone (`_cone_images`)."""
+        a = divisor.ints
+        if not self.fan.classes.is_nef(divisor.num_class[0]):
+            L, points = section_points(self.fan, divisor)
+            return L, [self.phi(p, a, L // divisor.den) for p in points]
+        return divisor.den, [tuple(a[f] + sum(a[i] * x for i, x in zip(sigma, row))
+                                   for f, row in zip(self.ray_indices, rows))
+                             for sigma, rows in _cone_images(self)]
+
+
+@cache
+def _cone_images(flag: AdmissibleFlag) -> tuple:
+    """(sigma, R_sigma) per maximal cone, R_sigma[k][i] = -<m_i(sigma), v_{f_k}>, memoised."""
+    fan = flag.fan
+    return tuple((sigma, [[-sum(map(mul, m, fan.rays[f])) for m in fan.dual_bases[sigma]]
+                          for f in flag.ray_indices]) for sigma in fan.max_cones)
 
 
 # ---------------------------------------------------------------------------

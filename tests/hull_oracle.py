@@ -9,7 +9,9 @@ active at each corner, so the tests can check the fast hull against it.
 The package decides containment on a body's integer H-representation;
 `union_hull_contains` decides it by one hull of both vertex sets instead.
 The package slices a body through its edges; `all_pairs_slice` crosses
-every pair of vertices on opposite sides of the hyperplane instead.
+every pair of vertices on opposite sides of the hyperplane instead, and
+`edge_scan_slice` scans every vertex and edge at each level instead of
+reading the cell of the level that the body keeps.
 """
 
 from collections import Counter
@@ -149,3 +151,20 @@ def all_pairs_slice(body, t):
             f = m // (b - a)
             pts.append(tuple(f * (b * x - a * y) for x, y in zip(u, w)))
     return m * body.L, pts
+
+
+def edge_scan_slice(p, t):
+    """(L, points) as `slice_vertices` gives them, by one scan per level:
+    with h(u) = u_0 t_den - t_num L, the vertices u with h(u) = 0 and the
+    crossing (h(w) u - h(u) w) / (h(w) - h(u)) of each edge uw with
+    h(u) h(w) < 0, over one denominator m L, divided by their gcd and sorted."""
+    t, vs = Fraction(t), p.ipts
+    h = [v[0] * t.denominator - t.numerator * p.L for v in vs]
+    cross = [(i, j) for i, j in p.edges() if h[i] * h[j] < 0]
+    m = lcm(*{abs(h[j] - h[i]) for i, j in cross})
+    pts = [tuple(m * x for x in v[1:]) for a, v in zip(h, vs) if a == 0]
+    for i, j in cross:
+        f = m // (h[j] - h[i])
+        pts.append(tuple(f * (h[j] * x - h[i] * y) for x, y in zip(vs[i][1:], vs[j][1:])))
+    g = gcd(m * p.L, *(x for q in pts for x in q))
+    return m * p.L // g, sorted(tuple(x // g for x in q) for q in pts)

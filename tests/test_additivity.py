@@ -421,6 +421,20 @@ def test_necessary_condition_requires_ample():
         necessary_condition_check(cone.L, cone.member(1, 1), flag)
 
 
+def test_a_decided_pair_is_not_decided_again(monkeypatch):
+    # prop14 after the additivity sweep: the memo answers, and the verdict is the same
+    fan, flag, cone = setup_p1xp1()
+    n1, n2 = cone.member(1, 2), cone.member(3, 1)
+    verdict = check_additivity(n1, n2, flag)
+
+    def forbidden(*args):
+        raise AssertionError("sum_relation called")
+
+    monkeypatch.setattr(additivity, "sum_relation", forbidden)
+    assert check_additivity(n1, n2, flag) is verdict
+    assert necessary_condition_check(n1, n2, flag)["verdict"] == verdict.status == "equal"
+
+
 def test_segment_on_boundary_matches_the_grid():
     # pairs of boundary classes M - mu(M; E) E, on one facet or on two
     rnd = random.Random(11)

@@ -257,6 +257,20 @@ def test_json_object_divisor_and_flag_forms(capsys):
     assert body["flag"] == [1, 2] and body["exact"] is True
 
 
+def test_integer_class_text_stays_on_integers(capsys, monkeypatch):
+    # plain integers, signed or padded, in text or JSON, never reach parse_rational;
+    # other rationals still do, and the divisor is the same
+    fan, seen = testbed("p2"), []
+    real = cli.parse_rational
+    monkeypatch.setattr(cli, "parse_rational", lambda p: seen.append(p) or real(p))
+    for text in ("2,0,1", " +2 ,-0, 1", '{"coeffs": [2, 0, 1]}', "4/2,0/3,1"):
+        assert cli._parse_divisor(fan, text) == cli._parse_divisor(fan, "2,0,1")
+    assert seen == ["4/2", "0/3"]
+    for text in ("2,+-1,0", "2,x,0", "2,1_,0", "2,1.5.0,0", '{"coeffs": [true, 0, 1]}'):
+        with pytest.raises(cli.ConfigError):
+            cli._parse_divisor(fan, text)
+
+
 # the options each command reads; argparse refuses every other one
 COMMAND_OPTIONS = {
     "body": ["--catalog", "--class", "--flag", "--format", "--out", "--testbed"],

@@ -3,14 +3,15 @@
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
-from math import factorial
+from math import ceil, factorial, floor
 from operator import mul
 
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from fraction_oracle import adjugate_halfspaces, common_denominator, nullspace, rref, solve
-from hull_oracle import all_pairs_slice, cofactor_det, simplicial_hull, union_hull_contains
+from hull_oracle import (all_pairs_slice, cofactor_det, edge_scan_slice, simplicial_hull,
+                         union_hull_contains)
 from oklab import exactgeom
 from oklab.exactgeom import (
     DimensionMismatch,
@@ -601,6 +602,49 @@ def test_slice_through_the_edges_matches_the_all_pairs_oracle(d, data):
     assert sliced == oracle
     assert (sliced.k, sliced.facets, sliced.volume()) == (oracle.k, oracle.facets, oracle.volume())
     assert slice_vertices(body, t) == (sliced.L, list(sliced.ipts))
+
+
+@seed(2024)
+@given(st.integers(2, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_slice_cells_match_the_edge_scan(d, data):
+    # every affine rank, the body or a scaled copy, at every t of the slices
+    # grids j/12 and j/4 across its range and at every vertex level, in a
+    # drawn order, so the cells are built in any order
+    body = _body_of_rank(data, d, data.draw(st.integers(0, d)))
+    if data.draw(st.booleans()):
+        body = scale(body, data.draw(scale_factors))
+    lo, hi = body.first_coordinate_range()
+    ts = {F(j, den) for den in (12, 4) for j in range(floor(lo * den) - 1, ceil(hi * den) + 2)}
+    for t in data.draw(st.permutations(sorted(ts | {v[0] for v in body.vertices}))):
+        assert slice_vertices(body, t) == edge_scan_slice(body, t)
+
+
+@seed(2024)
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_translate_and_embed_carry_the_hull_data(d, data):
+    # against a fresh hull of the moved vertices.  The echelon rows are a basis,
+    # not compared: the body hulled from its vertices has the same rows, so its
+    # integer H-representation is equal too, while one hulled from more points
+    # may take an equality with the opposite sign (its Fraction view is equal)
+    body = _body_of_rank(data, d, data.draw(st.integers(0, d)))
+    offset = data.draw(st.tuples(*[grid_coords] * d))
+    for source in (body, Polytope.hull(body.vertices)):
+        for moved, points in ((source.translate(offset), [tuple(a + b for a, b in zip(v, offset))
+                                                          for v in source.vertices]),
+                              (source.embed_prefix(offset[0]), [(offset[0],) + v
+                                                                for v in source.vertices])):
+            ref = Polytope.hull(points)
+            assert (moved.dim, moved.L, moved.ipts, moved.k, moved.cols, moved.facets) == \
+                (ref.dim, ref.L, ref.ipts, ref.k, ref.cols, ref.facets)
+            assert (moved.volume(), moved.edges(), moved.halfspaces()) == \
+                (ref.volume(), ref.edges(), ref.halfspaces())
+            (eqs, ineqs), (ref_eqs, ref_ineqs) = moved.integer_halfspaces(), ref.integer_halfspaces()
+            assert ineqs == ref_ineqs and len(eqs) == len(ref_eqs)
+            flipped = [(tuple(-x for x in n), -c, -s) for n, c, s in ref_eqs]
+            assert eqs == ref_eqs or source is body and all(
+                e in (r, f) for e, r, f in zip(eqs, ref_eqs, flipped))
 
 
 @seed(2024)

@@ -115,6 +115,20 @@ def test_cor13_with_negative_coefficients_in_span():
     assert ok
 
 
+def test_cor13_forms_each_mixed_volume_once(monkeypatch):
+    # the d + 1 mixed volumes of the map, over every call of `suite_cor13`'s d + 2
+    calls = []
+    real = inequalities.mixed_volume
+    monkeypatch.setattr(inequalities, "mixed_volume", lambda bodies: calls.append(1) or real(bodies))
+    fan = testbed("p1xp1xp1")
+    dmap = delta_map(TDivisor(fan, (1, 0, 1, 0, 1, 0)), TDivisor(fan, (0, 1, 0, 1, 0, 0)),
+                     AdmissibleFlag(fan, (0, 2, 4)))
+    for k in range(4):
+        assert check_cor13(dmap, [dmap.L] * k + [dmap.M] * (3 - k))[0]
+    assert check_cor13(dmap, [dmap.L + dmap.M, dmap.L.scaled(2) + dmap.M, dmap.M])[0]
+    assert len(calls) == 4 and dmap.mixed_volumes == (0, F(1, 3), F(2, 3), 1)
+
+
 # --- injectivity ------------------------------------------------------------------
 
 def test_power_inequality_decisions():

@@ -20,6 +20,7 @@ from graded_oracle import (
     level,
     restriction_image,
 )
+from hull_oracle import edge_scan_slice
 from oklab import cli, exactgeom, okounkov, toric, verify
 from oklab.exactgeom import Polytope, scale, slice_at
 from oklab.inequalities import find_corresponding_flag
@@ -789,6 +790,41 @@ def test_one_ray_takes_one_hull(monkeypatch):
     bodies = [okounkov.body(div.scaled(c), flag) for c in (1, 2, F(3, 2))]
     assert len(calls) == 1
     assert [nb.body.volume() for nb in bodies] == [F(1, 6), F(8, 6), F(27, 48)]
+
+
+def test_suite_bodies_slice_as_the_edge_scan():
+    # the body of every slices case at every t of its `verify --suite slices`
+    # grid and at every vertex level, top level first, so cells are built out of order
+    for name, cases in SLICE_CONFIGS.items():
+        fan = testbed(name)
+        den = 12 if fan.dim < 3 else 4
+        for flag_rays, mco in cases:
+            body = okounkov.body(TDivisor(fan, mco), AdmissibleFlag(fan, flag_rays)).body
+            hi = body.first_coordinate_range()[1]
+            ts = {F(j, den) for j in range(ceil(hi * den) + 1)} | {v[0] for v in body.vertices}
+            for t in sorted(ts, reverse=True):
+                assert exactgeom.slice_vertices(body, t) == edge_scan_slice(body, t)
+
+
+def test_slices_nef_images_and_moves_take_no_hull(monkeypatch):
+    # as only rank >= 4 takes the generic hull loop: a slice reads the cells
+    # of its body, a nef image the flag's table, and a moved body the hull
+    # data of its source, so none of them takes a hull
+    fan, flag = flag_of("p1xp1xp1", (0, 2, 4))
+    div = TDivisor(fan, (1, 0, 2, 0, 1, 1))
+    body = Polytope.hull(exactgeom.integer_hull(3, *flag.section_image(div)).vertices)
+
+    def forbidden(*args):
+        raise AssertionError("section_points called")
+
+    calls = count_hulls(monkeypatch)
+    monkeypatch.setattr(toric, "section_points", forbidden)
+    assert flag.section_image(div)[1]
+    for t in (0, F(1, 2), 1, F(7, 4), 3):
+        exactgeom.slice_vertices(body, t)
+    moved = body.translate((1, F(1, 2), 0)).embed_prefix(F(1, 3))
+    assert moved.edges() == body.edges() and moved.volume() == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("order", list(permutations(range(3))))

@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, inf
 
 import pytest
@@ -186,6 +186,25 @@ def test_flag_valuation_injective_and_nonnegative():
     vals = [flag_valuation(flag, div, u) for u in pts]
     assert len(set(vals)) == len(pts)
     assert all(x >= 0 for v in vals for x in v)
+
+
+def test_nef_images_come_from_the_flag_table():
+    # phi of `section_points` on every flag of the testbeds and of seeded
+    # blow-ups, over a grid of nef classes with halves: the same points in the
+    # same order, over the same denominator
+    checked = 0
+    for fan in [testbed(name) for name in testbed_names()] + list(seeded_blown_up_fans(10, 32)):
+        grid = [divisor for y in product(range(-1, 3), repeat=fan.classes.rank)
+                if fan.classes.is_nef(y)
+                for divisor in (fan.classes.divisor_from_class(y),
+                                fan.classes.divisor_from_class([F(a, 2) for a in y]))]
+        for flag in (AdmissibleFlag(fan, c) for c in fan.max_cones):
+            for div in grid:
+                L, points = toric.section_points(fan, div)
+                a, s = div.ints, L // div.den
+                assert flag.section_image(div) == (L, [flag.phi(p, a, s) for p in points])
+                checked += 1
+    assert checked > 1000
 
 
 def test_flag_valuation_is_the_flags_image_of_the_section_points():

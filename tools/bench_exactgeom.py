@@ -1,5 +1,5 @@
 """Layer microbenchmark of oklab.exactgeom: hulls, volumes, mixed volumes,
-containment and witnesses.
+containment and witnesses, and of the cold okounkov body.
 
     python3 tools/bench_exactgeom.py [--src DIR --label NAME]... [--out FILE]
 
@@ -33,14 +33,21 @@ Times, per seeded input set:
   of the slice formula on a `--grid-den 12` grid: one timed set slices one
   fresh copy of P at all its levels;
 - compare_additive: `additivity.compare_additive_bodies(Q, R, Q + R)` on an
-  equal pair, with the Minkowski-sum memo cleared first: two boxes of 8
-  vertices in R^3 (the shape of the bodies of P^1 x P^1 x P^1) and two
-  pentagons in R^2, Q + R taken beforehand as the hull of the vertex sums;
+  equal pair, with the Minkowski-sum memo and any verdict memo cleared
+  first: two boxes of 8 vertices in R^3 (the shape of the bodies of
+  P^1 x P^1 x P^1) and two pentagons in R^2, Q + R taken beforehand as the
+  hull of the vertex sums;
 - slice_grid: `okounkov.slice_formula_checks(M, flag, ts)` warm, per t, for
   each case of `verify.SLICE_CONFIGS` on the grid of `verify --suite slices`
   (j/12, j/4 on three-folds) cut to the t where M - t O(Y_1) is ample; the
   bodies and star models are built by one call before timing, so a timed set
-  is the per-t work of the suite's slice records.  The sets are the cases.
+  is the per-t work of the suite's slice records.  The sets are the cases;
+- body.cold.<testbed>: one cold `okounkov.body` per set, with the body memo
+  emptied first and a new flag and divisor, as a one-shot `oklab body`
+  request has them: a random ample class with ray coefficients in [0, 3]
+  ([0, 2] on three-folds) on a random ordering of a random maximal cone.
+  What a tree keeps per fan or per flag value stays, as it does across the
+  requests of one process.
 Each containment, witness and slice run takes a fresh copy of P, so
 nothing an earlier run cached on the body (its edges) carries over.
 
@@ -91,6 +98,9 @@ CASES = [("hull_volume.d2.n25", 2, 25), ("hull_volume.d2.n150", 2, 150),
          ("compare_additive.d2.pentagons", 2, "pentagons"),
          ("slice_at.d2", 2, "grid"), ("slice_at.d3", 3, "grid"),
          ("slice_grid", None, "slice grid")]
+# the cold-body cases carry the testbed's name where the others carry a dimension
+CASES += [(f"body.cold.{name}", name, "cold body")
+          for name in ("p1", "p2", "p1xp1", "f1", "blpq-p2", "p3", "p1xp1xp1")]
 CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench_exactgeom; "
          "print(json.dumps(bench_exactgeom.time_cases()))")
 
@@ -228,6 +238,19 @@ def time_case(exactgeom, dim: int, count: int | str | None, rnd: random.Random) 
         def run(case):
             assert all(ok for ok, _ in okounkov.slice_formula_checks(*case))
             return len(case[2])
+    elif count == "cold body":  # dim is the testbed's name
+        from oklab import okounkov, toric
+
+        fan, inputs = toric.testbed(dim), []
+        while len(inputs) < SETS:
+            coeffs = [rnd.randint(0, 2 if fan.dim >= 3 else 3) for _ in fan.rays]
+            if fan.classes.is_ample(toric.TDivisor(fan, coeffs).num_class[0]):
+                inputs.append((coeffs, tuple(rnd.sample(rnd.choice(fan.max_cones), fan.dim))))
+
+        def run(case):
+            okounkov._BODIES.clear()
+            coeffs, rays = case
+            okounkov.body(toric.TDivisor(fan, coeffs), toric.AdmissibleFlag(fan, rays))
     elif count == "witness":  # a body and a larger one with one vertex outside it
         takes_points = "points" in inspect.signature(exactgeom.Polytope.first_outside).parameters
         inputs = []
@@ -246,6 +269,7 @@ def time_case(exactgeom, dim: int, count: int | str | None, rnd: random.Random) 
 
         def run(bodies):
             exactgeom.minkowski_sum.cache_clear()
+            getattr(compare_additive_bodies, "cache_clear", lambda: None)()  # a verdict memo
             assert compare_additive_bodies(*bodies).status == "equal"
     else:
         inputs = [random_points(rnd, dim, count) for _ in range(SETS)]
