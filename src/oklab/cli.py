@@ -237,15 +237,21 @@ def _parse_flag(fan: Fan, text: str | None) -> AdmissibleFlag:
         raise ConfigError(f"bad flag {text!r}: {exc}") from exc
 
 
+def _coefficient(p):
+    """An int for a JSON integer or a decimal token with at most one sign, which Fraction()
+    reads as the same integer, so an integer class stays on ints; else `parse_rational`."""
+    digits = p.strip() if type(p) is str else ""
+    digits = digits[1:] if digits[:1] in ("+", "-") else digits
+    return int(p) if type(p) is int or digits.isdecimal() else parse_rational(p)
+
+
 def _parse_divisor(fan: Fan, text: str) -> TDivisor:
     try:
         if text.lstrip().startswith("{"):
             parts = json.loads(text)["coeffs"]
         else:
             parts = [p for p in text.split(",") if p != ""]
-        # a signed run of digits is read by int(), as by Fraction(): an integer class stays on ints
-        coeffs = [p if type(p) is int else int(p) if type(p) is str and (s := p.strip())[
-            s[:1] in "+-":].isdecimal() else parse_rational(p) for p in parts]
+        coeffs = [_coefficient(p) for p in parts]
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad divisor {text!r}: {exc}") from exc
     if fan.dim == 1 and len(coeffs) == 1:

@@ -187,13 +187,11 @@ def slice_formula_checks(divisor: TDivisor, flag: AdmissibleFlag, ts) -> list:
     sm = star_model(flag)
     rm, ry, star = sm.restrict_divisor(divisor), sm.restrict_divisor(y1), sm.star_flag
     (ym, qm), (yy, qy) = rm.num_class, ry.num_class
-    rays = {}  # the ray bodies by primitive vector, for the rays of this line
 
     def check(t):
         line = [a * qy * t.denominator - t.numerator * b * qm for a, b in zip(ym, yy)]
         g = gcd(*line) or 1  # the class is line / (t.den qm qy), so c = g / (t.den qm qy)
-        prim = tuple(a // g for a in line)
-        rb = rays.get(prim) or rays.setdefault(prim, _ray_body(prim, star).body)
+        rb = _ray_body(tuple(a // g for a in line), star).body
         L, pts = slice_vertices(nb.body, t)
         a, b = g * L, t.denominator * qm * qy * rb.L  # pts / L = c ray iff b pts = a ray
         if [[b * x for x in u] for u in pts] == [[a * y for y in v] for v in rb.ipts]:
