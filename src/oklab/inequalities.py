@@ -12,7 +12,10 @@ the nef intersection-number inequality
     L^d (M . N^{d-1})  <=  d (M . L^{d-1}) (L . N^{d-1}),
 
 which this module checks both directly and along the body-level proof
-path whenever the testbed carries a flag corresponding to M.
+path whenever the testbed carries a flag corresponding to M.  The direct
+check reads its four intersection numbers off two contractions of the
+fan's form, L^{d-1} and N^{d-1}, and compares two integers over one
+denominator.
 
 Irrational d-th roots are never evaluated: the strict Brunn-Minkowski
 comparison decides equality exactly, brackets the roots rationally only
@@ -27,18 +30,20 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from functools import cached_property, lru_cache
 from math import comb, factorial, gcd
+from operator import mul
 
 from .exactgeom import (Polytope, minkowski_sum, mixed_volume,
                         mixed_volume_by_polarization, scale)
 from .additivity import ENUMERATION_BUDGET, ConeCLM, EnumerationBudgetError
 from .linalg import interpolate, iroot
-from .okounkov import NOBody, nef_body
+from .okounkov import NOBody, body, nef_body
 from .toric import (
     AdmissibleFlag,
     Fan,
     TDivisor,
     flag_corresponds,
     intersection_number,
+    nef_classes,
 )
 
 __all__ = [
@@ -73,7 +78,7 @@ class InequalityRecord:
 
     @property
     def passed(self) -> bool:
-        return self.slack >= 0
+        return self.lhs <= self.rhs
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +289,18 @@ def find_corresponding_flag(fan: Fan, divisor: TDivisor) -> AdmissibleFlag | Non
 
 @lru_cache(maxsize=None)
 def _corresponding_flag(fan: Fan, y: tuple) -> AdmissibleFlag | None:
-    divisor = fan.classes.divisor_from_class(y)
+    classes = fan.classes
+    # level 0 asks for Y_1 proportional to the class: every 2x2 minor of the pair vanishes
+    firsts = {ray for ray, (y1, _) in enumerate(classes.ray_classes)
+              if not any(y1[i] * y[j] != y1[j] * y[i]
+                         for i, j in combinations(range(len(y)), 2))}
+    if not firsts:
+        return None
+    divisor = classes.divisor_from_class(y)
     for cone in fan.max_cones:
         for perm in permutations(cone):
-            y1 = fan.classes.ray_classes[perm[0]][0]
-            if any(y1[i] * y[j] != y1[j] * y[i] for i, j in combinations(range(len(y)), 2)):
-                continue  # a nonzero 2x2 minor: level-0 proportionality fails
-            flag = AdmissibleFlag(fan, perm)
-            if flag_corresponds(flag, divisor)[0]:
+            if perm[0] in firsts and flag_corresponds(flag := AdmissibleFlag(fan, perm),
+                                                      divisor)[0]:
                 return flag
     return None
 
@@ -299,38 +308,42 @@ def _corresponding_flag(fan: Fan, y: tuple) -> AdmissibleFlag | None:
 def cor15_check(l_div: TDivisor, m_div: TDivisor, n_div: TDivisor) -> dict:
     """L^d (M . N^{d-1}) <= d (M . L^{d-1}) (L . N^{d-1}) for nef classes.
 
-    Always checks the inequality directly on intersection numbers.  When
-    the testbed carries a flag corresponding to M, additionally replays
-    the body-level derivation: the Lehmann-Xiao inequality at k=1 on the
-    three bodies plus the tight mixed-volume identities for that flag.
-    Both routes must pass.
+    Always checks the inequality directly, after one nef test per class: the
+    four numbers pair the integers of L's and M's classes with L^{d-1} and
+    N^{d-1}, two contractions of the form (`NumClassSpace.contract`), and
+    both sides share one denominator.  When the testbed carries a flag
+    corresponding to M, additionally replays the body-level derivation: the
+    Lehmann-Xiao inequality at k=1 on the three bodies plus the tight
+    mixed-volume identities for that flag.  Both routes must pass.
     """
     fan = l_div.fan
-    d = fan.dim
-    l_top = intersection_number(fan, [l_div] * d)
-    m_n = intersection_number(fan, [m_div] + [n_div] * (d - 1))
-    m_l = intersection_number(fan, [m_div] + [l_div] * (d - 1))
-    l_n = intersection_number(fan, [l_div] + [n_div] * (d - 1))
+    d, classes = fan.dim, fan.classes
+    (yl, ql), (ym, qm), n_class = nef_classes(fan, (l_div, m_div, n_div))
+    l_pow, den_l = classes.contract([(yl, ql)] * (d - 1))
+    n_pow, den_n = classes.contract([n_class] * (d - 1))
+    # L^d over den_l ql, M.L^{d-1} over den_l qm, M.N^{d-1} over den_n qm, L.N^{d-1} over den_n ql
+    l_top, m_l = sum(map(mul, yl, l_pow)), sum(map(mul, ym, l_pow))
+    m_n, l_n = sum(map(mul, ym, n_pow)), sum(map(mul, yl, n_pow))
+    lhs, rhs, den = l_top * m_n, d * m_l * l_n, den_l * den_n * ql * qm
     direct = InequalityRecord(
-        name="cor15-direct", lhs=l_top * m_n, rhs=d * m_l * l_n,
+        name="cor15-direct", lhs=Fraction(lhs, den), rhs=Fraction(rhs, den),
         inputs={"L": l_div.cls, "M": m_div.cls, "N": n_div.cls})
-    out = {"direct": direct, "proof_path": None,
-           "ok": direct.passed}
+    out = {"direct": direct, "proof_path": None, "ok": lhs <= rhs}
     flag = find_corresponding_flag(fan, m_div)
     if flag is None:
         return out
-    bl = nef_body(l_div, flag)
-    bm = nef_body(m_div, flag)
-    bn = nef_body(n_div, flag)
+    bl = body(l_div, flag)
+    bm = body(m_div, flag)
+    bn = body(n_div, flag)
     # the three mixed volumes of the Lehmann-Xiao check at k = 1, formed once
     v_mn, v_ml, v_ln = (mixed_volume([a.body] + [b.body] * (d - 1))
                         for a, b in ((bm, bn), (bm, bl), (bl, bn)))
     lx = _lehmann_xiao_record(1, d, bl.body.volume(), v_mn, v_ml, v_ln)
     d_fact = factorial(d)
-    eq_ml = v_ml == m_l / d_fact
-    eq_mn = v_mn == m_n / d_fact
-    le_ln = v_ln <= l_n / d_fact
-    vol_id = bl.body.volume() == l_top / d_fact
+    eq_ml = v_ml == Fraction(m_l, d_fact * den_l * qm)
+    eq_mn = v_mn == Fraction(m_n, d_fact * den_n * qm)
+    le_ln = v_ln <= Fraction(l_n, d_fact * den_n * ql)
+    vol_id = bl.body.volume() == Fraction(l_top, d_fact * den_l * ql)
     path_ok = lx.passed and eq_ml and eq_mn and le_ln and vol_id
     out["proof_path"] = {
         "flag": flag.ray_indices,
@@ -340,7 +353,7 @@ def cor15_check(l_div: TDivisor, m_div: TDivisor, n_div: TDivisor) -> dict:
         "onesided_LN": le_ln,
         "volume_identity": vol_id,
     }
-    out["ok"] = direct.passed and path_ok
+    out["ok"] = out["ok"] and path_ok
     return out
 
 

@@ -88,7 +88,7 @@ _BODIES: dict = {}
 def body(divisor: TDivisor, flag: AdmissibleFlag) -> NOBody:
     """phi(P_D) for the flag, one integer hull of the flag's image of the points
     spanning P_D; a nef class must pass the volume certificate.  The class is
-    not checked: `no_body_rational` and `nef_body` check it first.
+    not checked: `no_body_rational`, `nef_body` and `cor15_check` check it first.
 
     Memoised on (class, flag), flags comparing fans by identity, so two fans
     that share a name never share a body.  The body depends only on the

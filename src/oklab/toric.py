@@ -41,6 +41,7 @@ __all__ = [
     "section_points",
     "flag_valuation",
     "intersection_number",
+    "nef_classes",
     "flag_corresponds",
     "mu",
     "star_model",
@@ -380,14 +381,21 @@ class NumClassSpace:
         g = gcd(q, *y)
         return tuple(a // g for a in y), q // g
 
-    def form(self, classes) -> Fraction:
-        """D_1 ... D_d for d classes (y, q), nef or not (Fulton, Sec. 5.2):
-        the table contracted one class at a time, on integers."""
+    def contract(self, classes) -> tuple:
+        """(ints, den): the form contracted with k <= d classes (y, q), one class at a
+        time, on integers: the r^(d-k) integers, flat in lexicographic order, over den,
+        the product of the q.  For k = d - 1 it is the linear form D_1 ... D_{d-1} . -,
+        so a last class (y, q) gives the number <ints, y> / (den q)."""
         table, den, r = self._form_table, 1, self.rank
         for y, q in classes:
             table = [sum(map(mul, y, table[i:i + r])) for i in range(0, len(table), r)]
             den *= q
-        return Fraction(table[0], den)
+        return table, den
+
+    def form(self, classes) -> Fraction:
+        """D_1 ... D_d for d classes (y, q), nef or not (Fulton, Sec. 5.2)."""
+        ints, den = self.contract(classes)
+        return Fraction(ints[0], den)
 
     def divisor_from_class(self, cls) -> TDivisor:
         """Canonical representative: class coordinates on the free rays."""
@@ -545,12 +553,20 @@ def intersection_number(fan: Fan, divisors) -> Fraction:
     d = fan.dim
     if len(divisors) != d:
         raise ValueError(f"need exactly {d} divisors on {fan.name}")
+    return fan.classes.form(nef_classes(fan, divisors))
+
+
+def nef_classes(fan: Fan, divisors) -> list:
+    """The classes (y, q) of divisors on the fan, each tested nef once, in order; a
+    divisor on another fan or outside the nef cone raises ValueError."""
+    out = []
     for dv in divisors:
         if dv.fan is not fan:
             raise ValueError("divisor on a different fan")
         if not fan.classes.is_nef(dv.num_class[0]):
             raise ValueError("intersection numbers are only certified for nef inputs")
-    return fan.classes.form([dv.num_class for dv in divisors])
+        out.append(dv.num_class)
+    return out
 
 
 def flag_corresponds(flag: AdmissibleFlag, divisor: TDivisor):

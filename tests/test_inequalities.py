@@ -3,16 +3,16 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import fraction_oracle
-from blowups import blown_up_fans
+from blowups import blown_up_fans, seeded_blown_up_fans
 from oklab import exactgeom, inequalities
-from oklab.exactgeom import Polytope, minkowski_sum, scale
+from oklab.exactgeom import Polytope, minkowski_sum, mixed_volume, scale
 from oklab.inequalities import (
     InequalityRecord,
     check_cor13,
@@ -30,7 +30,8 @@ from oklab.inequalities import (
 )
 from oklab.linalg import interpolate, iroot
 from oklab.okounkov import nef_body, no_body_rational
-from oklab.toric import AdmissibleFlag, Fan, TDivisor, flag_corresponds, testbed, testbed_names
+from oklab.toric import (AdmissibleFlag, Fan, NumClassSpace, TDivisor, flag_corresponds,
+                         intersection_number, testbed, testbed_names)
 
 
 def p1xp1_map():
@@ -317,18 +318,27 @@ def test_cor15_tight_case_with_proof_path():
 
 
 def test_cor15_computes_each_product_once(monkeypatch):
+    # L^(d-1) and N^(d-1) are the only contractions of the form; the four
+    # numbers are pairings with them, and no intersection_number is called
     fan = testbed("p1xp1")
-    calls = []
+    triple = (TDivisor(fan, (0, 1, 0, 1)), TDivisor(fan, (0, 1, 0, 0)),
+              TDivisor(fan, (0, 0, 0, 1)))
+    cor15_check(*triple)  # the bodies, whose certificates take D^d, are memoised
+    contractions, products = [], []
+
+    def counting_contract(self, classes):
+        contractions.append(len(classes))
+        return real_contract(self, classes)
 
     def counting(fan, divisors):
-        calls.append(1)
+        products.append(1)
         return real(fan, divisors)
 
-    real = inequalities.intersection_number
+    real, real_contract = inequalities.intersection_number, NumClassSpace.contract
     monkeypatch.setattr(inequalities, "intersection_number", counting)
-    res = cor15_check(TDivisor(fan, (0, 1, 0, 1)), TDivisor(fan, (0, 1, 0, 0)),
-                      TDivisor(fan, (0, 0, 0, 1)))
-    assert len(calls) == 4
+    monkeypatch.setattr(NumClassSpace, "contract", counting_contract)
+    res = cor15_check(*triple)
+    assert contractions == [fan.dim - 1] * 2 and products == []
     assert res == {
         "direct": InequalityRecord(
             name="cor15-direct", lhs=F(2), rhs=F(2),
@@ -341,6 +351,63 @@ def test_cor15_computes_each_product_once(monkeypatch):
             "tight_ML": True, "tight_MN": True, "onesided_LN": True,
             "volume_identity": True},
         "ok": True}
+
+
+def nef_triples(fan, rnd):
+    """Nef triples (L, M, N) built from the nef cone's extreme rays, which are
+    not big (rulings, pulled-back hyperplanes), and from fractional nef classes
+    over different denominators."""
+    rays = [fan.classes.divisor_from_class(r) for r in fan.classes.nef_rays]
+    ample = fan.classes.divisor_from_class(fan.classes.ample_class)
+
+    def fractional():
+        div = ample.scaled(F(rnd.randint(1, 5), rnd.randint(1, 4)))
+        for ray in rnd.sample(rays, min(2, len(rays))):
+            div = div + ray.scaled(F(rnd.randint(0, 4), rnd.choice((1, 2, 3, 5, 7))))
+        return div
+
+    pool = rays + [fractional() for _ in range(4)]
+    return [tuple(rnd.choice(pool) for _ in range(3)) for _ in range(6)]
+
+
+def test_cor15_direct_route_matches_intersection_numbers():
+    # the old route as an oracle: four intersection_number values, each a full
+    # contraction of the form; the record's sides are their products, and the
+    # proof path compares the same four numbers with its mixed volumes
+    rnd = random.Random(15)
+    fans = [testbed(name) for name in testbed_names() if testbed(name).dim >= 2]
+    fans += list(seeded_blown_up_fans(8, seed=15))
+    assert sum(fan.dim == 3 for fan in fans) > 2
+    unlike_denominators = 0
+    for fan in fans:
+        d, df = fan.dim, factorial(fan.dim)
+        for l_div, m_div, n_div in nef_triples(fan, rnd):
+            l_top = intersection_number(fan, [l_div] * d)
+            m_n = intersection_number(fan, [m_div] + [n_div] * (d - 1))
+            m_l = intersection_number(fan, [m_div] + [l_div] * (d - 1))
+            l_n = intersection_number(fan, [l_div] + [n_div] * (d - 1))
+            res = cor15_check(l_div, m_div, n_div)
+            direct = res["direct"]
+            assert (direct.lhs, direct.rhs) == (l_top * m_n, d * m_l * l_n)
+            assert type(direct.lhs) is type(direct.rhs) is F
+            assert res["ok"] == (l_top * m_n <= d * m_l * l_n) == direct.passed
+            if (path := res["proof_path"]) is not None:
+                flag = find_corresponding_flag(fan, m_div)
+                bl, bm, bn = (nef_body(dv, flag).body for dv in (l_div, m_div, n_div))
+                assert path["tight_ML"] == (mixed_volume([bm] + [bl] * (d - 1)) == m_l / df)
+                assert path["tight_MN"] == (mixed_volume([bm] + [bn] * (d - 1)) == m_n / df)
+                assert path["onesided_LN"] == (mixed_volume([bl] + [bn] * (d - 1)) <= l_n / df)
+                assert path["volume_identity"] == (bl.volume() == l_top / df)
+                unlike_denominators += l_div.num_class[1] != m_div.num_class[1]
+            # the full contraction is the form, and the last class pairs with the
+            # linear form that the other d - 1 leave
+            classes = [dv.num_class for dv in (l_div, m_div, n_div) * d][:d]
+            (ints, den), (lin, lin_den) = (fan.classes.contract(classes),
+                                           fan.classes.contract(classes[:-1]))
+            (y, q) = classes[-1]
+            assert F(ints[0], den) == fan.classes.form(classes) == F(
+                sum(a * b for a, b in zip(y, lin)), lin_den * q)
+    assert unlike_denominators  # a proof path that reads M . L^(d-1) over q_M, not q_L
 
 
 def test_cor15_forms_three_mixed_volumes_per_proof_path(monkeypatch):
@@ -382,6 +449,21 @@ def test_cor15_rejects_non_nef():
     amp = TDivisor(f1, (1, 1, 1, 1))
     with pytest.raises(ValueError):
         cor15_check(e, amp, amp)
+    # each class is tested once, in the order L, M, N, with intersection_number's
+    # messages, on every testbed, the curve p1 included
+    for fan in map(testbed, testbed_names()):
+        n = len(fan.rays)
+        nef, bad = TDivisor(fan, (1,) * n), TDivisor(fan, (-1,) + (0,) * (n - 1))
+        other = testbed("p2" if fan.name != "p2" else "p1xp1")
+        foreign = TDivisor(other, (1,) * len(other.rays))
+        for pos in range(3):
+            for wrong, message in ((bad, "only certified for nef"), (foreign, "different fan")):
+                triple = [nef, nef, nef]
+                triple[pos] = wrong
+                if pos < 2:  # a later bad class does not change the message
+                    triple[2] = foreign if wrong is bad else bad
+                with pytest.raises(ValueError, match=message):
+                    cor15_check(*triple)
 
 
 def test_cor15_sweep_seeded():
@@ -438,10 +520,15 @@ def test_find_corresponding_flag_matches_brute_force(fan, data):
     n = len(fan.rays)
     entry = st.one_of(st.integers(-2, 3), st.fractions(-2, 3, max_denominator=3))
     ray = data.draw(st.integers(0, n - 1))
+    c = data.draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
     vectors = [data.draw(st.lists(entry, min_size=n, max_size=n)),
-               [int(i == ray) for i in range(n)]]
-    for coeffs in vectors:  # a random divisor and a ray divisor
-        divisor = TDivisor(fan, coeffs)
+               [int(i == ray) for i in range(n)], [0] * n,
+               [c * (i == ray) for i in range(n)]]
+    # a random divisor, a ray divisor, the zero class, a nonzero multiple of a ray
+    # class (negative or fractional) and an ample class
+    divisors = [TDivisor(fan, coeffs) for coeffs in vectors]
+    divisors.append(fan.classes.divisor_from_class(fan.classes.ample_class))
+    for divisor in divisors:
         assert find_corresponding_flag(fan, divisor) == brute_force_flag(fan, divisor)
 
 

@@ -1,5 +1,6 @@
 """Layer microbenchmark of oklab.exactgeom: hulls, volumes, mixed volumes,
-containment and witnesses, and of the cold okounkov body.
+containment and witnesses, of the cold okounkov body and of the cold
+Corollary 1.5 check of the toric layer.
 
     python3 tools/bench_exactgeom.py [--src DIR --label NAME]... [--out FILE]
 
@@ -47,7 +48,12 @@ Times, per seeded input set:
   request has them: a random ample class with ray coefficients in [0, 3]
   ([0, 2] on three-folds) on a random ordering of a random maximal cone.
   What a tree keeps per fan or per flag value stays, as it does across the
-  requests of one process.
+  requests of one process;
+- cor15.<testbed>: one cold `inequalities.cor15_check(L, M, N)` per set, on
+  a seeded nef triple drawn as `cor15_sweep` draws it (ray coefficients in
+  [0, 4]), with the body memo and the corresponding-flag memo emptied first
+  and new divisors, as in a fresh `intersection` batch of perfbench.  About
+  one set in three takes the proof path, and its bodies are cold.
 Each containment, witness and slice run takes a fresh copy of P, so
 nothing an earlier run cached on the body (its edges) carries over.
 
@@ -98,9 +104,11 @@ CASES = [("hull_volume.d2.n25", 2, 25), ("hull_volume.d2.n150", 2, 150),
          ("compare_additive.d2.pentagons", 2, "pentagons"),
          ("slice_at.d2", 2, "grid"), ("slice_at.d3", 3, "grid"),
          ("slice_grid", None, "slice grid")]
-# the cold-body cases carry the testbed's name where the others carry a dimension
+# the cold-body and cor15 cases carry the testbed's name where the others carry a dimension
 CASES += [(f"body.cold.{name}", name, "cold body")
           for name in ("p1", "p2", "p1xp1", "f1", "blpq-p2", "p3", "p1xp1xp1")]
+CASES += [(f"cor15.{name}", name, "cor15")
+          for name in ("p2", "p1xp1", "f1", "blpq-p2", "p3", "p1xp1xp1")]
 CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench_exactgeom; "
          "print(json.dumps(bench_exactgeom.time_cases()))")
 
@@ -251,6 +259,17 @@ def time_case(exactgeom, dim: int, count: int | str | None, rnd: random.Random) 
             okounkov._BODIES.clear()
             coeffs, rays = case
             okounkov.body(toric.TDivisor(fan, coeffs), toric.AdmissibleFlag(fan, rays))
+    elif count == "cor15":  # dim is the testbed's name
+        from oklab import inequalities, okounkov, toric
+
+        fan = toric.testbed(dim)
+        inputs = [[inequalities.random_nef_divisor(rnd, fan).ints for _ in range(3)]
+                  for _ in range(SETS)]
+
+        def run(triple):
+            okounkov._BODIES.clear()
+            inequalities._corresponding_flag.cache_clear()
+            assert inequalities.cor15_check(*(toric.TDivisor(fan, c) for c in triple))["ok"]
     elif count == "witness":  # a body and a larger one with one vertex outside it
         takes_points = "points" in inspect.signature(exactgeom.Polytope.first_outside).parameters
         inputs = []
