@@ -40,7 +40,6 @@ from .additivity import (  # noqa: F401
     ConeCLM,
     InclusionViolationError,
     check_additivity,
-    in_cone,
     necessary_condition_check,
     slice_decomposition_replay,
     strict_search,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 
-from .exactgeom import Polytope, minkowski_sum, slice_at, sum_relation
+from .exactgeom import Polytope, check_enumeration, minkowski_sum, slice_at, sum_relation
 from .linalg import rat, vec
 from .okounkov import body, no_body_rational, restricted_body
 from .toric import (
@@ -35,7 +35,6 @@ __all__ = [
     "AdditivityVerdict",
     "InclusionViolationError",
     "UncertifiedBodyError",
-    "in_cone",
     "check_additivity",
     "compare_additive_bodies",
     "slice_decomposition_replay",
@@ -52,24 +51,6 @@ class InclusionViolationError(AssertionError):
 
 class UncertifiedBodyError(ValueError):
     pass
-
-
-# The most points one enumeration may visit: the (2 bound + 1)^rank class
-# vectors of `ample_grid_classes`, the k(k + 1)/2 pairs of its k classes in
-# `strict_search`, or the grid_den + 1 parameters of --grid-den and the
-# ceil(mu den) of each t-grid.  Larger requests are refused before anything
-# is enumerated.
-ENUMERATION_BUDGET = 100_000
-
-
-class EnumerationBudgetError(ValueError):
-    pass
-
-
-def check_enumeration(points: int, what: str) -> None:
-    if points > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"{what} enumerates {points} points, over the budget of {ENUMERATION_BUDGET}")
 
 
 class ConeCLM:
@@ -128,17 +109,6 @@ class ConeCLM:
         coordinates, so no solve is needed."""
         return [((rat(a), rat(b)), n) for a in grid for b in grid
                 if self.admits(n := self.member(a, b), b)]
-
-
-def in_cone(n: TDivisor, cone: ConeCLM):
-    """Solve N = lambda L + mu M in N^1; in-cone iff mu >= 0 and N ample.
-
-    When L and M are dependent the representation is not unique; the free
-    coefficient mu is set to zero (lambda picks up the whole class),
-    and membership degenerates to ampleness of N inside the span.
-    """
-    lam, m = cone.coordinates(n)
-    return cone.admits(n, m), lam, m
 
 
 class AdditivityVerdict:
@@ -217,9 +187,8 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
     if not ok_corr:
         raise ReplayPreconditionError("flag does not correspond to the cone class L")
     r = ratios[0]
-    in1, lam1, mu1 = in_cone(n1, cone)
-    in2, lam2, mu2 = in_cone(n2, cone)
-    if not (in1 and in2):
+    (lam1, mu1), (lam2, mu2) = cone.coordinates(n1), cone.coordinates(n2)
+    if not (cone.admits(n1, mu1) and cone.admits(n2, mu2)):
         raise ReplayPreconditionError("both classes must lie in C_L(M) and be ample")
     if r * lam1 * mu2 > r * lam2 * mu1:
         n1, n2 = n2, n1

@@ -15,11 +15,8 @@ codes: 0 all checks passed, 1 check failures, 2 configuration error,
 3 hard invariant violation (the one-sided inclusion failed, or a nef body
 failed its d! vol = D^d certificate, which means the implementation
 itself is broken).  A sweep that would enumerate more than
-`additivity.ENUMERATION_BUDGET` points (from --bound, the --grid-den of
-verify, the rank of a catalog fan, or a bound on the vertex sums of the
-Minkowski sums the mixed-volume route of mixedvol would form, for three or
-more bodies the product of all their vertex counts) is a configuration
-error.
+`exactgeom.ENUMERATION_BUDGET` points, counted as the comment there says, is
+a configuration error.
 """
 
 from __future__ import annotations
@@ -34,8 +31,8 @@ from fractions import Fraction
 from functools import cache
 
 from . import __version__
-from .additivity import EnumerationBudgetError, InclusionViolationError, check_enumeration
-from .exactgeom import Polytope, mixed_volume
+from .additivity import InclusionViolationError
+from .exactgeom import EnumerationBudgetError, Polytope, check_enumeration, mixed_volume
 from .okounkov import CertificateError, NonBigClassError, no_body_rational
 from .toric import (
     AdmissibleFlag,
@@ -344,8 +341,7 @@ def cmd_mixedvol(args, catalog):
         data = json.loads(text)
         bodies = [Polytope.hull([[parse_rational(x) for x in v] for v in verts])
                   for verts in data]
-        value = mixed_volume(bodies, lambda sums: check_enumeration(
-            sums, "the Minkowski sum of --bodies"))
+        value = mixed_volume(bodies)
     except EnumerationBudgetError:
         raise
     except (OSError, ValueError, TypeError) as exc:

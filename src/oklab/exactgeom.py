@@ -41,6 +41,8 @@ gives, so d - 3 Minkowski sums fit the rest.  Three or more distinct
 bodies polarize the formula over the d - 1 bodies after the first, so the
 largest sum has d - 1 bodies.  `mixed_volume_by_polarization`, over sums
 of up to all d bodies, is the independent route that checks them.
+`mixed_volume` refuses a route whose sums would be too large to form
+before it forms any (`check_enumeration`).
 """
 
 from __future__ import annotations
@@ -76,6 +78,27 @@ __all__ = [
 
 class DimensionMismatch(ValueError):
     pass
+
+
+# The most points one enumeration may visit: the (2 bound + 1)^rank class
+# vectors of `ample_grid_classes`, the k(k + 1)/2 pairs of its k classes in
+# `strict_search`, the grid_den + 1 parameters of --grid-den and the
+# ceil(mu den) of each t-grid, and the vertex sums of the largest Minkowski
+# sum a `mixed_volume` route forms: none on the facet route, |V(K)| |V(L)|
+# for the fit (sK has the vertices of K), and for three or more bodies the
+# product of all d vertex counts, which bounds the vertex sums of a sum of
+# all d bodies.  Larger requests are refused before anything is enumerated.
+ENUMERATION_BUDGET = 100_000
+
+
+class EnumerationBudgetError(ValueError):
+    pass
+
+
+def check_enumeration(points: int, what: str) -> None:
+    if points > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"{what} enumerates {points} points, over the budget of {ENUMERATION_BUDGET}")
 
 
 def _check_same_dim(points) -> int:
@@ -589,7 +612,7 @@ def _moved(p: Polytope, dim, L, ipts, s, t, rows, cols, volume) -> Polytope:
     return out
 
 
-def mixed_volume(bodies, check_sum=None) -> Fraction:
+def mixed_volume(bodies) -> Fraction:
     """Mixed volume V(K_1, ..., K_d) of d bodies in R^d, by one of three routes.
 
     One distinct body: its volume.  Two distinct bodies K (j times) and L:
@@ -607,14 +630,8 @@ def mixed_volume(bodies, check_sum=None) -> Fraction:
         (d-1)! V(K_1, ..., K_d) = sum_J (-1)^(d-1-|J|) V(K_1, (sum_J K_j)^(d-1)),
 
     J ranging over the nonempty subsets of {2..d}; the largest sum has
-    d - 1 bodies, one in R^3.
-
-    check_sum, if given, is called before any Minkowski sum is formed with
-    a bound on the vertex sums of the largest one the route forms, and may
-    raise to refuse the work: the facet route forms none, the fit forms
-    sums of |V(K)| |V(L)| vertex sums (sK has the vertices of K), and
-    three or more bodies pass the product of all d vertex counts, which
-    bounds the vertex sums of a sum of all d bodies.
+    d - 1 bodies, one in R^3.  A route whose sums are over
+    ENUMERATION_BUDGET raises EnumerationBudgetError before it forms any.
     """
     bodies = list(bodies)
     if not bodies:
@@ -629,8 +646,7 @@ def mixed_volume(bodies, check_sum=None) -> Fraction:
             raise ValueError("mixed_volume of an empty body")
     distinct = list(dict.fromkeys(bodies))
     if len(distinct) > 2:
-        if check_sum:
-            check_sum(prod(len(b.ipts) for b in bodies))
+        check_enumeration(prod(len(b.ipts) for b in bodies), "the Minkowski sum of the bodies")
         first, rest = bodies[0], bodies[1:]
         return sum((-1) ** (d - 1 - size) * _facet_mixed_volume(first, body)
                    for size, body in _subset_sums(rest)) / factorial(d - 1)
@@ -642,8 +658,7 @@ def mixed_volume(bodies, check_sum=None) -> Fraction:
         k_body, l_body, j = l_body, k_body, 1
     if j == 1:
         return _facet_mixed_volume(k_body, l_body)
-    if check_sum:
-        check_sum(len(k_body.ipts) * len(l_body.ipts))
+    check_enumeration(len(k_body.ipts) * len(l_body.ipts), "the Minkowski sum of the bodies")
     known = {0: l_body.volume(), 1: d * _facet_mixed_volume(k_body, l_body),
              d - 1: d * _facet_mixed_volume(l_body, k_body), d: k_body.volume()}
     residues = [minkowski_sum(scale(k_body, s), l_body).volume()

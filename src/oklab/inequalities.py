@@ -32,9 +32,9 @@ from functools import cached_property, lru_cache
 from math import comb, factorial, gcd
 from operator import mul
 
-from .exactgeom import (Polytope, minkowski_sum, mixed_volume,
-                        mixed_volume_by_polarization, scale)
-from .additivity import ENUMERATION_BUDGET, ConeCLM, EnumerationBudgetError
+from .exactgeom import (ENUMERATION_BUDGET, EnumerationBudgetError, Polytope, minkowski_sum,
+                        mixed_volume, mixed_volume_by_polarization, scale)
+from .additivity import ConeCLM
 from .linalg import interpolate, iroot
 from .okounkov import NOBody, body, nef_body
 from .toric import (
@@ -114,11 +114,6 @@ class DeltaMap(ConeCLM):
 
 
 def delta_map(l_div: TDivisor, m_div: TDivisor, flag: AdmissibleFlag) -> DeltaMap:
-    fan = flag.fan
-    if not fan.classes.is_nef(l_div.num_class[0]):
-        raise ValueError("the anchor class L must be nef")
-    if not fan.classes.is_nef(m_div.num_class[0]):
-        raise ValueError("the companion class M must be nef")
     return DeltaMap(L=l_div, M=m_div, flag=flag, body_l=nef_body(l_div, flag),
                     body_m=nef_body(m_div, flag))
 

@@ -38,7 +38,6 @@ from .linalg import rat
 from .toric import (
     AdmissibleFlag,
     TDivisor,
-    intersection_number,
     mu,
     star_model,
 )
@@ -118,7 +117,7 @@ def _ray_body(prim: tuple, flag: AdmissibleFlag) -> NOBody:
         div = fan.classes.divisor_from_class(prim)
         image = integer_hull(d, *flag.section_image(div))
         nef = fan.classes.is_nef(prim)
-        if nef and factorial(d) * image.volume() != intersection_number(fan, [div] * d):
+        if nef and factorial(d) * image.volume() != fan.classes.form([(prim, 1)] * d):
             raise CertificateError(f"d! vol of the body of nef class "
                                    f"{div.class_text()} is not D^d on {fan.name}")
         ray = _BODIES[key] = NOBody(image, nef)

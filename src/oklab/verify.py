@@ -25,12 +25,12 @@ from math import ceil
 from .additivity import (
     ConeCLM,
     check_additivity,
-    check_enumeration,
     necessary_condition_check,
     slice_decomposition_replay,
     strict_search,
     theorem_sweep_pairs,
 )
+from .exactgeom import check_enumeration
 from .inequalities import (
     cor15_check,
     cor15_sweep,

@@ -19,7 +19,6 @@ from oklab.additivity import (
     ample_grid_classes,
     check_additivity,
     compare_additive_bodies,
-    in_cone,
     necessary_condition_check,
     slice_decomposition_replay,
     strict_search,
@@ -38,21 +37,24 @@ def setup_p1xp1():
     return fan, flag, cone
 
 
-# --- in_cone -----------------------------------------------------------------
+# --- membership in C_L(M): cone coordinates, then admits ----------------------
 
 def test_in_cone_examples():
     fan, _, cone = setup_p1xp1()
-    assert in_cone(TDivisor(fan, (0, 2, 0, 3)), cone) == (True, 2, 3)
-    inside, lam, mu_ = in_cone(cone.member(2, -1), cone)
-    assert (inside, lam, mu_) == (False, 2, -1)
-    assert in_cone(cone.member(1, 1), cone) == (True, 1, 1)
+    n = TDivisor(fan, (0, 2, 0, 3))
+    assert cone.coordinates(n) == (2, 3) and cone.admits(n, 3)
+    n = cone.member(2, -1)
+    assert cone.coordinates(n) == (2, -1) and not cone.admits(n, -1)
+    n = cone.member(1, 1)
+    assert cone.coordinates(n) == (1, 1) and cone.admits(n, 1)
 
 
 def test_in_cone_dependent_basis():
     p2 = testbed("p2")
     cone = ConeCLM(TDivisor(p2, (1, 0, 0)), TDivisor(p2, (2, 0, 0)))
-    inside, lam, mu_ = in_cone(TDivisor(p2, (3, 0, 0)), cone)
-    assert inside and lam * 1 + mu_ * 2 == 3
+    n = TDivisor(p2, (3, 0, 0))
+    lam, mu_ = cone.coordinates(n)
+    assert cone.admits(n, mu_) and lam * 1 + mu_ * 2 == 3
 
 
 def test_in_cone_outside_span():
@@ -60,7 +62,7 @@ def test_in_cone_outside_span():
     cone = ConeCLM(bl.classes.divisor_from_class((1, 0, 0)),
                    bl.classes.divisor_from_class((0, 1, 0)))
     with pytest.raises(ValueError):
-        in_cone(bl.classes.divisor_from_class((0, 0, 1)), cone)
+        cone.coordinates(bl.classes.divisor_from_class((0, 0, 1)))
 
 
 @pytest.mark.parametrize("name, l_cls, m_cls", [
@@ -122,7 +124,8 @@ def test_integer_cone_coordinates_match_solve_oracle(name, data):
 def test_in_cone_dependent_basis_puts_the_class_on_l():
     p2 = testbed("p2")
     cone = ConeCLM(TDivisor(p2, (1, 0, 0)), TDivisor(p2, (2, 0, 0)))
-    assert in_cone(TDivisor(p2, (3, 0, 0)), cone) == (True, 3, 0)
+    n = TDivisor(p2, (3, 0, 0))
+    assert cone.coordinates(n) == (3, 0) and cone.admits(n, 0)
 
 
 # --- check_additivity ---------------------------------------------------------
@@ -523,16 +526,17 @@ def test_theorem_sweep_pairs_filter():
     pairs = theorem_sweep_pairs(cone, (F(1, 2), 1))
     # 4 ample members -> 10 unordered pairs
     assert len(pairs) == 10
-    # with negative coefficients, against the in_cone filter, on independent
-    # (p1xp1) and dependent (p2) bases; with an ample L some classes
-    # a L + b M with b < 0 are ample, and only the independent basis drops them
+    # with negative coefficients, against membership read off each class's
+    # cone coordinates, on independent (p1xp1) and dependent (p2) bases;
+    # with an ample L some classes a L + b M with b < 0 are ample, and only
+    # the independent basis drops them
     classes, p2 = fan.classes, testbed("p2")
     ample_l = ConeCLM(classes.divisor_from_class((2, 1)), classes.divisor_from_class((1, 2)))
     dependent = ConeCLM(TDivisor(p2, (1, 0, 0)), TDivisor(p2, (2, 0, 0)))
     grid = (-1, F(-1, 2), 0, F(1, 2), 1, 2)
     for cone in (cone, ample_l, dependent):
         members = [((F(a), F(b)), cone.member(a, b)) for a in grid for b in grid
-                   if in_cone(cone.member(a, b), cone)[0]]
+                   if cone.admits(n := cone.member(a, b), cone.coordinates(n)[1])]
         assert theorem_sweep_pairs(cone, grid) == [
             (m1, m2) for i, m1 in enumerate(members) for m2 in members[i:]]
         assert any(b < 0 for (_, b), _ in members) == cone.dependent

@@ -14,7 +14,7 @@ from blowups import blown_up_fans, star_subdivision
 from oklab import cli, inequalities, okounkov, verify
 from oklab.cli import CATALOG_ENV, main
 from oklab.exactgeom import Polytope
-from oklab.toric import testbed, testbed_names
+from oklab.toric import NumClassSpace, testbed, testbed_names
 
 
 def run(capsys, *argv):
@@ -375,9 +375,8 @@ def test_bad_input_exits_2_with_a_message(capsys, argv):
 
 
 def test_failed_body_certificate_exits_3(capsys, monkeypatch):
-    real = okounkov.intersection_number
-    monkeypatch.setattr(okounkov, "intersection_number",
-                        lambda fan, divisors: real(fan, divisors) + 1)
+    real = NumClassSpace.form  # the certificate's D^d
+    monkeypatch.setattr(NumClassSpace, "form", lambda self, classes: real(self, classes) + 1)
     monkeypatch.setattr(okounkov, "_BODIES", {})  # a cold body memo, restored after
     for argv in (["body", "--testbed", "p2", "--class", "1,0,0"],
                  ["verify", "--suite", "lemma61"]):

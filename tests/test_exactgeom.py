@@ -754,17 +754,51 @@ def test_facet_route_forms_no_minkowski_sum(monkeypatch):
     assert mixed_volume([cube, seg, seg]) == 0  # a segment twice: rank 1 <= d - 2
 
 
-def test_mixed_volume_budgets_only_the_sums_its_route_forms():
+def test_mixed_volume_budgets_only_the_sums_its_route_forms(monkeypatch):
     seen = []
+    monkeypatch.setattr(exactgeom, "check_enumeration", lambda points, what: seen.append(points))
     simplex = Polytope.hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     box = Polytope.hull(product((0, 2), repeat=4))
-    mixed_volume([simplex, box, box, box], seen.append)
-    mixed_volume([simplex, simplex, simplex, box], seen.append)
+    mixed_volume([simplex, box, box, box])
+    mixed_volume([simplex, simplex, simplex, box])
     assert seen == []  # the facet route
-    mixed_volume([simplex, simplex, box, box], seen.append)
+    mixed_volume([simplex, simplex, box, box])
     assert seen == [5 * 16]  # the fit: sK + L for s = 1
-    mixed_volume([simplex, box, scale(simplex, 2), box], seen.append)
+    mixed_volume([simplex, box, scale(simplex, 2), box])
     assert seen == [5 * 16, 5 * 16 * 5 * 16]  # three bodies: the product of all four
+
+
+def test_mixed_volume_refuses_sums_over_the_budget_before_forming_any(monkeypatch):
+    sums = []
+    real_sum = exactgeom.minkowski_sum
+    monkeypatch.setattr(exactgeom, "minkowski_sum", lambda *a: sums.append(a) or real_sum(*a))
+    tet = Polytope.hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    cube = Polytope.hull(product((0, 1), repeat=3))
+    tri = Polytope.hull([(0, 0, 0), (2, 0, 0), (0, 1, 1)])
+    three = [tet, cube, tri]
+    monkeypatch.setattr(exactgeom, "ENUMERATION_BUDGET", 4 * 8 * 3 - 1)
+    with pytest.raises(exactgeom.EnumerationBudgetError, match="Minkowski sum"):
+        mixed_volume(three)
+    assert sums == []
+    monkeypatch.setattr(exactgeom, "ENUMERATION_BUDGET", 4 * 8 * 3)
+    value = mixed_volume(three)
+    assert sums and value == mixed_volume_by_polarization(three)
+    # the fit's sK + L in R^4: |V(K)| |V(L)| vertex sums
+    simplex = Polytope.hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    box = Polytope.hull(product((0, 2), repeat=4))
+    fit = [simplex, simplex, box, box]
+    sums.clear()
+    monkeypatch.setattr(exactgeom, "ENUMERATION_BUDGET", 5 * 16 - 1)
+    with pytest.raises(exactgeom.EnumerationBudgetError, match="Minkowski sum"):
+        mixed_volume(fit)
+    assert sums == []
+    monkeypatch.setattr(exactgeom, "ENUMERATION_BUDGET", 5 * 16)
+    assert mixed_volume(fit) == mixed_volume_by_polarization(fit)
+    # V(K, L^(d-1)) and vol K form no sum, so no budget refuses them
+    monkeypatch.setattr(exactgeom, "ENUMERATION_BUDGET", 0)
+    for bodies in ([simplex, box, box, box], [box, box, box, simplex], [box] * 4,
+                   [tet, cube, cube], [cube, cube, tet]):
+        assert mixed_volume(bodies) == mixed_volume_by_polarization(bodies)
 
 
 rational_entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)

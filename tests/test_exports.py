@@ -50,6 +50,25 @@ def test_no_module_imports_a_private_name_of_another(name):
     assert private == []
 
 
+# each module imports only from modules before it
+LAYERS = ("linalg", "exactgeom", "toric", "okounkov", "additivity", "inequalities",
+          "verify", "cli")
+
+
+def test_modules_import_only_from_earlier_layers():
+    assert sorted(LAYERS) == MODULES
+    later = []
+    for name in LAYERS:
+        tree = ast.parse(Path(oklab.__file__).with_name(f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                # `from . import x` names the module x; `from .x import y` the module x
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                later += [f"{name} imports {t}" for t in targets
+                          if t in LAYERS and LAYERS.index(t) >= LAYERS.index(name)]
+    assert later == []
+
+
 def _public_callables(module):
     """(qualified name, callable) for the public functions and methods that
     a module defines."""

@@ -82,6 +82,15 @@ def test_delta_map_rejects_outside_span():
         dmap.coordinates(bl.classes.divisor_from_class((0, 0, 1)))
 
 
+def test_delta_map_rejects_a_non_nef_basis_class():
+    bl = testbed("blpq-p2")
+    flag = AdmissibleFlag(bl, (3, 0))
+    nef, bad = (bl.classes.divisor_from_class(y) for y in ((1, 0, 1), (0, 0, 1)))
+    for l_div, m_div in ((bad, nef), (nef, bad), (nef.scaled(-1), nef)):
+        with pytest.raises(ValueError, match="is not nef on blpq-p2"):
+            delta_map(l_div, m_div, flag)
+
+
 # --- cor13 ---------------------------------------------------------------------
 
 def test_cor13_examples():

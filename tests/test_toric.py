@@ -905,8 +905,8 @@ def test_auto_sweep_config_on_rank_six_fan(monkeypatch):
         rays, cones = star_subdivision(rays, cones, cones[0])
     fan = Fan("blowup", rays, cones)
     assert fan.classes.rank == 6
-    with pytest.raises(additivity.EnumerationBudgetError):
-        additivity.check_enumeration(7 ** fan.classes.rank, "a bound-3 class box")
+    with pytest.raises(exactgeom.EnumerationBudgetError):
+        exactgeom.check_enumeration(7 ** fan.classes.rank, "a bound-3 class box")
     [(order, l_coeffs, m_coeffs)] = verify.auto_sweep_config(fan)
     assert fan.classes.is_ample(TDivisor(fan, m_coeffs).cls)
     assert TDivisor(fan, l_coeffs) == AdmissibleFlag(fan, order).divisor_of_y1()
