@@ -21,7 +21,6 @@ from .toric import (  # noqa: F401
     Fan,
     TDivisor,
     flag_corresponds,
-    flag_valuation,
     intersection_number,
     mu,
     polytope_of_divisor,

@@ -26,7 +26,6 @@ from .toric import (
     Fan,
     TDivisor,
     flag_corresponds,
-    flag_valuation,
     mu,
 )
 
@@ -222,8 +221,8 @@ def slice_decomposition_replay(n1: TDivisor, n2: TDivisor, flag: AdmissibleFlag,
         return slice_at(body(div, flag).body, 0)
 
     # the canonical section of O(Y_1) has valuation vector e_1
-    e1 = tuple(Fraction(1 if i == 0 else 0) for i in range(d))
-    if tuple(flag_valuation(flag, oy1, (0,) * d)) != e1:
+    e1 = tuple(int(i == 0) for i in range(d))
+    if flag.phi((0,) * d, oy1.ints, 1) != e1:
         raise AssertionError("canonical section of O(Y_1) has valuation != e_1")
 
     body1, body2, body_n12 = (no_body_rational(x, flag).body for x in (n1, n2, n1 + n2))

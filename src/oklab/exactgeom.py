@@ -29,7 +29,7 @@ The same data give each body one integer H-representation, built on
 demand: an affine-hull equality per free column and an inequality per
 facet (Minkowski-Weyl).  Containment, the witnesses of `first_outside`,
 the hyperplane of a facet body and `sum_relation` (P = Q + R on vertex
-sums) read it with no hull; `Polytope.halfspaces` is its Fraction view.
+sums) read it with no hull.
 
 Mixed volumes take one of three routes, all built on Minkowski's formula
 d! V(K, L^(d-1)) = sum_F w_F h_K(n_F) over the facets of L, whose weights
@@ -472,21 +472,11 @@ class Polytope:
             ineqs.append((tuple(n), c, 1))
         return eqs, ineqs
 
-    def halfspaces(self):
-        """(equalities, inequalities): the Fraction view (n / s, c / (s L)) of
-        `integer_halfspaces`, pairs (normal, offset) with the body {x : n.x = c
-        on equalities, n.x <= c on inequalities}; an equality's normal is 1 on
-        its free column."""
-        return tuple([self._fraction_row(*h) for h in part]
-                     for part in self.integer_halfspaces())
-
-    def _fraction_row(self, n, c, s):
-        return tuple(Fraction(x, s) for x in n), Fraction(c, s * self.L)
-
     def first_outside(self, other: "Polytope"):
-        """(x, (n, c)) for the first vertex x of the other body outside this
-        one and the first halfspace of `halfspaces()` it breaks, equalities
-        first (None for the empty body); None if the other lies in this one."""
+        """(x, (n / s, c / (s L))) for the first vertex x of the other body
+        outside this one and the first row (n, c, s) of `integer_halfspaces`
+        it breaks, equalities first (None for the empty body); None if the
+        other lies in this one."""
         if self.dim != other.dim:
             raise DimensionMismatch("polytope dimension mismatch")
         if self.is_empty():
@@ -494,9 +484,10 @@ class Polytope:
         eqs, ineqs = self.integer_halfspaces()
         rows = [(ne, h) for h in eqs] + [(gt, h) for h in ineqs]
         for y in other.ipts:  # the vertex y / L', on integers: n.y L against c L'
-            for breaks, h in rows:
-                if breaks(sum(map(mul, h[0], y)) * self.L, h[1] * other.L):
-                    return tuple(Fraction(x, other.L) for x in y), self._fraction_row(*h)
+            for breaks, (n, c, s) in rows:
+                if breaks(sum(map(mul, n, y)) * self.L, c * other.L):
+                    return tuple(Fraction(x, other.L) for x in y), (
+                        tuple(Fraction(x, s) for x in n), Fraction(c, s * self.L))
         return None
 
     def contains(self, other: "Polytope") -> bool:

@@ -198,19 +198,19 @@ def decide_power_inequality(a: Fraction, b: Fraction, c: Fraction, d: int):
         s *= 10
 
 
-def injectivity_check(dmap: DeltaMap) -> InequalityRecord:
-    """Strict Brunn-Minkowski for the basis pair, hence linear independence
-    of the basis bodies and injectivity of the map on span(L, M)."""
-    if dmap.dependent:
+def injectivity_check(cone: ConeCLM) -> InequalityRecord:
+    """Strict Brunn-Minkowski for the nef basis pair, hence linear independence
+    of the basis bodies and injectivity of the body map on span(L, M).  It
+    reads intersection numbers only, which refuse a class that is not nef, so
+    a `DeltaMap` serves as well as its cone."""
+    if cone.dependent:
         raise ValueError("injectivity is undefined for a dependent basis")
-    fan = dmap.fan
-    d = fan.dim
+    fan, d, (L, M) = cone.fan, cone.fan.dim, (cone.L, cone.M)
     # L^k M^{d-k} for k = 0..d
-    ints = [intersection_number(fan, [dmap.L] * k + [dmap.M] * (d - k))
-            for k in range(d + 1)]
+    ints = [intersection_number(fan, [L] * k + [M] * (d - k)) for k in range(d + 1)]
     a = ints[d]      # L^d
     b = ints[0]      # M^d
-    c = intersection_number(fan, [dmap.L + dmap.M] * d)
+    c = intersection_number(fan, [L + M] * d)
     termwise_equal = all(ints[k] ** d == a ** k * b ** (d - k)
                          for k in range(1, d))
     side, bound = decide_power_inequality(a, b, c, d)

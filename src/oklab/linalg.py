@@ -31,10 +31,6 @@ def vec(xs: Iterable) -> Vec:
     return tuple(rat(x) for x in xs)
 
 
-def dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
-
-
 def independent_rows(rows: Iterable[Sequence[int]]) -> list[tuple[int, int, list[int]]]:
     """(row index, pivot column, echelon row) for each row of an integer
     matrix that is independent of the rows before it.

@@ -29,7 +29,7 @@ from math import gcd, inf, lcm
 from operator import mul
 
 from .exactgeom import Polytope, integer_hull
-from .linalg import adjugate, dot, independent_rows, integer_row, primitive, rat, vec
+from .linalg import adjugate, independent_rows, integer_row, primitive, rat
 
 __all__ = [
     "Fan",
@@ -39,7 +39,6 @@ __all__ = [
     "FanError",
     "polytope_of_divisor",
     "section_points",
-    "flag_valuation",
     "intersection_number",
     "nef_classes",
     "flag_corresponds",
@@ -166,9 +165,9 @@ class Fan:
 
     def _check_generic_point(self):
         for k in (997, 1009, 1013, 1019, 1021):
-            p = [Fraction(1, k ** j) for j in range(self.dim)]
-            # p = sum_i <m_i, p> v_i on each smooth cone
-            lams = [[dot(m, p) for m in self.dual_bases[cone]] for cone in self.max_cones]
+            # (1, 1/k, ..., 1/k^(d-1)) times k^(d-1); p = sum_i <m_i, p> v_i on each cone
+            p = [k ** j for j in reversed(range(self.dim))]
+            lams = [[sum(map(mul, m, p)) for m in self.dual_bases[c]] for c in self.max_cones]
             if any(x == 0 for lam in lams for x in lam):
                 continue
             hits = sum(all(x > 0 for x in lam) for lam in lams)
@@ -204,8 +203,11 @@ class TDivisor:
 
     def __init__(self, fan: Fan, coeffs):
         coeffs = tuple(coeffs)
-        ints, den = ((coeffs, 1) if all(type(a) is int for a in coeffs)
-                     else integer_row(vec(coeffs)))
+        try:
+            ints, den = (coeffs, 1) if all(type(a) is int for a in coeffs) else integer_row(coeffs)
+        except AttributeError:  # no numerator: neither an int nor a Fraction
+            bad = next(a for a in coeffs if not isinstance(a, (int, Fraction)))
+            raise ValueError(f"coefficient {bad!r} is neither an int nor a Fraction") from None
         if len(ints) != len(fan.rays):
             raise ValueError("coefficient count does not match ray count")
         self.__dict__.update(fan=fan, den=den, ints=tuple(ints))
@@ -505,16 +507,6 @@ def polytope_of_divisor(fan: Fan, divisor: TDivisor) -> Polytope:
     """P_D, the hull of `section_points`: sections of mD live on m P_D, and a
     divisor without sections comes back as the empty polytope."""
     return integer_hull(fan.dim, *section_points(fan, divisor))
-
-
-def flag_valuation(flag: AdmissibleFlag, divisor: TDivisor, u):
-    """Valuation vector of the monomial section chi^u of O(D): the flag's phi
-    at the lattice point u of P_D = {u : den <u, v_rho> + a_rho >= 0}, on integers."""
-    u, a, den = tuple(int(x) for x in u), divisor.ints, divisor.den
-    p = tuple(den * x for x in u)
-    if any(sum(map(mul, v, p)) + b < 0 for v, b in zip(flag.fan.rays, a)):
-        raise ValueError(f"lattice point {u} outside P_D")
-    return tuple(Fraction(x, den) for x in flag.phi(p, a, 1))
 
 
 def _monomial(fan: Fan, rays: tuple) -> int:

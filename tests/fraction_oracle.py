@@ -10,10 +10,12 @@ over the ray coefficients instead.  The package interpolates on integers
 over one denominator; `interpolate` adds up the Lagrange terms in Fractions.
 The package spans P_D by integer points over one denominator;
 `subset_loop_polytope` solves every d facet equations in Fractions.  The
-package builds a body's halfspaces on integers and divides once;
-`adjugate_halfspaces` builds each entry as a Fraction.  The package
-decides the necessary condition by whether mu adds; `segment_on_boundary`
-tests the pseudo-effective boundary it stands for, row by row.
+package builds a body's halfspaces on integers; `fraction_halfspaces`
+divides them once, and `adjugate_halfspaces` builds each entry as a
+Fraction.  The package takes dot products on integers; `dot` sums
+products of Fractions.  The package decides the necessary condition by
+whether mu adds; `segment_on_boundary` tests the pseudo-effective
+boundary it stands for, row by row.
 """
 
 from fractions import Fraction
@@ -22,8 +24,12 @@ from itertools import combinations, product
 from math import lcm, prod
 
 from oklab.exactgeom import Polytope
-from oklab.linalg import adjugate, dot
+from oklab.linalg import adjugate
 from oklab.toric import _monomial
+
+
+def dot(a, b):
+    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
 
 def common_denominator(points):
@@ -124,6 +130,15 @@ def subset_loop_polytope(fan, divisor):
             if all(sum(x * y for x, y in zip(u, fan.rays[i])) >= -a[i] for i in range(n)):
                 points.append(u)
     return Polytope.hull(points, dim=d)
+
+
+def fraction_halfspaces(body):
+    """(equalities, inequalities): the Fraction view (n / s, c / (s L)) of
+    `integer_halfspaces`, pairs (normal, offset) with the body {x : n.x = c
+    on equalities, n.x <= c on inequalities}; an equality's normal is 1 on
+    its free column."""
+    return tuple([(tuple(Fraction(x, s) for x in n), Fraction(c, s * body.L))
+                  for n, c, s in part] for part in body.integer_halfspaces())
 
 
 def adjugate_halfspaces(body):

@@ -15,7 +15,8 @@ from math import ceil, floor
 
 from fraction_oracle import common_denominator, solve
 from oklab.exactgeom import Polytope
-from oklab.linalg import dot, vec
+from fraction_oracle import dot
+from oklab.linalg import vec
 from oklab.toric import polytope_of_divisor
 
 

@@ -9,7 +9,8 @@ from operator import mul
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from fraction_oracle import adjugate_halfspaces, common_denominator, nullspace, rref, solve
+from fraction_oracle import (adjugate_halfspaces, common_denominator, dot, fraction_halfspaces,
+                             nullspace, rref, solve)
 from hull_oracle import (all_pairs_slice, cofactor_det, edge_scan_slice, simplicial_hull,
                          union_hull_contains)
 from oklab import exactgeom
@@ -27,7 +28,7 @@ from oklab.exactgeom import (
     slice_at,
     slice_vertices,
 )
-from oklab.linalg import adjugate, cross_normal_int, dot, independent_rows, integer_row
+from oklab.linalg import adjugate, cross_normal_int, independent_rows, integer_row
 
 
 def rank(rows):
@@ -231,7 +232,7 @@ def test_membership_lower_dimensional():
 
 def test_halfspace_representation_roundtrip():
     p = Polytope.hull([(0, 0), (4, 0), (0, 4), (3, 3)])
-    eqs, ineqs = p.halfspaces()
+    eqs, ineqs = p.integer_halfspaces()
     assert not eqs
     for v in p.vertices:
         assert p.contains(Polytope.hull([v]))
@@ -240,10 +241,10 @@ def test_halfspace_representation_roundtrip():
 
 def _h_contains(body, points):
     """Oracle: every point meets the equalities and inequalities that
-    `halfspaces` gives, checked on Fractions; no point lies in the empty body."""
+    `integer_halfspaces` gives, checked on Fractions; no point lies in the empty body."""
     if body.is_empty():
         return not points
-    eqs, ineqs = body.halfspaces()
+    eqs, ineqs = fraction_halfspaces(body)
     return all(all(dot(n, q) == c for n, c in eqs) and all(dot(n, q) <= c for n, c in ineqs)
                for q in points)
 
@@ -300,7 +301,7 @@ def test_hull_containment_matches_halfspaces(d, k, data):
         assert body.contains(Polytope.hull([q])) == _h_contains(body, [q]) \
             == union_hull_contains(body, Polytope.hull([q]))
     if not body.is_empty():
-        assert body.halfspaces() == adjugate_halfspaces(body)
+        assert fraction_halfspaces(body) == adjugate_halfspaces(body)
 
 
 @seed(2024)
@@ -320,7 +321,7 @@ def test_first_outside_names_a_vertex_and_a_halfspace_it_breaks(d, k, data):
     if body.is_empty():
         assert x == other.vertices[0] and broken is None
         return
-    eqs, ineqs = body.halfspaces()
+    eqs, ineqs = fraction_halfspaces(body)
     n, c = broken
     if broken in eqs:  # the first halfspace x breaks, equalities first
         assert dot(n, x) != c and all(dot(m, x) == e for m, e in eqs[:eqs.index(broken)])
@@ -474,7 +475,7 @@ def test_hull_handles_degenerate_configurations(pts):
     # ones recomputed from the vertices alone
     again = hull.translate((0, 0, 0))
     assert again.volume() == hull.volume()
-    assert again.halfspaces() == hull.halfspaces()
+    assert again.integer_halfspaces() == hull.integer_halfspaces()
 
 
 @given(st.lists(st.tuples(coords3, coords3), min_size=3, max_size=7),
@@ -638,8 +639,8 @@ def test_translate_and_embed_carry_the_hull_data(d, data):
             ref = Polytope.hull(points)
             assert (moved.dim, moved.L, moved.ipts, moved.k, moved.cols, moved.facets) == \
                 (ref.dim, ref.L, ref.ipts, ref.k, ref.cols, ref.facets)
-            assert (moved.volume(), moved.edges(), moved.halfspaces()) == \
-                (ref.volume(), ref.edges(), ref.halfspaces())
+            assert (moved.volume(), moved.edges(), fraction_halfspaces(moved)) == \
+                (ref.volume(), ref.edges(), fraction_halfspaces(ref))
             (eqs, ineqs), (ref_eqs, ref_ineqs) = moved.integer_halfspaces(), ref.integer_halfspaces()
             assert ineqs == ref_ineqs and len(eqs) == len(ref_eqs)
             flipped = [(tuple(-x for x in n), -c, -s) for n, c, s in ref_eqs]
@@ -877,7 +878,7 @@ def test_halfspace_equalities_match_nullspace_oracle(d, data):
                                 for j, x in enumerate(p0)) for cs in combos])
     v0 = body.vertices[0]
     diffs = [[a - b for a, b in zip(v, v0)] for v in body.vertices[1:]]
-    eqs, _ = body.halfspaces()
+    eqs, _ = fraction_halfspaces(body)
     assert eqs == [(w, dot(w, v0)) for w in nullspace(diffs or [[0] * d])]
 
 
@@ -891,7 +892,7 @@ def test_minkowski_memo_is_bounded_and_transparent():
     again = minkowski_sum(UNIT_SIMPLEX, seg)
     assert again is not first and again == first
     assert again.volume() == first.volume()
-    assert again.halfspaces() == first.halfspaces()
+    assert again.integer_halfspaces() == first.integer_halfspaces()
 
 
 # --- conflict-list hull against the brute-force oracle ------------------------
@@ -1076,7 +1077,7 @@ def test_edge_points_of_the_cross_polytope_in_four_space():
     _assert_matches_hull_oracle(ipts)
     body = Polytope.hull(pts)
     assert sorted(body.vertices) == sorted(tuple(map(F, p)) for p in tips)
-    assert len(body.halfspaces()[1]) == 16 and body.volume() == F(2 ** 4 * 16, 24)
+    assert len(body.integer_halfspaces()[1]) == 16 and body.volume() == F(2 ** 4 * 16, 24)
 
 
 # --- integer vertices over one denominator ------------------------------------

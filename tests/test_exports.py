@@ -1,6 +1,6 @@
 """The package's public names: every `__all__` entry and every name that
-`oklab/__init__.py` re-exports is defined, and every public function has a
-caller outside the tests; and what importing it loads."""
+`oklab/__init__.py` re-exports is defined, and every public function and
+method has a caller outside the tests; and what importing it loads."""
 
 import ast
 import importlib
@@ -9,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -137,10 +138,18 @@ def _loads(tree):
                 yield top, node.attr
 
 
+def _attribute_reads(node) -> Counter:
+    """How often each attribute name is read under a node (`x.name`)."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
 def test_every_public_function_has_a_caller_outside_the_tests():
     # a helper that only tests call belongs in tests/: each public top-level
     # function of the package is used by the package or by perfbench/, apart
-    # from its own def, `__all__` (strings) and the re-exports of __init__.py
+    # from its own def, `__all__` (strings) and the re-exports of __init__.py;
+    # each public method or property of a package class is read there as an
+    # attribute, apart from inside its own def
     package = Path(oklab.__file__).parent
     trees = {path: ast.parse(path.read_text()) for path in
              [package / f"{name}.py" for name in MODULES]
@@ -152,6 +161,11 @@ def test_every_public_function_has_a_caller_outside_the_tests():
                 if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")
                 and not any(name == top.name and (owner, where) != (top.name, path)
                             for name, owner, where in used)]
+    reads = sum(map(_attribute_reads, trees.values()), Counter())
+    uncalled += [f"{path.stem}.{cls.name}.{fn.name}" for path, tree in trees.items()
+                 if path.parent == package for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                 and not fn.name.startswith("_") and reads[fn.name] == _attribute_reads(fn)[fn.name]]
     assert uncalled == []
 
 

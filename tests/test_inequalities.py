@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import fraction_oracle
 from blowups import blown_up_fans, seeded_blown_up_fans
-from oklab import exactgeom, inequalities
+from oklab import exactgeom, inequalities, verify
+from oklab.additivity import ConeCLM
 from oklab.exactgeom import Polytope, minkowski_sum, mixed_volume, scale
 from oklab.inequalities import (
     InequalityRecord,
@@ -233,6 +234,22 @@ def test_injectivity_computes_no_mixed_volume(monkeypatch):
     monkeypatch.setattr(inequalities, "mixed_volume", forbidden)
     monkeypatch.setattr(exactgeom, "mixed_volume", forbidden)
     assert injectivity_check(dmap).slack == 2
+
+
+def test_injectivity_reads_only_the_cone():
+    # the cor13 pairs give the same record from their cone as from the body
+    # map on any flag; a basis that is not nef has no bodies and is refused
+    for name, (lco, mco) in verify.INJECTIVITY_PAIRS.items():
+        fan = testbed(name)
+        L, M = TDivisor(fan, lco), TDivisor(fan, mco)
+        record = injectivity_check(ConeCLM(L, M))
+        assert record == injectivity_check(delta_map(L, M, AdmissibleFlag(fan, fan.max_cones[0])))
+        assert record.passed and record.slack != 0
+    f1 = testbed("f1")
+    not_nef = TDivisor(f1, (0, 1, 0, 0))  # E, the (-1)-curve
+    assert not f1.classes.is_nef(not_nef.num_class[0])
+    with pytest.raises(ValueError, match="only certified for nef inputs"):
+        injectivity_check(ConeCLM(not_nef, TDivisor(f1, (0, 0, 1, 2))))
 
 
 def test_injectivity_rejects_dependent_basis():

@@ -13,7 +13,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from blowups import blown_up_fans, seeded_blown_up_fans
-from fraction_oracle import common_denominator, subset_loop_polytope
+from fraction_oracle import dot, subset_loop_polytope
 from graded_oracle import (
     face_tails,
     graded_body,
@@ -24,7 +24,6 @@ from hull_oracle import edge_scan_slice
 from oklab import cli, exactgeom, okounkov, toric, verify
 from oklab.exactgeom import Polytope, scale, slice_at
 from oklab.inequalities import find_corresponding_flag
-from oklab.linalg import dot
 from oklab.okounkov import (
     NOBody,
     NonBigClassError,
@@ -41,7 +40,6 @@ from oklab.toric import (
     Fan,
     TDivisor,
     flag_corresponds,
-    flag_valuation,
     mu,
     polytope_of_divisor,
     star_model,
@@ -103,7 +101,7 @@ def test_p2_body_is_simplex_two_routes():
     # the section polytope's vertices
     assert graded_body(div, flag) == nb.body
     image = Polytope.hull(
-        [flag_valuation(flag, div, u) for u in [(0, 0), (1, 0), (0, 1)]])
+        [flag.phi(u, div.ints, 1) for u in [(0, 0), (1, 0), (0, 1)]])
     assert nb.body == image
 
 
@@ -164,8 +162,7 @@ def test_f1_nontrivial_body_shape():
     assert nb.exact
     p = polytope_of_divisor(fan, div.scaled(2))
     image = Polytope.hull(
-        [flag_valuation(flag, div.scaled(2), tuple(map(int, u)))
-         for u in p.vertices])
+        [flag.phi(tuple(map(int, u)), div.scaled(2).ints, 1) for u in p.vertices])
     assert nb.body == scale(image, F(1, 2))
 
 
@@ -459,10 +456,10 @@ def test_e1_is_a_valuation_of_o_y1():
     # is big (P^2) the body itself contains e_1
     p2, flag = flag_of("p2", (1, 2))
     oy1 = flag.divisor_of_y1()
-    assert flag_valuation(flag, oy1, (0, 0)) == (1, 0)
+    assert flag.phi((0, 0), oy1.ints, 1) == (1, 0)
     assert no_body_rational(oy1, flag).body.contains(Polytope.hull([(1, 0)]))
     f1, eflag = flag_of("f1", (1, 0))
-    assert flag_valuation(eflag, eflag.divisor_of_y1(), (0, 0)) == (1, 0)
+    assert eflag.phi((0, 0), eflag.divisor_of_y1().ints, 1) == (1, 0)
 
 
 def test_bodies_match_section_polytope_images_everywhere():
@@ -514,14 +511,10 @@ def _random_big_class(rnd, fan, half):
 
 def _contains_scaled(body, points, den):
     """Whether a full-dimensional body holds every v / den, in integers."""
-    eqs, ineqs = body.halfspaces()
+    eqs, ineqs = body.integer_halfspaces()
     assert not eqs
-    rows = []
-    for n, c in ineqs:
-        k = common_denominator([n + (c,)])
-        rows.append(([int(x * k) for x in n], int(c * k) * den))
-    return all(sum(x * y for x, y in zip(n, v)) <= c
-               for v in points for n, c in rows)
+    return all(sum(x * y for x, y in zip(n, v)) * body.L <= c * den
+               for v in points for n, c, _ in ineqs)
 
 
 def test_closed_form_bodies_match_graded_oracle():

@@ -11,20 +11,19 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from blowups import blown_up_fans, seeded_blown_up_fans, star_subdivision
-from fraction_oracle import (boundary_membership, common_denominator, nullspace, ray_form,
+from fraction_oracle import (boundary_membership, common_denominator, dot, nullspace, ray_form,
                              solve, subset_loop_polytope)
 from graded_oracle import face_tails, lattice_points
 from hull_oracle import cofactor_det
 from oklab import exactgeom, okounkov, toric
 from oklab.exactgeom import Polytope, mixed_volume
-from oklab.linalg import dot, primitive, vec
+from oklab.linalg import primitive, vec
 from oklab.toric import (
     AdmissibleFlag,
     Fan,
     FanError,
     TDivisor,
     flag_corresponds,
-    flag_valuation,
     intersection_number,
     load_catalog_dir,
     mu,
@@ -85,6 +84,15 @@ def test_fan_rejects_cones_on_one_side_of_a_ridge():
     # [0, 1] and [0, 2] both lie above the ridge spanned by ray 0
     with pytest.raises(FanError, match="both sides"):
         Fan("folded", [[1, 0], [0, 1], [1, 1]], [[0, 1], [1, 2], [0, 2]])
+
+
+def test_fan_rejects_a_fan_that_winds_twice_around_the_origin():
+    # every cone is smooth and every ridge lies in two cones on opposite
+    # sides, but the fifteen cones go round the origin twice
+    rays = [[1, 0], [-3, 1], [-1, 0], [-3, -1], [-2, -1], [-3, -2], [-1, -1], [-2, -3],
+            [-1, -2], [-1, -3], [1, 2], [0, 1], [-1, 1], [-3, 2], [1, -1]]
+    with pytest.raises(FanError, match="covered 2 times"):
+        Fan("twice", rays, [[i, (i + 1) % 15] for i in range(15)])
 
 
 # --- classes and cones ------------------------------------------------------
@@ -163,19 +171,12 @@ def test_lattice_points_of_doubled_hyperplane():
 def test_flag_valuation_examples():
     p2 = testbed("p2")
     flag = AdmissibleFlag(p2, (1, 2))
-    o1 = TDivisor(p2, (1, 0, 0))
-    assert flag_valuation(flag, o1, (0, 0)) == (0, 0)
-    assert flag_valuation(flag, o1, (1, 0)) == (1, 0)
+    o1 = TDivisor(p2, (1, 0, 0)).ints
+    assert flag.phi((0, 0), o1, 1) == (0, 0)
+    assert flag.phi((1, 0), o1, 1) == (1, 0)
     pp = testbed("p1xp1")
     fl = AdmissibleFlag(pp, (0, 2))
-    assert flag_valuation(fl, TDivisor(pp, (0, 2, 0, 3)), (2, 3)) == (2, 3)
-
-
-def test_flag_valuation_rejects_outside_points():
-    p2 = testbed("p2")
-    flag = AdmissibleFlag(p2, (1, 2))
-    with pytest.raises(ValueError):
-        flag_valuation(flag, TDivisor(p2, (1, 0, 0)), (2, 0))
+    assert fl.phi((2, 3), TDivisor(pp, (0, 2, 0, 3)).ints, 1) == (2, 3)
 
 
 def test_flag_valuation_injective_and_nonnegative():
@@ -183,7 +184,7 @@ def test_flag_valuation_injective_and_nonnegative():
     flag = AdmissibleFlag(bl, (3, 0))
     div = TDivisor(bl, (1, 1, 1, 1, 1))
     pts = lattice_points(bl, div)
-    vals = [flag_valuation(flag, div, u) for u in pts]
+    vals = [flag.phi(u, div.ints, 1) for u in pts]
     assert len(set(vals)) == len(pts)
     assert all(x >= 0 for v in vals for x in v)
 
@@ -223,11 +224,12 @@ def test_flag_valuation_is_the_flags_image_of_the_section_points():
                 assert len(image) == len(points)
                 for p, v in zip(points, image):
                     if all(x % L == 0 for x in p):
-                        u = tuple(x // L for x in p)
-                        assert flag_valuation(flag, div, u) == tuple(F(x, L) for x in v)
+                        # phi at the lattice point u = p / L, over den
+                        value = flag.phi([div.den * x // L for x in p], div.ints, 1)
+                        assert tuple(F(x, div.den) for x in value) == tuple(F(x, L) for x in v)
                         checked += 1
                 if div.den == 1 and fan.classes.is_nef(div.num_class[0]) and image:
-                    assert Polytope.hull([flag_valuation(flag, div, u) for u in
+                    assert Polytope.hull([flag.phi(u, div.ints, 1) for u in
                                           lattice_points(fan, div)], dim=fan.dim) \
                         == exactgeom.integer_hull(fan.dim, L, image)
     assert checked > 100
@@ -238,9 +240,9 @@ def test_face_lattice_tails_matches_filtered_enumeration():
     flag = AdmissibleFlag(bl, (3, 0))
     div = TDivisor(bl, (2, 1, 2, 1, 1))
     by_filter = sorted(
-        flag_valuation(flag, div, u)[1:]
+        flag.phi(u, div.ints, 1)[1:]
         for u in lattice_points(bl, div)
-        if flag_valuation(flag, div, u)[0] == 0)
+        if flag.phi(u, div.ints, 1)[0] == 0)
     assert sorted(tuple(map(F, t)) for t in face_tails(bl, flag, div)) \
         == by_filter
 
@@ -270,6 +272,13 @@ def test_divisor_and_flag_fields_are_read_only():
         with pytest.raises(AttributeError):
             setattr(obj, field, None)
     assert (div.fan, div.den, div.ints, flag.ray_indices) == (fan, 1, (1, 0, 0), (1, 2))
+
+
+def test_divisor_refuses_coefficients_that_are_not_rational_values():
+    fan = testbed("p2")
+    for bad in (0.1, "1/2"):
+        with pytest.raises(ValueError, match=f"coefficient {bad!r} is neither"):
+            TDivisor(fan, (1, bad, F(1, 2)))
 
 
 # --- intersection numbers ---------------------------------------------------
