@@ -29,20 +29,6 @@ from .toric import (
     mu,
 )
 
-__all__ = [
-    "ConeCLM",
-    "AdditivityVerdict",
-    "InclusionViolationError",
-    "UncertifiedBodyError",
-    "check_additivity",
-    "compare_additive_bodies",
-    "slice_decomposition_replay",
-    "necessary_condition_check",
-    "ample_grid_classes",
-    "theorem_sweep_pairs",
-    "strict_search",
-]
-
 
 class InclusionViolationError(AssertionError):
     """The containment sum(bodies) <= body(sum) failed: implementation bug."""

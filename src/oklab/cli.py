@@ -246,6 +246,8 @@ def _parse_divisor(fan: Fan, text: str) -> TDivisor:
     try:
         if text.lstrip().startswith("{"):
             parts = json.loads(text)["coeffs"]
+            if type(parts) is not list:  # a string would give a coefficient per character
+                raise TypeError("\"coeffs\" must be a JSON list")
         else:
             parts = [p for p in text.split(",") if p != ""]
         coeffs = [_coefficient(p) for p in parts]

@@ -31,18 +31,15 @@ facet (Minkowski-Weyl).  Containment, the witnesses of `first_outside`,
 the hyperplane of a facet body and `sum_relation` (P = Q + R on vertex
 sums) read it with no hull.
 
-Mixed volumes take one of three routes, all built on Minkowski's formula
+Mixed volumes take one of two routes, both built on Minkowski's formula
 d! V(K, L^(d-1)) = sum_F w_F h_K(n_F) over the facets of L, whose weights
 w_F the hull keeps with each facet.  Two distinct bodies in the form
-V(K, L^(d-1)) take it directly, with no Minkowski sum.  Other two-body
-mixed volumes V(K^j, L^(d-j)), 2 <= j <= d - 2, are read off the
-polynomial vol(sK + L), whose coefficients of s and s^(d-1) the formula
-gives, so d - 3 Minkowski sums fit the rest.  Three or more distinct
-bodies polarize the formula over the d - 1 bodies after the first, so the
+V(K, L^(d-1)) take it directly, with no Minkowski sum.  Every other mixed
+volume polarizes the formula over the d - 1 bodies after the first, so the
 largest sum has d - 1 bodies.  `mixed_volume_by_polarization`, over sums
 of up to all d bodies, is the independent route that checks them.
-`mixed_volume` refuses a route whose sums would be too large to form
-before it forms any (`check_enumeration`).
+`mixed_volume` refuses a polarization whose sums would be too large to
+form before it forms any (`check_enumeration`).
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import gt, mul, ne
 
 from .linalg import (
@@ -63,18 +60,6 @@ from .linalg import (
     rat,
 )
 
-__all__ = [
-    "Polytope",
-    "integer_hull",
-    "minkowski_sum",
-    "sum_relation",
-    "scale",
-    "mixed_volume",
-    "mixed_volume_by_polarization",
-    "slice_at",
-    "slice_vertices",
-]
-
 
 class DimensionMismatch(ValueError):
     pass
@@ -84,10 +69,10 @@ class DimensionMismatch(ValueError):
 # vectors of `ample_grid_classes`, the k(k + 1)/2 pairs of its k classes in
 # `strict_search`, the grid_den + 1 parameters of --grid-den and the
 # ceil(mu den) of each t-grid, and the vertex sums of the largest Minkowski
-# sum a `mixed_volume` route forms: none on the facet route, |V(K)| |V(L)|
-# for the fit (sK has the vertices of K), and for three or more bodies the
-# product of all d vertex counts, which bounds the vertex sums of a sum of
-# all d bodies.  Larger requests are refused before anything is enumerated.
+# sum a `mixed_volume` route forms: none on the facet route, and on the
+# polarization the product of all d vertex counts, which bounds the vertex
+# sums of a sum of all d bodies.  Larger requests are refused before
+# anything is enumerated.
 ENUMERATION_BUDGET = 100_000
 
 
@@ -604,24 +589,18 @@ def _moved(p: Polytope, dim, L, ipts, s, t, rows, cols, volume) -> Polytope:
 
 
 def mixed_volume(bodies) -> Fraction:
-    """Mixed volume V(K_1, ..., K_d) of d bodies in R^d, by one of three routes.
+    """Mixed volume V(K_1, ..., K_d) of d bodies in R^d, by one of two routes.
 
-    One distinct body: its volume.  Two distinct bodies K (j times) and L:
-    - j = 1 or d - 1, so the form is V(A, B^(d-1)): Minkowski's formula
-      d! V(A, B^(d-1)) = sum_F w_F h_A(n_F) over the facets of B
-      (`_facet_mixed_volume`), with no Minkowski sum;
-    - 2 <= j <= d - 2 (d >= 4): the coefficient c_j of s^j in
-      vol(sK + L) = sum_i c_i s^i, c_i = C(d, i) V(K^i, L^(d-i)), divided
-      by C(d, j).  c_0 = vol L and c_d = vol K, and the facet formula gives
-      c_1 and c_(d-1), so the d - 3 unknowns c_2..c_(d-2) are solved
-      exactly from vol(sK + L) for s = 1..d-3: one Minkowski sum in R^4.
-    Three or more distinct bodies: the facet formula polarized over the
-    d - 1 bodies after K_1,
+    One distinct body: its volume.  Two distinct bodies A and B listed once
+    and d - 1 times: Minkowski's formula d! V(A, B^(d-1)) = sum_F w_F h_A(n_F)
+    over the facets of B (`_facet_mixed_volume`), with no Minkowski sum.
+    Any other bodies: the facet formula polarized over the d - 1 bodies
+    after K_1,
 
         (d-1)! V(K_1, ..., K_d) = sum_J (-1)^(d-1-|J|) V(K_1, (sum_J K_j)^(d-1)),
 
     J ranging over the nonempty subsets of {2..d}; the largest sum has
-    d - 1 bodies, one in R^3.  A route whose sums are over
+    d - 1 bodies, one in R^3.  A polarization whose sums are over
     ENUMERATION_BUDGET raises EnumerationBudgetError before it forms any.
     """
     bodies = list(bodies)
@@ -636,27 +615,19 @@ def mixed_volume(bodies) -> Fraction:
         if b.is_empty():
             raise ValueError("mixed_volume of an empty body")
     distinct = list(dict.fromkeys(bodies))
-    if len(distinct) > 2:
-        check_enumeration(prod(len(b.ipts) for b in bodies), "the Minkowski sum of the bodies")
-        first, rest = bodies[0], bodies[1:]
-        return sum((-1) ** (d - 1 - size) * _facet_mixed_volume(first, body)
-                   for size, body in _subset_sums(rest)) / factorial(d - 1)
     if len(distinct) == 1:
         return distinct[0].volume()
-    k_body, l_body = distinct
-    j = bodies.count(k_body)
-    if j == d - 1:  # V(K^(d-1), L) = V(L, K^(d-1))
-        k_body, l_body, j = l_body, k_body, 1
-    if j == 1:
-        return _facet_mixed_volume(k_body, l_body)
-    check_enumeration(len(k_body.ipts) * len(l_body.ipts), "the Minkowski sum of the bodies")
-    known = {0: l_body.volume(), 1: d * _facet_mixed_volume(k_body, l_body),
-             d - 1: d * _facet_mixed_volume(l_body, k_body), d: k_body.volume()}
-    residues = [minkowski_sum(scale(k_body, s), l_body).volume()
-                - sum(c * s ** i for i, c in known.items()) for s in range(1, d - 2)]
-    # sum_(i=2..d-2) c_i s^i = residues[s-1]: Cramer's rule on the integer matrix (s^i)
-    adj, det = adjugate([[s ** i for i in range(2, d - 1)] for s in range(1, d - 2)])
-    return sum(r * a[j - 2] for r, a in zip(residues, adj)) / det / comb(d, j)
+    if len(distinct) == 2:
+        k_body, l_body = distinct
+        j = bodies.count(k_body)
+        if j == d - 1:  # V(K^(d-1), L) = V(L, K^(d-1))
+            return _facet_mixed_volume(l_body, k_body)
+        if j == 1:
+            return _facet_mixed_volume(k_body, l_body)
+    check_enumeration(prod(len(b.ipts) for b in bodies), "the Minkowski sum of the bodies")
+    first, rest = bodies[0], bodies[1:]
+    return sum((-1) ** (d - 1 - size) * _facet_mixed_volume(first, body)
+               for size, body in _subset_sums(rest)) / factorial(d - 1)
 
 
 def _facet_mixed_volume(k_body: Polytope, l_body: Polytope) -> Fraction:

@@ -46,21 +46,6 @@ from .toric import (
     nef_classes,
 )
 
-__all__ = [
-    "InequalityRecord",
-    "DeltaMap",
-    "delta_map",
-    "check_cor13",
-    "injectivity_check",
-    "lemma61_check",
-    "lehmann_xiao_check",
-    "cor15_check",
-    "find_corresponding_flag",
-    "random_polytope",
-    "lehmann_xiao_sweep",
-    "cor15_sweep",
-]
-
 
 class InequalityRecord:
     """lhs <= rhs, named, with its inputs; `==` compares every field."""
@@ -101,10 +86,9 @@ class DeltaMap(ConeCLM):
     the basis coordinates of `ConeCLM.coordinates`.
     """
 
-    def __init__(self, L: TDivisor, M: TDivisor, flag: AdmissibleFlag,
-                 body_l: NOBody, body_m: NOBody):
+    def __init__(self, L: TDivisor, M: TDivisor, body_l: NOBody, body_m: NOBody):
         super().__init__(L, M)
-        self.flag, self.body_l, self.body_m = flag, body_l, body_m
+        self.body_l, self.body_m = body_l, body_m
 
     @cached_property
     def mixed_volumes(self) -> tuple:
@@ -114,8 +98,7 @@ class DeltaMap(ConeCLM):
 
 
 def delta_map(l_div: TDivisor, m_div: TDivisor, flag: AdmissibleFlag) -> DeltaMap:
-    return DeltaMap(L=l_div, M=m_div, flag=flag, body_l=nef_body(l_div, flag),
-                    body_m=nef_body(m_div, flag))
+    return DeltaMap(L=l_div, M=m_div, body_l=nef_body(l_div, flag), body_m=nef_body(m_div, flag))
 
 
 # ---------------------------------------------------------------------------

@@ -42,20 +42,6 @@ from .toric import (
     star_model,
 )
 
-__all__ = [
-    "NOBody",
-    "CertificateError",
-    "NonBigClassError",
-    "NotAmpleError",
-    "no_body_rational",
-    "nef_body",
-    "restricted_body",
-    "body",
-    "ample_interval",
-    "slice_formula_check",
-    "slice_formula_checks",
-]
-
 
 class NonBigClassError(ValueError):
     pass

@@ -31,25 +31,6 @@ from operator import mul
 from .exactgeom import Polytope, integer_hull
 from .linalg import adjugate, independent_rows, integer_row, primitive, rat
 
-__all__ = [
-    "Fan",
-    "TDivisor",
-    "AdmissibleFlag",
-    "NumClassSpace",
-    "FanError",
-    "polytope_of_divisor",
-    "section_points",
-    "intersection_number",
-    "nef_classes",
-    "flag_corresponds",
-    "mu",
-    "star_model",
-    "testbed",
-    "testbed_names",
-    "load_catalog_dir",
-    "parse_rational",
-]
-
 
 class FanError(ValueError):
     pass

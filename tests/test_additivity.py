@@ -26,7 +26,7 @@ from oklab.additivity import (
 )
 from oklab import additivity, exactgeom, okounkov, toric
 from oklab.cli import json_default
-from oklab.exactgeom import Polytope, minkowski_sum, sum_relation
+from oklab.exactgeom import Polytope, minkowski_sum, scale, sum_relation
 from oklab.toric import AdmissibleFlag, TDivisor, testbed, testbed_names
 
 
@@ -392,6 +392,20 @@ def test_replay_rejects_bad_inputs():
             ConeCLM(TDivisor(p1, (0, 1)), TDivisor(p1, (0, 1))), F(1, 2))
 
 
+@pytest.mark.parametrize("patched, t, case", [("restricted_body", F(1, 2), "t<t0"),
+                                              ("body", F(3, 2), "t>=t0")], ids=("t<t0", "t>=t0"))
+def test_replay_reports_a_step_whose_sides_differ(monkeypatch, patched, t, case):
+    # the bodies of one kind doubled: each case compares such a body with
+    # one built another way, so some step is unequal and the replay fails
+    fan, flag, cone = setup_p1xp1()
+    real = getattr(additivity, patched)
+    monkeypatch.setattr(additivity, patched, lambda div, flag: okounkov.NOBody(
+        scale(real(div, flag).body, 2), True))
+    ok, trace = slice_decomposition_replay(cone.member(1, 1), cone.member(2, 1), flag, cone, t)
+    assert trace["meta"]["case"] == case
+    assert not ok and not all(step["equal"] for step in trace["steps"])
+
+
 # --- necessary condition --------------------------------------------------------
 
 def test_necessary_condition_worked_example():
@@ -423,6 +437,19 @@ def test_necessary_condition_requires_ample():
     fan, flag, cone = setup_p1xp1()
     with pytest.raises(ValueError):
         necessary_condition_check(cone.L, cone.member(1, 1), flag)
+
+
+def test_necessary_condition_fails_when_mu_does_not_add(monkeypatch):
+    # mu(L + M) one more than its value on an `equal` pair: mu does not add,
+    # and an `equal` verdict owes that it adds
+    fan, flag, cone = setup_p1xp1()
+    l_div, m_div = cone.member(1, 2), cone.member(2, 1)
+    real = additivity.mu
+    monkeypatch.setattr(additivity, "mu",
+                        lambda fan, div, e: real(fan, div, e) + (div == l_div + m_div))
+    rep = necessary_condition_check(l_div, m_div, flag)
+    assert rep["verdict"] == "equal" and (rep["mu_L"], rep["mu_M"], rep["mu_sum"]) == (1, 2, 4)
+    assert not rep["mu_additive"] and not rep["ok"]
 
 
 def test_a_decided_pair_is_not_decided_again(monkeypatch):

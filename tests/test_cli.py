@@ -367,6 +367,10 @@ def test_nonpositive_bounds_rejected(capsys):
     ["body", "--testbed", "p2", "--class", "0,0,0"],
     ["body", "--testbed", "blpq-p2", "--class", "1/2,0,-1,0,0"],
     ["body", "--testbed", "p2", "--class", "1/0,0,0"],
+    # a string is not read one character per coefficient
+    ["body", "--testbed", "p2", "--class", '{"coeffs": "200"}', "--flag", "cone:1,2"],
+    ["mu", "--testbed", "p2", "--class", '{"coeffs": "200"}'],
+    ["intersect", "--testbed", "p2", "--classes", '{"coeffs": "200"};1,0,0'],
 ])
 def test_bad_input_exits_2_with_a_message(capsys, argv):
     code, _, err = run(capsys, *argv)

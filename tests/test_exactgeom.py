@@ -700,7 +700,7 @@ def test_mixed_volume_of_any_bodies_matches_polarization(d, data):
     # n distinct bodies of every affine rank, each listed at least once and
     # in any order, so every route is met: three or more distinct bodies
     # (the facet route polarized over d - 1 bodies), two (the facet formula,
-    # or in R^4 the fit over one sum) and one (its volume)
+    # or in R^4 V(K^2, L^2) polarized the same way) and one (its volume)
     n = data.draw(st.integers(1, d))
     pool = [scale(_body_of_rank(data, d, data.draw(st.integers(0, d))), data.draw(scale_factors))
             for _ in range(n)]
@@ -764,9 +764,9 @@ def test_mixed_volume_budgets_only_the_sums_its_route_forms(monkeypatch):
     mixed_volume([simplex, simplex, simplex, box])
     assert seen == []  # the facet route
     mixed_volume([simplex, simplex, box, box])
-    assert seen == [5 * 16]  # the fit: sK + L for s = 1
+    assert seen == [5 * 5 * 16 * 16]  # two bodies twice each: the product of all four
     mixed_volume([simplex, box, scale(simplex, 2), box])
-    assert seen == [5 * 16, 5 * 16 * 5 * 16]  # three bodies: the product of all four
+    assert seen == [5 * 5 * 16 * 16, 5 * 16 * 5 * 16]  # three bodies: the product of all four
 
 
 def test_mixed_volume_refuses_sums_over_the_budget_before_forming_any(monkeypatch):
@@ -784,17 +784,17 @@ def test_mixed_volume_refuses_sums_over_the_budget_before_forming_any(monkeypatc
     monkeypatch.setattr(exactgeom, "ENUMERATION_BUDGET", 4 * 8 * 3)
     value = mixed_volume(three)
     assert sums and value == mixed_volume_by_polarization(three)
-    # the fit's sK + L in R^4: |V(K)| |V(L)| vertex sums
+    # V(K^2, L^2) in R^4 polarizes too: the product of all four vertex counts
     simplex = Polytope.hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     box = Polytope.hull(product((0, 2), repeat=4))
-    fit = [simplex, simplex, box, box]
+    twice = [simplex, simplex, box, box]
     sums.clear()
-    monkeypatch.setattr(exactgeom, "ENUMERATION_BUDGET", 5 * 16 - 1)
+    monkeypatch.setattr(exactgeom, "ENUMERATION_BUDGET", 5 * 5 * 16 * 16 - 1)
     with pytest.raises(exactgeom.EnumerationBudgetError, match="Minkowski sum"):
-        mixed_volume(fit)
+        mixed_volume(twice)
     assert sums == []
-    monkeypatch.setattr(exactgeom, "ENUMERATION_BUDGET", 5 * 16)
-    assert mixed_volume(fit) == mixed_volume_by_polarization(fit)
+    monkeypatch.setattr(exactgeom, "ENUMERATION_BUDGET", 5 * 5 * 16 * 16)
+    assert mixed_volume(twice) == mixed_volume_by_polarization(twice)
     # V(K, L^(d-1)) and vol K form no sum, so no budget refuses them
     monkeypatch.setattr(exactgeom, "ENUMERATION_BUDGET", 0)
     for bodies in ([simplex, box, box, box], [box, box, box, simplex], [box] * 4,

@@ -1,6 +1,6 @@
-"""The package's public names: every `__all__` entry and every name that
-`oklab/__init__.py` re-exports is defined, and every public function and
-method has a caller outside the tests; and what importing it loads."""
+"""The package's public names, those without a leading underscore: no
+module imports or reads another's private names, and every public function
+and method has a caller outside the tests; and what importing it loads."""
 
 import ast
 import importlib
@@ -17,27 +17,6 @@ import pytest
 import oklab
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(oklab.__path__))
-
-
-@pytest.mark.parametrize("name", MODULES)
-def test_star_import_defines_every_all_entry(name):
-    module = importlib.import_module(f"oklab.{name}")
-    names = getattr(module, "__all__", [])
-    assert [n for n in names if not hasattr(module, n)] == []
-    namespace = {}
-    exec(f"from oklab.{name} import *", namespace)
-    assert [n for n in names if n not in namespace] == []
-
-
-def test_package_reexports_exist():
-    tree = ast.parse(Path(oklab.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"oklab.{node.module}")
-        for alias in node.names:
-            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
-            assert getattr(oklab, alias.asname or alias.name) is getattr(module, alias.name)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -147,9 +126,8 @@ def _attribute_reads(node) -> Counter:
 def test_every_public_function_has_a_caller_outside_the_tests():
     # a helper that only tests call belongs in tests/: each public top-level
     # function of the package is used by the package or by perfbench/, apart
-    # from its own def, `__all__` (strings) and the re-exports of __init__.py;
-    # each public method or property of a package class is read there as an
-    # attribute, apart from inside its own def
+    # from its own def; each public method or property of a package class is
+    # read there as an attribute, apart from inside its own def
     package = Path(oklab.__file__).parent
     trees = {path: ast.parse(path.read_text()) for path in
              [package / f"{name}.py" for name in MODULES]
@@ -191,3 +169,15 @@ def test_importing_the_cli_loads_no_heavy_stdlib_module():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_importing_a_layer_loads_only_it_and_earlier_layers(name):
+    code = (f"import sys, oklab.{name}; "
+            "print(sorted(m for m in sys.modules if m.startswith('oklab.')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(oklab.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    layers = LAYERS[:LAYERS.index(name) + 1]
+    assert proc.stdout == f"{sorted(f'oklab.{m}' for m in layers)}\n"

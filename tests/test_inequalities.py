@@ -289,6 +289,19 @@ def test_lemma61_non_corresponding_flag_nonnegative():
     assert rec.slack >= 0
 
 
+def test_lemma61_rhs_is_the_intersection_number(monkeypatch):
+    # a mixed volume forced to 0 leaves the right side L . M^(d-1) / d!
+    monkeypatch.setattr(inequalities, "mixed_volume", lambda bodies: F(0))
+    for name, l_co, m_co, rays in (("p1xp1", (0, 3, 0, 5), (0, 1, 0, 0), (0, 2)),
+                                   ("p2", (1, 0, 0), (2, 0, 0), (1, 2)),
+                                   ("p1xp1xp1", (1, 0, 1, 0, 1, 0), (1, 0, 2, 0, 3, 0), (0, 2, 4))):
+        fan = testbed(name)
+        l_div, m_div, d = TDivisor(fan, l_co), TDivisor(fan, m_co), fan.dim
+        rec = lemma61_check(l_div, m_div, AdmissibleFlag(fan, rays))
+        expected = intersection_number(fan, [l_div] + [m_div] * (d - 1)) / factorial(d)
+        assert rec.lhs == 0 < expected == rec.rhs
+
+
 # --- lehmann-xiao -------------------------------------------------------------------
 
 def test_lx_trivial_cases():
@@ -341,6 +354,21 @@ def test_cor15_tight_case_with_proof_path():
     assert res["direct"].lhs == res["direct"].rhs == 2
     assert res["proof_path"] is not None
     assert res["proof_path"]["tight_ML"] and res["proof_path"]["tight_MN"]
+
+
+def test_cor15_onesided_ln_holds_below_the_bound(monkeypatch):
+    # V(L, N^(d-1)) is owed only <= L . N^(d-1) / d!; the tight triple meets
+    # the bound, so lower that one mixed volume and the check must still hold
+    fan = testbed("p1xp1")
+    l_div, m_div, n_div = (TDivisor(fan, co) for co in ((0, 1, 0, 1), (0, 1, 0, 0), (0, 0, 0, 1)))
+    flag = find_corresponding_flag(fan, m_div)
+    ln = [nef_body(l_div, flag).body] + [nef_body(n_div, flag).body] * (fan.dim - 1)
+    real = inequalities.mixed_volume
+    monkeypatch.setattr(inequalities, "mixed_volume",
+                        lambda bodies: real(bodies) - F(1, 4) * (bodies == ln))
+    path = cor15_check(l_div, m_div, n_div)["proof_path"]
+    assert path["lehmann_xiao"].rhs < F(1, 2)  # the lowered V(L, N) reached the record
+    assert path["onesided_LN"] and path["tight_ML"] and path["tight_MN"]
 
 
 def test_cor15_computes_each_product_once(monkeypatch):
