@@ -122,21 +122,30 @@ def emit(report: dict, fmt: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use: its options
-    hold no environment, so it can serve every `main` call."""
-    parser = argparse.ArgumentParser(
-        prog="oklab",
-        description="Exact Newton-Okounkov bodies, mixed volumes and "
-                    "intersection-number checks on toric testbeds.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def build_parser(name=None) -> argparse.ArgumentParser | None:
+    """The full parser, or with a command's name that command's own parser, which
+    parses, helps and errs as its subcommand does (None if no command has the name).
+    Each is built on first use and serves every later call: no option holds the environment."""
+    parser = None
+    if name is None:
+        parser = argparse.ArgumentParser(
+            prog="oklab",
+            description="Exact Newton-Okounkov bodies, mixed volumes and "
+                        "intersection-number checks on toric testbeds.")
+        parser.add_argument("--version", action="version", version=__version__)
+        sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, text, testbed="required", flag=False):
-        """A subcommand with the options `run` reads: the fan (--testbed,
-        --catalog) unless testbed is None, --flag if asked, the output."""
-        p = sub.add_parser(name, help=text)
-        p.set_defaults(run=run)
+    def command(cmd, run, text, testbed="required", flag=False):
+        """`cmd`'s parser, with the options `run` reads: the fan (--testbed, --catalog)
+        unless testbed is None, --flag if asked, the output; None if `name` is another."""
+        nonlocal parser
+        if name is None:
+            p = sub.add_parser(cmd, help=text)
+        elif name == cmd:
+            p = parser = argparse.ArgumentParser(prog=f"oklab {cmd}")
+        else:
+            return None
+        p.set_defaults(run=run, command=cmd)
         if testbed:
             p.add_argument("--testbed", required=testbed == "required",
                            help="testbed name (built-in or catalog)")
@@ -149,32 +158,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report here instead of stdout")
         return p
 
-    p = command("body", cmd_body, "Newton-Okounkov body of a divisor class", flag=True)
-    p.add_argument("--class", dest="divisor", required=True,
-                   help="ray coefficients, e.g. 1,0,0 or 3/2,0 (curves: degree)")
+    if p := command("body", cmd_body, "Newton-Okounkov body of a divisor class", flag=True):
+        p.add_argument("--class", dest="divisor", required=True,
+                       help="ray coefficients, e.g. 1,0,0 or 3/2,0 (curves: degree)")
 
-    p = command("verify", cmd_verify, "run a verification suite", testbed="optional")
-    p.add_argument("--suite", required=True, choices=(*SUITES, "all"))
-    p.add_argument("--grid-den", type=int, default=12,
-                   help="denominator bound for parameter grids")
-    p.add_argument("--seed", type=int, default=2024)
+    if p := command("verify", cmd_verify, "run a verification suite", testbed="optional"):
+        p.add_argument("--suite", required=True, choices=(*SUITES, "all"))
+        p.add_argument("--grid-den", type=int, default=12,
+                       help="denominator bound for parameter grids")
+        p.add_argument("--seed", type=int, default=2024)
 
-    p = command("search-strict", cmd_search_strict, "sweep ample pairs for strictness",
-                flag=True)
-    p.add_argument("--bound", type=int, default=5,
-                   help="class-coordinate bound of the sweep grid")
+    if p := command("search-strict", cmd_search_strict, "sweep ample pairs for strictness",
+                    flag=True):
+        p.add_argument("--bound", type=int, default=5,
+                       help="class-coordinate bound of the sweep grid")
 
-    p = command("mu", cmd_mu, "endpoint sup{s : M - s O(Y1) big}", flag=True)
-    p.add_argument("--class", dest="divisor", required=True)
+    if p := command("mu", cmd_mu, "endpoint sup{s : M - s O(Y1) big}", flag=True):
+        p.add_argument("--class", dest="divisor", required=True)
 
-    p = command("intersect", cmd_intersect, "intersection number of nef divisors")
-    p.add_argument("--classes", required=True,
-                   help="d divisors separated by ';', e.g. 0,1,0,1;0,1,0,0")
+    if p := command("intersect", cmd_intersect, "intersection number of nef divisors"):
+        p.add_argument("--classes", required=True,
+                       help="d divisors separated by ';', e.g. 0,1,0,1;0,1,0,0")
 
-    p = command("mixedvol", cmd_mixedvol, "mixed volume of d polytopes", testbed=None)
-    p.add_argument("--bodies", required=True,
-                   help="JSON list of vertex lists (rationals as [n,d] pairs)"
-                        " or @file")
+    if p := command("mixedvol", cmd_mixedvol, "mixed volume of d polytopes", testbed=None):
+        p.add_argument("--bodies", required=True,
+                       help="JSON list of vertex lists (rationals as [n,d] pairs)"
+                            " or @file")
     return parser
 
 
@@ -353,9 +362,12 @@ def cmd_mixedvol(args, catalog):
 
 def main(argv=None) -> int:
     """Run one command; the exit code is described in the module docstring.
-    The argument parser is built once per process, on the first call."""
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_signed_values(argv))
+    The command argv names is parsed by its own parser, built once per process."""
+    argv = _attach_signed_values(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv[0]) if argv else None  # None: argv names no command
+    args, unread = parser.parse_known_args(argv[1:]) if parser else (None, True)
+    if unread:  # the full parser gives the help, version or error it always gave
+        args = build_parser().parse_args(argv)
     try:
         catalog = _load_catalog(args) if "catalog" in vars(args) else None
         records, extra = args.run(args, catalog)

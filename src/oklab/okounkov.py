@@ -31,7 +31,7 @@ of its level that the body keeps: no divisor, no polytope and no scan of the bod
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .exactgeom import Polytope, integer_hull, scale, slice_at, slice_vertices
 from .linalg import rat
@@ -160,7 +160,9 @@ def slice_formula_checks(divisor: TDivisor, flag: AdmissibleFlag, ts) -> list:
     only on a ray miss or for a failing t's witness."""
     fan, y1, ts = flag.fan, flag.divisor_of_y1(), [rat(t) for t in ts]
     endpoint = mu(fan, divisor, y1)
-    ends = [min(ts), max(ts)] if ts else []  # both ranges are intervals
+    den = lcm(*[t.denominator for t in ts])
+    nums = [t.numerator * (den // t.denominator) for t in ts]  # ts over one denominator
+    ends = [ts[nums.index(min(nums))], ts[nums.index(max(nums))]] if ts else []
     if outside := [t for t in ends if not 0 <= t < endpoint]:
         raise ValueError(f"t={outside[0]} outside [0, mu) = [0, {endpoint})")
     lo, hi = ample_interval(divisor, flag)

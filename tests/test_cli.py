@@ -23,6 +23,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _subcommand_parsers():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
 def test_body_p1_segment(capsys):
     code, out, _ = run(capsys, "body", "--testbed", "p1", "--class", "3")
     assert code == 0
@@ -140,9 +146,7 @@ def test_verify_unknown_suite_rejected(capsys):
 
 
 def test_verify_suite_choices_are_the_suite_table_and_all():
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    suite = next(a for a in _subcommand_parsers()["verify"]._actions if a.dest == "suite")
     assert list(suite.choices) == [*verify.SUITES, "all"]
     assert list(verify.SUITES) == ["additivity", "slices", "replay", "prop14",
                                    "cor13", "lemma61", "cor15", "lx"]
@@ -228,12 +232,13 @@ def test_each_call_reads_the_catalog_environment_as_it_is(tmp_path, capsys, monk
 
 
 def test_main_builds_the_parser_once_per_process(capsys, monkeypatch):
+    # each named command's own parser once, the full parser only for argv
+    # that names no command
     built, init = [], argparse.ArgumentParser.__init__
 
     def counting(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        if self.prog == "oklab":  # not a subcommand's parser
-            built.append(self)
+        built.append(self.prog)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     cli.build_parser.cache_clear()
@@ -243,9 +248,52 @@ def test_main_builds_the_parser_once_per_process(capsys, monkeypatch):
                      ["mixedvol", "--bodies", "[[[0],[2]]]"],
                      ["body", "--testbed", "nope", "--class", "1"]) * 3:
             run(capsys, *argv)
+        assert built == ["oklab mu", "oklab intersect", "oklab mixedvol", "oklab body"]
+        for argv in (["--version"], ["nope"]):
+            with pytest.raises(SystemExit):
+                main(argv)
     finally:
         cli.build_parser.cache_clear()
-    assert len(built) == 1
+    assert built.count("oklab") == 1
+
+
+def test_each_command_parser_is_its_subcommand():
+    # the same help bytes, and the same namespace for the same argv
+    for name, sub in _subcommand_parsers().items():
+        assert cli.build_parser(name).format_help() == sub.format_help()
+    assert cli.build_parser("nope") is None
+    for argv in (["body", "--testbed", "p2", "--class", "1,0,0", "--flag", "cone:1,2"],
+                 ["verify", "--suite", "cor13", "--seed", "7", "--format", "csv"],
+                 ["search-strict", "--testbed", "p2", "--bound", "3"],
+                 ["mu", "--testbed=p2", "--class=-1,2,0", "--out", "x.json"],
+                 ["intersect", "--testbed", "p2", "--classes", "1,0,0;1,0,0"],
+                 ["mixedvol", "--bodies", "[[[0],[2]]]"]):
+        own = cli.build_parser(argv[0]).parse_args(argv[1:])
+        assert vars(own) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    ([], 2, "oklab: error: the following arguments are required: command"),
+    (["nope"], 2, "oklab: error: argument command: invalid choice: 'nope' (choose from "
+                  "'body', 'verify', 'search-strict', 'mu', 'intersect', 'mixedvol')"),
+    (["--version"], 0, None),
+    (["body", "--testbed", "p2", "--bogus", "1"], 2,
+     "oklab body: error: the following arguments are required: --class"),
+    (["body", "--testbed", "p2", "--class", "1,0,0", "--bogus", "1"], 2,
+     "oklab: error: unrecognized arguments: --bogus 1"),
+    (["mu", "--class", "2,0,0"], 2,
+     "oklab mu: error: the following arguments are required: --testbed"),
+])
+def test_main_exits_as_the_full_parser_does(capsys, argv, code, line):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    got = exc.value.code, capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert got == (exc.value.code, capsys.readouterr())
+    assert got[0] == code
+    errors = [text for text in got[1].err.splitlines() if ": error: " in text]
+    assert errors == ([line] if line else [])
 
 
 def test_json_object_divisor_and_flag_forms(capsys):
@@ -284,10 +332,8 @@ COMMAND_OPTIONS = {
 
 
 def test_each_command_takes_only_the_options_it_reads():
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
     options = {name: sorted(a.option_strings[-1] for a in p._actions if a.dest != "help")
-               for name, p in sub.choices.items()}
+               for name, p in _subcommand_parsers().items()}
     assert options == COMMAND_OPTIONS
     assert sum(map(len, options.values())) == 33
 

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import re
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 from itertools import permutations, product
@@ -331,6 +332,22 @@ def test_slice_grid_errors():
     assert slice_formula_check(m, flag, F(1, 2)) == (True, None)
     with pytest.raises(NotAmpleError):  # the open end lo = 0
         slice_formula_check(m, flag, 0)
+
+
+def test_slice_grid_range_checks_the_ends_of_an_unsorted_grid():
+    # the ends are found wherever they sit: an out-of-range t in the middle is
+    # refused with its own value, mixed denominators compared exactly
+    fan, flag = flag_of("p1xp1", (0, 2))
+    m = TDivisor(fan, (0, 2, 0, 3))  # mu = 2
+    for ts, bad in (([F(1, 2), F(5, 2), 0], "5/2"), ([1, -F(1, 3), F(3, 4)], "-1/3"),
+                    ([F(7, 4), 2, F(1, 6)], "2")):
+        with pytest.raises(ValueError, match=rf"^t={bad} outside \[0, mu\) = \[0, 2\)$"):
+            slice_formula_checks(m, flag, ts)
+    fan, flag = flag_of("f1", (0, 1))
+    m = TDivisor(fan, (1, 1, 1, 1))  # mu = 3; M - O(Y_1) is nef, not ample
+    text = (m - flag.divisor_of_y1()).class_text()
+    with pytest.raises(NotAmpleError, match=rf"^class {re.escape(text)} is not ample$"):
+        slice_formula_checks(m, flag, [F(1, 2), 1, F(1, 3)])
 
 
 def test_restriction_is_linear_and_the_shift_test_is_the_class_test():
